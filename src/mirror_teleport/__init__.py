@@ -51,7 +51,6 @@ from .protocol import (
     fidelity_coherent,
     fidelity_no_heterodyne,
     optimal_time,
-    optimal_time_no_heterodyne,
     teleport_covariance,
 )
 from .readout import (
@@ -100,7 +99,6 @@ __all__ = [
     "fidelity_coherent",
     "fidelity_no_heterodyne",
     "optimal_time",
-    "optimal_time_no_heterodyne",
     "period",
     "physicality_defect",
     "propagator",

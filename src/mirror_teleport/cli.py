@@ -67,16 +67,25 @@ class RunConfig:
     couplings_override: Couplings | None
 
 
+def _number(value, field: str, kind=float):
+    """``value`` as a finite float, or an int for kind=int; JSON strings,
+    bools and, for an int field, non-integral numbers are rejected."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, allowed) and not isinstance(value, bool):
+        try:
+            if kind is int or math.isfinite(value):
+                return kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"config field {field!r} has invalid value {value!r}")
+
+
 def _get(raw: dict, field: str, kind=float, required: bool = True, default=None):
     if field not in raw:
         if required:
             raise ConfigError(f"missing required config field: {field!r}")
         return default
-    value = raw[field]
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field {field!r} has invalid value {value!r}") from exc
+    return _number(raw[field], field, kind)
 
 
 def load_config(path) -> RunConfig:
@@ -112,19 +121,19 @@ def load_config(path) -> RunConfig:
     except DomainError as exc:
         raise ConfigError(f"invalid physical parameters: {exc}") from exc
 
-    from_temps = False
-    if "nbar_values" in raw:
-        values = raw["nbar_values"]
-    elif "temperatures_k" in raw:
-        values = [thermal_occupation(float(t), params.mirror_freq) for t in raw["temperatures_k"]]
-        from_temps = True
-    else:
+    from_temps = "nbar_values" not in raw
+    field = "temperatures_k" if from_temps else "nbar_values"
+    if field not in raw:
         raise ConfigError("config must provide nbar_values or temperatures_k")
+    values = raw[field]
     if not isinstance(values, list) or not values:
-        raise ConfigError("nbar list must be a non-empty JSON array")
-    nbar_values = tuple(float(v) for v in values)
-    if any(v < 0 for v in nbar_values):
-        raise ConfigError("nbar values must be >= 0")
+        raise ConfigError(f"{field} must be a non-empty JSON array")
+    values = [_number(v, field) for v in values]
+    if any(v < 0 for v in values):
+        raise ConfigError(f"{field} must be >= 0")
+    if from_temps:
+        values = [thermal_occupation(t, params.mirror_freq) for t in values]
+    nbar_values = tuple(values)
 
     grid_points = _get(raw, "grid_points", kind=int, required=False, default=2000)
     if grid_points < 2:
@@ -133,6 +142,8 @@ def load_config(path) -> RunConfig:
     if not periods > 0:
         raise ConfigError(f"periods must be > 0, got {periods}")
     readout_count = _get(raw, "readout_times_count", kind=int, required=False, default=3)
+    if readout_count < 0:
+        raise ConfigError(f"readout_times_count must be >= 0, got {readout_count}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     overrides = raw.get("tolerances", {})
@@ -141,7 +152,7 @@ def load_config(path) -> RunConfig:
     unknown = set(overrides) - set(tolerances)
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-    tolerances.update({k: float(v) for k, v in overrides.items()})
+    tolerances.update({k: _number(v, f"tolerances.{k}") for k, v in overrides.items()})
 
     override = None
     if "couplings_override" in raw:
@@ -190,19 +201,14 @@ def bundled_config_path(name: str = "fig2.json") -> Path:
     return Path(resources.files("mirror_teleport") / "data" / name)
 
 
-def _dense_grid_points(couplings: Couplings, requested: int) -> int:
-    """Grid density that resolves the ~1/parametric-wide fidelity peak."""
-    ratio = couplings.parametric / couplings.oscillation
-    return max(requested, min(2_000_000, 64 * math.ceil(max(1.0, ratio))))
-
-
 def _summary(config: RunConfig, couplings: Couplings) -> dict:
     t_period = dynamics.period(couplings)
-    dense = _dense_grid_points(couplings, config.grid_points)
     per_nbar = {}
     for nbar in config.nbar_values:
-        t_star, f_max = protocol.optimal_time(couplings, nbar, dense)
-        _, f_nh = protocol.optimal_time_no_heterodyne(couplings, nbar, dense)
+        t_star, f_max = protocol.optimal_time(couplings, nbar)
+        _, f_nh = protocol.optimal_time(
+            couplings, nbar, objective=protocol.fidelity_no_heterodyne
+        )
         per_nbar[f"{nbar:.12g}"] = {
             "F_max": f_max,
             "t_star_s": t_star,
@@ -222,7 +228,7 @@ def _summary(config: RunConfig, couplings: Couplings) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_couplings(config: RunConfig, out_dir: Path | None, stream=None) -> int:
@@ -512,7 +518,7 @@ def main(argv=None) -> int:
                 tolerances=config.tolerances,
                 couplings_override=config.couplings_override,
             )
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -536,7 +542,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, out_dir)
         return cmd_readout(config)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

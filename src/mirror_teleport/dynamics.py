@@ -63,8 +63,6 @@ class GaussianCoeffs:
 
 def period(couplings: Couplings) -> float:
     """Revival period of the closed dynamics, 2*pi/oscillation."""
-    if not couplings.oscillation > 0:
-        raise DomainError("oscillation rate must be > 0")
     return 2.0 * math.pi / couplings.oscillation
 
 
@@ -88,8 +86,6 @@ def coeffs_analytic(
     no subtraction of like-sized terms, which matters because r^4 can
     exceed 1e12 for near-degenerate rates.
     """
-    if not couplings.oscillation > 0:
-        raise DomainError("degenerate regime (oscillation <= 0) has no closed form")
     if nbar < 0:
         raise DomainError(f"nbar must be >= 0, got {nbar!r}")
     t = np.asarray(time, dtype=float)
@@ -136,8 +132,6 @@ def propagator(couplings: Couplings, time: float) -> PropagatorMatrix:
     commutator metric diag(+1,-1,-1), so M preserves it exactly and forms a
     one-parameter group.
     """
-    if not couplings.oscillation > 0:
-        raise DomainError("oscillation rate must be > 0")
     p = couplings.parametric
     b = couplings.beam_splitter
     osc = couplings.oscillation

@@ -59,11 +59,11 @@ class PhysicalParams:
         for name, value in positive.items():
             if not value > 0:
                 raise DomainError(f"{name} must be > 0, got {value!r}")
-        if self.mirror_freq < 0:
+        if not self.mirror_freq >= 0:
             raise DomainError(f"mirror_freq must be >= 0, got {self.mirror_freq!r}")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise DomainError(f"temperature must be >= 0, got {self.temperature!r}")
-        if self.damping < 0:
+        if not self.damping >= 0:
             raise DomainError(f"damping must be >= 0, got {self.damping!r}")
         if not 0 <= self.incidence_angle < math.pi / 2:
             raise DomainError(
@@ -80,10 +80,11 @@ class PhysicalParams:
 class Couplings:
     """Derived interaction rates, all in rad/s.
 
-    ``oscillation`` must equal sqrt(beam_splitter^2 - parametric^2); the
-    constructor enforces this to 1e-12 relative plus the float64 resolution
-    floor of the difference-of-squares (see
-    :func:`oscillation_consistency`).
+    All three are finite, beam_splitter > parametric > 0 and
+    oscillation > 0.  ``oscillation`` must equal
+    sqrt(beam_splitter^2 - parametric^2); the constructor enforces this to
+    1e-12 relative plus the float64 resolution floor of the
+    difference-of-squares (see :func:`oscillation_consistency`).
     """
 
     parametric: float
@@ -91,10 +92,15 @@ class Couplings:
     oscillation: float
 
     def __post_init__(self):
-        if not 0 < self.parametric < self.beam_splitter:
+        # The consistency floor below grows without bound as the rates
+        # approach degeneracy, so it alone would admit oscillation <= 0.
+        if not (
+            0 < self.parametric < self.beam_splitter < math.inf
+            and 0 < self.oscillation < math.inf
+        ):
             raise DomainError(
-                "require beam_splitter > parametric > 0, got "
-                f"({self.parametric!r}, {self.beam_splitter!r})"
+                "require finite beam_splitter > parametric > 0 and "
+                f"oscillation > 0, got {self!r}"
             )
         rel, floor = oscillation_consistency(
             self.parametric, self.beam_splitter, self.oscillation
@@ -172,7 +178,7 @@ def thermal_occupation(temperature: float, mirror_freq: float) -> float:
     1 / (exp(h_bar W / k T) - 1); evaluated via expm1 so that both the
     T -> 0 and the k T >> h_bar W limits are exact to rounding.
     """
-    if temperature < 0:
+    if not temperature >= 0:
         raise DomainError(f"temperature must be >= 0, got {temperature!r}")
     if not mirror_freq > 0:
         raise DomainError(f"mirror_freq must be > 0, got {mirror_freq!r}")
@@ -221,10 +227,5 @@ def validate_regime(params: PhysicalParams) -> list[str]:
             warnings.append(
                 f"mechanical damping {params.damping:g} Hz is not negligible "
                 f"against the oscillation rate {couplings.oscillation:g} rad/s"
-            )
-        if couplings.beam_splitter <= couplings.parametric:
-            warnings.append(
-                "no oscillatory regime: beam-splitter rate does not exceed "
-                "the parametric rate"
             )
     return warnings

@@ -19,6 +19,10 @@ These are algebraically identical to the coefficient-level expressions
 checks both routes against each other) but involve no cancellation of the
 r^4-sized terms, which is what makes the near-degenerate benchmark regime
 (r ~ 1400) computable in float64 at all.
+
+The fidelity peak just before the revival is about 1/parametric wide in t
+but of order one in the stretched variable u = r (2 pi - x), in which
+:func:`optimal_time` searches.
 """
 
 from __future__ import annotations
@@ -208,8 +212,10 @@ def fidelity_no_heterodyne(g: GaussianCoeffs):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    """Maximizer of a unimodal f on [lo, hi] to within tol."""
+def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """(x, f(x)) at the best point of a golden-section search for the maximum
+    of a unimodal f on [lo, hi], run until the bracket is below tol (which
+    must exceed a few ulps of hi, or the bracket stops shrinking)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
@@ -224,60 +230,57 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
             f1 = f(x1)
-    return 0.5 * (a + b)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+#: Fixed scans of the whole period (they find the peak for small r) and of
+#: u in [0, _PEAK_SCAN_U] (for large r), and the golden-section width in u.
+_PERIOD_SCAN_POINTS = 2001
+_PEAK_SCAN_U = 8.0
+_PEAK_SCAN_POINTS = 801
+_U_TOL = 1e-9
 
 
 def optimal_time(
-    couplings: Couplings, nbar: float, grid_points: int = 2000
+    couplings: Couplings, nbar: float, objective=fidelity_coherent
 ) -> tuple[float, float]:
-    """(t*, F_max): fidelity maximum over one revival period.
+    """(t*, F_max): maximum of ``objective`` over one revival period.
 
-    Scans a uniform grid, then refines the best bracket by golden-section
-    search down to 1e-6/oscillation.  The useful fidelity peak is a few
-    1/parametric wide, so resolving it needs grid_points well above
-    parametric/oscillation; callers in this package size the grid
-    accordingly.
+    ``objective`` is fidelity_coherent, or fidelity_no_heterodyne for the
+    variant without the heterodyne.  The search runs in u = r (2 pi - x),
+    r = parametric/oscillation, x = oscillation t, where for large r
+    n_eff -> (nbar + 1) (1 - u + u^2/2)^2 / (1 + u^4/4 + nbar u^2) is
+    minimal at u = sqrt(2) for every nbar (F = 1/(4 - 2 sqrt(2))), and the
+    heterodyne-free bracket (1 - u + u^2/2)^2 + nbar (1 - u)^2 at u = 1
+    (F = 0.8).  A fixed scan of u in [0, 8], merged with a uniform scan of
+    the whole period for small r, brackets the peak; golden section refines
+    u to 1e-9, or to a few ulps of t where that is coarser.  F_max is the
+    objective at t* exactly.
     """
-    if grid_points < 100:
-        raise DomainError(f"grid_points must be >= 100, got {grid_points}")
     t_period = period(couplings)
-    ts = np.linspace(0.0, t_period, grid_points + 1)
-    fv = fidelity_coherent(coeffs_analytic(couplings, nbar, ts))
+
+    def time_of(u):
+        return np.maximum(t_period - u / couplings.parametric, 0.0)
+
+    def f_of_u(u: float) -> float:
+        return objective(coeffs_analytic(couplings, nbar, time_of(u)))
+
+    u_period = couplings.parametric * t_period
+    us = np.union1d(
+        np.linspace(0.0, u_period, _PERIOD_SCAN_POINTS),
+        np.linspace(0.0, min(_PEAK_SCAN_U, u_period), _PEAK_SCAN_POINTS),
+    )
+    fv = objective(coeffs_analytic(couplings, nbar, time_of(us)))
     i = int(np.argmax(fv))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, grid_points)]
-
-    def f_of_t(t: float) -> float:
-        return fidelity_coherent(coeffs_analytic(couplings, nbar, t))
-
-    t_star = _golden_section_max(f_of_t, lo, hi, 1e-6 / couplings.oscillation)
-    f_star = f_of_t(t_star)
+    lo = us[max(i - 1, 0)]
+    hi = us[min(i + 1, len(us) - 1)]
+    # 8 ulps of t in u: a finer bracket could no longer move t (or u).
+    tol = max(_U_TOL, 8.0 * couplings.parametric * math.ulp(t_period))
+    u_star, f_star = _golden_section_max(f_of_u, lo, hi, tol)
     if f_star < fv[i]:  # grid point beat the refinement (flat maximum)
-        t_star, f_star = float(ts[i]), float(fv[i])
-    return float(t_star), float(f_star)
-
-
-def optimal_time_no_heterodyne(
-    couplings: Couplings, nbar: float, grid_points: int = 2000
-) -> tuple[float, float]:
-    """(t*, F_max) for the heterodyne-free variant over one revival period."""
-    if grid_points < 100:
-        raise DomainError(f"grid_points must be >= 100, got {grid_points}")
-    t_period = period(couplings)
-    ts = np.linspace(0.0, t_period, grid_points + 1)
-    fv = fidelity_no_heterodyne(coeffs_analytic(couplings, nbar, ts))
-    i = int(np.argmax(fv))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, grid_points)]
-
-    def f_of_t(t: float) -> float:
-        return fidelity_no_heterodyne(coeffs_analytic(couplings, nbar, t))
-
-    t_star = _golden_section_max(f_of_t, lo, hi, 1e-6 / couplings.oscillation)
-    f_star = f_of_t(t_star)
-    if f_star < fv[i]:
-        t_star, f_star = float(ts[i]), float(fv[i])
-    return float(t_star), float(f_star)
+        u_star = us[i]
+        f_star = f_of_u(u_star)
+    return float(time_of(u_star)), float(f_star)
 
 
 def bob_displacement(record: MeasurementRecord, g: GaussianCoeffs) -> DisplacementCommand:

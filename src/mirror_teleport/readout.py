@@ -61,8 +61,6 @@ def readout_weights(couplings: Couplings, time: float) -> ReadoutWeights:
     O^2 = (b - p)(b + p); the factored forms stay accurate when b - p
     underflows the naive subtraction.
     """
-    if not couplings.oscillation > 0:
-        raise DomainError("oscillation rate must be > 0")
     p = couplings.parametric
     b = couplings.beam_splitter
     x = couplings.oscillation * time
@@ -77,8 +75,6 @@ def readout_weights(couplings: Couplings, time: float) -> ReadoutWeights:
 
 def readout_times(couplings: Couplings, k_max: int) -> list[float]:
     """First ``k_max`` optimal readout times, where cos(oscillation*t) = 0."""
-    if not couplings.oscillation > 0:
-        raise DomainError("oscillation rate must be > 0")
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
     return [
@@ -96,8 +92,6 @@ def readout_quality(couplings: Couplings) -> float:
     """
     p = couplings.parametric
     b = couplings.beam_splitter
-    if not b > p:
-        raise DomainError("beam_splitter must exceed parametric for readout")
     return (b + p) ** 2 / (b * couplings.oscillation)
 
 

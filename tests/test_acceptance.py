@@ -19,7 +19,6 @@ from mirror_teleport import (
     fidelity_coherent,
     fidelity_no_heterodyne,
     optimal_time,
-    optimal_time_no_heterodyne,
     period,
     physicality_defect,
     propagator,
@@ -33,7 +32,6 @@ from mirror_teleport.dynamics import _moment_derivatives
 from conftest import COEFF_FIELDS
 
 NBAR_SET = (0.0, 1.0, 10.0, 1000.0)
-DENSE_GRID = 200_000
 
 
 def _report(name, ok, detail):
@@ -43,9 +41,7 @@ def _report(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def optima(bench_couplings):
-    return {
-        nbar: optimal_time(bench_couplings, nbar, DENSE_GRID) for nbar in NBAR_SET
-    }
+    return {nbar: optimal_time(bench_couplings, nbar) for nbar in NBAR_SET}
 
 
 def test_criterion_1_fidelity_maximum(optima):
@@ -90,7 +86,7 @@ def test_criterion_4_no_heterodyne(bench_couplings):
             )
         )
         worst_gap = max(worst_gap, gap)
-    _, f_nh = optimal_time_no_heterodyne(bench_couplings, 0.0, DENSE_GRID)
+    _, f_nh = optimal_time(bench_couplings, 0.0, objective=fidelity_no_heterodyne)
     ok = abs(f_nh - 0.80) <= 0.02 and worst_gap <= 1e-14
     _report(
         "criterion-4 no-heterodyne variant",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -74,6 +75,34 @@ def test_main_reports_config_error(tmp_path):
     bad.write_text("{not json")
     assert main(["--config", str(bad), "couplings"]) == 1
     assert main(["--config", str(tmp_path / "absent.json"), "couplings"]) == 1
+
+
+@pytest.mark.parametrize(
+    "patch, command",
+    [
+        ({"nbar_values": ["x"]}, "couplings"),
+        ({"nbar_values": [math.nan]}, "curve"),
+        ({"nbar_values": None, "temperatures_k": [-1]}, "couplings"),
+        ({"tolerances": {"fidelity_identity": "loose"}}, "verify"),
+        ({"readout_times_count": -1}, "readout"),
+        ({"temperature_k": math.nan}, "couplings"),
+        ({"damping_hz": math.nan}, "readout"),
+        ({"power_watts": math.inf}, "couplings"),
+        ({"grid_points": 2000.5}, "curve"),
+        ({"mass_kg": True}, "couplings"),
+    ],
+)
+def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):
+    for field, value in patch.items():
+        if value is None:
+            del bench_json[field]
+        else:
+            bench_json[field] = value
+    cfg = _write_config(tmp_path, bench_json)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), command]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_couplings_command(tmp_path, capsys):

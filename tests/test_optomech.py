@@ -148,6 +148,11 @@ def test_couplings_validation():
         Couplings.from_rates(-1.0, 2.0)
     with pytest.raises(DomainError):
         Couplings(2.0, 3.0, 1.0)  # inconsistent oscillation
+    # One ulp from degeneracy the consistency floor would admit any oscillation.
+    with pytest.raises(DomainError):
+        Couplings(1.0, math.nextafter(1.0, 2.0), 0.0)
+    with pytest.raises(DomainError):
+        Couplings(1.0, math.nextafter(1.0, 2.0), -1e-8)
 
 
 def test_consistency_floor_tracks_cancellation():
@@ -167,6 +172,10 @@ def test_params_validation():
         PhysicalParams(10.0, 2e15, 5e8, 1e7, 1e3, 1e-10, incidence_angle=math.pi / 2)
     with pytest.raises(DomainError):
         PhysicalParams(10.0, 2e15, 5e8, 1e7, 1e3, 1e-10, temperature=-1.0)
+    with pytest.raises(DomainError):
+        PhysicalParams(10.0, 2e15, 5e8, 1e7, 1e3, 1e-10, temperature=math.nan)
+    with pytest.raises(DomainError):
+        PhysicalParams(10.0, 2e15, 5e8, 1e7, 1e3, 1e-10, damping=math.nan)
     with pytest.raises(DomainError):
         PhysicalParams(10.0, 1e8, 5e8, 1e7, 1e3, 1e-10)  # mirror above laser
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,12 +16,12 @@ from mirror_teleport import (
     actuation_setting,
     bob_displacement,
     coeffs_analytic,
+    compute_couplings,
     conditional_correlation,
     effective_occupation,
     fidelity_coherent,
     fidelity_no_heterodyne,
     optimal_time,
-    optimal_time_no_heterodyne,
     period,
     physicality_defect,
     teleport_covariance,
@@ -121,7 +122,7 @@ def test_global_fidelity_ceiling(moderate, bench_couplings):
 
 
 def test_optimum_saturates_ceiling(bench_couplings):
-    t_star, f_max = optimal_time(bench_couplings, 0.0, grid_points=200_000)
+    t_star, f_max = optimal_time(bench_couplings, 0.0)
     assert f_max == pytest.approx(BEST_FIDELITY, abs=1e-7)
     assert 1.0 / f_max - 1.0 == pytest.approx(BEST_OCCUPATION, abs=1e-6)
     # the peak sits just before the revival at one full period
@@ -132,9 +133,24 @@ def test_optimal_time_agrees_with_brute_force(moderate):
     # Well-separated rates make the dense scan cheap and trustworthy.
     ts = np.linspace(0.0, period(moderate), 2_000_001)
     f = np.asarray(fidelity_coherent(coeffs_analytic(moderate, 1.0, ts)))
-    t_star, f_max = optimal_time(moderate, 1.0, grid_points=4000)
+    t_star, f_max = optimal_time(moderate, 1.0)
     assert f_max == pytest.approx(f.max(), abs=1e-9)
     assert t_star == pytest.approx(ts[int(np.argmax(f))], abs=1e-5)
+
+
+@pytest.mark.parametrize("objective", [fidelity_coherent, fidelity_no_heterodyne])
+@pytest.mark.parametrize("mirror_freq", [5e8, 7.3e5], ids=["r1414", "r37000"])
+def test_optimal_time_beats_dense_u_scan(bench_config, mirror_freq, objective):
+    # A 1e-5 step in u = r (2 pi - oscillation t) over [0, 4], which holds
+    # the peak, bounds the maximum from below.
+    c = compute_couplings(dataclasses.replace(bench_config.params, mirror_freq=mirror_freq))
+    r = c.parametric / c.oscillation
+    u = np.linspace(0.0, 4.0, 400_001)
+    ts = (2.0 * math.pi - u / r) / c.oscillation
+    scan_max = np.max(objective(coeffs_analytic(c, 1000.0, ts)))
+    t_star, f_max = optimal_time(c, 1000.0, objective=objective)
+    assert f_max >= scan_max - 1e-12
+    assert objective(coeffs_analytic(c, 1000.0, t_star)) == f_max
 
 
 def test_no_heterodyne_never_beats_heterodyne(moderate, bench_couplings):
@@ -149,7 +165,7 @@ def test_no_heterodyne_never_beats_heterodyne(moderate, bench_couplings):
 
 
 def test_no_heterodyne_optimum(bench_couplings):
-    _, f_nh = optimal_time_no_heterodyne(bench_couplings, 0.0, grid_points=200_000)
+    _, f_nh = optimal_time(bench_couplings, 0.0, objective=fidelity_no_heterodyne)
     assert f_nh == pytest.approx(0.8, abs=2e-3)
 
 
@@ -191,8 +207,3 @@ def test_measurement_record_validation():
         MeasurementRecord(math.nan, 0.0, 0j)
     with pytest.raises(DomainError):
         MeasurementRecord(0.0, 0.0, complex(math.inf, 0.0))
-
-
-def test_optimal_time_rejects_tiny_grids(moderate):
-    with pytest.raises(DomainError):
-        optimal_time(moderate, 0.0, grid_points=10)

@@ -206,6 +206,8 @@ def _summary(config: RunConfig, couplings: Couplings) -> dict:
     per_nbar = {}
     for nbar in config.nbar_values:
         t_star, f_max = protocol.optimal_time(couplings, nbar)
+        if not f_max > 0:  # n_eff overflowed
+            raise DomainError(f"fidelity at nbar = {nbar:.12g} is outside the float64 range")
         _, f_nh = protocol.optimal_time(
             couplings, nbar, objective=protocol.fidelity_no_heterodyne
         )
@@ -228,7 +230,11 @@ def _summary(config: RunConfig, couplings: Couplings) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or Inf: the config left the float64 range
+        raise DomainError(f"{path.name} would hold a non-finite value") from exc
+    path.write_text(text + "\n")
 
 
 def cmd_couplings(config: RunConfig, out_dir: Path | None, stream=None) -> int:
@@ -281,6 +287,8 @@ def cmd_curve(
         )
         columns.append(np.asarray(fv))
 
+    if not all(np.isfinite(col).all() for col in (theta_t, *columns)):
+        raise DomainError("the fidelity curve is outside the float64 range")
     header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
     lines = [header]
     for i in range(len(times)):

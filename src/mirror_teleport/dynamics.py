@@ -17,7 +17,9 @@ Three independent routes to the coefficients are provided:
 
 * ``coeffs_analytic`` -- the closed trigonometric forms, regrouped so that
   no subtractive cancellation occurs (every 1 - cos x is 2 sin^2(x/2));
-* ``coeffs_ode``      -- fixed-step RK4 integration of the moment ODE system;
+* ``coeffs_ode``      -- fixed-step RK4 integration of the moment ODE system,
+  which is affine in the moments: with z = (moments, 1), one RK4 step is
+  z + D(h) z for a 7x7 increment matrix D(h) built once per step size;
 * ``coeffs_from_propagator`` -- second moments assembled from the Heisenberg
   propagator rows.
 
@@ -171,23 +173,42 @@ def _moment_derivatives(y, parametric: float, beam_splitter: float):
     )
 
 
+def _generator(parametric: float, beam_splitter: float) -> np.ndarray:
+    """7x7 augmented generator A with d/dt (y, 1) = A (y, 1).
+
+    Probed from :func:`_moment_derivatives` at zero (the constant column) and
+    at the six unit vectors, so the ODE stays written in one place.
+    """
+    a = np.zeros((7, 7))
+    a[:6, 6] = _moment_derivatives(np.zeros(6), parametric, beam_splitter)
+    for j, e in enumerate(np.eye(6)):
+        a[:6, j] = _moment_derivatives(e, parametric, beam_splitter) - a[:6, 6]
+    return a
+
+
+def _rk4_increment(a: np.ndarray, h: float) -> np.ndarray:
+    """D(h) = hA(I + hA/2(I + hA/3(I + hA/4))): one RK4 step is z + D(h) z."""
+    eye = np.eye(7)
+    ha = h * a
+    return ha @ (eye + ha / 2.0 @ (eye + ha / 3.0 @ (eye + ha / 4.0)))
+
+
 def _rk4_integrate(couplings: Couplings, nbar: float, times: np.ndarray, dt_max: float):
     """Classic fixed-step RK4 from t = 0 through each requested time."""
-    y = np.zeros(6)
-    y[1] = nbar
-    p, b = couplings.parametric, couplings.beam_splitter
+    a = _generator(couplings.parametric, couplings.beam_splitter)
+    d_max = _rk4_increment(a, dt_max)
+    z = np.zeros(7)
+    z[1] = nbar
+    z[6] = 1.0
     out = np.empty((len(times), 6))
     t = 0.0
     for i, target in enumerate(times):
         while target - t > 1e-15 * target:
             h = min(dt_max, target - t)
-            k1 = _moment_derivatives(y, p, b)
-            k2 = _moment_derivatives(y + 0.5 * h * k1, p, b)
-            k3 = _moment_derivatives(y + 0.5 * h * k2, p, b)
-            k4 = _moment_derivatives(y + h * k3, p, b)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            d = d_max if h == dt_max else _rk4_increment(a, h)
+            z += d.dot(z)
             t += h
-        out[i] = y
+        out[i] = z[:6]
     return out
 
 
@@ -204,6 +225,15 @@ def coeffs_ode(
     with half the step; if the two disagree by more than ``doubling_tol``
     (relative to max(1, |value|) per entry) an :class:`IntegrationError` is
     raised with diagnostics.  ``time`` may be a scalar or an ascending array.
+
+    Each step is the classic four-stage RK4 step written as one matrix
+    product: the right-hand side is A (y, 1) for the 7x7 generator A, so the
+    step is z + D(h) z with D(h) = hA(I + hA/2(I + hA/3(I + hA/4))).  D is
+    built once for ``dt_max`` and again only for the short last step before
+    each requested time.  The step is kept in this increment form: folding
+    the identity into the matrix, (I + D) z, rounds away the low bits of D,
+    and in the near-degenerate regime the step-doubling change then grows
+    from ~5e-11 to ~1.5e-8.
     """
     if nbar < 0:
         raise DomainError(f"nbar must be >= 0, got {nbar!r}")

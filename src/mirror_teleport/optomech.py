@@ -134,12 +134,14 @@ def oscillation_consistency(
     check float64 supports; for well-separated rates the floor is ~ eps and
     the check is effectively exact.
     """
-    expected = math.sqrt(
-        (beam_splitter - parametric) * (beam_splitter + parametric)
+    # Square roots taken apart and the ratio squared by multiplication, so
+    # that no intermediate underflows to 0 or raises OverflowError.
+    expected = math.sqrt(beam_splitter - parametric) * math.sqrt(
+        beam_splitter + parametric
     )
     rel = abs(oscillation - expected) / expected
-    eps = sys.float_info.epsilon
-    floor = 8.0 * eps * beam_splitter**2 / expected**2
+    ratio = beam_splitter / expected
+    floor = 8.0 * sys.float_info.epsilon * ratio * ratio
     return rel, floor
 
 
@@ -160,12 +162,17 @@ def compute_couplings(params: PhysicalParams) -> Couplings:
         raise DomainError(f"mirror_freq must be > 0 to derive couplings, got {wm!r}")
     if not w0 > wm:
         raise DomainError(f"need laser_freq > mirror_freq, got {w0!r} <= {wm!r}")
-    parametric = math.cos(params.incidence_angle) * math.sqrt(
-        params.power
-        * params.det_bandwidth**2
-        * (w0 - wm)
-        / (2.0 * params.mass * wm * C_LIGHT**2 * params.mode_bandwidth)
-    )
+    try:
+        parametric = math.cos(params.incidence_angle) * math.sqrt(
+            params.power
+            * params.det_bandwidth**2
+            * (w0 - wm)
+            / (2.0 * params.mass * wm * C_LIGHT**2 * params.mode_bandwidth)
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(
+            f"the parametric rate of {params!r} is outside the float64 range"
+        ) from exc
     beam_splitter = parametric * math.sqrt((w0 + wm) / (w0 - wm))
     oscillation = parametric * math.sqrt(2.0 * wm / (w0 - wm))
     return Couplings(parametric, beam_splitter, oscillation)

@@ -92,19 +92,21 @@ def readout_quality(couplings: Couplings) -> float:
     """
     p = couplings.parametric
     b = couplings.beam_splitter
-    return (b + p) ** 2 / (b * couplings.oscillation)
+    return (b + p) / b * ((b + p) / couplings.oscillation)
 
 
 def decoherence_window(damping: float, nbar: float) -> float:
     """Time budget 1/(damping * nbar) for feed-forward before the mirror reheats.
 
     Returns +inf for nbar = 0: with no thermal phonons there is no reheating
-    constraint, and downstream schedulers compare windows numerically.
+    constraint, and downstream schedulers compare windows numerically.  A
+    reheating rate damping * nbar that underflows float64 means the same.
     """
     if not damping > 0:
         raise DomainError(f"damping must be > 0, got {damping!r}")
     if nbar < 0:
         raise DomainError(f"nbar must be >= 0, got {nbar!r}")
-    if nbar == 0:
+    rate = damping * nbar
+    if rate == 0:
         return math.inf
-    return 1.0 / (damping * nbar)
+    return 1.0 / rate

@@ -1,7 +1,11 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirror_teleport import ConfigError
 from mirror_teleport.cli import bundled_config_path, load_config, main
@@ -103,6 +107,83 @@ def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):
     assert main(["--config", cfg, "--out", str(out), command]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "patch, command",
+    [
+        ({"det_bandwidth_hz": 2.2e271}, "couplings"),
+        ({"mode_bandwidth_hz": 3.7e-222, "mass_kg": 1e-300}, "verify"),
+    ],
+)
+def test_couplings_beyond_float_range_exit_1(tmp_path, bench_json, capsys, patch, command):
+    # The config itself is valid; its rates are not representable, which
+    # only the command finds out, after --out exists.
+    bench_json.update(patch)
+    cfg = _write_config(tmp_path, bench_json)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_underflowing_reheating_rate_is_unconstrained(tmp_path, bench_json, capsys):
+    bench_json.update({"damping_hz": 9e-65, "nbar_values": [1.2e-274]})
+    assert main(["--config", _write_config(tmp_path, bench_json), "readout"]) == 0
+    assert "feed-forward window unconstrained" in capsys.readouterr().out
+
+
+_BUNDLED = json.loads(bundled_config_path().read_text())
+
+
+def _magnitude():
+    return st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+# Each field keeps its bundled value or takes a magnitude from 10^-300 to
+# 10^300, so that some configs get past validation and run.
+_FUZZ_FIELDS = {
+    f: st.one_of(st.just(_BUNDLED[f]), _magnitude())
+    for f in (
+        "power_watts",
+        "laser_freq_rad_per_s",
+        "mirror_freq_rad_per_s",
+        "det_bandwidth_hz",
+        "mode_bandwidth_hz",
+        "mass_kg",
+        "temperature_k",
+        "damping_hz",
+        "periods",
+    )
+}
+
+
+def _finite_file(path: Path) -> bool:
+    text = path.read_text()
+    if path.suffix == ".json":
+        values = []
+        json.loads(text, parse_float=values.append, parse_constant=values.append)
+    else:
+        values = [v for line in text.splitlines()[1:] for v in line.split(",")]
+    return all(math.isfinite(float(v)) for v in values)
+
+
+@given(
+    values=st.fixed_dictionaries(_FUZZ_FIELDS),
+    nbar=st.lists(st.one_of(st.just(0.0), _magnitude()), min_size=1, max_size=2),
+    command=st.sampled_from(["couplings", "readout", "curve"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_extreme_finite_configs_exit_cleanly(values, nbar, command):
+    # Any finite config either runs (exit 0) or is rejected as a config
+    # error (exit 1); nothing it writes holds NaN or Inf.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({**_BUNDLED, **values, "nbar_values": nbar}))
+        out = tmp / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), "--grid", "16", command])
+        assert rc in (0, 1)
+        for path in out.glob("*") if out.exists() else ():
+            assert _finite_file(path), path.name
 
 
 def test_couplings_command(tmp_path, capsys):

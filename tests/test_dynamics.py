@@ -12,11 +12,12 @@ from mirror_teleport import (
     coeffs_analytic,
     coeffs_from_propagator,
     coeffs_ode,
+    fidelity_coherent,
     period,
     propagator,
     symplectic_defect,
 )
-from mirror_teleport.dynamics import _moment_derivatives
+from mirror_teleport.dynamics import _generator, _moment_derivatives, _rk4_increment
 
 from conftest import COEFF_FIELDS
 
@@ -165,6 +166,87 @@ def test_rk4_certifies_stiff_regime_window(bench_couplings):
         a = np.asarray(getattr(ana, f))
         o = np.asarray(getattr(ode, f))
         assert np.max(np.abs(a - o) / np.maximum(1.0, np.abs(a))) < 1e-8
+
+
+@pytest.mark.parametrize("fixture, hp", [("moderate", 0.3), ("bench_couplings", 2e-3)])
+def test_rk4_matrix_step_is_the_classic_step(request, fixture, hp):
+    # One step z + D(h) z on z = (y, 1) against the four-stage RK4 formula,
+    # for the full step h = hp/parametric and a short final step.
+    c = request.getfixturevalue(fixture)
+    p, b = c.parametric, c.beam_splitter
+    a = _generator(p, b)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        y = rng.normal(size=6) * 10.0 ** rng.uniform(0.0, 8.0, size=6)
+        scale = max(1.0, np.abs(y).max())
+        assert np.abs(
+            _moment_derivatives(y, p, b) - (a[:6, :6] @ y + a[:6, 6])
+        ).max() <= 1e-14 * scale * max(p, b)
+        for h in (hp / p, 0.37 * hp / p):
+            k1 = _moment_derivatives(y, p, b)
+            k2 = _moment_derivatives(y + 0.5 * h * k1, p, b)
+            k3 = _moment_derivatives(y + 0.5 * h * k2, p, b)
+            k4 = _moment_derivatives(y + h * k3, p, b)
+            classic = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            z = np.append(y, 1.0)
+            step = z + _rk4_increment(a, h) @ z
+            assert step[6] == 1.0
+            assert np.abs(step[:6] - classic).max() <= 1e-14 * scale
+
+
+# Coefficients and fidelity at the fidelity peak t* of the bundled config,
+# frozen once with 80-digit mpmath: M = expm(K t*) for
+# K = [[0, p, 0], [p, 0, -b], [0, b, 0]] with p the float parametric rate and
+# b = sqrt(p^2 + o^2) for the float oscillation rate o (so M oscillates at
+# exactly the float o), the moments assembled from the rows of M as in
+# coeffs_from_propagator, and F = 1/(2 + stokes_n + mirror_n + 2 stokes_mirror
+# - (stokes_anti - mirror_anti)^2/(anti_n + 1)).  No trigonometric form of
+# coeffs_analytic enters.  t* is optimal_time's float at the time of freezing.
+# [DERIVED]
+PEAK_GOLDEN = [
+    (0.0, 0.018833517748816937, (
+        "2.9999978436928635662585805191178557875356540712078",
+        "1.9999984218467005580156062248225053619167313279643",
+        "-2.8284252464535689665520391724585116799511658019803",
+        "1.4142125955951385847093231633121134346640519490079",
+        "0.99999942184616300824297429429535042561892274324355",
+        "1.9999988827693785180533906588380953864145548331968",
+    ), "0.85355334639909710841993718961647847913090320282674"),
+    (1.0, 0.018833517748803638, (
+        "4.9999963187699040321276951577929542986960706677371",
+        "2.9999974395906746466704468893453020271726011412146",
+        "-4.2426375751250759552444501761627723276430361017655",
+        "2.8284252715465131601367546558732586566227161193453",
+        "2.9999988791792293854572482684476522715234695265225",
+        "3.9999978489743716575595399541186683189964241836813",
+    ), "0.85355334639909710707284570171284287069871900737681"),
+    (10.0, 0.018833517748803638, (
+        "22.99998227508120400661719344140920148883184770547",
+        "11.999988439595446492214970609836773081590234374413",
+        "-16.970548307331441729174763475729817148046249552874",
+        "15.556339185730959732967781849300818468823079289381",
+        "20.999993835485757514402222831572428407241613331057",
+        "21.999988305282723209575016715329703367000641174505",
+    ), "0.85355334639909708374548877294782001810659379120194"),
+    (1000.0, 0.018833517748803638, (
+        "2002.9984374693242012004620046391963924037673218561",
+        "1001.9989984401203495021125798638985890675298900263",
+        "-1417.0407288500316768615092264281047473923997291749",
+        "1415.6268697460200827443807731263323978108630279933",
+        "2000.9994390292038516983494247752978033362374318298",
+        "2001.9989384992013939312774604485435586474645101651",
+    ), "0.85355334639909707861859714025220960381120517817042"),
+]
+
+
+@pytest.mark.parametrize("nbar, t_star, coeffs, fidelity", PEAK_GOLDEN)
+def test_closed_form_at_fidelity_peak_golden(bench_couplings, nbar, t_star, coeffs, fidelity):
+    # Rounding x = oscillation * t* to float64 moves 2 pi - x (~1e-3 here)
+    # by ~4e-13 relative; 1e-11 leaves room for that and nothing more.
+    g = coeffs_analytic(bench_couplings, nbar, t_star)
+    gold = np.array([float(v) for v in coeffs])
+    assert np.max(np.abs(_vector(g) - gold) / np.maximum(1.0, np.abs(gold))) < 1e-11
+    assert fidelity_coherent(g) == pytest.approx(float(fidelity), rel=1e-14)
 
 
 def test_invalid_inputs(moderate):

@@ -42,6 +42,17 @@ from .gaussian_core import PropagatorMatrix
 from .optomech import Couplings
 
 
+#: The six coefficient fields of :class:`GaussianCoeffs`, in field order.
+COEFF_FIELDS = (
+    "stokes_n",
+    "mirror_n",
+    "stokes_mirror",
+    "mirror_anti",
+    "anti_n",
+    "stokes_anti",
+)
+
+
 @dataclass(frozen=True)
 class GaussianCoeffs:
     """The six coefficients of the three-mode Gaussian characteristic function.
@@ -113,9 +124,7 @@ def coeffs_analytic(
     if t.ndim:
         return coeffs
     return GaussianCoeffs(
-        *(float(getattr(coeffs, f)) for f in (
-            "stokes_n", "mirror_n", "stokes_mirror",
-            "mirror_anti", "anti_n", "stokes_anti")),
+        *(float(getattr(coeffs, f)) for f in COEFF_FIELDS),
         time=float(t), nbar=nbar, couplings=couplings,
     )
 

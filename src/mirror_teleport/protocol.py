@@ -256,6 +256,9 @@ def optimal_time(
     the whole period for small r, brackets the peak; golden section refines
     u to 1e-9, or to a few ulps of t where that is coarser.  F_max is the
     objective at t* exactly.
+
+    Raises DomainError when the closed forms leave the float64 range: a NaN
+    anywhere in the scan, or F_max not > 0 (n_eff overflowed).
     """
     t_period = period(couplings)
 
@@ -271,6 +274,9 @@ def optimal_time(
         np.linspace(0.0, min(_PEAK_SCAN_U, u_period), _PEAK_SCAN_POINTS),
     )
     fv = objective(coeffs_analytic(couplings, nbar, time_of(us)))
+    out_of_range = f"fidelity at nbar = {nbar:.12g} is outside the float64 range"
+    if np.isnan(fv).any():  # np.argmax would pick the first NaN
+        raise DomainError(out_of_range)
     i = int(np.argmax(fv))
     lo = us[max(i - 1, 0)]
     hi = us[min(i + 1, len(us) - 1)]
@@ -280,6 +286,8 @@ def optimal_time(
     if f_star < fv[i]:  # grid point beat the refinement (flat maximum)
         u_star = us[i]
         f_star = f_of_u(u_star)
+    if not f_star > 0:  # n_eff overflowed
+        raise DomainError(out_of_range)
     return float(time_of(u_star)), float(f_star)
 
 

@@ -2,15 +2,7 @@ import pytest
 
 from mirror_teleport import Couplings, compute_couplings
 from mirror_teleport.cli import bundled_config_path, load_config
-
-COEFF_FIELDS = (
-    "stokes_n",
-    "mirror_n",
-    "stokes_mirror",
-    "mirror_anti",
-    "anti_n",
-    "stokes_anti",
-)
+from mirror_teleport.dynamics import COEFF_FIELDS  # noqa: F401  (re-exported)
 
 
 @pytest.fixture(scope="session")

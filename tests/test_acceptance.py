@@ -5,28 +5,17 @@ pytest -s or in failure reports) before asserting, so a full run doubles as
 a human-readable scorecard.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from mirror_teleport import (
-    Couplings,
     coeffs_analytic,
-    coeffs_ode,
-    conditional_correlation,
-    effective_occupation,
     fidelity_coherent,
     fidelity_no_heterodyne,
     optimal_time,
     period,
-    physicality_defect,
-    propagator,
-    symplectic_defect,
-    teleport_covariance,
-    CovMatrix2,
 )
-from mirror_teleport.cli import main
+from mirror_teleport.cli import DEFAULT_TOLERANCES, _run_gates, main
 from mirror_teleport.dynamics import _moment_derivatives
 
 from conftest import COEFF_FIELDS
@@ -144,21 +133,33 @@ def test_criterion_7_coupling_magnitudes(bench_couplings):
     )
 
 
-def test_criterion_8_oracle_equivalence(moderate):
-    ts = np.linspace(0.0, period(moderate), 1001)[1:]
-    worst = 0.0
-    for nbar in (0.0, 10.0):
-        ode = coeffs_ode(moderate, nbar, ts, dt_max=1e-4)
-        ana = coeffs_analytic(moderate, nbar, ts)
-        for f in COEFF_FIELDS:
-            worst = max(
-                worst,
-                float(
-                    np.abs(
-                        np.asarray(getattr(ode, f)) - np.asarray(getattr(ana, f))
-                    ).max()
-                ),
-            )
+@pytest.fixture(scope="module")
+def gates(moderate, bench_couplings):
+    """The verify gates, run on both coupling sets at NBAR_SET."""
+    return {
+        label: {
+            name: (defect, ok)
+            for name, defect, _, ok in _run_gates(c, NBAR_SET, DEFAULT_TOLERANCES)
+        }
+        for label, c in (("moderate", moderate), ("bench", bench_couplings))
+    }
+
+
+def _gate_results(gates, names):
+    """(all passed, one 'label gate defect' entry per gate and coupling set)."""
+    results = [
+        (label, name, *by_name[name])
+        for label, by_name in gates.items()
+        for name in names
+    ]
+    detail = ", ".join(
+        f"{label} {name} {defect:.1e}" for label, name, defect, _ in results
+    )
+    return all(ok for *_, ok in results), detail
+
+
+def test_criterion_8_oracle_equivalence(gates, moderate):
+    ok_gates, detail = _gate_results(gates, ("ode-vs-analytic", "moment-route"))
     # finite-difference residual of the closed form against the ODE system
     h = 1e-7
     worst_res = 0.0
@@ -170,69 +171,25 @@ def test_criterion_8_oracle_equivalence(moderate):
         lhs = (vec(t + h) - vec(t - h)) / (2.0 * h)
         rhs = _moment_derivatives(vec(t), moderate.parametric, moderate.beam_splitter)
         worst_res = max(worst_res, float(np.abs(lhs - rhs).max()))
-    ok = worst <= 1e-8 and worst_res <= 1e-6
     _report(
-        "criterion-8 oracle equivalence (RK4 and finite differences)",
-        ok,
-        f"max |analytic - RK4| = {worst:.2e}, max ODE residual = {worst_res:.2e}",
+        "criterion-8 oracle equivalence (RK4, moment route, finite differences)",
+        ok_gates and worst_res <= 1e-6,
+        f"{detail}, max ODE residual = {worst_res:.2e}",
     )
 
 
-def test_criterion_9_structural_invariants(moderate, bench_couplings):
-    rng = np.random.default_rng(7)
-    worst_metric = worst_group = 0.0
-    for c in (moderate, bench_couplings):
-        times = rng.uniform(0.0, period(c), size=100)
-        for t in times:
-            worst_metric = max(worst_metric, symplectic_defect(propagator(c, t)))
-        for t1, t2 in zip(times[:50], times[50:]):
-            m12 = propagator(c, t1 + t2).matrix
-            prod = propagator(c, t1).matrix @ propagator(c, t2).matrix
-            scale = max(1.0, float(np.abs(m12).max())) ** 2
-            worst_group = max(worst_group, float(np.abs(m12 - prod).max()) / scale)
-
-    worst_phys = 0.0
-    for c in (moderate, bench_couplings):
-        for nbar in NBAR_SET:
-            for t in np.linspace(0.0, period(c), 41):
-                g = coeffs_analytic(c, nbar, float(t))
-                worst_phys = max(
-                    worst_phys, physicality_defect(conditional_correlation(g))
-                )
-
-    worst_fid = 0.0
-    worst_noise = 0.0
-    gin = CovMatrix2.vacuum()
-    for nbar in NBAR_SET:
-        ts = np.linspace(0.0, period(moderate), 101)
-        g = coeffs_analytic(moderate, nbar, ts)
-        fv = np.asarray(fidelity_coherent(g))
-        nv = np.asarray(effective_occupation(g))
-        worst_fid = max(worst_fid, float(np.abs(fv * (1.0 + nv) - 1.0).max()))
-        for t in ts[::10]:
-            gs = coeffs_analytic(moderate, nbar, float(t))
-            out = teleport_covariance(conditional_correlation(gs), gin).matrix
-            n_eff = effective_occupation(gs)
-            worst_noise = max(
-                worst_noise,
-                abs(out[0, 0] - 0.5 - n_eff) / max(1.0, n_eff),
-                abs(out[1, 1] - 0.5 - n_eff) / max(1.0, n_eff),
-            )
-
-    ok = (
-        worst_metric <= 1e-10
-        and worst_group <= 1e-10
-        and worst_phys <= 1e-10
-        and worst_fid <= 1e-12
-        and worst_noise <= 1e-12
+def test_criterion_9_structural_invariants(gates):
+    ok, detail = _gate_results(
+        gates,
+        (
+            "propagator-metric",
+            "propagator-group",
+            "conditional-physicality",
+            "fidelity-identity",
+            "teleport-noise",
+        ),
     )
-    _report(
-        "criterion-9 structural invariants",
-        ok,
-        f"metric {worst_metric:.1e}, group {worst_group:.1e}, "
-        f"physicality {worst_phys:.1e}, fidelity identity {worst_fid:.1e}, "
-        f"added noise {worst_noise:.1e}",
-    )
+    _report("criterion-9 structural invariants", ok, detail)
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -81,6 +81,17 @@ def test_main_reports_config_error(tmp_path):
     assert main(["--config", str(tmp_path / "absent.json"), "couplings"]) == 1
 
 
+def _override(parametric, beam_splitter, oscillation):
+    return {
+        "couplings_override": {
+            "parametric_rad_per_s": parametric,
+            "beam_splitter_rad_per_s": beam_splitter,
+            "oscillation_rad_per_s": oscillation,
+        }
+    }
+
+
+# ``command`` is the command, after any flags that override the config.
 @pytest.mark.parametrize(
     "patch, command",
     [
@@ -94,6 +105,12 @@ def test_main_reports_config_error(tmp_path):
         ({"power_watts": math.inf}, "couplings"),
         ({"grid_points": 2000.5}, "curve"),
         ({"mass_kg": True}, "couplings"),
+        (_override(3.0, 2.0, 1.0), "verify"),
+        (_override(0.0, 0.0, 0.0), "verify"),
+        ({}, "--grid -5 curve"),
+        ({}, "--grid 1 curve"),
+        ({}, "--periods 0 curve"),
+        ({}, "--periods nan curve"),
     ],
 )
 def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):
@@ -104,7 +121,7 @@ def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):
             bench_json[field] = value
     cfg = _write_config(tmp_path, bench_json)
     out = tmp_path / "out"
-    assert main(["--config", cfg, "--out", str(out), command]) == 1
+    assert main(["--config", cfg, "--out", str(out), *command.split()]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -243,6 +260,17 @@ def test_verify_passes_on_bundled_config(tmp_path, capsys):
     text = (tmp_path / "verify.txt").read_text()
     assert "verification PASSED" in text
     assert "FAIL" not in text
+    # The benchmark's verify reference and tracer rely on this order.
+    assert [line.split(":")[0].split()[1] for line in text.splitlines()[:-1]] == [
+        "couplings-consistency",
+        "ode-vs-analytic",
+        "propagator-metric",
+        "propagator-group",
+        "conditional-physicality",
+        "fidelity-identity",
+        "moment-route",
+        "teleport-noise",
+    ]
 
 
 def test_verify_fails_on_corrupted_couplings(tmp_path, bench_json, capsys):

@@ -153,6 +153,15 @@ def test_optimal_time_beats_dense_u_scan(bench_config, mirror_freq, objective):
     assert objective(coeffs_analytic(c, 1000.0, t_star)) == f_max
 
 
+def test_optimal_time_rejects_overflowed_scan(bench_couplings):
+    # At nbar = 1e302 the closed forms overflow to NaN on part of the scan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="float64 range"):
+            optimal_time(bench_couplings, 1e302)
+        _, f_max = optimal_time(bench_couplings, 1e301)
+    assert f_max == pytest.approx(0.8535533463990972, abs=1e-15)
+
+
 def test_no_heterodyne_never_beats_heterodyne(moderate, bench_couplings):
     for c in (moderate, bench_couplings):
         ts = np.linspace(0.0, period(c), 100_001)

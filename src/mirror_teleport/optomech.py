@@ -52,6 +52,7 @@ class PhysicalParams:
         positive = {
             "power": self.power,
             "laser_freq": self.laser_freq,
+            "mirror_freq": self.mirror_freq,
             "det_bandwidth": self.det_bandwidth,
             "mode_bandwidth": self.mode_bandwidth,
             "mass": self.mass,
@@ -59,8 +60,6 @@ class PhysicalParams:
         for name, value in positive.items():
             if not value > 0:
                 raise DomainError(f"{name} must be > 0, got {value!r}")
-        if not self.mirror_freq >= 0:
-            raise DomainError(f"mirror_freq must be >= 0, got {self.mirror_freq!r}")
         if not self.temperature >= 0:
             raise DomainError(f"temperature must be >= 0, got {self.temperature!r}")
         if not self.damping >= 0:
@@ -158,10 +157,6 @@ def compute_couplings(params: PhysicalParams) -> Couplings:
     lose most of its digits.
     """
     w0, wm = params.laser_freq, params.mirror_freq
-    if not wm > 0:
-        raise DomainError(f"mirror_freq must be > 0 to derive couplings, got {wm!r}")
-    if not w0 > wm:
-        raise DomainError(f"need laser_freq > mirror_freq, got {w0!r} <= {wm!r}")
     try:
         parametric = math.cos(params.incidence_angle) * math.sqrt(
             params.power
@@ -221,18 +216,10 @@ def validate_regime(params: PhysicalParams) -> list[str]:
             f"{params.mirror_freq:g} rad/s is not >= 10x the detection "
             f"bandwidth {params.det_bandwidth:g} Hz"
         )
-    couplings = None
-    if params.mirror_freq > 0 and params.laser_freq > params.mirror_freq:
-        couplings = compute_couplings(params)
-    if couplings is None:
+    couplings = compute_couplings(params)
+    if params.damping > couplings.oscillation / 10.0:
         warnings.append(
-            "degenerate sidebands: mirror_freq = 0 collapses both "
-            "back-scattered modes onto the driving frequency"
+            f"mechanical damping {params.damping:g} Hz is not negligible "
+            f"against the oscillation rate {couplings.oscillation:g} rad/s"
         )
-    else:
-        if params.damping > couplings.oscillation / 10.0:
-            warnings.append(
-                f"mechanical damping {params.damping:g} Hz is not negligible "
-                f"against the oscillation rate {couplings.oscillation:g} rad/s"
-            )
     return warnings

@@ -233,8 +233,9 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-#: Fixed scans of the whole period (they find the peak for small r) and of
-#: u in [0, _PEAK_SCAN_U] (for large r), and the golden-section width in u.
+#: Fixed scans of u in [0, _PEAK_SCAN_U] (the peak for large r) and of the
+#: rest of the period (the peak for small r), and the golden-section width
+#: in u.
 _PERIOD_SCAN_POINTS = 2001
 _PEAK_SCAN_U = 8.0
 _PEAK_SCAN_POINTS = 801
@@ -252,8 +253,8 @@ def optimal_time(
     n_eff -> (nbar + 1) (1 - u + u^2/2)^2 / (1 + u^4/4 + nbar u^2) is
     minimal at u = sqrt(2) for every nbar (F = 1/(4 - 2 sqrt(2))), and the
     heterodyne-free bracket (1 - u + u^2/2)^2 + nbar (1 - u)^2 at u = 1
-    (F = 0.8).  A fixed scan of u in [0, 8], merged with a uniform scan of
-    the whole period for small r, brackets the peak; golden section refines
+    (F = 0.8).  A fixed scan of u in [0, 8], joined to a uniform scan of the
+    rest of the period for small r, brackets the peak; golden section refines
     u to 1e-9, or to a few ulps of t where that is coarser.  F_max is the
     objective at t* exactly.
 
@@ -269,10 +270,13 @@ def optimal_time(
         return objective(coeffs_analytic(couplings, nbar, time_of(u)))
 
     u_period = couplings.parametric * t_period
-    us = np.union1d(
-        np.linspace(0.0, u_period, _PERIOD_SCAN_POINTS),
-        np.linspace(0.0, min(_PEAK_SCAN_U, u_period), _PEAK_SCAN_POINTS),
-    )
+    # Disjoint scans: two overlapping ones would leave pairs of points an ulp
+    # apart, and the +/-1-point bracket around the best could miss the peak.
+    u_peak = min(_PEAK_SCAN_U, u_period)
+    us = np.unique(np.concatenate((
+        np.linspace(0.0, u_peak, _PEAK_SCAN_POINTS),
+        np.linspace(u_peak, u_period, _PERIOD_SCAN_POINTS),
+    )))
     fv = objective(coeffs_analytic(couplings, nbar, time_of(us)))
     out_of_range = f"fidelity at nbar = {nbar:.12g} is outside the float64 range"
     if np.isnan(fv).any():  # np.argmax would pick the first NaN

@@ -15,7 +15,7 @@ from mirror_teleport import (
     optimal_time,
     period,
 )
-from mirror_teleport.cli import DEFAULT_TOLERANCES, _run_gates, main
+from mirror_teleport.cli import _run_gates, main
 from mirror_teleport.dynamics import _moment_derivatives
 
 from conftest import COEFF_FIELDS
@@ -139,7 +139,7 @@ def gates(moderate, bench_couplings):
     return {
         label: {
             name: (defect, ok)
-            for name, defect, _, ok in _run_gates(c, NBAR_SET, DEFAULT_TOLERANCES)
+            for name, defect, _, ok in _run_gates(c, NBAR_SET)
         }
         for label, c in (("moderate", moderate), ("bench", bench_couplings))
     }

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirror_teleport import ConfigError
-from mirror_teleport.cli import bundled_config_path, load_config, main
+from mirror_teleport import ConfigError, Couplings
+from mirror_teleport import cli
+from mirror_teleport.cli import _run_gates, bundled_config_path, load_config, main
 
 
 @pytest.fixture()
@@ -27,7 +28,6 @@ def test_bundled_config_loads(bench_config):
     assert bench_config.params.mirror_freq == 5e8
     assert bench_config.nbar_values == (0.0, 1.0, 10.0, 1000.0)
     assert bench_config.grid_points == 2000
-    assert bench_config.couplings_override is None
 
 
 def test_missing_field_rejected(tmp_path, bench_json):
@@ -68,9 +68,10 @@ def test_ordinary_frequency_convention(tmp_path, bench_json):
     assert cfg.params.laser_freq == pytest.approx(2e15, rel=1e-12)
 
 
-def test_unknown_tolerance_rejected(tmp_path, bench_json):
-    bench_json["tolerances"] = {"no_such_gate": 1.0}
-    with pytest.raises(ConfigError, match="no_such_gate"):
+def test_unknown_field_rejected(tmp_path, bench_json):
+    # A misspelt optional field must not silently fall back to its default.
+    bench_json["temperature_K"] = 300.0
+    with pytest.raises(ConfigError, match="temperature_K"):
         load_config(_write_config(tmp_path, bench_json))
 
 
@@ -81,16 +82,6 @@ def test_main_reports_config_error(tmp_path):
     assert main(["--config", str(tmp_path / "absent.json"), "couplings"]) == 1
 
 
-def _override(parametric, beam_splitter, oscillation):
-    return {
-        "couplings_override": {
-            "parametric_rad_per_s": parametric,
-            "beam_splitter_rad_per_s": beam_splitter,
-            "oscillation_rad_per_s": oscillation,
-        }
-    }
-
-
 # ``command`` is the command, after any flags that override the config.
 @pytest.mark.parametrize(
     "patch, command",
@@ -98,19 +89,20 @@ def _override(parametric, beam_splitter, oscillation):
         ({"nbar_values": ["x"]}, "couplings"),
         ({"nbar_values": [math.nan]}, "curve"),
         ({"nbar_values": None, "temperatures_k": [-1]}, "couplings"),
-        ({"tolerances": {"fidelity_identity": "loose"}}, "verify"),
+        ({"tolerances": {"fidelity_identity": 1.0}}, "verify"),
         ({"readout_times_count": -1}, "readout"),
         ({"temperature_k": math.nan}, "couplings"),
         ({"damping_hz": math.nan}, "readout"),
         ({"power_watts": math.inf}, "couplings"),
         ({"grid_points": 2000.5}, "curve"),
         ({"mass_kg": True}, "couplings"),
-        (_override(3.0, 2.0, 1.0), "verify"),
-        (_override(0.0, 0.0, 0.0), "verify"),
+        ({"couplings_override": {"oscillation_rad_per_s": 350.0}}, "verify"),
+        ({"grid_point": 100}, "verify"),
         ({}, "--grid -5 curve"),
         ({}, "--grid 1 curve"),
         ({}, "--periods 0 curve"),
         ({}, "--periods nan curve"),
+        ({"mirror_freq_rad_per_s": 0.0}, "couplings"),
     ],
 )
 def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):
@@ -273,18 +265,27 @@ def test_verify_passes_on_bundled_config(tmp_path, capsys):
     ]
 
 
-def test_verify_fails_on_corrupted_couplings(tmp_path, bench_json, capsys):
-    bench_json["couplings_override"] = {
-        "parametric_rad_per_s": 471730.8083835747,
-        "beam_splitter_rad_per_s": 471730.9263162916,
-        "oscillation_rad_per_s": 350.0,  # off by ~5%
-    }
-    cfg = _write_config(tmp_path, bench_json)
-    rc = main(["--config", cfg, "--out", str(tmp_path), "verify"])
+def test_verify_fails_on_corrupted_couplings(tmp_path, monkeypatch):
+    # A gate that fails makes verify exit 2: here the RK4 oracle, whose
+    # bundled defect is about 8e-11, held to 1e-12.
+    monkeypatch.setitem(cli.TOLERANCES, "ode_vs_analytic_scaled", 1e-12)
+    rc = main(["--out", str(tmp_path), "verify"])
     assert rc == 2
     text = (tmp_path / "verify.txt").read_text()
-    assert "FAIL couplings-consistency" in text
+    assert "FAIL ode-vs-analytic" in text
     assert "verification FAILED" in text
+
+
+@pytest.mark.parametrize(
+    "rates, nbar", [(None, 1e12), ((2.0, 3.0), 1e16)], ids=["bundled", "moderate"]
+)
+def test_physicality_gate_holds_at_large_nbar(bench_couplings, rates, nbar):
+    # The conditioned state grows with nbar; the gate's defect is relative
+    # to its size, so a physical state passes however hot the mirror is.
+    c = bench_couplings if rates is None else Couplings.from_rates(*rates)
+    name = "conditional-physicality"
+    defect, tolerance, ok = next(g[1:] for g in _run_gates(c, (nbar,)) if g[0] == name)
+    assert ok, (defect, tolerance)
 
 
 def test_readout_command(capsys):

@@ -168,6 +168,8 @@ def test_consistency_floor_tracks_cancellation():
 def test_params_validation():
     with pytest.raises(DomainError):
         PhysicalParams(0.0, 2e15, 5e8, 1e7, 1e3, 1e-10)
+    with pytest.raises(DomainError, match="mirror_freq"):
+        PhysicalParams(10.0, 2e15, 0.0, 1e7, 1e3, 1e-10)  # degenerate sidebands
     with pytest.raises(DomainError):
         PhysicalParams(10.0, 2e15, 5e8, 1e7, 1e3, 1e-10, incidence_angle=math.pi / 2)
     with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mirror_teleport import (
     CLASSICAL_FIDELITY_BOUND,
+    Couplings,
     CovMatrix2,
     DisplacementCommand,
     DomainError,
@@ -52,8 +53,6 @@ def test_initial_fidelity_is_classical(moderate):
 @given(nbar=st.floats(0.0, 5e3))
 @settings(max_examples=50, deadline=None)
 def test_initial_fidelity_thermal(nbar):
-    from mirror_teleport import Couplings
-
     c = Couplings.from_rates(2.0, 3.0)
     g = coeffs_analytic(c, nbar, 0.0)
     assert fidelity_coherent(g) == pytest.approx(1.0 / (2.0 + nbar), rel=1e-13)
@@ -129,13 +128,32 @@ def test_optimum_saturates_ceiling(bench_couplings):
     assert 0.9 * period(bench_couplings) < t_star < period(bench_couplings)
 
 
-def test_optimal_time_agrees_with_brute_force(moderate):
+@pytest.mark.parametrize(
+    "c, nbar, objective",
+    [
+        (Couplings.from_rates(2.0, 3.0), 1.0, fidelity_coherent),
+        # r < 8/(2 pi): the peak scan in u covers the whole period.
+        (
+            Couplings(15.006695007659511, 24.76684211707909, 19.702679345698385),
+            3.0,
+            fidelity_coherent,
+        ),
+        (
+            Couplings(0.008525183270747378, 0.011072472838650456, 0.007065472734560735),
+            1e4,
+            fidelity_no_heterodyne,
+        ),
+    ],
+    ids=["moderate", "r0.76-nbar3", "r1.21-nbar1e4-no-heterodyne"],
+)
+def test_optimal_time_agrees_with_brute_force(c, nbar, objective):
     # Well-separated rates make the dense scan cheap and trustworthy.
-    ts = np.linspace(0.0, period(moderate), 2_000_001)
-    f = np.asarray(fidelity_coherent(coeffs_analytic(moderate, 1.0, ts)))
-    t_star, f_max = optimal_time(moderate, 1.0)
-    assert f_max == pytest.approx(f.max(), abs=1e-9)
-    assert t_star == pytest.approx(ts[int(np.argmax(f))], abs=1e-5)
+    ts = np.linspace(0.0, period(c), 2_000_001)
+    f = np.asarray(objective(coeffs_analytic(c, nbar, ts)))
+    t_star, f_max = optimal_time(c, nbar, objective=objective)
+    assert f_max >= f.max() - 1e-12
+    assert objective(coeffs_analytic(c, nbar, t_star)) == f_max
+    assert t_star == pytest.approx(ts[int(np.argmax(f))], abs=1e-6 * period(c))
 
 
 @pytest.mark.parametrize("objective", [fidelity_coherent, fidelity_no_heterodyne])

@@ -27,7 +27,7 @@ import numpy as np
 from . import dynamics, protocol, readout
 from .dynamics import COEFF_FIELDS
 from .errors import ConfigError, DomainError, IntegrationError
-from .gaussian_core import physicality_defect, symplectic_defect
+from .gaussian_core import physicality_defects, symplectic_defect
 from .optomech import (
     Couplings,
     PhysicalParams,
@@ -302,7 +302,6 @@ def _run_gates(couplings: Couplings, nbar_values):
     by name.
     """
     tol = TOLERANCES
-    rng = np.random.default_rng(20260826)
     t_period = dynamics.period(couplings)
 
     # 1. couplings internal consistency
@@ -327,8 +326,9 @@ def _run_gates(couplings: Couplings, nbar_values):
         worst = max(worst, _scaled_gap(ana, ode))
     yield _verdict("ode-vs-analytic", worst, tol["ode_vs_analytic_scaled"])
 
-    # 3. propagator structure: the metric of each, the group law on 50 pairs
-    times = rng.uniform(0.0, t_period, size=100)
+    # 3. propagator structure: the metric of each, the group law on 50 pairs,
+    #    at 100 times of a golden-ratio sequence, which fills [0, T) evenly
+    times = t_period * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
     props = [dynamics.propagator(couplings, t) for t in times]
     metric = max(symplectic_defect(m) for m in props)
     yield _verdict("propagator-metric", metric, tol["propagator_metric"])
@@ -344,11 +344,10 @@ def _run_gates(couplings: Couplings, nbar_values):
     grid = np.linspace(0.0, t_period, 101)
     worst_phys = 0.0
     for nbar in nbar_values:
-        for t in grid:
-            g = dynamics.coeffs_analytic(couplings, nbar, float(t))
-            chan = protocol.conditional_correlation(g)
-            scale = max(1.0, float(np.abs(chan.matrix).max()))
-            worst_phys = max(worst_phys, physicality_defect(chan) / scale)
+        g = dynamics.coeffs_analytic(couplings, nbar, grid)
+        mats = protocol.conditional_matrices(g)
+        scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+        worst_phys = max(worst_phys, float(np.max(physicality_defects(mats) / scale)))
     yield _verdict(
         "conditional-physicality", worst_phys, tol["conditional_physicality"]
     )

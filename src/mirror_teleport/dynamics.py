@@ -19,7 +19,9 @@ Three independent routes to the coefficients are provided:
   no subtractive cancellation occurs (every 1 - cos x is 2 sin^2(x/2));
 * ``coeffs_ode``      -- fixed-step RK4 integration of the moment ODE system,
   which is affine in the moments: with z = (moments, 1), one RK4 step is
-  z + D(h) z for a 7x7 increment matrix D(h) built once per step size;
+  z + D(h) z for a 7x7 increment matrix D(h), so the steps between two
+  requested times compose into one interval increment E and z advances
+  by z + E z once per requested time;
 * ``coeffs_from_propagator`` -- second moments assembled from the Heisenberg
   propagator rows.
 
@@ -202,22 +204,54 @@ def _rk4_increment(a: np.ndarray, h: float) -> np.ndarray:
     return ha @ (eye + ha / 2.0 @ (eye + ha / 3.0 @ (eye + ha / 4.0)))
 
 
+def _compose(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Increment of applying increment e1, then e2: (I + e2)(I + e1) - I."""
+    return e1 + e2 + e2 @ e1
+
+
+def _rk4_power(squares: list, k: int) -> np.ndarray:
+    """(I + D)^k - I by binary powering in increment form.
+
+    ``squares[j]`` holds (I + D)^(2^j) - I; missing squares are appended, so
+    one list serves every k of an integration.
+    """
+    e = np.zeros((7, 7))
+    j = 0
+    while k:
+        if j == len(squares):
+            squares.append(_compose(squares[-1], squares[-1]))
+        if k & 1:
+            e = _compose(e, squares[j])
+        k >>= 1
+        j += 1
+    return e
+
+
 def _rk4_integrate(couplings: Couplings, nbar: float, times: np.ndarray, dt_max: float):
-    """Classic fixed-step RK4 from t = 0 through each requested time."""
+    """Classic fixed-step RK4 from t = 0 through each requested time.
+
+    Each interval between requested times is k steps of ``dt_max`` and at
+    most one short step h, so z advances over the whole interval at once,
+    z + E z with E = (I + D(h))(I + D(dt_max))^k - I.  E is built once per
+    distinct (k, h), of which uniform times give a few.
+    """
     a = _generator(couplings.parametric, couplings.beam_splitter)
-    d_max = _rk4_increment(a, dt_max)
+    squares = [_rk4_increment(a, dt_max)]
+    increments = {}
     z = np.zeros(7)
     z[1] = nbar
     z[6] = 1.0
     out = np.empty((len(times), 6))
     t = 0.0
     for i, target in enumerate(times):
-        while target - t > 1e-15 * target:
-            h = min(dt_max, target - t)
-            d = d_max if h == dt_max else _rk4_increment(a, h)
-            z += d.dot(z)
-            t += h
+        k, h = divmod(target - t, dt_max)
+        k, h = int(k), (h if h > 1e-15 * target else 0.0)
+        if (k, h) not in increments:
+            e = _rk4_power(squares, k)
+            increments[k, h] = _compose(e, _rk4_increment(a, h)) if h else e
+        z += increments[k, h].dot(z)
         out[i] = z[:6]
+        t = target
     return out
 
 
@@ -237,18 +271,27 @@ def coeffs_ode(
 
     Each step is the classic four-stage RK4 step written as one matrix
     product: the right-hand side is A (y, 1) for the 7x7 generator A, so the
-    step is z + D(h) z with D(h) = hA(I + hA/2(I + hA/3(I + hA/4))).  D is
-    built once for ``dt_max`` and again only for the short last step before
-    each requested time.  The step is kept in this increment form: folding
-    the identity into the matrix, (I + D) z, rounds away the low bits of D,
-    and in the near-degenerate regime the step-doubling change then grows
-    from ~5e-11 to ~1.5e-8.
+    step is z + D(h) z with D(h) = hA(I + hA/2(I + hA/3(I + hA/4))).  The
+    step schedule is fixed: each interval between requested times is k steps
+    of ``dt_max`` and at most one short step h.  Its k steps compose into
+    E = (I + D)^k - I, built by binary powering from the squares
+    (I + D)^(2^j) - I, and the short step joins it the same way; z then
+    advances by z + E z, so the cost is one matrix-vector product per
+    requested time plus about 2 log2(k) 7x7 products per distinct (k, h).
+    Everything stays in increment form, composing e1 then e2 as
+    e1 + e2 + e2 e1: forming I + D first rounds away the low bits of D.  On
+    the near-degenerate bundled rates, powering I + D and subtracting I
+    raises the step-doubling change from ~2e-11 to ~7e-8; applying E as
+    (I + E) z instead of z + E z raises the gap to the closed form from
+    ~9e-11 to ~4e-10.
     """
     if nbar < 0:
         raise DomainError(f"nbar must be >= 0, got {nbar!r}")
     if not dt_max > 0:
         raise DomainError(f"dt_max must be > 0, got {dt_max!r}")
     t = np.atleast_1d(np.asarray(time, dtype=float))
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise DomainError("time must be finite and >= 0")
     if np.any(np.diff(t) < 0):
         raise DomainError("time array must be ascending")
     full = _rk4_integrate(couplings, nbar, t, dt_max)

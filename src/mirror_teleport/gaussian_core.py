@@ -103,6 +103,15 @@ class PropagatorMatrix:
         return cls(np.eye(3), 0.0)
 
 
+def physicality_defects(matrices) -> np.ndarray:
+    """:func:`physicality_defect` of each matrix in a stack of shape (..., 4, 4).
+
+    One stacked eigenvalue solve; the defects have the stack's leading shape.
+    """
+    h = np.asarray(matrices, dtype=float) + 0.5j * SYMPLECTIC_FORM_4
+    return np.maximum(-np.linalg.eigvalsh(h)[..., 0], 0.0)
+
+
 def physicality_defect(corr: CorrelationMatrix4) -> float:
     """Uncertainty-principle violation of a two-mode correlation matrix.
 
@@ -110,9 +119,7 @@ def physicality_defect(corr: CorrelationMatrix4) -> float:
     positive semidefinite, J being the two-mode symplectic form.  Returns
     max(0, -lambda_min) of that Hermitian matrix; zero means physical.
     """
-    h = corr.matrix + 0.5j * SYMPLECTIC_FORM_4
-    lam_min = np.linalg.eigvalsh(h)[0]
-    return max(0.0, -float(lam_min))
+    return float(physicality_defects(corr.matrix))
 
 
 def symplectic_defect(prop: PropagatorMatrix) -> float:

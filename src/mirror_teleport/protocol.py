@@ -101,13 +101,13 @@ def _stable_parts(g: GaussianCoeffs):
     return e1, gain, r, q, s, c, omc
 
 
-def conditional_correlation(g: GaussianCoeffs) -> CorrelationMatrix4:
-    """Correlation matrix of the conditioned Stokes+mirror state.
+def conditional_matrices(g: GaussianCoeffs) -> np.ndarray:
+    """Correlation matrices of the conditioned Stokes+mirror state, unchecked.
 
-    Block pattern over (X_s, P_s, X_m, P_m): equal diagonal pairs, a single
-    correlation +/-k in the (X, X) and (P, P) slots, zero X-P cross terms.
-    Raises ConsistencyError if the result is unphysical beyond 1e-8, which
-    would signal a dynamics bug.
+    Evaluated elementwise over the times of ``g``: shape (4, 4) for a scalar
+    time, (n, 4, 4) for n times.  The block pattern over (X_s, P_s, X_m, P_m)
+    is the standard form: equal diagonal pairs, a single correlation +/-k in
+    the (X, X) and (P, P) slots, zero X-P cross terms.
     """
     parts = _stable_parts(g)
     if parts is not None:
@@ -117,22 +117,29 @@ def conditional_correlation(g: GaussianCoeffs) -> CorrelationMatrix4:
             g.nbar * (r**2 * q**2 * omc**2 + c**2) + r**2 * s**2
         ) / e1
         corr = (g.nbar + 1.0) * r * s * (1.0 + r**2 * omc) / e1
-        stokes_var, mirror_var, corr = map(float, (stokes_var, mirror_var, corr))
     else:
         e1 = g.anti_n + 1.0
-        if not e1 > 0:
+        if not np.all(e1 > 0):
             raise DomainError(f"anti_n + 1 must be > 0, got {e1!r}")
-        stokes_var = float(g.stokes_n - g.stokes_anti**2 / e1 + VACUUM_VARIANCE)
-        mirror_var = float(g.mirror_n - g.mirror_anti**2 / e1 + VACUUM_VARIANCE)
-        corr = float(g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1)
-    matrix = np.array(
-        [
-            [stokes_var, 0.0, corr, 0.0],
-            [0.0, stokes_var, 0.0, -corr],
-            [corr, 0.0, mirror_var, 0.0],
-            [0.0, -corr, 0.0, mirror_var],
-        ]
-    )
+        stokes_var = g.stokes_n - g.stokes_anti**2 / e1 + VACUUM_VARIANCE
+        mirror_var = g.mirror_n - g.mirror_anti**2 / e1 + VACUUM_VARIANCE
+        corr = g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1
+    stokes_var, mirror_var, corr = np.broadcast_arrays(stokes_var, mirror_var, corr)
+    matrix = np.zeros(stokes_var.shape + (4, 4))
+    matrix[..., 0, 0] = matrix[..., 1, 1] = stokes_var
+    matrix[..., 2, 2] = matrix[..., 3, 3] = mirror_var
+    matrix[..., 0, 2] = matrix[..., 2, 0] = corr
+    matrix[..., 1, 3] = matrix[..., 3, 1] = -corr
+    return matrix
+
+
+def conditional_correlation(g: GaussianCoeffs) -> CorrelationMatrix4:
+    """Correlation matrix of the conditioned Stokes+mirror state at a scalar time.
+
+    The matrix of :func:`conditional_matrices`.  Raises ConsistencyError if
+    it is unphysical beyond 1e-8, which would signal a dynamics bug.
+    """
+    matrix = conditional_matrices(g)
     result = CorrelationMatrix4(matrix)
     defect = physicality_defect(result)
     if defect > 1e-8 * max(1.0, float(np.abs(matrix).max())):
@@ -254,9 +261,12 @@ def optimal_time(
     minimal at u = sqrt(2) for every nbar (F = 1/(4 - 2 sqrt(2))), and the
     heterodyne-free bracket (1 - u + u^2/2)^2 + nbar (1 - u)^2 at u = 1
     (F = 0.8).  A fixed scan of u in [0, 8], joined to a uniform scan of the
-    rest of the period for small r, brackets the peak; golden section refines
-    u to 1e-9, or to a few ulps of t where that is coarser.  F_max is the
-    objective at t* exactly.
+    rest of the period for small r and to the two analytic peaks as points,
+    brackets the peak; golden section refines u to 1e-9, or to a few ulps of
+    t where that is coarser.  F_max is the objective at t* exactly.  The
+    points are u = sqrt(2) and u0 = r atan(1/r), where r sin x + cos x = 0
+    exactly: at large nbar the heterodyne-free bracket is dominated by
+    nbar (r sin x + cos x)^2, and its peak is far narrower than the scan.
 
     Raises DomainError when the closed forms leave the float64 range: a NaN
     anywhere in the scan, or F_max not > 0 (n_eff overflowed).
@@ -270,12 +280,15 @@ def optimal_time(
         return objective(coeffs_analytic(couplings, nbar, time_of(u)))
 
     u_period = couplings.parametric * t_period
+    r = couplings.parametric / couplings.oscillation
     # Disjoint scans: two overlapping ones would leave pairs of points an ulp
     # apart, and the +/-1-point bracket around the best could miss the peak.
     u_peak = min(_PEAK_SCAN_U, u_period)
+    seeds = np.minimum([r * math.atan(1.0 / r), math.sqrt(2.0)], u_period)
     us = np.unique(np.concatenate((
         np.linspace(0.0, u_peak, _PEAK_SCAN_POINTS),
         np.linspace(u_peak, u_period, _PERIOD_SCAN_POINTS),
+        seeds,
     )))
     fv = objective(coeffs_analytic(couplings, nbar, time_of(us)))
     out_of_range = f"fidelity at nbar = {nbar:.12g} is outside the float64 range"

@@ -4,6 +4,9 @@ from mirror_teleport import Couplings, compute_couplings
 from mirror_teleport.cli import bundled_config_path, load_config
 from mirror_teleport.dynamics import COEFF_FIELDS  # noqa: F401  (re-exported)
 
+#: The bundled config's thermal occupations.
+NBAR_SET = (0.0, 1.0, 10.0, 1000.0)
+
 
 @pytest.fixture(scope="session")
 def moderate():

@@ -18,9 +18,7 @@ from mirror_teleport import (
 from mirror_teleport.cli import _run_gates, main
 from mirror_teleport.dynamics import _moment_derivatives
 
-from conftest import COEFF_FIELDS
-
-NBAR_SET = (0.0, 1.0, 10.0, 1000.0)
+from conftest import COEFF_FIELDS, NBAR_SET
 
 
 def _report(name, ok, detail):

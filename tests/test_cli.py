@@ -3,13 +3,23 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirror_teleport import ConfigError, Couplings
+from mirror_teleport import (
+    ConfigError,
+    Couplings,
+    coeffs_analytic,
+    conditional_correlation,
+    period,
+    physicality_defect,
+)
 from mirror_teleport import cli
 from mirror_teleport.cli import _run_gates, bundled_config_path, load_config, main
+
+from conftest import NBAR_SET
 
 
 @pytest.fixture()
@@ -286,6 +296,21 @@ def test_physicality_gate_holds_at_large_nbar(bench_couplings, rates, nbar):
     name = "conditional-physicality"
     defect, tolerance, ok = next(g[1:] for g in _run_gates(c, (nbar,)) if g[0] == name)
     assert ok, (defect, tolerance)
+
+
+@pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
+def test_physicality_gate_is_the_scalar_check(request, fixture):
+    # The gate's one stacked eigenvalue solve per nbar gives exactly the
+    # worst scaled defect of the scalar conditional_correlation route.
+    c = request.getfixturevalue(fixture)
+    worst = 0.0
+    for nbar in NBAR_SET:
+        for t in np.linspace(0.0, period(c), 101):
+            chan = conditional_correlation(coeffs_analytic(c, nbar, float(t)))
+            scale = max(1.0, float(np.abs(chan.matrix).max()))
+            worst = max(worst, physicality_defect(chan) / scale)
+    gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
+    assert gates["conditional-physicality"] == worst
 
 
 def test_readout_command(capsys):

@@ -17,7 +17,12 @@ from mirror_teleport import (
     propagator,
     symplectic_defect,
 )
-from mirror_teleport.dynamics import _generator, _moment_derivatives, _rk4_increment
+from mirror_teleport.dynamics import (
+    _generator,
+    _moment_derivatives,
+    _rk4_increment,
+    _rk4_integrate,
+)
 
 from conftest import COEFF_FIELDS
 
@@ -194,6 +199,48 @@ def test_rk4_matrix_step_is_the_classic_step(request, fixture, hp):
             assert np.abs(step[:6] - classic).max() <= 1e-14 * scale
 
 
+def _rk4_stepwise(c, nbar, times, dt_max):
+    """Reference for _rk4_integrate: one z + D(h) z product per RK4 step."""
+    a = _generator(c.parametric, c.beam_splitter)
+    d_max = _rk4_increment(a, dt_max)
+    z = np.zeros(7)
+    z[1] = nbar
+    z[6] = 1.0
+    out = np.empty((len(times), 6))
+    t = 0.0
+    for i, target in enumerate(times):
+        while target - t > 1e-15 * target:
+            h = min(dt_max, target - t)
+            d = d_max if h == dt_max else _rk4_increment(a, h)
+            z += d.dot(z)
+            t += h
+        out[i] = z[:6]
+    return out
+
+
+@pytest.mark.parametrize("times", ["uniform", "ascending", "scalar"])
+@pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
+def test_rk4_interval_increments_match_stepwise(request, fixture, times):
+    # Ascending random times (one of them repeated) give many distinct step
+    # counts per interval.  Each time is compared relative to its largest
+    # moment: single entries can be orders of magnitude smaller, and the
+    # stepwise loop's rounding is relative to the whole state.
+    c = request.getfixturevalue(fixture)
+    t_max = min(period(c), 30.0 / c.parametric)
+    rng = np.random.default_rng(3)
+    ts = {
+        "uniform": np.linspace(0.0, t_max, 201)[1:],
+        "ascending": np.sort(np.repeat(rng.uniform(0.0, t_max, 30), [2] + [1] * 29)),
+        "scalar": np.array([0.37 * t_max]),
+    }[times]
+    dt = 2e-3 / c.parametric
+    for nbar in (0.0, 1.0, 10.0):
+        ref = _rk4_stepwise(c, nbar, ts, dt)
+        new = _rk4_integrate(c, nbar, ts, dt)
+        scale = np.maximum(1.0, np.abs(ref).max(axis=1))
+        assert np.max(np.abs(new - ref).max(axis=1) / scale) < 1e-10
+
+
 # Coefficients and fidelity at the fidelity peak t* of the bundled config,
 # frozen once with 80-digit mpmath: M = expm(K t*) for
 # K = [[0, p, 0], [p, 0, -b], [0, b, 0]] with p the float parametric rate and
@@ -258,3 +305,6 @@ def test_invalid_inputs(moderate):
         coeffs_ode(moderate, 1.0, [0.2, 0.1], dt_max=1e-3)
     with pytest.raises(DomainError):
         coeffs_ode(moderate, 1.0, 0.5, dt_max=0.0)
+    for bad_time in (-0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            coeffs_ode(moderate, 1.0, [bad_time, 1.0], dt_max=1e-3)

@@ -143,12 +143,32 @@ def test_optimum_saturates_ceiling(bench_couplings):
             1e4,
             fidelity_no_heterodyne,
         ),
+        # At large nbar the heterodyne-free peak is far narrower than the
+        # optimiser's scan spacing.
+        ("bench_couplings", 1e16, fidelity_no_heterodyne),
+        ("bench_couplings", 1e20, fidelity_no_heterodyne),
+        (Couplings.from_rates(2.0, 3.0), 1e20, fidelity_no_heterodyne),
     ],
-    ids=["moderate", "r0.76-nbar3", "r1.21-nbar1e4-no-heterodyne"],
+    ids=[
+        "moderate",
+        "r0.76-nbar3",
+        "r1.21-nbar1e4-no-heterodyne",
+        "bench-nbar1e16-no-heterodyne",
+        "bench-nbar1e20-no-heterodyne",
+        "moderate-nbar1e20-no-heterodyne",
+    ],
 )
-def test_optimal_time_agrees_with_brute_force(c, nbar, objective):
-    # Well-separated rates make the dense scan cheap and trustworthy.
-    ts = np.linspace(0.0, period(c), 2_000_001)
+def test_optimal_time_agrees_with_brute_force(request, c, nbar, objective):
+    # A dense scan of the period, joined to every float time within 20,000
+    # ulps of x0 = 2 pi - atan(1/r), where the heterodyne-free bracket
+    # nbar (r sin x + cos x)^2 vanishes.
+    if isinstance(c, str):
+        c = request.getfixturevalue(c)
+    t0 = (2.0 * math.pi - math.atan(c.oscillation / c.parametric)) / c.oscillation
+    ts = np.concatenate((
+        np.linspace(0.0, period(c), 2_000_001),
+        t0 + math.ulp(t0) * np.arange(-20_000, 20_001),
+    ))
     f = np.asarray(objective(coeffs_analytic(c, nbar, ts)))
     t_star, f_max = optimal_time(c, nbar, objective=objective)
     assert f_max >= f.max() - 1e-12

@@ -107,8 +107,12 @@ def physicality_defects(matrices) -> np.ndarray:
     """:func:`physicality_defect` of each matrix in a stack of shape (..., 4, 4).
 
     One stacked eigenvalue solve; the defects have the stack's leading shape.
+    Raises DomainError on a non-finite entry, which no eigenvalue solve takes.
     """
-    h = np.asarray(matrices, dtype=float) + 0.5j * SYMPLECTIC_FORM_4
+    matrices = np.asarray(matrices, dtype=float)
+    if not np.isfinite(matrices).all():
+        raise DomainError("correlation matrix has a non-finite entry")
+    h = matrices + 0.5j * SYMPLECTIC_FORM_4
     return np.maximum(-np.linalg.eigvalsh(h)[..., 0], 0.0)
 
 

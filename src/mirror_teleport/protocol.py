@@ -219,33 +219,13 @@ def fidelity_no_heterodyne(g: GaussianCoeffs):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """(x, f(x)) at the best point of a golden-section search for the maximum
-    of a unimodal f on [lo, hi], run until the bracket is below tol (which
-    must exceed a few ulps of hi, or the bracket stops shrinking)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
 #: Fixed scans of u in [0, _PEAK_SCAN_U] (the peak for large r) and of the
-#: rest of the period (the peak for small r), and the golden-section width
-#: in u.
+#: rest of the period (the peak for small r), the points on each side of the
+#: best one in a zoom round, and the bracket width in u at which zooming stops.
 _PERIOD_SCAN_POINTS = 2001
 _PEAK_SCAN_U = 8.0
 _PEAK_SCAN_POINTS = 801
+_ZOOM_POINTS = 33
 _U_TOL = 1e-9
 
 
@@ -262,9 +242,11 @@ def optimal_time(
     heterodyne-free bracket (1 - u + u^2/2)^2 + nbar (1 - u)^2 at u = 1
     (F = 0.8).  A fixed scan of u in [0, 8], joined to a uniform scan of the
     rest of the period for small r and to the two analytic peaks as points,
-    brackets the peak; golden section refines u to 1e-9, or to a few ulps of
-    t where that is coarser.  F_max is the objective at t* exactly.  The
-    points are u = sqrt(2) and u0 = r atan(1/r), where r sin x + cos x = 0
+    brackets the peak between the best point's two neighbours.  Each zoom
+    round rescans that bracket with the best point kept as a grid point, so
+    the best F never falls, until the bracket is within 1e-9 in u, or a few
+    ulps of t where that is coarser.  F_max is the objective at t* exactly.
+    The points are u = sqrt(2) and u0 = r atan(1/r), where r sin x + cos x = 0
     exactly: at large nbar the heterodyne-free bracket is dominated by
     nbar (r sin x + cos x)^2, and its peak is far narrower than the scan.
 
@@ -275,9 +257,6 @@ def optimal_time(
 
     def time_of(u):
         return np.maximum(t_period - u / couplings.parametric, 0.0)
-
-    def f_of_u(u: float) -> float:
-        return objective(coeffs_analytic(couplings, nbar, time_of(u)))
 
     u_period = couplings.parametric * t_period
     r = couplings.parametric / couplings.oscillation
@@ -290,19 +269,22 @@ def optimal_time(
         np.linspace(u_peak, u_period, _PERIOD_SCAN_POINTS),
         seeds,
     )))
-    fv = objective(coeffs_analytic(couplings, nbar, time_of(us)))
     out_of_range = f"fidelity at nbar = {nbar:.12g} is outside the float64 range"
-    if np.isnan(fv).any():  # np.argmax would pick the first NaN
-        raise DomainError(out_of_range)
-    i = int(np.argmax(fv))
-    lo = us[max(i - 1, 0)]
-    hi = us[min(i + 1, len(us) - 1)]
     # 8 ulps of t in u: a finer bracket could no longer move t (or u).
     tol = max(_U_TOL, 8.0 * couplings.parametric * math.ulp(t_period))
-    u_star, f_star = _golden_section_max(f_of_u, lo, hi, tol)
-    if f_star < fv[i]:  # grid point beat the refinement (flat maximum)
-        u_star = us[i]
-        f_star = f_of_u(u_star)
+    while True:
+        fv = objective(coeffs_analytic(couplings, nbar, time_of(us)))
+        if np.isnan(fv).any():  # np.argmax would pick the first NaN
+            raise DomainError(out_of_range)
+        i = int(np.argmax(fv))
+        lo, u_star, hi = us[max(i - 1, 0)], us[i], us[min(i + 1, len(us) - 1)]
+        if hi - lo <= tol:
+            break
+        us = np.unique(np.concatenate((
+            np.linspace(lo, u_star, _ZOOM_POINTS),
+            np.linspace(u_star, hi, _ZOOM_POINTS),
+        )))
+    f_star = objective(coeffs_analytic(couplings, nbar, time_of(u_star)))
     if not f_star > 0:  # n_eff overflowed
         raise DomainError(out_of_range)
     return float(time_of(u_star)), float(f_star)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from mirror_teleport import Couplings, compute_couplings
 from mirror_teleport.cli import bundled_config_path, load_config
@@ -6,6 +7,12 @@ from mirror_teleport.dynamics import COEFF_FIELDS  # noqa: F401  (re-exported)
 
 #: The bundled config's thermal occupations.
 NBAR_SET = (0.0, 1.0, 10.0, 1000.0)
+
+#: Well-separated rates: beam_splitter/parametric in [1.01, 3], so the ratio
+#: r = parametric/oscillation runs from 0.35 to 7.
+rate_pairs = st.tuples(
+    st.floats(0.1, 50.0), st.floats(1.01, 3.0)
+).map(lambda pb: Couplings.from_rates(pb[0], pb[0] * pb[1]))
 
 
 @pytest.fixture(scope="session")

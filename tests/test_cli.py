@@ -133,15 +133,19 @@ def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):
     [
         ({"det_bandwidth_hz": 2.2e271}, "couplings"),
         ({"mode_bandwidth_hz": 3.7e-222, "mass_kg": 1e-300}, "verify"),
+        ({"nbar_values": [1e300]}, "verify"),
     ],
 )
 def test_couplings_beyond_float_range_exit_1(tmp_path, bench_json, capsys, patch, command):
-    # The config itself is valid; its rates are not representable, which
-    # only the command finds out, after --out exists.
+    # The config itself is valid; its rates or results are not representable,
+    # which only the command finds out, after --out exists.
     bench_json.update(patch)
     cfg = _write_config(tmp_path, bench_json)
-    assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 1
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["--config", cfg, "--out", str(out), command]) == 1
     assert "config error:" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_underflowing_reheating_rate_is_unconstrained(tmp_path, bench_json, capsys):
@@ -284,6 +288,15 @@ def test_verify_fails_on_corrupted_couplings(tmp_path, monkeypatch):
     text = (tmp_path / "verify.txt").read_text()
     assert "FAIL ode-vs-analytic" in text
     assert "verification FAILED" in text
+
+
+@pytest.mark.parametrize("mirror_freq", [5.91e8, 4.46e5, 1e11])
+def test_verify_passes_on_exact_propagators(tmp_path, bench_json, mirror_freq):
+    # Near a revival M(t1 + t2) ~ I while the factors of M(t1) M(t2) are
+    # ~r^2: the group gate must scale its residual by the factors.
+    bench_json["mirror_freq_rad_per_s"] = mirror_freq
+    cfg = _write_config(tmp_path, bench_json)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 0
 
 
 @pytest.mark.parametrize(

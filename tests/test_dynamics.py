@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirror_teleport import (
-    Couplings,
     DomainError,
     IntegrationError,
     coeffs_analytic,
@@ -24,11 +23,7 @@ from mirror_teleport.dynamics import (
     _rk4_integrate,
 )
 
-from conftest import COEFF_FIELDS
-
-rate_pairs = st.tuples(
-    st.floats(0.1, 50.0), st.floats(1.01, 3.0)
-).map(lambda pb: Couplings.from_rates(pb[0], pb[0] * pb[1]))
+from conftest import COEFF_FIELDS, rate_pairs
 
 
 def _vector(g):

@@ -28,7 +28,7 @@ from mirror_teleport import (
     teleport_covariance,
 )
 
-from conftest import COEFF_FIELDS
+from conftest import COEFF_FIELDS, rate_pairs
 
 # Closed-form optima, independent of every parameter: the best fidelity is
 # 1/(4 - 2 sqrt(2)) and the corresponding occupation (sqrt(2) - 1)^2.
@@ -189,6 +189,27 @@ def test_optimal_time_beats_dense_u_scan(bench_config, mirror_freq, objective):
     t_star, f_max = optimal_time(c, 1000.0, objective=objective)
     assert f_max >= scan_max - 1e-12
     assert objective(coeffs_analytic(c, 1000.0, t_star)) == f_max
+
+
+@given(
+    c=rate_pairs,
+    nbar=st.one_of(st.just(0.0), st.floats(-3.0, 20.0).map(lambda e: 10.0**e)),
+    objective=st.sampled_from([fidelity_coherent, fidelity_no_heterodyne]),
+)
+@settings(max_examples=40, deadline=None)
+def test_optimal_time_beats_dense_scans_at_small_r(c, nbar, objective):
+    # r from 0.35 to 7, where the peak may lie anywhere in the period: a dense
+    # scan of the period, joined to a 4e-4 step in u over [0, 8].
+    t_period = period(c)
+    u = np.linspace(0.0, min(8.0, c.parametric * t_period), 20_001)
+    ts = np.concatenate((
+        np.linspace(0.0, t_period, 200_001),
+        np.maximum(t_period - u / c.parametric, 0.0),
+    ))
+    scan_max = np.max(objective(coeffs_analytic(c, nbar, ts)))
+    t_star, f_max = optimal_time(c, nbar, objective=objective)
+    assert f_max >= scan_max - 1e-12
+    assert objective(coeffs_analytic(c, nbar, t_star)) == f_max
 
 
 def test_optimal_time_rejects_overflowed_scan(bench_couplings):

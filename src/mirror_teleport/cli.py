@@ -8,8 +8,16 @@ verify      self-verification gates (oracles and invariants) -> verify.txt
 readout     readout times, weights, quality ratio, decoherence windows
 
 Exit codes: 0 success, 1 config error, 2 verification-gate failure, 3 I/O
-error.  All data files are deterministic: identical configs produce
-byte-identical outputs (no timestamps anywhere).
+error.  A command whose numpy arithmetic overflows or yields NaN exits 1: the
+config's values leave the float64 range.  All data files are deterministic:
+identical configs produce byte-identical outputs (no timestamps anywhere).
+
+``curve.csv`` holds every value as ``"%.12g"``, byte for byte as
+``np.savetxt`` writes it.  Small tables go through ``np.savetxt``; large
+ones, such as a figure-resolution sweep, through ``_csvtext``, which formats
+blocks of rows with array arithmetic and leaves every cell whose digits it
+cannot prove correct (near a rounding tie, or zero, negative or outside
+[1e-4, 1e11)) to Python's own ``"%.12g"``.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, protocol, readout
+from . import _csvtext, dynamics, protocol, readout
 from .dynamics import COEFF_FIELDS
 from .errors import ConfigError, DomainError, IntegrationError
 from .gaussian_core import physicality_defects, symplectic_defect
@@ -40,8 +48,9 @@ from .optomech import (
 
 _TWO_PI = 2.0 * math.pi
 
-#: Self-verification tolerances.  "scaled" defects are relative to
-#: max(1, |value|).
+#: Self-verification tolerances.  "scaled" defects are relative to the
+#: size of the state: max(1, max_j |G_j|) over the six coefficients at each
+#: time, or max(1, n_eff) for the teleportation noise.
 TOLERANCES = {
     "couplings_consistency_rel": 1e-12,
     "ode_vs_analytic_scaled": 1e-8,
@@ -259,14 +268,8 @@ def cmd_curve(
     if not all(np.isfinite(col).all() for col in (theta_t, *columns)):
         raise DomainError("the fidelity curve is outside the float64 range")
     header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
-    np.savetxt(
-        out_dir / "curve.csv",
-        np.column_stack([theta_t, *columns]),
-        fmt="%.12g",
-        delimiter=",",
-        header=header,
-        comments="",
-    )
+    # The same bytes as np.savetxt(fmt="%.12g"); see the module docstring.
+    _csvtext.write_csv(out_dir / "curve.csv", header, [theta_t, *columns])
 
     summary = _summary(config, couplings)
     summary["curve"] = {
@@ -285,10 +288,12 @@ def _verdict(name: str, defect: float, tolerance: float):
 
 
 def _scaled_gap(ref, other) -> float:
-    """Largest |ref - other| / max(1, |ref|) over the six coefficients."""
+    """Largest |ref - other| over the six coefficients, relative at each time
+    to the state, max(1, max_j |ref_j|): scaled per entry, a coefficient
+    passing through zero would divide an error of the state's size by ~0."""
     a = np.array([getattr(ref, f) for f in COEFF_FIELDS])
     o = np.array([getattr(other, f) for f in COEFF_FIELDS])
-    return float(np.max(np.abs(a - o) / np.maximum(1.0, np.abs(a))))
+    return float(np.max(np.abs(a - o) / np.maximum(1.0, np.abs(a).max(axis=0))))
 
 
 def _run_gates(couplings: Couplings, nbar_values):
@@ -482,18 +487,24 @@ def main(argv=None) -> int:
             return 3
 
     try:
-        if args.command == "couplings":
-            return cmd_couplings(config, out_dir)
-        if args.command == "curve":
-            if out_dir is None:
-                print("i/o error: curve requires --out", file=sys.stderr)
-                return 3
-            return cmd_curve(config, out_dir, no_heterodyne=args.no_heterodyne)
-        if args.command == "verify":
-            return cmd_verify(config, out_dir)
-        return cmd_readout(config)
+        # An overflow or NaN in the closed forms means the config's values
+        # leave the float64 range; a result computed past one is not reported.
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "couplings":
+                return cmd_couplings(config, out_dir)
+            if args.command == "curve":
+                if out_dir is None:
+                    print("i/o error: curve requires --out", file=sys.stderr)
+                    return 3
+                return cmd_curve(config, out_dir, no_heterodyne=args.no_heterodyne)
+            if args.command == "verify":
+                return cmd_verify(config, out_dir)
+            return cmd_readout(config)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"config error: the values leave the float64 range ({exc})", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

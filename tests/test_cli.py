@@ -1,12 +1,15 @@
+import io
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mirror_teleport import (
     ConfigError,
@@ -16,7 +19,7 @@ from mirror_teleport import (
     period,
     physicality_defect,
 )
-from mirror_teleport import cli
+from mirror_teleport import _csvtext, cli
 from mirror_teleport.cli import _run_gates, bundled_config_path, load_config, main
 
 from conftest import NBAR_SET
@@ -134,6 +137,7 @@ def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):
         ({"det_bandwidth_hz": 2.2e271}, "couplings"),
         ({"mode_bandwidth_hz": 3.7e-222, "mass_kg": 1e-300}, "verify"),
         ({"nbar_values": [1e300]}, "verify"),
+        ({"nbar_values": [1e300]}, "curve"),
     ],
 )
 def test_couplings_beyond_float_range_exit_1(tmp_path, bench_json, capsys, patch, command):
@@ -209,6 +213,72 @@ def test_extreme_finite_configs_exit_cleanly(values, nbar, command):
             assert _finite_file(path), path.name
 
 
+def _savetxt_bytes(columns, header="theta_t,F"):
+    # The reference: curve.csv as np.savetxt writes it.
+    buf = io.BytesIO()
+    np.savetxt(
+        buf, np.column_stack(columns), fmt="%.12g", delimiter=",", header=header, comments=""
+    )
+    return buf.getvalue()
+
+
+def _block_bytes(columns, header="theta_t,F"):
+    buf = io.BytesIO()
+    _csvtext.write_blocks(buf, header, columns)
+    return buf.getvalue()
+
+
+def _near_ties(digits, exponent):
+    """(m + 1/2) 10^(e - 11), the rounding ties of %.12g, for each m and e."""
+    return (digits + 0.5) * 10.0 ** (exponent - 11.0)
+
+
+_powers_of_ten = st.integers(-8, 14).map(lambda k: 10.0**k)
+_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-6.0, 13.0).map(lambda k: 10.0**k),
+    st.sampled_from([0.0, -0.0, 1e-4, 1e11, 5e-324, 2.2250738585072014e-308]),
+    st.tuples(_powers_of_ten, st.sampled_from([-math.inf, math.inf])).map(
+        lambda pd: math.nextafter(*pd)
+    ),
+    # just below 10^k, where the 12 digits round up into the next decade
+    st.tuples(_powers_of_ten, st.floats(0.0, 6e-13)).map(lambda pd: pd[0] * (1.0 - pd[1])),
+    st.tuples(
+        st.integers(10**11, 10**12 - 1), st.integers(-4, 10), st.sampled_from([-1, 0, 1])
+    ).map(lambda t: _near_ties(t[0], t[1]) + t[2] * math.ulp(_near_ties(t[0], t[1]))),
+)
+
+
+@given(
+    table=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)), elements=_cells),
+    block_rows=st.integers(1, 7),
+)
+@settings(max_examples=100, deadline=None)
+def test_block_writer_matches_savetxt(table, block_rows):
+    # Every cell, whether the block arithmetic or the fallback to Python's
+    # own %.12g formats it, must come out byte for byte as np.savetxt's.
+    columns = list(table.T)
+    with mock.patch.object(_csvtext, "_BLOCK_ROWS", block_rows):
+        assert _block_bytes(columns) == _savetxt_bytes(columns)
+
+
+def test_large_table_matches_savetxt(tmp_path):
+    # Above the size threshold curve.csv goes through the block writer: a
+    # seeded table of 150,000 log-uniform cells with signs and zeros,
+    # 100,000 rows of ties, each one ulp off, and 100,000 cells just below
+    # a power of ten.
+    rng = np.random.default_rng(0)
+    cells = 10.0 ** rng.uniform(-8.0, 13.0, 150_000) * rng.choice([-1.0, 1.0, 1.0], 150_000)
+    cells[rng.integers(0, cells.size, 500)] = 0.0
+    ties = _near_ties(rng.integers(10**11, 10**12, 100_000), rng.integers(-4, 11, 100_000))
+    ties = np.nextafter(ties, np.where(rng.random(ties.size) < 0.5, -np.inf, np.inf))
+    edges = 10.0 ** rng.integers(-5, 13, 100_000) * (1.0 - rng.uniform(0.0, 6e-13, 100_000))
+    for columns in (list(cells.reshape(3, -1)), [ties, ties[::-1]], [edges]):
+        path = tmp_path / "curve.csv"
+        _csvtext.write_csv(path, "theta_t,F", columns)
+        assert path.read_bytes() == _savetxt_bytes(columns)
+
+
 def test_couplings_command(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "couplings"])
     assert rc == 0
@@ -281,8 +351,8 @@ def test_verify_passes_on_bundled_config(tmp_path, capsys):
 
 def test_verify_fails_on_corrupted_couplings(tmp_path, monkeypatch):
     # A gate that fails makes verify exit 2: here the RK4 oracle, whose
-    # bundled defect is about 8e-11, held to 1e-12.
-    monkeypatch.setitem(cli.TOLERANCES, "ode_vs_analytic_scaled", 1e-12)
+    # bundled defect is about 2e-12, held to 1e-13.
+    monkeypatch.setitem(cli.TOLERANCES, "ode_vs_analytic_scaled", 1e-13)
     rc = main(["--out", str(tmp_path), "verify"])
     assert rc == 2
     text = (tmp_path / "verify.txt").read_text()
@@ -295,6 +365,15 @@ def test_verify_passes_on_exact_propagators(tmp_path, bench_json, mirror_freq):
     # Near a revival M(t1 + t2) ~ I while the factors of M(t1) M(t2) are
     # ~r^2: the group gate must scale its residual by the factors.
     bench_json["mirror_freq_rad_per_s"] = mirror_freq
+    cfg = _write_config(tmp_path, bench_json)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 0
+
+
+def test_verify_passes_at_moderate_nbar(tmp_path, bench_json):
+    # r ~ 1.4: mirror_anti ~ sin x passes through zero inside the RK4 window,
+    # so the RK4 gate must scale its error, ~nbar, by the state, not by
+    # each coefficient.
+    bench_json.update({"mirror_freq_rad_per_s": 4e14, "nbar_values": [1e4]})
     cfg = _write_config(tmp_path, bench_json)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 0
 

@@ -49,6 +49,7 @@ from .protocol import (
     conditional_correlation,
     effective_occupation,
     fidelity_coherent,
+    fidelity_curves,
     fidelity_no_heterodyne,
     optimal_time,
     teleport_covariance,
@@ -97,6 +98,7 @@ __all__ = [
     "decoherence_window",
     "effective_occupation",
     "fidelity_coherent",
+    "fidelity_curves",
     "fidelity_no_heterodyne",
     "optimal_time",
     "period",

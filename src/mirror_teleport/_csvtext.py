@@ -2,8 +2,10 @@
 ``fmt="%.12g"``, ``delimiter=","`` and ``comments=""`` writes it.
 
 ``np.savetxt`` applies Python's ``%`` to one row at a time, which costs about
-0.6 us per cell.  Here whole row blocks are formatted with array arithmetic.
-A positive cell x in [1e-4, 1e11) has a decimal exponent e in [-4, 10], so
+1.4 us per cell with numpy 2.4.  A table below ``_MIN_BLOCK_CELLS`` cells is
+formatted by that same ``%``, applied once to a few hundred rows, which gives
+its bytes by construction at about 0.5 us per cell.  Larger tables are
+formatted in blocks of rows with array arithmetic.  A positive cell x in [1e-4, 1e11) has a decimal exponent e in [-4, 10], so
 ``%.12g`` prints it in fixed notation: the 12 significant digits
 m = rint(x * 10**(11 - e)), with the decimal point after place 10**0 and
 trailing zeros dropped.  The cell is laid out as seven 4-byte words: the
@@ -27,12 +29,17 @@ import functools
 
 import numpy as np
 
-#: Tables with fewer cells go through ``np.savetxt`` itself.  The first run
-#: of the block path raises a process's peak RSS by about 4.8 MB (its word
-#: table, block buffers and the code of the numpy loops it is the first to
-#: use), 14 % of a process that writes small curves, while it saves about
-#: 0.5 us per cell: under 40 ms below this size.
+#: Tables with fewer cells are formatted by Python's ``%``, one call per
+#: ``_CHUNK_ROWS`` rows.  Sending every table through the block arithmetic
+#: instead raised the peak RSS of a process that wrote 32 small curves from
+#: 31.8 MB to 36.8 MB: 1.0 MB of file-backed pages (``RssFile``: the code
+#: of the numpy loops it is the first to use) and 3.4 MB of work arrays.
+#: It saved little there, as 35 % of those cells lie below 1e-4 and take
+#: the per-cell fallback anyway.
 _MIN_BLOCK_CELLS = 65536
+
+#: Rows per ``%`` call below ``_MIN_BLOCK_CELLS``.
+_CHUNK_ROWS = 256
 
 #: Rows formatted per block.  Writing the 200,001 x 5 table of
 #: ``curve --grid 200000`` took 0.14 s with 4096, against 0.15-0.19 s with
@@ -84,79 +91,143 @@ def _word_table():
     return np.concatenate(list(kinds.values())).view(np.uint32).ravel(), offsets
 
 
-def _split(value, scale):
-    """(value // scale, value % scale) for exact integers in float64."""
-    group = np.floor(value / scale)
-    return group, value - group * scale
+class _Work:
+    """Work arrays for blocks of up to ``rows`` rows of ``cols`` cells, made
+    once per table; each block uses their first rows."""
+
+    def __init__(self, rows: int, cols: int):
+        self.x = np.empty((rows, cols))
+        self.fast = np.empty((rows, cols), bool)
+        self.masks = np.empty((2, rows, cols), bool)
+        self.e = np.empty((rows, cols), np.intp)
+        self.floats = np.empty((3, rows, cols))
+        self.groups = np.empty((7, rows, cols))
+        self.idx = np.empty((rows, cols, 7), np.intp)
+        self.buf = bytearray(rows * cols * _SLOT)
 
 
-def _format_block(x: np.ndarray) -> bytes:
-    """The rows of ``x`` (rows, columns), each with a leading newline."""
+def _split(value, scale, group, tmp) -> None:
+    """group = value // scale and value %= scale, in place, for exact
+    integers in float64."""
+    np.divide(value, scale, out=group)
+    np.floor(group, out=group)
+    np.multiply(group, scale, out=tmp)
+    value -= tmp
+
+
+def _kind(group, mask, yes: int, no: int) -> None:
+    """Add the word offset ``yes`` where ``mask`` holds, ``no`` elsewhere."""
+    group += no
+    np.add(group, yes - no, out=group, where=mask)
+
+
+def _format_block(x: np.ndarray, w: _Work) -> bytes:
+    """The rows of ``x`` (rows, columns), each with a leading newline.
+
+    Every array operation writes into the work arrays ``w``: with a fresh
+    set of temporaries per block, about 5 MB, the time to write a large
+    table depended on the state of the allocator.
+    """
     words, at = _word_table()
-    fast = (x >= 1e-4) & (x < 1e11)
-    safe = np.where(fast, x, 1.0)
-    e = np.floor(np.log10(safe)).astype(np.intp)
-    y = safe * _POW10[11 - e]
-    m = np.rint(y)
-    fast &= (y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.499)
+    n = len(x)
+    fast, e, idx = w.fast[:n], w.e[:n], w.idx[:n]
+    a, b = w.masks[:, :n]
+    y, m, tmp = w.floats[:, :n]
+    g = w.groups[:, :n]
+    hi, mid, low, f1, f2, f3, f4 = g
+
+    # y = x 10**(11 - e) and its digits m, where e = floor(log10(x)) for the
+    # positive cells of [1e-4, 1e11), and 0 for the others.
+    np.greater_equal(x, 1e-4, out=fast)
+    fast &= np.less(x, 1e11, out=a)
+    np.copyto(y, x)
+    np.copyto(y, 1.0, where=np.logical_not(fast, out=a))
+    np.log10(y, out=tmp)
+    np.floor(tmp, out=tmp)
+    np.subtract(11, tmp, out=e, casting="unsafe")  # 11 - e
+    y *= np.take(_POW10, e, out=tmp)
+    np.rint(y, out=m)
+    # The fast cells: m has 12 digits and y is not near a rounding tie.
+    fast &= np.greater_equal(y, 1e11, out=a)
+    fast &= np.less(m, 1e12, out=a)
+    y -= m
+    fast &= np.less(np.abs(y, out=y), 0.499, out=a)
+    slow = np.flatnonzero(np.logical_not(fast, out=a))
     # The fallback cells take the digits of 1 so that no index leaves a table.
-    m = np.where(fast, m, 1e11)
-    e = np.where(fast, e, 0)
+    np.copyto(m, 1e11, where=a)
+    np.copyto(e, 11, where=a)
 
-    # m * 10**(e - 11) = whole + frac * 1e-15, both exact integers in float64.
-    whole, frac = _split(m, _POW10[11 - e])
-    frac *= _POW10[e + 4]
+    # m * 10**(e - 11) = low + f4 * 1e-15, both exact integers in float64,
+    # then split into the seven digit groups.
+    _split(m, np.take(_POW10, e, out=tmp), low, y)
+    np.subtract(15, e, out=e)
+    np.multiply(m, np.take(_POW10, e, out=tmp), out=f4)
+    _split(low, 1e8, hi, tmp)
+    _split(low, 1e4, mid, tmp)
+    _split(f4, 1e12, f1, tmp)
+    _split(f4, 1e8, f2, tmp)
+    _split(f4, 1e4, f3, tmp)
 
-    hi, rest = _split(whole, 1e8)
-    mid, low = _split(rest, 1e4)
-    f1, rest1 = _split(frac, 1e12)
-    f2, rest2 = _split(rest1, 1e8)
-    f3, f4 = _split(rest2, 1e4)
-    sep = np.full(x.shape[1], at["comma"])
-    sep[0] = at["newline"]
-    # Each group's word kind: whole drops its leading zeros up to its first
-    # nonzero group, frac its trailing zeros after its last.
-    groups = [
-        (hi, sep),
-        (mid, np.where(hi == 0, at["lead"], at["zero"])),
-        (low, np.where(whole < 1e4, at["units"], at["zero"])),
-        (f1, np.where(rest1 == 0, at["dot_trail"], at["dot"])),
-        (f2, np.where(rest2 == 0, at["trail"], at["zero"])),
-        (f3, np.where(f4 == 0, at["trail"], at["zero"])),
-        (f4, at["trail"]),
-    ]
-    idx = np.empty(x.shape + (len(groups),), np.intp)
-    for k, (group, kind) in enumerate(groups):
-        idx[..., k] = group
-        idx[..., k] += kind
+    # Each group's word kind: the whole part drops its leading zeros up to
+    # its first nonzero group, the fraction its trailing zeros after its last.
+    np.equal(f4, 0, out=a)
+    np.equal(f3, 0, out=b)
+    b &= a  # the fraction ends at f2
+    _kind(f3, a, at["trail"], at["zero"])
+    np.equal(f2, 0, out=a)
+    a &= b  # the fraction ends at f1, or is 0
+    _kind(f2, b, at["trail"], at["zero"])
+    _kind(f1, a, at["dot_trail"], at["dot"])
+    f4 += at["trail"]
+    np.equal(hi, 0, out=a)
+    np.equal(mid, 0, out=b)
+    b &= a  # the whole part is below 1e4
+    _kind(mid, a, at["lead"], at["zero"])
+    _kind(low, b, at["units"], at["zero"])
+    hi += at["comma"]
+    hi[:, 0] += at["newline"] - at["comma"]
+    np.copyto(idx, np.moveaxis(g, 0, -1), casting="unsafe")
 
-    buf = bytearray(idx.size * 4)
-    np.take(words, idx, out=np.frombuffer(buf, np.uint32).reshape(idx.shape))
-    slow = np.flatnonzero(~fast)
+    size = idx.size * 4
+    cells = np.frombuffer(w.buf, np.uint8, size).reshape(-1, _SLOT)
+    np.take(words, idx, out=cells.view(np.uint32).reshape(idx.shape))
     if slow.size:
         text = b"".join(
             ("%.12g" % v).encode().ljust(_SLOT - 1, b"\0") for v in x.ravel()[slow].tolist()
         )
-        cells = np.frombuffer(buf, np.uint8).reshape(-1, _SLOT)
         cells[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT - 1)
-    return buf.translate(None, b"\0")
+    block = w.buf if size == len(w.buf) else w.buf[:size]
+    return block.translate(None, b"\0")
+
+
+def _format_rows(part) -> bytes:
+    """The rows of the column slices ``part``, each with a leading newline, by
+    one Python ``%``: the formatting ``np.savetxt`` applies one row at a time."""
+    row = "\n" + ",".join(["%.12g"] * len(part))
+    return ((row * len(part[0])) % tuple(np.stack(part, axis=1).ravel().tolist())).encode()
+
+
+def _write(fh, header: str, columns, rows: int, format_rows) -> None:
+    fh.write(header.encode("latin1"))
+    for lo in range(0, len(columns[0]), rows):
+        fh.write(format_rows([c[lo : lo + rows] for c in columns]))
+    fh.write(b"\n")
 
 
 def write_blocks(fh, header: str, columns) -> None:
     """Write equal-length float ``columns`` under ``header`` to the binary
-    file ``fh``, one block of rows at a time."""
-    fh.write(header.encode("latin1"))
-    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-        fh.write(_format_block(np.stack([c[lo : lo + _BLOCK_ROWS] for c in columns], axis=1)))
-    fh.write(b"\n")
+    file ``fh``, formatting blocks of rows with array arithmetic."""
+    w = _Work(min(_BLOCK_ROWS, len(columns[0])), len(columns))
+    _write(
+        fh, header, columns, _BLOCK_ROWS,
+        lambda part: _format_block(np.stack(part, axis=1, out=w.x[: len(part[0])]), w),
+    )
 
 
 def write_csv(path, header: str, columns) -> None:
     """Write equal-length float ``columns`` under ``header`` to ``path``."""
-    if len(columns) * len(columns[0]) < _MIN_BLOCK_CELLS:
-        np.savetxt(
-            path, np.column_stack(columns), fmt="%.12g", delimiter=",", header=header, comments=""
-        )
-        return
     with open(path, "wb") as fh:
-        write_blocks(fh, header, columns)
+        if len(columns) * len(columns[0]) < _MIN_BLOCK_CELLS:
+            _write(fh, header, columns, _CHUNK_ROWS, _format_rows)
+        else:
+            write_blocks(fh, header, columns)

@@ -13,11 +13,13 @@ config's values leave the float64 range.  All data files are deterministic:
 identical configs produce byte-identical outputs (no timestamps anywhere).
 
 ``curve.csv`` holds every value as ``"%.12g"``, byte for byte as
-``np.savetxt`` writes it.  Small tables go through ``np.savetxt``; large
-ones, such as a figure-resolution sweep, through ``_csvtext``, which formats
-blocks of rows with array arithmetic and leaves every cell whose digits it
-cannot prove correct (near a rounding tie, or zero, negative or outside
-[1e-4, 1e11)) to Python's own ``"%.12g"``.
+``np.savetxt`` writes it, through ``_csvtext``.  Small tables are formatted
+by one Python ``%`` per chunk of rows.  Large ones, such as a
+figure-resolution sweep, are formatted in blocks of rows with array
+arithmetic, which leaves every cell whose digits it cannot prove correct
+(near a rounding tie, or zero, negative or outside [1e-4, 1e11)) to
+Python's own ``"%.12g"``.  ``curve`` warns on stderr when float64 rounding
+of time limits an nbar's heterodyne-free maximum.
 """
 
 from __future__ import annotations
@@ -160,6 +162,13 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{field} must be >= 0")
     if from_temps:
         values = [thermal_occupation(t, params.mirror_freq) for t in values]
+    # Each nbar labels a curve.csv column and a summary.json entry.
+    labels = [f"{v:.12g}" for v in values]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(
+            f"{field} gives nbar values that print alike as %.12g: {repeated}"
+        )
     nbar_values = tuple(values)
 
     readout_count = _get(raw, "readout_times_count", kind=int, required=False, default=3)
@@ -186,9 +195,7 @@ def _summary(config: RunConfig, couplings: Couplings) -> dict:
     per_nbar = {}
     for nbar in config.nbar_values:
         t_star, f_max = protocol.optimal_time(couplings, nbar)
-        _, f_nh = protocol.optimal_time(
-            couplings, nbar, objective=protocol.fidelity_no_heterodyne
-        )
+        _, f_nh = protocol.optimal_time(couplings, nbar, heterodyne=False)
         per_nbar[f"{nbar:.12g}"] = {
             "F_max": f_max,
             "t_star_s": t_star,
@@ -255,15 +262,9 @@ def cmd_curve(
     times = np.linspace(0.0, config.periods * t_period, config.grid_points + 1)
     theta_t = couplings.oscillation * times
 
-    columns = []
-    for nbar in config.nbar_values:
-        g = dynamics.coeffs_analytic(couplings, nbar, times)
-        fv = (
-            protocol.fidelity_no_heterodyne(g)
-            if no_heterodyne
-            else protocol.fidelity_coherent(g)
-        )
-        columns.append(np.asarray(fv))
+    columns = protocol.fidelity_curves(
+        couplings, config.nbar_values, times, heterodyne=not no_heterodyne
+    )
 
     if not all(np.isfinite(col).all() for col in (theta_t, *columns)):
         raise DomainError("the fidelity curve is outside the float64 range")
@@ -272,6 +273,18 @@ def cmd_curve(
     _csvtext.write_csv(out_dir / "curve.csv", header, [theta_t, *columns])
 
     summary = _summary(config, couplings)
+    # The heterodyne-free peak needs nbar (r sin x + cos x)^2 -> 0, but near
+    # x = 2 pi float64 times leave it at about delta = nbar (r 2 pi 2^-53)^2,
+    # so F_max_no_heterodyne comes out near 1/(1.25 + delta), not 0.8.
+    spread = couplings.parametric / couplings.oscillation * _TWO_PI * 2.0**-53
+    for nbar in config.nbar_values:
+        delta = nbar * spread * spread
+        if delta > 1e-9:
+            print(
+                f"warning: nbar {nbar:.12g}: F_max_no_heterodyne is limited by the "
+                f"float64 rounding of time (nbar (2 pi r 2^-53)^2 = {delta:.3g})",
+                file=sys.stderr,
+            )
     summary["curve"] = {
         "variant": "no_heterodyne" if no_heterodyne else "heterodyne",
         "grid_points": config.grid_points,

@@ -13,12 +13,14 @@ r = parametric/oscillation, q = beam_splitter/oscillation, x = oscillation*t:
     E1   := anti_n + 1 = 1 + q^2 (r^2 (1-cos x)^2 + nbar sin^2 x)
     gain := r^2 (1 - cos x) + r sin x
     n_eff * E1 = (nbar + 1) (1 + gain)^2
+    bracket = (1 + gain)^2 + nbar (r sin x + cos x)^2   (no heterodyne)
 
 These are algebraically identical to the coefficient-level expressions
 (stokes_n + ... - (stokes_anti - mirror_anti)^2 / E1 etc.; the test suite
 checks both routes against each other) but involve no cancellation of the
 r^4-sized terms, which is what makes the near-degenerate benchmark regime
-(r ~ 1400) computable in float64 at all.
+(r ~ 1400) computable in float64 at all.  :func:`fidelity_curves` evaluates
+them for several nbar at once, from one set of sines and cosines.
 
 The fidelity peak just before the revival is about 1/parametric wide in t
 but of order one in the stretched variable u = r (2 pi - x), in which
@@ -27,6 +29,7 @@ but of order one in the stretched variable u = r (2 pi - x), in which
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,19 +89,60 @@ class ActuationSetting:
             raise DomainError(f"phase must lie in [0, 2pi), got {self.phase!r}")
 
 
-def _stable_parts(g: GaussianCoeffs):
-    """(E1, gain, r, q, sin, cos, omc) via the factored forms, or None."""
-    if g.couplings is None:
-        return None
-    r = g.couplings.parametric / g.couplings.oscillation
-    q = g.couplings.beam_splitter / g.couplings.oscillation
-    x = g.couplings.oscillation * np.asarray(g.time, dtype=float)
-    s = np.sin(x)
-    c = np.cos(x)
-    omc = 2.0 * np.sin(0.5 * x) ** 2
-    e1 = 1.0 + q**2 * (r**2 * omc**2 + g.nbar * s**2)
-    gain = r**2 * omc + r * s
-    return e1, gain, r, q, s, c, omc
+class _FactoredParts:
+    """The nbar-free parts of the factored forms at ``time``, made once per
+    time grid; each nbar then adds only its own terms."""
+
+    def __init__(self, couplings: Couplings, time):
+        self.r = couplings.parametric / couplings.oscillation
+        self.q = couplings.beam_splitter / couplings.oscillation
+        x = couplings.oscillation * np.asarray(time, dtype=float)
+        self.s = np.sin(x)
+        self.c = np.cos(x)
+        self.omc = 2.0 * np.sin(0.5 * x) ** 2
+
+    @functools.cached_property
+    def _e1_terms(self):
+        """r^2 omc^2 and sin^2 x: E1 = 1 + q^2 (r^2 omc^2 + nbar sin^2 x)."""
+        return self.r**2 * self.omc**2, self.s**2
+
+    @functools.cached_property
+    def _lift2(self):
+        """(1 + gain)^2, gain = r^2 omc + r sin x."""
+        return (1.0 + (self.r**2 * self.omc + self.r * self.s)) ** 2
+
+    @functools.cached_property
+    def _tilt2(self):
+        """(r sin x + cos x)^2, which nbar multiplies without the heterodyne."""
+        return (self.r * self.s + self.c) ** 2
+
+    def e1(self, nbar):
+        free, s2 = self._e1_terms
+        return 1.0 + self.q**2 * (free + nbar * s2)
+
+    def noise(self, nbar, heterodyne: bool = True):
+        """n_eff, or without the heterodyne the bracket; F = 1/(1 + noise)."""
+        if heterodyne:
+            return (nbar + 1.0) * self._lift2 / self.e1(nbar)
+        return self._lift2 + nbar * self._tilt2
+
+
+def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = True):
+    """Fidelity at ``time`` for each of ``nbar_values``, from the factored forms.
+
+    Bit for bit ``fidelity_coherent(coeffs_analytic(couplings, nbar, time))``,
+    or ``fidelity_no_heterodyne`` when ``heterodyne`` is False, without the
+    six coefficient arrays: the sines and cosines are computed once for all
+    nbar.  Both noise forms are squares times nbar >= 0, nbar + 1 or
+    1/E1 <= 1, never negative, so the fidelity functions' clip at 0 would
+    change no bit here.
+    """
+    if any(nbar < 0 for nbar in nbar_values):
+        raise DomainError(f"nbar must be >= 0, got {nbar_values!r}")
+    if np.any(np.asarray(time) < 0):
+        raise DomainError("time must be >= 0")
+    parts = _FactoredParts(couplings, time)
+    return [1.0 / (1.0 + parts.noise(nbar, heterodyne)) for nbar in nbar_values]
 
 
 def conditional_matrices(g: GaussianCoeffs) -> np.ndarray:
@@ -109,9 +153,9 @@ def conditional_matrices(g: GaussianCoeffs) -> np.ndarray:
     is the standard form: equal diagonal pairs, a single correlation +/-k in
     the (X, X) and (P, P) slots, zero X-P cross terms.
     """
-    parts = _stable_parts(g)
-    if parts is not None:
-        e1, _, r, q, s, c, omc = parts
+    if g.couplings is not None:
+        parts = _FactoredParts(g.couplings, g.time)
+        e1, r, q, s, c, omc = parts.e1(g.nbar), parts.r, parts.q, parts.s, parts.c, parts.omc
         stokes_var = VACUUM_VARIANCE + (g.nbar + 1.0) * r**2 * s**2 / e1
         mirror_var = VACUUM_VARIANCE + (
             g.nbar * (r**2 * q**2 * omc**2 + c**2) + r**2 * s**2
@@ -174,10 +218,8 @@ def effective_occupation(g: GaussianCoeffs):
     which reduces to nbar + 1 at t = 0 (protocol noise on top of the thermal
     state) and satisfies fidelity = 1 / (1 + n_eff) exactly.
     """
-    parts = _stable_parts(g)
-    if parts is not None:
-        e1, gain, *_ = parts
-        n_eff = (g.nbar + 1.0) * (1.0 + gain) ** 2 / e1
+    if g.couplings is not None:
+        n_eff = _FactoredParts(g.couplings, g.time).noise(g.nbar)
     else:
         e1 = g.anti_n + 1.0
         n_eff = (
@@ -207,10 +249,8 @@ def fidelity_no_heterodyne(g: GaussianCoeffs):
     F = 1 / (2 + stokes_n + mirror_n + 2 stokes_mirror).  Never exceeds the
     heterodyne fidelity, and is independent of temperature at its maximum.
     """
-    parts = _stable_parts(g)
-    if parts is not None:
-        _, gain, r, _, s, c, _ = parts
-        bracket = (1.0 + gain) ** 2 + g.nbar * (r * s + c) ** 2
+    if g.couplings is not None:
+        bracket = _FactoredParts(g.couplings, g.time).noise(g.nbar, heterodyne=False)
     else:
         bracket = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
     if np.any(np.asarray(bracket) < -1e-10):
@@ -230,12 +270,13 @@ _U_TOL = 1e-9
 
 
 def optimal_time(
-    couplings: Couplings, nbar: float, objective=fidelity_coherent
+    couplings: Couplings, nbar: float, heterodyne: bool = True
 ) -> tuple[float, float]:
-    """(t*, F_max): maximum of ``objective`` over one revival period.
+    """(t*, F_max): maximum of the fidelity over one revival period.
 
-    ``objective`` is fidelity_coherent, or fidelity_no_heterodyne for the
-    variant without the heterodyne.  The search runs in u = r (2 pi - x),
+    The fidelity is fidelity_coherent, or with ``heterodyne`` False
+    fidelity_no_heterodyne, the variant without the heterodyne; the scans
+    evaluate it through :func:`fidelity_curves`.  The search runs in u = r (2 pi - x),
     r = parametric/oscillation, x = oscillation t, where for large r
     n_eff -> (nbar + 1) (1 - u + u^2/2)^2 / (1 + u^4/4 + nbar u^2) is
     minimal at u = sqrt(2) for every nbar (F = 1/(4 - 2 sqrt(2))), and the
@@ -245,7 +286,7 @@ def optimal_time(
     brackets the peak between the best point's two neighbours.  Each zoom
     round rescans that bracket with the best point kept as a grid point, so
     the best F never falls, until the bracket is within 1e-9 in u, or a few
-    ulps of t where that is coarser.  F_max is the objective at t* exactly.
+    ulps of t where that is coarser.  F_max is the fidelity at t* exactly.
     The points are u = sqrt(2) and u0 = r atan(1/r), where r sin x + cos x = 0
     exactly: at large nbar the heterodyne-free bracket is dominated by
     nbar (r sin x + cos x)^2, and its peak is far narrower than the scan.
@@ -273,7 +314,7 @@ def optimal_time(
     # 8 ulps of t in u: a finer bracket could no longer move t (or u).
     tol = max(_U_TOL, 8.0 * couplings.parametric * math.ulp(t_period))
     while True:
-        fv = objective(coeffs_analytic(couplings, nbar, time_of(us)))
+        (fv,) = fidelity_curves(couplings, (nbar,), time_of(us), heterodyne)
         if np.isnan(fv).any():  # np.argmax would pick the first NaN
             raise DomainError(out_of_range)
         i = int(np.argmax(fv))
@@ -284,6 +325,7 @@ def optimal_time(
             np.linspace(lo, u_star, _ZOOM_POINTS),
             np.linspace(u_star, hi, _ZOOM_POINTS),
         )))
+    objective = fidelity_coherent if heterodyne else fidelity_no_heterodyne
     f_star = objective(coeffs_analytic(couplings, nbar, time_of(u_star)))
     if not f_star > 0:  # n_eff overflowed
         raise DomainError(out_of_range)

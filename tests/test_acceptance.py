@@ -73,7 +73,7 @@ def test_criterion_4_no_heterodyne(bench_couplings):
             )
         )
         worst_gap = max(worst_gap, gap)
-    _, f_nh = optimal_time(bench_couplings, 0.0, objective=fidelity_no_heterodyne)
+    _, f_nh = optimal_time(bench_couplings, 0.0, heterodyne=False)
     ok = abs(f_nh - 0.80) <= 0.02 and worst_gap <= 1e-14
     _report(
         "criterion-4 no-heterodyne variant",

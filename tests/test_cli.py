@@ -116,6 +116,10 @@ def test_main_reports_config_error(tmp_path):
         ({}, "--periods 0 curve"),
         ({}, "--periods nan curve"),
         ({"mirror_freq_rad_per_s": 0.0}, "couplings"),
+        # nbar values that label curve.csv columns and summary.json entries alike
+        ({"nbar_values": [10, 1, 10.0]}, "curve"),
+        ({"nbar_values": [1, 1.0000000000001]}, "curve"),
+        ({"nbar_values": None, "temperatures_k": [0.0, 1e-6]}, "curve"),
     ],
 )
 def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):
@@ -279,6 +283,33 @@ def test_large_table_matches_savetxt(tmp_path):
         assert path.read_bytes() == _savetxt_bytes(columns)
 
 
+@given(
+    table=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.integers(1, 5)),
+        elements=st.one_of(
+            _cells,
+            st.sampled_from([-0.0, 1e-100, -2.5e-300, 1.234e150, 5e-324, 1e-310]),
+            st.tuples(st.sampled_from([1e-5, 1e12]), st.sampled_from([-math.inf, math.inf])).map(
+                lambda pd: math.nextafter(*pd)
+            ),
+        ),
+    ),
+    chunk_rows=st.integers(1, 7),
+)
+@settings(max_examples=100, deadline=None)
+def test_small_table_matches_savetxt(table, chunk_rows):
+    # Below the size threshold curve.csv is formatted by one Python % per
+    # chunk of rows: the same bytes as np.savetxt, which formats each row.
+    columns = list(table.T)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        _csvtext, "_CHUNK_ROWS", chunk_rows
+    ):
+        path = Path(tmp) / "curve.csv"
+        _csvtext.write_csv(path, "theta_t,F", columns)
+        assert path.read_bytes() == _savetxt_bytes(columns)
+
+
 def test_couplings_command(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "couplings"])
     assert rc == 0
@@ -304,6 +335,21 @@ def test_curve_outputs(tmp_path):
     assert summary["per_nbar"]["1000"]["F_max_no_heterodyne"] == pytest.approx(
         0.8, abs=2e-3
     )
+
+
+@pytest.mark.parametrize("nbar_values, warns", [(None, False), ([1e24], True)])
+def test_curve_warns_when_rounding_limits_the_peak(tmp_path, bench_json, capsys, nbar_values, warns):
+    # At nbar = 1e24 float64 times near the revival leave the heterodyne-free
+    # bracket at nbar (2 pi r 2^-53)^2 ~ 1 on the bundled rates: F_max_no_heterodyne
+    # is 0.5, not 0.8.  The bundled occupations are far from that.
+    if nbar_values is not None:
+        bench_json["nbar_values"] = nbar_values
+    cfg = _write_config(tmp_path, bench_json)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--grid", "50", "curve"]) == 0
+    err = capsys.readouterr().err
+    assert ("warning:" in err) == warns, err
+    if warns:
+        assert "nbar 1e+24: F_max_no_heterodyne" in err
 
 
 def test_curve_requires_out():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,12 +22,15 @@ from mirror_teleport import (
     conditional_correlation,
     effective_occupation,
     fidelity_coherent,
+    fidelity_curves,
     fidelity_no_heterodyne,
     optimal_time,
     period,
     physicality_defect,
     teleport_covariance,
 )
+from mirror_teleport import protocol
+from mirror_teleport.cli import bundled_config_path, load_config
 
 from conftest import COEFF_FIELDS, rate_pairs
 
@@ -170,7 +174,7 @@ def test_optimal_time_agrees_with_brute_force(request, c, nbar, objective):
         t0 + math.ulp(t0) * np.arange(-20_000, 20_001),
     ))
     f = np.asarray(objective(coeffs_analytic(c, nbar, ts)))
-    t_star, f_max = optimal_time(c, nbar, objective=objective)
+    t_star, f_max = optimal_time(c, nbar, heterodyne=objective is fidelity_coherent)
     assert f_max >= f.max() - 1e-12
     assert objective(coeffs_analytic(c, nbar, t_star)) == f_max
     assert t_star == pytest.approx(ts[int(np.argmax(f))], abs=1e-6 * period(c))
@@ -186,7 +190,7 @@ def test_optimal_time_beats_dense_u_scan(bench_config, mirror_freq, objective):
     u = np.linspace(0.0, 4.0, 400_001)
     ts = (2.0 * math.pi - u / r) / c.oscillation
     scan_max = np.max(objective(coeffs_analytic(c, 1000.0, ts)))
-    t_star, f_max = optimal_time(c, 1000.0, objective=objective)
+    t_star, f_max = optimal_time(c, 1000.0, heterodyne=objective is fidelity_coherent)
     assert f_max >= scan_max - 1e-12
     assert objective(coeffs_analytic(c, 1000.0, t_star)) == f_max
 
@@ -207,9 +211,67 @@ def test_optimal_time_beats_dense_scans_at_small_r(c, nbar, objective):
         np.maximum(t_period - u / c.parametric, 0.0),
     ))
     scan_max = np.max(objective(coeffs_analytic(c, nbar, ts)))
-    t_star, f_max = optimal_time(c, nbar, objective=objective)
+    t_star, f_max = optimal_time(c, nbar, heterodyne=objective is fidelity_coherent)
     assert f_max >= scan_max - 1e-12
     assert objective(coeffs_analytic(c, nbar, t_star)) == f_max
+
+
+def _reference_fidelity(c, nbar, time, heterodyne=True):
+    """The factored forms as the fidelity functions evaluated them from the
+    six coefficients, one nbar at a time: the reference, bit for bit."""
+    g = coeffs_analytic(c, nbar, time)
+    r = c.parametric / c.oscillation
+    q = c.beam_splitter / c.oscillation
+    x = c.oscillation * np.asarray(g.time, dtype=float)
+    s, cos = np.sin(x), np.cos(x)
+    omc = 2.0 * np.sin(0.5 * x) ** 2
+    e1 = 1.0 + q**2 * (r**2 * omc**2 + g.nbar * s**2)
+    gain = r**2 * omc + r * s
+    if heterodyne:
+        noise = (g.nbar + 1.0) * (1.0 + gain) ** 2 / e1
+    else:
+        noise = (1.0 + gain) ** 2 + g.nbar * (r * s + cos) ** 2
+    return 1.0 / (1.0 + np.maximum(noise, 0.0))
+
+
+def _reference_curves(c, nbar_values, time, heterodyne=True):
+    return [_reference_fidelity(c, nbar, time, heterodyne) for nbar in nbar_values]
+
+
+_BUNDLED_COUPLINGS = compute_couplings(load_config(bundled_config_path()).params)
+
+
+@given(
+    c=st.one_of(rate_pairs, st.just(_BUNDLED_COUPLINGS)),
+    nbar_values=st.lists(
+        st.one_of(st.just(0.0), st.floats(-3.0, 20.0).map(lambda e: 10.0**e)),
+        min_size=1,
+        max_size=4,
+    ),
+    heterodyne=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_fidelity_curves_match_the_coefficient_route(c, nbar_values, heterodyne):
+    # The one kernel of the factored forms gives the bits of the coefficient
+    # route for every nbar, so do the fidelity functions that call it, and
+    # the optimiser finds the same (t*, F_max) with either route in its scans.
+    objective = fidelity_coherent if heterodyne else fidelity_no_heterodyne
+    ts = np.linspace(0.0, 1.5 * period(c), 3001)
+    want = _reference_curves(c, nbar_values, ts, heterodyne)
+    got = fidelity_curves(c, nbar_values, ts, heterodyne)
+    for nbar, f, ref in zip(nbar_values, got, want):
+        assert f.tobytes() == ref.tobytes()
+        assert np.asarray(objective(coeffs_analytic(c, nbar, ts))).tobytes() == ref.tobytes()
+    optima = [optimal_time(c, nbar, heterodyne) for nbar in nbar_values]
+    with mock.patch.object(protocol, "fidelity_curves", _reference_curves):
+        assert optima == [optimal_time(c, nbar, heterodyne) for nbar in nbar_values]
+
+
+def test_fidelity_curves_reject_negative_nbar(moderate):
+    with pytest.raises(DomainError):
+        fidelity_curves(moderate, (1.0, -1.0), np.linspace(0.0, 1.0, 3))
+    with pytest.raises(DomainError):
+        fidelity_curves(moderate, (1.0,), np.array([-1.0]))
 
 
 def test_optimal_time_rejects_overflowed_scan(bench_couplings):
@@ -233,7 +295,7 @@ def test_no_heterodyne_never_beats_heterodyne(moderate, bench_couplings):
 
 
 def test_no_heterodyne_optimum(bench_couplings):
-    _, f_nh = optimal_time(bench_couplings, 0.0, objective=fidelity_no_heterodyne)
+    _, f_nh = optimal_time(bench_couplings, 0.0, heterodyne=False)
     assert f_nh == pytest.approx(0.8, abs=2e-3)
 
 

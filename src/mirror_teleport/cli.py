@@ -128,7 +128,20 @@ def load_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
 
-    angular = bool(raw.get("angular_frequencies", True))
+    angular = raw.get("angular_frequencies", True)
+    if not isinstance(angular, bool):
+        raise ConfigError(
+            f"config field 'angular_frequencies' must be true or false, got {angular!r}"
+        )
+    other = ("laser_freq_hz", "mirror_freq_hz") if angular else (
+        "laser_freq_rad_per_s", "mirror_freq_rad_per_s"
+    )
+    mixed = [field for field in other if field in raw]
+    if mixed:
+        raise ConfigError(
+            f"config mixes frequency conventions: {mixed} with "
+            f"angular_frequencies {json.dumps(angular)}"
+        )
     if angular:
         laser = _get(raw, "laser_freq_rad_per_s")
         mirror = _get(raw, "mirror_freq_rad_per_s")
@@ -152,8 +165,8 @@ def load_config(path) -> RunConfig:
 
     from_temps = "nbar_values" not in raw
     field = "temperatures_k" if from_temps else "nbar_values"
-    if field not in raw:
-        raise ConfigError("config must provide nbar_values or temperatures_k")
+    if ("nbar_values" in raw) == ("temperatures_k" in raw):
+        raise ConfigError("config must provide exactly one of nbar_values and temperatures_k")
     values = raw[field]
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{field} must be a non-empty JSON array")

@@ -22,9 +22,9 @@ r^4-sized terms, which is what makes the near-degenerate benchmark regime
 (r ~ 1400) computable in float64 at all.  :func:`fidelity_curves` evaluates
 them for several nbar at once, from one set of sines and cosines.
 
-The fidelity peak just before the revival is about 1/parametric wide in t
-but of order one in the stretched variable u = r (2 pi - x), in which
-:func:`optimal_time` searches.
+In tau = tan(x/2) the derivatives of both noise forms factor into
+quadratics, which puts each fidelity maximum at a closed-form time that
+does not depend on nbar; :func:`optimal_time` evaluates the fidelity there.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GaussianCoeffs, coeffs_analytic, period
+from .dynamics import GaussianCoeffs, coeffs_analytic
 from .errors import ConsistencyError, DomainError
 from .gaussian_core import (
     VACUUM_VARIANCE,
@@ -259,14 +259,9 @@ def fidelity_no_heterodyne(g: GaussianCoeffs):
     return float(out) if np.ndim(out) == 0 else out
 
 
-#: Fixed scans of u in [0, _PEAK_SCAN_U] (the peak for large r) and of the
-#: rest of the period (the peak for small r), the points on each side of the
-#: best one in a zoom round, and the bracket width in u at which zooming stops.
-_PERIOD_SCAN_POINTS = 2001
-_PEAK_SCAN_U = 8.0
-_PEAK_SCAN_POINTS = 801
-_ZOOM_POINTS = 33
-_U_TOL = 1e-9
+#: Float times on each side of the peak's closed-form time that are also
+#: evaluated: at large nbar the rounding of t limits the heterodyne-free F.
+_ULPS = 8
 
 
 def optimal_time(
@@ -275,61 +270,48 @@ def optimal_time(
     """(t*, F_max): maximum of the fidelity over one revival period.
 
     The fidelity is fidelity_coherent, or with ``heterodyne`` False
-    fidelity_no_heterodyne, the variant without the heterodyne; the scans
-    evaluate it through :func:`fidelity_curves`.  The search runs in u = r (2 pi - x),
-    r = parametric/oscillation, x = oscillation t, where for large r
-    n_eff -> (nbar + 1) (1 - u + u^2/2)^2 / (1 + u^4/4 + nbar u^2) is
-    minimal at u = sqrt(2) for every nbar (F = 1/(4 - 2 sqrt(2))), and the
-    heterodyne-free bracket (1 - u + u^2/2)^2 + nbar (1 - u)^2 at u = 1
-    (F = 0.8).  A fixed scan of u in [0, 8], joined to a uniform scan of the
-    rest of the period for small r and to the two analytic peaks as points,
-    brackets the peak between the best point's two neighbours.  Each zoom
-    round rescans that bracket with the best point kept as a grid point, so
-    the best F never falls, until the bracket is within 1e-9 in u, or a few
-    ulps of t where that is coarser.  F_max is the fidelity at t* exactly.
-    The points are u = sqrt(2) and u0 = r atan(1/r), where r sin x + cos x = 0
-    exactly: at large nbar the heterodyne-free bracket is dominated by
-    nbar (r sin x + cos x)^2, and its peak is far narrower than the scan.
+    fidelity_no_heterodyne.  In tau = tan(x/2), with q^2 = 1 + r^2,
+    1 + gain = N/(1 + tau^2), N = (2r^2+1) tau^2 + 2r tau + 1 > 0, and the
+    derivatives of the two noise forms factor into quadratics:
+
+        d n_eff/d tau   ~ ((2r^2+1) tau^2 - 1) N
+                          (r (2r^2+1) tau^2 + 2 (r^2 - nbar (r^2+1)) tau + r)
+        d bracket/d tau ~ (tau^2 - 2r tau - 1)
+                          (r (2r^2+1-nbar) tau^2 + 2 (r^2-nbar) tau + r (nbar+1))
+
+    Each maximum lies at one root, the same for every nbar.  With the
+    heterodyne at nbar = 0 the last factor has no real root, and of
+    tau = +-1/sqrt(2r^2+1) and x = pi (n_eff = 1) n_eff is least at
+    tau* = -1/sqrt(2r^2+1), m = (sqrt(2r^2+1) - r)^2/(r^2+1); as
+    N >= 2 (sqrt(2r^2+1) - r) |tau|, with equality at tau*, the nbar term
+    cannot take n_eff below m.  Without it, tau^2 - 2r tau - 1 = 0 is
+    r sin x + cos x = 0, where the nbar term vanishes and 1 + gain is
+    stationary; 1 + gain is least at tau0 = r - sqrt(r^2+1)
+    (x0 = 2 pi - atan(1/r)), sqrt(r^2+1)/(sqrt(r^2+1) + r).  F is evaluated
+    once, through :func:`fidelity_curves`, at that time and the float times
+    within 8 ulps of it; t* is the best, and F_max the fidelity there exactly.
 
     Raises DomainError when the closed forms leave the float64 range: a NaN
-    anywhere in the scan, or F_max not > 0 (n_eff overflowed).
+    at any evaluated time, or F_max outside (0, 1) (n_eff or E1 overflowed;
+    n_eff >= m > 0 and the bracket >= 1/4).
     """
-    t_period = period(couplings)
-
-    def time_of(u):
-        return np.maximum(t_period - u / couplings.parametric, 0.0)
-
-    u_period = couplings.parametric * t_period
     r = couplings.parametric / couplings.oscillation
-    # Disjoint scans: two overlapping ones would leave pairs of points an ulp
-    # apart, and the +/-1-point bracket around the best could miss the peak.
-    u_peak = min(_PEAK_SCAN_U, u_period)
-    seeds = np.minimum([r * math.atan(1.0 / r), math.sqrt(2.0)], u_period)
-    us = np.unique(np.concatenate((
-        np.linspace(0.0, u_peak, _PEAK_SCAN_POINTS),
-        np.linspace(u_peak, u_period, _PERIOD_SCAN_POINTS),
-        seeds,
-    )))
+    if heterodyne:
+        tau = -1.0 / math.sqrt(2.0 * r * r + 1.0)
+    else:
+        tau = -1.0 / (r + math.sqrt(r * r + 1.0))
+    t_peak = (2.0 * math.pi + 2.0 * math.atan(tau)) / couplings.oscillation
+    ts = t_peak + math.ulp(t_peak) * np.arange(-_ULPS, _ULPS + 1)
     out_of_range = f"fidelity at nbar = {nbar:.12g} is outside the float64 range"
-    # 8 ulps of t in u: a finer bracket could no longer move t (or u).
-    tol = max(_U_TOL, 8.0 * couplings.parametric * math.ulp(t_period))
-    while True:
-        (fv,) = fidelity_curves(couplings, (nbar,), time_of(us), heterodyne)
-        if np.isnan(fv).any():  # np.argmax would pick the first NaN
-            raise DomainError(out_of_range)
-        i = int(np.argmax(fv))
-        lo, u_star, hi = us[max(i - 1, 0)], us[i], us[min(i + 1, len(us) - 1)]
-        if hi - lo <= tol:
-            break
-        us = np.unique(np.concatenate((
-            np.linspace(lo, u_star, _ZOOM_POINTS),
-            np.linspace(u_star, hi, _ZOOM_POINTS),
-        )))
-    objective = fidelity_coherent if heterodyne else fidelity_no_heterodyne
-    f_star = objective(coeffs_analytic(couplings, nbar, time_of(u_star)))
-    if not f_star > 0:  # n_eff overflowed
+    (fv,) = fidelity_curves(couplings, (nbar,), ts, heterodyne)
+    if np.isnan(fv).any():  # np.argmax would pick the first NaN
         raise DomainError(out_of_range)
-    return float(time_of(u_star)), float(f_star)
+    t_star = float(ts[int(np.argmax(fv))])
+    objective = fidelity_coherent if heterodyne else fidelity_no_heterodyne
+    f_star = objective(coeffs_analytic(couplings, nbar, t_star))
+    if not 0 < f_star < 1:  # n_eff, or E1 alone, overflowed
+        raise DomainError(out_of_range)
+    return t_star, float(f_star)
 
 
 def bob_displacement(record: MeasurementRecord, g: GaussianCoeffs) -> DisplacementCommand:

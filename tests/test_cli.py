@@ -120,6 +120,14 @@ def test_main_reports_config_error(tmp_path):
         ({"nbar_values": [10, 1, 10.0]}, "curve"),
         ({"nbar_values": [1, 1.0000000000001]}, "curve"),
         ({"nbar_values": None, "temperatures_k": [0.0, 1e-6]}, "curve"),
+        # ambiguous configs: each would otherwise run on a silent guess
+        ({"angular_frequencies": "false"}, "curve"),
+        ({"mirror_freq_hz": 8e7}, "curve"),
+        (
+            {"angular_frequencies": False, "laser_freq_hz": 3e14, "mirror_freq_hz": 8e7},
+            "curve",
+        ),
+        ({"temperatures_k": [300.0]}, "curve"),
     ],
 )
 def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):

@@ -136,7 +136,6 @@ def test_optimum_saturates_ceiling(bench_couplings):
     "c, nbar, objective",
     [
         (Couplings.from_rates(2.0, 3.0), 1.0, fidelity_coherent),
-        # r < 8/(2 pi): the peak scan in u covers the whole period.
         (
             Couplings(15.006695007659511, 24.76684211707909, 19.702679345698385),
             3.0,
@@ -147,11 +146,15 @@ def test_optimum_saturates_ceiling(bench_couplings):
             1e4,
             fidelity_no_heterodyne,
         ),
-        # At large nbar the heterodyne-free peak is far narrower than the
-        # optimiser's scan spacing.
+        # At large nbar the heterodyne-free peak is a few ulps of t wide, and
+        # the rounding of t limits F.
         ("bench_couplings", 1e16, fidelity_no_heterodyne),
         ("bench_couplings", 1e20, fidelity_no_heterodyne),
         (Couplings.from_rates(2.0, 3.0), 1e20, fidelity_no_heterodyne),
+        (Couplings.from_rates(1.0, 10.0), 1e22, fidelity_no_heterodyne),
+        (Couplings.from_rates(1.0, 10.0), 1e23, fidelity_no_heterodyne),
+        # The best float time is a few ulps from the closed-form one.
+        (Couplings.from_rates(1.0, 1.1), 1e20, fidelity_no_heterodyne),
     ],
     ids=[
         "moderate",
@@ -160,6 +163,9 @@ def test_optimum_saturates_ceiling(bench_couplings):
         "bench-nbar1e16-no-heterodyne",
         "bench-nbar1e20-no-heterodyne",
         "moderate-nbar1e20-no-heterodyne",
+        "r0.1-nbar1e22-no-heterodyne",
+        "r0.1-nbar1e23-no-heterodyne",
+        "r2.18-nbar1e20-no-heterodyne",
     ],
 )
 def test_optimal_time_agrees_with_brute_force(request, c, nbar, objective):
@@ -274,13 +280,50 @@ def test_fidelity_curves_reject_negative_nbar(moderate):
         fidelity_curves(moderate, (1.0,), np.array([-1.0]))
 
 
-def test_optimal_time_rejects_overflowed_scan(bench_couplings):
-    # At nbar = 1e302 the closed forms overflow to NaN on part of the scan.
+def test_optimal_time_rejects_overflowed_fidelity(bench_couplings):
+    # At the peak the closed forms stay in range up to nbar ~ 1e307 on these
+    # rates, and the maximum is the nbar-free 0.8536; at 1e308 E1 overflows
+    # there, which would read as F = 1.
+    assert optimal_time(bench_couplings, 1e302)[1] == pytest.approx(0.8535533463990973, abs=1e-15)
+    near_degenerate = Couplings(12345761.047506284, 12345761.052012486, 333.5640951981521)
+    assert optimal_time(near_degenerate, 1e300)[1] == pytest.approx(0.85355339, abs=1e-8)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="float64 range"):
-            optimal_time(bench_couplings, 1e302)
-        _, f_max = optimal_time(bench_couplings, 1e301)
-    assert f_max == pytest.approx(0.8535533463990972, abs=1e-15)
+            optimal_time(bench_couplings, 1e308)
+
+
+def test_optimal_time_at_vanishing_ratio():
+    # r = 1e-200, and r = 0 where parametric/oscillation underflows: both
+    # peaks tend to x = 3 pi/2, with F = 1/2.
+    for c in (Couplings.from_rates(1e-200, 1.0), Couplings(5e-324, 10.0, 10.0)):
+        for nbar in (0.0, 1.0, 1e200):
+            assert optimal_time(c, nbar)[1] == 0.5
+        assert optimal_time(c, 1.0, heterodyne=False)[1] == 0.5
+
+
+@given(
+    c=st.one_of(rate_pairs, st.just(_BUNDLED_COUPLINGS)),
+    nbar=st.one_of(st.just(0.0), st.floats(-3.0, 20.0).map(lambda e: 10.0**e)),
+)
+@settings(max_examples=60, deadline=None)
+def test_optima_are_closed_form(c, nbar):
+    # tau* = tan(x*/2) = -1/sqrt(2r^2 + 1) for every nbar: the fidelity
+    # maximum depends on r alone, so temperature independence is exact.
+    r = c.parametric / c.oscillation
+    k = math.sqrt(2.0 * r * r + 1.0)
+    t_star, f_max = optimal_time(c, nbar)
+    assert f_max == pytest.approx(1.0 / (1.0 + (k - r) ** 2 / (r * r + 1.0)), rel=1e-15)
+    t_peak = (2.0 * math.pi - 2.0 * math.atan(1.0 / k)) / c.oscillation
+    assert abs(t_star - t_peak) <= 8 * math.ulp(t_peak)
+    # Without the heterodyne, tau0 = r - sqrt(r^2 + 1) and 1 + gain =
+    # sqrt(r^2 + 1)/(sqrt(r^2 + 1) + r).  At large nbar the rounding of t
+    # limits F, which test_optimal_time_agrees_with_brute_force covers.
+    if nbar <= 1e6:
+        s = math.sqrt(r * r + 1.0)
+        t_star, f_max = optimal_time(c, nbar, heterodyne=False)
+        assert f_max == pytest.approx(1.0 / (1.0 + (s / (s + r)) ** 2), rel=1e-14)
+        t_peak = (2.0 * math.pi - 2.0 * math.atan(1.0 / (r + s))) / c.oscillation
+        assert abs(t_star - t_peak) <= 8 * math.ulp(t_peak)
 
 
 def test_no_heterodyne_never_beats_heterodyne(moderate, bench_couplings):

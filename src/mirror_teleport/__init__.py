@@ -52,6 +52,7 @@ from .protocol import (
     fidelity_curves,
     fidelity_no_heterodyne,
     optimal_time,
+    peak_fidelity,
     teleport_covariance,
 )
 from .readout import (
@@ -101,6 +102,7 @@ __all__ = [
     "fidelity_curves",
     "fidelity_no_heterodyne",
     "optimal_time",
+    "peak_fidelity",
     "period",
     "physicality_defect",
     "propagator",

@@ -18,8 +18,8 @@ by one Python ``%`` per chunk of rows.  Large ones, such as a
 figure-resolution sweep, are formatted in blocks of rows with array
 arithmetic, which leaves every cell whose digits it cannot prove correct
 (near a rounding tie, or zero, negative or outside [1e-4, 1e11)) to
-Python's own ``"%.12g"``.  ``curve`` warns on stderr when float64 rounding
-of time limits an nbar's heterodyne-free maximum.
+Python's own ``"%.12g"``.  ``summary.json``'s heterodyne-free maximum is
+``protocol.peak_fidelity``, exact where float64 times near its peak are not.
 """
 
 from __future__ import annotations
@@ -198,17 +198,17 @@ def load_config(path) -> RunConfig:
     )
 
 
-def bundled_config_path(name: str = "fig2.json") -> Path:
-    """Path of a configuration bundled with the package."""
-    return Path(resources.files("mirror_teleport") / "data" / name)
+def bundled_config_path() -> Path:
+    """Path of the benchmark configuration bundled with the package."""
+    return Path(resources.files("mirror_teleport") / "data" / "fig2.json")
 
 
 def _summary(config: RunConfig, couplings: Couplings) -> dict:
     t_period = dynamics.period(couplings)
+    f_nh = protocol.peak_fidelity(couplings, heterodyne=False)
     per_nbar = {}
     for nbar in config.nbar_values:
         t_star, f_max = protocol.optimal_time(couplings, nbar)
-        _, f_nh = protocol.optimal_time(couplings, nbar, heterodyne=False)
         per_nbar[f"{nbar:.12g}"] = {
             "F_max": f_max,
             "t_star_s": t_star,
@@ -235,7 +235,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def cmd_couplings(config: RunConfig, out_dir: Path | None, stream=None) -> int:
+def cmd_couplings(config: RunConfig, out_dir: Path | None) -> int:
     couplings = compute_couplings(config.params)
     stokes, anti = sideband_frequencies(config.params)
     nbar = thermal_occupation(config.params.temperature, config.params.mirror_freq)
@@ -253,23 +253,18 @@ def cmd_couplings(config: RunConfig, out_dir: Path | None, stream=None) -> int:
     for key, value in report.items():
         if key == "regime_warnings":
             continue
-        print(f"{key} = {value:.12g}", file=stream)
+        print(f"{key} = {value:.12g}")
     if warnings:
         for w in warnings:
-            print(f"warning: {w}", file=stream)
+            print(f"warning: {w}")
     else:
-        print("regime: all assumptions hold", file=stream)
+        print("regime: all assumptions hold")
     if out_dir is not None:
         _write_json(out_dir / "couplings.json", report)
     return 0
 
 
-def cmd_curve(
-    config: RunConfig,
-    out_dir: Path,
-    no_heterodyne: bool = False,
-    stream=None,
-) -> int:
+def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> int:
     couplings = compute_couplings(config.params)
     t_period = dynamics.period(couplings)
     times = np.linspace(0.0, config.periods * t_period, config.grid_points + 1)
@@ -286,18 +281,6 @@ def cmd_curve(
     _csvtext.write_csv(out_dir / "curve.csv", header, [theta_t, *columns])
 
     summary = _summary(config, couplings)
-    # The heterodyne-free peak needs nbar (r sin x + cos x)^2 -> 0, but near
-    # x = 2 pi float64 times leave it at about delta = nbar (r 2 pi 2^-53)^2,
-    # so F_max_no_heterodyne comes out near 1/(1.25 + delta), not 0.8.
-    spread = couplings.parametric / couplings.oscillation * _TWO_PI * 2.0**-53
-    for nbar in config.nbar_values:
-        delta = nbar * spread * spread
-        if delta > 1e-9:
-            print(
-                f"warning: nbar {nbar:.12g}: F_max_no_heterodyne is limited by the "
-                f"float64 rounding of time (nbar (2 pi r 2^-53)^2 = {delta:.3g})",
-                file=sys.stderr,
-            )
     summary["curve"] = {
         "variant": "no_heterodyne" if no_heterodyne else "heterodyne",
         "grid_points": config.grid_points,
@@ -305,7 +288,7 @@ def cmd_curve(
         "nbar_from_temperatures": config.nbar_from_temperatures,
     }
     _write_json(out_dir / "summary.json", summary)
-    print(f"wrote {out_dir / 'curve.csv'} and {out_dir / 'summary.json'}", file=stream)
+    print(f"wrote {out_dir / 'curve.csv'} and {out_dir / 'summary.json'}")
     return 0
 
 
@@ -345,7 +328,7 @@ def _run_gates(couplings: Couplings, nbar_values):
     # 2. RK4 oracle vs closed form over the certifiable window
     t_max = min(t_period, 30.0 / couplings.parametric)
     ts = np.linspace(0.0, t_max, 201)[1:]
-    dt = 2e-3 / couplings.parametric
+    dt = 2e-3 / couplings.beam_splitter  # the fastest rate, whatever r is
     worst = 0.0
     for nbar in nbar_values[:2]:
         try:
@@ -423,7 +406,7 @@ def _run_gates(couplings: Couplings, nbar_values):
     yield _verdict("teleport-noise", worst_tn, tol["teleport_noise_scaled"])
 
 
-def cmd_verify(config: RunConfig, out_dir: Path | None, stream=None) -> int:
+def cmd_verify(config: RunConfig, out_dir: Path | None) -> int:
     lines = []
     all_ok = True
     gates = _run_gates(compute_couplings(config.params), config.nbar_values)
@@ -433,33 +416,32 @@ def cmd_verify(config: RunConfig, out_dir: Path | None, stream=None) -> int:
         lines.append(f"{status} {name}: defect {defect:.3e} (tolerance {tolerance:.1e})")
     lines.append("verification " + ("PASSED" if all_ok else "FAILED"))
     text = "\n".join(lines) + "\n"
-    print(text, end="", file=stream)
+    print(text, end="")
     if out_dir is not None:
         (out_dir / "verify.txt").write_text(text)
     return 0 if all_ok else 2
 
 
-def cmd_readout(config: RunConfig, stream=None) -> int:
+def cmd_readout(config: RunConfig) -> int:
     couplings = compute_couplings(config.params)
     quality = readout.readout_quality(couplings)
     verdict = "PASS" if quality >= readout.QUALITY_THRESHOLD else "FAIL"
     print(f"readout quality ratio = {quality:.6g} "
-          f"({verdict}: threshold {readout.QUALITY_THRESHOLD:g}x)", file=stream)
+          f"({verdict}: threshold {readout.QUALITY_THRESHOLD:g}x)")
     for t in readout.readout_times(couplings, config.readout_count):
         w = readout.readout_weights(couplings, t)
         print(
             f"readout time {t:.12g} s: mirror weight {w.mirror_weight:.6g}, "
             f"stokes weight {w.stokes_weight:.6g}, "
             f"anti-stokes weight {w.anti_weight:.6g}",
-            file=stream,
         )
     if config.params.damping > 0:
         for nbar in config.nbar_values:
             window = readout.decoherence_window(config.params.damping, nbar)
             text = "unconstrained" if math.isinf(window) else f"{window:.6g} s"
-            print(f"nbar {nbar:.12g}: feed-forward window {text}", file=stream)
+            print(f"nbar {nbar:.12g}: feed-forward window {text}")
     else:
-        print("damping is 0: feed-forward windows unconstrained", file=stream)
+        print("damping is 0: feed-forward windows unconstrained")
     return 0
 
 

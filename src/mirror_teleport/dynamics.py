@@ -60,9 +60,10 @@ class GaussianCoeffs:
     """The six coefficients of the three-mode Gaussian characteristic function.
 
     Fields may be scalars or (for vectorized evaluation) equal-length numpy
-    arrays over a time grid.  ``couplings`` records the rates that generated
-    the state; downstream code uses them for cancellation-safe evaluation
-    and they are None only for hand-built coefficient sets.
+    arrays over a time grid.  ``couplings`` records the rates of a closed-form
+    state, which downstream code then evaluates through cancellation-safe
+    factored forms.  It is None for the oracles' outputs and hand-built
+    sets, which are conditioned from their own values.
     """
 
     stokes_n: float | np.ndarray
@@ -311,12 +312,8 @@ def coeffs_ode(
     scalar = np.ndim(time) == 0
     cols = half.T
     fields = [float(cc[0]) if scalar else cc for cc in cols]
-    return GaussianCoeffs(
-        *fields,
-        time=float(t[0]) if scalar else t,
-        nbar=nbar,
-        couplings=couplings,
-    )
+    # Without couplings, conditioning reads these values, not the closed forms.
+    return GaussianCoeffs(*fields, time=float(t[0]) if scalar else t, nbar=nbar)
 
 
 def coeffs_from_propagator(prop: PropagatorMatrix, nbar: float) -> GaussianCoeffs:

@@ -83,7 +83,9 @@ class Couplings:
     oscillation > 0.  ``oscillation`` must equal
     sqrt(beam_splitter^2 - parametric^2); the constructor enforces this to
     1e-12 relative plus the float64 resolution floor of the
-    difference-of-squares (see :func:`oscillation_consistency`).
+    difference-of-squares (see :func:`oscillation_consistency`).  It also
+    requires 2 (beam_splitter/oscillation)^2 to be finite, so that no square
+    the closed forms take of the rate ratios overflows.
     """
 
     parametric: float
@@ -109,6 +111,12 @@ class Couplings:
                 f"oscillation {self.oscillation!r} inconsistent with "
                 "sqrt(beam_splitter^2 - parametric^2) "
                 f"(relative defect {rel:.3e}, resolvable floor {floor:.1e})"
+            )
+        q = self.beam_splitter / self.oscillation
+        if not 2.0 * q * q < math.inf:
+            raise DomainError(
+                f"beam_splitter/oscillation = {q!r} is too large: its square "
+                f"leaves the float64 range, got {self!r}"
             )
 
     @classmethod

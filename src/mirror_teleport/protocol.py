@@ -23,8 +23,9 @@ r^4-sized terms, which is what makes the near-degenerate benchmark regime
 them for several nbar at once, from one set of sines and cosines.
 
 In tau = tan(x/2) the derivatives of both noise forms factor into
-quadratics, which puts each fidelity maximum at a closed-form time that
-does not depend on nbar; :func:`optimal_time` evaluates the fidelity there.
+quadratics, which puts each fidelity maximum at a closed-form time, with a
+closed-form value, that does not depend on nbar: :func:`peak_fidelity`
+returns the value and :func:`optimal_time` evaluates the fidelity there.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GaussianCoeffs, coeffs_analytic
+from .dynamics import GaussianCoeffs
 from .errors import ConsistencyError, DomainError
 from .gaussian_core import (
     VACUUM_VARIANCE,
@@ -264,6 +265,31 @@ def fidelity_no_heterodyne(g: GaussianCoeffs):
 _ULPS = 8
 
 
+def _peak(couplings: Couplings, heterodyne: bool) -> tuple[float, float]:
+    """(t, F) at the fidelity maximum of the first revival period, both in
+    closed form; :func:`optimal_time` derives them."""
+    r = couplings.parametric / couplings.oscillation
+    s = math.sqrt(r * r + 1.0)
+    if heterodyne:
+        k = math.sqrt(2.0 * r * r + 1.0)
+        tau, noise = -1.0 / k, ((k - r) / s) ** 2
+    else:
+        tau, noise = -1.0 / (r + s), (s / (s + r)) ** 2
+    t_peak = (2.0 * math.pi + 2.0 * math.atan(tau)) / couplings.oscillation
+    return t_peak, 1.0 / (1.0 + noise)
+
+
+def peak_fidelity(couplings: Couplings, heterodyne: bool = True) -> float:
+    """Maximum over time of the fidelity, the same for every nbar.
+
+    With the heterodyne it is 1/(1 + (sqrt(2r^2+1) - r)^2/(r^2+1)), without
+    it 1/(1 + (s/(s + r))^2), s = sqrt(r^2+1); :func:`optimal_time` derives
+    both.  Float64 times cannot resolve the heterodyne-free peak at large
+    nbar; this value needs no time.
+    """
+    return _peak(couplings, heterodyne)[1]
+
+
 def optimal_time(
     couplings: Couplings, nbar: float, heterodyne: bool = True
 ) -> tuple[float, float]:
@@ -289,29 +315,26 @@ def optimal_time(
     stationary; 1 + gain is least at tau0 = r - sqrt(r^2+1)
     (x0 = 2 pi - atan(1/r)), sqrt(r^2+1)/(sqrt(r^2+1) + r).  F is evaluated
     once, through :func:`fidelity_curves`, at that time and the float times
-    within 8 ulps of it; t* is the best, and F_max the fidelity there exactly.
+    within 8 ulps of it; t* is the best, and F_max the kernel's value at t*.
+    With the heterodyne F_max is within a few ulps of :func:`peak_fidelity`.
+    Without it float64 times near the revival leave the bracket near
+    nbar (2 pi r 2^-53)^2, so at large nbar F_max falls below it.
 
     Raises DomainError when the closed forms leave the float64 range: a NaN
     at any evaluated time, or F_max outside (0, 1) (n_eff or E1 overflowed;
     n_eff >= m > 0 and the bracket >= 1/4).
     """
-    r = couplings.parametric / couplings.oscillation
-    if heterodyne:
-        tau = -1.0 / math.sqrt(2.0 * r * r + 1.0)
-    else:
-        tau = -1.0 / (r + math.sqrt(r * r + 1.0))
-    t_peak = (2.0 * math.pi + 2.0 * math.atan(tau)) / couplings.oscillation
+    t_peak, _ = _peak(couplings, heterodyne)
     ts = t_peak + math.ulp(t_peak) * np.arange(-_ULPS, _ULPS + 1)
     out_of_range = f"fidelity at nbar = {nbar:.12g} is outside the float64 range"
     (fv,) = fidelity_curves(couplings, (nbar,), ts, heterodyne)
     if np.isnan(fv).any():  # np.argmax would pick the first NaN
         raise DomainError(out_of_range)
-    t_star = float(ts[int(np.argmax(fv))])
-    objective = fidelity_coherent if heterodyne else fidelity_no_heterodyne
-    f_star = objective(coeffs_analytic(couplings, nbar, t_star))
+    best = int(np.argmax(fv))
+    f_star = float(fv[best])
     if not 0 < f_star < 1:  # n_eff, or E1 alone, overflowed
         raise DomainError(out_of_range)
-    return t_star, float(f_star)
+    return float(ts[best]), f_star
 
 
 def bob_displacement(record: MeasurementRecord, g: GaussianCoeffs) -> DisplacementCommand:

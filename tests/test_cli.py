@@ -16,6 +16,7 @@ from mirror_teleport import (
     Couplings,
     coeffs_analytic,
     conditional_correlation,
+    peak_fidelity,
     period,
     physicality_defect,
 )
@@ -345,19 +346,18 @@ def test_curve_outputs(tmp_path):
     )
 
 
-@pytest.mark.parametrize("nbar_values, warns", [(None, False), ([1e24], True)])
-def test_curve_warns_when_rounding_limits_the_peak(tmp_path, bench_json, capsys, nbar_values, warns):
+def test_curve_reports_the_closed_form_peak_at_large_nbar(tmp_path, bench_json, capsys, bench_couplings):
     # At nbar = 1e24 float64 times near the revival leave the heterodyne-free
-    # bracket at nbar (2 pi r 2^-53)^2 ~ 1 on the bundled rates: F_max_no_heterodyne
-    # is 0.5, not 0.8.  The bundled occupations are far from that.
-    if nbar_values is not None:
-        bench_json["nbar_values"] = nbar_values
+    # bracket at nbar (2 pi r 2^-53)^2 ~ 1 on the bundled rates, so F sampled
+    # there is 0.5; the reported maximum is the closed form, 0.8.
+    bench_json["nbar_values"] = [1e24]
     cfg = _write_config(tmp_path, bench_json)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--grid", "50", "curve"]) == 0
-    err = capsys.readouterr().err
-    assert ("warning:" in err) == warns, err
-    if warns:
-        assert "nbar 1e+24: F_max_no_heterodyne" in err
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["per_nbar"]["1e+24"]["F_max_no_heterodyne"] == peak_fidelity(
+        bench_couplings, heterodyne=False
+    )
 
 
 def test_curve_requires_out():
@@ -414,10 +414,11 @@ def test_verify_fails_on_corrupted_couplings(tmp_path, monkeypatch):
     assert "verification FAILED" in text
 
 
-@pytest.mark.parametrize("mirror_freq", [5.91e8, 4.46e5, 1e11])
+@pytest.mark.parametrize("mirror_freq", [5.91e8, 4.46e5, 1e11, 1.96e15])
 def test_verify_passes_on_exact_propagators(tmp_path, bench_json, mirror_freq):
     # Near a revival M(t1 + t2) ~ I while the factors of M(t1) M(t2) are
-    # ~r^2: the group gate must scale its residual by the factors.
+    # ~r^2: the group gate must scale its residual by the factors.  At
+    # 1.96e15 r ~ 0.1, where the RK4 step must follow beam_splitter.
     bench_json["mirror_freq_rad_per_s"] = mirror_freq
     cfg = _write_config(tmp_path, bench_json)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -148,6 +149,16 @@ def test_rk4_scalar_time(moderate):
     g = coeffs_ode(moderate, 1.0, 0.3, dt_max=1e-4)
     ana = coeffs_analytic(moderate, 1.0, 0.3)
     assert _vector(g) == pytest.approx(_vector(ana), abs=1e-10)
+
+
+def test_rk4_output_is_conditioned_from_its_own_values(moderate):
+    # The oracle's coefficients carry no couplings, so conditioning reads
+    # them rather than the closed forms: corrupting one must change F.
+    g = coeffs_ode(moderate, 1.0, 0.3, dt_max=1e-4)
+    closed = fidelity_coherent(coeffs_analytic(moderate, 1.0, 0.3))
+    assert fidelity_coherent(g) == pytest.approx(closed, rel=1e-12)
+    corrupted = dataclasses.replace(g, stokes_n=g.stokes_n + 100.0)
+    assert fidelity_coherent(corrupted) < 0.1
 
 
 def test_rk4_step_doubling_guards_against_coarse_steps(moderate):

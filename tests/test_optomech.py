@@ -155,6 +155,13 @@ def test_couplings_validation():
         Couplings(1.0, math.nextafter(1.0, 2.0), -1e-8)
 
 
+def test_couplings_reject_ratio_whose_square_overflows():
+    # One ulp from degeneracy the consistency floor admits oscillation
+    # 1e-200, but the closed forms square r = 1e200.
+    with pytest.raises(DomainError, match="float64 range"):
+        Couplings(1.0, math.nextafter(1.0, 2.0), 1e-200)
+
+
 def test_consistency_floor_tracks_cancellation():
     rel, floor = oscillation_consistency(2.0, 3.0, math.sqrt(5.0))
     assert rel < 1e-15 and floor < 1e-14

@@ -25,6 +25,7 @@ from mirror_teleport import (
     fidelity_curves,
     fidelity_no_heterodyne,
     optimal_time,
+    peak_fidelity,
     period,
     physicality_defect,
     teleport_covariance,
@@ -311,17 +312,22 @@ def test_optima_are_closed_form(c, nbar):
     # maximum depends on r alone, so temperature independence is exact.
     r = c.parametric / c.oscillation
     k = math.sqrt(2.0 * r * r + 1.0)
+    s = math.sqrt(r * r + 1.0)
+    closed = 1.0 / (1.0 + (k - r) ** 2 / (r * r + 1.0))
+    closed_nh = 1.0 / (1.0 + (s / (s + r)) ** 2)
+    assert (peak_fidelity(c), peak_fidelity(c, heterodyne=False)) == pytest.approx(
+        (closed, closed_nh), rel=1e-15
+    )
     t_star, f_max = optimal_time(c, nbar)
-    assert f_max == pytest.approx(1.0 / (1.0 + (k - r) ** 2 / (r * r + 1.0)), rel=1e-15)
+    assert f_max == pytest.approx(closed, rel=1e-15)
     t_peak = (2.0 * math.pi - 2.0 * math.atan(1.0 / k)) / c.oscillation
     assert abs(t_star - t_peak) <= 8 * math.ulp(t_peak)
     # Without the heterodyne, tau0 = r - sqrt(r^2 + 1) and 1 + gain =
     # sqrt(r^2 + 1)/(sqrt(r^2 + 1) + r).  At large nbar the rounding of t
     # limits F, which test_optimal_time_agrees_with_brute_force covers.
     if nbar <= 1e6:
-        s = math.sqrt(r * r + 1.0)
         t_star, f_max = optimal_time(c, nbar, heterodyne=False)
-        assert f_max == pytest.approx(1.0 / (1.0 + (s / (s + r)) ** 2), rel=1e-14)
+        assert f_max == pytest.approx(closed_nh, rel=1e-14)
         t_peak = (2.0 * math.pi - 2.0 * math.atan(1.0 / (r + s))) / c.oscillation
         assert abs(t_star - t_peak) <= 8 * math.ulp(t_peak)
 

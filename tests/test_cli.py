@@ -16,6 +16,7 @@ from mirror_teleport import (
     Couplings,
     coeffs_analytic,
     conditional_correlation,
+    optimal_time,
     peak_fidelity,
     period,
     physicality_defect,
@@ -346,18 +347,27 @@ def test_curve_outputs(tmp_path):
     )
 
 
-def test_curve_reports_the_closed_form_peak_at_large_nbar(tmp_path, bench_json, capsys, bench_couplings):
+@pytest.mark.parametrize("nbar_values, limited", [(None, False), ([1e24], True)])
+def test_curve_warns_when_rounding_limits_the_peak(
+    tmp_path, bench_json, capsys, bench_couplings, nbar_values, limited
+):
     # At nbar = 1e24 float64 times near the revival leave the heterodyne-free
-    # bracket at nbar (2 pi r 2^-53)^2 ~ 1 on the bundled rates, so F sampled
-    # there is 0.5; the reported maximum is the closed form, 0.8.
-    bench_json["nbar_values"] = [1e24]
+    # bracket at nbar (2 pi r 2^-53)^2 ~ 1 on the bundled rates, so F at the
+    # best float time is 0.5, not 0.8.  The bundled occupations are far from
+    # that.  curve reports the closed-form maximum in both cases, so it has
+    # nothing to warn about and writes nothing to stderr.
+    if nbar_values is not None:
+        bench_json["nbar_values"] = nbar_values
     cfg = _write_config(tmp_path, bench_json)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--grid", "50", "curve"]) == 0
     assert capsys.readouterr().err == ""
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["per_nbar"]["1e+24"]["F_max_no_heterodyne"] == peak_fidelity(
-        bench_couplings, heterodyne=False
-    )
+    peak = peak_fidelity(bench_couplings, heterodyne=False)
+    assert summary["per_nbar"]
+    for key, entry in summary["per_nbar"].items():
+        assert entry["F_max_no_heterodyne"] == peak
+        sampled = optimal_time(bench_couplings, float(key), heterodyne=False)[1]
+        assert (sampled < peak - 0.1) == limited, (key, sampled)
 
 
 def test_curve_requires_out():

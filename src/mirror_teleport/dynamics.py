@@ -60,9 +60,10 @@ class GaussianCoeffs:
     """The six coefficients of the three-mode Gaussian characteristic function.
 
     Fields may be scalars or (for vectorized evaluation) equal-length numpy
-    arrays over a time grid.  ``couplings`` records the rates of a closed-form
-    state, which downstream code then evaluates through cancellation-safe
-    factored forms.  It is None for the oracles' outputs and hand-built
+    arrays over a time grid; for a single time the routes give numpy float64,
+    a float subclass.  ``couplings`` records the rates of a closed-form state,
+    which downstream code then evaluates through cancellation-safe factored
+    forms.  It is None for the oracles' outputs and hand-built
     sets, which are conditioned from their own values.
     """
 
@@ -112,55 +113,53 @@ def coeffs_analytic(
     x = couplings.oscillation * t
     s = np.sin(x)
     c = np.cos(x)
-    omc = 2.0 * np.sin(0.5 * x) ** 2
-    coeffs = GaussianCoeffs(
-        stokes_n=r**2 * (2.0 * omc + r**2 * omc**2 + nbar * s**2),
-        mirror_n=r**2 * s**2 + nbar * c**2,
+    # np.square, not **: a numpy scalar's ** 2 calls pow(), which can round
+    # differently from an array's x * x, and a single time must match a grid.
+    omc = 2.0 * np.square(np.sin(0.5 * x))
+    return GaussianCoeffs(
+        stokes_n=r**2 * (2.0 * omc + r**2 * np.square(omc) + nbar * np.square(s)),
+        mirror_n=r**2 * np.square(s) + nbar * np.square(c),
         stokes_mirror=r * s * (1.0 + r**2 * omc + nbar * c),
         mirror_anti=-q * s * (r**2 * omc + nbar * c),
-        anti_n=q**2 * (r**2 * omc**2 + nbar * s**2),
-        stokes_anti=r * q * (omc * (1.0 + r**2 * omc) + nbar * s**2),
-        time=t if t.ndim else float(t),
+        anti_n=q**2 * (r**2 * np.square(omc) + nbar * np.square(s)),
+        stokes_anti=r * q * (omc * (1.0 + r**2 * omc) + nbar * np.square(s)),
+        time=t[()],
         nbar=nbar,
         couplings=couplings,
     )
-    if t.ndim:
-        return coeffs
-    return GaussianCoeffs(
-        *(float(getattr(coeffs, f)) for f in COEFF_FIELDS),
-        time=float(t), nbar=nbar, couplings=couplings,
-    )
 
 
-def propagator(couplings: Couplings, time: float) -> PropagatorMatrix:
+def propagator(couplings: Couplings, time) -> PropagatorMatrix:
     """Heisenberg propagator M(t) on (stokes, mirror^dag, anti_stokes^dag).
 
     M(t) = exp(K t) with K = [[0, p, 0], [p, 0, -b], [0, b, 0]]
     (p = parametric, b = beam_splitter), which evaluates to
 
-        [[1 + p^2 omc / O^2,  p sin(Ot)/O,  -p b omc / O^2],
-         [p sin(Ot)/O,        cos(Ot),      -b sin(Ot)/O ],
-         [p b omc / O^2,      b sin(Ot)/O,  1 - b^2 omc / O^2]]
+        [[1 + r^2 omc,  r sin x,  -r q omc  ],
+         [r sin x,      cos x,    -q sin x  ],
+         [r q omc,      q sin x,  1 - q^2 omc]]
 
-    with O = oscillation and omc = 1 - cos(Ot).  K anti-commutes with the
+    in the ratios r = p/O, q = b/O (O = oscillation), x = O t and
+    omc = 1 - cos x, as in :func:`coeffs_analytic`; p^2/O^2 formed from the
+    rates would underflow for tiny ones.  K anti-commutes with the
     commutator metric diag(+1,-1,-1), so M preserves it exactly and forms a
-    one-parameter group.
+    one-parameter group.  An array of n times gives a stack of shape
+    (n, 3, 3); each matrix is bit for bit that of its time alone.
     """
-    p = couplings.parametric
-    b = couplings.beam_splitter
-    osc = couplings.oscillation
-    x = osc * time
-    s = math.sin(x)
-    c = math.cos(x)
-    omc = 2.0 * math.sin(0.5 * x) ** 2
-    m = np.array(
-        [
-            [1.0 + p * p * omc / osc**2, p * s / osc, -p * b * omc / osc**2],
-            [p * s / osc, c, -b * s / osc],
-            [p * b * omc / osc**2, b * s / osc, 1.0 - b * b * omc / osc**2],
-        ]
+    r = couplings.parametric / couplings.oscillation
+    q = couplings.beam_splitter / couplings.oscillation
+    t = np.asarray(time, dtype=float)
+    x = couplings.oscillation * t
+    s = np.sin(x)
+    c = np.cos(x)
+    omc = 2.0 * np.square(np.sin(0.5 * x))  # np.square as in coeffs_analytic
+    entries = (
+        1.0 + r**2 * omc, r * s, -r * q * omc,
+        r * s, c, -q * s,
+        r * q * omc, q * s, 1.0 - q**2 * omc,
     )
-    return PropagatorMatrix(m, float(time))
+    m = np.stack(entries, axis=-1).reshape(t.shape + (3, 3))
+    return PropagatorMatrix(m, t[()])
 
 
 def _moment_derivatives(y, parametric: float, beam_splitter: float):
@@ -256,6 +255,14 @@ def _rk4_integrate(couplings: Couplings, nbar: float, times: np.ndarray, dt_max:
     return out
 
 
+def carried_scale(states: np.ndarray) -> np.ndarray:
+    """Running maximum of max(1, max_j |y_j|) over rows of states (n, 6) at
+    ascending times, shape (n, 1): the scale of the rounding that the RK4
+    route, which propagates one state, still carries after the ~r^4
+    mid-period excursion, when the state has shrunk again."""
+    return np.maximum.accumulate(np.maximum(1.0, np.abs(states).max(axis=1, keepdims=True)))
+
+
 def coeffs_ode(
     couplings: Couplings,
     nbar: float,
@@ -267,9 +274,9 @@ def coeffs_ode(
 
     Integrates the moment ODE system with fixed step ``dt_max``, then again
     with half the step; if the two disagree by more than ``doubling_tol``
-    (relative to the state, max(1, max_j |y_j|) at each time) an
-    :class:`IntegrationError` is raised with diagnostics.  ``time`` may be a
-    scalar or an ascending array.
+    (relative to :func:`carried_scale`, the largest state carried so far)
+    an :class:`IntegrationError` is raised with diagnostics.  ``time`` may
+    be a scalar or an ascending array.
 
     Each step is the classic four-stage RK4 step written as one matrix
     product: the right-hand side is A (y, 1) for the 7x7 generator A, so the
@@ -300,7 +307,7 @@ def coeffs_ode(
     half = _rk4_integrate(couplings, nbar, t, dt_max / 2.0)
     # Scaled per entry, a moment passing through zero (mirror_anti ~ sin x)
     # would divide an error of the state's size, ~nbar, by ~0.
-    err = np.abs(full - half) / np.maximum(1.0, np.abs(half).max(axis=1, keepdims=True))
+    err = np.abs(full - half) / carried_scale(half)
     if err.max() > doubling_tol:
         raise IntegrationError(
             "step-doubling check failed: scaled step-halving change "
@@ -309,11 +316,9 @@ def coeffs_ode(
             "integration window (the system amplifies rounding for "
             "parametric/oscillation >> 1)"
         )
-    scalar = np.ndim(time) == 0
-    cols = half.T
-    fields = [float(cc[0]) if scalar else cc for cc in cols]
+    cols = half.T if np.ndim(time) else half[0]
     # Without couplings, conditioning reads these values, not the closed forms.
-    return GaussianCoeffs(*fields, time=float(t[0]) if scalar else t, nbar=nbar)
+    return GaussianCoeffs(*cols, time=t if np.ndim(time) else t[0], nbar=nbar)
 
 
 def coeffs_from_propagator(prop: PropagatorMatrix, nbar: float) -> GaussianCoeffs:
@@ -325,24 +330,21 @@ def coeffs_from_propagator(prop: PropagatorMatrix, nbar: float) -> GaussianCoeff
 
         stokes_mirror = +<s^(t) m^(t)>,  mirror_anti = -<m^(t) a(t)>,
         stokes_anti   = +<s^(t) a^(t)>.
+
+    A stack gives arrays over its times, each entry bit for bit that of its
+    propagator alone (np.square as in :func:`coeffs_analytic`).
     """
     if nbar < 0:
         raise DomainError(f"nbar must be >= 0, got {nbar!r}")
-    m = prop.matrix
+    m = np.moveaxis(prop.matrix, (-2, -1), (0, 1))
     n1 = nbar + 1.0
-    stokes_n = m[0, 1] ** 2 * n1 + m[0, 2] ** 2
-    mirror_n = m[1, 0] ** 2 + nbar * m[1, 1] ** 2
-    anti_n = m[2, 0] ** 2 + nbar * m[2, 1] ** 2
-    stokes_mirror = m[0, 1] * m[1, 1] * n1 + m[0, 2] * m[1, 2]
-    mirror_anti = -(m[1, 0] * m[2, 0] + nbar * m[1, 1] * m[2, 1])
-    stokes_anti = m[0, 1] * m[2, 1] * n1 + m[0, 2] * m[2, 2]
     return GaussianCoeffs(
-        stokes_n=float(stokes_n),
-        mirror_n=float(mirror_n),
-        stokes_mirror=float(stokes_mirror),
-        mirror_anti=float(mirror_anti),
-        anti_n=float(anti_n),
-        stokes_anti=float(stokes_anti),
+        stokes_n=np.square(m[0, 1]) * n1 + np.square(m[0, 2]),
+        mirror_n=np.square(m[1, 0]) + nbar * np.square(m[1, 1]),
+        stokes_mirror=m[0, 1] * m[1, 1] * n1 + m[0, 2] * m[1, 2],
+        mirror_anti=-(m[1, 0] * m[2, 0] + nbar * m[1, 1] * m[2, 1]),
+        anti_n=np.square(m[2, 0]) + nbar * np.square(m[2, 1]),
+        stokes_anti=m[0, 1] * m[2, 1] * n1 + m[0, 2] * m[2, 2],
         time=prop.time,
         nbar=nbar,
     )

@@ -41,9 +41,9 @@ SYMPLECTIC_FORM_4 = np.array(
 MODE_METRIC_3 = np.diag([1.0, -1.0, -1.0])
 
 
-def _as_square(matrix, n: int, name: str) -> np.ndarray:
+def _as_square(matrix, n: int, name: str, stack: bool = False) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n) or (m.ndim > 2 and not stack):
         raise DomainError(f"{name} must be {n}x{n}, got shape {m.shape}")
     return m
 
@@ -90,13 +90,15 @@ class CorrelationMatrix4:
 
 @dataclass(frozen=True)
 class PropagatorMatrix:
-    """3x3 real matrix evolving (stokes, mirror^dag, anti_stokes^dag)."""
+    """3x3 real matrix evolving (stokes, mirror^dag, anti_stokes^dag), or a
+    stack of them, shape (n, 3, 3), with ``time`` an array of n times."""
 
     matrix: np.ndarray
-    time: float = field(default=0.0)
+    time: float | np.ndarray = field(default=0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_square(self.matrix, 3, "PropagatorMatrix"))
+        m = _as_square(self.matrix, 3, "PropagatorMatrix", stack=True)
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def identity(cls) -> "PropagatorMatrix":
@@ -126,16 +128,17 @@ def physicality_defect(corr: CorrelationMatrix4) -> float:
     return float(physicality_defects(corr.matrix))
 
 
-def symplectic_defect(prop: PropagatorMatrix) -> float:
+def symplectic_defect(prop: PropagatorMatrix):
     """Commutator-preservation defect of a propagator, scale-relative.
 
     A valid propagator M satisfies M eta M^T = eta with eta = diag(+1,-1,-1).
     The max-abs entry of the residual is normalized by max(1, |M|_max)^2:
     the residual is quadratic in M, so for entries of size m the float64
     noise floor is ~m^2 * eps and only the scaled defect is meaningful.
-    For O(1) matrices the scaling is a no-op.
+    For O(1) matrices the scaling is a no-op.  A stack of n matrices gives
+    n defects, each bit for bit the defect of its matrix alone.
     """
     m = prop.matrix
-    raw = np.abs(m @ MODE_METRIC_3 @ m.T - MODE_METRIC_3).max()
-    scale = max(1.0, float(np.abs(m).max())) ** 2
-    return float(raw) / scale
+    residual = m @ MODE_METRIC_3 @ np.swapaxes(m, -1, -2) - MODE_METRIC_3
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    return np.abs(residual).max(axis=(-2, -1)) / np.square(scale)

@@ -100,22 +100,22 @@ class _FactoredParts:
         x = couplings.oscillation * np.asarray(time, dtype=float)
         self.s = np.sin(x)
         self.c = np.cos(x)
-        self.omc = 2.0 * np.sin(0.5 * x) ** 2
+        self.omc = 2.0 * np.square(np.sin(0.5 * x))  # np.square: as coeffs_analytic
 
     @functools.cached_property
     def _e1_terms(self):
         """r^2 omc^2 and sin^2 x: E1 = 1 + q^2 (r^2 omc^2 + nbar sin^2 x)."""
-        return self.r**2 * self.omc**2, self.s**2
+        return self.r**2 * np.square(self.omc), np.square(self.s)
 
     @functools.cached_property
     def _lift2(self):
         """(1 + gain)^2, gain = r^2 omc + r sin x."""
-        return (1.0 + (self.r**2 * self.omc + self.r * self.s)) ** 2
+        return np.square(1.0 + (self.r**2 * self.omc + self.r * self.s))
 
     @functools.cached_property
     def _tilt2(self):
         """(r sin x + cos x)^2, which nbar multiplies without the heterodyne."""
-        return (self.r * self.s + self.c) ** 2
+        return np.square(self.r * self.s + self.c)
 
     def e1(self, nbar):
         free, s2 = self._e1_terms
@@ -234,8 +234,7 @@ def effective_occupation(g: GaussianCoeffs):
         raise ConsistencyError(
             f"effective occupation came out negative ({np.min(n_eff)!r})"
         )
-    n_eff = np.maximum(n_eff, 0.0)
-    return float(n_eff) if np.ndim(n_eff) == 0 else n_eff
+    return np.maximum(n_eff, 0.0)
 
 
 def fidelity_coherent(g: GaussianCoeffs):
@@ -256,8 +255,7 @@ def fidelity_no_heterodyne(g: GaussianCoeffs):
         bracket = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
     if np.any(np.asarray(bracket) < -1e-10):
         raise ConsistencyError(f"no-heterodyne noise bracket negative ({bracket!r})")
-    out = 1.0 / (1.0 + np.maximum(bracket, 0.0))
-    return float(out) if np.ndim(out) == 0 else out
+    return 1.0 / (1.0 + np.maximum(bracket, 0.0))
 
 
 #: Float times on each side of the peak's closed-form time that are also

@@ -15,14 +15,23 @@ from mirror_teleport import (
     ConfigError,
     Couplings,
     coeffs_analytic,
+    coeffs_from_propagator,
     conditional_correlation,
     optimal_time,
     peak_fidelity,
     period,
     physicality_defect,
+    propagator,
+    symplectic_defect,
 )
 from mirror_teleport import _csvtext, cli
-from mirror_teleport.cli import _run_gates, bundled_config_path, load_config, main
+from mirror_teleport.cli import (
+    _run_gates,
+    _scaled_gap,
+    bundled_config_path,
+    load_config,
+    main,
+)
 
 from conftest import NBAR_SET
 
@@ -202,6 +211,8 @@ def _finite_file(path: Path) -> bool:
     if path.suffix == ".json":
         values = []
         json.loads(text, parse_float=values.append, parse_constant=values.append)
+    elif path.name == "verify.txt":
+        values = [line.split("defect ")[1].split()[0] for line in text.splitlines()[:-1]]
     else:
         values = [v for line in text.splitlines()[1:] for v in line.split(",")]
     return all(math.isfinite(float(v)) for v in values)
@@ -210,7 +221,7 @@ def _finite_file(path: Path) -> bool:
 @given(
     values=st.fixed_dictionaries(_FUZZ_FIELDS),
     nbar=st.lists(st.one_of(st.just(0.0), _magnitude()), min_size=1, max_size=2),
-    command=st.sampled_from(["couplings", "readout", "curve"]),
+    command=st.sampled_from(["couplings", "readout", "curve", "verify"]),
 )
 @settings(max_examples=100, deadline=None)
 def test_extreme_finite_configs_exit_cleanly(values, nbar, command):
@@ -424,12 +435,29 @@ def test_verify_fails_on_corrupted_couplings(tmp_path, monkeypatch):
     assert "verification FAILED" in text
 
 
-@pytest.mark.parametrize("mirror_freq", [5.91e8, 4.46e5, 1e11, 1.96e15])
-def test_verify_passes_on_exact_propagators(tmp_path, bench_json, mirror_freq):
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"mirror_freq_rad_per_s": f}, id=str(f))
+        for f in (5.91e8, 4.46e5, 1e11, 1.96e15, 5.27e13)
+    ]
+    + [
+        pytest.param({"det_bandwidth_hz": 9.110999749934671e-161}, id="tiny-bandwidth"),
+        pytest.param(
+            {"power_watts": 8.242354689908549e-257, "mode_bandwidth_hz": 1.2930625549909084e69},
+            id="tiny-power",
+        ),
+    ],
+)
+def test_verify_passes_on_exact_propagators(tmp_path, bench_json, overrides):
     # Near a revival M(t1 + t2) ~ I while the factors of M(t1) M(t2) are
     # ~r^2: the group gate must scale its residual by the factors.  At
-    # 1.96e15 r ~ 0.1, where the RK4 step must follow beam_splitter.
-    bench_json["mirror_freq_rad_per_s"] = mirror_freq
+    # 1.96e15 r ~ 0.1, where the RK4 step must follow beam_splitter.  At
+    # 5.27e13 (r ~ 4.3) the RK4 window ends near the revival, after the
+    # ~r^4 excursion whose rounding the RK4 state still carries.  The last
+    # two make rates so small that their squares underflow: the propagator
+    # must be built from the rate ratios.
+    bench_json.update(overrides)
     cfg = _write_config(tmp_path, bench_json)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 0
 
@@ -437,10 +465,12 @@ def test_verify_passes_on_exact_propagators(tmp_path, bench_json, mirror_freq):
 def test_verify_passes_at_moderate_nbar(tmp_path, bench_json):
     # r ~ 1.4: mirror_anti ~ sin x passes through zero inside the RK4 window,
     # so the RK4 gate must scale its error, ~nbar, by the state, not by
-    # each coefficient.
-    bench_json.update({"mirror_freq_rad_per_s": 4e14, "nbar_values": [1e4]})
-    cfg = _write_config(tmp_path, bench_json)
-    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 0
+    # each coefficient.  At r ~ 10 the state shrinks after its excursion,
+    # so the scale must be the largest state carried so far.
+    for mirror_freq, nbar in [(4e14, 1e4), (9.95e12, 1e8)]:
+        bench_json.update({"mirror_freq_rad_per_s": mirror_freq, "nbar_values": [nbar]})
+        cfg = _write_config(tmp_path, bench_json)
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 0, nbar
 
 
 @pytest.mark.parametrize(
@@ -468,6 +498,31 @@ def test_physicality_gate_is_the_scalar_check(request, fixture):
             worst = max(worst, physicality_defect(chan) / scale)
     gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
     assert gates["conditional-physicality"] == worst
+
+
+@pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
+def test_propagator_gates_are_the_per_time_loops(request, fixture):
+    # Gates 3 and 6 take stacks of propagators; the per-time loops they
+    # replace give the same defects.  The scalar closed form may differ
+    # from the array one by an ulp (numpy's scalar x**2), which moves a
+    # scaled gap by at most about eps.
+    c = request.getfixturevalue(fixture)
+    times = period(c) * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
+    props = [propagator(c, t) for t in times]
+    group = 0.0
+    for p1, p2 in zip(props[:50], props[50:]):
+        m12 = propagator(c, p1.time + p2.time).matrix
+        scale = max(1.0, np.abs(p1.matrix).max()) * max(1.0, np.abs(p2.matrix).max())
+        group = max(group, np.abs(m12 - p1.matrix @ p2.matrix).max() / scale)
+    moment = 0.0
+    for nbar in NBAR_SET[:2]:
+        for t in np.linspace(0.0, period(c), 101):
+            mom = coeffs_from_propagator(propagator(c, t), nbar)
+            moment = max(moment, _scaled_gap(coeffs_analytic(c, nbar, t), mom))
+    gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
+    assert gates["propagator-metric"] == max(symplectic_defect(p) for p in props)
+    assert gates["propagator-group"] == group
+    assert gates["moment-route"] == pytest.approx(moment, rel=0, abs=4 * np.finfo(float).eps)
 
 
 def test_readout_command(capsys):

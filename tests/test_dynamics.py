@@ -86,6 +86,43 @@ def test_propagator_group_property(c, x1, x2):
     assert np.abs(m12 - prod).max() / scale < 1e-11
 
 
+@given(
+    c=st.one_of(st.none(), rate_pairs),
+    xs=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    nbar=st.floats(0.0, 1e6),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_propagator_route_is_per_time_route(bench_couplings, c, xs, seed, nbar):
+    # One array code path: a stack of times gives, bit for bit, what each
+    # time gives alone, and a single time gives float scalars.  The random
+    # phases add enough distinct values for a rare rounding difference,
+    # such as that of a numpy scalar's x**2, to show.
+    c = bench_couplings if c is None else c
+    xs = np.concatenate([xs, np.random.default_rng(seed).uniform(0.0, 20.0, 200)])
+    ts = xs / c.oscillation
+    stack = propagator(c, ts)
+    coeffs = coeffs_from_propagator(stack, nbar)
+    closed = coeffs_analytic(c, nbar, ts)
+    defects = symplectic_defect(stack)
+    assert stack.matrix.shape == (len(ts), 3, 3) and defects.shape == (len(ts),)
+    for i, t in enumerate(ts):
+        one = propagator(c, t)
+        assert one.matrix.tobytes() == stack.matrix[i].tobytes()
+        assert isinstance(one.time, float) and one.time == t
+        for single, stacked in [
+            (coeffs_from_propagator(one, nbar), coeffs),
+            (coeffs_analytic(c, nbar, t), closed),
+        ]:
+            for f in COEFF_FIELDS:
+                value = getattr(single, f)
+                assert isinstance(value, float), f
+                assert np.float64(value).tobytes() == getattr(stacked, f)[i].tobytes(), f
+        defect = symplectic_defect(one)
+        assert isinstance(defect, float)
+        assert np.float64(defect).tobytes() == defects[i].tobytes()
+
+
 def test_propagator_inverse_is_negative_time(moderate):
     m = propagator(moderate, 0.4).matrix
     minv = propagator(moderate, -0.4).matrix

@@ -4,11 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirror_teleport import (
     CLASSICAL_FIDELITY_BOUND,
+    ConsistencyError,
     Couplings,
     CovMatrix2,
     DisplacementCommand,
@@ -94,6 +95,18 @@ def test_conditioned_state_physical_everywhere(moderate, bench_couplings):
             for t in np.linspace(0.0, period(c), 37):
                 g = coeffs_analytic(c, nbar, float(t))
                 assert physicality_defect(conditional_correlation(g)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "route", [effective_occupation, fidelity_no_heterodyne, conditional_correlation]
+)
+def test_inconsistent_coefficients_raise(route):
+    # stokes_mirror = -5 with every other moment zero is no state: n_eff and
+    # the heterodyne-free bracket come out -9, and the conditioned matrix
+    # violates the uncertainty principle.
+    g = GaussianCoeffs(0.0, 0.0, -5.0, 0.0, 0.0, 0.0, time=0.0, nbar=0.0)
+    with pytest.raises(ConsistencyError):
+        route(g)
 
 
 def test_teleport_added_noise_equals_occupation(moderate):
@@ -208,6 +221,12 @@ def test_optimal_time_beats_dense_u_scan(bench_config, mirror_freq, objective):
     objective=st.sampled_from([fidelity_coherent, fidelity_no_heterodyne]),
 )
 @settings(max_examples=40, deadline=None)
+# A numpy scalar's ** 2 rounded this t*'s fidelity an ulp below the grid's.
+@example(
+    c=Couplings(7.0, 13.163630797845702, 11.148146742037076),
+    nbar=0.0,
+    objective=fidelity_coherent,
+)
 def test_optimal_time_beats_dense_scans_at_small_r(c, nbar, objective):
     # r from 0.35 to 7, where the peak may lie anywhere in the period: a dense
     # scan of the period, joined to a 4e-4 step in u over [0, 8].

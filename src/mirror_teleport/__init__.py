@@ -7,19 +7,17 @@ mode.  The package derives the effective interaction rates from physical
 parameters, evolves the three-mode Gaussian state exactly, conditions on
 Alice's heterodyne, and reports fidelities, cooling figures and readout
 diagnostics.
+
+Importing the package loads only its pure-Python modules: the errors, the
+rates (``optomech``) and the readout analysis.  The names of the numpy
+modules (``gaussian_core``, ``dynamics``, ``protocol``) resolve lazily, so
+numpy loads with the first of them a program uses, not before; the
+``couplings`` and ``readout`` commands never load it.
 """
 
+import importlib
+
 from .errors import ConfigError, ConsistencyError, DomainError, IntegrationError
-from .gaussian_core import (
-    MODE_METRIC_3,
-    SYMPLECTIC_FORM_4,
-    VACUUM_VARIANCE,
-    CorrelationMatrix4,
-    CovMatrix2,
-    PropagatorMatrix,
-    physicality_defect,
-    symplectic_defect,
-)
 from .optomech import (
     C_LIGHT,
     HBAR,
@@ -27,33 +25,10 @@ from .optomech import (
     Couplings,
     PhysicalParams,
     compute_couplings,
+    period,
     sideband_frequencies,
     thermal_occupation,
     validate_regime,
-)
-from .dynamics import (
-    GaussianCoeffs,
-    coeffs_analytic,
-    coeffs_from_propagator,
-    coeffs_ode,
-    period,
-    propagator,
-)
-from .protocol import (
-    CLASSICAL_FIDELITY_BOUND,
-    ActuationSetting,
-    DisplacementCommand,
-    MeasurementRecord,
-    actuation_setting,
-    bob_displacement,
-    conditional_correlation,
-    effective_occupation,
-    fidelity_coherent,
-    fidelity_curves,
-    fidelity_no_heterodyne,
-    optimal_time,
-    peak_fidelity,
-    teleport_covariance,
 )
 from .readout import (
     QUALITY_THRESHOLD,
@@ -63,6 +38,68 @@ from .readout import (
     readout_times,
     readout_weights,
 )
+
+#: The names that need numpy, by defining module; see __getattr__.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "MODE_METRIC_3",
+            "SYMPLECTIC_FORM_4",
+            "VACUUM_VARIANCE",
+            "CorrelationMatrix4",
+            "CovMatrix2",
+            "PropagatorMatrix",
+            "physicality_defect",
+            "symplectic_defect",
+        ),
+        "gaussian_core",
+    ),
+    **dict.fromkeys(
+        (
+            "GaussianCoeffs",
+            "coeffs_analytic",
+            "coeffs_from_propagator",
+            "coeffs_ode",
+            "propagator",
+        ),
+        "dynamics",
+    ),
+    **dict.fromkeys(
+        (
+            "CLASSICAL_FIDELITY_BOUND",
+            "ActuationSetting",
+            "DisplacementCommand",
+            "MeasurementRecord",
+            "actuation_setting",
+            "bob_displacement",
+            "conditional_correlation",
+            "effective_occupation",
+            "fidelity_coherent",
+            "fidelity_curves",
+            "fidelity_no_heterodyne",
+            "optimal_time",
+            "peak_fidelity",
+            "teleport_covariance",
+        ),
+        "protocol",
+    ),
+}
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` on first access (PEP 562)
+    and keep the name in this namespace, so later lookups are plain."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -7,6 +7,11 @@ curve       fidelity-vs-time sweep -> curve.csv + summary.json
 verify      self-verification gates (oracles and invariants) -> verify.txt
 readout     readout times, weights, quality ratio, decoherence windows
 
+Only ``curve`` and ``verify`` import numpy, and with it the package's
+numeric modules, inside the functions that use them: ``couplings`` and
+``readout`` compute with Python floats and start without it.  Importing
+this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set.
+
 Exit codes: 0 success, 1 config error, 2 verification-gate failure, 3 I/O
 error.  A command whose numpy arithmetic overflows or yields NaN exits 1: the
 config's values leave the float64 range.  All data files are deterministic:
@@ -28,21 +33,24 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
-from importlib import resources
 from pathlib import Path
 
-import numpy as np
+# The matrices here are at most 7x7, so OpenBLAS never splits their work, yet
+# on load it starts a worker per core that spins for a while: on a small or
+# shared host that steals CPU from whatever runs right after numpy's import.
+# Set before numpy loads, whoever imports it; an explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import _csvtext, dynamics, protocol, readout
-from .dynamics import COEFF_FIELDS
+from . import readout
 from .errors import ConfigError, DomainError, IntegrationError
-from .gaussian_core import physicality_defects, symplectic_defect
 from .optomech import (
     Couplings,
     PhysicalParams,
     compute_couplings,
     oscillation_consistency,
+    period,
     sideband_frequencies,
     thermal_occupation,
     validate_regime,
@@ -200,11 +208,15 @@ def load_config(path) -> RunConfig:
 
 def bundled_config_path() -> Path:
     """Path of the benchmark configuration bundled with the package."""
+    from importlib import resources
+
     return Path(resources.files("mirror_teleport") / "data" / "fig2.json")
 
 
 def _summary(config: RunConfig, couplings: Couplings) -> dict:
-    t_period = dynamics.period(couplings)
+    from . import protocol
+
+    t_period = period(couplings)
     f_nh = protocol.peak_fidelity(couplings, heterodyne=False)
     per_nbar = {}
     for nbar in config.nbar_values:
@@ -244,7 +256,7 @@ def cmd_couplings(config: RunConfig, out_dir: Path | None) -> int:
         "parametric_rad_per_s": couplings.parametric,
         "beam_splitter_rad_per_s": couplings.beam_splitter,
         "oscillation_rad_per_s": couplings.oscillation,
-        "period_s": dynamics.period(couplings),
+        "period_s": period(couplings),
         "stokes_freq_rad_per_s": stokes,
         "anti_stokes_freq_rad_per_s": anti,
         "thermal_occupation": nbar,
@@ -265,8 +277,12 @@ def cmd_couplings(config: RunConfig, out_dir: Path | None) -> int:
 
 
 def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> int:
+    import numpy as np
+
+    from . import _csvtext, protocol
+
     couplings = compute_couplings(config.params)
-    t_period = dynamics.period(couplings)
+    t_period = period(couplings)
     times = np.linspace(0.0, config.periods * t_period, config.grid_points + 1)
     theta_t = couplings.oscillation * times
 
@@ -296,8 +312,12 @@ def _verdict(name: str, defect, tolerance: float):
     return name, float(defect), tolerance, bool(defect <= tolerance)
 
 
-def _rows(g) -> np.ndarray:
-    """The six coefficients of ``g``, one row per time: shape (n, 6)."""
+def _rows(g):
+    """The six coefficients of ``g`` as an array, one row per time: shape (n, 6)."""
+    import numpy as np
+
+    from .dynamics import COEFF_FIELDS
+
     return np.column_stack([getattr(g, f) for f in COEFF_FIELDS])
 
 
@@ -305,6 +325,8 @@ def _scaled_gap(ref, other):
     """Largest |ref - other| over the six coefficients, relative at each time
     to the state, max(1, max_j |ref_j|): scaled per entry, a coefficient
     passing through zero would divide an error of the state's size by ~0."""
+    import numpy as np
+
     a = _rows(ref)
     return np.max(np.abs(a - _rows(other)) / np.maximum(1.0, np.abs(a).max(axis=1)[:, None]))
 
@@ -319,8 +341,13 @@ def _run_gates(couplings: Couplings, nbar_values):
     it, and the benchmark's tracer times each gate by wrapping this generator
     by name.
     """
+    import numpy as np
+
+    from . import dynamics, protocol
+    from .gaussian_core import physicality_defects, symplectic_defect
+
     tol = TOLERANCES
-    t_period = dynamics.period(couplings)
+    t_period = period(couplings)
 
     # 1. couplings internal consistency
     rel, floor = oscillation_consistency(
@@ -490,19 +517,22 @@ def main(argv=None) -> int:
             return 3
 
     try:
+        # These two compute with Python floats, which np.errstate does not govern.
+        if args.command == "couplings":
+            return cmd_couplings(config, out_dir)
+        if args.command == "readout":
+            return cmd_readout(config)
+        if args.command == "curve" and out_dir is None:
+            print("i/o error: curve requires --out", file=sys.stderr)
+            return 3
+        import numpy as np
+
         # An overflow or NaN in the closed forms means the config's values
         # leave the float64 range; a result computed past one is not reported.
         with np.errstate(over="raise", invalid="raise"):
-            if args.command == "couplings":
-                return cmd_couplings(config, out_dir)
             if args.command == "curve":
-                if out_dir is None:
-                    print("i/o error: curve requires --out", file=sys.stderr)
-                    return 3
                 return cmd_curve(config, out_dir, no_heterodyne=args.no_heterodyne)
-            if args.command == "verify":
-                return cmd_verify(config, out_dir)
-            return cmd_readout(config)
+            return cmd_verify(config, out_dir)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -34,14 +34,13 @@ raises if certification fails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .gaussian_core import PropagatorMatrix
-from .optomech import Couplings
+from .optomech import Couplings, period  # noqa: F401  (period re-exported)
 
 
 #: The six coefficient fields of :class:`GaussianCoeffs`, in field order.
@@ -76,11 +75,6 @@ class GaussianCoeffs:
     time: float | np.ndarray
     nbar: float
     couplings: Couplings | None = None
-
-
-def period(couplings: Couplings) -> float:
-    """Revival period of the closed dynamics, 2*pi/oscillation."""
-    return 2.0 * math.pi / couplings.oscillation
 
 
 def coeffs_analytic(
@@ -209,6 +203,14 @@ def _compose(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return e1 + e2 + e2 @ e1
 
 
+def _rk4_step(a: np.ndarray, h: float, halved: bool) -> np.ndarray:
+    """Increment of one step h of the schedule: D(h), or two steps of h/2."""
+    if not halved:
+        return _rk4_increment(a, h)
+    d = _rk4_increment(a, h / 2.0)
+    return _compose(d, d)
+
+
 def _rk4_power(squares: list, k: int) -> np.ndarray:
     """(I + D)^k - I by binary powering in increment form.
 
@@ -227,16 +229,20 @@ def _rk4_power(squares: list, k: int) -> np.ndarray:
     return e
 
 
-def _rk4_integrate(couplings: Couplings, nbar: float, times: np.ndarray, dt_max: float):
+def _rk4_integrate(
+    couplings: Couplings, nbar: float, times: np.ndarray, dt_max: float, halved: bool = False
+):
     """Classic fixed-step RK4 from t = 0 through each requested time.
 
     Each interval between requested times is k steps of ``dt_max`` and at
     most one short step h, so z advances over the whole interval at once,
     z + E z with E = (I + D(h))(I + D(dt_max))^k - I.  E is built once per
-    distinct (k, h), of which uniform times give a few.
+    distinct (k, h), of which uniform times give a few.  ``halved`` takes
+    every step of that schedule, the short one included, as two of half
+    its length.
     """
     a = _generator(couplings.parametric, couplings.beam_splitter)
-    squares = [_rk4_increment(a, dt_max)]
+    squares = [_rk4_step(a, dt_max, halved)]
     increments = {}
     z = np.zeros(7)
     z[1] = nbar
@@ -248,7 +254,7 @@ def _rk4_integrate(couplings: Couplings, nbar: float, times: np.ndarray, dt_max:
         k, h = int(k), (h if h > 1e-15 * target else 0.0)
         if (k, h) not in increments:
             e = _rk4_power(squares, k)
-            increments[k, h] = _compose(e, _rk4_increment(a, h)) if h else e
+            increments[k, h] = _compose(e, _rk4_step(a, h, halved)) if h else e
         z += increments[k, h].dot(z)
         out[i] = z[:6]
         t = target
@@ -273,7 +279,9 @@ def coeffs_ode(
     """RK4 oracle for :func:`coeffs_analytic`.
 
     Integrates the moment ODE system with fixed step ``dt_max``, then again
-    with half the step; if the two disagree by more than ``doubling_tol``
+    with every step of that schedule halved, the short step before a
+    requested time included, so the check tests the step however the times
+    are spaced; if the two disagree by more than ``doubling_tol``
     (relative to :func:`carried_scale`, the largest state carried so far)
     an :class:`IntegrationError` is raised with diagnostics.  ``time`` may
     be a scalar or an ascending array.
@@ -304,7 +312,7 @@ def coeffs_ode(
     if np.any(np.diff(t) < 0):
         raise DomainError("time array must be ascending")
     full = _rk4_integrate(couplings, nbar, t, dt_max)
-    half = _rk4_integrate(couplings, nbar, t, dt_max / 2.0)
+    half = _rk4_integrate(couplings, nbar, t, dt_max, halved=True)
     # Scaled per entry, a moment passing through zero (mirror_anti ~ sin x)
     # would divide an error of the state's size, ~nbar, by ~0.
     err = np.abs(full - half) / carried_scale(half)

@@ -130,6 +130,11 @@ class Couplings:
         return cls(parametric, beam_splitter, osc)
 
 
+def period(couplings: Couplings) -> float:
+    """Revival period of the closed dynamics, 2*pi/oscillation."""
+    return 2.0 * math.pi / couplings.oscillation
+
+
 def oscillation_consistency(
     parametric: float, beam_splitter: float, oscillation: float
 ) -> tuple[float, float]:

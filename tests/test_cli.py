@@ -341,6 +341,53 @@ def test_couplings_command(tmp_path, capsys):
     assert report["regime_warnings"] == []
 
 
+#: `couplings` on the bundled config: stdout, then couplings.json.
+COUPLINGS_STDOUT = """\
+parametric_rad_per_s = 471730.808384
+beam_splitter_rad_per_s = 471730.926316
+oscillation_rad_per_s = 333.564095198
+period_s = 0.0188365156731
+stokes_freq_rad_per_s = 1.9999995e+15
+anti_stokes_freq_rad_per_s = 2.0000005e+15
+thermal_occupation = 0
+regime: all assumptions hold
+"""
+COUPLINGS_JSON = """\
+{
+  "anti_stokes_freq_rad_per_s": 2000000500000000.0,
+  "beam_splitter_rad_per_s": 471730.9263162916,
+  "oscillation_rad_per_s": 333.564095198152,
+  "parametric_rad_per_s": 471730.8083835747,
+  "period_s": 0.018836515673088534,
+  "regime_warnings": [],
+  "stokes_freq_rad_per_s": 1999999500000000.0,
+  "thermal_occupation": 0.0
+}
+"""
+#: `readout` on the bundled config.
+READOUT_STDOUT = """\
+readout quality ratio = 5656.85 (PASS: threshold 10x)
+readout time 0.00470912891827 s: mirror weight 2828.43, stokes weight 0.5, anti-stokes weight -0.5
+readout time 0.0141273867548 s: mirror weight -2828.43, stokes weight 0.5, anti-stokes weight -0.5
+readout time 0.0235456445914 s: mirror weight 2828.43, stokes weight 0.5, anti-stokes weight -0.5
+nbar 0: feed-forward window unconstrained
+nbar 1: feed-forward window 1 s
+nbar 10: feed-forward window 0.1 s
+nbar 1000: feed-forward window 0.001 s
+"""
+
+
+def test_couplings_output_is_pinned(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "couplings"]) == 0
+    assert capsys.readouterr().out == COUPLINGS_STDOUT
+    assert (tmp_path / "couplings.json").read_text() == COUPLINGS_JSON
+
+
+def test_readout_output_is_pinned(capsys):
+    assert main(["readout"]) == 0
+    assert capsys.readouterr().out == READOUT_STDOUT
+
+
 def test_curve_outputs(tmp_path):
     rc = main(["--out", str(tmp_path), "--grid", "200", "curve"])
     assert rc == 0

@@ -203,6 +203,15 @@ def test_rk4_step_doubling_guards_against_coarse_steps(moderate):
         coeffs_ode(moderate, 0.0, period(moderate), dt_max=0.3)
 
 
+def test_rk4_step_doubling_guards_steps_longer_than_the_spacing(moderate):
+    # Every interval (0.014) is shorter than dt_max, so the full run takes
+    # one short step h there: the half run must take two of h/2, or the two
+    # runs agree exactly while the result is 1e-6 from the closed form.
+    ts = np.linspace(0.0, period(moderate), 201)[1:]
+    with pytest.raises(IntegrationError):
+        coeffs_ode(moderate, 0.0, ts, dt_max=1.0)
+
+
 def test_rk4_certifies_stiff_regime_window(bench_couplings):
     # Near-degenerate rates: certification only over a short window, with
     # the defect scaled by the coefficient size (entries reach ~1e8 here).

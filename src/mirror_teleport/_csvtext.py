@@ -5,22 +5,49 @@
 1.4 us per cell with numpy 2.4.  A table below ``_MIN_BLOCK_CELLS`` cells is
 formatted by that same ``%``, applied once to a few hundred rows, which gives
 its bytes by construction at about 0.5 us per cell.  Larger tables are
-formatted in blocks of rows with array arithmetic.  A positive cell x in [1e-4, 1e11) has a decimal exponent e in [-4, 10], so
-``%.12g`` prints it in fixed notation: the 12 significant digits
-m = rint(x * 10**(11 - e)), with the decimal point after place 10**0 and
-trailing zeros dropped.  The cell is laid out as seven 4-byte words: the
-separator before it and places 10**10 .. 10**0, then the point and places
-10**-1 .. 10**-15.  Each word is looked up from a digit group of m, in a
-table that turns leading or trailing zeros into NUL bytes where ``%g`` omits
-them.  One ``bytearray.translate`` per block then deletes the NULs in C.
+formatted in blocks of rows with array arithmetic.  A positive cell x in
+[1e-4, 1e11) has a decimal exponent e in [-4, 10], so ``%.12g`` prints it in
+fixed notation: the 12 significant digits m = rint(x * 10**(11 - e)), with
+the decimal point after place 10**0 and trailing zeros dropped.  The cell is
+laid out in place-aligned 4-byte words, each looked up from a digit group of
+m in a table that turns leading or trailing zeros into NUL bytes where
+``%g`` omits them.  One ``bytearray.translate`` per block then deletes the
+NULs in C.  A block takes one of two layouts:
 
-The fast path is exact only when it can prove rint(x * 10**(11 - e)) is
-the correctly rounded digit string.  10**(11 - e) is exact, so the product
-is off by at most half an ulp of 1e12, about 6e-5.  A cell is formatted by
-``"%.12g" % v`` instead, which is the reference, when its product lies within
-1e-3 of a rounding tie, when m is not a 12-digit number (e off by one, or
-the digits rounding up into the next decade), or when it is zero, negative
-or outside [1e-4, 1e11).
+- seven words (28 bytes per cell): the separator before the cell and places
+  10**10 .. 10**8, places 10**7 .. 10**4, places 10**3 .. 10**0, then the
+  point and places 10**-1 .. 10**-3, and three words of four places down to
+  10**-15;
+- five words (20 bytes per cell) when every cell the arithmetic formats is
+  below 1e3, as in every fidelity column: the separator and places
+  10**2 .. 10**0, then the same four fraction words.  Places
+  10**10 .. 10**3 would be NUL in every such cell.
+
+The layout is chosen per block, so one table can mix both.  A cell the
+arithmetic leaves to Python fits either: the longest ``%.12g`` text,
+``-1.23456789012e-100``, is 19 bytes.
+
+The fast path is exact only when it can prove rint(y), y = x * 10**(11 - e),
+is the correctly rounded digit string.  11 - e <= 15, so 10**(11 - e) is
+exact and the product is rounded once.  Every fast y is below 1e12 < 2**40,
+so its ulp is at most 2**-13 and the computed y lies within 2**-14, about
+6.1e-5, of the exact x * 10**(11 - e).  A y more than 1e-4 from a rounding
+tie, |y - rint(y)| < 0.4999, thus has the exact product on the same side of
+that tie, and rint(y) is the digit string ``%.12g`` rounds to.  (The margin
+is generous: every tie m + 1/2 below 2**40 is a float and rounding is
+monotone, so the product cannot cross a tie, only land on one.  Any margin
+below 1/2 is exact; one that admits |y - rint(y)| = 1/2 is not.)  A cell is
+formatted by ``"%.12g" % v`` instead, which is the reference, when its
+product lies within 1e-4 of a tie, when m is not a 12-digit number (e off
+by one, or the digits rounding up into the next decade), or when it is
+zero, negative or outside [1e-4, 1e11).
+
+Every ``np.take`` runs with ``mode="clip"``: with the default
+``mode="raise"`` numpy buffers the output to keep it unchanged on a bad
+index, which costs a copy of every looked-up word.  The indices here are in
+range by construction, so clipping changes no byte.  ``mode="wrap"`` is
+not used: it reduces a negative index by repeated addition, so one stray
+index such as a NaN cast to an integer makes it loop for minutes.
 """
 
 from __future__ import annotations
@@ -42,12 +69,10 @@ _MIN_BLOCK_CELLS = 65536
 _CHUNK_ROWS = 256
 
 #: Rows formatted per block.  Writing the 200,001 x 5 table of
-#: ``curve --grid 200000`` took 0.14 s with 4096, against 0.15-0.19 s with
-#: 512-2048 rows (more calls per cell) and 0.17 s with 8192 (a 2-core host).
+#: ``curve --grid 200000`` took 0.084 s with 4096, against 0.088 s with 2048
+#: and 0.10 s with 1024 rows (more calls per cell), and 0.081 s with 8192,
+#: whose work arrays are twice the size (CPU medians of 8 runs, a 2-core host).
 _BLOCK_ROWS = 4096
-
-#: Bytes per cell: seven words.
-_SLOT = 28
 
 #: Exact powers of ten, 10**0 .. 10**16.
 _POW10 = np.array([float(10**k) for k in range(17)])
@@ -62,7 +87,9 @@ def _word_table():
     the units digit of v = 0, and ``trail`` drops trailing zeros.  The
     three-digit groups below 1000 carry one more byte first: the decimal
     point (``dot``; ``dot_trail`` drops it with the trailing zeros when the
-    whole fraction is 0), or the separator before the cell.
+    whole fraction is 0), or the separator before the cell, followed by
+    places 10**10 .. 10**8 (``comma``, ``newline``) or, in the five-word
+    layout, by places 10**2 .. 10**0 (``comma_units``, ``newline_units``).
     """
     v = np.arange(10000)[:, None]
     place = np.array([1000, 100, 10, 1])
@@ -86,6 +113,8 @@ def _word_table():
         "dot_trail": prefixed(trail, ord(".") * (v[:1000, 0] != 0)),
         "comma": prefixed(lead, ord(",")),
         "newline": prefixed(lead, ord("\n")),
+        "comma_units": prefixed(units, ord(",")),
+        "newline_units": prefixed(units, ord("\n")),
     }
     offsets = dict(zip(kinds, np.cumsum([0] + [len(w) for w in kinds.values()]).tolist()))
     return np.concatenate(list(kinds.values())).view(np.uint32).ravel(), offsets
@@ -93,7 +122,8 @@ def _word_table():
 
 class _Work:
     """Work arrays for blocks of up to ``rows`` rows of ``cols`` cells, made
-    once per table; each block uses their first rows."""
+    once per table; each block uses their first rows.  The text buffer is
+    made per layout, on the first block that takes it."""
 
     def __init__(self, rows: int, cols: int):
         self.x = np.empty((rows, cols))
@@ -102,8 +132,14 @@ class _Work:
         self.e = np.empty((rows, cols), np.intp)
         self.floats = np.empty((3, rows, cols))
         self.groups = np.empty((7, rows, cols))
-        self.idx = np.empty((rows, cols, 7), np.intp)
-        self.buf = bytearray(rows * cols * _SLOT)
+        self.idx = np.empty(rows * cols * 7, np.intp)
+        self.bufs = {}
+
+    def buf(self, words: int) -> bytearray:
+        """The text buffer for cells of ``words`` 4-byte words."""
+        if words not in self.bufs:
+            self.bufs[words] = bytearray(self.x.size * 4 * words)
+        return self.bufs[words]
 
 
 def _split(value, scale, group, tmp) -> None:
@@ -130,7 +166,7 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     """
     words, at = _word_table()
     n = len(x)
-    fast, e, idx = w.fast[:n], w.e[:n], w.idx[:n]
+    fast, e = w.fast[:n], w.e[:n]
     a, b = w.masks[:, :n]
     y, m, tmp = w.floats[:, :n]
     g = w.groups[:, :n]
@@ -145,25 +181,26 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     np.log10(y, out=tmp)
     np.floor(tmp, out=tmp)
     np.subtract(11, tmp, out=e, casting="unsafe")  # 11 - e
-    y *= np.take(_POW10, e, out=tmp)
+    y *= np.take(_POW10, e, out=tmp, mode="clip")
     np.rint(y, out=m)
-    # The fast cells: m has 12 digits and y is not near a rounding tie.
+    # The fast cells: m has 12 digits and y is more than 1e-4 from a
+    # rounding tie (see the module docstring).
     fast &= np.greater_equal(y, 1e11, out=a)
     fast &= np.less(m, 1e12, out=a)
     y -= m
-    fast &= np.less(np.abs(y, out=y), 0.499, out=a)
+    fast &= np.less(np.abs(y, out=y), 0.4999, out=a)
     slow = np.flatnonzero(np.logical_not(fast, out=a))
     # The fallback cells take the digits of 1 so that no index leaves a table.
     np.copyto(m, 1e11, where=a)
     np.copyto(e, 11, where=a)
+    # Five words when every fast cell is below 1e3, so hi and mid are 0.
+    narrow = e.min() >= 9
 
     # m * 10**(e - 11) = low + f4 * 1e-15, both exact integers in float64,
-    # then split into the seven digit groups.
-    _split(m, np.take(_POW10, e, out=tmp), low, y)
+    # then split into the digit groups.
+    _split(m, np.take(_POW10, e, out=tmp, mode="clip"), low, y)
     np.subtract(15, e, out=e)
-    np.multiply(m, np.take(_POW10, e, out=tmp), out=f4)
-    _split(low, 1e8, hi, tmp)
-    _split(low, 1e4, mid, tmp)
+    np.multiply(m, np.take(_POW10, e, out=tmp, mode="clip"), out=f4)
     _split(f4, 1e12, f1, tmp)
     _split(f4, 1e8, f2, tmp)
     _split(f4, 1e4, f3, tmp)
@@ -179,24 +216,33 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     _kind(f2, b, at["trail"], at["zero"])
     _kind(f1, a, at["dot_trail"], at["dot"])
     f4 += at["trail"]
-    np.equal(hi, 0, out=a)
-    np.equal(mid, 0, out=b)
-    b &= a  # the whole part is below 1e4
-    _kind(mid, a, at["lead"], at["zero"])
-    _kind(low, b, at["units"], at["zero"])
-    hi += at["comma"]
-    hi[:, 0] += at["newline"] - at["comma"]
-    np.copyto(idx, np.moveaxis(g, 0, -1), casting="unsafe")
+    if narrow:
+        planes, comma, newline = g[2:], at["comma_units"], at["newline_units"]
+    else:
+        _split(low, 1e8, hi, tmp)
+        _split(low, 1e4, mid, tmp)
+        np.equal(hi, 0, out=a)
+        np.equal(mid, 0, out=b)
+        b &= a  # the whole part is below 1e4
+        _kind(mid, a, at["lead"], at["zero"])
+        _kind(low, b, at["units"], at["zero"])
+        planes, comma, newline = g, at["comma"], at["newline"]
+    planes[0] += comma
+    planes[0][:, 0] += newline - comma
+    idx = w.idx[: planes.size].reshape(*x.shape, len(planes))
+    for i, plane in enumerate(planes):
+        np.copyto(idx[..., i], plane, casting="unsafe")
 
-    size = idx.size * 4
-    cells = np.frombuffer(w.buf, np.uint8, size).reshape(-1, _SLOT)
-    np.take(words, idx, out=cells.view(np.uint32).reshape(idx.shape))
+    slot = 4 * len(planes)
+    buf = w.buf(len(planes))
+    cells = np.frombuffer(buf, np.uint8, idx.size * 4).reshape(-1, slot)
+    np.take(words, idx, out=cells.view(np.uint32).reshape(idx.shape), mode="clip")
     if slow.size:
         text = b"".join(
-            ("%.12g" % v).encode().ljust(_SLOT - 1, b"\0") for v in x.ravel()[slow].tolist()
+            ("%.12g" % v).encode().ljust(slot - 1, b"\0") for v in x.ravel()[slow].tolist()
         )
-        cells[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT - 1)
-    block = w.buf if size == len(w.buf) else w.buf[:size]
+        cells[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, slot - 1)
+    block = buf if cells.size == len(buf) else buf[: cells.size]
     return block.translate(None, b"\0")
 
 

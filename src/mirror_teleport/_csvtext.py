@@ -6,25 +6,18 @@
 formatted by that same ``%``, applied once to a few hundred rows, which gives
 its bytes by construction at about 0.5 us per cell.  Larger tables are
 formatted in blocks of rows with array arithmetic.  A positive cell x in
-[1e-4, 1e11) has a decimal exponent e in [-4, 10], so ``%.12g`` prints it in
+[1e-4, 1e3) has a decimal exponent e in [-4, 2], so ``%.12g`` prints it in
 fixed notation: the 12 significant digits m = rint(x * 10**(11 - e)), with
 the decimal point after place 10**0 and trailing zeros dropped.  The cell is
-laid out in place-aligned 4-byte words, each looked up from a digit group of
-m in a table that turns leading or trailing zeros into NUL bytes where
-``%g`` omits them.  One ``bytearray.translate`` per block then deletes the
-NULs in C.  A block takes one of two layouts:
-
-- seven words (28 bytes per cell): the separator before the cell and places
-  10**10 .. 10**8, places 10**7 .. 10**4, places 10**3 .. 10**0, then the
-  point and places 10**-1 .. 10**-3, and three words of four places down to
-  10**-15;
-- five words (20 bytes per cell) when every cell the arithmetic formats is
-  below 1e3, as in every fidelity column: the separator and places
-  10**2 .. 10**0, then the same four fraction words.  Places
-  10**10 .. 10**3 would be NUL in every such cell.
-
-The layout is chosen per block, so one table can mix both.  A cell the
-arithmetic leaves to Python fits either: the longest ``%.12g`` text,
+laid out in five place-aligned 4-byte words (20 bytes): the separator
+before the cell and places 10**2 .. 10**0, then the point and places
+10**-1 .. 10**-3, and three words of four places down to 10**-15.  Each
+word is looked up from a digit group of m in a table that turns leading or
+trailing zeros into NUL bytes where ``%g`` omits them.  One
+``bytearray.translate`` per block then deletes the NULs in C.  Fidelities
+are at most 1, and ``curve``'s theta_t column stays below 1e3 for fewer
+than about 159 periods.  A cell the arithmetic leaves to Python fits the 19
+bytes after the separator: the longest ``%.12g`` text,
 ``-1.23456789012e-100``, is 19 bytes.
 
 The fast path is exact only when it can prove rint(y), y = x * 10**(11 - e),
@@ -40,7 +33,7 @@ below 1/2 is exact; one that admits |y - rint(y)| = 1/2 is not.)  A cell is
 formatted by ``"%.12g" % v`` instead, which is the reference, when its
 product lies within 1e-4 of a tie, when m is not a 12-digit number (e off
 by one, or the digits rounding up into the next decade), or when it is
-zero, negative or outside [1e-4, 1e11).
+zero, negative or outside [1e-4, 1e3).
 
 Every ``np.take`` runs with ``mode="clip"``: with the default
 ``mode="raise"`` numpy buffers the output to keep it unchanged on a bad
@@ -74,6 +67,9 @@ _CHUNK_ROWS = 256
 #: whose work arrays are twice the size (CPU medians of 8 runs, a 2-core host).
 _BLOCK_ROWS = 4096
 
+#: Bytes per cell: five words.
+_SLOT = 20
+
 #: Exact powers of ten, 10**0 .. 10**16.
 _POW10 = np.array([float(10**k) for k in range(17)])
 
@@ -82,21 +78,17 @@ _POW10 = np.array([float(10**k) for k in range(17)])
 def _word_table():
     """Every 4-byte word a cell can use, and the offset of each kind.
 
-    A digit group v < 10000 gives four places.  ``zero`` keeps every digit,
-    ``lead`` drops leading zeros (all of v = 0), ``units`` does too but keeps
-    the units digit of v = 0, and ``trail`` drops trailing zeros.  The
-    three-digit groups below 1000 carry one more byte first: the decimal
-    point (``dot``; ``dot_trail`` drops it with the trailing zeros when the
-    whole fraction is 0), or the separator before the cell, followed by
-    places 10**10 .. 10**8 (``comma``, ``newline``) or, in the five-word
-    layout, by places 10**2 .. 10**0 (``comma_units``, ``newline_units``).
+    A digit group v < 10000 gives four places.  ``zero`` keeps every digit
+    and ``trail`` drops trailing zeros.  The three-digit groups below 1000
+    carry one more byte first: the decimal point (``dot``; ``dot_trail``
+    drops it with the trailing zeros when the whole fraction is 0), or the
+    separator before the cell (``comma``, ``newline``), followed by places
+    10**2 .. 10**0 without leading zeros, so that 0 prints as ``0``.
     """
     v = np.arange(10000)[:, None]
     place = np.array([1000, 100, 10, 1])
     zero = (v // place % 10 + ord("0")).astype(np.uint8)
-    lead = zero * (v >= place)
-    units = lead.copy()
-    units[0, 3] = ord("0")
+    units = zero * ((v >= place) | (place == 1))
     trail = zero * (v % (10 * place) != 0)
 
     def prefixed(words, first):
@@ -106,15 +98,11 @@ def _word_table():
 
     kinds = {
         "zero": zero,
-        "lead": lead,
-        "units": units,
         "trail": trail,
         "dot": prefixed(zero, ord(".")),
         "dot_trail": prefixed(trail, ord(".") * (v[:1000, 0] != 0)),
-        "comma": prefixed(lead, ord(",")),
-        "newline": prefixed(lead, ord("\n")),
-        "comma_units": prefixed(units, ord(",")),
-        "newline_units": prefixed(units, ord("\n")),
+        "comma": prefixed(units, ord(",")),
+        "newline": prefixed(units, ord("\n")),
     }
     offsets = dict(zip(kinds, np.cumsum([0] + [len(w) for w in kinds.values()]).tolist()))
     return np.concatenate(list(kinds.values())).view(np.uint32).ravel(), offsets
@@ -122,8 +110,7 @@ def _word_table():
 
 class _Work:
     """Work arrays for blocks of up to ``rows`` rows of ``cols`` cells, made
-    once per table; each block uses their first rows.  The text buffer is
-    made per layout, on the first block that takes it."""
+    once per table; each block uses their first rows."""
 
     def __init__(self, rows: int, cols: int):
         self.x = np.empty((rows, cols))
@@ -131,15 +118,9 @@ class _Work:
         self.masks = np.empty((2, rows, cols), bool)
         self.e = np.empty((rows, cols), np.intp)
         self.floats = np.empty((3, rows, cols))
-        self.groups = np.empty((7, rows, cols))
-        self.idx = np.empty(rows * cols * 7, np.intp)
-        self.bufs = {}
-
-    def buf(self, words: int) -> bytearray:
-        """The text buffer for cells of ``words`` 4-byte words."""
-        if words not in self.bufs:
-            self.bufs[words] = bytearray(self.x.size * 4 * words)
-        return self.bufs[words]
+        self.groups = np.empty((5, rows, cols))
+        self.idx = np.empty((rows, cols, 5), np.intp)
+        self.buf = bytearray(rows * cols * _SLOT)
 
 
 def _split(value, scale, group, tmp) -> None:
@@ -166,16 +147,16 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     """
     words, at = _word_table()
     n = len(x)
-    fast, e = w.fast[:n], w.e[:n]
+    fast, e, idx = w.fast[:n], w.e[:n], w.idx[:n]
     a, b = w.masks[:, :n]
     y, m, tmp = w.floats[:, :n]
     g = w.groups[:, :n]
-    hi, mid, low, f1, f2, f3, f4 = g
+    low, f1, f2, f3, f4 = g
 
     # y = x 10**(11 - e) and its digits m, where e = floor(log10(x)) for the
-    # positive cells of [1e-4, 1e11), and 0 for the others.
+    # positive cells of [1e-4, 1e3), and 0 for the others.
     np.greater_equal(x, 1e-4, out=fast)
-    fast &= np.less(x, 1e11, out=a)
+    fast &= np.less(x, 1e3, out=a)
     np.copyto(y, x)
     np.copyto(y, 1.0, where=np.logical_not(fast, out=a))
     np.log10(y, out=tmp)
@@ -193,8 +174,6 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     # The fallback cells take the digits of 1 so that no index leaves a table.
     np.copyto(m, 1e11, where=a)
     np.copyto(e, 11, where=a)
-    # Five words when every fast cell is below 1e3, so hi and mid are 0.
-    narrow = e.min() >= 9
 
     # m * 10**(e - 11) = low + f4 * 1e-15, both exact integers in float64,
     # then split into the digit groups.
@@ -205,8 +184,8 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     _split(f4, 1e8, f2, tmp)
     _split(f4, 1e4, f3, tmp)
 
-    # Each group's word kind: the whole part drops its leading zeros up to
-    # its first nonzero group, the fraction its trailing zeros after its last.
+    # Each group's word kind: the fraction drops its trailing zeros after
+    # its last nonzero group.
     np.equal(f4, 0, out=a)
     np.equal(f3, 0, out=b)
     b &= a  # the fraction ends at f2
@@ -216,33 +195,20 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     _kind(f2, b, at["trail"], at["zero"])
     _kind(f1, a, at["dot_trail"], at["dot"])
     f4 += at["trail"]
-    if narrow:
-        planes, comma, newline = g[2:], at["comma_units"], at["newline_units"]
-    else:
-        _split(low, 1e8, hi, tmp)
-        _split(low, 1e4, mid, tmp)
-        np.equal(hi, 0, out=a)
-        np.equal(mid, 0, out=b)
-        b &= a  # the whole part is below 1e4
-        _kind(mid, a, at["lead"], at["zero"])
-        _kind(low, b, at["units"], at["zero"])
-        planes, comma, newline = g, at["comma"], at["newline"]
-    planes[0] += comma
-    planes[0][:, 0] += newline - comma
-    idx = w.idx[: planes.size].reshape(*x.shape, len(planes))
-    for i, plane in enumerate(planes):
-        np.copyto(idx[..., i], plane, casting="unsafe")
+    low += at["comma"]
+    low[:, 0] += at["newline"] - at["comma"]
+    for i, group in enumerate(g):
+        np.copyto(idx[..., i], group, casting="unsafe")
 
-    slot = 4 * len(planes)
-    buf = w.buf(len(planes))
-    cells = np.frombuffer(buf, np.uint8, idx.size * 4).reshape(-1, slot)
+    size = idx.size * 4
+    cells = np.frombuffer(w.buf, np.uint8, size).reshape(-1, _SLOT)
     np.take(words, idx, out=cells.view(np.uint32).reshape(idx.shape), mode="clip")
     if slow.size:
         text = b"".join(
-            ("%.12g" % v).encode().ljust(slot - 1, b"\0") for v in x.ravel()[slow].tolist()
+            ("%.12g" % v).encode().ljust(_SLOT - 1, b"\0") for v in x.ravel()[slow].tolist()
         )
-        cells[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, slot - 1)
-    block = buf if cells.size == len(buf) else buf[: cells.size]
+        cells[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT - 1)
+    block = w.buf if size == len(w.buf) else w.buf[:size]
     return block.translate(None, b"\0")
 
 

@@ -12,10 +12,6 @@ numeric modules, inside the functions that use them: ``couplings`` and
 ``readout`` compute with Python floats and start without it.  Importing
 this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set.
 
-``main`` may run many times in one process (the benchmark's ``param-scan``
-calls it 32 times per pass); the argument parser is built on the first
-call only.
-
 Exit codes: 0 success, 1 config error, 2 verification-gate failure, 3 I/O
 error.  A command whose numpy arithmetic overflows or yields NaN exits 1: the
 config's values leave the float64 range.  All data files are deterministic:
@@ -25,11 +21,10 @@ identical configs produce byte-identical outputs (no timestamps anywhere).
 ``np.savetxt`` writes it, through ``_csvtext``.  Small tables are formatted
 by one Python ``%`` per chunk of rows.  Large ones, such as a
 figure-resolution sweep, are formatted in blocks of rows with array
-arithmetic, five 4-byte words per cell when the block's cells are below
-1e3, as fidelities and the bundled times are, and seven otherwise.  It
-leaves every cell whose digits it cannot prove correct (near a rounding
-tie, or zero, negative or outside [1e-4, 1e11)) to Python's own
-``"%.12g"``.  ``summary.json``'s heterodyne-free maximum is
+arithmetic, five 4-byte words per cell, which leaves every cell whose
+digits it cannot prove correct (near a rounding tie, or zero, negative or
+outside [1e-4, 1e3), the range of fidelities and the bundled times) to
+Python's own ``"%.12g"``.  ``summary.json``'s heterodyne-free maximum is
 ``protocol.peak_fidelity``, exact where float64 times near its peak are not.
 """
 
@@ -37,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -474,10 +468,7 @@ def cmd_readout(config: RunConfig) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: nothing changes it, and
-    each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="mirror-teleport",
         description="Radiation-pressure teleportation onto a vibrating mirror: "

@@ -2,16 +2,16 @@
 ``fmt="%.12g"``, ``delimiter=","`` and ``comments=""`` writes it.
 
 ``np.savetxt`` applies Python's ``%`` to one row at a time, which costs about
-1.4 us per cell with numpy 2.4.  A table below ``_MIN_BLOCK_CELLS`` cells is
-formatted by that same ``%``, applied once to a few hundred rows, which gives
-its bytes by construction at about 0.5 us per cell.  Larger tables are
-formatted in blocks of rows with array arithmetic.  A positive cell x in
-[1e-4, 1e3) has a decimal exponent e in [-4, 2], so ``%.12g`` prints it in
-fixed notation: the 12 significant digits m = rint(x * 10**(11 - e)), with
-the decimal point after place 10**0 and trailing zeros dropped.  The cell is
-laid out in five place-aligned 4-byte words (20 bytes): the separator
-before the cell and places 10**2 .. 10**0, then the point and places
-10**-1 .. 10**-3, and three words of four places down to 10**-15.  Each
+1.4 us per cell with numpy 2.4.  Here every table is formatted in blocks of
+rows with array arithmetic.  A positive cell x in [1e-99, 1e3) has a decimal
+exponent e in [-99, 2] and 12 significant digits m = rint(x * 10**k),
+k = 11 - e, which ``%.12g`` prints with trailing zeros dropped: in fixed
+notation for e >= -4, and as ``d.ddddddddddde-XX`` below.  The cell is laid
+out in five place-aligned 4-byte words (20 bytes).  In fixed notation they
+are the separator before the cell and places 10**2 .. 10**0, then the point
+and places 10**-1 .. 10**-3, and three words of four places down to
+10**-15.  In exponent notation the cell is laid out as if it were in
+[1, 10), and the fifth word, whose places are then 0, is ``e-XX``.  Each
 word is looked up from a digit group of m in a table that turns leading or
 trailing zeros into NUL bytes where ``%g`` omits them.  One
 ``bytearray.translate`` per block then deletes the NULs in C.  Fidelities
@@ -20,20 +20,34 @@ than about 159 periods.  A cell the arithmetic leaves to Python fits the 19
 bytes after the separator: the longest ``%.12g`` text,
 ``-1.23456789012e-100``, is 19 bytes.
 
-The fast path is exact only when it can prove rint(y), y = x * 10**(11 - e),
-is the correctly rounded digit string.  11 - e <= 15, so 10**(11 - e) is
-exact and the product is rounded once.  Every fast y is below 1e12 < 2**40,
-so its ulp is at most 2**-13 and the computed y lies within 2**-14, about
-6.1e-5, of the exact x * 10**(11 - e).  A y more than 1e-4 from a rounding
-tie, |y - rint(y)| < 0.4999, thus has the exact product on the same side of
-that tie, and rint(y) is the digit string ``%.12g`` rounds to.  (The margin
-is generous: every tie m + 1/2 below 2**40 is a float and rounding is
-monotone, so the product cannot cross a tie, only land on one.  Any margin
-below 1/2 is exact; one that admits |y - rint(y)| = 1/2 is not.)  A cell is
-formatted by ``"%.12g" % v`` instead, which is the reference, when its
-product lies within 1e-4 of a tie, when m is not a 12-digit number (e off
-by one, or the digits rounding up into the next decade), or when it is
-zero, negative or outside [1e-4, 1e3).
+The fast path is exact only when it can prove that rint(y), for the
+computed y = x * 10**k, is the digit string ``%.12g`` rounds the exact
+product y* to.  Every fast y is below 1e12 < 2**40, so rounding the product
+moves it by at most half its ulp, 2**-14, about 6.1e-5.
+
+* For k <= 22 (e >= -11) 10**k is exact and y is rounded once:
+  |y - y*| <= 6.1e-5.  A y more than 1e-4 from a rounding tie,
+  |y - rint(y)| < 0.4999, thus has y* on the same side of that tie, and
+  rint(y) is the digit string ``%.12g`` rounds to.  (The margin is
+  generous: every tie m + 1/2 below 2**40 is a float and rounding is
+  monotone, so the product cannot cross a tie, only land on one.  Any
+  margin below 1/2 is exact here; one that admits |y - rint(y)| = 1/2 is
+  not.)
+* For k > 22 (e <= -12) 10**k is rounded too, by a relative error of at
+  most 2**-53, so y is rounded twice: |y - y*| <= 1e12 * 2**-53 + 2**-14,
+  about 1.7e-4.  Twice-rounded products can cross a tie, so the margin is
+  0.499: a y within it of rint(y) has y* within 0.4992, short of the tie.
+* The same bounds keep the decade right.  A fast y >= 1e11 has
+  y* > 1e11 - 2e-4.  Were y* below 1e11, its digits at exponent e - 1,
+  10 y* > 1e12 - 2e-3, would round up to 1e12, which ``%.12g`` prints as
+  the digits 1e11 at exponent e, as the fast path does.  A fast m < 1e12
+  has y* < 1e12 - 1/2, so its digits do not round up into the next decade.
+
+A cell is formatted by ``"%.12g" % v`` instead, which is the reference,
+when its product lies within the margin of a tie, when m is not a 12-digit
+number (e off by one, or the digits rounding up into the next decade, which
+for e = -5 moves the cell into fixed notation), or when it is zero,
+negative or outside [1e-99, 1e3).
 
 Every ``np.take`` runs with ``mode="clip"``: with the default
 ``mode="raise"`` numpy buffers the output to keep it unchanged on a bad
@@ -46,22 +60,13 @@ index such as a NaN cast to an integer makes it loop for minutes.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import sys
 
 import numpy as np
 
-#: Tables with fewer cells are formatted by Python's ``%``, one call per
-#: ``_CHUNK_ROWS`` rows.  Sending every table through the block arithmetic
-#: instead raised the peak RSS of a process that wrote 32 small curves from
-#: 31.8 MB to 36.8 MB: 1.0 MB of file-backed pages (``RssFile``: the code
-#: of the numpy loops it is the first to use) and 3.4 MB of work arrays.
-#: It saved little there, as 35 % of those cells lie below 1e-4 and take
-#: the per-cell fallback anyway.
-_MIN_BLOCK_CELLS = 65536
-
-#: Rows per ``%`` call below ``_MIN_BLOCK_CELLS``.
-_CHUNK_ROWS = 256
-
-#: Rows formatted per block.  Writing the 200,001 x 5 table of
+#: Rows formatted per block, at most.  Writing the 200,001 x 5 table of
 #: ``curve --grid 200000`` took 0.084 s with 4096, against 0.088 s with 2048
 #: and 0.10 s with 1024 rows (more calls per cell), and 0.081 s with 8192,
 #: whose work arrays are twice the size (CPU medians of 8 runs, a 2-core host).
@@ -70,13 +75,51 @@ _BLOCK_ROWS = 4096
 #: Bytes per cell: five words.
 _SLOT = 20
 
-#: Exact powers of ten, 10**0 .. 10**16.
-_POW10 = np.array([float(10**k) for k in range(17)])
+#: The kinds of word and how many of each, in the order of ``_word_table``,
+#: and the offset of each kind in it.
+_KINDS = {
+    "zero": 10000, "trail": 10000, "dot": 1000, "dot_trail": 1000,
+    "comma": 1000, "newline": 1000, "exp": 100,
+}
+_AT = dict(zip(_KINDS, itertools.accumulate(_KINDS.values(), initial=0)))
+
+#: By k = 11 - e, for the exponent e of a cell's first digit: 10**k rounded
+#: to float64 (exact for k <= 22) ...
+_POW10 = np.array([float(10**k) for k in range(111)])
+#: ... the distance from a rounding tie below which a cell falls back ...
+_MARGIN = np.array([0.4999 if k <= 22 else 0.499 for k in range(111)])
+#: ... the place value 10**j of the units digit of the first word, j = k in
+#: fixed notation (k <= 15) and 11 in exponent notation, which lays a cell
+#: out as if it were in [1, 10) ...
+_LEAD = np.array([float(10 ** (k if k <= 15 else 11)) for k in range(111)])
+#: ... 10**(15 - j), which turns the digits after it into places
+#: 10**-1 .. 10**-15 ...
+_FRAC = 1e15 / _LEAD
+#: ... and the offset of the fifth word: places 10**-12 .. 10**-15, which
+#: are 0 in exponent notation, where the word is the exponent ``e-XX``.
+_FIFTH = np.array([float(_AT["trail"] if k <= 15 else _AT["exp"] + k - 11) for k in range(111)])
+
+#: The divisors that split places 10**-1 .. 10**-15, an integer below 1e15,
+#: into the digit groups of words two to five.
+_GROUPS = np.array([1e12, 1e8, 1e4])[:, None, None]
+#: What dropping trailing zeros adds to the offsets of words two to four.
+_TRAIL = np.array(
+    [_AT["dot_trail"] - _AT["dot"], _AT["trail"] - _AT["zero"], _AT["trail"] - _AT["zero"]]
+)[:, None, None]
+#: The offsets of the five words' kinds otherwise (the fifth word's is
+#: ``_FIFTH``), plus 2**52: an integer v < 2**32 is the low half of the
+#: float v + 2**52.
+_BASE = np.array([_AT["comma"], _AT["dot"], _AT["zero"], _AT["zero"], 0.0])[:, None, None] + 2.0**52
+#: The low halves of 8-byte words viewed as pairs of 4-byte words.
+_LOW = slice(0 if sys.byteorder == "little" else 1, None, 2)
+
+#: The largest float below 1e3.
+_BELOW_1E3 = math.nextafter(1e3, 0.0)
 
 
 @functools.cache
 def _word_table():
-    """Every 4-byte word a cell can use, and the offset of each kind.
+    """Every 4-byte word a cell can use, the kinds in the order of ``_KINDS``.
 
     A digit group v < 10000 gives four places.  ``zero`` keeps every digit
     and ``trail`` drops trailing zeros.  The three-digit groups below 1000
@@ -84,28 +127,53 @@ def _word_table():
     drops it with the trailing zeros when the whole fraction is 0), or the
     separator before the cell (``comma``, ``newline``), followed by places
     10**2 .. 10**0 without leading zeros, so that 0 prints as ``0``.
-    """
-    v = np.arange(10000)[:, None]
-    place = np.array([1000, 100, 10, 1])
-    zero = (v // place % 10 + ord("0")).astype(np.uint8)
-    units = zero * ((v >= place) | (place == 1))
-    trail = zero * (v % (10 * place) != 0)
+    ``exp`` holds ``e-00`` .. ``e-99``.
 
-    def prefixed(words, first):
-        words = words[:1000].copy()
+    The words are broadcast copies of the ten digit bytes along the axes of
+    v = 1000 a + 100 b + 10 c + d, and the bytes to drop are masks of the
+    same shape.  Built with integer ``//`` and ``%`` instead, the table
+    paged about 0.9 MB of numpy code into the resident set of a process
+    that had run 32 ``curve`` commands, code that nothing else in ``curve``
+    runs; comparisons and products of bytes paged 0.3 MB.
+    """
+    digit = np.frombuffer(b"0123456789", np.uint8)
+    nonzero = np.ones(10, bool)
+    nonzero[0] = False
+    zero = np.empty((10, 10, 10, 10, 4), np.uint8)
+    some = np.empty(zero.shape, bool)  # the place's digit is not 0
+    for i in range(4):
+        zero[..., i] = digit.reshape((10,) + (1,) * (3 - i))
+        some[..., i] = nonzero.reshape((10,) + (1,) * (3 - i))
+    trail = np.logical_or.accumulate(some[..., ::-1], axis=-1)[..., ::-1]
+    lead = np.logical_or.accumulate(some, axis=-1)
+    lead[..., 3] = True
+    zero, trail, lead = (w.reshape(10000, 4) for w in (zero, trail, lead))
+
+    def kept(mask, first=None):
+        words = np.zeros_like(zero)
+        np.copyto(words, zero, where=mask)
+        if first is None:
+            return words
+        words = words[:1000]
         words[:, 0] = first
         return words
 
+    dot_trail = kept(trail, ord("."))
+    dot_trail[0, 0] = 0  # the fraction is 0
+    exp = np.empty((10, 10, 4), np.uint8)
+    exp[..., :2] = np.frombuffer(b"e-", np.uint8)
+    exp[..., 2] = digit[:, None]
+    exp[..., 3] = digit
     kinds = {
         "zero": zero,
-        "trail": trail,
-        "dot": prefixed(zero, ord(".")),
-        "dot_trail": prefixed(trail, ord(".") * (v[:1000, 0] != 0)),
-        "comma": prefixed(units, ord(",")),
-        "newline": prefixed(units, ord("\n")),
+        "trail": kept(trail),
+        "dot": kept(True, ord(".")),
+        "dot_trail": dot_trail,
+        "comma": kept(lead, ord(",")),
+        "newline": kept(lead, ord("\n")),
+        "exp": exp.reshape(100, 4),
     }
-    offsets = dict(zip(kinds, np.cumsum([0] + [len(w) for w in kinds.values()]).tolist()))
-    return np.concatenate(list(kinds.values())).view(np.uint32).ravel(), offsets
+    return np.concatenate(list(kinds.values())).view(np.uint32).ravel()
 
 
 class _Work:
@@ -115,27 +183,16 @@ class _Work:
     def __init__(self, rows: int, cols: int):
         self.x = np.empty((rows, cols))
         self.fast = np.empty((rows, cols), bool)
-        self.masks = np.empty((2, rows, cols), bool)
-        self.e = np.empty((rows, cols), np.intp)
+        self.masks = np.empty((3, rows, cols), bool)
+        self.k = np.empty((rows, cols), np.intp)
         self.floats = np.empty((3, rows, cols))
         self.groups = np.empty((5, rows, cols))
-        self.idx = np.empty((rows, cols, 5), np.intp)
+        self.idx = np.zeros((rows, cols, 5), np.intp)
         self.buf = bytearray(rows * cols * _SLOT)
-
-
-def _split(value, scale, group, tmp) -> None:
-    """group = value // scale and value %= scale, in place, for exact
-    integers in float64."""
-    np.divide(value, scale, out=group)
-    np.floor(group, out=group)
-    np.multiply(group, scale, out=tmp)
-    value -= tmp
-
-
-def _kind(group, mask, yes: int, no: int) -> None:
-    """Add the word offset ``yes`` where ``mask`` holds, ``no`` elsewhere."""
-    group += no
-    np.add(group, yes - no, out=group, where=mask)
+        # Each index is the low half of a group's float (see ``_BASE``); the
+        # high halves of ``idx`` stay 0.
+        self.groups_low = self.groups.view(np.uint32)[..., _LOW]
+        self.idx_low = self.idx.view(np.uint32)[..., _LOW]
 
 
 def _format_block(x: np.ndarray, w: _Work) -> bytes:
@@ -145,64 +202,65 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     set of temporaries per block, about 5 MB, the time to write a large
     table depended on the state of the allocator.
     """
-    words, at = _word_table()
+    words = _word_table()
     n = len(x)
-    fast, e, idx = w.fast[:n], w.e[:n], w.idx[:n]
-    a, b = w.masks[:, :n]
-    y, m, tmp = w.floats[:, :n]
+    fast, k, idx = w.fast[:n], w.k[:n], w.idx[:n]
+    masks = w.masks[:, :n]
+    a = masks[0]
+    floats = w.floats[:, :n]
+    y, m, tmp = floats
     g = w.groups[:, :n]
-    low, f1, f2, f3, f4 = g
+    low = g[0]
 
-    # y = x 10**(11 - e) and its digits m, where e = floor(log10(x)) for the
-    # positive cells of [1e-4, 1e3), and 0 for the others.
-    np.greater_equal(x, 1e-4, out=fast)
-    fast &= np.less(x, 1e3, out=a)
-    np.copyto(y, x)
-    np.copyto(y, 1.0, where=np.logical_not(fast, out=a))
+    # y = x 10**k and its digits m, where k = 11 - floor(log10(x)) for the
+    # cells of [1e-99, 1e3), the others clamped into that range.
+    np.fmax(x, 1e-99, out=y)
+    np.fmin(y, _BELOW_1E3, out=y)
+    np.equal(y, x, out=fast)
     np.log10(y, out=tmp)
     np.floor(tmp, out=tmp)
-    np.subtract(11, tmp, out=e, casting="unsafe")  # 11 - e
-    y *= np.take(_POW10, e, out=tmp, mode="clip")
+    np.subtract(11, tmp, out=k, casting="unsafe")
+    y *= _POW10.take(k, out=tmp, mode="clip")
     np.rint(y, out=m)
-    # The fast cells: m has 12 digits and y is more than 1e-4 from a
-    # rounding tie (see the module docstring).
+    # The fast cells: m has 12 digits and y is further from a rounding tie
+    # than the product's error (see the module docstring).
     fast &= np.greater_equal(y, 1e11, out=a)
     fast &= np.less(m, 1e12, out=a)
     y -= m
-    fast &= np.less(np.abs(y, out=y), 0.4999, out=a)
+    fast &= np.less(np.abs(y, out=y), _MARGIN.take(k, out=tmp, mode="clip"), out=a)
     slow = np.flatnonzero(np.logical_not(fast, out=a))
     # The fallback cells take the digits of 1 so that no index leaves a table.
     np.copyto(m, 1e11, where=a)
-    np.copyto(e, 11, where=a)
+    np.copyto(k, 11, where=a)
 
-    # m * 10**(e - 11) = low + f4 * 1e-15, both exact integers in float64,
-    # then split into the digit groups.
-    _split(m, np.take(_POW10, e, out=tmp, mode="clip"), low, y)
-    np.subtract(15, e, out=e)
-    np.multiply(m, np.take(_POW10, e, out=tmp, mode="clip"), out=f4)
-    _split(f4, 1e12, f1, tmp)
-    _split(f4, 1e8, f2, tmp)
-    _split(f4, 1e4, f3, tmp)
+    # m = low * lead + rest, and rest * 1e15 / lead, an integer below 1e15,
+    # holds places 10**-1 .. 10**-15; all are exact in float64.  Then the
+    # digit groups of words two to five.
+    lead = _LEAD.take(k, out=tmp, mode="clip")
+    np.divide(m, lead, out=low)
+    np.floor(low, out=low)
+    m -= np.multiply(low, lead, out=y)
+    np.multiply(m, _FRAC.take(k, out=tmp, mode="clip"), out=g[4])
+    np.divide(g[4], _GROUPS, out=g[1:4])
+    np.floor(g[1:4], out=g[1:4])
+    g[2:] -= np.multiply(g[1:4], 1e4, out=floats)
 
-    # Each group's word kind: the fraction drops its trailing zeros after
-    # its last nonzero group.
-    np.equal(f4, 0, out=a)
-    np.equal(f3, 0, out=b)
-    b &= a  # the fraction ends at f2
-    _kind(f3, a, at["trail"], at["zero"])
-    np.equal(f2, 0, out=a)
-    a &= b  # the fraction ends at f1, or is 0
-    _kind(f2, b, at["trail"], at["zero"])
-    _kind(f1, a, at["dot_trail"], at["dot"])
-    f4 += at["trail"]
-    low += at["comma"]
-    low[:, 0] += at["newline"] - at["comma"]
-    for i, group in enumerate(g):
-        np.copyto(idx[..., i], group, casting="unsafe")
+    # Each group's word: the fraction drops its trailing zeros after its last
+    # nonzero group, and in exponent notation the fifth group is 0 and its
+    # word the exponent's.
+    np.equal(g[2:], 0, out=masks)
+    masks[1] &= masks[2]
+    masks[0] &= masks[1]
+    np.add(g[1:4], _TRAIL, out=g[1:4], where=masks)
+    g += _BASE
+    g[4] += _FIFTH.take(k, out=tmp, mode="clip")
+    low[:, 0] += _AT["newline"] - _AT["comma"]
+    for i, group in enumerate(w.groups_low[:, :n]):
+        np.copyto(w.idx_low[:n, :, i], group)
 
     size = idx.size * 4
     cells = np.frombuffer(w.buf, np.uint8, size).reshape(-1, _SLOT)
-    np.take(words, idx, out=cells.view(np.uint32).reshape(idx.shape), mode="clip")
+    words.take(idx, out=cells.view(np.uint32).reshape(idx.shape), mode="clip")
     if slow.size:
         text = b"".join(
             ("%.12g" % v).encode().ljust(_SLOT - 1, b"\0") for v in x.ravel()[slow].tolist()
@@ -212,34 +270,33 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     return block.translate(None, b"\0")
 
 
-def _format_rows(part) -> bytes:
-    """The rows of the column slices ``part``, each with a leading newline, by
-    one Python ``%``: the formatting ``np.savetxt`` applies one row at a time."""
-    row = "\n" + ",".join(["%.12g"] * len(part))
-    return ((row * len(part[0])) % tuple(np.stack(part, axis=1).ravel().tolist())).encode()
+def _block_rows(rows: int) -> int:
+    """Rows per block for a table of ``rows`` rows: an eighth of them, but at
+    least 256 and at most ``_BLOCK_ROWS``.
 
-
-def _write(fh, header: str, columns, rows: int, format_rows) -> None:
-    fh.write(header.encode("latin1"))
-    for lo in range(0, len(columns[0]), rows):
-        fh.write(format_rows([c[lo : lo + rows] for c in columns]))
-    fh.write(b"\n")
+    The work arrays take 144 bytes a cell, so blocks of an eighth of the
+    rows hold them to about twice the table's own floats: they add little
+    to the peak resident set of the process that computed the table.  Each
+    block also costs about 65 us of numpy calls, about the time its cells
+    take at 256 rows of 3 columns; smaller blocks would mostly make calls.
+    """
+    return min(_BLOCK_ROWS, max(256, rows // 8))
 
 
 def write_blocks(fh, header: str, columns) -> None:
     """Write equal-length float ``columns`` under ``header`` to the binary
-    file ``fh``, formatting blocks of rows with array arithmetic."""
-    w = _Work(min(_BLOCK_ROWS, len(columns[0])), len(columns))
-    _write(
-        fh, header, columns, _BLOCK_ROWS,
-        lambda part: _format_block(np.stack(part, axis=1, out=w.x[: len(part[0])]), w),
-    )
+    file ``fh``."""
+    rows = len(columns[0])
+    step = _block_rows(rows)
+    w = _Work(min(step, rows), len(columns))
+    fh.write(header.encode("latin1"))
+    for lo in range(0, rows, step):
+        part = [c[lo : lo + step] for c in columns]
+        fh.write(_format_block(np.stack(part, axis=1, out=w.x[: len(part[0])]), w))
+    fh.write(b"\n")
 
 
 def write_csv(path, header: str, columns) -> None:
     """Write equal-length float ``columns`` under ``header`` to ``path``."""
     with open(path, "wb") as fh:
-        if len(columns) * len(columns[0]) < _MIN_BLOCK_CELLS:
-            _write(fh, header, columns, _CHUNK_ROWS, _format_rows)
-        else:
-            write_blocks(fh, header, columns)
+        write_blocks(fh, header, columns)

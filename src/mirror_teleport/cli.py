@@ -18,13 +18,14 @@ config's values leave the float64 range.  All data files are deterministic:
 identical configs produce byte-identical outputs (no timestamps anywhere).
 
 ``curve.csv`` holds every value as ``"%.12g"``, byte for byte as
-``np.savetxt`` writes it, through ``_csvtext``.  Small tables are formatted
-by one Python ``%`` per chunk of rows.  Large ones, such as a
-figure-resolution sweep, are formatted in blocks of rows with array
-arithmetic, five 4-byte words per cell, which leaves every cell whose
-digits it cannot prove correct (near a rounding tie, or zero, negative or
-outside [1e-4, 1e3), the range of fidelities and the bundled times) to
-Python's own ``"%.12g"``.  ``summary.json``'s heterodyne-free maximum is
+``np.savetxt`` writes it, through ``_csvtext``.  Every table is formatted in
+blocks of rows with array arithmetic, five 4-byte words per cell in fixed
+notation or, below 1e-4, in exponent notation.  Python's own ``"%.12g"``
+formats every cell whose digits that arithmetic cannot prove correct: one
+within 1e-4 of a rounding tie (1e-3 below 1e-11, where the power of ten is
+rounded too; ``_csvtext``'s docstring has the proof), or zero, negative or
+outside [1e-99, 1e3), the range of fidelities and the bundled times.
+``summary.json``'s heterodyne-free maximum is
 ``protocol.peak_fidelity``, exact where float64 times near its peak are not.
 """
 

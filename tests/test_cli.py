@@ -258,10 +258,10 @@ def _near_ties(digits, exponent):
     return (digits + 0.5) * 10.0 ** (exponent - 11.0)
 
 
-_powers_of_ten = st.integers(-8, 14).map(lambda k: 10.0**k)
+_powers_of_ten = st.integers(-101, 14).map(lambda k: 10.0**k)
 _cells = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(-6.0, 13.0).map(lambda k: 10.0**k),
+    st.floats(-101.0, 13.0).map(lambda k: 10.0**k),
     st.sampled_from([0.0, -0.0, 1e-4, 1e11, 5e-324, 2.2250738585072014e-308]),
     st.tuples(_powers_of_ten, st.sampled_from([-math.inf, math.inf])).map(
         lambda pd: math.nextafter(*pd)
@@ -269,7 +269,7 @@ _cells = st.one_of(
     # just below 10^k, where the 12 digits round up into the next decade
     st.tuples(_powers_of_ten, st.floats(0.0, 6e-13)).map(lambda pd: pd[0] * (1.0 - pd[1])),
     st.tuples(
-        st.integers(10**11, 10**12 - 1), st.integers(-4, 10), st.sampled_from([-1, 0, 1])
+        st.integers(10**11, 10**12 - 1), st.integers(-99, 10), st.sampled_from([-1, 0, 1])
     ).map(lambda t: _near_ties(t[0], t[1]) + t[2] * math.ulp(_near_ties(t[0], t[1]))),
 )
 
@@ -288,31 +288,30 @@ def test_block_writer_matches_savetxt(table, block_rows):
 
 
 def test_large_table_matches_savetxt(tmp_path):
-    # Above the size threshold curve.csv goes through the block writer: a
-    # seeded table of 150,000 log-uniform cells with signs and zeros,
-    # 100,000 rows of ties, each one ulp off, and 100,000 cells just below
-    # a power of ten.
+    # Tables of many full blocks: a seeded table of 150,000 log-uniform
+    # cells with signs and zeros, 100,000 rows of ties, each one ulp off,
+    # and 100,000 cells just below a power of ten.
     rng = np.random.default_rng(0)
-    cells = 10.0 ** rng.uniform(-8.0, 13.0, 150_000) * rng.choice([-1.0, 1.0, 1.0], 150_000)
+    cells = 10.0 ** rng.uniform(-101.0, 13.0, 150_000) * rng.choice([-1.0, 1.0, 1.0], 150_000)
     cells[rng.integers(0, cells.size, 500)] = 0.0
-    ties = _near_ties(rng.integers(10**11, 10**12, 100_000), rng.integers(-4, 11, 100_000))
+    ties = _near_ties(rng.integers(10**11, 10**12, 100_000), rng.integers(-99, 11, 100_000))
     ties = np.nextafter(ties, np.where(rng.random(ties.size) < 0.5, -np.inf, np.inf))
-    edges = 10.0 ** rng.integers(-5, 13, 100_000) * (1.0 - rng.uniform(0.0, 6e-13, 100_000))
+    edges = 10.0 ** rng.integers(-101, 13, 100_000) * (1.0 - rng.uniform(0.0, 6e-13, 100_000))
     for columns in (list(cells.reshape(3, -1)), [ties, ties[::-1]], [edges]):
         path = tmp_path / "curve.csv"
         _csvtext.write_csv(path, "theta_t,F", columns)
         assert path.read_bytes() == _savetxt_bytes(columns)
 
 
-# Cells of the block arithmetic's range, below 1e3: ties of exponents -4 .. 2,
-# the fallbacks, and the values just below 1e3 that print as 1000.
+# Cells of the block arithmetic's range, [1e-99, 1e3): ties of exponents
+# -99 .. 2, the fallbacks, and the values just below 1e3 that print as 1000.
 _narrow_cells = st.one_of(
-    st.floats(-4.0, 3.0, exclude_max=True).map(lambda k: 10.0**k),
+    st.floats(-99.0, 3.0, exclude_max=True).map(lambda k: 10.0**k),
     st.sampled_from(
         [0.0, -0.0, -1.0, 5e-5, 1e-4, 999.9999999999995, math.nextafter(1e3, 0.0), 999.99999999995]
     ),
     st.tuples(
-        st.integers(10**11, 10**12 - 1), st.integers(-4, 2), st.integers(-3, 3)
+        st.integers(10**11, 10**12 - 1), st.integers(-99, 2), st.integers(-3, 3)
     ).map(lambda t: _near_ties(t[0], t[1]) + t[2] * math.ulp(_near_ties(t[0], t[1]))),
 )
 
@@ -337,13 +336,35 @@ def test_block_writer_matches_savetxt_below_1e3(table, wide, block_rows):
 
 def test_block_writer_near_ties():
     # Cells 1, 2 and 3 ulps either side of the %.12g ties at every exponent
-    # in [-4, 10], one table per exponent.  Some products land on a tie; a
+    # in [-99, 10], one table per exponent.  Some products land on a tie,
+    # and below 1e-11 the rounded power of ten moves others across one; a
     # tie test that lets them through fails.
     rng = np.random.default_rng(1)
-    for exponent in range(-4, 11):
-        ties = _near_ties(rng.integers(10**11, 10**12, 2000), exponent)
+    for exponent in range(-99, 11):
+        ties = _near_ties(rng.integers(10**11, 10**12, 500), exponent)
         columns = [ties + k * np.spacing(ties) for k in (-3, -2, -1, 1, 2, 3)]
         assert _block_bytes(columns) == _savetxt_bytes(columns), exponent
+
+
+def test_word_table_matches_python_formatting():
+    # Each kind of word as Python's own formatting writes it, with NUL for
+    # the zeros %g drops: trailing ones after the point, and the point of
+    # a zero fraction; leading ones before the units of the first word.
+    expected = {
+        "zero": [b"%04d" % v for v in range(10000)],
+        "trail": [(b"%04d" % v).rstrip(b"0") for v in range(10000)],
+        "dot": [b"." + b"%03d" % v for v in range(1000)],
+        "dot_trail": [(b"." + b"%03d" % v).rstrip(b"0").rstrip(b".") for v in range(1000)],
+        "comma": [b"," + (b"%d" % v).rjust(3, b"\0") for v in range(1000)],
+        "newline": [b"\n" + (b"%d" % v).rjust(3, b"\0") for v in range(1000)],
+        "exp": [b"e-%02d" % v for v in range(100)],
+    }
+    words = _csvtext._word_table()
+    assert len(words) == sum(_csvtext._KINDS.values())
+    for kind, texts in expected.items():
+        at = _csvtext._AT[kind]
+        table = words[at : at + _csvtext._KINDS[kind]].tobytes()
+        assert table == b"".join(t.ljust(4, b"\0") for t in texts), kind
 
 
 def test_block_writer_reuses_its_work_arrays():
@@ -359,13 +380,23 @@ def test_block_writer_reuses_its_work_arrays():
 
 
 def test_bundled_columns_match_savetxt(tmp_path):
-    # The bundled fidelity columns at --grid 20000 (100,005 cells) take the
-    # block path; they must be np.savetxt's bytes with every numpy.
-    with mock.patch.object(_csvtext, "write_csv", wraps=_csvtext.write_csv) as spy:
-        assert main(["--out", str(tmp_path), "--grid", "20000", "curve"]) == 0
-    path, header, columns = spy.call_args.args
-    assert len(columns) * len(columns[0]) == 100_005 >= _csvtext._MIN_BLOCK_CELLS
-    assert path.read_bytes() == _savetxt_bytes(columns, header)
+    # curve.csv must be np.savetxt's bytes with every numpy: the bundled
+    # fidelity columns at --grid 20000 (100,005 cells), and at r = 4e4 and
+    # nbar 1e4 without heterodyne detection, whose fidelities fall below
+    # 1e-4 and print in exponent notation.
+    laser = _BUNDLED["laser_freq_rad_per_s"]
+    r4e4 = {**_BUNDLED, "mirror_freq_rad_per_s": laser / (2 * 4e4**2 + 1), "nbar_values": [1e4]}
+    cfg = tmp_path / "r4e4.json"
+    cfg.write_text(json.dumps(r4e4))
+    for args in (
+        ["--grid", "20000", "curve"],
+        ["--config", str(cfg), "curve", "--no-heterodyne"],
+    ):
+        with mock.patch.object(_csvtext, "write_csv", wraps=_csvtext.write_csv) as spy:
+            assert main(["--out", str(tmp_path), *args]) == 0
+        path, header, columns = spy.call_args.args
+        assert path.read_bytes() == _savetxt_bytes(columns, header)
+    assert (columns[1] < 1e-4).mean() > 0.5
 
 
 @given(
@@ -380,15 +411,16 @@ def test_bundled_columns_match_savetxt(tmp_path):
             ),
         ),
     ),
-    chunk_rows=st.integers(1, 7),
+    block_rows=st.integers(1, 7),
 )
 @settings(max_examples=100, deadline=None)
-def test_small_table_matches_savetxt(table, chunk_rows):
-    # Below the size threshold curve.csv is formatted by one Python % per
-    # chunk of rows: the same bytes as np.savetxt, which formats each row.
+def test_small_table_matches_savetxt(table, block_rows):
+    # write_csv on small tables of any floats, among them the longest
+    # %.12g text, subnormals and the edges of exponent notation: the same
+    # bytes as np.savetxt, which formats each row.
     columns = list(table.T)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        _csvtext, "_CHUNK_ROWS", chunk_rows
+        _csvtext, "_BLOCK_ROWS", block_rows
     ):
         path = Path(tmp) / "curve.csv"
         _csvtext.write_csv(path, "theta_t,F", columns)

@@ -26,22 +26,23 @@ product y* to.  Every fast y is below 1e12 < 2**40, so rounding the product
 moves it by at most half its ulp, 2**-14, about 6.1e-5.
 
 * For k <= 22 (e >= -11) 10**k is exact and y is rounded once:
-  |y - y*| <= 6.1e-5.  A y more than 1e-4 from a rounding tie,
-  |y - rint(y)| < 0.4999, thus has y* on the same side of that tie, and
-  rint(y) is the digit string ``%.12g`` rounds to.  (The margin is
-  generous: every tie m + 1/2 below 2**40 is a float and rounding is
-  monotone, so the product cannot cross a tie, only land on one.  Any
-  margin below 1/2 is exact here; one that admits |y - rint(y)| = 1/2 is
-  not.)
+  |y - y*| <= 6.1e-5.  (Here any margin below 1/2 is exact: every tie
+  m + 1/2 below 2**40 is a float and rounding is monotone, so the product
+  cannot cross a tie, only land on one.  A margin that admits
+  |y - rint(y)| = 1/2 is not.)
 * For k > 22 (e <= -12) 10**k is rounded too, by a relative error of at
   most 2**-53, so y is rounded twice: |y - y*| <= 1e12 * 2**-53 + 2**-14,
-  about 1.7e-4.  Twice-rounded products can cross a tie, so the margin is
-  0.499: a y within it of rint(y) has y* within 0.4992, short of the tie.
-* The same bounds keep the decade right.  A fast y >= 1e11 has
+  about 1.72e-4, and twice-rounded products can cross a tie.
+* Either way |y - y*| <= 1.72e-4 < 2e-4.  A y with |y - rint(y)| < 0.4998
+  thus has y* within 0.49998 of rint(y), on the same side of every tie, and
+  rint(y) is the digit string ``%.12g`` rounds to.  One margin serves
+  every k.
+* The same bound keeps the decade right.  A fast y >= 1e11 has
   y* > 1e11 - 2e-4.  Were y* below 1e11, its digits at exponent e - 1,
   10 y* > 1e12 - 2e-3, would round up to 1e12, which ``%.12g`` prints as
   the digits 1e11 at exponent e, as the fast path does.  A fast m < 1e12
-  has y* < 1e12 - 1/2, so its digits do not round up into the next decade.
+  has y < 1e12 - 0.5002 and y* < 1e12 - 1/2, so its digits do not round
+  up into the next decade.
 
 A cell is formatted by ``"%.12g" % v`` instead, which is the reference,
 when its product lies within the margin of a tie, when m is not a 12-digit
@@ -62,7 +63,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 
 import numpy as np
 
@@ -86,8 +86,6 @@ _AT = dict(zip(_KINDS, itertools.accumulate(_KINDS.values(), initial=0)))
 #: By k = 11 - e, for the exponent e of a cell's first digit: 10**k rounded
 #: to float64 (exact for k <= 22) ...
 _POW10 = np.array([float(10**k) for k in range(111)])
-#: ... the distance from a rounding tie below which a cell falls back ...
-_MARGIN = np.array([0.4999 if k <= 22 else 0.499 for k in range(111)])
 #: ... the place value 10**j of the units digit of the first word, j = k in
 #: fixed notation (k <= 15) and 11 in exponent notation, which lays a cell
 #: out as if it were in [1, 10) ...
@@ -107,11 +105,8 @@ _TRAIL = np.array(
     [_AT["dot_trail"] - _AT["dot"], _AT["trail"] - _AT["zero"], _AT["trail"] - _AT["zero"]]
 )[:, None, None]
 #: The offsets of the five words' kinds otherwise (the fifth word's is
-#: ``_FIFTH``), plus 2**52: an integer v < 2**32 is the low half of the
-#: float v + 2**52.
-_BASE = np.array([_AT["comma"], _AT["dot"], _AT["zero"], _AT["zero"], 0.0])[:, None, None] + 2.0**52
-#: The low halves of 8-byte words viewed as pairs of 4-byte words.
-_LOW = slice(0 if sys.byteorder == "little" else 1, None, 2)
+#: ``_FIFTH``).
+_BASE = np.array([_AT["comma"], _AT["dot"], _AT["zero"], _AT["zero"], 0.0])[:, None, None]
 
 #: The largest float below 1e3.
 _BELOW_1E3 = math.nextafter(1e3, 0.0)
@@ -187,12 +182,8 @@ class _Work:
         self.k = np.empty((rows, cols), np.intp)
         self.floats = np.empty((3, rows, cols))
         self.groups = np.empty((5, rows, cols))
-        self.idx = np.zeros((rows, cols, 5), np.intp)
+        self.idx = np.empty((rows, cols, 5), np.intp)
         self.buf = bytearray(rows * cols * _SLOT)
-        # Each index is the low half of a group's float (see ``_BASE``); the
-        # high halves of ``idx`` stay 0.
-        self.groups_low = self.groups.view(np.uint32)[..., _LOW]
-        self.idx_low = self.idx.view(np.uint32)[..., _LOW]
 
 
 def _format_block(x: np.ndarray, w: _Work) -> bytes:
@@ -227,7 +218,7 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     fast &= np.greater_equal(y, 1e11, out=a)
     fast &= np.less(m, 1e12, out=a)
     y -= m
-    fast &= np.less(np.abs(y, out=y), _MARGIN.take(k, out=tmp, mode="clip"), out=a)
+    fast &= np.less(np.abs(y, out=y), 0.4998, out=a)
     slow = np.flatnonzero(np.logical_not(fast, out=a))
     # The fallback cells take the digits of 1 so that no index leaves a table.
     np.copyto(m, 1e11, where=a)
@@ -255,8 +246,8 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     g += _BASE
     g[4] += _FIFTH.take(k, out=tmp, mode="clip")
     low[:, 0] += _AT["newline"] - _AT["comma"]
-    for i, group in enumerate(w.groups_low[:, :n]):
-        np.copyto(w.idx_low[:n, :, i], group)
+    for i, group in enumerate(g):
+        np.copyto(idx[..., i], group, casting="unsafe")
 
     size = idx.size * 4
     cells = np.frombuffer(w.buf, np.uint8, size).reshape(-1, _SLOT)

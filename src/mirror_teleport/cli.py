@@ -22,9 +22,9 @@ identical configs produce byte-identical outputs (no timestamps anywhere).
 blocks of rows with array arithmetic, five 4-byte words per cell in fixed
 notation or, below 1e-4, in exponent notation.  Python's own ``"%.12g"``
 formats every cell whose digits that arithmetic cannot prove correct: one
-within 1e-4 of a rounding tie (1e-3 below 1e-11, where the power of ten is
-rounded too; ``_csvtext``'s docstring has the proof), or zero, negative or
-outside [1e-99, 1e3), the range of fidelities and the bundled times.
+within 2e-4 of a rounding tie (``_csvtext``'s docstring has the proof), or
+zero, negative or outside [1e-99, 1e3), the range of fidelities and the
+bundled times.
 ``summary.json``'s heterodyne-free maximum is
 ``protocol.peak_fidelity``, exact where float64 times near its peak are not.
 """

@@ -258,19 +258,30 @@ def _near_ties(digits, exponent):
     return (digits + 0.5) * 10.0 ** (exponent - 11.0)
 
 
-_powers_of_ten = st.integers(-101, 14).map(lambda k: 10.0**k)
+def _ulps_off_ties(exponents, ulps):
+    """Cells some ulps off the %.12g ties of 12-digit numbers at the drawn
+    exponents."""
+    return st.tuples(st.integers(10**11, 10**12 - 1), exponents, ulps).map(
+        lambda t: _near_ties(t[0], t[1]) + t[2] * math.ulp(_near_ties(t[0], t[1]))
+    )
+
+
+_powers_of_ten = st.integers(-8, 14).map(lambda k: 10.0**k)
+_small_powers_of_ten = st.integers(-101, -9).map(lambda k: 10.0**k)
 _cells = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(-101.0, 13.0).map(lambda k: 10.0**k),
+    st.floats(-6.0, 13.0).map(lambda k: 10.0**k),
     st.sampled_from([0.0, -0.0, 1e-4, 1e11, 5e-324, 2.2250738585072014e-308]),
     st.tuples(_powers_of_ten, st.sampled_from([-math.inf, math.inf])).map(
         lambda pd: math.nextafter(*pd)
     ),
     # just below 10^k, where the 12 digits round up into the next decade
     st.tuples(_powers_of_ten, st.floats(0.0, 6e-13)).map(lambda pd: pd[0] * (1.0 - pd[1])),
-    st.tuples(
-        st.integers(10**11, 10**12 - 1), st.integers(-99, 10), st.sampled_from([-1, 0, 1])
-    ).map(lambda t: _near_ties(t[0], t[1]) + t[2] * math.ulp(_near_ties(t[0], t[1]))),
+    _ulps_off_ties(st.integers(-4, 10), st.sampled_from([-1, 0, 1])),
+    # the same in exponent notation, down to 1e-101
+    st.floats(-101.0, -6.0).map(lambda k: 10.0**k),
+    st.tuples(_small_powers_of_ten, st.floats(0.0, 6e-13)).map(lambda pd: pd[0] * (1.0 - pd[1])),
+    _ulps_off_ties(st.integers(-99, -5), st.sampled_from([-1, 0, 1])),
 )
 
 
@@ -278,10 +289,11 @@ _cells = st.one_of(
     table=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)), elements=_cells),
     block_rows=st.integers(1, 7),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_block_writer_matches_savetxt(table, block_rows):
     # Every cell, whether the block arithmetic or the fallback to Python's
     # own %.12g formats it, must come out byte for byte as np.savetxt's.
+    # (150 examples over nine kinds of cell keep 100 over the first six.)
     columns = list(table.T)
     with mock.patch.object(_csvtext, "_BLOCK_ROWS", block_rows):
         assert _block_bytes(columns) == _savetxt_bytes(columns)
@@ -290,14 +302,25 @@ def test_block_writer_matches_savetxt(table, block_rows):
 def test_large_table_matches_savetxt(tmp_path):
     # Tables of many full blocks: a seeded table of 150,000 log-uniform
     # cells with signs and zeros, 100,000 rows of ties, each one ulp off,
-    # and 100,000 cells just below a power of ten.
+    # and 100,000 cells just below a power of ten; each table has
+    # 100,000 more such cells below 1e-4, in exponent notation.
     rng = np.random.default_rng(0)
-    cells = 10.0 ** rng.uniform(-101.0, 13.0, 150_000) * rng.choice([-1.0, 1.0, 1.0], 150_000)
+    cells = 10.0 ** rng.uniform(-8.0, 13.0, 150_000) * rng.choice([-1.0, 1.0, 1.0], 150_000)
     cells[rng.integers(0, cells.size, 500)] = 0.0
-    ties = _near_ties(rng.integers(10**11, 10**12, 100_000), rng.integers(-99, 11, 100_000))
+    ties = _near_ties(rng.integers(10**11, 10**12, 100_000), rng.integers(-4, 11, 100_000))
     ties = np.nextafter(ties, np.where(rng.random(ties.size) < 0.5, -np.inf, np.inf))
-    edges = 10.0 ** rng.integers(-101, 13, 100_000) * (1.0 - rng.uniform(0.0, 6e-13, 100_000))
-    for columns in (list(cells.reshape(3, -1)), [ties, ties[::-1]], [edges]):
+    edges = 10.0 ** rng.integers(-5, 13, 100_000) * (1.0 - rng.uniform(0.0, 6e-13, 100_000))
+    small = 10.0 ** rng.uniform(-101.0, -4.0, 100_000)
+    small_ties = _near_ties(rng.integers(10**11, 10**12, 100_000), rng.integers(-99, -4, 100_000))
+    small_ties = np.nextafter(
+        small_ties, np.where(rng.random(small_ties.size) < 0.5, -np.inf, np.inf)
+    )
+    small_edges = 10.0 ** rng.integers(-101, -4, 100_000) * (1.0 - rng.uniform(0.0, 6e-13, 100_000))
+    for columns in (
+        [*cells.reshape(3, -1), *small.reshape(2, -1)],
+        [ties, ties[::-1], small_ties],
+        [edges, small_edges],
+    ):
         path = tmp_path / "curve.csv"
         _csvtext.write_csv(path, "theta_t,F", columns)
         assert path.read_bytes() == _savetxt_bytes(columns)
@@ -306,13 +329,13 @@ def test_large_table_matches_savetxt(tmp_path):
 # Cells of the block arithmetic's range, [1e-99, 1e3): ties of exponents
 # -99 .. 2, the fallbacks, and the values just below 1e3 that print as 1000.
 _narrow_cells = st.one_of(
-    st.floats(-99.0, 3.0, exclude_max=True).map(lambda k: 10.0**k),
+    st.floats(-4.0, 3.0, exclude_max=True).map(lambda k: 10.0**k),
     st.sampled_from(
         [0.0, -0.0, -1.0, 5e-5, 1e-4, 999.9999999999995, math.nextafter(1e3, 0.0), 999.99999999995]
     ),
-    st.tuples(
-        st.integers(10**11, 10**12 - 1), st.integers(-99, 2), st.integers(-3, 3)
-    ).map(lambda t: _near_ties(t[0], t[1]) + t[2] * math.ulp(_near_ties(t[0], t[1]))),
+    _ulps_off_ties(st.integers(-4, 2), st.integers(-3, 3)),
+    st.floats(-99.0, -4.0, exclude_max=True).map(lambda k: 10.0**k),
+    _ulps_off_ties(st.integers(-99, -5), st.integers(-3, 3)),
 )
 
 
@@ -323,10 +346,11 @@ _narrow_cells = st.one_of(
     ),
     block_rows=st.integers(1, 7),
 )
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=84, deadline=None)
 def test_block_writer_matches_savetxt_below_1e3(table, wide, block_rows):
     # Blocks of cells below 1e3, as curve.csv's are; a few cells of
     # 1e3 .. 1e11 fall back to Python's %.12g in some blocks of a table.
+    # (84 examples over five kinds of cell keep 50 over the first three.)
     for row, value in wide:
         table[row % len(table), row % table.shape[1]] = value
     columns = list(table.T)
@@ -335,15 +359,17 @@ def test_block_writer_matches_savetxt_below_1e3(table, wide, block_rows):
 
 
 def test_block_writer_near_ties():
-    # Cells 1, 2 and 3 ulps either side of the %.12g ties at every exponent
-    # in [-99, 10], one table per exponent.  Some products land on a tie,
-    # and below 1e-11 the rounded power of ten moves others across one; a
-    # tie test that lets them through fails.
+    # Cells 1, 2 and 3 ulps either side of the %.12g ties, one table per
+    # exponent: 2,000 ties at every exponent in [-4, 10] and 500 at every
+    # one in [-99, -5].  Some products land on a tie, and below 1e-11 the
+    # rounded power of ten moves others across one; a tie test that lets
+    # them through fails.
     rng = np.random.default_rng(1)
-    for exponent in range(-99, 11):
-        ties = _near_ties(rng.integers(10**11, 10**12, 500), exponent)
-        columns = [ties + k * np.spacing(ties) for k in (-3, -2, -1, 1, 2, 3)]
-        assert _block_bytes(columns) == _savetxt_bytes(columns), exponent
+    for exponents, count in ((range(-4, 11), 2000), (range(-99, -4), 500)):
+        for exponent in exponents:
+            ties = _near_ties(rng.integers(10**11, 10**12, count), exponent)
+            columns = [ties + k * np.spacing(ties) for k in (-3, -2, -1, 1, 2, 3)]
+            assert _block_bytes(columns) == _savetxt_bytes(columns), exponent
 
 
 def test_word_table_matches_python_formatting():

@@ -8,15 +8,23 @@ parameters, evolves the three-mode Gaussian state exactly, conditions on
 Alice's heterodyne, and reports fidelities, cooling figures and readout
 diagnostics.
 
-Importing the package loads only its pure-Python modules: the errors, the
-rates (``optomech``) and the readout analysis.  The names of the numpy
-modules (``gaussian_core``, ``dynamics``, ``protocol``) resolve lazily, so
-numpy loads with the first of them a program uses, not before; the
-``couplings`` and ``readout`` commands never load it.
+Importing the package loads only the errors, the rates (``optomech``) and
+the record helper (``_record``).  The other modules' names resolve lazily:
+those of the readout analysis (``readout``) and of the numpy modules
+(``gaussian_core``, ``dynamics``, ``protocol``), so each module loads with
+the first of its names a program uses, not before.  The ``couplings`` and
+``readout`` commands never load numpy.
+
+The value types (``Couplings``, ``PhysicalParams``, ``GaussianCoeffs`` and
+the others) are frozen records with slots, not standard-library data
+classes: copy one with changed fields by :func:`replace`, which runs the
+type's checks again.  The standard library's ``replace``, ``fields`` and
+``asdict`` do not apply to them.
 """
 
 import importlib
 
+from ._record import replace
 from .errors import ConfigError, ConsistencyError, DomainError, IntegrationError
 from .optomech import (
     C_LIGHT,
@@ -30,17 +38,20 @@ from .optomech import (
     thermal_occupation,
     validate_regime,
 )
-from .readout import (
-    QUALITY_THRESHOLD,
-    ReadoutWeights,
-    decoherence_window,
-    readout_quality,
-    readout_times,
-    readout_weights,
-)
 
-#: The names that need numpy, by defining module; see __getattr__.
+#: The names that load on first use, by defining module; see __getattr__.
 _LAZY = {
+    **dict.fromkeys(
+        (
+            "QUALITY_THRESHOLD",
+            "ReadoutWeights",
+            "decoherence_window",
+            "readout_quality",
+            "readout_times",
+            "readout_weights",
+        ),
+        "readout",
+    ),
     **dict.fromkeys(
         (
             "MODE_METRIC_3",
@@ -146,6 +157,7 @@ __all__ = [
     "readout_quality",
     "readout_times",
     "readout_weights",
+    "replace",
     "sideband_frequencies",
     "symplectic_defect",
     "teleport_covariance",

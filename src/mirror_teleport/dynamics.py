@@ -34,10 +34,9 @@ raises if certification fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .errors import DomainError, IntegrationError
 from .gaussian_core import PropagatorMatrix
 from .optomech import Couplings, period  # noqa: F401  (period re-exported)
@@ -54,7 +53,7 @@ COEFF_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class GaussianCoeffs:
     """The six coefficients of the three-mode Gaussian characteristic function.
 
@@ -110,16 +109,15 @@ def coeffs_analytic(
     # np.square, not **: a numpy scalar's ** 2 calls pow(), which can round
     # differently from an array's x * x, and a single time must match a grid.
     omc = 2.0 * np.square(np.sin(0.5 * x))
+    stokes_n = r**2 * (2.0 * omc + r**2 * np.square(omc) + nbar * np.square(s))
+    mirror_n = r**2 * np.square(s) + nbar * np.square(c)
+    stokes_mirror = r * s * (1.0 + r**2 * omc + nbar * c)
+    mirror_anti = -q * s * (r**2 * omc + nbar * c)
+    anti_n = q**2 * (r**2 * np.square(omc) + nbar * np.square(s))
+    stokes_anti = r * q * (omc * (1.0 + r**2 * omc) + nbar * np.square(s))
+    # By position: a record binds keywords more slowly.
     return GaussianCoeffs(
-        stokes_n=r**2 * (2.0 * omc + r**2 * np.square(omc) + nbar * np.square(s)),
-        mirror_n=r**2 * np.square(s) + nbar * np.square(c),
-        stokes_mirror=r * s * (1.0 + r**2 * omc + nbar * c),
-        mirror_anti=-q * s * (r**2 * omc + nbar * c),
-        anti_n=q**2 * (r**2 * np.square(omc) + nbar * np.square(s)),
-        stokes_anti=r * q * (omc * (1.0 + r**2 * omc) + nbar * np.square(s)),
-        time=t[()],
-        nbar=nbar,
-        couplings=couplings,
+        stokes_n, mirror_n, stokes_mirror, mirror_anti, anti_n, stokes_anti, t[()], nbar, couplings
     )
 
 

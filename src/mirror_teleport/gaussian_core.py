@@ -16,10 +16,9 @@ confined to this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._record import record
 from .errors import DomainError
 
 #: Vacuum variance of a single quadrature; the single source of truth for
@@ -53,7 +52,7 @@ def _require_symmetric(m: np.ndarray, name: str) -> None:
         raise DomainError(f"{name} must be symmetric; build it from its upper triangle")
 
 
-@dataclass(frozen=True)
+@record
 class CovMatrix2:
     """2x2 covariance matrix of one mode, dimensionless quadrature units."""
 
@@ -76,7 +75,7 @@ class CovMatrix2:
         return cls(np.array([[xx, xp], [xp, pp]]))
 
 
-@dataclass(frozen=True)
+@record
 class CorrelationMatrix4:
     """4x4 symmetric quadrature correlation matrix of the shared two-mode state."""
 
@@ -88,13 +87,13 @@ class CorrelationMatrix4:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
+@record
 class PropagatorMatrix:
     """3x3 real matrix evolving (stokes, mirror^dag, anti_stokes^dag), or a
     stack of them, shape (n, 3, 3), with ``time`` an array of n times."""
 
     matrix: np.ndarray
-    time: float | np.ndarray = field(default=0.0)
+    time: float | np.ndarray = 0.0
 
     def __post_init__(self):
         m = _as_square(self.matrix, 3, "PropagatorMatrix", stack=True)

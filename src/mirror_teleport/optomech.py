@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DomainError
 
 # CODATA/SI values (exact where defined).
@@ -28,7 +28,7 @@ K_BOLTZMANN = 1.380649e-23  # J/K
 C_LIGHT = 2.99792458e8  # m/s
 
 
-@dataclass(frozen=True)
+@record
 class PhysicalParams:
     """Laser, mirror and environment inputs.
 
@@ -75,7 +75,7 @@ class PhysicalParams:
             )
 
 
-@dataclass(frozen=True)
+@record
 class Couplings:
     """Derived interaction rates, all in rad/s.
 

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .dynamics import GaussianCoeffs
 from .errors import ConsistencyError, DomainError
 from .gaussian_core import (
@@ -50,7 +50,7 @@ from .optomech import Couplings
 CLASSICAL_FIDELITY_BOUND = 0.5
 
 
-@dataclass(frozen=True)
+@record
 class MeasurementRecord:
     """Alice's outcomes: the two Bell quadratures and the heterodyne result."""
 
@@ -64,7 +64,7 @@ class MeasurementRecord:
             raise DomainError(f"measurement outcomes must be finite, got {self!r}")
 
 
-@dataclass(frozen=True)
+@record
 class DisplacementCommand:
     """Phase-space shift Bob must apply to the mirror mode."""
 
@@ -76,7 +76,7 @@ class DisplacementCommand:
             raise DomainError(f"displacement must be finite, got {self!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ActuationSetting:
     """Bichromatic-drive setting realizing a displacement: magnitude and phase."""
 
@@ -195,20 +195,28 @@ def conditional_correlation(g: GaussianCoeffs) -> CorrelationMatrix4:
     return result
 
 
-def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatrix2:
-    """Output covariance of the teleported state.
+def added_noise(g: np.ndarray):
+    """(xx, xp, pp) noise the protocol adds to the input, from channel
+    correlation matrices ``g`` of shape (..., 4, 4):
 
-    The protocol adds input-independent noise taken from the channel matrix:
-        out_xx = in_xx + (G11 + 2 G13 + G33)
-        out_xp = in_xp + (G14 - G12 + G34 - G23)
-        out_pp = in_pp + (G22 - 2 G24 + G44)
+        xx = G11 + 2 G13 + G33,  xp = G14 - G12 + G34 - G23,
+        pp = G22 - 2 G24 + G44.
     """
-    g = channel.matrix
+    return (
+        g[..., 0, 0] + 2.0 * g[..., 0, 2] + g[..., 2, 2],
+        g[..., 0, 3] - g[..., 0, 1] + g[..., 2, 3] - g[..., 1, 2],
+        g[..., 1, 1] - 2.0 * g[..., 1, 3] + g[..., 3, 3],
+    )
+
+
+def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatrix2:
+    """Output covariance of the teleported state: the input's plus the
+    input-independent :func:`added_noise` of the channel matrix."""
+    xx, xp, pp = added_noise(channel.matrix)
     m = gin.matrix
-    out_xx = m[0, 0] + (g[0, 0] + 2.0 * g[0, 2] + g[2, 2])
-    out_xp = m[0, 1] + (g[0, 3] - g[0, 1] + g[2, 3] - g[1, 2])
-    out_pp = m[1, 1] + (g[1, 1] - 2.0 * g[1, 3] + g[3, 3])
-    return CovMatrix2.from_variances(float(out_xx), float(out_xp), float(out_pp))
+    return CovMatrix2.from_variances(
+        float(m[0, 0] + xx), float(m[0, 1] + xp), float(m[1, 1] + pp)
+    )
 
 
 def effective_occupation(g: GaussianCoeffs):

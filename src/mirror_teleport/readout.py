@@ -16,8 +16,8 @@ takes an explicit Couplings value rather than reusing the teleportation one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DomainError
 from .optomech import Couplings
 
@@ -26,7 +26,7 @@ from .optomech import Couplings
 QUALITY_THRESHOLD = 10.0
 
 
-@dataclass(frozen=True)
+@record
 class ReadoutWeights:
     """Decomposition of Z(t) over the initial-time operators.
 

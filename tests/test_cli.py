@@ -14,15 +14,18 @@ from hypothesis.extra.numpy import arrays
 from mirror_teleport import (
     ConfigError,
     Couplings,
+    CovMatrix2,
     coeffs_analytic,
     coeffs_from_propagator,
     conditional_correlation,
+    effective_occupation,
     optimal_time,
     peak_fidelity,
     period,
     physicality_defect,
     propagator,
     symplectic_defect,
+    teleport_covariance,
 )
 from mirror_teleport import _csvtext, cli
 from mirror_teleport.cli import (
@@ -667,6 +670,27 @@ def test_physicality_gate_is_the_scalar_check(request, fixture):
             worst = max(worst, physicality_defect(chan) / scale)
     gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
     assert gates["conditional-physicality"] == worst
+
+
+@pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
+def test_teleport_noise_gate_is_the_scalar_check(request, fixture):
+    # The gate takes the added noise of one stacked channel per nbar; the
+    # scalar route teleports the vacuum through each checked channel.  The
+    # scalar route subtracts the input variance 0.5 again, which moves a
+    # scaled defect by at most about eps.
+    c = request.getfixturevalue(fixture)
+    gin = CovMatrix2.vacuum()
+    worst = 0.0
+    for nbar in NBAR_SET:
+        for t in np.linspace(0.0, period(c), 101)[::10]:
+            g = coeffs_analytic(c, nbar, float(t))
+            gout = teleport_covariance(conditional_correlation(g), gin)
+            n_eff = effective_occupation(g)
+            for i in (0, 1):
+                added = gout.matrix[i, i] - gin.matrix[i, i]
+                worst = max(worst, abs(added - n_eff) / max(1.0, n_eff))
+    gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
+    assert gates["teleport-noise"] == pytest.approx(worst, rel=0, abs=4 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])

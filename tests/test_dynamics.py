@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +14,7 @@ from mirror_teleport import (
     fidelity_coherent,
     period,
     propagator,
+    replace,
     symplectic_defect,
 )
 from mirror_teleport.dynamics import (
@@ -194,7 +194,7 @@ def test_rk4_output_is_conditioned_from_its_own_values(moderate):
     g = coeffs_ode(moderate, 1.0, 0.3, dt_max=1e-4)
     closed = fidelity_coherent(coeffs_analytic(moderate, 1.0, 0.3))
     assert fidelity_coherent(g) == pytest.approx(closed, rel=1e-12)
-    corrupted = dataclasses.replace(g, stokes_n=g.stokes_n + 100.0)
+    corrupted = replace(g, stokes_n=g.stokes_n + 100.0)
     assert fidelity_coherent(corrupted) < 0.1
 
 

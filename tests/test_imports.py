@@ -10,30 +10,46 @@ import mirror_teleport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Runs the CLI as `python -m mirror_teleport.cli` would, then reports at
-#: exit whether numpy was ever imported.
+#: Runs the CLI as `python -m mirror_teleport.cli` would with arguments
+#: ``argv``.
 _CLI = (
-    "import runpy; sys.argv = ['mirror-teleport', {command!r}]; "
+    "import runpy; sys.argv = ['mirror-teleport', *{argv!r}]; "
     "runpy.run_module('mirror_teleport.cli', run_name='__main__')"
 )
 
 
+def _loaded_at_exit(code, modules):
+    """Which of ``modules`` a ``python -c code`` process has imported when it exits."""
+    probe = (
+        "import atexit, sys; "
+        f"atexit.register(lambda: print([m for m in {modules!r} if m in sys.modules])); "
+        + code
+    )
+    return _python(probe).splitlines()[-1]
+
+
 @pytest.mark.parametrize(
-    "code",
+    "code, uses_readout",
     [
-        "import mirror_teleport",
-        _CLI.format(command="couplings"),
-        _CLI.format(command="readout"),
+        ("import mirror_teleport", False),
+        (_CLI.format(argv=["couplings"]), False),
+        (_CLI.format(argv=["readout"]), True),
     ],
     ids=["import", "couplings", "readout"],
 )
-def test_numpy_free_paths_never_import_numpy(code):
-    probe = (
-        "import atexit, sys; "
-        "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules)); "
-        + code
-    )
-    assert _python(probe).splitlines()[-1] == "numpy loaded: False"
+def test_numpy_free_paths_never_import_numpy(code, uses_readout):
+    # Nor dataclasses and the inspect it imports: no path needs them, and
+    # without a bytecode cache they take longer to import than the package.
+    # The readout analysis loads only for the command that uses it.
+    modules = ("numpy", "dataclasses", "inspect", "mirror_teleport.readout")
+    loaded = ["mirror_teleport.readout"] if uses_readout else []
+    assert _loaded_at_exit(code, modules) == str(loaded)
+
+
+@pytest.mark.parametrize("command", ["curve", "verify"])
+def test_numpy_commands_never_import_dataclasses(tmp_path, command):
+    code = _CLI.format(argv=["--out", str(tmp_path), command])
+    assert _loaded_at_exit(code, ("numpy", "dataclasses")) == "['numpy']"
 
 
 @pytest.mark.parametrize("given", [None, "2"], ids=["default", "explicit"])
@@ -64,7 +80,7 @@ def _module(name):
 def test_lazy_namespace_resolves_every_public_name():
     for name in mirror_teleport.__all__:
         module = mirror_teleport._LAZY.get(name) or next(
-            m for m in ("errors", "optomech", "readout") if hasattr(_module(m), name)
+            m for m in ("errors", "optomech", "_record") if hasattr(_module(m), name)
         )
         assert getattr(mirror_teleport, name) is getattr(_module(module), name), name
     assert set(mirror_teleport.__all__) <= set(dir(mirror_teleport))

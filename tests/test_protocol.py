@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from unittest import mock
 
@@ -29,6 +28,7 @@ from mirror_teleport import (
     peak_fidelity,
     period,
     physicality_defect,
+    replace,
     teleport_covariance,
 )
 from mirror_teleport import protocol
@@ -205,7 +205,7 @@ def test_optimal_time_agrees_with_brute_force(request, c, nbar, objective):
 def test_optimal_time_beats_dense_u_scan(bench_config, mirror_freq, objective):
     # A 1e-5 step in u = r (2 pi - oscillation t) over [0, 4], which holds
     # the peak, bounds the maximum from below.
-    c = compute_couplings(dataclasses.replace(bench_config.params, mirror_freq=mirror_freq))
+    c = compute_couplings(replace(bench_config.params, mirror_freq=mirror_freq))
     r = c.parametric / c.oscillation
     u = np.linspace(0.0, 4.0, 400_001)
     ts = (2.0 * math.pi - u / r) / c.oscillation

@@ -23,6 +23,7 @@ type's checks again.  The standard library's ``replace``, ``fields`` and
 """
 
 import importlib
+import types
 
 from ._record import replace
 from .errors import ConfigError, ConsistencyError, DomainError, IntegrationError
@@ -114,53 +115,9 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
+#: The public names: those imported above, then the lazy ones.
 __all__ = [
-    "C_LIGHT",
-    "CLASSICAL_FIDELITY_BOUND",
-    "HBAR",
-    "K_BOLTZMANN",
-    "MODE_METRIC_3",
-    "QUALITY_THRESHOLD",
-    "SYMPLECTIC_FORM_4",
-    "VACUUM_VARIANCE",
-    "ActuationSetting",
-    "ConfigError",
-    "ConsistencyError",
-    "CorrelationMatrix4",
-    "Couplings",
-    "CovMatrix2",
-    "DisplacementCommand",
-    "DomainError",
-    "GaussianCoeffs",
-    "IntegrationError",
-    "MeasurementRecord",
-    "PhysicalParams",
-    "PropagatorMatrix",
-    "ReadoutWeights",
-    "actuation_setting",
-    "bob_displacement",
-    "coeffs_analytic",
-    "coeffs_from_propagator",
-    "coeffs_ode",
-    "compute_couplings",
-    "conditional_correlation",
-    "decoherence_window",
-    "effective_occupation",
-    "fidelity_coherent",
-    "fidelity_curves",
-    "fidelity_no_heterodyne",
-    "optimal_time",
-    "peak_fidelity",
-    "period",
-    "physicality_defect",
-    "propagator",
-    "readout_quality",
-    "readout_times",
-    "readout_weights",
-    "replace",
-    "sideband_frequencies",
-    "symplectic_defect",
-    "teleport_covariance",
-    "thermal_occupation",
-    "validate_regime",
-]
+    name
+    for name, value in list(globals().items())
+    if not (name.startswith("_") or isinstance(value, types.ModuleType))
+] + list(_LAZY)

@@ -25,6 +25,10 @@ Three independent routes to the coefficients are provided:
 * ``coeffs_from_propagator`` -- second moments assembled from the Heisenberg
   propagator rows.
 
+The closed forms and the propagator take the rate ratios and the trig of
+x = oscillation*t from one helper, which also rejects a NaN or infinite
+time; ``protocol``'s factored forms use it too.
+
 A caution for stiff parameter sets: the moment ODE system is strongly
 non-normal (transient amplification ~ (parametric/oscillation)^4), so for
 parametric/oscillation >> 1 the RK4 route can only be certified over times
@@ -76,6 +80,27 @@ class GaussianCoeffs:
     couplings: Couplings | None = None
 
 
+def _ratios_and_trig(couplings: Couplings, time):
+    """(r, q, t, sin x, cos x, omc) of the closed forms at time(s) ``time``.
+
+    r = parametric/oscillation and q = beam_splitter/oscillation, t is
+    ``time`` as a float array and x = oscillation*t; omc = 1 - cos x is
+    computed as 2 sin^2(x/2), which keeps its full relative precision near
+    the revivals.  A NaN or infinite time raises DomainError; the sign of
+    the time is left to the caller.
+    """
+    t = np.asarray(time, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("time must be finite")
+    x = couplings.oscillation * t
+    # np.square, not **: a numpy scalar's ** 2 calls pow(), which can round
+    # differently from an array's x * x, and a single time must match a grid.
+    omc = 2.0 * np.square(np.sin(0.5 * x))
+    r = couplings.parametric / couplings.oscillation
+    q = couplings.beam_splitter / couplings.oscillation
+    return r, q, t, np.sin(x), np.cos(x), omc
+
+
 def coeffs_analytic(
     couplings: Couplings, nbar: float, time
 ) -> GaussianCoeffs:
@@ -98,17 +123,9 @@ def coeffs_analytic(
     """
     if nbar < 0:
         raise DomainError(f"nbar must be >= 0, got {nbar!r}")
-    t = np.asarray(time, dtype=float)
+    r, q, t, s, c, omc = _ratios_and_trig(couplings, time)
     if np.any(t < 0):
         raise DomainError("time must be >= 0")
-    r = couplings.parametric / couplings.oscillation
-    q = couplings.beam_splitter / couplings.oscillation
-    x = couplings.oscillation * t
-    s = np.sin(x)
-    c = np.cos(x)
-    # np.square, not **: a numpy scalar's ** 2 calls pow(), which can round
-    # differently from an array's x * x, and a single time must match a grid.
-    omc = 2.0 * np.square(np.sin(0.5 * x))
     stokes_n = r**2 * (2.0 * omc + r**2 * np.square(omc) + nbar * np.square(s))
     mirror_n = r**2 * np.square(s) + nbar * np.square(c)
     stokes_mirror = r * s * (1.0 + r**2 * omc + nbar * c)
@@ -138,13 +155,7 @@ def propagator(couplings: Couplings, time) -> PropagatorMatrix:
     one-parameter group.  An array of n times gives a stack of shape
     (n, 3, 3); each matrix is bit for bit that of its time alone.
     """
-    r = couplings.parametric / couplings.oscillation
-    q = couplings.beam_splitter / couplings.oscillation
-    t = np.asarray(time, dtype=float)
-    x = couplings.oscillation * t
-    s = np.sin(x)
-    c = np.cos(x)
-    omc = 2.0 * np.square(np.sin(0.5 * x))  # np.square as in coeffs_analytic
+    r, q, t, s, c, omc = _ratios_and_trig(couplings, time)
     entries = (
         1.0 + r**2 * omc, r * s, -r * q * omc,
         r * s, c, -q * s,

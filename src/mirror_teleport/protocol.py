@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from ._record import record
-from .dynamics import GaussianCoeffs
+from .dynamics import GaussianCoeffs, _ratios_and_trig
 from .errors import ConsistencyError, DomainError
 from .gaussian_core import (
     VACUUM_VARIANCE,
@@ -95,12 +95,7 @@ class _FactoredParts:
     time grid; each nbar then adds only its own terms."""
 
     def __init__(self, couplings: Couplings, time):
-        self.r = couplings.parametric / couplings.oscillation
-        self.q = couplings.beam_splitter / couplings.oscillation
-        x = couplings.oscillation * np.asarray(time, dtype=float)
-        self.s = np.sin(x)
-        self.c = np.cos(x)
-        self.omc = 2.0 * np.square(np.sin(0.5 * x))  # np.square: as coeffs_analytic
+        self.r, self.q, _, self.s, self.c, self.omc = _ratios_and_trig(couplings, time)
 
     @functools.cached_property
     def _e1_terms(self):
@@ -219,6 +214,25 @@ def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatr
     )
 
 
+def _noise(g: GaussianCoeffs, heterodyne: bool):
+    """n_eff, or without the heterodyne the bracket: F = 1/(1 + noise).
+
+    From the factored forms when ``g.couplings`` is set, from the six
+    coefficients otherwise.  A value below -1e-10 raises ConsistencyError;
+    rounding's smaller negative values are clipped to 0.
+    """
+    if g.couplings is not None:
+        noise = _FactoredParts(g.couplings, g.time).noise(g.nbar, heterodyne)
+    else:
+        noise = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
+        if heterodyne:
+            noise = noise - (g.stokes_anti - g.mirror_anti) ** 2 / (g.anti_n + 1.0)
+    if np.any(np.asarray(noise) < -1e-10):
+        quantity = "effective occupation" if heterodyne else "no-heterodyne noise bracket"
+        raise ConsistencyError(f"{quantity} came out negative ({np.min(noise)!r})")
+    return np.maximum(noise, 0.0)
+
+
 def effective_occupation(g: GaussianCoeffs):
     """Effective thermal occupation of the mirror after Alice's measurements.
 
@@ -227,22 +241,7 @@ def effective_occupation(g: GaussianCoeffs):
     which reduces to nbar + 1 at t = 0 (protocol noise on top of the thermal
     state) and satisfies fidelity = 1 / (1 + n_eff) exactly.
     """
-    if g.couplings is not None:
-        n_eff = _FactoredParts(g.couplings, g.time).noise(g.nbar)
-    else:
-        e1 = g.anti_n + 1.0
-        n_eff = (
-            1.0
-            + g.stokes_n
-            + g.mirror_n
-            + 2.0 * g.stokes_mirror
-            - (g.stokes_anti - g.mirror_anti) ** 2 / e1
-        )
-    if np.any(np.asarray(n_eff) < -1e-10):
-        raise ConsistencyError(
-            f"effective occupation came out negative ({np.min(n_eff)!r})"
-        )
-    return np.maximum(n_eff, 0.0)
+    return _noise(g, heterodyne=True)
 
 
 def fidelity_coherent(g: GaussianCoeffs):
@@ -257,13 +256,7 @@ def fidelity_no_heterodyne(g: GaussianCoeffs):
     F = 1 / (2 + stokes_n + mirror_n + 2 stokes_mirror).  Never exceeds the
     heterodyne fidelity, and is independent of temperature at its maximum.
     """
-    if g.couplings is not None:
-        bracket = _FactoredParts(g.couplings, g.time).noise(g.nbar, heterodyne=False)
-    else:
-        bracket = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
-    if np.any(np.asarray(bracket) < -1e-10):
-        raise ConsistencyError(f"no-heterodyne noise bracket negative ({bracket!r})")
-    return 1.0 / (1.0 + np.maximum(bracket, 0.0))
+    return 1.0 / (1.0 + _noise(g, heterodyne=False))
 
 
 #: Float times on each side of the peak's closed-form time that are also

@@ -12,6 +12,7 @@ from mirror_teleport import (
     coeffs_from_propagator,
     coeffs_ode,
     fidelity_coherent,
+    fidelity_curves,
     period,
     propagator,
     replace,
@@ -360,3 +361,15 @@ def test_invalid_inputs(moderate):
     for bad_time in (-0.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             coeffs_ode(moderate, 1.0, [bad_time, 1.0], dt_max=1e-3)
+    # The closed forms reject a time they cannot evaluate; the propagator
+    # takes negative times (M(-t) inverts M(t)), but no NaN or infinity.
+    for bad_time in (math.nan, math.inf, -math.inf):
+        for call in (
+            lambda: coeffs_analytic(moderate, 0.0, bad_time),
+            lambda: coeffs_analytic(moderate, 1.0, [0.5, bad_time]),
+            lambda: propagator(moderate, bad_time),
+            lambda: propagator(moderate, np.array([-0.5, bad_time])),
+            lambda: fidelity_curves(moderate, (0.0,), [bad_time]),
+        ):
+            with pytest.raises(DomainError):
+                call()

@@ -84,6 +84,8 @@ def test_lazy_namespace_resolves_every_public_name():
         )
         assert getattr(mirror_teleport, name) is getattr(_module(module), name), name
     assert set(mirror_teleport.__all__) <= set(dir(mirror_teleport))
+    assert len(set(mirror_teleport.__all__)) == len(mirror_teleport.__all__)
+    assert set(mirror_teleport._LAZY) <= set(mirror_teleport.__all__)
     assert "__all__" in dir(mirror_teleport)
     with pytest.raises(AttributeError, match="no_such_name"):
         mirror_teleport.no_such_name

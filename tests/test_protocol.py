@@ -34,7 +34,7 @@ from mirror_teleport import (
 from mirror_teleport import protocol
 from mirror_teleport.cli import bundled_config_path, load_config
 
-from conftest import COEFF_FIELDS, rate_pairs
+from conftest import COEFF_FIELDS, NBAR_SET, rate_pairs
 
 # Closed-form optima, independent of every parameter: the best fidelity is
 # 1/(4 - 2 sqrt(2)) and the corresponding occupation (sqrt(2) - 1)^2.
@@ -98,15 +98,55 @@ def test_conditioned_state_physical_everywhere(moderate, bench_couplings):
 
 
 @pytest.mark.parametrize(
-    "route", [effective_occupation, fidelity_no_heterodyne, conditional_correlation]
+    "route, quantity",
+    [
+        pytest.param(route, quantity, id=route.__name__)
+        for route, quantity in (
+            (effective_occupation, "effective occupation"),
+            (fidelity_coherent, "effective occupation"),
+            (fidelity_no_heterodyne, "no-heterodyne noise bracket"),
+            (conditional_correlation, "conditioned state"),
+        )
+    ],
 )
-def test_inconsistent_coefficients_raise(route):
+def test_inconsistent_coefficients_raise(route, quantity):
     # stokes_mirror = -5 with every other moment zero is no state: n_eff and
     # the heterodyne-free bracket come out -9, and the conditioned matrix
-    # violates the uncertainty principle.
+    # violates the uncertainty principle.  The error names the quantity.
     g = GaussianCoeffs(0.0, 0.0, -5.0, 0.0, 0.0, 0.0, time=0.0, nbar=0.0)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match=quantity):
         route(g)
+
+
+def test_noise_without_couplings_is_the_coefficient_formulas(moderate):
+    # Hand-built coefficients take the formulas of the docstrings, bit for
+    # bit, clipped at 0.
+    ts = np.linspace(0.0, period(moderate), 101)
+    for nbar in (0.0, 3.0):
+        for time in (ts, 0.7):
+            g = _strip_couplings(coeffs_analytic(moderate, nbar, time))
+            bracket = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
+            n_eff = bracket - (g.stokes_anti - g.mirror_anti) ** 2 / (g.anti_n + 1.0)
+            got = (effective_occupation(g), fidelity_no_heterodyne(g))
+            want = (np.maximum(n_eff, 0.0), 1.0 / (1.0 + np.maximum(bracket, 0.0)))
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("c", ["moderate", "bench_couplings"])
+def test_grid_rows_match_their_times_alone(request, c):
+    # The verify gates read every tenth row of the 101-point grid's channel
+    # matrices and n_eff in place of evaluating grid[::10] again.
+    c = request.getfixturevalue(c)
+    grid = np.linspace(0.0, period(c), 101)
+    for nbar in NBAR_SET:
+        full = coeffs_analytic(c, nbar, grid)
+        tenth = coeffs_analytic(c, nbar, grid[::10])
+        assert (
+            protocol.conditional_matrices(full)[::10].tobytes()
+            == protocol.conditional_matrices(tenth).tobytes()
+        )
+        assert effective_occupation(full)[::10].tobytes() == effective_occupation(tenth).tobytes()
 
 
 def test_teleport_added_noise_equals_occupation(moderate):

@@ -25,6 +25,10 @@ formats every cell whose digits that arithmetic cannot prove correct: one
 within 2e-4 of a rounding tie (``_csvtext``'s docstring has the proof), or
 zero, negative or outside [1e-99, 1e3), the range of fidelities and the
 bundled times.
+``curve`` computes and writes the table one chunk of ``_csvtext._BLOCK_ROWS``
+(4,096) rows at a time, so its memory does not grow with ``--grid`` beyond
+the time grid itself.  If a chunk's values leave the float64 range (exit
+1) or a write fails (exit 3), the partial ``curve.csv`` is deleted.
 ``summary.json``'s heterodyne-free maximum is
 ``protocol.peak_fidelity``, exact where float64 times near its peak are not.
 """
@@ -285,17 +289,27 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
     couplings = compute_couplings(config.params)
     t_period = period(couplings)
     times = np.linspace(0.0, config.periods * t_period, config.grid_points + 1)
-    theta_t = couplings.oscillation * times
 
-    columns = protocol.fidelity_curves(
-        couplings, config.nbar_values, times, heterodyne=not no_heterodyne
-    )
+    def chunks():
+        # One block's rows at a time, each bit for bit its rows of the whole
+        # grid, so no full-length column or kernel temporary is ever held.
+        step = _csvtext._BLOCK_ROWS
+        for lo in range(0, len(times), step):
+            t = times[lo : lo + step]
+            columns = [
+                couplings.oscillation * t,
+                *protocol.fidelity_curves(
+                    couplings, config.nbar_values, t, heterodyne=not no_heterodyne
+                ),
+            ]
+            if not all(np.isfinite(col).all() for col in columns):
+                raise DomainError("the fidelity curve is outside the float64 range")
+            yield columns
 
-    if not all(np.isfinite(col).all() for col in (theta_t, *columns)):
-        raise DomainError("the fidelity curve is outside the float64 range")
     header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
-    # The same bytes as np.savetxt(fmt="%.12g"); see the module docstring.
-    _csvtext.write_csv(out_dir / "curve.csv", header, [theta_t, *columns])
+    # The same bytes as np.savetxt(fmt="%.12g"); see the module docstring.  A
+    # chunk that raises deletes the partial file: an exit 1 or 3 leaves none.
+    _csvtext.write_csv(out_dir / "curve.csv", header, len(times), chunks())
 
     summary = _summary(config, couplings)
     summary["curve"] = {

@@ -27,7 +27,8 @@ Three independent routes to the coefficients are provided:
 
 The closed forms and the propagator take the rate ratios and the trig of
 x = oscillation*t from one helper, which also rejects a NaN or infinite
-time; ``protocol``'s factored forms use it too.
+time and a finite one whose phase x overflows; ``protocol``'s factored
+forms use it too.
 
 A caution for stiff parameter sets: the moment ODE system is strongly
 non-normal (transient amplification ~ (parametric/oscillation)^4), so for
@@ -86,13 +87,20 @@ def _ratios_and_trig(couplings: Couplings, time):
     r = parametric/oscillation and q = beam_splitter/oscillation, t is
     ``time`` as a float array and x = oscillation*t; omc = 1 - cos x is
     computed as 2 sin^2(x/2), which keeps its full relative precision near
-    the revivals.  A NaN or infinite time raises DomainError; the sign of
-    the time is left to the caller.
+    the revivals.  A NaN or infinite time, or a finite one whose phase x
+    overflows, raises DomainError naming it; the sign of the time is left
+    to the caller.
     """
     t = np.asarray(time, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise DomainError("time must be finite")
-    x = couplings.oscillation * t
+    # The oscillation rate is finite and > 0, so x is finite exactly when t
+    # is and its product does not overflow.
+    with np.errstate(over="ignore"):
+        x = couplings.oscillation * t
+    if not np.all(np.isfinite(x)):
+        bad = float(t[~np.isfinite(x)][0])
+        raise DomainError(
+            f"time must be finite, with oscillation*t in the float64 range, got {bad!r}"
+        )
     # np.square, not **: a numpy scalar's ** 2 calls pow(), which can round
     # differently from an array's x * x, and a single time must match a grid.
     omc = 2.0 * np.square(np.sin(0.5 * x))

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -17,8 +18,10 @@ from mirror_teleport import (
     CovMatrix2,
     coeffs_analytic,
     coeffs_from_propagator,
+    compute_couplings,
     conditional_correlation,
     effective_occupation,
+    fidelity_curves,
     optimal_time,
     peak_fidelity,
     period,
@@ -27,7 +30,7 @@ from mirror_teleport import (
     symplectic_defect,
     teleport_covariance,
 )
-from mirror_teleport import _csvtext, cli
+from mirror_teleport import _csvtext, cli, protocol
 from mirror_teleport.cli import (
     _run_gates,
     _scaled_gap,
@@ -252,7 +255,7 @@ def _savetxt_bytes(columns, header="theta_t,F"):
 
 def _block_bytes(columns, header="theta_t,F"):
     buf = io.BytesIO()
-    _csvtext.write_blocks(buf, header, columns)
+    _csvtext.write_blocks(buf, header, len(columns[0]), [columns])
     return buf.getvalue()
 
 
@@ -325,7 +328,7 @@ def test_large_table_matches_savetxt(tmp_path):
         [edges, small_edges],
     ):
         path = tmp_path / "curve.csv"
-        _csvtext.write_csv(path, "theta_t,F", columns)
+        _csvtext.write_csv(path, "theta_t,F", len(columns[0]), [columns])
         assert path.read_bytes() == _savetxt_bytes(columns)
 
 
@@ -409,23 +412,104 @@ def test_block_writer_reuses_its_work_arrays():
 
 
 def test_bundled_columns_match_savetxt(tmp_path):
-    # curve.csv must be np.savetxt's bytes with every numpy: the bundled
-    # fidelity columns at --grid 20000 (100,005 cells), and at r = 4e4 and
-    # nbar 1e4 without heterodyne detection, whose fidelities fall below
-    # 1e-4 and print in exponent notation.
+    # curve.csv must be np.savetxt's bytes, with every numpy, of the columns
+    # fidelity_curves gives on the whole grid at once, so the chunks curve
+    # streams neither drop, repeat nor change a row: the bundled config at
+    # --grid 20000 (100,005 cells) and at 4,096, 4,097 and 8,192 rows, on
+    # and just past the chunk edges, and r = 4e4 at nbar 1e4 without
+    # heterodyne detection, whose fidelities fall below 1e-4 and print in
+    # exponent notation.
     laser = _BUNDLED["laser_freq_rad_per_s"]
     r4e4 = {**_BUNDLED, "mirror_freq_rad_per_s": laser / (2 * 4e4**2 + 1), "nbar_values": [1e4]}
     cfg = tmp_path / "r4e4.json"
     cfg.write_text(json.dumps(r4e4))
-    for args in (
-        ["--grid", "20000", "curve"],
-        ["--config", str(cfg), "curve", "--no-heterodyne"],
-    ):
-        with mock.patch.object(_csvtext, "write_csv", wraps=_csvtext.write_csv) as spy:
-            assert main(["--out", str(tmp_path), *args]) == 0
-        path, header, columns = spy.call_args.args
-        assert path.read_bytes() == _savetxt_bytes(columns, header)
+    bundled = load_config(bundled_config_path())
+    cases = [(bundled, g, ["--grid", str(g)]) for g in (20000, 4095, 4096, 8191)]
+    cases.append((load_config(cfg), 2000, ["--config", str(cfg), "--no-heterodyne"]))
+    for config, grid, flags in cases:
+        assert main(["--out", str(tmp_path), *flags, "curve"]) == 0
+        c = compute_couplings(config.params)
+        times = np.linspace(0.0, config.periods * period(c), grid + 1)
+        heterodyne = "--no-heterodyne" not in flags
+        fidelities = fidelity_curves(c, config.nbar_values, times, heterodyne)
+        columns = [c.oscillation * times, *fidelities]
+        header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
+        assert (tmp_path / "curve.csv").read_bytes() == _savetxt_bytes(columns, header)
     assert (columns[1] < 1e-4).mean() > 0.5
+
+
+@pytest.mark.parametrize("failure", ["nan", "overflow"])
+def test_failing_chunk_leaves_no_curve(tmp_path, capsys, failure):
+    # A chunk after the first that fails, by a NaN the finite check turns
+    # into DomainError or by a FloatingPointError from the kernel, exits 1
+    # and deletes the curve.csv being written, which replaced any an
+    # earlier run left.
+    kernel = protocol.fidelity_curves
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args[2].size)
+        columns = kernel(*args, **kwargs)
+        if len(calls) == 2:
+            if failure == "overflow":
+                raise FloatingPointError("overflow encountered in multiply")
+            columns[0][-1] = math.nan
+        return columns
+
+    out = tmp_path / "out"
+    for earlier in (False, True):
+        if earlier:
+            assert main(["--out", str(out), "curve"]) == 0
+            assert (out / "curve.csv").exists()
+        calls.clear()
+        with mock.patch.object(protocol, "fidelity_curves", failing):
+            assert main(["--out", str(out), "--grid", "10000", "curve"]) == 1
+        assert calls == [_csvtext._BLOCK_ROWS] * 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (out / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-heterodyne"]])
+def test_curve_memory_does_not_grow_with_the_grid(tmp_path, flags):
+    # curve holds one chunk of its table at a time.  numpy reports its
+    # buffers to tracemalloc, so the bound holds on any host: at
+    # --grid 200000 the peak is about 5.4 MB, against about 20 MB when
+    # every column and the kernel's temporaries were held at full length.
+    tracemalloc.start()
+    try:
+        assert main(["--out", str(tmp_path), "--grid", "200000", *flags, "curve"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@given(
+    table=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)), elements=_narrow_cells),
+    cuts=st.lists(st.integers(0, 40), max_size=5),
+    block_rows=st.integers(1, 7),
+)
+@settings(max_examples=50, deadline=None)
+def test_chunks_write_the_table_they_hold(table, cuts, block_rows):
+    # Any split of a table into chunks of rows writes the bytes of the
+    # whole table, whether a chunk holds less than a block or several.
+    columns = list(table.T)
+    edges = sorted({0, len(table), *(cut % len(table) for cut in cuts)})
+    chunks = [[col[lo:hi] for col in columns] for lo, hi in zip(edges, edges[1:])]
+    buf = io.BytesIO()
+    with mock.patch.object(_csvtext, "_BLOCK_ROWS", block_rows):
+        _csvtext.write_blocks(buf, "theta_t,F", len(table), chunks)
+    assert buf.getvalue() == _savetxt_bytes(columns)
+
+
+def test_write_csv_deletes_a_table_of_the_wrong_length(tmp_path):
+    # A repeated or a missing chunk raises, and write_csv deletes the file.
+    path = tmp_path / "curve.csv"
+    columns = [np.arange(5.0), np.ones(5)]
+    for rows, chunks, held in ((5, [columns, columns], 10), (10, [columns], 5)):
+        with pytest.raises(ValueError, match=f"hold {held} rows, not {rows}"):
+            _csvtext.write_csv(path, "a,b", rows, chunks)
+        assert not path.exists()
 
 
 @given(
@@ -452,7 +536,7 @@ def test_small_table_matches_savetxt(table, block_rows):
         _csvtext, "_BLOCK_ROWS", block_rows
     ):
         path = Path(tmp) / "curve.csv"
-        _csvtext.write_csv(path, "theta_t,F", columns)
+        _csvtext.write_csv(path, "theta_t,F", len(columns[0]), [columns])
         assert path.read_bytes() == _savetxt_bytes(columns)
 
 

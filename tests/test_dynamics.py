@@ -373,3 +373,14 @@ def test_invalid_inputs(moderate):
         ):
             with pytest.raises(DomainError):
                 call()
+    # A finite time whose phase oscillation*t overflows is named, not turned
+    # into NaN behind an overflow warning.
+    for call in (
+        lambda: coeffs_analytic(moderate, 0.0, 1e308),
+        lambda: coeffs_analytic(moderate, 1.0, [0.5, 1e308]),
+        lambda: propagator(moderate, 1e308),
+        lambda: propagator(moderate, np.array([-1e308, 0.5])),
+        lambda: fidelity_curves(moderate, (0.0,), [0.5, 1e308]),
+    ):
+        with pytest.raises(DomainError, match=r"float64 range, got -?1e\+308"):
+            call()

@@ -21,10 +21,10 @@ bytes after the separator: the longest ``%.12g`` text,
 ``-1.23456789012e-100``, is 19 bytes.
 
 A table reaches the writer as an iterable of chunks of rows, each cut into
-blocks; a table held whole is one chunk.  ``curve`` computes its columns
-one chunk of ``_BLOCK_ROWS`` rows at a time, so it never holds a
-full-length column: on ``curve --grid 200000`` the peak of numpy's
-buffers is about 5.4 MB, against about 20 MB with the whole table at once.
+blocks; a table held whole is one chunk.  ``curve`` computes its columns,
+times included, one chunk of ``_BLOCK_ROWS`` rows at a time, so it never
+holds a full-length array: the peak of numpy's buffers is about 3.8 MB at
+any ``--grid`` from 40,000 up, most of it this writer's work arrays.
 ``write_csv`` deletes its file when anything raises part way, so a table
 that fails to compute leaves no truncated ``curve.csv``.
 

@@ -26,9 +26,11 @@ within 2e-4 of a rounding tie (``_csvtext``'s docstring has the proof), or
 zero, negative or outside [1e-99, 1e3), the range of fidelities and the
 bundled times.
 ``curve`` computes and writes the table one chunk of ``_csvtext._BLOCK_ROWS``
-(4,096) rows at a time, so its memory does not grow with ``--grid`` beyond
-the time grid itself.  If a chunk's values leave the float64 range (exit
-1) or a write fails (exit 3), the partial ``curve.csv`` is deleted.
+(4,096) rows at a time, each chunk's times built from its row indices, so
+it holds no full-length array and its memory does not grow with ``--grid``.
+A ``curve`` that fails, say because a chunk's values leave the float64
+range (exit 1) or a write fails (exit 3), leaves neither ``curve.csv`` nor
+``summary.json`` in ``--out``, not even an earlier run's.
 ``summary.json``'s heterodyne-free maximum is
 ``protocol.peak_fidelity``, exact where float64 times near its peak are not.
 """
@@ -36,6 +38,7 @@ the time grid itself.  If a chunk's values leave the float64 range (exit
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -281,6 +284,25 @@ def cmd_couplings(config: RunConfig, out_dir: Path | None) -> int:
     return 0
 
 
+def _time_chunks(stop: float, num: int, rows: int):
+    """``np.linspace(0.0, stop, num)`` (``num >= 2``), bit for bit, ``rows``
+    rows at a time: numpy's own arithmetic on each chunk's row indices, so
+    the whole grid is never held."""
+    import numpy as np
+
+    step = stop / (num - 1)
+    for lo in range(0, num, rows):
+        t = np.arange(lo, min(lo + rows, num), dtype=float)
+        if step == 0:  # the step underflows: divide first, as numpy does
+            t /= num - 1
+            t *= stop
+        else:
+            t *= step
+        if lo + rows >= num:
+            t[-1] = stop
+        yield t
+
+
 def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> int:
     import numpy as np
 
@@ -288,14 +310,12 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
 
     couplings = compute_couplings(config.params)
     t_period = period(couplings)
-    times = np.linspace(0.0, config.periods * t_period, config.grid_points + 1)
+    stop, rows = config.periods * t_period, config.grid_points + 1
 
     def chunks():
         # One block's rows at a time, each bit for bit its rows of the whole
-        # grid, so no full-length column or kernel temporary is ever held.
-        step = _csvtext._BLOCK_ROWS
-        for lo in range(0, len(times), step):
-            t = times[lo : lo + step]
+        # grid, so no full-length array, not even the grid, is ever held.
+        for t in _time_chunks(stop, rows, _csvtext._BLOCK_ROWS):
             columns = [
                 couplings.oscillation * t,
                 *protocol.fidelity_curves(
@@ -307,19 +327,26 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
             yield columns
 
     header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
-    # The same bytes as np.savetxt(fmt="%.12g"); see the module docstring.  A
-    # chunk that raises deletes the partial file: an exit 1 or 3 leaves none.
-    _csvtext.write_csv(out_dir / "curve.csv", header, len(times), chunks())
-
-    summary = _summary(config, couplings)
-    summary["curve"] = {
-        "variant": "no_heterodyne" if no_heterodyne else "heterodyne",
-        "grid_points": config.grid_points,
-        "periods": config.periods,
-        "nbar_from_temperatures": config.nbar_from_temperatures,
-    }
-    _write_json(out_dir / "summary.json", summary)
-    print(f"wrote {out_dir / 'curve.csv'} and {out_dir / 'summary.json'}")
+    curve_path, summary_path = out_dir / "curve.csv", out_dir / "summary.json"
+    # A run that raises leaves neither file, nor either of an earlier run's:
+    # the table replaces the old curve.csv, and the old summary goes first.
+    try:
+        summary_path.unlink(missing_ok=True)
+        # The same bytes as np.savetxt(fmt="%.12g"); see the module docstring.
+        _csvtext.write_csv(curve_path, header, rows, chunks())
+        summary = _summary(config, couplings)
+        summary["curve"] = {
+            "variant": "no_heterodyne" if no_heterodyne else "heterodyne",
+            "grid_points": config.grid_points,
+            "periods": config.periods,
+            "nbar_from_temperatures": config.nbar_from_temperatures,
+        }
+        _write_json(summary_path, summary)
+    except BaseException:
+        curve_path.unlink(missing_ok=True)
+        summary_path.unlink(missing_ok=True)
+        raise
+    print(f"wrote {curve_path} and {summary_path}")
     return 0
 
 
@@ -480,6 +507,7 @@ def cmd_readout(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirror-teleport",

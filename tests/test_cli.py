@@ -443,7 +443,7 @@ def test_failing_chunk_leaves_no_curve(tmp_path, capsys, failure):
     # A chunk after the first that fails, by a NaN the finite check turns
     # into DomainError or by a FloatingPointError from the kernel, exits 1
     # and deletes the curve.csv being written, which replaced any an
-    # earlier run left.
+    # earlier run left, and any summary.json an earlier run left.
     kernel = protocol.fidelity_curves
     calls = []
 
@@ -460,28 +460,86 @@ def test_failing_chunk_leaves_no_curve(tmp_path, capsys, failure):
     for earlier in (False, True):
         if earlier:
             assert main(["--out", str(out), "curve"]) == 0
-            assert (out / "curve.csv").exists()
+            assert (out / "curve.csv").exists() and (out / "summary.json").exists()
         calls.clear()
         with mock.patch.object(protocol, "fidelity_curves", failing):
             assert main(["--out", str(out), "--grid", "10000", "curve"]) == 1
         assert calls == [_csvtext._BLOCK_ROWS] * 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (out / "curve.csv").exists()
+        assert not (out / "summary.json").exists()
+
+
+def test_failing_summary_leaves_no_curve(tmp_path, capsys):
+    # A summary that fails once the whole table is written exits 1 and
+    # leaves neither that table nor an earlier run's files.
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "curve"]) == 0
+    with mock.patch.object(cli, "_summary", side_effect=cli.DomainError("non-finite")):
+        assert main(["--out", str(out), "--grid", "10000", "curve"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "curve.csv").exists()
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-heterodyne"]])
 def test_curve_memory_does_not_grow_with_the_grid(tmp_path, flags):
-    # curve holds one chunk of its table at a time.  numpy reports its
-    # buffers to tracemalloc, so the bound holds on any host: at
-    # --grid 200000 the peak is about 5.4 MB, against about 20 MB when
-    # every column and the kernel's temporaries were held at full length.
-    tracemalloc.start()
-    try:
-        assert main(["--out", str(tmp_path), "--grid", "200000", *flags, "curve"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    # curve holds one chunk of its table at a time, its times included.
+    # numpy reports its buffers to tracemalloc, so the bounds hold on any
+    # host: the peak is about 3.8 MB at both grids, most of it the block
+    # writer's work arrays, against about 20 MB when every column and the
+    # kernel's temporaries were held at full length, and 5.4 MB with the
+    # time grid alone.
+    peaks = {}
+    for grid in (40000, 200000):
+        tracemalloc.start()
+        try:
+            assert main(["--out", str(tmp_path), "--grid", str(grid), *flags, "curve"]) == 0
+            peaks[grid] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200000] <= peaks[40000] + 0.25e6, peaks
+    assert max(peaks.values()) < 4.5e6, peaks
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("grid", [2, 4095, 4096, 4097, 8191, 200000])
+@pytest.mark.parametrize("periods", [1.0, 3.0, 0.37])
+def test_time_chunks_are_linspace(bench_couplings, grid, periods):
+    # curve's chunks of times join into np.linspace's grid bit for bit,
+    # with the exact end on the last row; CI runs this on the oldest
+    # supported numpy and on the latest.
+    stop = periods * period(bench_couplings)
+    chunks = list(cli._time_chunks(stop, grid + 1, _csvtext._BLOCK_ROWS))
+    assert all(0 < len(t) <= _csvtext._BLOCK_ROWS for t in chunks)
+    times = np.concatenate(chunks)
+    assert _bits(times) == _bits(np.linspace(0.0, stop, grid + 1))
+    assert times[-1] == stop
+
+
+@pytest.mark.parametrize("stop", [1e-320, 5e-324, 1e-310])
+def test_time_chunks_match_linspace_when_the_step_underflows(stop):
+    # Where stop / (num - 1) underflows to 0 numpy divides each index by
+    # num - 1 first; 1e-310's step is subnormal but not 0.
+    num = 200001
+    assert (stop / (num - 1) == 0) == (stop < 1e-310)
+    times = np.concatenate(list(cli._time_chunks(stop, num, _csvtext._BLOCK_ROWS)))
+    assert _bits(times) == _bits(np.linspace(0.0, stop, num))
+    assert times[-1] == stop
+
+
+@given(
+    stop=st.floats(5e-324, 1e300, allow_subnormal=True),
+    num=st.integers(2, 3000),
+    rows=st.integers(1, 700),
+)
+@settings(max_examples=100, deadline=None)
+def test_time_chunks_match_linspace_in_any_split(stop, num, rows):
+    times = np.concatenate(list(cli._time_chunks(stop, num, rows)))
+    assert _bits(times) == _bits(np.linspace(0.0, stop, num))
 
 
 @given(
@@ -639,6 +697,20 @@ def test_curve_warns_when_rounding_limits_the_peak(
 
 def test_curve_requires_out():
     assert main(["curve"]) == 3
+
+
+def test_main_calls_parse_independently(tmp_path):
+    # One parser serves every call in a process, and no flag of one call
+    # carries into the next.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--out", str(first), "--grid", "100", "--no-heterodyne", "curve"]) == 0
+    assert main(["--out", str(second), "curve"]) == 0
+    assert main(["curve"]) == 3  # no --out carried over
+    assert cli.build_parser() is cli.build_parser()
+    summary = json.loads((second / "summary.json").read_text())
+    assert summary["curve"]["variant"] == "heterodyne"
+    assert summary["curve"]["grid_points"] == 2000
+    assert len((second / "curve.csv").read_text().splitlines()) == 2002
 
 
 def test_curve_no_heterodyne_flag(tmp_path):

@@ -66,18 +66,18 @@ from .optomech import (
 
 _TWO_PI = 2.0 * math.pi
 
-#: Self-verification tolerances.  "scaled" defects are relative to the
-#: size of the state: max(1, max_j |G_j|) over the six coefficients at each
-#: time, or max(1, n_eff) for the teleportation noise.
+#: Self-verification tolerances, by gate name.  A defect relative to the
+#: state is divided at each time by ``dynamics.state_scale``; the
+#: teleportation noise is relative to max(1, n_eff).
 TOLERANCES = {
-    "couplings_consistency_rel": 1e-12,
-    "ode_vs_analytic_scaled": 1e-8,
-    "propagator_metric": 1e-10,
-    "propagator_group": 1e-10,
-    "conditional_physicality": 1e-10,
-    "fidelity_identity": 1e-12,
-    "moment_route_scaled": 1e-10,
-    "teleport_noise_scaled": 1e-12,
+    "couplings-consistency": 1e-12,
+    "ode-vs-analytic": 1e-8,
+    "propagator-metric": 1e-10,
+    "propagator-group": 1e-10,
+    "conditional-physicality": 1e-10,
+    "fidelity-identity": 1e-12,
+    "moment-route": 1e-10,
+    "teleport-noise": 1e-12,
 }
 
 
@@ -350,27 +350,18 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
     return 0
 
 
-def _verdict(name: str, defect, tolerance: float):
+def _verdict(name: str, defect, floor: float = 0.0):
+    tolerance = TOLERANCES[name] + floor
     return name, float(defect), tolerance, bool(defect <= tolerance)
 
 
-def _rows(g):
-    """The six coefficients of ``g`` as an array, one row per time: shape (n, 6)."""
-    import numpy as np
-
-    from .dynamics import COEFF_FIELDS
-
-    return np.column_stack([getattr(g, f) for f in COEFF_FIELDS])
-
-
 def _scaled_gap(ref, other):
-    """Largest |ref - other| over the six coefficients, relative at each time
-    to the state, max(1, max_j |ref_j|): scaled per entry, a coefficient
-    passing through zero would divide an error of the state's size by ~0."""
-    import numpy as np
+    """Largest |ref - other| over the six coefficients, relative to the
+    state of ``ref`` at each time."""
+    from .dynamics import coeff_rows, state_scale
 
-    a = _rows(ref)
-    return np.max(np.abs(a - _rows(other)) / np.maximum(1.0, np.abs(a).max(axis=1)[:, None]))
+    a = coeff_rows(ref)
+    return (abs(a - coeff_rows(other)) / state_scale(a)).max()
 
 
 def _run_gates(couplings: Couplings, nbar_values):
@@ -381,22 +372,28 @@ def _run_gates(couplings: Couplings, nbar_values):
     so that gate reports its margin.  This is the one implementation of the
     verification invariants: ``verify`` and the acceptance scorecard both run
     it, and the benchmark's tracer times each gate by wrapping this generator
-    by name.
+    by name.  Gates 4 and 7 call ``physicality_defect`` and
+    ``teleport_covariance`` on one stack of the channel's matrices over every
+    time and nbar; gate 5 compares two routes to n_eff.
     """
     import numpy as np
 
     from . import dynamics, protocol
-    from .gaussian_core import physicality_defects, symplectic_defect
+    from .dynamics import carried_scale, coeff_rows, state_scale
+    from .gaussian_core import (
+        CorrelationMatrix4,
+        CovMatrix2,
+        physicality_defect,
+        symplectic_defect,
+    )
 
-    tol = TOLERANCES
     t_period = period(couplings)
 
     # 1. couplings internal consistency
     rel, floor = oscillation_consistency(
         couplings.parametric, couplings.beam_splitter, couplings.oscillation
     )
-    gate_tol = tol["couplings_consistency_rel"] + floor
-    yield _verdict("couplings-consistency", rel, gate_tol)
+    yield _verdict("couplings-consistency", rel, floor)
 
     # 2. RK4 oracle vs closed form over the certifiable window
     t_max = min(t_period, 30.0 / couplings.parametric)
@@ -410,60 +407,56 @@ def _run_gates(couplings: Couplings, nbar_values):
             worst = math.inf
             break
         # RK4 carries the rounding of the largest state it has passed through.
-        a = _rows(dynamics.coeffs_analytic(couplings, nbar, ts))
-        worst = max(worst, np.max(np.abs(a - _rows(ode)) / dynamics.carried_scale(a)))
-    yield _verdict("ode-vs-analytic", worst, tol["ode_vs_analytic_scaled"])
+        a = coeff_rows(dynamics.coeffs_analytic(couplings, nbar, ts))
+        worst = max(worst, np.max(np.abs(a - coeff_rows(ode)) / carried_scale(a)))
+    yield _verdict("ode-vs-analytic", worst)
 
     # 3. propagator structure: the metric of each, the group law on 50 pairs,
     #    at 100 times of a golden-ratio sequence, which fills [0, T) evenly
     times = t_period * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
     props = dynamics.propagator(couplings, times)
-    metric = symplectic_defect(props).max()
-    yield _verdict("propagator-metric", metric, tol["propagator_metric"])
+    yield _verdict("propagator-metric", symplectic_defect(props).max())
     # The residual is a product, so its float64 floor scales with the sizes of
     # the factors; M(t1 + t2) ~ I near a revival even where they are ~r^2.
     m1, m2 = props.matrix[:50], props.matrix[50:]
     m12 = dynamics.propagator(couplings, times[:50] + times[50:]).matrix
     size = np.maximum(1.0, np.abs(props.matrix).max(axis=(-2, -1)))
     group = np.abs(m12 - m1 @ m2).max(axis=(-2, -1)) / (size[:50] * size[50:])
-    yield _verdict("propagator-group", group.max(), tol["propagator_group"])
+    yield _verdict("propagator-group", group.max())
 
     # 4. conditioned-state physicality, relative to max(1, |G|max) as in
     #    protocol.conditional_correlation's own guard; gate 7 reuses these
     #    channel matrices and gate 5's n_eff
     grid = np.linspace(0.0, t_period, 101)
     analytic = [dynamics.coeffs_analytic(couplings, nbar, grid) for nbar in nbar_values]
-    mats = [protocol.conditional_matrices(g) for g in analytic]
-    worst_phys = 0.0
-    for m in mats:
-        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-        worst_phys = max(worst_phys, np.max(physicality_defects(m) / scale))
-    yield _verdict("conditional-physicality", worst_phys, tol["conditional_physicality"])
+    mats = np.stack([protocol.conditional_matrices(g) for g in analytic])
+    defects = physicality_defect(CorrelationMatrix4(mats))
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+    yield _verdict("conditional-physicality", np.max(defects / scale))
 
-    # 5. fidelity identity F = 1/(1 + n_eff)
-    n_effs = [protocol.effective_occupation(g) for g in analytic]
+    # 5. n_eff through the coefficient route, from the propagator's moments,
+    #    against the factored n_eff, relative to the state
+    props = dynamics.propagator(couplings, grid)
+    moments = [dynamics.coeffs_from_propagator(props, nbar) for nbar in nbar_values]
+    n_effs = np.stack([protocol.effective_occupation(g) for g in analytic])
     worst_fid = 0.0
-    for g, n_eff in zip(analytic, n_effs):
-        f = protocol.fidelity_coherent(g)
-        worst_fid = max(worst_fid, np.max(np.abs(f * (1.0 + n_eff) - 1.0)))
-    yield _verdict("fidelity-identity", worst_fid, tol["fidelity_identity"])
+    for g, mom, n_eff in zip(analytic, moments, n_effs):
+        gap = np.abs(protocol.effective_occupation(mom) - n_eff)
+        worst_fid = max(worst_fid, np.max(gap / state_scale(coeff_rows(g))[:, 0]))
+    yield _verdict("fidelity-identity", worst_fid)
 
     # 6. moment route vs closed form
-    props = dynamics.propagator(couplings, grid)
-    worst_mom = max(
-        _scaled_gap(g, dynamics.coeffs_from_propagator(props, g.nbar)) for g in analytic[:2]
-    )
-    yield _verdict("moment-route", worst_mom, tol["moment_route_scaled"])
+    worst_mom = max(_scaled_gap(g, mom) for g, mom in zip(analytic[:2], moments))
+    yield _verdict("moment-route", worst_mom)
 
-    # 7. teleportation added noise equals n_eff, in X and in P, at every
-    #    tenth time of the grid; each row is bit for bit that of its time
-    #    alone, and gate 4 checks those channels' physicality
-    worst_tn = 0.0
-    for m, n_eff in zip(mats, n_effs):
-        xx, _, pp = protocol.added_noise(m[::10])
-        scale = np.maximum(1.0, n_eff[::10])
-        worst_tn = max(worst_tn, np.max(np.abs(np.stack([xx, pp]) - n_eff[::10]) / scale))
-    yield _verdict("teleport-noise", worst_tn, tol["teleport_noise_scaled"])
+    # 7. teleporting the vacuum adds n_eff, in X and in P, at every tenth
+    #    time of the grid; each row is bit for bit that of its time alone,
+    #    and gate 4 checks those channels' physicality
+    gin = CovMatrix2.vacuum()
+    out = protocol.teleport_covariance(CorrelationMatrix4(mats[:, ::10]), gin).matrix
+    added = out.diagonal(0, -2, -1) - gin.matrix.diagonal()
+    n = n_effs[:, ::10, None]
+    yield _verdict("teleport-noise", np.max(np.abs(added - n) / np.maximum(1.0, n)))
 
 
 def cmd_verify(config: RunConfig, out_dir: Path | None) -> int:

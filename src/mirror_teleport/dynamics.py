@@ -278,12 +278,24 @@ def _rk4_integrate(
     return out
 
 
+def coeff_rows(g: GaussianCoeffs) -> np.ndarray:
+    """The six coefficients of ``g`` along a last axis: (n, 6) over n times."""
+    return np.stack([getattr(g, f) for f in COEFF_FIELDS], axis=-1)
+
+
+def state_scale(states: np.ndarray) -> np.ndarray:
+    """max(1, max_j |y_j|) of coefficient rows (..., 6), shape (..., 1): the
+    state's size at each time, by which every check "relative to the state"
+    divides; per entry, a coefficient passing through zero would divide by ~0."""
+    return np.maximum(1.0, np.abs(states).max(axis=-1, keepdims=True))
+
+
 def carried_scale(states: np.ndarray) -> np.ndarray:
-    """Running maximum of max(1, max_j |y_j|) over rows of states (n, 6) at
+    """Running maximum of :func:`state_scale` over rows of states (n, 6) at
     ascending times, shape (n, 1): the scale of the rounding that the RK4
     route, which propagates one state, still carries after the ~r^4
     mid-period excursion, when the state has shrunk again."""
-    return np.maximum.accumulate(np.maximum(1.0, np.abs(states).max(axis=1, keepdims=True)))
+    return np.maximum.accumulate(state_scale(states))
 
 
 def coeffs_ode(
@@ -330,8 +342,6 @@ def coeffs_ode(
         raise DomainError("time array must be ascending")
     full = _rk4_integrate(couplings, nbar, t, dt_max)
     half = _rk4_integrate(couplings, nbar, t, dt_max, halved=True)
-    # Scaled per entry, a moment passing through zero (mirror_anti ~ sin x)
-    # would divide an error of the state's size, ~nbar, by ~0.
     err = np.abs(full - half) / carried_scale(half)
     if err.max() > doubling_tol:
         raise IntegrationError(

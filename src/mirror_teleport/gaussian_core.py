@@ -10,6 +10,8 @@ Conventions used throughout the package:
   diag(+1, -1, -1).
 
 All matrices here are tiny (at most 4x4), so everything is solved densely.
+Each matrix type and check takes one matrix or a stack (..., n, n), checked
+in one array expression, each result bit for bit that of its matrix alone.
 Complex arithmetic appears only inside the physicality check and stays
 confined to this module.
 """
@@ -40,30 +42,32 @@ SYMPLECTIC_FORM_4 = np.array(
 MODE_METRIC_3 = np.diag([1.0, -1.0, -1.0])
 
 
-def _as_square(matrix, n: int, name: str, stack: bool = False) -> np.ndarray:
+def _as_square(matrix, n: int, name: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
-    if m.shape[-2:] != (n, n) or (m.ndim > 2 and not stack):
+    if m.shape[-2:] != (n, n):
         raise DomainError(f"{name} must be {n}x{n}, got shape {m.shape}")
     return m
 
 
 def _require_symmetric(m: np.ndarray, name: str) -> None:
-    if not np.array_equal(m, m.T):
+    if not np.array_equal(m, np.swapaxes(m, -1, -2)):
         raise DomainError(f"{name} must be symmetric; build it from its upper triangle")
 
 
 @record
 class CovMatrix2:
-    """2x2 covariance matrix of one mode, dimensionless quadrature units."""
+    """2x2 covariance matrix of one mode, dimensionless, or a stack (..., 2, 2)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _as_square(self.matrix, 2, "CovMatrix2")
         _require_symmetric(m, "CovMatrix2")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -1e-12 * max(1.0, np.abs(m).max()):
-            raise DomainError(f"CovMatrix2 not positive semidefinite: eigenvalues {eigs}")
+        # The smaller eigenvalue of [[a, b], [b, c]] in closed form.
+        a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
+        low = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+        if np.any(low < -1e-12 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))):
+            raise DomainError(f"CovMatrix2 not positive semidefinite: eigenvalue {np.min(low)}")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -77,7 +81,7 @@ class CovMatrix2:
 
 @record
 class CorrelationMatrix4:
-    """4x4 symmetric quadrature correlation matrix of the shared two-mode state."""
+    """Symmetric 4x4 quadrature correlation matrix of the two-mode state, or a stack."""
 
     matrix: np.ndarray
 
@@ -96,7 +100,7 @@ class PropagatorMatrix:
     time: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        m = _as_square(self.matrix, 3, "PropagatorMatrix", stack=True)
+        m = _as_square(self.matrix, 3, "PropagatorMatrix")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -104,27 +108,21 @@ class PropagatorMatrix:
         return cls(np.eye(3), 0.0)
 
 
-def physicality_defects(matrices) -> np.ndarray:
-    """:func:`physicality_defect` of each matrix in a stack of shape (..., 4, 4).
-
-    One stacked eigenvalue solve; the defects have the stack's leading shape.
-    Raises DomainError on a non-finite entry, which no eigenvalue solve takes.
-    """
-    matrices = np.asarray(matrices, dtype=float)
-    if not np.isfinite(matrices).all():
-        raise DomainError("correlation matrix has a non-finite entry")
-    h = matrices + 0.5j * SYMPLECTIC_FORM_4
-    return np.maximum(-np.linalg.eigvalsh(h)[..., 0], 0.0)
-
-
-def physicality_defect(corr: CorrelationMatrix4) -> float:
+def physicality_defect(corr: CorrelationMatrix4):
     """Uncertainty-principle violation of a two-mode correlation matrix.
 
     A correlation matrix G describes a physical state iff G + (i/2)J is
     positive semidefinite, J being the two-mode symplectic form.  Returns
-    max(0, -lambda_min) of that Hermitian matrix; zero means physical.
+    max(0, -lambda_min) of that Hermitian matrix; zero means physical.  A
+    stack of shape (..., 4, 4) gives one defect per matrix from one
+    eigenvalue solve, each bit for bit the defect of its matrix alone.
+    Raises DomainError on a non-finite entry, which no eigenvalue solve takes.
     """
-    return float(physicality_defects(corr.matrix))
+    m = corr.matrix
+    if not np.isfinite(m).all():
+        raise DomainError("correlation matrix has a non-finite entry")
+    h = m + 0.5j * SYMPLECTIC_FORM_4
+    return np.maximum(-np.linalg.eigvalsh(h)[..., 0], 0.0)[()]
 
 
 def symplectic_defect(prop: PropagatorMatrix):

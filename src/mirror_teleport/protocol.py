@@ -20,7 +20,9 @@ These are algebraically identical to the coefficient-level expressions
 checks both routes against each other) but involve no cancellation of the
 r^4-sized terms, which is what makes the near-degenerate benchmark regime
 (r ~ 1400) computable in float64 at all.  :func:`fidelity_curves` evaluates
-them for several nbar at once, from one set of sines and cosines.
+them for several nbar at once, from one set of sines and cosines.  The
+channel maps :func:`conditional_correlation` and :func:`teleport_covariance`
+take stacks over times, each result bit for bit that of its time alone.
 
 In tau = tan(x/2) the derivatives of both noise forms factor into
 quadratics, which puts each fidelity maximum at a closed-form time, with a
@@ -36,7 +38,7 @@ import math
 import numpy as np
 
 from ._record import record
-from .dynamics import GaussianCoeffs, _ratios_and_trig
+from .dynamics import GaussianCoeffs, _ratios_and_trig, coeff_rows, state_scale
 from .errors import ConsistencyError, DomainError
 from .gaussian_core import (
     VACUUM_VARIANCE,
@@ -174,60 +176,56 @@ def conditional_matrices(g: GaussianCoeffs) -> np.ndarray:
 
 
 def conditional_correlation(g: GaussianCoeffs) -> CorrelationMatrix4:
-    """Correlation matrix of the conditioned Stokes+mirror state at a scalar time.
-
-    The matrix of :func:`conditional_matrices`.  Raises ConsistencyError if
-    it is unphysical beyond 1e-8, which would signal a dynamics bug.
+    """Correlation matrix of the conditioned Stokes+mirror state, or a stack
+    (n, 4, 4) over n times: :func:`conditional_matrices`.  Raises
+    ConsistencyError if any matrix is unphysical beyond 1e-8 relative to
+    max(1, |G|max), which would signal a dynamics bug.
     """
-    matrix = conditional_matrices(g)
-    result = CorrelationMatrix4(matrix)
+    result = CorrelationMatrix4(conditional_matrices(g))
     defect = physicality_defect(result)
-    if defect > 1e-8 * max(1.0, float(np.abs(matrix).max())):
+    if np.any(defect > 1e-8 * np.maximum(1.0, np.abs(result.matrix).max(axis=(-2, -1)))):
         raise ConsistencyError(
-            f"conditioned state unphysical (defect {defect:.3e}); "
+            f"conditioned state unphysical (defect {np.max(defect):.3e}); "
             "dynamics coefficients are inconsistent"
         )
     return result
 
 
-def added_noise(g: np.ndarray):
-    """(xx, xp, pp) noise the protocol adds to the input, from channel
-    correlation matrices ``g`` of shape (..., 4, 4):
+def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatrix2:
+    """Output covariance of the teleported state: the input's plus the noise
+    the channel adds, whatever the input,
 
         xx = G11 + 2 G13 + G33,  xp = G14 - G12 + G34 - G23,
-        pp = G22 - 2 G24 + G44.
+        pp = G22 - 2 G24 + G44,
+
+    which is n_eff in X and in P for the conditioned channel.  A stack of
+    channels (..., 4, 4) gives a stack of covariances (..., 2, 2), each bit
+    for bit that of its channel alone; ``gin`` may be one input or a stack.
     """
-    return (
-        g[..., 0, 0] + 2.0 * g[..., 0, 2] + g[..., 2, 2],
-        g[..., 0, 3] - g[..., 0, 1] + g[..., 2, 3] - g[..., 1, 2],
-        g[..., 1, 1] - 2.0 * g[..., 1, 3] + g[..., 3, 3],
-    )
-
-
-def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatrix2:
-    """Output covariance of the teleported state: the input's plus the
-    input-independent :func:`added_noise` of the channel matrix."""
-    xx, xp, pp = added_noise(channel.matrix)
-    m = gin.matrix
-    return CovMatrix2.from_variances(
-        float(m[0, 0] + xx), float(m[0, 1] + xp), float(m[1, 1] + pp)
-    )
+    g = channel.matrix
+    xx = g[..., 0, 0] + 2.0 * g[..., 0, 2] + g[..., 2, 2]
+    xp = g[..., 0, 3] - g[..., 0, 1] + g[..., 2, 3] - g[..., 1, 2]
+    pp = g[..., 1, 1] - 2.0 * g[..., 1, 3] + g[..., 3, 3]
+    added = np.stack([xx, xp, xp, pp], axis=-1).reshape(xx.shape + (2, 2))
+    return CovMatrix2(gin.matrix + added)
 
 
 def _noise(g: GaussianCoeffs, heterodyne: bool):
     """n_eff, or without the heterodyne the bracket: F = 1/(1 + noise).
 
     From the factored forms when ``g.couplings`` is set, from the six
-    coefficients otherwise.  A value below -1e-10 raises ConsistencyError;
-    rounding's smaller negative values are clipped to 0.
+    coefficients otherwise.  A value below -1e-10 times the state's size,
+    ``dynamics.state_scale``, raises ConsistencyError; rounding's smaller
+    negative values, which grow with the ~r^4-sized terms, are clipped to 0.
     """
     if g.couplings is not None:
         noise = _FactoredParts(g.couplings, g.time).noise(g.nbar, heterodyne)
     else:
         noise = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
-        if heterodyne:
-            noise = noise - (g.stokes_anti - g.mirror_anti) ** 2 / (g.anti_n + 1.0)
-    if np.any(np.asarray(noise) < -1e-10):
+        if heterodyne:  # d (d / E1): d^2 overflows once |d| ~ nbar r^2 passes 1e154
+            d = g.stokes_anti - g.mirror_anti
+            noise = noise - d * (d / (g.anti_n + 1.0))
+    if np.any(noise < -1e-10 * state_scale(coeff_rows(g))[..., 0]):
         quantity = "effective occupation" if heterodyne else "no-heterodyne noise bracket"
         raise ConsistencyError(f"{quantity} came out negative ({np.min(noise)!r})")
     return np.maximum(noise, 0.0)

@@ -755,11 +755,27 @@ def test_verify_passes_on_bundled_config(tmp_path, capsys):
 def test_verify_fails_on_corrupted_couplings(tmp_path, monkeypatch):
     # A gate that fails makes verify exit 2: here the RK4 oracle, whose
     # bundled defect is about 2e-12, held to 1e-13.
-    monkeypatch.setitem(cli.TOLERANCES, "ode_vs_analytic_scaled", 1e-13)
+    monkeypatch.setitem(cli.TOLERANCES, "ode-vs-analytic", 1e-13)
     rc = main(["--out", str(tmp_path), "verify"])
     assert rc == 2
     text = (tmp_path / "verify.txt").read_text()
     assert "FAIL ode-vs-analytic" in text
+    assert "verification FAILED" in text
+
+
+def test_fidelity_identity_gate_fails_on_a_raised_n_eff(tmp_path, monkeypatch):
+    # Gate 5 compares the factored n_eff with the coefficient route's, so a
+    # factored n_eff raised by 1e-9 relative fails it; F = 1/(1 + n_eff)
+    # checked on one n_eff could not fail.
+    noise = protocol._FactoredParts.noise
+
+    def raised(self, nbar, heterodyne=True):
+        return noise(self, nbar, heterodyne) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(protocol._FactoredParts, "noise", raised)
+    assert main(["--out", str(tmp_path), "verify"]) == 2
+    text = (tmp_path / "verify.txt").read_text()
+    assert "FAIL fidelity-identity" in text
     assert "verification FAILED" in text
 
 
@@ -770,6 +786,11 @@ def test_verify_fails_on_corrupted_couplings(tmp_path, monkeypatch):
         for f in (5.91e8, 4.46e5, 1e11, 1.96e15, 5.27e13)
     ]
     + [
+        pytest.param({"mirror_freq_rad_per_s": 2e15 / (2 * r * r + 1)}, id=f"r-{r:g}")
+        for r in (5000.0, 3.7e4)
+    ]
+    + [
+        pytest.param({"nbar_values": [1e250]}, id="nbar-1e250"),
         pytest.param({"det_bandwidth_hz": 9.110999749934671e-161}, id="tiny-bandwidth"),
         pytest.param(
             {"power_watts": 8.242354689908549e-257, "mode_bandwidth_hz": 1.2930625549909084e69},
@@ -784,7 +805,10 @@ def test_verify_passes_on_exact_propagators(tmp_path, bench_json, overrides):
     # 5.27e13 (r ~ 4.3) the RK4 window ends near the revival, after the
     # ~r^4 excursion whose rounding the RK4 state still carries.  The last
     # two make rates so small that their squares underflow: the propagator
-    # must be built from the rate ratios.
+    # must be built from the rate ratios.  At r = 5000 and 3.7e4 (laser
+    # 2e15 rad/s) the n_eff gate's coefficient route rounds its ~r^4-sized
+    # terms to a negative n_eff, which its guard must take as rounding; at
+    # nbar 1e250 that route must not square its ~nbar r^2 terms.
     bench_json.update(overrides)
     cfg = _write_config(tmp_path, bench_json)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 0
@@ -830,10 +854,9 @@ def test_physicality_gate_is_the_scalar_check(request, fixture):
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
 def test_teleport_noise_gate_is_the_scalar_check(request, fixture):
-    # The gate takes the added noise of one stacked channel per nbar; the
-    # scalar route teleports the vacuum through each checked channel.  The
-    # scalar route subtracts the input variance 0.5 again, which moves a
-    # scaled defect by at most about eps.
+    # The gate teleports the vacuum through one stacked channel per nbar,
+    # the scalar route through each checked channel alone: the same
+    # teleport_covariance, so the same defect, bit for bit.
     c = request.getfixturevalue(fixture)
     gin = CovMatrix2.vacuum()
     worst = 0.0
@@ -846,7 +869,7 @@ def test_teleport_noise_gate_is_the_scalar_check(request, fixture):
                 added = gout.matrix[i, i] - gin.matrix[i, i]
                 worst = max(worst, abs(added - n_eff) / max(1.0, n_eff))
     gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
-    assert gates["teleport-noise"] == pytest.approx(worst, rel=0, abs=4 * np.finfo(float).eps)
+    assert gates["teleport-noise"] == worst
 
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])

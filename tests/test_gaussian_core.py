@@ -77,3 +77,26 @@ def test_symplectic_defect_is_scale_relative():
         ]
     )
     assert symplectic_defect(PropagatorMatrix(m, 0.0)) < 1e-14
+
+
+def test_stack_with_one_asymmetric_member_raises():
+    stack = np.stack([0.5 * np.eye(4)] * 3)
+    stack[1, 0, 1] = 0.3
+    with pytest.raises(DomainError, match="symmetric"):
+        CorrelationMatrix4(stack)
+
+
+def test_stack_with_one_indefinite_member_raises():
+    stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)])
+    with pytest.raises(DomainError, match="positive semidefinite"):
+        CovMatrix2(stack)
+
+
+def test_stacks_keep_their_shape():
+    # A stack (..., n, n) is one value; a wrong trailing shape is not.
+    stack = np.broadcast_to(3.7 * np.eye(4), (2, 3, 4, 4))
+    assert CorrelationMatrix4(stack).matrix.shape == (2, 3, 4, 4)
+    assert physicality_defect(CorrelationMatrix4(stack)).shape == (2, 3)
+    assert CovMatrix2(np.stack([np.eye(2)] * 5)).matrix.shape == (5, 2, 2)
+    with pytest.raises(DomainError, match="4x4"):
+        CorrelationMatrix4(np.zeros((4, 4, 3)))

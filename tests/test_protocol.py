@@ -18,6 +18,7 @@ from mirror_teleport import (
     actuation_setting,
     bob_displacement,
     coeffs_analytic,
+    coeffs_from_propagator,
     compute_couplings,
     conditional_correlation,
     effective_occupation,
@@ -28,6 +29,7 @@ from mirror_teleport import (
     peak_fidelity,
     period,
     physicality_defect,
+    propagator,
     replace,
     teleport_covariance,
 )
@@ -126,7 +128,8 @@ def test_noise_without_couplings_is_the_coefficient_formulas(moderate):
         for time in (ts, 0.7):
             g = _strip_couplings(coeffs_analytic(moderate, nbar, time))
             bracket = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
-            n_eff = bracket - (g.stokes_anti - g.mirror_anti) ** 2 / (g.anti_n + 1.0)
+            d = g.stokes_anti - g.mirror_anti
+            n_eff = bracket - d * (d / (g.anti_n + 1.0))
             got = (effective_occupation(g), fidelity_no_heterodyne(g))
             want = (np.maximum(n_eff, 0.0), 1.0 / (1.0 + np.maximum(bracket, 0.0)))
             for a, b in zip(got, want):
@@ -147,6 +150,44 @@ def test_grid_rows_match_their_times_alone(request, c):
             == protocol.conditional_matrices(tenth).tobytes()
         )
         assert effective_occupation(full)[::10].tobytes() == effective_occupation(tenth).tobytes()
+
+
+@pytest.mark.parametrize("c", ["moderate", "bench_couplings"])
+def test_stacked_channel_rows_are_their_matrices_alone(request, c):
+    # One array code path: the conditioned channel, its physicality defect
+    # and the teleported covariance of a stack of times are, row by row, bit
+    # for bit those of each time alone.
+    c = request.getfixturevalue(c)
+    ts = np.linspace(0.0, period(c), 101)
+    gin = CovMatrix2.from_variances(0.9, 0.2, 0.7)
+    for nbar in NBAR_SET:
+        chan = conditional_correlation(coeffs_analytic(c, nbar, ts))
+        defects = physicality_defect(chan)
+        out = teleport_covariance(chan, gin).matrix
+        assert chan.matrix.shape == (101, 4, 4) and defects.shape == (101,)
+        assert out.shape == (101, 2, 2)
+        for i, t in enumerate(ts):
+            one = conditional_correlation(coeffs_analytic(c, nbar, t))
+            assert one.matrix.tobytes() == chan.matrix[i].tobytes()
+            assert np.float64(physicality_defect(one)).tobytes() == defects[i].tobytes()
+            assert teleport_covariance(one, gin).matrix.tobytes() == out[i].tobytes()
+
+
+@pytest.mark.parametrize("r", [5000.0, 3.7e4])
+def test_noise_guard_is_relative_to_the_state(bench_config, r):
+    # Exact oracle states: the coefficient route rounds its ~r^4-sized terms
+    # to a negative n_eff (-0.5 at r = 5000, -2048 to -4096 at r = 3.7e4),
+    # which is rounding of the state's size, not an inconsistency.
+    laser = bench_config.params.laser_freq
+    c = compute_couplings(replace(bench_config.params, mirror_freq=laser / (2 * r * r + 1)))
+    ts = np.linspace(0.0, period(c), 101)
+    props = propagator(c, ts)
+    for nbar in (0.0, 1.0, 1000.0):
+        exact = coeffs_analytic(c, nbar, ts)
+        scale = np.abs([getattr(exact, f) for f in COEFF_FIELDS]).max(axis=0).clip(1.0)
+        for g in (coeffs_from_propagator(props, nbar), _strip_couplings(exact)):
+            gap = np.abs(effective_occupation(g) - effective_occupation(exact)) / scale
+            assert gap.max() < 1e-12
 
 
 def test_teleport_added_noise_equals_occupation(moderate):

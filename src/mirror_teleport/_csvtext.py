@@ -20,13 +20,23 @@ than about 159 periods.  A cell the arithmetic leaves to Python fits the 19
 bytes after the separator: the longest ``%.12g`` text,
 ``-1.23456789012e-100``, is 19 bytes.
 
-A table reaches the writer as an iterable of chunks of rows, each cut into
-blocks; a table held whole is one chunk.  ``curve`` computes its columns,
-times included, one chunk of ``_BLOCK_ROWS`` rows at a time, so it never
-holds a full-length array: the peak of numpy's buffers is about 3.8 MB at
-any ``--grid`` from 40,000 up, most of it this writer's work arrays.
-``write_csv`` deletes its file when anything raises part way, so a table
-that fails to compute leaves no truncated ``curve.csv``.
+A table reaches the writer as a function ``chunk(i)`` that returns its
+rows i * ``_BLOCK_ROWS`` up to the next chunk, each chunk cut into blocks.
+``curve`` computes its columns, times included, one chunk at a time, so it
+never holds a full-length array: the peak of numpy's buffers is about
+3.8 MB at any ``--grid`` from 40,000 up, most of it this writer's work
+arrays.  A table of two or more chunks, in a process that may run on two
+or more CPUs (``os.sched_getaffinity``) and has ``os.fork``, is shared
+with one forked worker: it computes and formats the odd chunks and sends
+their text down a pipe, and the writer formats the even ones and writes
+every chunk in row order.  Past its imports, ``curve --grid 200000`` then
+takes about 0.09 s instead of 0.13 s (wall medians of 12 runs in one
+process, a 2-core host).  The worker shares its parent's pages until one
+of them writes a page; its own pages come to about 6.3 MB and its peak
+resident set to about 27 MB, so the larger of the two processes' peaks,
+which is what a run's peak measures, is the parent's.  ``write_csv``
+deletes its file when anything raises part way, so a table that fails to
+compute, in either process, leaves no truncated ``curve.csv``.
 
 The fast path is exact only when it can prove that rint(y), for the
 computed y = x * 10**k, is the digit string ``%.12g`` rounds the exact
@@ -72,6 +82,8 @@ import functools
 import itertools
 import math
 import os
+import pickle
+import struct
 
 import numpy as np
 
@@ -286,34 +298,138 @@ def _block_rows(rows: int) -> int:
     return min(_BLOCK_ROWS, max(256, rows // 8))
 
 
-def write_blocks(fh, header: str, rows: int, chunks) -> None:
+def write_blocks(fh, header: str, rows: int, chunk) -> None:
     """Write a float table of ``rows`` rows under ``header`` to the binary
     file ``fh``.
 
-    ``chunks`` yields the table a run of rows at a time, each run a list of
-    equal-length column slices; a table held whole is one chunk.  Blocks
-    are cut from each chunk, so a chunk's rows never share a block with the
-    next chunk's.  Raises ValueError if the chunks do not hold ``rows`` rows
-    in all.
+    ``chunk(i)`` returns rows i * ``_BLOCK_ROWS`` up to the next chunk's
+    first row as a list of equal-length column slices.  Blocks are cut from
+    each chunk, so a chunk's rows never share a block with the next chunk's.
+    Raises ValueError if a chunk holds another number of rows.
+
+    A table of two or more chunks, on a host that lets this process run on
+    two or more CPUs, is shared with one forked worker (see :func:`_fork`):
+    it computes and formats the odd chunks, and this process the even ones
+    and every write, in row order.  A chunk that raises in the worker raises
+    here when its turn comes, so a failure surfaces at the same row, with
+    the same exception, as with one process.
     """
+    count = -(-rows // _BLOCK_ROWS)
     step = _block_rows(rows)
     w = None
-    written = 0
-    fh.write(header.encode("latin1"))
-    for columns in chunks:
+
+    def formatted(i):
+        nonlocal w
+        columns = chunk(i)
+        n = min(_BLOCK_ROWS, rows - i * _BLOCK_ROWS)
+        if len(columns[0]) != n:
+            raise ValueError(f"chunk {i} holds {len(columns[0])} rows, not {n}")
         if w is None:
             w = _Work(min(step, rows), len(columns))
-        n = len(columns[0])
         for lo in range(0, n, step):
             part = [c[lo : lo + step] for c in columns]
-            fh.write(_format_block(np.stack(part, axis=1, out=w.x[: len(part[0])]), w))
-        written += n
-    if written != rows:
-        raise ValueError(f"the chunks hold {written} rows, not {rows}")
+            yield _format_block(np.stack(part, axis=1, out=w.x[: len(part[0])]), w)
+
+    fh.write(header.encode("latin1"))
+    pid, pipe = _fork(count, formatted)
+    try:
+        for i in range(count):
+            if pipe is not None and i % 2:
+                fh.write(_receive(pipe, i))
+            else:
+                for block in formatted(i):
+                    fh.write(block)
+    finally:
+        if pipe is not None:
+            pipe.close()
+            os.waitpid(pid, 0)
     fh.write(b"\n")
 
 
-def write_csv(path, header: str, rows: int, chunks) -> None:
+#: The length prefix of a worker's message: the length of a chunk's text,
+#: or minus that of the pickled exception its chunk raised.
+_PREFIX = struct.Struct("<q")
+
+#: The worker's pipe buffer: the most an unprivileged process may ask of
+#: Linux by default (``/proc/sys/fs/pipe-max-size``).  Kernel memory, not
+#: part of either process's resident set.
+_PIPE_BYTES = 1 << 20
+
+
+def _fork(count: int, formatted):
+    """Fork a worker that formats the odd chunks of a table of ``count``
+    chunks, and return its pid and the read end of its pipe; or (0, None),
+    when the table has one chunk, the host lets this process run on one
+    CPU or has no ``os.fork`` or ``os.sched_getaffinity``, and the caller
+    formats every chunk.
+
+    The worker sends each chunk's text, or the exception computing it
+    raised, down the pipe, and stops at its first exception.  Its body is
+    one ``try``/``finally`` that ends in ``os._exit``: it never returns
+    into its caller's frames, never flushes or closes a file its parent has
+    open, and runs no ``atexit`` hook.  A write blocks while the pipe is
+    full, so beyond the pipe's at most ``_PIPE_BYTES`` the worker holds at
+    most one chunk's text, and if the parent closes the pipe (or dies) the
+    write fails and the worker exits.  The caller closes the pipe and reaps
+    the worker.
+
+    The process that forks must run no other thread, as ``cli`` does: it
+    keeps OpenBLAS to one.
+    """
+    shared = count > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not shared or len(os.sched_getaffinity(0)) < 2:
+        return 0, None
+    import fcntl
+
+    _word_table()  # built once, before the fork, for both processes
+    r, w = os.pipe()
+    try:
+        # A chunk's text (about 320 kB at 5 columns) then crosses in one
+        # write and one or two reads, instead of 64 kB at a time with a
+        # switch between the processes for each.
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):  # not Linux, or above the host's limit
+        pass
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    try:
+        os.close(r)
+        with open(w, "wb") as pipe:
+            for i in range(1, count, 2):
+                try:
+                    blocks = list(formatted(i))
+                except BaseException as exc:
+                    text = pickle.dumps(exc)
+                    pipe.write(_PREFIX.pack(-len(text)) + text)
+                    break
+                pipe.write(_PREFIX.pack(sum(map(len, blocks))))
+                pipe.writelines(blocks)
+                pipe.flush()
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe, i: int) -> bytes:
+    """Chunk ``i``'s text from the worker's ``pipe``; raises the exception
+    that computing it raised in the worker."""
+    head = pipe.read(_PREFIX.size)
+    (size,) = _PREFIX.unpack(head) if len(head) == _PREFIX.size else (0,)
+    body = pipe.read(abs(size))
+    if not body or len(body) != abs(size):
+        raise ChildProcessError(f"the worker exited before it sent chunk {i}")
+    if size < 0:
+        raise pickle.loads(body)
+    return body
+
+
+def write_csv(path, header: str, rows: int, chunk) -> None:
     """Write the table of :func:`write_blocks` to ``path``.
 
     If anything raises once the file is open, computing a chunk or writing
@@ -322,7 +438,7 @@ def write_csv(path, header: str, rows: int, chunks) -> None:
     fh = open(path, "wb")
     try:
         with fh:
-            write_blocks(fh, header, rows, chunks)
+            write_blocks(fh, header, rows, chunk)
     except BaseException:
         os.remove(path)
         raise

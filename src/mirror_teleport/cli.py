@@ -28,6 +28,13 @@ bundled times.
 ``curve`` computes and writes the table one chunk of ``_csvtext._BLOCK_ROWS``
 (4,096) rows at a time, each chunk's times built from its row indices, so
 it holds no full-length array and its memory does not grow with ``--grid``.
+A table of two or more chunks is shared with one forked worker, when the
+process may run on two or more CPUs (``os.sched_getaffinity``) and the
+platform has ``os.fork``: the worker computes and formats the odd chunks,
+and ``curve`` the even ones, writing every chunk in row order, so the bytes
+and any failure are those of one process.  The worker shares ``curve``'s
+pages, so the run's peak resident set is the larger of the two processes',
+not their sum, and no worker outlives the command.
 A ``curve`` that fails, say because a chunk's values leave the float64
 range (exit 1) or a write fails (exit 3), leaves neither ``curve.csv`` nor
 ``summary.json`` in ``--out``, not even an earlier run's.
@@ -256,6 +263,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_couplings(config: RunConfig, out_dir: Path | None) -> int:
+    if out_dir is not None:  # a run that raises leaves no earlier run's file
+        (out_dir / "couplings.json").unlink(missing_ok=True)
     couplings = compute_couplings(config.params)
     stokes, anti = sideband_frequencies(config.params)
     nbar = thermal_occupation(config.params.temperature, config.params.mirror_freq)
@@ -284,23 +293,24 @@ def cmd_couplings(config: RunConfig, out_dir: Path | None) -> int:
     return 0
 
 
-def _time_chunks(stop: float, num: int, rows: int):
-    """``np.linspace(0.0, stop, num)`` (``num >= 2``), bit for bit, ``rows``
-    rows at a time: numpy's own arithmetic on each chunk's row indices, so
-    the whole grid is never held."""
+def _time_chunk(stop: float, num: int, rows: int, i: int):
+    """Rows i * ``rows`` up to the next chunk's first row of
+    ``np.linspace(0.0, stop, num)`` (``num >= 2``), bit for bit: numpy's
+    own arithmetic on the chunk's row indices, so the whole grid is never
+    held."""
     import numpy as np
 
+    lo = i * rows
+    t = np.arange(lo, min(lo + rows, num), dtype=float)
     step = stop / (num - 1)
-    for lo in range(0, num, rows):
-        t = np.arange(lo, min(lo + rows, num), dtype=float)
-        if step == 0:  # the step underflows: divide first, as numpy does
-            t /= num - 1
-            t *= stop
-        else:
-            t *= step
-        if lo + rows >= num:
-            t[-1] = stop
-        yield t
+    if step == 0:  # the step underflows: divide first, as numpy does
+        t /= num - 1
+        t *= stop
+    else:
+        t *= step
+    if lo + rows >= num:
+        t[-1] = stop
+    return t
 
 
 def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> int:
@@ -312,19 +322,20 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
     t_period = period(couplings)
     stop, rows = config.periods * t_period, config.grid_points + 1
 
-    def chunks():
-        # One block's rows at a time, each bit for bit its rows of the whole
-        # grid, so no full-length array, not even the grid, is ever held.
-        for t in _time_chunks(stop, rows, _csvtext._BLOCK_ROWS):
-            columns = [
-                couplings.oscillation * t,
-                *protocol.fidelity_curves(
-                    couplings, config.nbar_values, t, heterodyne=not no_heterodyne
-                ),
-            ]
-            if not all(np.isfinite(col).all() for col in columns):
-                raise DomainError("the fidelity curve is outside the float64 range")
-            yield columns
+    def chunk(i):
+        # Chunk i's rows, bit for bit those rows of the whole grid, so no
+        # full-length array, not even the grid, is ever held, and either
+        # process of the writer can compute any chunk.
+        t = _time_chunk(stop, rows, _csvtext._BLOCK_ROWS, i)
+        columns = [
+            couplings.oscillation * t,
+            *protocol.fidelity_curves(
+                couplings, config.nbar_values, t, heterodyne=not no_heterodyne
+            ),
+        ]
+        if not all(np.isfinite(col).all() for col in columns):
+            raise DomainError("the fidelity curve is outside the float64 range")
+        return columns
 
     header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
     curve_path, summary_path = out_dir / "curve.csv", out_dir / "summary.json"
@@ -333,7 +344,7 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
     try:
         summary_path.unlink(missing_ok=True)
         # The same bytes as np.savetxt(fmt="%.12g"); see the module docstring.
-        _csvtext.write_csv(curve_path, header, rows, chunks())
+        _csvtext.write_csv(curve_path, header, rows, chunk)
         summary = _summary(config, couplings)
         summary["curve"] = {
             "variant": "no_heterodyne" if no_heterodyne else "heterodyne",
@@ -460,6 +471,8 @@ def _run_gates(couplings: Couplings, nbar_values):
 
 
 def cmd_verify(config: RunConfig, out_dir: Path | None) -> int:
+    if out_dir is not None:  # a run that raises leaves no earlier run's file
+        (out_dir / "verify.txt").unlink(missing_ok=True)
     lines = []
     all_ok = True
     gates = _run_gates(compute_couplings(config.params), config.nbar_values)

@@ -1,8 +1,11 @@
 import io
+import itertools
 import json
 import math
+import os
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -181,6 +184,28 @@ def test_couplings_beyond_float_range_exit_1(tmp_path, bench_json, capsys, patch
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "patch, command, name",
+    [
+        ({"mirror_freq_rad_per_s": 1e-300}, "verify", "verify.txt"),
+        ({"nbar_values": [1e300]}, "verify", "verify.txt"),
+        ({"mirror_freq_rad_per_s": 1e-300}, "couplings", "couplings.json"),
+    ],
+)
+def test_failed_run_leaves_no_earlier_output(tmp_path, bench_json, capsys, patch, command, name):
+    # A run that exits 1 removes the file an earlier run of the command left
+    # in --out, whose verdict or rates would otherwise pass for its own.
+    out = tmp_path / "out"
+    assert main(["--out", str(out), command]) == 0
+    assert (out / name).exists()
+    bench_json.update(patch)
+    cfg = _write_config(tmp_path, bench_json)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["--config", cfg, "--out", str(out), command]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / name).exists()
+
+
 def test_underflowing_reheating_rate_is_unconstrained(tmp_path, bench_json, capsys):
     bench_json.update({"damping_hz": 9e-65, "nbar_values": [1.2e-274]})
     assert main(["--config", _write_config(tmp_path, bench_json), "readout"]) == 0
@@ -253,9 +278,22 @@ def _savetxt_bytes(columns, header="theta_t,F"):
     return buf.getvalue()
 
 
+def _whole(columns):
+    """The chunk function of a table held whole."""
+    return lambda i: [
+        c[i * _csvtext._BLOCK_ROWS : (i + 1) * _csvtext._BLOCK_ROWS] for c in columns
+    ]
+
+
+def _cpus(n):
+    """Let the block writer see ``n`` CPUs: at 1 this process writes every
+    chunk, at 2 a forked worker formats the odd chunks of a larger table."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)), create=True)
+
+
 def _block_bytes(columns, header="theta_t,F"):
     buf = io.BytesIO()
-    _csvtext.write_blocks(buf, header, len(columns[0]), [columns])
+    _csvtext.write_blocks(buf, header, len(columns[0]), _whole(columns))
     return buf.getvalue()
 
 
@@ -328,7 +366,7 @@ def test_large_table_matches_savetxt(tmp_path):
         [edges, small_edges],
     ):
         path = tmp_path / "curve.csv"
-        _csvtext.write_csv(path, "theta_t,F", len(columns[0]), [columns])
+        _csvtext.write_csv(path, "theta_t,F", len(columns[0]), _whole(columns))
         assert path.read_bytes() == _savetxt_bytes(columns)
 
 
@@ -438,36 +476,109 @@ def test_bundled_columns_match_savetxt(tmp_path):
     assert (columns[1] < 1e-4).mean() > 0.5
 
 
-@pytest.mark.parametrize("failure", ["nan", "overflow"])
-def test_failing_chunk_leaves_no_curve(tmp_path, capsys, failure):
-    # A chunk after the first that fails, by a NaN the finite check turns
-    # into DomainError or by a FloatingPointError from the kernel, exits 1
-    # and deletes the curve.csv being written, which replaced any an
-    # earlier run left, and any summary.json an earlier run left.
+def _failing_curves(couplings, grid, chunk, failure):
+    """protocol.fidelity_curves, failing on the chunk of ``curve --grid
+    grid`` (one period) whose first row is ``chunk`` * ``_BLOCK_ROWS``: by a
+    NaN the finite check turns into DomainError, by a FloatingPointError
+    from the kernel, or by an interrupt.  The chunk is found by its times,
+    so it fails in whichever process computes it."""
     kernel = protocol.fidelity_curves
-    calls = []
+    first = np.linspace(0.0, period(couplings), grid + 1)[chunk * _csvtext._BLOCK_ROWS]
 
-    def failing(*args, **kwargs):
-        calls.append(args[2].size)
-        columns = kernel(*args, **kwargs)
-        if len(calls) == 2:
+    def failing(c, nbar_values, t, heterodyne=True):
+        columns = kernel(c, nbar_values, t, heterodyne)
+        if t[0] == first:
             if failure == "overflow":
                 raise FloatingPointError("overflow encountered in multiply")
+            if failure == "interrupt":
+                raise KeyboardInterrupt
             columns[0][-1] = math.nan
         return columns
 
+    return failing
+
+
+@pytest.mark.parametrize("failure", ["nan", "overflow"])
+def test_failing_chunk_leaves_no_curve(tmp_path, capsys, bench_couplings, failure):
+    # A chunk after the first that fails exits 1 and deletes the curve.csv
+    # being written, which replaced any an earlier run left, and any
+    # summary.json an earlier run left.
     out = tmp_path / "out"
+    failing = _failing_curves(bench_couplings, 10000, 1, failure)
     for earlier in (False, True):
         if earlier:
             assert main(["--out", str(out), "curve"]) == 0
             assert (out / "curve.csv").exists() and (out / "summary.json").exists()
-        calls.clear()
         with mock.patch.object(protocol, "fidelity_curves", failing):
             assert main(["--out", str(out), "--grid", "10000", "curve"]) == 1
-        assert calls == [_csvtext._BLOCK_ROWS] * 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (out / "curve.csv").exists()
         assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("failure", ["nan", "overflow", "interrupt"])
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_failing_chunk_fails_alike_in_either_process(
+    tmp_path, capsys, bench_couplings, chunk, failure
+):
+    # With two CPUs the worker computes chunks 1 and 3 of the five chunks of
+    # --grid 20000, and this process chunk 2: a failure in either exits as
+    # it does with one CPU, with the same stderr, leaves neither file, and
+    # leaves no worker behind, even one that is mid-chunk.
+    out = tmp_path / "out"
+    failing = _failing_curves(bench_couplings, 20000, chunk, failure)
+    errors = []
+    for cpus in (1, 2):
+        with _cpus(cpus), mock.patch.object(protocol, "fidelity_curves", failing):
+            if failure == "interrupt":
+                with pytest.raises(KeyboardInterrupt):
+                    main(["--out", str(out), "--grid", "20000", "curve"])
+            else:
+                assert main(["--out", str(out), "--grid", "20000", "curve"]) == 1
+        errors.append(capsys.readouterr().err)
+        assert not (out / "curve.csv").exists()
+        assert not (out / "summary.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("config error:") == (failure != "interrupt")
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-heterodyne"]])
+@pytest.mark.parametrize("grid", [4095, 4096, 4097, 8191, 8192, 12289])
+def test_curve_is_the_same_in_one_process_or_two(tmp_path, grid, flags):
+    # Tables of one, two and three chunks, the last full or of one row: the
+    # table a forked worker shares is byte for byte the one-process table,
+    # and a one-chunk table forks nothing.
+    fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    outputs = []
+    for cpus in (1, 2):
+        out = tmp_path / str(cpus)
+        forks.clear()
+        with _cpus(cpus), mock.patch.object(os, "fork", counted_fork):
+            assert main(["--out", str(out), "--grid", str(grid), *flags, "curve"]) == 0
+        assert len(forks) == (cpus == 2 and grid >= _csvtext._BLOCK_ROWS)
+        outputs.append([(out / name).read_bytes() for name in ("curve.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_worker_is_forked_from_a_single_thread(tmp_path):
+    # Python 3.12 warns that "use of fork() may lead to deadlocks" when a
+    # process that runs more than one thread forks.  The CLI runs one: it
+    # keeps OpenBLAS to one thread.
+    with open("/proc/self/status") as status:
+        threads = next(line for line in status if line.startswith("Threads:"))
+    assert threads.split() == ["Threads:", "1"]
+    with warnings.catch_warnings(record=True) as caught, _cpus(2):
+        warnings.simplefilter("always")
+        assert main(["--out", str(tmp_path), "--grid", "8192", "curve"]) == 0
+    assert not [w for w in caught if "fork" in str(w.message)]
 
 
 def test_failing_summary_leaves_no_curve(tmp_path, capsys):
@@ -490,11 +601,14 @@ def test_curve_memory_does_not_grow_with_the_grid(tmp_path, flags):
     # writer's work arrays, against about 20 MB when every column and the
     # kernel's temporaries were held at full length, and 5.4 MB with the
     # time grid alone.
+    # With one CPU this process writes every chunk: tracemalloc would not
+    # see a worker's buffers.
     peaks = {}
     for grid in (40000, 200000):
         tracemalloc.start()
         try:
-            assert main(["--out", str(tmp_path), "--grid", str(grid), *flags, "curve"]) == 0
+            with _cpus(1):
+                assert main(["--out", str(tmp_path), "--grid", str(grid), *flags, "curve"]) == 0
             peaks[grid] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,6 +620,11 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+def _time_chunks(stop, num, rows):
+    """Every chunk of ``rows`` rows of curve's time grid."""
+    return [cli._time_chunk(stop, num, rows, i) for i in range(-(-num // rows))]
+
+
 @pytest.mark.parametrize("grid", [2, 4095, 4096, 4097, 8191, 200000])
 @pytest.mark.parametrize("periods", [1.0, 3.0, 0.37])
 def test_time_chunks_are_linspace(bench_couplings, grid, periods):
@@ -513,7 +632,7 @@ def test_time_chunks_are_linspace(bench_couplings, grid, periods):
     # with the exact end on the last row; CI runs this on the oldest
     # supported numpy and on the latest.
     stop = periods * period(bench_couplings)
-    chunks = list(cli._time_chunks(stop, grid + 1, _csvtext._BLOCK_ROWS))
+    chunks = _time_chunks(stop, grid + 1, _csvtext._BLOCK_ROWS)
     assert all(0 < len(t) <= _csvtext._BLOCK_ROWS for t in chunks)
     times = np.concatenate(chunks)
     assert _bits(times) == _bits(np.linspace(0.0, stop, grid + 1))
@@ -526,7 +645,7 @@ def test_time_chunks_match_linspace_when_the_step_underflows(stop):
     # num - 1 first; 1e-310's step is subnormal but not 0.
     num = 200001
     assert (stop / (num - 1) == 0) == (stop < 1e-310)
-    times = np.concatenate(list(cli._time_chunks(stop, num, _csvtext._BLOCK_ROWS)))
+    times = np.concatenate(_time_chunks(stop, num, _csvtext._BLOCK_ROWS))
     assert _bits(times) == _bits(np.linspace(0.0, stop, num))
     assert times[-1] == stop
 
@@ -538,36 +657,64 @@ def test_time_chunks_match_linspace_when_the_step_underflows(stop):
 )
 @settings(max_examples=100, deadline=None)
 def test_time_chunks_match_linspace_in_any_split(stop, num, rows):
-    times = np.concatenate(list(cli._time_chunks(stop, num, rows)))
+    times = np.concatenate(_time_chunks(stop, num, rows))
     assert _bits(times) == _bits(np.linspace(0.0, stop, num))
 
 
 @given(
     table=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)), elements=_narrow_cells),
-    cuts=st.lists(st.integers(0, 40), max_size=5),
     block_rows=st.integers(1, 7),
+    cpus=st.sampled_from([1, 2]),
 )
 @settings(max_examples=50, deadline=None)
-def test_chunks_write_the_table_they_hold(table, cuts, block_rows):
-    # Any split of a table into chunks of rows writes the bytes of the
-    # whole table, whether a chunk holds less than a block or several.
+def test_chunks_write_the_table_they_hold(table, block_rows, cpus):
+    # A table cut into chunks, one or many, some shared with a worker,
+    # writes the bytes of the whole table.
     columns = list(table.T)
-    edges = sorted({0, len(table), *(cut % len(table) for cut in cuts)})
-    chunks = [[col[lo:hi] for col in columns] for lo, hi in zip(edges, edges[1:])]
     buf = io.BytesIO()
-    with mock.patch.object(_csvtext, "_BLOCK_ROWS", block_rows):
-        _csvtext.write_blocks(buf, "theta_t,F", len(table), chunks)
+    with mock.patch.object(_csvtext, "_BLOCK_ROWS", block_rows), _cpus(cpus):
+        _csvtext.write_blocks(buf, "theta_t,F", len(table), _whole(columns))
     assert buf.getvalue() == _savetxt_bytes(columns)
 
 
 def test_write_csv_deletes_a_table_of_the_wrong_length(tmp_path):
-    # A repeated or a missing chunk raises, and write_csv deletes the file.
+    # A chunk of more or fewer rows than its place in the table holds
+    # raises, computed in the worker (chunk 1) or here (chunk 2), and
+    # write_csv deletes the file.
     path = tmp_path / "curve.csv"
-    columns = [np.arange(5.0), np.ones(5)]
-    for rows, chunks, held in ((5, [columns, columns], 10), (10, [columns], 5)):
-        with pytest.raises(ValueError, match=f"hold {held} rows, not {rows}"):
-            _csvtext.write_csv(path, "a,b", rows, chunks)
+    whole = _whole([np.arange(10.0), np.ones(10)])
+    for bad, cpus, extra in itertools.product((1, 2), (1, 2), (-1, 1)):
+        def chunk(i):
+            columns = whole(i)
+            if i == bad:
+                columns = [np.append(c, c[:1]) if extra > 0 else c[:-1] for c in columns]
+            return columns
+
+        rows = 4 if bad == 1 else 2
+        with mock.patch.object(_csvtext, "_BLOCK_ROWS", 4), _cpus(cpus):
+            with pytest.raises(ValueError, match=f"chunk {bad} holds {rows + extra} rows, not {rows}"):
+                _csvtext.write_csv(path, "a,b", 10, chunk)
         assert not path.exists()
+
+
+def test_write_csv_deletes_a_table_whose_worker_dies(tmp_path):
+    # A worker that exits without sending its chunk, as one killed would,
+    # raises ChildProcessError at that chunk's turn, and is reaped.
+    path = tmp_path / "curve.csv"
+    whole = _whole([np.arange(10.0), np.ones(10)])
+    parent = os.getpid()
+
+    def chunk(i):
+        if i == 1 and os.getpid() != parent:
+            os._exit(3)
+        return whole(i)
+
+    with mock.patch.object(_csvtext, "_BLOCK_ROWS", 4), _cpus(2):
+        with pytest.raises(ChildProcessError, match="before it sent chunk 1"):
+            _csvtext.write_csv(path, "a,b", 10, chunk)
+    assert not path.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @given(
@@ -594,7 +741,7 @@ def test_small_table_matches_savetxt(table, block_rows):
         _csvtext, "_BLOCK_ROWS", block_rows
     ):
         path = Path(tmp) / "curve.csv"
-        _csvtext.write_csv(path, "theta_t,F", len(columns[0]), [columns])
+        _csvtext.write_csv(path, "theta_t,F", len(columns[0]), _whole(columns))
         assert path.read_bytes() == _savetxt_bytes(columns)
 
 

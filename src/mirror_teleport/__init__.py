@@ -26,7 +26,7 @@ import importlib
 import types
 
 from ._record import replace
-from .errors import ConfigError, ConsistencyError, DomainError, IntegrationError
+from .errors import ConfigError, ConsistencyError, DomainError
 from .optomech import (
     C_LIGHT,
     HBAR,
@@ -71,7 +71,6 @@ _LAZY = {
             "GaussianCoeffs",
             "coeffs_analytic",
             "coeffs_from_propagator",
-            "coeffs_ode",
             "propagator",
         ),
         "dynamics",

@@ -52,14 +52,14 @@ import os
 import sys
 from pathlib import Path
 
-# The matrices here are at most 7x7, so OpenBLAS never splits their work, yet
+# The matrices here are at most 4x4, so OpenBLAS never splits their work, yet
 # on load it starts a worker per core that spins for a while: on a small or
 # shared host that steals CPU from whatever runs right after numpy's import.
 # Set before numpy loads, whoever imports it; an explicit setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from ._record import record, replace
-from .errors import ConfigError, DomainError, IntegrationError
+from .errors import ConfigError, DomainError
 from .optomech import (
     Couplings,
     PhysicalParams,
@@ -383,14 +383,18 @@ def _run_gates(couplings: Couplings, nbar_values):
     so that gate reports its margin.  This is the one implementation of the
     verification invariants: ``verify`` and the acceptance scorecard both run
     it, and the benchmark's tracer times each gate by wrapping this generator
-    by name.  Gates 4 and 7 call ``physicality_defect`` and
+    by name.  Gate 2 certifies the closed forms without integrating the
+    moment ODE: it is linear, so forms that start at its initial state and
+    whose slopes match its right-hand side at every time are its solution,
+    and the gate checks both for every nbar, the fidelity peaks included.
+    Gates 4 and 7 call ``physicality_defect`` and
     ``teleport_covariance`` on one stack of the channel's matrices over every
     time and nbar; gate 5 compares two routes to n_eff.
     """
     import numpy as np
 
     from . import dynamics, protocol
-    from .dynamics import carried_scale, coeff_rows, state_scale
+    from .dynamics import coeff_rows, state_scale
     from .gaussian_core import (
         CorrelationMatrix4,
         CovMatrix2,
@@ -406,20 +410,25 @@ def _run_gates(couplings: Couplings, nbar_values):
     )
     yield _verdict("couplings-consistency", rel, floor)
 
-    # 2. RK4 oracle vs closed form over the certifiable window
-    t_max = min(t_period, 30.0 / couplings.parametric)
-    ts = np.linspace(0.0, t_max, 201)[1:]
-    dt = 2e-3 / couplings.beam_splitter  # the fastest rate, whatever r is
+    # 2. the closed forms start at the initial state, exactly, and their
+    #    slopes oscillation dy/dx match the ODE's f(y), relative to the
+    #    fastest rate and the state, over one period, at both peak times and
+    #    at 41 times within 5/r in x of the heterodyne peak (pi at most, so
+    #    no time is negative)
+    grid = np.linspace(0.0, t_period, 101)
+    t_het, t_no_het = (protocol._peak(couplings, h)[0] for h in (True, False))
+    half_width = min(5.0 * couplings.oscillation / couplings.parametric, math.pi)
+    near_peak = t_het + np.linspace(-half_width, half_width, 41) / couplings.oscillation
+    ode_times = np.concatenate([grid, [t_het, t_no_het], near_peak])
+    p, b = couplings.parametric, couplings.beam_splitter
     worst = 0.0
-    for nbar in nbar_values[:2]:
-        try:
-            ode = dynamics.coeffs_ode(couplings, nbar, ts, dt, doubling_tol=1e-9)
-        except IntegrationError:
+    for nbar in nbar_values:
+        y = coeff_rows(dynamics.coeffs_analytic(couplings, nbar, ode_times))
+        if not np.array_equal(y[0], [0.0, nbar, 0.0, 0.0, 0.0, 0.0]):
             worst = math.inf
-            break
-        # RK4 carries the rounding of the largest state it has passed through.
-        a = coeff_rows(dynamics.coeffs_analytic(couplings, nbar, ts))
-        worst = max(worst, np.max(np.abs(a - coeff_rows(ode)) / carried_scale(a)))
+        slopes = couplings.oscillation * dynamics._moment_slopes(couplings, nbar, ode_times)
+        residual = np.abs(slopes - dynamics._moment_derivatives(y.T, p, b).T)
+        worst = max(worst, np.max(residual / (max(p, b) * state_scale(y))))
     yield _verdict("ode-vs-analytic", worst)
 
     # 3. propagator structure: the metric of each, the group law on 50 pairs,
@@ -438,7 +447,6 @@ def _run_gates(couplings: Couplings, nbar_values):
     # 4. conditioned-state physicality, relative to max(1, |G|max) as in
     #    protocol.conditional_correlation's own guard; gate 7 reuses these
     #    channel matrices and gate 5's n_eff
-    grid = np.linspace(0.0, t_period, 101)
     analytic = [dynamics.coeffs_analytic(couplings, nbar, grid) for nbar in nbar_values]
     mats = np.stack([protocol.conditional_matrices(g) for g in analytic])
     defects = physicality_defect(CorrelationMatrix4(mats))

@@ -14,9 +14,5 @@ class ConsistencyError(RuntimeError):
     """
 
 
-class IntegrationError(RuntimeError):
-    """The ODE integrator could not certify its result via step doubling."""
-
-
 class ConfigError(ValueError):
     """A run configuration file is missing fields or holds invalid values."""

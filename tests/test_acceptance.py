@@ -170,7 +170,7 @@ def test_criterion_8_oracle_equivalence(gates, moderate):
         rhs = _moment_derivatives(vec(t), moderate.parametric, moderate.beam_splitter)
         worst_res = max(worst_res, float(np.abs(lhs - rhs).max()))
     _report(
-        "criterion-8 oracle equivalence (RK4, moment route, finite differences)",
+        "criterion-8 oracle equivalence (ODE residual, moment route, finite differences)",
         ok_gates and worst_res <= 1e-6,
         f"{detail}, max ODE residual = {worst_res:.2e}",
     )

@@ -30,10 +30,11 @@ from mirror_teleport import (
     period,
     physicality_defect,
     propagator,
+    replace,
     symplectic_defect,
     teleport_covariance,
 )
-from mirror_teleport import _csvtext, cli, protocol
+from mirror_teleport import _csvtext, cli, dynamics, protocol
 from mirror_teleport.cli import (
     _run_gates,
     _scaled_gap,
@@ -900,9 +901,16 @@ def test_verify_passes_on_bundled_config(tmp_path, capsys):
 
 
 def test_verify_fails_on_corrupted_couplings(tmp_path, monkeypatch):
-    # A gate that fails makes verify exit 2: here the RK4 oracle, whose
-    # bundled defect is about 2e-12, held to 1e-13.
-    monkeypatch.setitem(cli.TOLERANCES, "ode-vs-analytic", 1e-13)
+    # A gate that fails makes verify exit 2: here the ODE residual, which a
+    # closed form off by 1e-7 relative breaks by about that much, held to its
+    # own 1e-8.
+    closed = dynamics.coeffs_analytic
+
+    def corrupted(couplings, nbar, time):
+        g = closed(couplings, nbar, time)
+        return replace(g, stokes_anti=g.stokes_anti * (1.0 + 1e-7))
+
+    monkeypatch.setattr(dynamics, "coeffs_analytic", corrupted)
     rc = main(["--out", str(tmp_path), "verify"])
     assert rc == 2
     text = (tmp_path / "verify.txt").read_text()
@@ -948,11 +956,10 @@ def test_fidelity_identity_gate_fails_on_a_raised_n_eff(tmp_path, monkeypatch):
 def test_verify_passes_on_exact_propagators(tmp_path, bench_json, overrides):
     # Near a revival M(t1 + t2) ~ I while the factors of M(t1) M(t2) are
     # ~r^2: the group gate must scale its residual by the factors.  At
-    # 1.96e15 r ~ 0.1, where the RK4 step must follow beam_splitter.  At
-    # 5.27e13 (r ~ 4.3) the RK4 window ends near the revival, after the
-    # ~r^4 excursion whose rounding the RK4 state still carries.  The last
-    # two make rates so small that their squares underflow: the propagator
-    # must be built from the rate ratios.  At r = 5000 and 3.7e4 (laser
+    # 1.96e15 (r ~ 0.1) the ODE gate's times around the peak span pi in x,
+    # its cap, and at 5.27e13 (r ~ 4.3) they span 5/r.  The last two make
+    # rates so small that their squares underflow: the propagator must be
+    # built from the rate ratios.  At r = 5000 and 3.7e4 (laser
     # 2e15 rad/s) the n_eff gate's coefficient route rounds its ~r^4-sized
     # terms to a negative n_eff, which its guard must take as rounding; at
     # nbar 1e250 that route must not square its ~nbar r^2 terms.
@@ -962,10 +969,9 @@ def test_verify_passes_on_exact_propagators(tmp_path, bench_json, overrides):
 
 
 def test_verify_passes_at_moderate_nbar(tmp_path, bench_json):
-    # r ~ 1.4: mirror_anti ~ sin x passes through zero inside the RK4 window,
-    # so the RK4 gate must scale its error, ~nbar, by the state, not by
-    # each coefficient.  At r ~ 10 the state shrinks after its excursion,
-    # so the scale must be the largest state carried so far.
+    # r ~ 1.4 and r ~ 10 at large nbar: mirror_anti ~ sin x passes through
+    # zero, so a gate must scale its error, ~nbar, by the state, not by each
+    # coefficient.
     for mirror_freq, nbar in [(4e14, 1e4), (9.95e12, 1e8)]:
         bench_json.update({"mirror_freq_rad_per_s": mirror_freq, "nbar_values": [nbar]})
         cfg = _write_config(tmp_path, bench_json)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from mirror_teleport import (
     DomainError,
-    IntegrationError,
     coeffs_analytic,
     coeffs_from_propagator,
-    coeffs_ode,
     fidelity_coherent,
     fidelity_curves,
     period,
@@ -18,12 +16,7 @@ from mirror_teleport import (
     replace,
     symplectic_defect,
 )
-from mirror_teleport.dynamics import (
-    _generator,
-    _moment_derivatives,
-    _rk4_increment,
-    _rk4_integrate,
-)
+from mirror_teleport.dynamics import _moment_derivatives
 
 from conftest import COEFF_FIELDS, rate_pairs
 
@@ -172,126 +165,15 @@ def test_closed_form_satisfies_moment_odes(moderate):
         assert np.abs(lhs - rhs).max() < 1e-6
 
 
-def test_rk4_matches_closed_form(moderate):
-    ts = np.linspace(0.0, period(moderate), 101)[1:]
-    for nbar in (0.0, 10.0):
-        ode = coeffs_ode(moderate, nbar, ts, dt_max=1e-4)
-        ana = coeffs_analytic(moderate, nbar, ts)
-        for f in COEFF_FIELDS:
-            assert np.abs(
-                np.asarray(getattr(ode, f)) - np.asarray(getattr(ana, f))
-            ).max() < 1e-9
-
-
-def test_rk4_scalar_time(moderate):
-    g = coeffs_ode(moderate, 1.0, 0.3, dt_max=1e-4)
-    ana = coeffs_analytic(moderate, 1.0, 0.3)
-    assert _vector(g) == pytest.approx(_vector(ana), abs=1e-10)
-
-
-def test_rk4_output_is_conditioned_from_its_own_values(moderate):
-    # The oracle's coefficients carry no couplings, so conditioning reads
-    # them rather than the closed forms: corrupting one must change F.
-    g = coeffs_ode(moderate, 1.0, 0.3, dt_max=1e-4)
+def test_propagator_route_is_conditioned_from_its_own_values(moderate):
+    # The moment route's coefficients carry no couplings, so conditioning
+    # reads them rather than the closed forms: corrupting one must change F.
+    g = coeffs_from_propagator(propagator(moderate, 0.3), 1.0)
+    assert g.couplings is None
     closed = fidelity_coherent(coeffs_analytic(moderate, 1.0, 0.3))
     assert fidelity_coherent(g) == pytest.approx(closed, rel=1e-12)
     corrupted = replace(g, stokes_n=g.stokes_n + 100.0)
     assert fidelity_coherent(corrupted) < 0.1
-
-
-def test_rk4_step_doubling_guards_against_coarse_steps(moderate):
-    with pytest.raises(IntegrationError):
-        coeffs_ode(moderate, 0.0, period(moderate), dt_max=0.3)
-
-
-def test_rk4_step_doubling_guards_steps_longer_than_the_spacing(moderate):
-    # Every interval (0.014) is shorter than dt_max, so the full run takes
-    # one short step h there: the half run must take two of h/2, or the two
-    # runs agree exactly while the result is 1e-6 from the closed form.
-    ts = np.linspace(0.0, period(moderate), 201)[1:]
-    with pytest.raises(IntegrationError):
-        coeffs_ode(moderate, 0.0, ts, dt_max=1.0)
-
-
-def test_rk4_certifies_stiff_regime_window(bench_couplings):
-    # Near-degenerate rates: certification only over a short window, with
-    # the defect scaled by the coefficient size (entries reach ~1e8 here).
-    c = bench_couplings
-    ts = np.linspace(0.0, 30.0 / c.parametric, 51)[1:]
-    ode = coeffs_ode(c, 1.0, ts, dt_max=2e-3 / c.parametric, doubling_tol=1e-9)
-    ana = coeffs_analytic(c, 1.0, ts)
-    for f in COEFF_FIELDS:
-        a = np.asarray(getattr(ana, f))
-        o = np.asarray(getattr(ode, f))
-        assert np.max(np.abs(a - o) / np.maximum(1.0, np.abs(a))) < 1e-8
-
-
-@pytest.mark.parametrize("fixture, hp", [("moderate", 0.3), ("bench_couplings", 2e-3)])
-def test_rk4_matrix_step_is_the_classic_step(request, fixture, hp):
-    # One step z + D(h) z on z = (y, 1) against the four-stage RK4 formula,
-    # for the full step h = hp/parametric and a short final step.
-    c = request.getfixturevalue(fixture)
-    p, b = c.parametric, c.beam_splitter
-    a = _generator(p, b)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        y = rng.normal(size=6) * 10.0 ** rng.uniform(0.0, 8.0, size=6)
-        scale = max(1.0, np.abs(y).max())
-        assert np.abs(
-            _moment_derivatives(y, p, b) - (a[:6, :6] @ y + a[:6, 6])
-        ).max() <= 1e-14 * scale * max(p, b)
-        for h in (hp / p, 0.37 * hp / p):
-            k1 = _moment_derivatives(y, p, b)
-            k2 = _moment_derivatives(y + 0.5 * h * k1, p, b)
-            k3 = _moment_derivatives(y + 0.5 * h * k2, p, b)
-            k4 = _moment_derivatives(y + h * k3, p, b)
-            classic = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            z = np.append(y, 1.0)
-            step = z + _rk4_increment(a, h) @ z
-            assert step[6] == 1.0
-            assert np.abs(step[:6] - classic).max() <= 1e-14 * scale
-
-
-def _rk4_stepwise(c, nbar, times, dt_max):
-    """Reference for _rk4_integrate: one z + D(h) z product per RK4 step."""
-    a = _generator(c.parametric, c.beam_splitter)
-    d_max = _rk4_increment(a, dt_max)
-    z = np.zeros(7)
-    z[1] = nbar
-    z[6] = 1.0
-    out = np.empty((len(times), 6))
-    t = 0.0
-    for i, target in enumerate(times):
-        while target - t > 1e-15 * target:
-            h = min(dt_max, target - t)
-            d = d_max if h == dt_max else _rk4_increment(a, h)
-            z += d.dot(z)
-            t += h
-        out[i] = z[:6]
-    return out
-
-
-@pytest.mark.parametrize("times", ["uniform", "ascending", "scalar"])
-@pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
-def test_rk4_interval_increments_match_stepwise(request, fixture, times):
-    # Ascending random times (one of them repeated) give many distinct step
-    # counts per interval.  Each time is compared relative to its largest
-    # moment: single entries can be orders of magnitude smaller, and the
-    # stepwise loop's rounding is relative to the whole state.
-    c = request.getfixturevalue(fixture)
-    t_max = min(period(c), 30.0 / c.parametric)
-    rng = np.random.default_rng(3)
-    ts = {
-        "uniform": np.linspace(0.0, t_max, 201)[1:],
-        "ascending": np.sort(np.repeat(rng.uniform(0.0, t_max, 30), [2] + [1] * 29)),
-        "scalar": np.array([0.37 * t_max]),
-    }[times]
-    dt = 2e-3 / c.parametric
-    for nbar in (0.0, 1.0, 10.0):
-        ref = _rk4_stepwise(c, nbar, ts, dt)
-        new = _rk4_integrate(c, nbar, ts, dt)
-        scale = np.maximum(1.0, np.abs(ref).max(axis=1))
-        assert np.max(np.abs(new - ref).max(axis=1) / scale) < 1e-10
 
 
 # Coefficients and fidelity at the fidelity peak t* of the bundled config,
@@ -354,13 +236,6 @@ def test_invalid_inputs(moderate):
         coeffs_analytic(moderate, -0.5, 1.0)
     with pytest.raises(DomainError):
         coeffs_analytic(moderate, 1.0, -1.0)
-    with pytest.raises(DomainError):
-        coeffs_ode(moderate, 1.0, [0.2, 0.1], dt_max=1e-3)
-    with pytest.raises(DomainError):
-        coeffs_ode(moderate, 1.0, 0.5, dt_max=0.0)
-    for bad_time in (-0.5, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            coeffs_ode(moderate, 1.0, [bad_time, 1.0], dt_max=1e-3)
     # The closed forms reject a time they cannot evaluate; the propagator
     # takes negative times (M(-t) inverts M(t)), but no NaN or infinity.
     for bad_time in (math.nan, math.inf, -math.inf):

@@ -24,8 +24,10 @@ A table reaches the writer as a function ``chunk(i)`` that returns its
 rows i * ``_BLOCK_ROWS`` up to the next chunk, each chunk cut into blocks.
 ``curve`` computes its columns, times included, one chunk at a time, so it
 never holds a full-length array: the peak of numpy's buffers is about
-3.8 MB at any ``--grid`` from 40,000 up, most of it this writer's work
-arrays.  A table of two or more chunks, in a process that may run on two
+3.0 MB at any ``--grid`` from 40,000 up (2.96 MB at 200,000, 2.72 MB at
+1,000,000), most of it this writer's work arrays, which share one buffer
+across their lifetimes (see :class:`_Work`); 4.19 MB when each had its
+own.  A table of two or more chunks, in a process that may run on two
 or more CPUs (``os.sched_getaffinity``) and has ``os.fork``, is shared
 with one forked worker: it computes and formats the odd chunks and sends
 their text down a pipe, and the writer formats the even ones and writes
@@ -194,17 +196,30 @@ def _word_table():
 
 class _Work:
     """Work arrays for blocks of up to ``rows`` rows of ``cols`` cells, made
-    once per table; each block uses their first rows."""
+    once per table; each block uses their first rows.
+
+    ``words`` holds five intp words a cell.  A block of n rows uses its
+    first n * cols * 5 words, as five (n, cols) planes: the stacked block x,
+    the float scratch y, m and tmp, and the exponents k.  Viewed as
+    (n, cols, 5), the same memory is the word indices ``idx``.  Sharing it
+    is safe because :func:`_format_block` reads x, y, m, tmp and k for the
+    last time before it writes ``idx``, and formats the fallback cells from
+    x before that.  The writer then takes 104 bytes a cell, not 144.
+    """
 
     def __init__(self, rows: int, cols: int):
-        self.x = np.empty((rows, cols))
+        self.cols = cols
+        self.words = np.empty(rows * cols * 5, np.intp)
         self.fast = np.empty((rows, cols), bool)
         self.masks = np.empty((3, rows, cols), bool)
-        self.k = np.empty((rows, cols), np.intp)
-        self.floats = np.empty((3, rows, cols))
         self.groups = np.empty((5, rows, cols))
-        self.idx = np.empty((rows, cols, 5), np.intp)
         self.buf = bytearray(rows * cols * _SLOT)
+
+    def planes(self, n: int):
+        """A block of ``n`` rows' planes x, y, m and tmp, stacked as float64,
+        and k."""
+        planes = self.words[: n * self.cols * 5].reshape(5, n, self.cols)
+        return planes[:4].view(np.float64), planes[4]
 
 
 def _format_block(x: np.ndarray, w: _Work) -> bytes:
@@ -212,14 +227,16 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
 
     Every array operation writes into the work arrays ``w``: with a fresh
     set of temporaries per block, about 5 MB, the time to write a large
-    table depended on the state of the allocator.
+    table depended on the state of the allocator.  ``x`` may be the x plane
+    of ``w`` for its rows.
     """
     words = _word_table()
     n = len(x)
-    fast, k, idx = w.fast[:n], w.k[:n], w.idx[:n]
+    fast = w.fast[:n]
     masks = w.masks[:, :n]
     a = masks[0]
-    floats = w.floats[:, :n]
+    planes, k = w.planes(n)
+    floats = planes[1:]
     y, m, tmp = floats
     g = w.groups[:, :n]
     low = g[0]
@@ -241,6 +258,11 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     y -= m
     fast &= np.less(np.abs(y, out=y), 0.4998, out=a)
     slow = np.flatnonzero(np.logical_not(fast, out=a))
+    # The fallback cells' text, read from x while no word index has
+    # overwritten it.
+    text = b"".join(
+        ("%.12g" % v).encode().ljust(_SLOT - 1, b"\0") for v in x.ravel()[slow].tolist()
+    )
     # The fallback cells take the digits of 1 so that no index leaves a table.
     np.copyto(m, 1e11, where=a)
     np.copyto(k, 11, where=a)
@@ -267,6 +289,8 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     g += _BASE
     g[4] += _FIFTH.take(k, out=tmp, mode="clip")
     low[:, 0] += _AT["newline"] - _AT["comma"]
+    # The planes are dead from here on: their memory becomes the indices.
+    idx = w.words[: n * w.cols * 5].reshape(n, w.cols, 5)
     for i, group in enumerate(g):
         np.copyto(idx[..., i], group, casting="unsafe")
 
@@ -274,9 +298,6 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     cells = np.frombuffer(w.buf, np.uint8, size).reshape(-1, _SLOT)
     words.take(idx, out=cells.view(np.uint32).reshape(idx.shape), mode="clip")
     if slow.size:
-        text = b"".join(
-            ("%.12g" % v).encode().ljust(_SLOT - 1, b"\0") for v in x.ravel()[slow].tolist()
-        )
         cells[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT - 1)
     block = w.buf if size == len(w.buf) else w.buf[:size]
     return block.translate(None, b"\0")
@@ -286,10 +307,10 @@ def _block_rows(rows: int) -> int:
     """Rows per block for a table of ``rows`` rows: an eighth of them, but at
     least 256 and at most ``_BLOCK_ROWS``.
 
-    The work arrays take 144 bytes a cell.  For a table its caller holds
-    whole, blocks of an eighth of its rows keep them to about twice the
+    The work arrays take 104 bytes a cell.  For a table its caller holds
+    whole, blocks of an eighth of its rows keep them to about 1.6 times the
     table's own floats.  From 32,768 rows on a block is ``_BLOCK_ROWS``
-    rows, about 3 MB of work arrays at 5 columns, and as ``curve`` streams
+    rows, about 2.1 MB of work arrays at 5 columns, and as ``curve`` streams
     such a table in chunks of ``_BLOCK_ROWS`` rows, each chunk is one block
     and the work arrays are most of what it holds at once.  Each block also
     costs about 65 us of numpy calls, about the time its cells take at 256
@@ -328,7 +349,8 @@ def write_blocks(fh, header: str, rows: int, chunk) -> None:
             w = _Work(min(step, rows), len(columns))
         for lo in range(0, n, step):
             part = [c[lo : lo + step] for c in columns]
-            yield _format_block(np.stack(part, axis=1, out=w.x[: len(part[0])]), w)
+            x = w.planes(len(part[0]))[0][0]  # the x plane, which idx reuses
+            yield _format_block(np.stack(part, axis=1, out=x), w)
 
     fh.write(header.encode("latin1"))
     pid, pipe = _fork(count, formatted)
@@ -337,8 +359,8 @@ def write_blocks(fh, header: str, rows: int, chunk) -> None:
             if pipe is not None and i % 2:
                 fh.write(_receive(pipe, i))
             else:
-                for block in formatted(i):
-                    fh.write(block)
+                # No block is held while the next is formatted.
+                fh.writelines(formatted(i))
     finally:
         if pipe is not None:
             pipe.close()
@@ -412,6 +434,7 @@ def _fork(count: int, formatted):
                 pipe.write(_PREFIX.pack(sum(map(len, blocks))))
                 pipe.writelines(blocks)
                 pipe.flush()
+                del blocks  # not held while the next chunk is formatted
     finally:
         os._exit(0)
 

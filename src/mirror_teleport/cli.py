@@ -387,9 +387,11 @@ def _run_gates(couplings: Couplings, nbar_values):
     moment ODE: it is linear, so forms that start at its initial state and
     whose slopes match its right-hand side at every time are its solution,
     and the gate checks both for every nbar, the fidelity peaks included.
-    Gates 4 and 7 call ``physicality_defect`` and
-    ``teleport_covariance`` on one stack of the channel's matrices over every
-    time and nbar; gate 5 compares two routes to n_eff.
+    Gates 3-7 reach the peaks too: gate 3 adds both peak times to its own,
+    and gates 4-7 take gate 2's times and closed forms.  Gates 4 and 7 call
+    ``physicality_defect`` and ``teleport_covariance`` on one stack of the
+    channel's matrices over every time and nbar; gate 5 compares two routes
+    to n_eff.
     """
     import numpy as np
 
@@ -420,10 +422,11 @@ def _run_gates(couplings: Couplings, nbar_values):
     half_width = min(5.0 * couplings.oscillation / couplings.parametric, math.pi)
     near_peak = t_het + np.linspace(-half_width, half_width, 41) / couplings.oscillation
     ode_times = np.concatenate([grid, [t_het, t_no_het], near_peak])
+    analytic = [dynamics.coeffs_analytic(couplings, nbar, ode_times) for nbar in nbar_values]
     p, b = couplings.parametric, couplings.beam_splitter
     worst = 0.0
-    for nbar in nbar_values:
-        y = coeff_rows(dynamics.coeffs_analytic(couplings, nbar, ode_times))
+    for nbar, g in zip(nbar_values, analytic):
+        y = coeff_rows(g)
         if not np.array_equal(y[0], [0.0, nbar, 0.0, 0.0, 0.0, 0.0]):
             worst = math.inf
         slopes = couplings.oscillation * dynamics._moment_slopes(couplings, nbar, ode_times)
@@ -431,23 +434,25 @@ def _run_gates(couplings: Couplings, nbar_values):
         worst = max(worst, np.max(residual / (max(p, b) * state_scale(y))))
     yield _verdict("ode-vs-analytic", worst)
 
-    # 3. propagator structure: the metric of each, the group law on 50 pairs,
-    #    at 100 times of a golden-ratio sequence, which fills [0, T) evenly
-    times = t_period * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
+    # 3. propagator structure: the metric of each, the group law on 51 pairs,
+    #    at 100 times of a golden-ratio sequence, which fills [0, T) evenly,
+    #    and both peak times
+    golden = t_period * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
+    times = np.append(golden, [t_het, t_no_het])
     props = dynamics.propagator(couplings, times)
     yield _verdict("propagator-metric", symplectic_defect(props).max())
     # The residual is a product, so its float64 floor scales with the sizes of
     # the factors; M(t1 + t2) ~ I near a revival even where they are ~r^2.
-    m1, m2 = props.matrix[:50], props.matrix[50:]
-    m12 = dynamics.propagator(couplings, times[:50] + times[50:]).matrix
+    half = len(times) // 2
+    m1, m2 = props.matrix[:half], props.matrix[half:]
+    m12 = dynamics.propagator(couplings, times[:half] + times[half:]).matrix
     size = np.maximum(1.0, np.abs(props.matrix).max(axis=(-2, -1)))
-    group = np.abs(m12 - m1 @ m2).max(axis=(-2, -1)) / (size[:50] * size[50:])
+    group = np.abs(m12 - m1 @ m2).max(axis=(-2, -1)) / (size[:half] * size[half:])
     yield _verdict("propagator-group", group.max())
 
-    # 4. conditioned-state physicality, relative to max(1, |G|max) as in
-    #    protocol.conditional_correlation's own guard; gate 7 reuses these
-    #    channel matrices and gate 5's n_eff
-    analytic = [dynamics.coeffs_analytic(couplings, nbar, grid) for nbar in nbar_values]
+    # 4. conditioned-state physicality at gate 2's times, relative to
+    #    max(1, |G|max) as in protocol.conditional_correlation's own guard;
+    #    gate 7 reuses these channel matrices and gate 5's n_eff
     mats = np.stack([protocol.conditional_matrices(g) for g in analytic])
     defects = physicality_defect(CorrelationMatrix4(mats))
     scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
@@ -455,7 +460,7 @@ def _run_gates(couplings: Couplings, nbar_values):
 
     # 5. n_eff through the coefficient route, from the propagator's moments,
     #    against the factored n_eff, relative to the state
-    props = dynamics.propagator(couplings, grid)
+    props = dynamics.propagator(couplings, ode_times)
     moments = [dynamics.coeffs_from_propagator(props, nbar) for nbar in nbar_values]
     n_effs = np.stack([protocol.effective_occupation(g) for g in analytic])
     worst_fid = 0.0
@@ -469,12 +474,14 @@ def _run_gates(couplings: Couplings, nbar_values):
     yield _verdict("moment-route", worst_mom)
 
     # 7. teleporting the vacuum adds n_eff, in X and in P, at every tenth
-    #    time of the grid; each row is bit for bit that of its time alone,
+    #    time of the grid, both peak times and every time near the
+    #    heterodyne peak; each row is bit for bit that of its time alone,
     #    and gate 4 checks those channels' physicality
+    teleported = np.r_[0 : len(grid) : 10, len(grid) : len(ode_times)]
     gin = CovMatrix2.vacuum()
-    out = protocol.teleport_covariance(CorrelationMatrix4(mats[:, ::10]), gin).matrix
+    out = protocol.teleport_covariance(CorrelationMatrix4(mats[:, teleported]), gin).matrix
     added = out.diagonal(0, -2, -1) - gin.matrix.diagonal()
-    n = n_effs[:, ::10, None]
+    n = n_effs[:, teleported, None]
     yield _verdict("teleport-noise", np.max(np.abs(added - n) / np.maximum(1.0, n)))
 
 

@@ -43,7 +43,7 @@ from mirror_teleport.cli import (
     main,
 )
 
-from conftest import NBAR_SET
+from conftest import NBAR_SET, assert_reaches_the_peaks, peak_times
 
 
 @pytest.fixture()
@@ -1015,19 +1015,11 @@ def test_physicality_gate_holds_at_large_nbar(bench_couplings, rates, nbar):
     assert ok, (defect, tolerance)
 
 
-def _peak_times(c):
-    """The closed-form heterodyne and heterodyne-free peak times, and the 41
-    times within min(5/r, pi) in x of the first, with that half-width."""
-    t_het, t_no_het = protocol._peak(c, True)[0], protocol._peak(c, False)[0]
-    half_width = min(5.0 * c.oscillation / c.parametric, math.pi)
-    near = t_het + np.linspace(-half_width, half_width, 41) / c.oscillation
-    return t_het, t_no_het, near, half_width
-
-
 def _gate_times(c):
     """Gate 2's times, which gates 4-7 share: one period's 101-point grid,
-    both peak times and the 41 times near the heterodyne peak."""
-    t_het, t_no_het, near, _ = _peak_times(c)
+    both peak times and 41 times near the heterodyne peak."""
+    t_het, t_no_het, half_width = peak_times(c)
+    near = t_het + np.linspace(-half_width, half_width, 41) / c.oscillation
     return np.concatenate([np.linspace(0.0, period(c), 101), [t_het, t_no_het], near])
 
 
@@ -1050,19 +1042,12 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
 
         monkeypatch.setattr(module, name, recorded)
     assert all(ok for *_, ok in _run_gates(c, NBAR_SET))
-    t_het, t_no_het, _, half_width = _peak_times(c)
     group, _, moments = (np.asarray(args[1]) for args in calls["propagator"])
     assert len(group) == 102
-    assert np.array_equal(group[100:], [t_het, t_no_het])
+    assert np.array_equal(group[100:], peak_times(c)[:2])
     assert len(calls["coeffs_analytic"]) == len(NBAR_SET)
     for times in [moments] + [np.asarray(args[2]) for args in calls["coeffs_analytic"]]:
-        assert times[0] == 0.0
-        assert t_het in times and t_no_het in times
-        offsets = np.unique(c.oscillation * (times - t_het))
-        near = offsets[np.abs(offsets) <= half_width * (1.0 + 1e-9)]
-        assert len(near) >= 41
-        assert near.min() == pytest.approx(-half_width)
-        assert near.max() == pytest.approx(half_width)
+        assert_reaches_the_peaks(c, times)
     ((channel, _),) = calls["teleport_covariance"]
     assert channel.matrix.shape == (len(NBAR_SET), 11 + 2 + 41, 4, 4)
 
@@ -1110,7 +1095,7 @@ def test_propagator_gates_are_the_per_time_loops(request, fixture):
     # from the array one by an ulp (numpy's scalar x**2), which moves a
     # scaled gap by at most about eps.
     c = request.getfixturevalue(fixture)
-    t_het, t_no_het, *_ = _peak_times(c)
+    t_het, t_no_het, _ = peak_times(c)
     golden = period(c) * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
     props = [propagator(c, t) for t in [*golden, t_het, t_no_het]]
     group = 0.0

@@ -15,11 +15,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirror_teleport import dynamics, protocol, replace
+from mirror_teleport import dynamics, replace
 from mirror_teleport.cli import _run_gates
 from mirror_teleport.dynamics import _moment_derivatives, _moment_slopes
 
-from conftest import COEFF_FIELDS, NBAR_SET, rate_pairs
+from conftest import COEFF_FIELDS, NBAR_SET, assert_reaches_the_peaks, rate_pairs
 
 # In units of the oscillation rate: x = oscillation*t, parametric = r and
 # beam_splitter = q = sqrt(1 + r^2), since oscillation^2 = b^2 - p^2.
@@ -107,16 +107,8 @@ def test_ode_gate_reaches_the_peaks_for_every_nbar(request, monkeypatch, fixture
     monkeypatch.setattr(dynamics, "_moment_slopes", recorded)
     _ode_gate(c, NBAR_SET)
     assert [n for n, _ in calls] == list(NBAR_SET)
-    t_het, t_no_het = protocol._peak(c, True)[0], protocol._peak(c, False)[0]
-    half_width = min(5.0 * c.oscillation / c.parametric, math.pi)
     for _, times in calls:
-        assert times[0] == 0.0
-        assert t_het in times and t_no_het in times
-        offsets = np.unique(c.oscillation * (times - t_het))
-        near = offsets[np.abs(offsets) <= half_width * (1.0 + 1e-9)]
-        assert len(near) >= 41
-        assert near.min() == pytest.approx(-half_width)
-        assert near.max() == pytest.approx(half_width)
+        assert_reaches_the_peaks(c, times)
 
 
 @pytest.mark.parametrize("field", COEFF_FIELDS)

@@ -20,9 +20,9 @@ than about 159 periods.  A cell the arithmetic leaves to Python fits the 19
 bytes after the separator: the longest ``%.12g`` text,
 ``-1.23456789012e-100``, is 19 bytes.
 
-A table reaches the writer as a function ``chunk(i)`` that returns its
-rows i * ``_BLOCK_ROWS`` up to the next chunk, each chunk cut into blocks.
-``curve`` computes its columns, times included, one chunk at a time, so it
+The writer alone cuts a table into chunks of up to ``_BLOCK_ROWS`` rows,
+and each chunk into blocks: it asks its caller's ``columns(lo, hi)`` for
+rows lo up to hi.  ``curve`` computes those rows, times included, so it
 never holds a full-length array: the peak of numpy's buffers is about
 3.0 MB at any ``--grid`` from 40,000 up (2.96 MB at 200,000, 2.72 MB at
 1,000,000), most of it this writer's work arrays, which share one buffer
@@ -36,9 +36,9 @@ takes about 0.09 s instead of 0.13 s (wall medians of 12 runs in one
 process, a 2-core host).  The worker shares its parent's pages until one
 of them writes a page; its own pages come to about 6.3 MB and its peak
 resident set to about 27 MB, so the larger of the two processes' peaks,
-which is what a run's peak measures, is the parent's.  ``write_csv``
-deletes its file when anything raises part way, so a table that fails to
-compute, in either process, leaves no truncated ``curve.csv``.
+which is what a run's peak measures, is the parent's.  The writer
+computes any chunk the worker did not send, so a chunk that fails raises
+the same exception at the same row as with one process.
 
 The fast path is exact only when it can prove that rint(y), for the
 computed y = x * 10**k, is the digit string ``%.12g`` rounds the exact
@@ -84,7 +84,6 @@ import functools
 import itertools
 import math
 import os
-import pickle
 import struct
 
 import numpy as np
@@ -319,21 +318,23 @@ def _block_rows(rows: int) -> int:
     return min(_BLOCK_ROWS, max(256, rows // 8))
 
 
-def write_blocks(fh, header: str, rows: int, chunk) -> None:
+def write_blocks(fh, header: str, rows: int, columns) -> None:
     """Write a float table of ``rows`` rows under ``header`` to the binary
     file ``fh``.
 
-    ``chunk(i)`` returns rows i * ``_BLOCK_ROWS`` up to the next chunk's
-    first row as a list of equal-length column slices.  Blocks are cut from
-    each chunk, so a chunk's rows never share a block with the next chunk's.
-    Raises ValueError if a chunk holds another number of rows.
+    ``columns(lo, hi)`` returns rows lo up to hi as a list of equal-length
+    column slices; the writer asks for chunks of up to ``_BLOCK_ROWS`` rows
+    and cuts blocks from each, so a chunk's rows never share a block with
+    the next chunk's.  Raises ValueError if a chunk holds
+    another number of rows.
 
     A table of two or more chunks, on a host that lets this process run on
     two or more CPUs, is shared with one forked worker (see :func:`_fork`):
     it computes and formats the odd chunks, and this process the even ones
-    and every write, in row order.  A chunk that raises in the worker raises
-    here when its turn comes, so a failure surfaces at the same row, with
-    the same exception, as with one process.
+    and every write, in row order.  Should the worker stop before it sends
+    a chunk, because computing it raised or it was killed, this process
+    computes that chunk and the rest, so a failure surfaces at the same
+    row, with the same exception, as with one process.
     """
     count = -(-rows // _BLOCK_ROWS)
     step = _block_rows(rows)
@@ -341,14 +342,15 @@ def write_blocks(fh, header: str, rows: int, chunk) -> None:
 
     def formatted(i):
         nonlocal w
-        columns = chunk(i)
-        n = min(_BLOCK_ROWS, rows - i * _BLOCK_ROWS)
-        if len(columns[0]) != n:
-            raise ValueError(f"chunk {i} holds {len(columns[0])} rows, not {n}")
+        lo = i * _BLOCK_ROWS
+        hi = min(lo + _BLOCK_ROWS, rows)
+        chunk = columns(lo, hi)
+        if len(chunk[0]) != hi - lo:
+            raise ValueError(f"chunk {i} holds {len(chunk[0])} rows, not {hi - lo}")
         if w is None:
-            w = _Work(min(step, rows), len(columns))
-        for lo in range(0, n, step):
-            part = [c[lo : lo + step] for c in columns]
+            w = _Work(min(step, rows), len(chunk))
+        for start in range(0, hi - lo, step):
+            part = [c[start : start + step] for c in chunk]
             x = w.planes(len(part[0]))[0][0]  # the x plane, which idx reuses
             yield _format_block(np.stack(part, axis=1, out=x), w)
 
@@ -357,10 +359,17 @@ def write_blocks(fh, header: str, rows: int, chunk) -> None:
     try:
         for i in range(count):
             if pipe is not None and i % 2:
-                fh.write(_receive(pipe, i))
-            else:
-                # No block is held while the next is formatted.
-                fh.writelines(formatted(i))
+                text = _receive(pipe)
+                if text is not None:
+                    fh.write(text)
+                    del text  # not held while the next chunk is formatted
+                    continue
+                # The worker stopped: this process takes over from chunk i.
+                pipe.close()
+                pipe = None
+                os.waitpid(pid, 0)
+            # No block is held while the next is formatted.
+            fh.writelines(formatted(i))
     finally:
         if pipe is not None:
             pipe.close()
@@ -368,9 +377,8 @@ def write_blocks(fh, header: str, rows: int, chunk) -> None:
     fh.write(b"\n")
 
 
-#: The length prefix of a worker's message: the length of a chunk's text,
-#: or minus that of the pickled exception its chunk raised.
-_PREFIX = struct.Struct("<q")
+#: The length prefix of a chunk's text in the worker's pipe.
+_PREFIX = struct.Struct("<Q")
 
 #: The worker's pipe buffer: the most an unprivileged process may ask of
 #: Linux by default (``/proc/sys/fs/pipe-max-size``).  Kernel memory, not
@@ -385,15 +393,15 @@ def _fork(count: int, formatted):
     CPU or has no ``os.fork`` or ``os.sched_getaffinity``, and the caller
     formats every chunk.
 
-    The worker sends each chunk's text, or the exception computing it
-    raised, down the pipe, and stops at its first exception.  Its body is
-    one ``try``/``finally`` that ends in ``os._exit``: it never returns
-    into its caller's frames, never flushes or closes a file its parent has
-    open, and runs no ``atexit`` hook.  A write blocks while the pipe is
-    full, so beyond the pipe's at most ``_PIPE_BYTES`` the worker holds at
-    most one chunk's text, and if the parent closes the pipe (or dies) the
-    write fails and the worker exits.  The caller closes the pipe and reaps
-    the worker.
+    The worker sends each chunk's text down the pipe and nothing else, and
+    stops at its first exception, which the caller meets again when it
+    computes that chunk itself.  Its body is one ``try``/``finally`` that
+    ends in ``os._exit``: it never returns into its caller's frames, never
+    flushes or closes a file its parent has open, and runs no ``atexit``
+    hook.  A write blocks while the pipe is full, so beyond the pipe's at
+    most ``_PIPE_BYTES`` the worker holds at most one chunk's text, and if
+    the parent closes the pipe (or dies) the write fails and the worker
+    exits.  The caller closes the pipe and reaps the worker.
 
     The process that forks must run no other thread, as ``cli`` does: it
     keeps OpenBLAS to one.
@@ -425,12 +433,7 @@ def _fork(count: int, formatted):
         os.close(r)
         with open(w, "wb") as pipe:
             for i in range(1, count, 2):
-                try:
-                    blocks = list(formatted(i))
-                except BaseException as exc:
-                    text = pickle.dumps(exc)
-                    pipe.write(_PREFIX.pack(-len(text)) + text)
-                    break
+                blocks = list(formatted(i))
                 pipe.write(_PREFIX.pack(sum(map(len, blocks))))
                 pipe.writelines(blocks)
                 pipe.flush()
@@ -439,29 +442,12 @@ def _fork(count: int, formatted):
         os._exit(0)
 
 
-def _receive(pipe, i: int) -> bytes:
-    """Chunk ``i``'s text from the worker's ``pipe``; raises the exception
-    that computing it raised in the worker."""
+def _receive(pipe):
+    """The text of the worker's next chunk from its ``pipe``, or None if the
+    worker stopped before it sent all of it."""
     head = pipe.read(_PREFIX.size)
-    (size,) = _PREFIX.unpack(head) if len(head) == _PREFIX.size else (0,)
-    body = pipe.read(abs(size))
-    if not body or len(body) != abs(size):
-        raise ChildProcessError(f"the worker exited before it sent chunk {i}")
-    if size < 0:
-        raise pickle.loads(body)
-    return body
-
-
-def write_csv(path, header: str, rows: int, chunk) -> None:
-    """Write the table of :func:`write_blocks` to ``path``.
-
-    If anything raises once the file is open, computing a chunk or writing
-    it, the partial file is deleted and the exception re-raised.
-    """
-    fh = open(path, "wb")
-    try:
-        with fh:
-            write_blocks(fh, header, rows, chunk)
-    except BaseException:
-        os.remove(path)
-        raise
+    if len(head) != _PREFIX.size:
+        return None
+    (size,) = _PREFIX.unpack(head)
+    body = pipe.read(size)
+    return body if len(body) == size else None

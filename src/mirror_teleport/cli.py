@@ -12,10 +12,11 @@ numeric modules, inside the functions that use them: ``couplings`` and
 ``readout`` compute with Python floats and start without it.  Importing
 this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set.
 
-Exit codes: 0 success, 1 config error, 2 verification-gate failure, 3 I/O
-error.  A command whose numpy arithmetic overflows or yields NaN exits 1: the
-config's values leave the float64 range.  All data files are deterministic:
-identical configs produce byte-identical outputs (no timestamps anywhere).
+Exit codes: 0 success, 1 config or usage error, 2 verification-gate failure,
+3 I/O error.  A command whose numpy arithmetic overflows or yields NaN exits
+1: the config's values leave the float64 range.  All data files are
+deterministic: identical configs produce byte-identical outputs (no
+timestamps anywhere).
 
 ``curve.csv`` holds every value as ``"%.12g"``, byte for byte as
 ``np.savetxt`` writes it, through ``_csvtext``.  Every table is formatted in
@@ -25,16 +26,16 @@ formats every cell whose digits that arithmetic cannot prove correct: one
 within 2e-4 of a rounding tie (``_csvtext``'s docstring has the proof), or
 zero, negative or outside [1e-99, 1e3), the range of fidelities and the
 bundled times.
-``curve`` computes and writes the table one chunk of ``_csvtext._BLOCK_ROWS``
-(4,096) rows at a time, each chunk's times built from its row indices, so
-it holds no full-length array and its memory does not grow with ``--grid``.
-A table of two or more chunks is shared with one forked worker, when the
-process may run on two or more CPUs (``os.sched_getaffinity``) and the
-platform has ``os.fork``: the worker computes and formats the odd chunks,
-and ``curve`` the even ones, writing every chunk in row order, so the bytes
-and any failure are those of one process.  The worker shares ``curve``'s
-pages, so the run's peak resident set is the larger of the two processes',
-not their sum, and no worker outlives the command.
+``_csvtext`` cuts the table into chunks and asks ``curve`` for each one's
+rows, whose times ``curve`` builds from their row indices, so it holds no
+full-length array and its memory does not grow with ``--grid``.  A table
+of two or more chunks is shared with one forked worker, when the process
+may run on two or more CPUs (``os.sched_getaffinity``) and the platform
+has ``os.fork``: the worker computes and formats the odd chunks, and
+``curve`` the even ones and any the worker did not send, writing every
+chunk in row order, so the bytes and any failure are those of one process.
+The worker shares ``curve``'s pages, so the run's peak resident set is the
+larger of the two processes', not their sum; no worker outlives the command.
 A ``curve`` that fails, say because a chunk's values leave the float64
 range (exit 1) or a write fails (exit 3), leaves neither ``curve.csv`` nor
 ``summary.json`` in ``--out``, not even an earlier run's.
@@ -293,22 +294,20 @@ def cmd_couplings(config: RunConfig, out_dir: Path | None) -> int:
     return 0
 
 
-def _time_chunk(stop: float, num: int, rows: int, i: int):
-    """Rows i * ``rows`` up to the next chunk's first row of
-    ``np.linspace(0.0, stop, num)`` (``num >= 2``), bit for bit: numpy's
-    own arithmetic on the chunk's row indices, so the whole grid is never
-    held."""
+def _time_rows(stop: float, num: int, lo: int, hi: int):
+    """Rows lo up to hi of ``np.linspace(0.0, stop, num)`` (``num >= 2``),
+    bit for bit: numpy's own arithmetic on the row indices, so the whole
+    grid is never held."""
     import numpy as np
 
-    lo = i * rows
-    t = np.arange(lo, min(lo + rows, num), dtype=float)
+    t = np.arange(lo, hi, dtype=float)
     step = stop / (num - 1)
     if step == 0:  # the step underflows: divide first, as numpy does
         t /= num - 1
         t *= stop
     else:
         t *= step
-    if lo + rows >= num:
+    if hi == num:
         t[-1] = stop
     return t
 
@@ -322,20 +321,20 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
     t_period = period(couplings)
     stop, rows = config.periods * t_period, config.grid_points + 1
 
-    def chunk(i):
-        # Chunk i's rows, bit for bit those rows of the whole grid, so no
+    def columns(lo, hi):
+        # Rows lo up to hi, bit for bit those rows of the whole grid, so no
         # full-length array, not even the grid, is ever held, and either
         # process of the writer can compute any chunk.
-        t = _time_chunk(stop, rows, _csvtext._BLOCK_ROWS, i)
-        columns = [
+        t = _time_rows(stop, rows, lo, hi)
+        chunk = [
             couplings.oscillation * t,
             *protocol.fidelity_curves(
                 couplings, config.nbar_values, t, heterodyne=not no_heterodyne
             ),
         ]
-        if not all(np.isfinite(col).all() for col in columns):
+        if not all(np.isfinite(col).all() for col in chunk):
             raise DomainError("the fidelity curve is outside the float64 range")
-        return columns
+        return chunk
 
     header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
     curve_path, summary_path = out_dir / "curve.csv", out_dir / "summary.json"
@@ -344,7 +343,8 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
     try:
         summary_path.unlink(missing_ok=True)
         # The same bytes as np.savetxt(fmt="%.12g"); see the module docstring.
-        _csvtext.write_csv(curve_path, header, rows, chunk)
+        with open(curve_path, "wb") as fh:
+            _csvtext.write_blocks(fh, header, rows, columns)
         summary = _summary(config, couplings)
         summary["curve"] = {
             "variant": "no_heterodyne" if no_heterodyne else "heterodyne",
@@ -557,7 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return 1 if exc.code else 0  # a usage error is a config error
     try:
         config_path = args.config or bundled_config_path()
         config = load_config(config_path)

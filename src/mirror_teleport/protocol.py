@@ -143,6 +143,15 @@ def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = 
     return [1.0 / (1.0 + parts.noise(nbar, heterodyne)) for nbar in nbar_values]
 
 
+def _e1(g: GaussianCoeffs):
+    """anti_n + 1, the divisor of conditioning on the anti-Stokes outcome;
+    raises DomainError unless it is > 0 at every time."""
+    e1 = g.anti_n + 1.0
+    if not np.all(e1 > 0):
+        raise DomainError(f"anti_n + 1 must be > 0, got {e1!r}")
+    return e1
+
+
 def conditional_matrices(g: GaussianCoeffs) -> np.ndarray:
     """Correlation matrices of the conditioned Stokes+mirror state, unchecked.
 
@@ -160,9 +169,7 @@ def conditional_matrices(g: GaussianCoeffs) -> np.ndarray:
         ) / e1
         corr = (g.nbar + 1.0) * r * s * (1.0 + r**2 * omc) / e1
     else:
-        e1 = g.anti_n + 1.0
-        if not np.all(e1 > 0):
-            raise DomainError(f"anti_n + 1 must be > 0, got {e1!r}")
+        e1 = _e1(g)
         stokes_var = g.stokes_n - g.stokes_anti**2 / e1 + VACUUM_VARIANCE
         mirror_var = g.mirror_n - g.mirror_anti**2 / e1 + VACUUM_VARIANCE
         corr = g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1
@@ -224,7 +231,7 @@ def _noise(g: GaussianCoeffs, heterodyne: bool):
         noise = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
         if heterodyne:  # d (d / E1): d^2 overflows once |d| ~ nbar r^2 passes 1e154
             d = g.stokes_anti - g.mirror_anti
-            noise = noise - d * (d / (g.anti_n + 1.0))
+            noise = noise - d * (d / _e1(g))
     if np.any(noise < -1e-10 * state_scale(coeff_rows(g))[..., 0]):
         quantity = "effective occupation" if heterodyne else "no-heterodyne noise bracket"
         raise ConsistencyError(f"{quantity} came out negative ({np.min(noise)!r})")
@@ -342,7 +349,7 @@ def bob_displacement(record: MeasurementRecord, g: GaussianCoeffs) -> Displaceme
 
     Shifts means only; fidelity is unaffected.
     """
-    e1 = g.anti_n + 1.0
+    e1 = _e1(g)
     rt2 = math.sqrt(2.0)
     dx = rt2 * record.x_plus + rt2 * record.alpha.real * (
         (g.stokes_anti - g.mirror_anti) / e1

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import tempfile
 import tracemalloc
 import warnings
@@ -114,6 +115,23 @@ def test_main_reports_config_error(tmp_path):
     bad.write_text("{not json")
     assert main(["--config", str(bad), "couplings"]) == 1
     assert main(["--config", str(tmp_path / "absent.json"), "couplings"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["--grid", "abc", "curve"], ["bogus"], [], ["--periods"], ["curve", "extra"]]
+)
+def test_usage_error_exits_1(tmp_path, capsys, argv):
+    # A command line argparse rejects is a config error, exit 1, after
+    # argparse's usage message: exit 2 is a failed verification gate.
+    assert main(["--out", str(tmp_path / "out"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mirror-teleport") and "error:" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: mirror-teleport")
 
 
 # ``command`` is the command, after any flags that override the config.
@@ -280,10 +298,8 @@ def _savetxt_bytes(columns, header="theta_t,F"):
 
 
 def _whole(columns):
-    """The chunk function of a table held whole."""
-    return lambda i: [
-        c[i * _csvtext._BLOCK_ROWS : (i + 1) * _csvtext._BLOCK_ROWS] for c in columns
-    ]
+    """The column function of a table held whole."""
+    return lambda lo, hi: [c[lo:hi] for c in columns]
 
 
 def _cpus(n):
@@ -344,7 +360,7 @@ def test_block_writer_matches_savetxt(table, block_rows):
         assert _block_bytes(columns) == _savetxt_bytes(columns)
 
 
-def test_large_table_matches_savetxt(tmp_path):
+def test_large_table_matches_savetxt():
     # Tables of many full blocks: a seeded table of 150,000 log-uniform
     # cells with signs and zeros, 100,000 rows of ties, each one ulp off,
     # and 100,000 cells just below a power of ten; each table has
@@ -366,9 +382,7 @@ def test_large_table_matches_savetxt(tmp_path):
         [ties, ties[::-1], small_ties],
         [edges, small_edges],
     ):
-        path = tmp_path / "curve.csv"
-        _csvtext.write_csv(path, "theta_t,F", len(columns[0]), _whole(columns))
-        assert path.read_bytes() == _savetxt_bytes(columns)
+        assert _block_bytes(columns) == _savetxt_bytes(columns)
 
 
 # Cells of the block arithmetic's range, [1e-99, 1e3): ties of exponents
@@ -648,7 +662,7 @@ def _bits(a):
 
 def _time_chunks(stop, num, rows):
     """Every chunk of ``rows`` rows of curve's time grid."""
-    return [cli._time_chunk(stop, num, rows, i) for i in range(-(-num // rows))]
+    return [cli._time_rows(stop, num, lo, min(lo + rows, num)) for lo in range(0, num, rows)]
 
 
 @pytest.mark.parametrize("grid", [2, 4095, 4096, 4097, 8191, 200000])
@@ -703,44 +717,66 @@ def test_chunks_write_the_table_they_hold(table, block_rows, cpus):
     assert buf.getvalue() == _savetxt_bytes(columns)
 
 
-def test_write_csv_deletes_a_table_of_the_wrong_length(tmp_path):
+def test_chunk_of_the_wrong_length_raises():
     # A chunk of more or fewer rows than its place in the table holds
-    # raises, computed in the worker (chunk 1) or here (chunk 2), and
-    # write_csv deletes the file.
-    path = tmp_path / "curve.csv"
+    # raises, computed in the worker (chunk 1) or here (chunk 2).
     whole = _whole([np.arange(10.0), np.ones(10)])
     for bad, cpus, extra in itertools.product((1, 2), (1, 2), (-1, 1)):
-        def chunk(i):
-            columns = whole(i)
-            if i == bad:
-                columns = [np.append(c, c[:1]) if extra > 0 else c[:-1] for c in columns]
-            return columns
+        def columns(lo, hi):
+            chunk = whole(lo, hi)
+            if lo == 4 * bad:
+                chunk = [np.append(c, c[:1]) if extra > 0 else c[:-1] for c in chunk]
+            return chunk
 
         rows = 4 if bad == 1 else 2
         with mock.patch.object(_csvtext, "_BLOCK_ROWS", 4), _cpus(cpus):
             with pytest.raises(ValueError, match=f"chunk {bad} holds {rows + extra} rows, not {rows}"):
-                _csvtext.write_csv(path, "a,b", 10, chunk)
-        assert not path.exists()
+                _csvtext.write_blocks(io.BytesIO(), "a,b", 10, columns)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
-def test_write_csv_deletes_a_table_whose_worker_dies(tmp_path):
-    # A worker that exits without sending its chunk, as one killed would,
-    # raises ChildProcessError at that chunk's turn, and is reaped.
-    path = tmp_path / "curve.csv"
+def test_unpicklable_exception_surfaces_in_either_process():
+    # A chunk that raises an exception pickle cannot send, in the worker
+    # (chunk 1) or here (chunk 2), raises that exception, as with one CPU.
+    class Unpicklable(Exception):
+        pass  # a local class: pickle cannot find it by name
+
     whole = _whole([np.arange(10.0), np.ones(10)])
+    for bad, cpus in itertools.product((1, 2), (1, 2)):
+        def columns(lo, hi):
+            if lo == 4 * bad:
+                raise Unpicklable(lo)
+            return whole(lo, hi)
+
+        with mock.patch.object(_csvtext, "_BLOCK_ROWS", 4), _cpus(cpus):
+            with pytest.raises(Unpicklable):
+                _csvtext.write_blocks(io.BytesIO(), "a,b", 10, columns)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_killed_worker_leaves_the_one_cpu_table(tmp_path, bench_couplings):
+    # A worker killed before it sends chunk 1 leaves that chunk and the
+    # rest to curve, which writes the one-CPU bytes, exits 0 and reaps it.
+    kernel = protocol.fidelity_curves
+    first = np.linspace(0.0, period(bench_couplings), 20001)[_csvtext._BLOCK_ROWS]
     parent = os.getpid()
 
-    def chunk(i):
-        if i == 1 and os.getpid() != parent:
-            os._exit(3)
-        return whole(i)
+    def killed(c, nbar_values, t, heterodyne=True):
+        if t[0] == first and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return kernel(c, nbar_values, t, heterodyne)
 
-    with mock.patch.object(_csvtext, "_BLOCK_ROWS", 4), _cpus(2):
-        with pytest.raises(ChildProcessError, match="before it sent chunk 1"):
-            _csvtext.write_csv(path, "a,b", 10, chunk)
-    assert not path.exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    outputs = []
+    for cpus in (1, 2):
+        out = tmp_path / str(cpus)
+        with _cpus(cpus), mock.patch.object(protocol, "fidelity_curves", killed):
+            assert main(["--out", str(out), "--grid", "20000", "curve"]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("curve.csv", "summary.json")])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert outputs[0] == outputs[1]
 
 
 @given(
@@ -759,16 +795,12 @@ def test_write_csv_deletes_a_table_whose_worker_dies(tmp_path):
 )
 @settings(max_examples=100, deadline=None)
 def test_small_table_matches_savetxt(table, block_rows):
-    # write_csv on small tables of any floats, among them the longest
-    # %.12g text, subnormals and the edges of exponent notation: the same
-    # bytes as np.savetxt, which formats each row.
+    # Small tables of any floats, among them the longest %.12g text,
+    # subnormals and the edges of exponent notation: the same bytes as
+    # np.savetxt, which formats each row.
     columns = list(table.T)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        _csvtext, "_BLOCK_ROWS", block_rows
-    ):
-        path = Path(tmp) / "curve.csv"
-        _csvtext.write_csv(path, "theta_t,F", len(columns[0]), _whole(columns))
-        assert path.read_bytes() == _savetxt_bytes(columns)
+    with mock.patch.object(_csvtext, "_BLOCK_ROWS", block_rows):
+        assert _block_bytes(columns) == _savetxt_bytes(columns)
 
 
 def test_couplings_command(tmp_path, capsys):

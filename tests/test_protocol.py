@@ -120,6 +120,27 @@ def test_inconsistent_coefficients_raise(route, quantity):
         route(g)
 
 
+@pytest.mark.parametrize("anti_n", [-1.0, -2.0, np.array([0.0, -1.0]), np.array([0.5, -2.0])])
+@pytest.mark.parametrize(
+    "route",
+    [
+        effective_occupation,
+        fidelity_coherent,
+        conditional_correlation,
+        lambda g: bob_displacement(MeasurementRecord(0.0, 0.0, 1.0 + 1.0j), g),
+    ],
+    ids=["effective_occupation", "fidelity_coherent", "conditional_correlation", "bob_displacement"],
+)
+def test_anti_n_below_the_vacuum_raises(route, anti_n):
+    # Every route that conditions on the anti-Stokes outcome divides by
+    # anti_n + 1: at or below 0, for one time or any of several, each
+    # raises the same DomainError, not a ZeroDivisionError or a value.
+    zero = np.zeros_like(anti_n)
+    g = GaussianCoeffs(zero, zero, zero, zero, anti_n, zero, time=zero, nbar=0.0)
+    with pytest.raises(DomainError, match=r"anti_n \+ 1 must be > 0"):
+        route(g)
+
+
 def test_noise_without_couplings_is_the_coefficient_formulas(moderate):
     # Hand-built coefficients take the formulas of the docstrings, bit for
     # bit, clipped at 0.

@@ -390,8 +390,9 @@ def _run_gates(couplings: Couplings, nbar_values):
     Gates 3-7 reach the peaks too: gate 3 adds both peak times to its own,
     and gates 4-7 take gate 2's times and closed forms.  Gates 4 and 7 call
     ``physicality_defect`` and ``teleport_covariance`` on one stack of the
-    channel's matrices over every time and nbar; gate 5 compares two routes
-    to n_eff.
+    channel's matrices over every time and nbar; gate 5 compares the
+    coefficient formula for n_eff on the propagator's moments with the
+    factored n_eff.
     """
     import numpy as np
 
@@ -458,14 +459,17 @@ def _run_gates(couplings: Couplings, nbar_values):
     scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
     yield _verdict("conditional-physicality", np.max(defects / scale))
 
-    # 5. n_eff through the coefficient route, from the propagator's moments,
-    #    against the factored n_eff, relative to the state
+    # 5. n_eff by the coefficient formula, from the propagator's moments,
+    #    against the factored n_eff, relative to the state; d (d / E1), as
+    #    d^2 overflows first.  Unclipped: a negative n_eff is part of the gap
     props = dynamics.propagator(couplings, ode_times)
     moments = [dynamics.coeffs_from_propagator(props, nbar) for nbar in nbar_values]
     n_effs = np.stack([protocol.effective_occupation(g) for g in analytic])
     worst_fid = 0.0
-    for g, mom, n_eff in zip(analytic, moments, n_effs):
-        gap = np.abs(protocol.effective_occupation(mom) - n_eff)
+    for g, m, n_eff in zip(analytic, moments, n_effs):
+        d = m.stokes_anti - m.mirror_anti
+        bracket = 1.0 + m.stokes_n + m.mirror_n + 2.0 * m.stokes_mirror
+        gap = np.abs(bracket - d * (d / (m.anti_n + 1.0)) - n_eff)
         worst_fid = max(worst_fid, np.max(gap / state_scale(coeff_rows(g))[:, 0]))
     yield _verdict("fidelity-identity", worst_fid)
 

@@ -39,7 +39,7 @@ import numpy as np
 from ._record import record
 from .errors import DomainError
 from .gaussian_core import PropagatorMatrix
-from .optomech import Couplings, period  # noqa: F401  (period re-exported)
+from .optomech import Couplings
 
 
 #: The six coefficient fields of :class:`GaussianCoeffs`, in field order.
@@ -60,9 +60,9 @@ class GaussianCoeffs:
     Fields may be scalars or (for vectorized evaluation) equal-length numpy
     arrays over a time grid; for a single time the routes give numpy float64,
     a float subclass.  ``couplings`` records the rates of a closed-form state,
-    which downstream code then evaluates through cancellation-safe factored
-    forms.  It is None for the propagator route's outputs and hand-built
-    sets, which are conditioned from their own values.
+    which ``protocol`` conditions through cancellation-safe factored forms.
+    It is None for the propagator route's outputs and hand-built sets, which
+    ``protocol``'s channel and fidelity functions reject with DomainError.
     """
 
     stokes_n: float | np.ndarray

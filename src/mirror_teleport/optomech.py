@@ -191,7 +191,9 @@ def thermal_occupation(temperature: float, mirror_freq: float) -> float:
 
     [coth(h_bar W / 2 k T) - 1] / 2, which is the Bose factor
     1 / (exp(h_bar W / k T) - 1); evaluated via expm1 so that both the
-    T -> 0 and the k T >> h_bar W limits are exact to rounding.
+    T -> 0 and the k T >> h_bar W limits are exact to rounding.  Raises
+    DomainError where the occupation overflows float64 (above about
+    6.9e305 K at 5e8 rad/s).
     """
     if not temperature >= 0:
         raise DomainError(f"temperature must be >= 0, got {temperature!r}")
@@ -202,7 +204,10 @@ def thermal_occupation(temperature: float, mirror_freq: float) -> float:
     x = HBAR * mirror_freq / (K_BOLTZMANN * temperature)
     if x > 600.0:  # expm1 would overflow; occupation is exp(-x) to all digits
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    nbar = 1.0 / math.expm1(x) if x > 0 else math.inf
+    if nbar == math.inf:  # 1/expm1(x) overflows for a subnormal x
+        raise DomainError(f"thermal occupation at {temperature!r} K exceeds the float64 range")
+    return nbar
 
 
 def sideband_frequencies(params: PhysicalParams) -> tuple[float, float]:

@@ -6,8 +6,7 @@ as the teleportation channel.  The heterodyne outcome enters only the mean
 of the conditioned state, never its variances, so fidelities and covariance
 maps ignore it; it reappears solely in Bob's corrective displacement.
 
-Where the generating couplings are known (GaussianCoeffs.couplings is set),
-conditioned quantities are evaluated through exact factored forms in
+Conditioned quantities are evaluated through exact factored forms in
 r = parametric/oscillation, q = beam_splitter/oscillation, x = oscillation*t:
 
     E1   := anti_n + 1 = 1 + q^2 (r^2 (1-cos x)^2 + nbar sin^2 x)
@@ -16,10 +15,13 @@ r = parametric/oscillation, q = beam_splitter/oscillation, x = oscillation*t:
     bracket = (1 + gain)^2 + nbar (r sin x + cos x)^2   (no heterodyne)
 
 These are algebraically identical to the coefficient-level expressions
-(stokes_n + ... - (stokes_anti - mirror_anti)^2 / E1 etc.; the test suite
-checks both routes against each other) but involve no cancellation of the
-r^4-sized terms, which is what makes the near-degenerate benchmark regime
-(r ~ 1400) computable in float64 at all.  :func:`fidelity_curves` evaluates
+(stokes_n + ... - (stokes_anti - mirror_anti)^2 / E1 etc.) but involve no
+cancellation of the r^4-sized terms, which is what makes the near-degenerate
+benchmark regime (r ~ 1400) computable in float64 at all.  They need the
+generating couplings, so the channel and fidelity functions take closed-form
+states (:func:`dynamics.coeffs_analytic`) only and raise DomainError for any
+other; ``cli``'s ``fidelity-identity`` gate compares the coefficient formula
+on the propagator's moments with them.  :func:`fidelity_curves` evaluates
 them for several nbar at once, from one set of sines and cosines.  The
 channel maps :func:`conditional_correlation` and :func:`teleport_covariance`
 take stacks over times, each result bit for bit that of its time alone.
@@ -38,7 +40,7 @@ import math
 import numpy as np
 
 from ._record import record
-from .dynamics import GaussianCoeffs, _ratios_and_trig, coeff_rows, state_scale
+from .dynamics import GaussianCoeffs, _ratios_and_trig
 from .errors import ConsistencyError, DomainError
 from .gaussian_core import (
     VACUUM_VARIANCE,
@@ -86,8 +88,8 @@ class ActuationSetting:
     strength: float
 
     def __post_init__(self):
-        if self.strength < 0:
-            raise DomainError(f"strength must be >= 0, got {self.strength!r}")
+        if not 0 <= self.strength < math.inf:
+            raise DomainError(f"strength must be finite and >= 0, got {self.strength!r}")
         if not 0 <= self.phase < 2 * math.pi:
             raise DomainError(f"phase must lie in [0, 2pi), got {self.phase!r}")
 
@@ -131,9 +133,7 @@ def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = 
     Bit for bit ``fidelity_coherent(coeffs_analytic(couplings, nbar, time))``,
     or ``fidelity_no_heterodyne`` when ``heterodyne`` is False, without the
     six coefficient arrays: the sines and cosines are computed once for all
-    nbar.  Both noise forms are squares times nbar >= 0, nbar + 1 or
-    1/E1 <= 1, never negative, so the fidelity functions' clip at 0 would
-    change no bit here.
+    nbar.
     """
     if any(nbar < 0 for nbar in nbar_values):
         raise DomainError(f"nbar must be >= 0, got {nbar_values!r}")
@@ -143,13 +143,15 @@ def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = 
     return [1.0 / (1.0 + parts.noise(nbar, heterodyne)) for nbar in nbar_values]
 
 
-def _e1(g: GaussianCoeffs):
-    """anti_n + 1, the divisor of conditioning on the anti-Stokes outcome;
-    raises DomainError unless it is > 0 at every time."""
-    e1 = g.anti_n + 1.0
-    if not np.all(e1 > 0):
-        raise DomainError(f"anti_n + 1 must be > 0, got {e1!r}")
-    return e1
+def _closed_form(g: GaussianCoeffs) -> _FactoredParts:
+    """The factored forms at the times of ``g``; raises DomainError unless
+    ``g`` is a closed-form state, whose ``couplings`` are set."""
+    if g.couplings is None:
+        raise DomainError(
+            "conditioning needs a closed-form state (coeffs_analytic): the "
+            "coefficient formulas cancel ~r^4-sized terms"
+        )
+    return _FactoredParts(g.couplings, g.time)
 
 
 def conditional_matrices(g: GaussianCoeffs) -> np.ndarray:
@@ -160,19 +162,13 @@ def conditional_matrices(g: GaussianCoeffs) -> np.ndarray:
     is the standard form: equal diagonal pairs, a single correlation +/-k in
     the (X, X) and (P, P) slots, zero X-P cross terms.
     """
-    if g.couplings is not None:
-        parts = _FactoredParts(g.couplings, g.time)
-        e1, r, q, s, c, omc = parts.e1(g.nbar), parts.r, parts.q, parts.s, parts.c, parts.omc
-        stokes_var = VACUUM_VARIANCE + (g.nbar + 1.0) * r**2 * s**2 / e1
-        mirror_var = VACUUM_VARIANCE + (
-            g.nbar * (r**2 * q**2 * omc**2 + c**2) + r**2 * s**2
-        ) / e1
-        corr = (g.nbar + 1.0) * r * s * (1.0 + r**2 * omc) / e1
-    else:
-        e1 = _e1(g)
-        stokes_var = g.stokes_n - g.stokes_anti**2 / e1 + VACUUM_VARIANCE
-        mirror_var = g.mirror_n - g.mirror_anti**2 / e1 + VACUUM_VARIANCE
-        corr = g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1
+    parts = _closed_form(g)
+    e1, r, q, s, c, omc = parts.e1(g.nbar), parts.r, parts.q, parts.s, parts.c, parts.omc
+    stokes_var = VACUUM_VARIANCE + (g.nbar + 1.0) * r**2 * s**2 / e1
+    mirror_var = VACUUM_VARIANCE + (
+        g.nbar * (r**2 * q**2 * omc**2 + c**2) + r**2 * s**2
+    ) / e1
+    corr = (g.nbar + 1.0) * r * s * (1.0 + r**2 * omc) / e1
     stokes_var, mirror_var, corr = np.broadcast_arrays(stokes_var, mirror_var, corr)
     matrix = np.zeros(stokes_var.shape + (4, 4))
     matrix[..., 0, 0] = matrix[..., 1, 1] = stokes_var
@@ -217,36 +213,16 @@ def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatr
     return CovMatrix2(gin.matrix + added)
 
 
-def _noise(g: GaussianCoeffs, heterodyne: bool):
-    """n_eff, or without the heterodyne the bracket: F = 1/(1 + noise).
-
-    From the factored forms when ``g.couplings`` is set, from the six
-    coefficients otherwise.  A value below -1e-10 times the state's size,
-    ``dynamics.state_scale``, raises ConsistencyError; rounding's smaller
-    negative values, which grow with the ~r^4-sized terms, are clipped to 0.
-    """
-    if g.couplings is not None:
-        noise = _FactoredParts(g.couplings, g.time).noise(g.nbar, heterodyne)
-    else:
-        noise = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
-        if heterodyne:  # d (d / E1): d^2 overflows once |d| ~ nbar r^2 passes 1e154
-            d = g.stokes_anti - g.mirror_anti
-            noise = noise - d * (d / _e1(g))
-    if np.any(noise < -1e-10 * state_scale(coeff_rows(g))[..., 0]):
-        quantity = "effective occupation" if heterodyne else "no-heterodyne noise bracket"
-        raise ConsistencyError(f"{quantity} came out negative ({np.min(noise)!r})")
-    return np.maximum(noise, 0.0)
-
-
 def effective_occupation(g: GaussianCoeffs):
     """Effective thermal occupation of the mirror after Alice's measurements.
 
     n_eff = 1 + stokes_n + mirror_n + 2 stokes_mirror
             - (stokes_anti - mirror_anti)^2 / (anti_n + 1),
     which reduces to nbar + 1 at t = 0 (protocol noise on top of the thermal
-    state) and satisfies fidelity = 1 / (1 + n_eff) exactly.
+    state) and satisfies fidelity = 1 / (1 + n_eff) exactly; evaluated
+    through the factored form, a square times (nbar + 1)/E1.
     """
-    return _noise(g, heterodyne=True)
+    return _closed_form(g).noise(g.nbar)
 
 
 def fidelity_coherent(g: GaussianCoeffs):
@@ -261,7 +237,7 @@ def fidelity_no_heterodyne(g: GaussianCoeffs):
     F = 1 / (2 + stokes_n + mirror_n + 2 stokes_mirror).  Never exceeds the
     heterodyne fidelity, and is independent of temperature at its maximum.
     """
-    return 1.0 / (1.0 + _noise(g, heterodyne=False))
+    return 1.0 / (1.0 + _closed_form(g).noise(g.nbar, heterodyne=False))
 
 
 #: Float times on each side of the peak's closed-form time that are also
@@ -349,7 +325,9 @@ def bob_displacement(record: MeasurementRecord, g: GaussianCoeffs) -> Displaceme
 
     Shifts means only; fidelity is unaffected.
     """
-    e1 = _e1(g)
+    e1 = g.anti_n + 1.0
+    if not np.all(e1 > 0):
+        raise DomainError(f"anti_n + 1 must be > 0, got {e1!r}")
     rt2 = math.sqrt(2.0)
     dx = rt2 * record.x_plus + rt2 * record.alpha.real * (
         (g.stokes_anti - g.mirror_anti) / e1

@@ -167,6 +167,8 @@ def test_help_exits_0(capsys):
             "curve",
         ),
         ({"temperatures_k": [300.0]}, "curve"),
+        # an occupation past the float64 range, which readout printed as inf
+        ({"nbar_values": None, "temperatures_k": [1e308]}, "readout"),
     ],
 )
 def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):
@@ -201,6 +203,14 @@ def test_couplings_beyond_float_range_exit_1(tmp_path, bench_json, capsys, patch
         assert main(["--config", cfg, "--out", str(out), command]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_couplings_rejects_an_infinite_occupation(tmp_path, bench_json, capsys):
+    # Without --out, couplings printed thermal_occupation = inf and exited 0.
+    bench_json["temperature_k"] = 1e308
+    assert main(["--config", _write_config(tmp_path, bench_json), "couplings"]) == 1
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err and "inf" not in captured.out
 
 
 @pytest.mark.parametrize(
@@ -976,7 +986,7 @@ def test_verify_fails_on_corrupted_couplings(tmp_path, monkeypatch):
 
 
 def test_fidelity_identity_gate_fails_on_a_raised_n_eff(tmp_path, monkeypatch):
-    # Gate 5 compares the factored n_eff with the coefficient route's, so a
+    # Gate 5 compares the factored n_eff with the coefficient formula's, so a
     # factored n_eff raised by 1e-9 relative fails it; F = 1/(1 + n_eff)
     # checked on one n_eff could not fail.
     noise = protocol._FactoredParts.noise
@@ -1017,9 +1027,9 @@ def test_verify_passes_on_exact_propagators(tmp_path, bench_json, overrides):
     # its cap, and at 5.27e13 (r ~ 4.3) they span 5/r.  The last two make
     # rates so small that their squares underflow: the propagator must be
     # built from the rate ratios.  At r = 5000 and 3.7e4 (laser
-    # 2e15 rad/s) the n_eff gate's coefficient route rounds its ~r^4-sized
-    # terms to a negative n_eff, which its guard must take as rounding; at
-    # nbar 1e250 that route must not square its ~nbar r^2 terms.
+    # 2e15 rad/s) the n_eff gate's coefficient formula rounds its ~r^4-sized
+    # terms to a negative n_eff, a gap the gate must measure relative to the
+    # state; at nbar 1e250 that formula must not square its ~nbar r^2 terms.
     bench_json.update(overrides)
     cfg = _write_config(tmp_path, bench_json)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"]) == 0

@@ -13,7 +13,6 @@ from mirror_teleport import (
     fidelity_curves,
     period,
     propagator,
-    replace,
     symplectic_defect,
 )
 from mirror_teleport.dynamics import _moment_derivatives
@@ -163,17 +162,6 @@ def test_closed_form_satisfies_moment_odes(moderate):
             moderate.beam_splitter,
         )
         assert np.abs(lhs - rhs).max() < 1e-6
-
-
-def test_propagator_route_is_conditioned_from_its_own_values(moderate):
-    # The moment route's coefficients carry no couplings, so conditioning
-    # reads them rather than the closed forms: corrupting one must change F.
-    g = coeffs_from_propagator(propagator(moderate, 0.3), 1.0)
-    assert g.couplings is None
-    closed = fidelity_coherent(coeffs_analytic(moderate, 1.0, 0.3))
-    assert fidelity_coherent(g) == pytest.approx(closed, rel=1e-12)
-    corrupted = replace(g, stokes_n=g.stokes_n + 100.0)
-    assert fidelity_coherent(corrupted) < 0.1
 
 
 # Coefficients and fidelity at the fidelity peak t* of the bundled config,

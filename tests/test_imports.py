@@ -93,4 +93,4 @@ def test_lazy_namespace_resolves_every_public_name():
     exec("from mirror_teleport import *", namespace)
     for name in mirror_teleport.__all__:
         assert namespace[name] is getattr(mirror_teleport, name), name
-    assert mirror_teleport.period is _module("dynamics").period is _module("optomech").period
+    assert mirror_teleport.period is _module("optomech").period

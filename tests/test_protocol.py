@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mirror_teleport import (
     CLASSICAL_FIDELITY_BOUND,
+    ActuationSetting,
     ConsistencyError,
     Couplings,
     CovMatrix2,
@@ -34,7 +35,7 @@ from mirror_teleport import (
     teleport_covariance,
 )
 from mirror_teleport import protocol
-from mirror_teleport.cli import bundled_config_path, load_config
+from mirror_teleport.cli import _run_gates, bundled_config_path, load_config
 
 from conftest import COEFF_FIELDS, NBAR_SET, rate_pairs
 
@@ -46,7 +47,7 @@ BEST_OCCUPATION = (math.sqrt(2.0) - 1.0) ** 2
 
 
 def _strip_couplings(g):
-    """Same coefficients with the couplings forgotten: forces the generic route."""
+    """Same coefficients with the couplings forgotten: a hand-built state."""
     return GaussianCoeffs(
         *(getattr(g, f) for f in COEFF_FIELDS), time=g.time, nbar=g.nbar
     )
@@ -66,22 +67,6 @@ def test_initial_fidelity_thermal(nbar):
     assert fidelity_coherent(g) == pytest.approx(1.0 / (2.0 + nbar), rel=1e-13)
 
 
-def test_stable_and_generic_routes_agree(moderate):
-    for nbar in (0.0, 1.0, 25.0):
-        for t in np.linspace(0.01, period(moderate), 19):
-            g = coeffs_analytic(moderate, nbar, float(t))
-            stripped = _strip_couplings(g)
-            assert effective_occupation(g) == pytest.approx(
-                effective_occupation(stripped), rel=1e-10, abs=1e-10
-            )
-            assert fidelity_no_heterodyne(g) == pytest.approx(
-                fidelity_no_heterodyne(stripped), rel=1e-10
-            )
-            assert conditional_correlation(g).matrix == pytest.approx(
-                conditional_correlation(stripped).matrix, rel=1e-9, abs=1e-9
-            )
-
-
 def test_conditioned_state_block_structure(moderate):
     g = coeffs_analytic(moderate, 2.0, 0.6)
     m = conditional_correlation(g).matrix
@@ -99,62 +84,92 @@ def test_conditioned_state_physical_everywhere(moderate, bench_couplings):
                 assert physicality_defect(conditional_correlation(g)) < 1e-10
 
 
+@pytest.mark.parametrize("anti_n", [-1.0, -2.0, np.array([0.0, -1.0]), np.array([0.5, -2.0])])
 @pytest.mark.parametrize(
-    "route, quantity",
+    "route, message",
     [
-        pytest.param(route, quantity, id=route.__name__)
-        for route, quantity in (
-            (effective_occupation, "effective occupation"),
-            (fidelity_coherent, "effective occupation"),
-            (fidelity_no_heterodyne, "no-heterodyne noise bracket"),
-            (conditional_correlation, "conditioned state"),
-        )
+        pytest.param(effective_occupation, "closed-form state", id="effective_occupation"),
+        pytest.param(fidelity_coherent, "closed-form state", id="fidelity_coherent"),
+        pytest.param(conditional_correlation, "closed-form state", id="conditional_correlation"),
+        pytest.param(
+            lambda g: bob_displacement(MeasurementRecord(0.0, 0.0, 1.0 + 1.0j), g),
+            r"anti_n \+ 1 must be > 0",
+            id="bob_displacement",
+        ),
     ],
 )
-def test_inconsistent_coefficients_raise(route, quantity):
-    # stokes_mirror = -5 with every other moment zero is no state: n_eff and
-    # the heterodyne-free bracket come out -9, and the conditioned matrix
-    # violates the uncertainty principle.  The error names the quantity.
-    g = GaussianCoeffs(0.0, 0.0, -5.0, 0.0, 0.0, 0.0, time=0.0, nbar=0.0)
-    with pytest.raises(ConsistencyError, match=quantity):
+def test_anti_n_below_the_vacuum_raises(route, message, anti_n):
+    # Every route that conditions on the anti-Stokes outcome divides by
+    # anti_n + 1: at or below 0, for one time or any of several, each
+    # raises a DomainError, not a ZeroDivisionError or a value.
+    # bob_displacement names the divisor; the channel and fidelity
+    # functions reject the hand-built state before they divide.
+    zero = np.zeros_like(anti_n)
+    g = GaussianCoeffs(zero, zero, zero, zero, anti_n, zero, time=zero, nbar=0.0)
+    with pytest.raises(DomainError, match=message):
         route(g)
 
 
-@pytest.mark.parametrize("anti_n", [-1.0, -2.0, np.array([0.0, -1.0]), np.array([0.5, -2.0])])
 @pytest.mark.parametrize(
     "route",
     [
+        protocol.conditional_matrices,
+        conditional_correlation,
         effective_occupation,
         fidelity_coherent,
-        conditional_correlation,
-        lambda g: bob_displacement(MeasurementRecord(0.0, 0.0, 1.0 + 1.0j), g),
+        fidelity_no_heterodyne,
     ],
-    ids=["effective_occupation", "fidelity_coherent", "conditional_correlation", "bob_displacement"],
+    ids=lambda route: route.__name__,
 )
-def test_anti_n_below_the_vacuum_raises(route, anti_n):
-    # Every route that conditions on the anti-Stokes outcome divides by
-    # anti_n + 1: at or below 0, for one time or any of several, each
-    # raises the same DomainError, not a ZeroDivisionError or a value.
-    zero = np.zeros_like(anti_n)
-    g = GaussianCoeffs(zero, zero, zero, zero, anti_n, zero, time=zero, nbar=0.0)
-    with pytest.raises(DomainError, match=r"anti_n \+ 1 must be > 0"):
-        route(g)
+def test_conditioning_needs_a_closed_form_state(moderate, route):
+    # Only a closed-form state carries the couplings the factored forms
+    # need.  A hand-built state or a propagator-route state, for one time
+    # or several, is rejected rather than conditioned by the coefficient
+    # formulas, which cancel ~r^4-sized terms.
+    for time in (0.3, np.linspace(0.0, period(moderate), 7)):
+        hand_built = _strip_couplings(coeffs_analytic(moderate, 1.0, time))
+        from_propagator = coeffs_from_propagator(propagator(moderate, time), 1.0)
+        for g in (hand_built, from_propagator):
+            with pytest.raises(DomainError, match=r"closed-form state \(coeffs_analytic\)"):
+                route(g)
 
 
 def test_noise_without_couplings_is_the_coefficient_formulas(moderate):
-    # Hand-built coefficients take the formulas of the docstrings, bit for
-    # bit, clipped at 0.
+    # The factored forms are the coefficient formulas of the docstrings,
+    # regrouped: n_eff, the heterodyne-free bracket and the conditioned
+    # matrix.  At moderate rates the formulas keep all but a few digits.
     ts = np.linspace(0.0, period(moderate), 101)
-    for nbar in (0.0, 3.0):
+    for nbar in (0.0, 1.0, 3.0, 25.0):
         for time in (ts, 0.7):
-            g = _strip_couplings(coeffs_analytic(moderate, nbar, time))
+            g = coeffs_analytic(moderate, nbar, time)
+            e1 = g.anti_n + 1.0
             bracket = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
             d = g.stokes_anti - g.mirror_anti
-            n_eff = bracket - d * (d / (g.anti_n + 1.0))
-            got = (effective_occupation(g), fidelity_no_heterodyne(g))
-            want = (np.maximum(n_eff, 0.0), 1.0 / (1.0 + np.maximum(bracket, 0.0)))
-            for a, b in zip(got, want):
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            want = np.zeros(np.shape(time) + (4, 4))
+            want[..., 0, 0] = want[..., 1, 1] = g.stokes_n - g.stokes_anti**2 / e1 + 0.5
+            want[..., 2, 2] = want[..., 3, 3] = g.mirror_n - g.mirror_anti**2 / e1 + 0.5
+            corr = g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1
+            want[..., 0, 2] = want[..., 2, 0] = corr
+            want[..., 1, 3] = want[..., 3, 1] = -corr
+            assert effective_occupation(g) == pytest.approx(
+                bracket - d * (d / e1), rel=1e-10, abs=1e-10
+            )
+            assert fidelity_no_heterodyne(g) == pytest.approx(1.0 / (1.0 + bracket), rel=1e-10)
+            assert conditional_correlation(g).matrix == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_unphysical_channel_raises(monkeypatch, moderate):
+    # conditional_correlation checks what conditional_matrices gives: zero
+    # variances with a correlation of 5 break the uncertainty principle,
+    # alone or in a stack after a physical matrix.
+    bad = np.zeros((4, 4))
+    bad[0, 2] = bad[2, 0] = 5.0
+    bad[1, 3] = bad[3, 1] = -5.0
+    g = coeffs_analytic(moderate, 1.0, 0.3)
+    for matrices in (bad, np.stack([0.5 * np.eye(4), bad])):
+        monkeypatch.setattr(protocol, "conditional_matrices", lambda _, m=matrices: m)
+        with pytest.raises(ConsistencyError, match="conditioned state unphysical"):
+            conditional_correlation(g)
 
 
 @pytest.mark.parametrize("c", ["moderate", "bench_couplings"])
@@ -196,19 +211,19 @@ def test_stacked_channel_rows_are_their_matrices_alone(request, c):
 
 @pytest.mark.parametrize("r", [5000.0, 3.7e4])
 def test_noise_guard_is_relative_to_the_state(bench_config, r):
-    # Exact oracle states: the coefficient route rounds its ~r^4-sized terms
-    # to a negative n_eff (-0.5 at r = 5000, -2048 to -4096 at r = 3.7e4),
-    # which is rounding of the state's size, not an inconsistency.
+    # The coefficient formula rounds exact propagator-route states' ~r^4-sized
+    # terms to an n_eff with no digit left (F read 1.0 where the closed form
+    # gives 0.49996 and 0.00099797), so conditioning them raises.  Gate 5
+    # measures the formula's gap relative to the state, where it is rounding.
     laser = bench_config.params.laser_freq
     c = compute_couplings(replace(bench_config.params, mirror_freq=laser / (2 * r * r + 1)))
-    ts = np.linspace(0.0, period(c), 101)
-    props = propagator(c, ts)
-    for nbar in (0.0, 1.0, 1000.0):
-        exact = coeffs_analytic(c, nbar, ts)
-        scale = np.abs([getattr(exact, f) for f in COEFF_FIELDS]).max(axis=0).clip(1.0)
-        for g in (coeffs_from_propagator(props, nbar), _strip_couplings(exact)):
-            gap = np.abs(effective_occupation(g) - effective_occupation(exact)) / scale
-            assert gap.max() < 1e-12
+    props = propagator(c, np.linspace(0.0, period(c), 101))
+    nbar_values = (0.0, 1.0, 1000.0)
+    for nbar in nbar_values:
+        with pytest.raises(DomainError, match="closed-form state"):
+            fidelity_coherent(coeffs_from_propagator(props, nbar))
+    gates = {name: defect for name, defect, *_ in _run_gates(c, nbar_values)}
+    assert gates["fidelity-identity"] <= 1e-12
 
 
 def test_teleport_added_noise_equals_occupation(moderate):
@@ -507,3 +522,9 @@ def test_measurement_record_validation():
         MeasurementRecord(math.nan, 0.0, 0j)
     with pytest.raises(DomainError):
         MeasurementRecord(0.0, 0.0, complex(math.inf, 0.0))
+
+
+@pytest.mark.parametrize("strength", [math.nan, math.inf, -1.0])
+def test_actuation_setting_validation(strength):
+    with pytest.raises(DomainError, match="strength"):
+        ActuationSetting(0.0, strength)

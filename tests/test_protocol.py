@@ -134,28 +134,44 @@ def test_conditioning_needs_a_closed_form_state(moderate, route):
                 route(g)
 
 
+def _coefficient_formulas(g):
+    """n_eff, the heterodyne-free fidelity and the conditioned matrix, written
+    from the coefficients as in the docstrings: the generic route."""
+    e1 = g.anti_n + 1.0
+    bracket = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
+    d = g.stokes_anti - g.mirror_anti
+    matrix = np.zeros(np.shape(g.time) + (4, 4))
+    matrix[..., 0, 0] = matrix[..., 1, 1] = g.stokes_n - g.stokes_anti**2 / e1 + 0.5
+    matrix[..., 2, 2] = matrix[..., 3, 3] = g.mirror_n - g.mirror_anti**2 / e1 + 0.5
+    corr = g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1
+    matrix[..., 0, 2] = matrix[..., 2, 0] = corr
+    matrix[..., 1, 3] = matrix[..., 3, 1] = -corr
+    return bracket - d * (d / e1), 1.0 / (1.0 + bracket), matrix
+
+
+def _assert_matches_coefficient_formulas(g):
+    n_eff, f_no_het, matrix = _coefficient_formulas(g)
+    assert effective_occupation(g) == pytest.approx(n_eff, rel=1e-10, abs=1e-10)
+    assert fidelity_no_heterodyne(g) == pytest.approx(f_no_het, rel=1e-10)
+    assert conditional_correlation(g).matrix == pytest.approx(matrix, rel=1e-9, abs=1e-9)
+
+
+def test_stable_and_generic_routes_agree(moderate):
+    # The factored (stable) forms are the coefficient formulas (the generic
+    # route) regrouped; at moderate rates the formulas keep all but a few
+    # digits, so the two agree one time at a time.
+    for nbar in (0.0, 1.0, 25.0):
+        for t in np.linspace(0.01, period(moderate), 19):
+            _assert_matches_coefficient_formulas(coeffs_analytic(moderate, nbar, float(t)))
+
+
 def test_noise_without_couplings_is_the_coefficient_formulas(moderate):
-    # The factored forms are the coefficient formulas of the docstrings,
-    # regrouped: n_eff, the heterodyne-free bracket and the conditioned
-    # matrix.  At moderate rates the formulas keep all but a few digits.
+    # The same agreement for a stack of times, row by row, and for a
+    # single time given as a float.
     ts = np.linspace(0.0, period(moderate), 101)
     for nbar in (0.0, 1.0, 3.0, 25.0):
         for time in (ts, 0.7):
-            g = coeffs_analytic(moderate, nbar, time)
-            e1 = g.anti_n + 1.0
-            bracket = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
-            d = g.stokes_anti - g.mirror_anti
-            want = np.zeros(np.shape(time) + (4, 4))
-            want[..., 0, 0] = want[..., 1, 1] = g.stokes_n - g.stokes_anti**2 / e1 + 0.5
-            want[..., 2, 2] = want[..., 3, 3] = g.mirror_n - g.mirror_anti**2 / e1 + 0.5
-            corr = g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1
-            want[..., 0, 2] = want[..., 2, 0] = corr
-            want[..., 1, 3] = want[..., 3, 1] = -corr
-            assert effective_occupation(g) == pytest.approx(
-                bracket - d * (d / e1), rel=1e-10, abs=1e-10
-            )
-            assert fidelity_no_heterodyne(g) == pytest.approx(1.0 / (1.0 + bracket), rel=1e-10)
-            assert conditional_correlation(g).matrix == pytest.approx(want, rel=1e-9, abs=1e-9)
+            _assert_matches_coefficient_formulas(coeffs_analytic(moderate, nbar, time))
 
 
 def test_unphysical_channel_raises(monkeypatch, moderate):

@@ -20,18 +20,19 @@ than about 159 periods.  A cell the arithmetic leaves to Python fits the 19
 bytes after the separator: the longest ``%.12g`` text,
 ``-1.23456789012e-100``, is 19 bytes.
 
-The writer alone cuts a table into chunks of up to ``_BLOCK_ROWS`` rows,
-and each chunk into blocks: it asks its caller's ``columns(lo, hi)`` for
-rows lo up to hi.  ``curve`` computes those rows, times included, so it
-never holds a full-length array: the peak of numpy's buffers is about
-3.0 MB at any ``--grid`` from 40,000 up (2.96 MB at 200,000, 2.72 MB at
-1,000,000), most of it this writer's work arrays, which share one buffer
-across their lifetimes (see :class:`_Work`); 4.19 MB when each had its
-own.  A table of two or more chunks, in a process that may run on two
-or more CPUs (``os.sched_getaffinity``) and has ``os.fork``, is shared
-with one forked worker: it computes and formats the odd chunks and sends
-their text down a pipe, and the writer formats the even ones and writes
-every chunk in row order.  Past its imports, ``curve --grid 200000`` then
+The writer alone cuts a table into chunks of up to ``_CHUNK_ROWS`` rows,
+and each chunk into blocks of up to ``_BLOCK_CELLS`` cells: it asks its
+caller's ``columns(lo, hi)`` for rows lo up to hi.  ``curve`` computes
+those rows, times included, so it never holds a full-length array: the
+peak of numpy's buffers is about 1.55 MB at any ``--grid`` from 40,000 up
+for the bundled 5 columns, and 1.82 MB at 13 (2.96 MB and 7.68 MB with
+blocks of a whole chunk), most of it this writer's work arrays, which
+share one buffer across their lifetimes (see :class:`_Work`).  A table of
+two or more chunks, in a process that may run on two or more CPUs
+(``os.sched_getaffinity``) and has ``os.fork``, is shared with one forked
+worker: it computes and formats the odd chunks and sends their text down
+a pipe, and the writer formats the even ones and writes every chunk in
+row order.  Past its imports, ``curve --grid 200000`` then
 takes about 0.09 s instead of 0.13 s (wall medians of 12 runs in one
 process, a 2-core host).  The worker shares its parent's pages until one
 of them writes a page; its own pages come to about 6.3 MB and its peak
@@ -88,11 +89,22 @@ import struct
 
 import numpy as np
 
-#: Rows formatted per block, at most.  Writing the 200,001 x 5 table of
-#: ``curve --grid 200000`` took 0.084 s with 4096, against 0.088 s with 2048
-#: and 0.10 s with 1024 rows (more calls per cell), and 0.081 s with 8192,
-#: whose work arrays are twice the size (CPU medians of 8 runs, a 2-core host).
-_BLOCK_ROWS = 4096
+#: Rows per chunk: what the writer asks its caller's ``columns`` for at a
+#: time, what a forked worker formats and sends, and what decides the fork
+#: (two or more chunks).  Halving it doubles the calls and pipe messages and
+#: makes every table of 2,049 to 4,096 rows fork: the 32 seed-0
+#: ``param-scan`` configs took a p90 of 5.33 ms each against 2.35 ms.
+_CHUNK_ROWS = 4096
+
+#: Cells formatted per block, at most: the size of the work arrays, 104
+#: bytes a cell, about 1.07 MB, whatever the column count.  A chunk of the
+#: bundled 5-column table is cut into two blocks of 2,048 rows.  Against
+#: blocks of a whole chunk, ``curve --grid 200000``'s peak resident set fell
+#: from 32.26 to 30.96 MB and its wall time moved +0.4 to +0.9 %, within
+#: noise (medians of 20 alternating pairs of fresh processes, a 2-core
+#: host).  Against the same, 1,024-row blocks saved 1.7 MB for +2.3-2.6 %
+#: of wall time, and 512-row blocks 2.1 MB for +5 %.
+_BLOCK_CELLS = 10_240
 
 #: Bytes per cell: five words.
 _SLOT = 20
@@ -207,6 +219,7 @@ class _Work:
     """
 
     def __init__(self, rows: int, cols: int):
+        self.rows = rows
         self.cols = cols
         self.words = np.empty(rows * cols * 5, np.intp)
         self.fast = np.empty((rows, cols), bool)
@@ -302,20 +315,21 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     return block.translate(None, b"\0")
 
 
-def _block_rows(rows: int) -> int:
-    """Rows per block for a table of ``rows`` rows: an eighth of them, but at
-    least 256 and at most ``_BLOCK_ROWS``.
+def _block_rows(rows: int, cols: int) -> int:
+    """Rows per block for a table of ``rows`` rows of ``cols`` columns: an
+    eighth of its rows but at least 256, cut to ``_BLOCK_CELLS`` cells, and
+    at most a chunk and the table.
 
-    The work arrays take 104 bytes a cell.  For a table its caller holds
-    whole, blocks of an eighth of its rows keep them to about 1.6 times the
-    table's own floats.  From 32,768 rows on a block is ``_BLOCK_ROWS``
-    rows, about 2.1 MB of work arrays at 5 columns, and as ``curve`` streams
-    such a table in chunks of ``_BLOCK_ROWS`` rows, each chunk is one block
-    and the work arrays are most of what it holds at once.  Each block also
-    costs about 65 us of numpy calls, about the time its cells take at 256
-    rows of 3 columns; smaller blocks would mostly make calls.
+    Each block costs about 65 us of numpy calls, about the time its cells
+    take at 256 rows of 3 columns; smaller blocks would mostly make calls.
+    The eighth keeps the blocks of a small table small: ``param-scan``'s
+    tables (501 to 4,001 rows of 3 columns) take blocks of 256 to 500 rows,
+    and with one block a table its child's peak resident set rose from
+    33.68 to 35.02 MB.  From 16,384 rows on, the cell budget binds at 5
+    columns: ``curve --grid 200000``'s blocks are 2,048 rows, and at 13
+    columns 787, so the writer's memory does not grow with the columns.
     """
-    return min(_BLOCK_ROWS, max(256, rows // 8))
+    return max(1, min(_BLOCK_CELLS // cols, max(256, rows // 8), _CHUNK_ROWS, rows))
 
 
 def write_blocks(fh, header: str, rows: int, columns) -> None:
@@ -323,10 +337,10 @@ def write_blocks(fh, header: str, rows: int, columns) -> None:
     file ``fh``.
 
     ``columns(lo, hi)`` returns rows lo up to hi as a list of equal-length
-    column slices; the writer asks for chunks of up to ``_BLOCK_ROWS`` rows
-    and cuts blocks from each, so a chunk's rows never share a block with
-    the next chunk's.  Raises ValueError if a chunk holds
-    another number of rows.
+    column slices; the writer asks for chunks of up to ``_CHUNK_ROWS`` rows
+    and cuts blocks of up to ``_BLOCK_CELLS`` cells from each, so a chunk's
+    rows never share a block with the next chunk's.  Raises ValueError if a
+    chunk holds another number of rows.
 
     A table of two or more chunks, on a host that lets this process run on
     two or more CPUs, is shared with one forked worker (see :func:`_fork`):
@@ -336,21 +350,20 @@ def write_blocks(fh, header: str, rows: int, columns) -> None:
     computes that chunk and the rest, so a failure surfaces at the same
     row, with the same exception, as with one process.
     """
-    count = -(-rows // _BLOCK_ROWS)
-    step = _block_rows(rows)
+    count = -(-rows // _CHUNK_ROWS)
     w = None
 
     def formatted(i):
         nonlocal w
-        lo = i * _BLOCK_ROWS
-        hi = min(lo + _BLOCK_ROWS, rows)
+        lo = i * _CHUNK_ROWS
+        hi = min(lo + _CHUNK_ROWS, rows)
         chunk = columns(lo, hi)
         if len(chunk[0]) != hi - lo:
             raise ValueError(f"chunk {i} holds {len(chunk[0])} rows, not {hi - lo}")
         if w is None:
-            w = _Work(min(step, rows), len(chunk))
-        for start in range(0, hi - lo, step):
-            part = [c[start : start + step] for c in chunk]
+            w = _Work(_block_rows(rows, len(chunk)), len(chunk))
+        for start in range(0, hi - lo, w.rows):
+            part = [c[start : start + w.rows] for c in chunk]
             x = w.planes(len(part[0]))[0][0]  # the x plane, which idx reuses
             yield _format_block(np.stack(part, axis=1, out=x), w)
 

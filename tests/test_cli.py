@@ -318,6 +318,12 @@ def _cpus(n):
     return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)), create=True)
 
 
+def _blocks(chunk_rows, block_cells):
+    """Cut tables into chunks of ``chunk_rows`` rows, and those into blocks
+    of at most ``block_cells`` cells."""
+    return mock.patch.multiple(_csvtext, _CHUNK_ROWS=chunk_rows, _BLOCK_CELLS=block_cells)
+
+
 def _block_bytes(columns, header="theta_t,F"):
     buf = io.BytesIO()
     _csvtext.write_blocks(buf, header, len(columns[0]), _whole(columns))
@@ -358,15 +364,17 @@ _cells = st.one_of(
 
 @given(
     table=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)), elements=_cells),
-    block_rows=st.integers(1, 7),
+    chunk_rows=st.integers(1, 7),
+    block_cells=st.integers(1, 20),
 )
 @settings(max_examples=150, deadline=None)
-def test_block_writer_matches_savetxt(table, block_rows):
+def test_block_writer_matches_savetxt(table, chunk_rows, block_cells):
     # Every cell, whether the block arithmetic or the fallback to Python's
-    # own %.12g formats it, must come out byte for byte as np.savetxt's.
+    # own %.12g formats it, must come out byte for byte as np.savetxt's,
+    # in chunks of one block or of several, the last of them partial.
     # (150 examples over nine kinds of cell keep 100 over the first six.)
     columns = list(table.T)
-    with mock.patch.object(_csvtext, "_BLOCK_ROWS", block_rows):
+    with _blocks(chunk_rows, block_cells):
         assert _block_bytes(columns) == _savetxt_bytes(columns)
 
 
@@ -387,12 +395,18 @@ def test_large_table_matches_savetxt():
         small_ties, np.where(rng.random(small_ties.size) < 0.5, -np.inf, np.inf)
     )
     small_edges = 10.0 ** rng.integers(-101, -4, 100_000) * (1.0 - rng.uniform(0.0, 6e-13, 100_000))
-    for columns in (
+    tables = (
         [*cells.reshape(3, -1), *small.reshape(2, -1)],
         [ties, ties[::-1], small_ties],
         [edges, small_edges],
-    ):
-        assert _block_bytes(columns) == _savetxt_bytes(columns)
+    )
+    # The writer's own chunks and blocks, then chunks of several blocks
+    # whose last is partial: 4, 3 and 2 blocks of 700, 1,166 and 1,750
+    # rows hold a chunk of 2,500 rows.
+    for chunk_rows, block_cells in ((_csvtext._CHUNK_ROWS, _csvtext._BLOCK_CELLS), (2500, 3500)):
+        with _blocks(chunk_rows, block_cells):
+            for columns in tables:
+                assert _block_bytes(columns) == _savetxt_bytes(columns), (chunk_rows, len(columns))
 
 
 # Cells of the block arithmetic's range, [1e-99, 1e3): ties of exponents
@@ -413,17 +427,18 @@ _narrow_cells = st.one_of(
     wide=st.lists(
         st.tuples(st.integers(0, 39), st.floats(3.0, 11.0).map(lambda k: 10.0**k)), max_size=4
     ),
-    block_rows=st.integers(1, 7),
+    chunk_rows=st.integers(1, 7),
+    block_cells=st.integers(1, 20),
 )
 @settings(max_examples=84, deadline=None)
-def test_block_writer_matches_savetxt_below_1e3(table, wide, block_rows):
+def test_block_writer_matches_savetxt_below_1e3(table, wide, chunk_rows, block_cells):
     # Blocks of cells below 1e3, as curve.csv's are; a few cells of
     # 1e3 .. 1e11 fall back to Python's %.12g in some blocks of a table.
     # (84 examples over five kinds of cell keep 50 over the first three.)
     for row, value in wide:
         table[row % len(table), row % table.shape[1]] = value
     columns = list(table.T)
-    with mock.patch.object(_csvtext, "_BLOCK_ROWS", block_rows):
+    with _blocks(chunk_rows, block_cells):
         assert _block_bytes(columns) == _savetxt_bytes(columns)
 
 
@@ -527,12 +542,12 @@ def test_bundled_columns_match_savetxt(tmp_path):
 
 def _failing_curves(couplings, grid, chunk, failure):
     """protocol.fidelity_curves, failing on the chunk of ``curve --grid
-    grid`` (one period) whose first row is ``chunk`` * ``_BLOCK_ROWS``: by a
+    grid`` (one period) whose first row is ``chunk`` * ``_CHUNK_ROWS``: by a
     NaN the finite check turns into DomainError, by a FloatingPointError
     from the kernel, or by an interrupt.  The chunk is found by its times,
     so it fails in whichever process computes it."""
     kernel = protocol.fidelity_curves
-    first = np.linspace(0.0, period(couplings), grid + 1)[chunk * _csvtext._BLOCK_ROWS]
+    first = np.linspace(0.0, period(couplings), grid + 1)[chunk * _csvtext._CHUNK_ROWS]
 
     def failing(c, nbar_values, t, heterodyne=True):
         columns = kernel(c, nbar_values, t, heterodyne)
@@ -612,7 +627,7 @@ def test_curve_is_the_same_in_one_process_or_two(tmp_path, grid, flags):
         forks.clear()
         with _cpus(cpus), mock.patch.object(os, "fork", counted_fork):
             assert main(["--out", str(out), "--grid", str(grid), *flags, "curve"]) == 0
-        assert len(forks) == (cpus == 2 and grid >= _csvtext._BLOCK_ROWS)
+        assert len(forks) == (cpus == 2 and grid >= _csvtext._CHUNK_ROWS)
         outputs.append([(out / name).read_bytes() for name in ("curve.csv", "summary.json")])
     assert outputs[0] == outputs[1]
 
@@ -643,27 +658,31 @@ def test_failing_summary_leaves_no_curve(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-heterodyne"]])
-def test_curve_memory_does_not_grow_with_the_grid(tmp_path, flags):
-    # curve holds one chunk of its table at a time, its times included.
-    # numpy reports its buffers to tracemalloc, so the bounds hold on any
-    # host: the peak is about 2.96 MB at both grids, most of it the block
-    # writer's work arrays (4.19 MB before those shared one buffer across
-    # their lifetimes), against about 20 MB when every column and the
-    # kernel's temporaries were held at full length, and 5.4 MB with the
-    # time grid alone.  The bound is that peak plus about 10 %.
+def test_curve_memory_does_not_grow_with_the_grid(tmp_path, bench_json, flags):
+    # curve holds one chunk of its table at a time, its times included, and
+    # formats it in blocks of a fixed number of cells.  numpy reports its
+    # buffers to tracemalloc, so the bounds hold on any host: the peak is
+    # about 1.55 MB at both grids for the bundled 5 columns and 1.81 MB for
+    # 13, most of it the block writer's work arrays; with blocks of a
+    # whole 4,096-row chunk they grew with the columns, to 2.96 MB and
+    # 7.68 MB.  Each bound is its peak plus about 10 %.
     # With one CPU this process writes every chunk: tracemalloc would not
     # see a worker's buffers.
-    peaks = {}
-    for grid in (40000, 200000):
-        tracemalloc.start()
-        try:
-            with _cpus(1):
-                assert main(["--out", str(tmp_path), "--grid", str(grid), *flags, "curve"]) == 0
-            peaks[grid] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[200000] <= peaks[40000] + 0.25e6, peaks
-    assert max(peaks.values()) < 3.3e6, peaks
+    bench_json["nbar_values"] = [0, 0.5, 1, 2, 5, 10, 20, 50, 100, 300, 1000, 1e4]
+    wide = _write_config(tmp_path, bench_json)
+    for config, bound in (([], 1.7e6), (["--config", wide], 2.0e6)):
+        peaks = {}
+        for grid in (40000, 200000):
+            tracemalloc.start()
+            try:
+                with _cpus(1):
+                    argv = ["--out", str(tmp_path), *config, "--grid", str(grid), *flags, "curve"]
+                    assert main(argv) == 0
+                peaks[grid] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200000] <= peaks[40000] + 0.25e6, (config, peaks)
+        assert max(peaks.values()) < bound, (config, peaks)
 
 
 def _bits(a):
@@ -682,8 +701,8 @@ def test_time_chunks_are_linspace(bench_couplings, grid, periods):
     # with the exact end on the last row; CI runs this on the oldest
     # supported numpy and on the latest.
     stop = periods * period(bench_couplings)
-    chunks = _time_chunks(stop, grid + 1, _csvtext._BLOCK_ROWS)
-    assert all(0 < len(t) <= _csvtext._BLOCK_ROWS for t in chunks)
+    chunks = _time_chunks(stop, grid + 1, _csvtext._CHUNK_ROWS)
+    assert all(0 < len(t) <= _csvtext._CHUNK_ROWS for t in chunks)
     times = np.concatenate(chunks)
     assert _bits(times) == _bits(np.linspace(0.0, stop, grid + 1))
     assert times[-1] == stop
@@ -695,7 +714,7 @@ def test_time_chunks_match_linspace_when_the_step_underflows(stop):
     # num - 1 first; 1e-310's step is subnormal but not 0.
     num = 200001
     assert (stop / (num - 1) == 0) == (stop < 1e-310)
-    times = np.concatenate(_time_chunks(stop, num, _csvtext._BLOCK_ROWS))
+    times = np.concatenate(_time_chunks(stop, num, _csvtext._CHUNK_ROWS))
     assert _bits(times) == _bits(np.linspace(0.0, stop, num))
     assert times[-1] == stop
 
@@ -713,16 +732,16 @@ def test_time_chunks_match_linspace_in_any_split(stop, num, rows):
 
 @given(
     table=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)), elements=_narrow_cells),
-    block_rows=st.integers(1, 7),
+    chunk_rows=st.integers(1, 7),
     cpus=st.sampled_from([1, 2]),
 )
 @settings(max_examples=50, deadline=None)
-def test_chunks_write_the_table_they_hold(table, block_rows, cpus):
+def test_chunks_write_the_table_they_hold(table, chunk_rows, cpus):
     # A table cut into chunks, one or many, some shared with a worker,
     # writes the bytes of the whole table.
     columns = list(table.T)
     buf = io.BytesIO()
-    with mock.patch.object(_csvtext, "_BLOCK_ROWS", block_rows), _cpus(cpus):
+    with mock.patch.object(_csvtext, "_CHUNK_ROWS", chunk_rows), _cpus(cpus):
         _csvtext.write_blocks(buf, "theta_t,F", len(table), _whole(columns))
     assert buf.getvalue() == _savetxt_bytes(columns)
 
@@ -739,7 +758,7 @@ def test_chunk_of_the_wrong_length_raises():
             return chunk
 
         rows = 4 if bad == 1 else 2
-        with mock.patch.object(_csvtext, "_BLOCK_ROWS", 4), _cpus(cpus):
+        with mock.patch.object(_csvtext, "_CHUNK_ROWS", 4), _cpus(cpus):
             with pytest.raises(ValueError, match=f"chunk {bad} holds {rows + extra} rows, not {rows}"):
                 _csvtext.write_blocks(io.BytesIO(), "a,b", 10, columns)
         with pytest.raises(ChildProcessError):
@@ -759,7 +778,7 @@ def test_unpicklable_exception_surfaces_in_either_process():
                 raise Unpicklable(lo)
             return whole(lo, hi)
 
-        with mock.patch.object(_csvtext, "_BLOCK_ROWS", 4), _cpus(cpus):
+        with mock.patch.object(_csvtext, "_CHUNK_ROWS", 4), _cpus(cpus):
             with pytest.raises(Unpicklable):
                 _csvtext.write_blocks(io.BytesIO(), "a,b", 10, columns)
         with pytest.raises(ChildProcessError):
@@ -770,7 +789,7 @@ def test_killed_worker_leaves_the_one_cpu_table(tmp_path, bench_couplings):
     # A worker killed before it sends chunk 1 leaves that chunk and the
     # rest to curve, which writes the one-CPU bytes, exits 0 and reaps it.
     kernel = protocol.fidelity_curves
-    first = np.linspace(0.0, period(bench_couplings), 20001)[_csvtext._BLOCK_ROWS]
+    first = np.linspace(0.0, period(bench_couplings), 20001)[_csvtext._CHUNK_ROWS]
     parent = os.getpid()
 
     def killed(c, nbar_values, t, heterodyne=True):
@@ -801,15 +820,15 @@ def test_killed_worker_leaves_the_one_cpu_table(tmp_path, bench_couplings):
             ),
         ),
     ),
-    block_rows=st.integers(1, 7),
+    chunk_rows=st.integers(1, 7),
 )
 @settings(max_examples=100, deadline=None)
-def test_small_table_matches_savetxt(table, block_rows):
+def test_small_table_matches_savetxt(table, chunk_rows):
     # Small tables of any floats, among them the longest %.12g text,
     # subnormals and the edges of exponent notation: the same bytes as
     # np.savetxt, which formats each row.
     columns = list(table.T)
-    with mock.patch.object(_csvtext, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(_csvtext, "_CHUNK_ROWS", chunk_rows):
         assert _block_bytes(columns) == _savetxt_bytes(columns)
 
 

@@ -100,9 +100,9 @@ _CHUNK_ROWS = 4096
 #: bytes a cell, about 1.07 MB, whatever the column count.  A chunk of the
 #: bundled 5-column table is cut into two blocks of 2,048 rows.  Against
 #: blocks of a whole chunk, ``curve --grid 200000``'s peak resident set fell
-#: from 32.26 to 30.96 MB and its wall time moved +0.4 to +0.9 %, within
-#: noise (medians of 20 alternating pairs of fresh processes, a 2-core
-#: host).  Against the same, 1,024-row blocks saved 1.7 MB for +2.3-2.6 %
+#: from 32.26 to 30.9 MB and its wall time moved -0.7 to +2.1 %, within
+#: noise (medians of three rounds of 10 alternating pairs of fresh
+#: processes, a 2-core host).  Against the same, 1,024-row blocks saved 1.7 MB for +2.3-2.6 %
 #: of wall time, and 512-row blocks 2.1 MB for +5 %.
 _BLOCK_CELLS = 10_240
 

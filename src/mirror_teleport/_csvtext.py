@@ -102,8 +102,8 @@ _CHUNK_ROWS = 4096
 #: blocks of a whole chunk, ``curve --grid 200000``'s peak resident set fell
 #: from 32.26 to 30.9 MB and its wall time moved -0.7 to +2.1 %, within
 #: noise (medians of three rounds of 10 alternating pairs of fresh
-#: processes, a 2-core host).  Against the same, 1,024-row blocks saved 1.7 MB for +2.3-2.6 %
-#: of wall time, and 512-row blocks 2.1 MB for +5 %.
+#: processes, a 2-core host).  Against the same, 1,024-row blocks saved
+#: 1.7 MB for +2.3-2.6 % of wall time, and 512-row blocks 2.1 MB for +5 %.
 _BLOCK_CELLS = 10_240
 
 #: Bytes per cell: five words.

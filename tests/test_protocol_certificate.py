@@ -74,7 +74,8 @@ def _in_tau(expr):
 
 def _peak(monkeypatch, heterodyne):
     """``_peak``'s (tau, F) on symbols, for oscillation 1 and parametric r."""
-    monkeypatch.setattr(protocol, "math", types.SimpleNamespace(sqrt=sp.sqrt, atan=sp.atan, pi=sp.pi))
+    symbolic_math = types.SimpleNamespace(sqrt=sp.sqrt, atan=sp.atan, pi=sp.pi)
+    monkeypatch.setattr(protocol, "math", symbolic_math)
     t_peak, f = protocol._peak(types.SimpleNamespace(parametric=r, oscillation=1), heterodyne)
     t_star, f = (sp.nsimplify(v, rational=True) for v in (sp.tan(t_peak / 2), f))
     return sp.simplify(t_star), f

@@ -26,7 +26,7 @@ import importlib
 import types
 
 from ._record import replace
-from .errors import ConfigError, ConsistencyError, DomainError
+from .errors import ConfigError, DomainError
 from .optomech import (
     C_LIGHT,
     HBAR,

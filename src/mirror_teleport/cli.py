@@ -389,8 +389,10 @@ def _run_gates(couplings: Couplings, nbar_values):
     and the gate checks both for every nbar, the fidelity peaks included.
     Gates 3-7 reach the peaks too: gate 3 adds both peak times to its own,
     and gates 4-7 take gate 2's times and closed forms.  Gates 4 and 7 call
-    ``physicality_defect`` and ``teleport_covariance`` on one stack of the
-    channel's matrices over every time and nbar; gate 5 compares the
+    ``physicality_defect`` and ``teleport_covariance`` on one stack of
+    ``protocol.conditional_correlation``'s matrices over every time and
+    nbar: gate 4 is the only check that they are physical, and a channel
+    that leaves float64 raises DomainError there.  Gate 5 compares the
     coefficient formula for n_eff on the propagator's moments with the
     factored n_eff.
     """
@@ -452,9 +454,10 @@ def _run_gates(couplings: Couplings, nbar_values):
     yield _verdict("propagator-group", group.max())
 
     # 4. conditioned-state physicality at gate 2's times, relative to
-    #    max(1, |G|max) as in protocol.conditional_correlation's own guard;
-    #    gate 7 reuses these channel matrices and gate 5's n_eff
-    mats = np.stack([protocol.conditional_matrices(g) for g in analytic])
+    #    max(1, |G|max), so physical states at large nbar pass; the only
+    #    check of the channel's physicality.  Gate 7 reuses these channel
+    #    matrices and gate 5's n_eff
+    mats = np.stack([protocol.conditional_correlation(g).matrix for g in analytic])
     defects = physicality_defect(CorrelationMatrix4(mats))
     scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
     yield _verdict("conditional-physicality", np.max(defects / scale))

@@ -1,17 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Both are input errors.  A broken internal identity, such as an unphysical
+conditioned channel, raises neither: ``verify``'s gates measure each one,
+and a gate that fails makes ``verify`` exit 2.
+"""
 
 
 class DomainError(ValueError):
     """An input violates a documented physical or mathematical precondition."""
-
-
-class ConsistencyError(RuntimeError):
-    """An internal identity that must hold by construction failed.
-
-    Raised when a computed state violates a structural invariant (e.g. an
-    unphysical correlation matrix, or a fidelity above one).  Signals a bug
-    in the dynamics, not bad user input.
-    """
 
 
 class ConfigError(ValueError):

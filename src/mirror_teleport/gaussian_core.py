@@ -81,12 +81,15 @@ class CovMatrix2:
 
 @record
 class CorrelationMatrix4:
-    """Symmetric 4x4 quadrature correlation matrix of the two-mode state, or a stack."""
+    """Symmetric 4x4 quadrature correlation matrix of the two-mode state, or a
+    stack; every entry is finite, so any eigenvalue solve takes it."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _as_square(self.matrix, 4, "CorrelationMatrix4")
+        if not np.isfinite(m).all():
+            raise DomainError("CorrelationMatrix4 has a non-finite entry")
         _require_symmetric(m, "CorrelationMatrix4")
         object.__setattr__(self, "matrix", m)
 
@@ -115,13 +118,10 @@ def physicality_defect(corr: CorrelationMatrix4):
     positive semidefinite, J being the two-mode symplectic form.  Returns
     max(0, -lambda_min) of that Hermitian matrix; zero means physical.  A
     stack of shape (..., 4, 4) gives one defect per matrix from one
-    eigenvalue solve, each bit for bit the defect of its matrix alone.
-    Raises DomainError on a non-finite entry, which no eigenvalue solve takes.
+    eigenvalue solve, each bit for bit the defect of its matrix alone; a
+    ``CorrelationMatrix4`` is finite by its type.
     """
-    m = corr.matrix
-    if not np.isfinite(m).all():
-        raise DomainError("correlation matrix has a non-finite entry")
-    h = m + 0.5j * SYMPLECTIC_FORM_4
+    h = corr.matrix + 0.5j * SYMPLECTIC_FORM_4
     return np.maximum(-np.linalg.eigvalsh(h)[..., 0], 0.0)[()]
 
 

@@ -25,6 +25,8 @@ on the propagator's moments with them.  :func:`fidelity_curves` evaluates
 them for several nbar at once, from one set of sines and cosines.  The
 channel maps :func:`conditional_correlation` and :func:`teleport_covariance`
 take stacks over times, each result bit for bit that of its time alone.
+The channel is built only by :func:`conditional_correlation` and checked
+only by ``cli``'s ``conditional-physicality`` gate.
 
 In tau = tan(x/2) the derivatives of both noise forms factor into
 quadratics, which puts each fidelity maximum at a closed-form time, with a
@@ -41,13 +43,8 @@ import numpy as np
 
 from ._record import record
 from .dynamics import GaussianCoeffs, _ratios_and_trig
-from .errors import ConsistencyError, DomainError
-from .gaussian_core import (
-    VACUUM_VARIANCE,
-    CorrelationMatrix4,
-    CovMatrix2,
-    physicality_defect,
-)
+from .errors import DomainError
+from .gaussian_core import VACUUM_VARIANCE, CorrelationMatrix4, CovMatrix2
 from .optomech import Couplings
 
 #: Best coherent-state fidelity achievable with no shared entanglement.
@@ -126,6 +123,16 @@ class _FactoredParts:
             return (nbar + 1.0) * self._lift2 / self.e1(nbar)
         return self._lift2 + nbar * self._tilt2
 
+    def channel(self, nbar):
+        """The conditioned channel's Stokes variance, mirror variance and X-X
+        correlation: stokes_n - stokes_anti^2/E1 + 1/2, mirror_n -
+        mirror_anti^2/E1 + 1/2 and stokes_mirror + stokes_anti mirror_anti/E1."""
+        e1, r, q, s, c, omc = self.e1(nbar), self.r, self.q, self.s, self.c, self.omc
+        stokes_var = VACUUM_VARIANCE + (nbar + 1.0) * r**2 * s**2 / e1
+        mirror_var = VACUUM_VARIANCE + (nbar * (r**2 * q**2 * omc**2 + c**2) + r**2 * s**2) / e1
+        corr = (nbar + 1.0) * r * s * (1.0 + r**2 * omc) / e1
+        return stokes_var, mirror_var, corr
+
 
 def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = True):
     """Fidelity at ``time`` for each of ``nbar_values``, from the factored forms.
@@ -154,44 +161,24 @@ def _closed_form(g: GaussianCoeffs) -> _FactoredParts:
     return _FactoredParts(g.couplings, g.time)
 
 
-def conditional_matrices(g: GaussianCoeffs) -> np.ndarray:
-    """Correlation matrices of the conditioned Stokes+mirror state, unchecked.
+def conditional_correlation(g: GaussianCoeffs) -> CorrelationMatrix4:
+    """Correlation matrix of the conditioned Stokes+mirror state.
 
     Evaluated elementwise over the times of ``g``: shape (4, 4) for a scalar
     time, (n, 4, 4) for n times.  The block pattern over (X_s, P_s, X_m, P_m)
     is the standard form: equal diagonal pairs, a single correlation +/-k in
-    the (X, X) and (P, P) slots, zero X-P cross terms.
+    the (X, X) and (P, P) slots, zero X-P cross terms.  Raises DomainError
+    where the factored forms leave float64 (``CorrelationMatrix4`` holds
+    finite entries only); ``verify``'s conditional-physicality gate checks
+    that the matrices are physical.
     """
-    parts = _closed_form(g)
-    e1, r, q, s, c, omc = parts.e1(g.nbar), parts.r, parts.q, parts.s, parts.c, parts.omc
-    stokes_var = VACUUM_VARIANCE + (g.nbar + 1.0) * r**2 * s**2 / e1
-    mirror_var = VACUUM_VARIANCE + (
-        g.nbar * (r**2 * q**2 * omc**2 + c**2) + r**2 * s**2
-    ) / e1
-    corr = (g.nbar + 1.0) * r * s * (1.0 + r**2 * omc) / e1
-    stokes_var, mirror_var, corr = np.broadcast_arrays(stokes_var, mirror_var, corr)
-    matrix = np.zeros(stokes_var.shape + (4, 4))
+    stokes_var, mirror_var, corr = _closed_form(g).channel(g.nbar)
+    matrix = np.zeros(np.shape(stokes_var) + (4, 4))
     matrix[..., 0, 0] = matrix[..., 1, 1] = stokes_var
     matrix[..., 2, 2] = matrix[..., 3, 3] = mirror_var
     matrix[..., 0, 2] = matrix[..., 2, 0] = corr
     matrix[..., 1, 3] = matrix[..., 3, 1] = -corr
-    return matrix
-
-
-def conditional_correlation(g: GaussianCoeffs) -> CorrelationMatrix4:
-    """Correlation matrix of the conditioned Stokes+mirror state, or a stack
-    (n, 4, 4) over n times: :func:`conditional_matrices`.  Raises
-    ConsistencyError if any matrix is unphysical beyond 1e-8 relative to
-    max(1, |G|max), which would signal a dynamics bug.
-    """
-    result = CorrelationMatrix4(conditional_matrices(g))
-    defect = physicality_defect(result)
-    if np.any(defect > 1e-8 * np.maximum(1.0, np.abs(result.matrix).max(axis=(-2, -1)))):
-        raise ConsistencyError(
-            f"conditioned state unphysical (defect {np.max(defect):.3e}); "
-            "dynamics coefficients are inconsistent"
-        )
-    return result
+    return CorrelationMatrix4(matrix)
 
 
 def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatrix2:

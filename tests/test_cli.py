@@ -1020,6 +1020,32 @@ def test_fidelity_identity_gate_fails_on_a_raised_n_eff(tmp_path, monkeypatch):
     assert "verification FAILED" in text
 
 
+def test_verify_fails_on_an_unphysical_channel(tmp_path, monkeypatch):
+    # Gate 4 is the only check of the channel's physicality.  Zero variances
+    # with a correlation of +-5 break the uncertainty principle; one such
+    # matrix, at one time of one nbar's stack, fails it.  Gate 7 teleports
+    # through every tenth grid time only, so time 7 fails gate 4 alone.
+    bad = np.zeros((4, 4))
+    bad[0, 2] = bad[2, 0] = 5.0
+    bad[1, 3] = bad[3, 1] = -5.0
+    channel = protocol.conditional_correlation
+
+    def unphysical(g):
+        chan = channel(g)
+        if g.nbar != 1.0:
+            return chan
+        matrix = chan.matrix.copy()
+        matrix[7] = bad
+        return replace(chan, matrix=matrix)
+
+    monkeypatch.setattr(protocol, "conditional_correlation", unphysical)
+    assert main(["--out", str(tmp_path), "verify"]) == 2
+    text = (tmp_path / "verify.txt").read_text()
+    fails = [line.split(":")[0] for line in text.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL conditional-physicality"]
+    assert "verification FAILED" in text
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -40,6 +40,18 @@ def test_correlation_rejects_asymmetric():
         CorrelationMatrix4(m)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_correlation_rejects_non_finite(value):
+    # Every CorrelationMatrix4 is finite, alone or in a stack; the check
+    # runs before the symmetry check, which a NaN (unequal to itself)
+    # would fail under a misleading message.
+    one = 0.5 * np.eye(4)
+    one[0, 2] = one[2, 0] = value
+    for m in (one, np.stack([0.5 * np.eye(4), one])):
+        with pytest.raises(DomainError, match="non-finite"):
+            CorrelationMatrix4(m)
+
+
 def test_vacuum_two_mode_state_is_physical():
     # 0.5*I saturates the uncertainty bound: defect exactly 0.
     assert physicality_defect(CorrelationMatrix4(0.5 * np.eye(4))) == 0.0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mirror_teleport import (
     CLASSICAL_FIDELITY_BOUND,
     ActuationSetting,
-    ConsistencyError,
     Couplings,
     CovMatrix2,
     DisplacementCommand,
@@ -113,7 +112,6 @@ def test_anti_n_below_the_vacuum_raises(route, message, anti_n):
 @pytest.mark.parametrize(
     "route",
     [
-        protocol.conditional_matrices,
         conditional_correlation,
         effective_occupation,
         fidelity_coherent,
@@ -174,20 +172,6 @@ def test_noise_without_couplings_is_the_coefficient_formulas(moderate):
             _assert_matches_coefficient_formulas(coeffs_analytic(moderate, nbar, time))
 
 
-def test_unphysical_channel_raises(monkeypatch, moderate):
-    # conditional_correlation checks what conditional_matrices gives: zero
-    # variances with a correlation of 5 break the uncertainty principle,
-    # alone or in a stack after a physical matrix.
-    bad = np.zeros((4, 4))
-    bad[0, 2] = bad[2, 0] = 5.0
-    bad[1, 3] = bad[3, 1] = -5.0
-    g = coeffs_analytic(moderate, 1.0, 0.3)
-    for matrices in (bad, np.stack([0.5 * np.eye(4), bad])):
-        monkeypatch.setattr(protocol, "conditional_matrices", lambda _, m=matrices: m)
-        with pytest.raises(ConsistencyError, match="conditioned state unphysical"):
-            conditional_correlation(g)
-
-
 @pytest.mark.parametrize("c", ["moderate", "bench_couplings"])
 def test_grid_rows_match_their_times_alone(request, c):
     # The verify gates read every tenth row of the 101-point grid's channel
@@ -198,8 +182,8 @@ def test_grid_rows_match_their_times_alone(request, c):
         full = coeffs_analytic(c, nbar, grid)
         tenth = coeffs_analytic(c, nbar, grid[::10])
         assert (
-            protocol.conditional_matrices(full)[::10].tobytes()
-            == protocol.conditional_matrices(tenth).tobytes()
+            conditional_correlation(full).matrix[::10].tobytes()
+            == conditional_correlation(tenth).matrix.tobytes()
         )
         assert effective_occupation(full)[::10].tobytes() == effective_occupation(tenth).tobytes()
 
@@ -223,6 +207,20 @@ def test_stacked_channel_rows_are_their_matrices_alone(request, c):
             assert one.matrix.tobytes() == chan.matrix[i].tobytes()
             assert np.float64(physicality_defect(one)).tobytes() == defects[i].tobytes()
             assert teleport_covariance(one, gin).matrix.tobytes() == out[i].tobytes()
+
+
+@pytest.mark.parametrize("nbar", [1e300, 1e307])
+def test_overflowing_channel_raises(bench_couplings, nbar):
+    # There the factored forms leave float64: entries overflow to inf at
+    # 1e300, and E1 too at 1e307, where inf/inf makes them NaN, which the
+    # symmetry check alone would reject under a misleading message.  The
+    # channel raises DomainError naming the non-finite entry, for a stack of
+    # times and for one time, and never returns an inf or a NaN.
+    ts = np.linspace(0.0, period(bench_couplings), 101)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for time in (ts, float(ts[37])):
+            with pytest.raises(DomainError, match="non-finite"):
+                conditional_correlation(coeffs_analytic(bench_couplings, nbar, time))
 
 
 @pytest.mark.parametrize("r", [5000.0, 3.7e4])

@@ -3,11 +3,11 @@ peak as their stationary point for every nbar.
 
 With the ratios and trig of both ``dynamics`` and ``protocol`` made sympy
 symbols, sympy proves that the library's own factored n_eff, bracket and
-E1 equal the coefficient formulas they stand for, which cancel r^4-sized
-terms in float64, and that ``_peak``'s closed-form times are roots of the
-nbar-free factors of the noise's derivative, where F does not depend on
-nbar.  Which stationary point is the maximum stays a numeric check
-(``test_protocol``).
+E1, and the conditioned channel's three entries, equal the coefficient
+formulas they stand for, which cancel r^4-sized terms in float64, and
+that ``_peak``'s closed-form times are roots of the nbar-free factors of
+the noise's derivative, where F does not depend on nbar.  Which
+stationary point is the maximum stays a numeric check (``test_protocol``).
 """
 
 import types
@@ -65,6 +65,24 @@ def test_n_eff_is_the_coefficient_formula(parts):
     p, g = parts
     d = g.stokes_anti - g.mirror_anti
     assert _is_zero(p.noise(nbar) - (_bracket(g) - d**2 / (g.anti_n + 1)))
+
+
+def _channel_formulas(g):
+    """The conditioned channel's Stokes variance, mirror variance and X-X
+    correlation, written from the coefficients as ``test_protocol``'s
+    coefficient formulas write them."""
+    e1, half = g.anti_n + 1, sp.Rational(1, 2)
+    return (
+        g.stokes_n - g.stokes_anti**2 / e1 + half,
+        g.mirror_n - g.mirror_anti**2 / e1 + half,
+        g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1,
+    )
+
+
+@pytest.mark.parametrize("entry", [0, 1, 2], ids=["stokes_var", "mirror_var", "corr"])
+def test_channel_is_the_coefficient_formulas(parts, entry):
+    p, g = parts
+    assert _is_zero(p.channel(nbar)[entry] - _channel_formulas(g)[entry])
 
 
 def _in_tau(expr):

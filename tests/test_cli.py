@@ -1104,9 +1104,9 @@ def test_physicality_gate_holds_at_large_nbar(bench_couplings, rates, nbar):
 
 def _gate_times(c):
     """Gate 2's times, which gates 4-7 share: one period's 101-point grid,
-    both peak times and 41 times near the heterodyne peak."""
+    both peak times and 40 more times near the heterodyne peak."""
     t_het, t_no_het, half_width = peak_times(c)
-    near = t_het + np.linspace(-half_width, half_width, 41) / c.oscillation
+    near = t_het + np.delete(np.linspace(-half_width, half_width, 41), 20) / c.oscillation
     return np.concatenate([np.linspace(0.0, period(c), 101), [t_het, t_no_het], near])
 
 
@@ -1114,8 +1114,9 @@ def _gate_times(c):
 def test_gates_reach_the_peaks(request, monkeypatch, fixture):
     # Gate 3 adds both peak times to its golden-ratio times, and gates 4-7
     # take gate 2's closed forms and times: t = 0, both peak times and 41
-    # times within 5/r in x of the heterodyne peak (pi at most).  Gate 7
-    # teleports through every tenth grid time and every peak time.
+    # times within 5/r in x of the heterodyne peak (pi at most), none of
+    # them twice.  Gate 7 teleports through every tenth grid time and every
+    # peak time.
     c = request.getfixturevalue(fixture)
     calls = {}
     for module, name in (
@@ -1135,8 +1136,9 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
     assert len(calls["coeffs_analytic"]) == len(NBAR_SET)
     for times in [moments] + [np.asarray(args[2]) for args in calls["coeffs_analytic"]]:
         assert_reaches_the_peaks(c, times)
+        assert len(np.unique(times)) == len(times) == 101 + 2 + 40
     ((channel, _),) = calls["teleport_covariance"]
-    assert channel.matrix.shape == (len(NBAR_SET), 11 + 2 + 41, 4, 4)
+    assert channel.matrix.shape == (len(NBAR_SET), 11 + 2 + 40, 4, 4)
 
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])

@@ -1,0 +1,118 @@
+"""The process entry, ``cli.run``, against ``cli.main`` in-process."""
+
+import gc
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from mirror_teleport import cli
+
+SRC = Path(cli.__file__).resolve().parent.parent
+ROOT = SRC.parent
+
+
+def _run(cmd, stdout=subprocess.PIPE):
+    """Run ``cmd`` on this checkout's package, its stdout buffered as by
+    default; stderr is captured."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(cmd, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60)
+
+
+def _python(code):
+    return _run([sys.executable, "-c", code])
+
+
+def _entry(argv, stdout=subprocess.PIPE):
+    """``python -m mirror_teleport.cli argv``."""
+    return _run([sys.executable, "-m", "mirror_teleport.cli", *argv], stdout)
+
+
+@pytest.mark.parametrize("command", ["couplings", "readout", "verify"])
+def test_entry_prints_what_main_prints(capsys, command):
+    assert cli.main([command]) == 0
+    captured = capsys.readouterr()
+    run = _entry([command])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.decode() == captured.out
+    assert run.stderr.decode() == captured.err == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-heterodyne"]])
+def test_entry_writes_what_main_writes(tmp_path, flags):
+    # 9,000 rows are three chunks: on two or more CPUs a forked worker
+    # formats one of them.
+    argv = ["--grid", "9000", *flags, "curve"]
+    assert cli.main(["--out", str(tmp_path / "main"), *argv]) == 0
+    run = _entry(["--out", str(tmp_path / "entry"), *argv])
+    assert run.returncode == 0, run.stderr
+    for name in ("curve.csv", "summary.json"):
+        assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["--grid", "abc", "curve"], 1), (["bogus"], 1), (["curve"], 3)],
+)
+def test_entry_exits_with_mains_code(argv, code):
+    assert _entry(argv).returncode == code == cli.main(argv)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_final_flush_exits_3():
+    with open("/dev/full", "wb") as full:
+        run = _entry(["couplings"], stdout=full)
+    assert run.returncode == 3
+    assert run.stderr.decode().startswith("i/o error:")
+
+
+def test_closed_stdout_exits_0():
+    # Started with its descriptor closed, sys.stdout is None and print
+    # writes nothing.
+    run = _run(["sh", "-c", 'exec "$0" -m mirror_teleport.cli couplings >&-', sys.executable])
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == b""
+
+
+_HOOKED = (
+    "import atexit, runpy, sys; atexit.register(print, 'teardown'); "
+    "sys.argv = ['mirror-teleport', 'couplings']; "
+)
+
+
+def test_entry_skips_teardown():
+    run = _python(_HOOKED + "runpy.run_module('mirror_teleport.cli', run_name='__main__')")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.decode().endswith("regime: all assumptions hold\n")
+
+
+def test_escaping_exception_takes_the_normal_exit():
+    code = _HOOKED + "from mirror_teleport import cli; cli.main = lambda: 1 / 0; cli.run()"
+    run = _python(code)
+    assert run.returncode == 1
+    assert run.stdout == b"teardown\n"
+    assert "ZeroDivisionError" in run.stderr.decode()
+
+
+def test_main_leaves_the_process_to_its_caller(tmp_path, monkeypatch):
+    # main returns, twice over, and leaves the garbage collector as it was.
+    def refuse(code):
+        raise AssertionError(f"main called os._exit({code})")
+
+    monkeypatch.setattr(os, "_exit", refuse)
+    state = gc.isenabled(), gc.get_freeze_count()
+    for run in ("first", "second"):
+        assert cli.main(["--out", str(tmp_path / run), "--grid", "100", "curve"]) == 0
+        assert cli.main(["verify"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+    for name in ("curve.csv", "summary.json"):
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+
+
+def test_console_script_is_the_process_entry():
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1]
+    assert re.match(r'\s*mirror-teleport = "mirror_teleport\.cli:run"\n', scripts)

@@ -19,10 +19,14 @@ _CLI = (
 
 
 def _loaded_at_exit(code, modules):
-    """Which of ``modules`` a ``python -c code`` process has imported when it exits."""
+    """Which of ``modules`` a ``python -c code`` process has imported when it
+    exits, the normal way or, as the CLI does, by ``os._exit``, which runs
+    no ``atexit`` hook: the probe wraps it to report first."""
     probe = (
-        "import atexit, sys; "
-        f"atexit.register(lambda: print([m for m in {modules!r} if m in sys.modules])); "
+        "import atexit, os, sys; "
+        f"report = lambda: print([m for m in {modules!r} if m in sys.modules], flush=True); "
+        "atexit.register(report); "
+        "os._exit = lambda code, _exit=os._exit: (report(), _exit(code)); "
         + code
     )
     return _python(probe).splitlines()[-1]

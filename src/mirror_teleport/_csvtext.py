@@ -24,10 +24,11 @@ The writer alone cuts a table into chunks of up to ``_CHUNK_ROWS`` rows,
 and each chunk into blocks of up to ``_BLOCK_CELLS`` cells: it asks its
 caller's ``columns(lo, hi)`` for rows lo up to hi.  ``curve`` computes
 those rows, times included, so it never holds a full-length array: the
-peak of numpy's buffers is about 1.55 MB at any ``--grid`` from 40,000 up
-for the bundled 5 columns, and 1.82 MB at 13 (2.96 MB and 7.68 MB with
-blocks of a whole chunk), most of it this writer's work arrays, which
-share one buffer across their lifetimes (see :class:`_Work`).  A table of
+peak of numpy's buffers is about 1.14 MB at any ``--grid`` from 40,000 up
+for the bundled 5 columns, and 1.41 MB at 13 (1.55 MB and 1.82 MB with
+work arrays of 104 bytes a cell, 2.96 MB and 7.68 MB with blocks of a
+whole chunk), most of it this writer's work arrays, which share their
+memory across their lifetimes (see :class:`_Work`).  A table of
 two or more chunks, in a process that may run on two or more CPUs
 (``os.sched_getaffinity``) and has ``os.fork``, is shared with one forked
 worker: it computes and formats the odd chunks and sends their text down
@@ -96,8 +97,8 @@ import numpy as np
 #: ``param-scan`` configs took a p90 of 5.33 ms each against 2.35 ms.
 _CHUNK_ROWS = 4096
 
-#: Cells formatted per block, at most: the size of the work arrays, 104
-#: bytes a cell, about 1.07 MB, whatever the column count.  A chunk of the
+#: Cells formatted per block, at most: the size of the work arrays, 64
+#: bytes a cell, about 655 kB, whatever the column count.  A chunk of the
 #: bundled 5-column table is cut into two blocks of 2,048 rows.  Against
 #: blocks of a whole chunk, ``curve --grid 200000``'s peak resident set fell
 #: from 32.26 to 30.9 MB and its wall time moved -0.7 to +2.1 %, within
@@ -105,6 +106,18 @@ _CHUNK_ROWS = 4096
 #: processes, a 2-core host).  Against the same, 1,024-row blocks saved
 #: 1.7 MB for +2.3-2.6 % of wall time, and 512-row blocks 2.1 MB for +5 %.
 _BLOCK_CELLS = 10_240
+
+#: Cells formatted per block, at least, unless the table is smaller.  A
+#: block's numpy calls cost about 35 us whatever its size, about 45 ns a
+#: cell on top.  ``param-scan``'s tables (501 to 4,001 rows of 3 columns)
+#: take one to four blocks of up to 1,024 rows instead of up to nine of 256
+#: to 500: a 3,708-row table is written in about 0.71 ms instead of 1.0 ms
+#: (0.82 ms with a floor of 2,048 cells, 0.67 ms with 4,096 and 0.68 ms in
+#: one block).  Those blocks' text and work arrays set the peak of a
+#: process that writes such tables: with a floor of 4,096 cells
+#: ``param-scan``'s peak resident set rose by 0.14 MB (+0.4 %), and with
+#: this one it held.
+_FLOOR_CELLS = 3072
 
 #: Bytes per cell: five words.
 _SLOT = 20
@@ -129,18 +142,21 @@ _LEAD = np.array([float(10 ** (k if k <= 15 else 11)) for k in range(111)])
 _FRAC = 1e15 / _LEAD
 #: ... and the offset of the fifth word: places 10**-12 .. 10**-15, which
 #: are 0 in exponent notation, where the word is the exponent ``e-XX``.
-_FIFTH = np.array([float(_AT["trail"] if k <= 15 else _AT["exp"] + k - 11) for k in range(111)])
+_FIFTH = np.array(
+    [_AT["trail"] if k <= 15 else _AT["exp"] + k - 11 for k in range(111)], np.float32
+)
 
 #: The divisors that split places 10**-1 .. 10**-15, an integer below 1e15,
 #: into the digit groups of words two to five.
 _GROUPS = np.array([1e12, 1e8, 1e4])[:, None, None]
 #: What dropping trailing zeros adds to the offsets of words two to four.
 _TRAIL = np.array(
-    [_AT["dot_trail"] - _AT["dot"], _AT["trail"] - _AT["zero"], _AT["trail"] - _AT["zero"]]
+    [_AT["dot_trail"] - _AT["dot"], _AT["trail"] - _AT["zero"], _AT["trail"] - _AT["zero"]],
+    np.float32,
 )[:, None, None]
-#: The offsets of the five words' kinds otherwise (the fifth word's is
-#: ``_FIFTH``).
-_BASE = np.array([_AT["comma"], _AT["dot"], _AT["zero"], _AT["zero"], 0.0])[:, None, None]
+#: The offsets of words two to four's kinds otherwise (the first word's is
+#: ``comma`` or ``newline``, the fifth's ``_FIFTH``).
+_BASE = np.array([_AT["dot"], _AT["zero"], _AT["zero"]], np.float64)[:, None, None]
 
 #: The largest float below 1e3.
 _BELOW_1E3 = math.nextafter(1e3, 0.0)
@@ -212,10 +228,16 @@ class _Work:
     ``words`` holds five intp words a cell.  A block of n rows uses its
     first n * cols * 5 words, as five (n, cols) planes: the stacked block x,
     the float scratch y, m and tmp, and the exponents k.  Viewed as
-    (n, cols, 5), the same memory is the word indices ``idx``.  Sharing it
-    is safe because :func:`_format_block` reads x, y, m, tmp and k for the
-    last time before it writes ``idx``, and formats the fallback cells from
-    x before that.  The writer then takes 104 bytes a cell, not 144.
+    (n, cols, 5), the same memory is the word indices ``idx``.  ``buf``, the
+    block's text, holds 20 bytes a cell; before the text is gathered into
+    it, it holds the five digit groups' word offsets as float32 planes,
+    exact because every offset is an integer below ``_word_table().size``,
+    24,100 < 2**24.  Sharing is safe because :func:`_format_block` formats
+    the fallback cells from x before any plane overwrites it, reads k for
+    the last time before its plane takes the places of the fraction, reads
+    every plane before it writes ``idx``, and reads the groups before the
+    gather writes the text.  The writer then takes 64 bytes a cell: 40 for
+    the words, 20 for the text and 4 for the masks.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -224,14 +246,18 @@ class _Work:
         self.words = np.empty(rows * cols * 5, np.intp)
         self.fast = np.empty((rows, cols), bool)
         self.masks = np.empty((3, rows, cols), bool)
-        self.groups = np.empty((5, rows, cols))
         self.buf = bytearray(rows * cols * _SLOT)
 
     def planes(self, n: int):
-        """A block of ``n`` rows' planes x, y, m and tmp, stacked as float64,
-        and k."""
+        """A block of ``n`` rows' five planes as float64, x, y, m, tmp and
+        the last, and that last plane as the intp exponents k."""
         planes = self.words[: n * self.cols * 5].reshape(5, n, self.cols)
-        return planes[:4].view(np.float64), planes[4]
+        return planes.view(np.float64), planes[4]
+
+    def groups(self, n: int):
+        """A block of ``n`` rows' five digit-group planes, float32 in
+        ``buf``."""
+        return np.frombuffer(self.buf, np.float32, n * self.cols * 5).reshape(5, n, self.cols)
 
 
 def _format_block(x: np.ndarray, w: _Work) -> bytes:
@@ -248,10 +274,7 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     masks = w.masks[:, :n]
     a = masks[0]
     planes, k = w.planes(n)
-    floats = planes[1:]
-    y, m, tmp = floats
-    g = w.groups[:, :n]
-    low = g[0]
+    y, m, tmp = planes[1:4]
 
     # y = x 10**k and its digits m, where k = 11 - floor(log10(x)) for the
     # cells of [1e-99, 1e3), the others clamped into that range.
@@ -270,8 +293,8 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     y -= m
     fast &= np.less(np.abs(y, out=y), 0.4998, out=a)
     slow = np.flatnonzero(np.logical_not(fast, out=a))
-    # The fallback cells' text, read from x while no word index has
-    # overwritten it.
+    # The fallback cells' text, read from x while no plane has overwritten
+    # it.
     text = b"".join(
         ("%.12g" % v).encode().ljust(_SLOT - 1, b"\0") for v in x.ravel()[slow].tolist()
     )
@@ -280,28 +303,41 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     np.copyto(k, 11, where=a)
 
     # m = low * lead + rest, and rest * 1e15 / lead, an integer below 1e15,
-    # holds places 10**-1 .. 10**-15; all are exact in float64.  Then the
-    # digit groups of words two to five.
+    # holds places 10**-1 .. 10**-15; all are exact in float64.  low takes
+    # the x plane, and the places the k plane once the fifth word's offsets
+    # are taken.  Each group's word offset goes to its float32 plane of g.
+    g = w.groups(n)
+    low = planes[0]
     lead = _LEAD.take(k, out=tmp, mode="clip")
     np.divide(m, lead, out=low)
     np.floor(low, out=low)
     m -= np.multiply(low, lead, out=y)
-    np.multiply(m, _FRAC.take(k, out=tmp, mode="clip"), out=g[4])
-    np.divide(g[4], _GROUPS, out=g[1:4])
-    np.floor(g[1:4], out=g[1:4])
-    g[2:] -= np.multiply(g[1:4], 1e4, out=floats)
+    np.add(low, _AT["comma"], out=g[0])
+    g[0][:, 0] += _AT["newline"] - _AT["comma"]
+    _FIFTH.take(k, out=g[4], mode="clip")
+    q = planes[1:]
+    np.multiply(m, _FRAC.take(k, out=tmp, mode="clip"), out=q[3])
+    # q = (p // 1e12, p // 1e8, p // 1e4, p) for the places p, and the digit
+    # groups of words two to five are q[1:] - 1e4 q[:3], the low plane the
+    # scratch.
+    np.divide(q[3], _GROUPS, out=q[:3])
+    np.floor(q[:3], out=q[:3])
+    for i in (2, 1, 0):
+        q[i + 1] -= np.multiply(q[i], 1e4, out=low)
 
     # Each group's word: the fraction drops its trailing zeros after its last
     # nonzero group, and in exponent notation the fifth group is 0 and its
     # word the exponent's.
-    np.equal(g[2:], 0, out=masks)
+    np.equal(q[1:], 0, out=masks)
     masks[1] &= masks[2]
     masks[0] &= masks[1]
-    np.add(g[1:4], _TRAIL, out=g[1:4], where=masks)
-    g += _BASE
-    g[4] += _FIFTH.take(k, out=tmp, mode="clip")
-    low[:, 0] += _AT["newline"] - _AT["comma"]
-    # The planes are dead from here on: their memory becomes the indices.
+    np.add(q[:3], _BASE, out=g[1:4])
+    g[4] += q[3]
+    # The planes are dead from here on: their memory takes what dropping the
+    # trailing zeros adds (a product and a sum take about a third of the
+    # time of an add with ``where=masks``), then the indices.
+    trail = w.words.view(np.float32)[: n * w.cols * 3].reshape(3, n, w.cols)
+    g[1:4] += np.multiply(masks, _TRAIL, out=trail)
     idx = w.words[: n * w.cols * 5].reshape(n, w.cols, 5)
     for i, group in enumerate(g):
         np.copyto(idx[..., i], group, casting="unsafe")
@@ -317,19 +353,20 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
 
 def _block_rows(rows: int, cols: int) -> int:
     """Rows per block for a table of ``rows`` rows of ``cols`` columns: an
-    eighth of its rows but at least 256, cut to ``_BLOCK_CELLS`` cells, and
-    at most a chunk and the table.
+    eighth of its rows but at least ``_FLOOR_CELLS`` cells, cut to
+    ``_BLOCK_CELLS`` cells, and at most a chunk and the table.
 
-    Each block costs about 65 us of numpy calls, about the time its cells
-    take at 256 rows of 3 columns; smaller blocks would mostly make calls.
-    The eighth keeps the blocks of a small table small: ``param-scan``'s
-    tables (501 to 4,001 rows of 3 columns) take blocks of 256 to 500 rows,
-    and with one block a table its child's peak resident set rose from
-    33.68 to 35.02 MB.  From 16,384 rows on, the cell budget binds at 5
-    columns: ``curve --grid 200000``'s blocks are 2,048 rows, and at 13
-    columns 787, so the writer's memory does not grow with the columns.
+    The floor keeps small tables in few blocks: ``param-scan``'s take one
+    to four (with a floor of 256 rows they took blocks of 256 to 500 rows,
+    and with one block a table at 104 bytes a cell the benchmark's peak
+    resident set rose from 33.68 to 35.02 MB).  The eighth makes a block
+    grow with a larger table until, from 16,384 rows on, the cell budget
+    binds at 5 columns: ``curve --grid 200000``'s blocks are 2,048 rows,
+    and at 13 columns 787, so the writer's memory does not grow with the
+    columns.
     """
-    return max(1, min(_BLOCK_CELLS // cols, max(256, rows // 8), _CHUNK_ROWS, rows))
+    eighth = max(_FLOOR_CELLS // cols, rows // 8)
+    return max(1, min(_BLOCK_CELLS // cols, eighth, _CHUNK_ROWS, rows))
 
 
 def write_blocks(fh, header: str, rows: int, columns) -> None:
@@ -351,6 +388,9 @@ def write_blocks(fh, header: str, rows: int, columns) -> None:
     row, with the same exception, as with one process.
     """
     count = -(-rows // _CHUNK_ROWS)
+    # The word table is built once, before the work arrays and the fork, so
+    # the arrays that build it are gone before either exists.
+    _word_table()
     w = None
 
     def formatted(i):
@@ -424,7 +464,6 @@ def _fork(count: int, formatted):
         return 0, None
     import fcntl
 
-    _word_table()  # built once, before the fork, for both processes
     r, w = os.pipe()
     try:
         # A chunk's text (about 320 kB at 5 columns) then crosses in one

@@ -513,6 +513,74 @@ def test_work_arrays_serve_any_sequence_of_blocks(rows, cols, data):
         assert text + b"\n" == b"\n" + _savetxt_bytes(list(block.T), header="")
 
 
+def test_word_offsets_are_exact_in_float32():
+    # The digit groups' word offsets are kept as float32, exact up to 2**24:
+    # every index into the word table, a kind's offset plus a group of at
+    # most four digits, is below the table's size, and so is the largest
+    # offset a sum can reach before its group is bounded.
+    size = _csvtext._word_table().size
+    assert size == sum(_csvtext._KINDS.values()) < 2**24
+    assert max(_csvtext._AT.values()) + 9999 < 2**24
+    tables = (_csvtext._FIFTH, _csvtext._TRAIL)
+    assert all(t.dtype == np.float32 and (t == t.astype(np.int64)).all() for t in tables)
+    assert _csvtext._FIFTH.max() < size
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 3), (1024, 3), (2048, 5), (787, 13)])
+def test_work_arrays_take_at_most_64_bytes_a_cell(rows, cols):
+    w = _csvtext._Work(rows, cols)
+    arrays = [v for v in vars(w).values() if isinstance(v, np.ndarray)]
+    assert all(a.base is None for a in arrays)
+    assert sum(a.nbytes for a in arrays) + len(w.buf) <= 64 * rows * cols
+
+
+def test_block_rows_keep_small_tables_in_few_blocks():
+    # A table of one chunk is cut into blocks of at least the floor of
+    # cells, or into one block when it is smaller; no block exceeds the cell
+    # budget, a chunk or the table.  param-scan's tables (501 to 4,001 rows
+    # of 3 columns) then take one to four blocks, and large tables keep
+    # the budget's blocks.
+    floor, cap = _csvtext._FLOOR_CELLS, _csvtext._BLOCK_CELLS
+    for cols in range(1, 14):
+        for rows in range(1, _csvtext._CHUNK_ROWS + 1):
+            block = _csvtext._block_rows(rows, cols)
+            assert block == rows or block >= floor // cols, (rows, cols)
+            assert block <= min(rows, _csvtext._CHUNK_ROWS, max(1, cap // cols)), (rows, cols)
+    for rows in range(501, 4002):
+        assert -(-rows // _csvtext._block_rows(rows, 3)) <= 4, rows
+    assert _csvtext._block_rows(200_001, 5) == 2048
+    assert _csvtext._block_rows(200_001, 13) == 787
+
+
+class _Sink:
+    """A binary file that keeps nothing it is given."""
+
+    def write(self, data):
+        return len(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def test_block_writer_memory_on_a_scan_table():
+    # The largest param-scan table, 4,001 rows of 3 columns, in blocks of
+    # 1,024 rows.  numpy reports its buffers to tracemalloc, so the bound
+    # holds on any host: the peak is about 394 kB, of which the work arrays
+    # take 197 kB, and the bound is its peak plus about 10 %.
+    rng = np.random.default_rng(0)
+    columns = [np.linspace(0.0, 6.3, 4001), *rng.uniform(0.3, 0.99, (2, 4001))]
+    assert _block_bytes(columns) == _savetxt_bytes(columns)
+    tracemalloc.start()
+    try:
+        with _cpus(1):
+            _csvtext.write_blocks(_Sink(), "", 4001, _whole(columns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.43e6, peak
+
+
 def test_bundled_columns_match_savetxt(tmp_path):
     # curve.csv must be np.savetxt's bytes, with every numpy, of the columns
     # fidelity_curves gives on the whole grid at once, so the chunks curve
@@ -662,15 +730,18 @@ def test_curve_memory_does_not_grow_with_the_grid(tmp_path, bench_json, flags):
     # curve holds one chunk of its table at a time, its times included, and
     # formats it in blocks of a fixed number of cells.  numpy reports its
     # buffers to tracemalloc, so the bounds hold on any host: the peak is
-    # about 1.55 MB at both grids for the bundled 5 columns and 1.81 MB for
+    # about 1.14 MB at both grids for the bundled 5 columns and 1.41 MB for
     # 13, most of it the block writer's work arrays; with blocks of a
     # whole 4,096-row chunk they grew with the columns, to 2.96 MB and
-    # 7.68 MB.  Each bound is its peak plus about 10 %.
-    # With one CPU this process writes every chunk: tracemalloc would not
-    # see a worker's buffers.
+    # 7.68 MB, and at 104 bytes a cell they were 1.55 MB and 1.82 MB.
+    # Each bound is its peak plus about 10 %.  A first curve run allocates
+    # for the rest of the process (about 0.15 MB more at any grid), so a
+    # small one comes first.  With one CPU this process writes every
+    # chunk: tracemalloc would not see a worker's buffers.
     bench_json["nbar_values"] = [0, 0.5, 1, 2, 5, 10, 20, 50, 100, 300, 1000, 1e4]
     wide = _write_config(tmp_path, bench_json)
-    for config, bound in (([], 1.7e6), (["--config", wide], 2.0e6)):
+    assert main(["--out", str(tmp_path), "--grid", "100", *flags, "curve"]) == 0
+    for config, bound in (([], 1.25e6), (["--config", wide], 1.55e6)):
         peaks = {}
         for grid in (40000, 200000):
             tracemalloc.start()

@@ -108,15 +108,15 @@ _CHUNK_ROWS = 4096
 _BLOCK_CELLS = 10_240
 
 #: Cells formatted per block, at least, unless the table is smaller.  A
-#: block's numpy calls cost about 35 us whatever its size, about 45 ns a
-#: cell on top.  ``param-scan``'s tables (501 to 4,001 rows of 3 columns)
+#: block's numpy calls cost about 40 us whatever its size, and about 40 ns
+#: a cell on top.  ``param-scan``'s tables (501 to 4,001 rows of 3 columns)
 #: take one to four blocks of up to 1,024 rows instead of up to nine of 256
-#: to 500: a 3,708-row table is written in about 0.71 ms instead of 1.0 ms
-#: (0.82 ms with a floor of 2,048 cells, 0.67 ms with 4,096 and 0.68 ms in
-#: one block).  Those blocks' text and work arrays set the peak of a
-#: process that writes such tables: with a floor of 4,096 cells
-#: ``param-scan``'s peak resident set rose by 0.14 MB (+0.4 %), and with
-#: this one it held.
+#: to 500: a 3,708-row table is written in about 0.57 ms instead of
+#: 0.78 ms, against 0.67 ms with a floor of 2,048 cells, 0.55 ms with
+#: 4,096 and 0.60 ms in one block (in-process medians, ``BENCH_29.json``).
+#: The blocks' work arrays and text set the peak of a process that writes
+#: such tables: with a floor of 4,096 cells ``param-scan``'s peak resident
+#: set rose by 0.12-0.16 MB (+0.4 %), and with this one it held.
 _FLOOR_CELLS = 3072
 
 #: Bytes per cell: five words.
@@ -227,17 +227,19 @@ class _Work:
 
     ``words`` holds five intp words a cell.  A block of n rows uses its
     first n * cols * 5 words, as five (n, cols) planes: the stacked block x,
-    the float scratch y, m and tmp, and the exponents k.  Viewed as
+    the float scratch y, m and tmp, and the exponents k; once x and k are
+    dead, the same planes hold the digit-group arithmetic.  Viewed as
     (n, cols, 5), the same memory is the word indices ``idx``.  ``buf``, the
     block's text, holds 20 bytes a cell; before the text is gathered into
-    it, it holds the five digit groups' word offsets as float32 planes,
-    exact because every offset is an integer below ``_word_table().size``,
-    24,100 < 2**24.  Sharing is safe because :func:`_format_block` formats
-    the fallback cells from x before any plane overwrites it, reads k for
-    the last time before its plane takes the places of the fraction, reads
-    every plane before it writes ``idx``, and reads the groups before the
-    gather writes the text.  The writer then takes 64 bytes a cell: 40 for
-    the words, 20 for the text and 4 for the masks.
+    it, its memory holds the five digit groups' word offsets as float32
+    planes, exact because every offset is an integer below
+    ``_word_table().size``, 24,100 < 2**24.  Sharing is safe because
+    :func:`_format_block` formats the fallback cells from x before any plane
+    overwrites it, takes the last offsets from k before its plane is
+    overwritten, reads every plane before it writes ``idx``, and reads the
+    groups before the gather writes the text.  The writer then takes 64
+    bytes a cell (40 for the words, 20 for the text, 4 for the masks), not
+    104.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -253,11 +255,6 @@ class _Work:
         the last, and that last plane as the intp exponents k."""
         planes = self.words[: n * self.cols * 5].reshape(5, n, self.cols)
         return planes.view(np.float64), planes[4]
-
-    def groups(self, n: int):
-        """A block of ``n`` rows' five digit-group planes, float32 in
-        ``buf``."""
-        return np.frombuffer(self.buf, np.float32, n * self.cols * 5).reshape(5, n, self.cols)
 
 
 def _format_block(x: np.ndarray, w: _Work) -> bytes:
@@ -306,7 +303,7 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     # holds places 10**-1 .. 10**-15; all are exact in float64.  low takes
     # the x plane, and the places the k plane once the fifth word's offsets
     # are taken.  Each group's word offset goes to its float32 plane of g.
-    g = w.groups(n)
+    g = np.frombuffer(w.buf, np.float32, n * w.cols * 5).reshape(5, n, w.cols)
     low = planes[0]
     lead = _LEAD.take(k, out=tmp, mode="clip")
     np.divide(m, lead, out=low)
@@ -318,8 +315,9 @@ def _format_block(x: np.ndarray, w: _Work) -> bytes:
     q = planes[1:]
     np.multiply(m, _FRAC.take(k, out=tmp, mode="clip"), out=q[3])
     # q = (p // 1e12, p // 1e8, p // 1e4, p) for the places p, and the digit
-    # groups of words two to five are q[1:] - 1e4 q[:3], the low plane the
-    # scratch.
+    # groups of words two to five are q[1:] - 1e4 q[:3], taken from the last
+    # so that each q[i] is read before it changes; low, now in g[0], leaves
+    # its plane as the scratch.
     np.divide(q[3], _GROUPS, out=q[:3])
     np.floor(q[:3], out=q[:3])
     for i in (2, 1, 0):

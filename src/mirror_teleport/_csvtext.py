@@ -114,9 +114,12 @@ _BLOCK_CELLS = 10_240
 #: to 500: a 3,708-row table is written in about 0.57 ms instead of
 #: 0.78 ms, against 0.67 ms with a floor of 2,048 cells, 0.55 ms with
 #: 4,096 and 0.60 ms in one block (in-process medians, ``BENCH_29.json``).
-#: The blocks' work arrays and text set the peak of a process that writes
-#: such tables: with a floor of 4,096 cells ``param-scan``'s peak resident
-#: set rose by 0.12-0.16 MB (+0.4 %), and with this one it held.
+#: Larger blocks hold more memory while such a table is written (a
+#: tracemalloc peak of 362 kB for that table, 481 kB with 4,096 cells),
+#: and the writer sets ``param-scan``'s peak resident set: with 4,096
+#: cells it read 0.12-0.16 MB (+0.4 %) above the parent's, with this
+#: floor level with it, and the benchmark's tail was no shorter within
+#: noise.
 _FLOOR_CELLS = 3072
 
 #: Bytes per cell: five words.

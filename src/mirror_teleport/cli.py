@@ -9,8 +9,17 @@ readout     readout times, weights, quality ratio, decoherence windows
 
 Only ``curve`` and ``verify`` import numpy, and with it the package's
 numeric modules, inside the functions that use them: ``couplings`` and
-``readout`` compute with Python floats and start without it.  Importing
-this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set.
+``readout`` compute with Python floats and start without it.  The gates
+are in ``gates``, which only ``verify`` loads.  Importing this module sets
+``OPENBLAS_NUM_THREADS`` to 1 unless it is already set.
+
+The command line is read by ``_parse_args``, not argparse, whose messages
+go through gettext and so load ``locale`` in every process.  It reads a
+command line as argparse did, unique prefixes of the flags and
+``--flag=value`` included, and rejects what argparse rejected with
+argparse's usage line and message; ``-h`` prints argparse's help as
+formatted for 80 columns.  One difference: the value after ``=`` is taken
+as written, where argparse on Python 3.11 dropped a ``--`` there.
 
 Exit codes: 0 success, 1 config or usage error, 2 verification-gate failure,
 3 I/O error.  A command whose numpy arithmetic overflows or yields NaN exits
@@ -57,11 +66,10 @@ garbage collector as it was.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -77,7 +85,6 @@ from .optomech import (
     Couplings,
     PhysicalParams,
     compute_couplings,
-    oscillation_consistency,
     period,
     sideband_frequencies,
     thermal_occupation,
@@ -85,21 +92,6 @@ from .optomech import (
 )
 
 _TWO_PI = 2.0 * math.pi
-
-#: Self-verification tolerances, by gate name.  A defect relative to the
-#: state is divided at each time by ``dynamics.state_scale``; the
-#: teleportation noise is relative to max(1, n_eff).
-TOLERANCES = {
-    "couplings-consistency": 1e-12,
-    "ode-vs-analytic": 1e-8,
-    "propagator-metric": 1e-10,
-    "propagator-group": 1e-10,
-    "conditional-physicality": 1e-10,
-    "fidelity-identity": 1e-12,
-    "moment-route": 1e-10,
-    "teleport-noise": 1e-12,
-}
-
 
 @record
 class RunConfig:
@@ -371,146 +363,27 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
     return 0
 
 
-def _verdict(name: str, defect, floor: float = 0.0):
-    tolerance = TOLERANCES[name] + floor
-    return name, float(defect), tolerance, bool(defect <= tolerance)
-
-
-def _scaled_gap(ref, other):
-    """Largest |ref - other| over the six coefficients, relative to the
-    state of ``ref`` at each time."""
-    from .dynamics import coeff_rows, state_scale
-
-    a = coeff_rows(ref)
-    return (abs(a - coeff_rows(other)) / state_scale(a)).max()
-
-
 def _run_gates(couplings: Couplings, nbar_values):
-    """Yield (gate_name, measured_defect, tolerance, passed) for each gate.
+    """Yield (gate_name, measured_defect, tolerance, passed) for each gate of
+    ``gates.run``, which says what each one checks.  ``verify`` and the
+    acceptance scorecard run the gates through this generator, and the
+    benchmark's tracer times each gate by wrapping it by name."""
+    from . import gates
 
-    The gates test ``couplings`` at ``nbar_values`` against ``TOLERANCES``.
-    ``Couplings.__post_init__`` already enforces the bound of the first gate,
-    so that gate reports its margin.  This is the one implementation of the
-    verification invariants: ``verify`` and the acceptance scorecard both run
-    it, and the benchmark's tracer times each gate by wrapping this generator
-    by name.  Gate 2 certifies the closed forms without integrating the
-    moment ODE: it is linear, so forms that start at its initial state and
-    whose slopes match its right-hand side at every time are its solution,
-    and the gate checks both for every nbar, the fidelity peaks included.
-    Gates 3-7 reach the peaks too: gate 3 adds both peak times to its own,
-    and gates 4-7 take gate 2's times and closed forms.  Gates 4 and 7 call
-    ``physicality_defect`` and ``teleport_covariance`` on one stack of
-    ``protocol.conditional_correlation``'s matrices over every time and
-    nbar: gate 4 is the only check that they are physical, and a channel
-    that leaves float64 raises DomainError there.  Gate 5 compares the
-    coefficient formula for n_eff on the propagator's moments with the
-    factored n_eff.
-    """
-    import numpy as np
-
-    from . import dynamics, protocol
-    from .dynamics import coeff_rows, state_scale
-    from .gaussian_core import (
-        CorrelationMatrix4,
-        CovMatrix2,
-        physicality_defect,
-        symplectic_defect,
-    )
-
-    t_period = period(couplings)
-
-    # 1. couplings internal consistency
-    rel, floor = oscillation_consistency(
-        couplings.parametric, couplings.beam_splitter, couplings.oscillation
-    )
-    yield _verdict("couplings-consistency", rel, floor)
-
-    # 2. the closed forms start at the initial state, exactly, and their
-    #    slopes oscillation dy/dx match the ODE's f(y), relative to the
-    #    fastest rate and the state, over one period, at both peak times and
-    #    at 40 more times within 5/r in x of the heterodyne peak (pi at most,
-    #    so no time is negative): 41 evenly spaced offsets without the
-    #    centre, which is the peak itself
-    grid = np.linspace(0.0, t_period, 101)
-    t_het, t_no_het = (protocol._peak(couplings, h)[0] for h in (True, False))
-    half_width = min(5.0 * couplings.oscillation / couplings.parametric, math.pi)
-    offsets = np.delete(np.linspace(-half_width, half_width, 41), 20)
-    near_peak = t_het + offsets / couplings.oscillation
-    ode_times = np.concatenate([grid, [t_het, t_no_het], near_peak])
-    analytic = [dynamics.coeffs_analytic(couplings, nbar, ode_times) for nbar in nbar_values]
-    p, b = couplings.parametric, couplings.beam_splitter
-    worst = 0.0
-    for nbar, g in zip(nbar_values, analytic):
-        y = coeff_rows(g)
-        if not np.array_equal(y[0], [0.0, nbar, 0.0, 0.0, 0.0, 0.0]):
-            worst = math.inf
-        slopes = couplings.oscillation * dynamics._moment_slopes(couplings, nbar, ode_times)
-        residual = np.abs(slopes - dynamics._moment_derivatives(y.T, p, b).T)
-        worst = max(worst, np.max(residual / (max(p, b) * state_scale(y))))
-    yield _verdict("ode-vs-analytic", worst)
-
-    # 3. propagator structure: the metric of each, the group law on 51 pairs,
-    #    at 100 times of a golden-ratio sequence, which fills [0, T) evenly,
-    #    and both peak times
-    golden = t_period * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
-    times = np.append(golden, [t_het, t_no_het])
-    props = dynamics.propagator(couplings, times)
-    yield _verdict("propagator-metric", symplectic_defect(props).max())
-    # The residual is a product, so its float64 floor scales with the sizes of
-    # the factors; M(t1 + t2) ~ I near a revival even where they are ~r^2.
-    half = len(times) // 2
-    m1, m2 = props.matrix[:half], props.matrix[half:]
-    m12 = dynamics.propagator(couplings, times[:half] + times[half:]).matrix
-    size = np.maximum(1.0, np.abs(props.matrix).max(axis=(-2, -1)))
-    group = np.abs(m12 - m1 @ m2).max(axis=(-2, -1)) / (size[:half] * size[half:])
-    yield _verdict("propagator-group", group.max())
-
-    # 4. conditioned-state physicality at gate 2's times, relative to
-    #    max(1, |G|max), so physical states at large nbar pass; the only
-    #    check of the channel's physicality.  Gate 7 reuses these channel
-    #    matrices and gate 5's n_eff
-    mats = np.stack([protocol.conditional_correlation(g).matrix for g in analytic])
-    defects = physicality_defect(CorrelationMatrix4(mats))
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
-    yield _verdict("conditional-physicality", np.max(defects / scale))
-
-    # 5. n_eff by the coefficient formula, from the propagator's moments,
-    #    against the factored n_eff, relative to the state; d (d / E1), as
-    #    d^2 overflows first.  Unclipped: a negative n_eff is part of the gap
-    props = dynamics.propagator(couplings, ode_times)
-    moments = [dynamics.coeffs_from_propagator(props, nbar) for nbar in nbar_values]
-    n_effs = np.stack([protocol.effective_occupation(g) for g in analytic])
-    worst_fid = 0.0
-    for g, m, n_eff in zip(analytic, moments, n_effs):
-        d = m.stokes_anti - m.mirror_anti
-        bracket = 1.0 + m.stokes_n + m.mirror_n + 2.0 * m.stokes_mirror
-        gap = np.abs(bracket - d * (d / (m.anti_n + 1.0)) - n_eff)
-        worst_fid = max(worst_fid, np.max(gap / state_scale(coeff_rows(g))[:, 0]))
-    yield _verdict("fidelity-identity", worst_fid)
-
-    # 6. moment route vs closed form
-    worst_mom = max(_scaled_gap(g, mom) for g, mom in zip(analytic[:2], moments))
-    yield _verdict("moment-route", worst_mom)
-
-    # 7. teleporting the vacuum adds n_eff, in X and in P, at every tenth
-    #    time of the grid, both peak times and every time near the
-    #    heterodyne peak; each row is bit for bit that of its time alone,
-    #    and gate 4 checks those channels' physicality
-    teleported = np.r_[0 : len(grid) : 10, len(grid) : len(ode_times)]
-    gin = CovMatrix2.vacuum()
-    out = protocol.teleport_covariance(CorrelationMatrix4(mats[:, teleported]), gin).matrix
-    added = out.diagonal(0, -2, -1) - gin.matrix.diagonal()
-    n = n_effs[:, teleported, None]
-    yield _verdict("teleport-noise", np.max(np.abs(added - n) / np.maximum(1.0, n)))
+    yield from gates.run(couplings, nbar_values)
 
 
 def cmd_verify(config: RunConfig, out_dir: Path | None) -> int:
     if out_dir is not None:  # a run that raises leaves no earlier run's file
         (out_dir / "verify.txt").unlink(missing_ok=True)
+    # Loaded before the first gate runs, so no gate's time includes it.
+    from . import gates  # noqa: F401
+
     lines = []
     all_ok = True
-    gates = _run_gates(compute_couplings(config.params), config.nbar_values)
-    for name, defect, tolerance, ok in gates:
+    for name, defect, tolerance, ok in _run_gates(
+        compute_couplings(config.params), config.nbar_values
+    ):
         all_ok = all_ok and ok
         status = "PASS" if ok else "FAIL"
         lines.append(f"{status} {name}: defect {defect:.3e} (tolerance {tolerance:.1e})")
@@ -547,51 +420,160 @@ def cmd_readout(config: RunConfig) -> int:
     return 0
 
 
-@functools.cache  # parse_args leaves the parser as it was
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mirror-teleport",
-        description="Radiation-pressure teleportation onto a vibrating mirror: "
-        "couplings, fidelity curves, self-verification and readout analysis.",
-    )
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="path to a JSON run config (default: bundled fig2.json)",
-    )
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--grid", type=int, default=None, help="override grid_points")
-    parser.add_argument(
-        "--periods", type=float, default=None, help="override sweep length in periods"
-    )
-    parser.add_argument(
-        "--no-heterodyne",
-        action="store_true",
-        help="curve: use the variant without the anti-Stokes heterodyne",
-    )
-    parser.add_argument(
-        "command", choices=["couplings", "curve", "verify", "readout"]
-    )
-    return parser
+#: The options: each option string's destination and its value's type,
+#: None for one that takes no value.
+_OPTIONS = {
+    "-h": ("help", None),
+    "--help": ("help", None),
+    "--config": ("config", str),
+    "--out": ("out", str),
+    "--grid": ("grid", int),
+    "--periods": ("periods", float),
+    "--no-heterodyne": ("no_heterodyne", None),
+}
+_COMMANDS = ("couplings", "curve", "verify", "readout")
+_USAGE = """\
+usage: mirror-teleport [-h] [--config CONFIG] [--out OUT] [--grid GRID]
+                       [--periods PERIODS] [--no-heterodyne]
+                       {couplings,curve,verify,readout}
+"""
+_HELP = _USAGE + """
+Radiation-pressure teleportation onto a vibrating mirror: couplings, fidelity
+curves, self-verification and readout analysis.
+
+positional arguments:
+  {couplings,curve,verify,readout}
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       path to a JSON run config (default: bundled fig2.json)
+  --out OUT             output directory
+  --grid GRID           override grid_points
+  --periods PERIODS     override sweep length in periods
+  --no-heterodyne       curve: use the variant without the anti-Stokes
+                        heterodyne
+"""
+
+
+class _UsageError(Exception):
+    """A command line that ``_parse_args`` rejects."""
+
+
+def _option(token: str):
+    """None if ``token`` is an argument, else (option string, the value
+    after it in the token or None); the option string is "" for an unknown
+    option.  A long option may be cut to a unique prefix, and ``-h`` may be
+    followed by more letters."""
+    if token in _OPTIONS:
+        return token, None
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in _OPTIONS:
+        return name, value
+    if token[1] == "-":
+        matches = [option for option in _OPTIONS if option.startswith(name)]
+        value = value if eq else None
+    else:
+        matches, value = ["-h"] if token.startswith("-h") else [], token[2:]
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number, or an argument with a space
+    return "", None
+
+
+def _parse_args(argv: list[str]):
+    """The command line ``argv`` as a dict of the options' values and the
+    command, or None for ``-h``/``--help``.
+
+    Every command line is read as argparse reads it: flags before or after
+    the command, ``--flag value`` or ``--flag=value``, the last of a
+    repeated flag winning, and everything after ``--`` an argument.  One
+    that it rejects raises ``_UsageError`` with argparse's message.
+    """
+    kinds = []  # per token: what _option makes of it, or "--"
+    for i, token in enumerate(argv):
+        if token == "--":
+            kinds += ["--"] + [None] * (len(argv) - i - 1)
+            break
+        kinds.append(_option(token))
+    args = dict(config=None, out=None, grid=None, periods=None, no_heterodyne=False, command=None)
+    extras, i = [], 0
+    while i < len(argv):
+        kind, token = kinds[i], argv[i]
+        i += 1
+        if kind is None or kind == "--":
+            if args["command"] is not None or (kind == "--" and i == len(argv)):
+                extras.append(token)
+                continue
+            # The command drops the first "--", just before or after it.
+            if kind == "--":
+                token, i = argv[i], i + 1
+            elif i < len(argv) and kinds[i] == "--":
+                i += 1
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise _UsageError(
+                    f"argument command: invalid choice: {token!r} (choose from {choices})"
+                )
+            args["command"] = token
+            continue
+        option, value = kind
+        if not option:
+            extras.append(token)
+            continue
+        dest, convert = _OPTIONS[option]
+        name = "-h/--help" if dest == "help" else option
+        if convert is None:
+            if option == "-h" and value:  # -hh... is -h -h ...
+                value = value.lstrip("h") or None
+            if value is not None:
+                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            if dest == "help":
+                return None
+            args[dest] = True
+            continue
+        if value is None:
+            if i == len(argv) or kinds[i] is not None:
+                raise _UsageError(f"argument {name}: expected one argument")
+            value, i = argv[i], i + 1
+        try:
+            args[dest] = convert(value)
+        except ValueError:
+            raise _UsageError(
+                f"argument {name}: invalid {convert.__name__} value: {value!r}"
+            ) from None
+    if args["command"] is None:
+        raise _UsageError("the following arguments are required: command")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has printed the usage or the help
-        return 1 if exc.code else 0  # a usage error is a config error
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:  # a usage error is a config error
+        print(f"{_USAGE}mirror-teleport: error: {exc}", file=sys.stderr)
+        return 1
+    if args is None:
+        print(_HELP, end="")
+        return 0
     try:
-        config_path = args.config or bundled_config_path()
+        config_path = args["config"] or bundled_config_path()
         config = load_config(config_path)
-        flags = {"grid_points": args.grid, "periods": args.periods}
+        flags = {"grid_points": args["grid"], "periods": args["periods"]}
         config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     out_dir = None
-    if args.out is not None:
-        out_dir = Path(args.out)
+    if args["out"] is not None:
+        out_dir = Path(args["out"])
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -600,11 +582,11 @@ def main(argv=None) -> int:
 
     try:
         # These two compute with Python floats, which np.errstate does not govern.
-        if args.command == "couplings":
+        if args["command"] == "couplings":
             return cmd_couplings(config, out_dir)
-        if args.command == "readout":
+        if args["command"] == "readout":
             return cmd_readout(config)
-        if args.command == "curve" and out_dir is None:
+        if args["command"] == "curve" and out_dir is None:
             print("i/o error: curve requires --out", file=sys.stderr)
             return 3
         import numpy as np
@@ -612,8 +594,8 @@ def main(argv=None) -> int:
         # An overflow or NaN in the closed forms means the config's values
         # leave the float64 range; a result computed past one is not reported.
         with np.errstate(over="raise", invalid="raise"):
-            if args.command == "curve":
-                return cmd_curve(config, out_dir, no_heterodyne=args.no_heterodyne)
+            if args["command"] == "curve":
+                return cmd_curve(config, out_dir, no_heterodyne=args["no_heterodyne"])
             return cmd_verify(config, out_dir)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -36,13 +36,8 @@ from mirror_teleport import (
     teleport_covariance,
 )
 from mirror_teleport import _csvtext, cli, dynamics, protocol
-from mirror_teleport.cli import (
-    _run_gates,
-    _scaled_gap,
-    bundled_config_path,
-    load_config,
-    main,
-)
+from mirror_teleport.cli import _run_gates, bundled_config_path, load_config, main
+from mirror_teleport.gates import _scaled_gap
 
 from conftest import NBAR_SET, assert_reaches_the_peaks, peak_times
 
@@ -121,8 +116,8 @@ def test_main_reports_config_error(tmp_path):
     "argv", [["--grid", "abc", "curve"], ["bogus"], [], ["--periods"], ["curve", "extra"]]
 )
 def test_usage_error_exits_1(tmp_path, capsys, argv):
-    # A command line argparse rejects is a config error, exit 1, after
-    # argparse's usage message: exit 2 is a failed verification gate.
+    # A command line the parser rejects is a config error, exit 1, after
+    # the usage message: exit 2 is a failed verification gate.
     assert main(["--out", str(tmp_path / "out"), *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: mirror-teleport") and "error:" in err
@@ -1005,13 +1000,11 @@ def test_curve_requires_out():
 
 
 def test_main_calls_parse_independently(tmp_path):
-    # One parser serves every call in a process, and no flag of one call
-    # carries into the next.
+    # No flag of one call in a process carries into the next.
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(["--out", str(first), "--grid", "100", "--no-heterodyne", "curve"]) == 0
     assert main(["--out", str(second), "curve"]) == 0
     assert main(["curve"]) == 3  # no --out carried over
-    assert cli.build_parser() is cli.build_parser()
     summary = json.loads((second / "summary.json").read_text())
     assert summary["curve"]["variant"] == "heterodyne"
     assert summary["curve"]["grid_points"] == 2000

@@ -56,6 +56,18 @@ def test_numpy_commands_never_import_dataclasses(tmp_path, command):
     assert _loaded_at_exit(code, ("numpy", "dataclasses")) == "['numpy']"
 
 
+@pytest.mark.parametrize("command", ["couplings", "readout", "curve", "verify"])
+def test_commands_load_neither_argparse_nor_a_second_cli(tmp_path, command):
+    # No command builds an argparse parser, whose messages go through
+    # gettext and locale, and only verify loads the gates.  Run as
+    # __main__, the CLI module must not be imported again by name: that
+    # compiles and runs a second copy of it.
+    code = _CLI.format(argv=["--out", str(tmp_path), command])
+    modules = ("argparse", "gettext", "locale", "mirror_teleport.cli", "mirror_teleport.gates")
+    loaded = ["mirror_teleport.gates"] if command == "verify" else []
+    assert _loaded_at_exit(code, modules) == str(loaded)
+
+
 @pytest.mark.parametrize("given", [None, "2"], ids=["default", "explicit"])
 def test_cli_runs_openblas_single_threaded_unless_told_otherwise(given):
     env = {"OPENBLAS_NUM_THREADS": given} if given else {}

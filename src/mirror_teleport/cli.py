@@ -18,8 +18,8 @@ go through gettext and so load ``locale`` in every process.  It reads a
 command line as argparse did, unique prefixes of the flags and
 ``--flag=value`` included, and rejects what argparse rejected with
 argparse's usage line and message; ``-h`` prints argparse's help as
-formatted for 80 columns.  One difference: the value after ``=`` is taken
-as written, where argparse on Python 3.11 dropped a ``--`` there.
+formatted for 80 columns.  A value after ``=`` is taken as written,
+``--`` included.
 
 Exit codes: 0 success, 1 config or usage error, 2 verification-gate failure,
 3 I/O error.  A command whose numpy arithmetic overflows or yields NaN exits

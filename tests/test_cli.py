@@ -113,7 +113,20 @@ def test_main_reports_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--grid", "abc", "curve"], ["bogus"], [], ["--periods"], ["curve", "extra"]]
+    "argv",
+    [
+        ["--grid", "abc", "curve"],
+        ["bogus"],
+        [],
+        ["--periods"],
+        ["curve", "extra"],
+        ["--=x", "curve"],  # a prefix of every long option
+        # After "--" every token is an argument, and the command drops one "--".
+        ["--"],
+        ["--", "--", "curve"],
+        ["curve", "--", "--"],
+        ["--grid=--", "curve"],
+    ],
 )
 def test_usage_error_exits_1(tmp_path, capsys, argv):
     # A command line the parser rejects is a config error, exit 1, after

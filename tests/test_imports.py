@@ -32,6 +32,12 @@ def _loaded_at_exit(code, modules):
     return _python(probe).splitlines()[-1]
 
 
+#: Modules no command loads: argparse, whose messages go through gettext
+#: and locale, and, run as __main__, the CLI module under its own name,
+#: which would compile and run a second copy of it.
+_NEVER = ("argparse", "gettext", "locale", "mirror_teleport.cli")
+
+
 @pytest.mark.parametrize(
     "code, uses_readout",
     [
@@ -44,8 +50,10 @@ def _loaded_at_exit(code, modules):
 def test_numpy_free_paths_never_import_numpy(code, uses_readout):
     # Nor dataclasses and the inspect it imports: no path needs them, and
     # without a bytecode cache they take longer to import than the package.
-    # The readout analysis loads only for the command that uses it.
-    modules = ("numpy", "dataclasses", "inspect", "mirror_teleport.readout")
+    # The readout analysis loads only for the command that uses it, and the
+    # gates only for verify.
+    modules = ("numpy", "dataclasses", "inspect", "mirror_teleport.readout",
+               "mirror_teleport.gates", *_NEVER)
     loaded = ["mirror_teleport.readout"] if uses_readout else []
     assert _loaded_at_exit(code, modules) == str(loaded)
 
@@ -53,18 +61,8 @@ def test_numpy_free_paths_never_import_numpy(code, uses_readout):
 @pytest.mark.parametrize("command", ["curve", "verify"])
 def test_numpy_commands_never_import_dataclasses(tmp_path, command):
     code = _CLI.format(argv=["--out", str(tmp_path), command])
-    assert _loaded_at_exit(code, ("numpy", "dataclasses")) == "['numpy']"
-
-
-@pytest.mark.parametrize("command", ["couplings", "readout", "curve", "verify"])
-def test_commands_load_neither_argparse_nor_a_second_cli(tmp_path, command):
-    # No command builds an argparse parser, whose messages go through
-    # gettext and locale, and only verify loads the gates.  Run as
-    # __main__, the CLI module must not be imported again by name: that
-    # compiles and runs a second copy of it.
-    code = _CLI.format(argv=["--out", str(tmp_path), command])
-    modules = ("argparse", "gettext", "locale", "mirror_teleport.cli", "mirror_teleport.gates")
-    loaded = ["mirror_teleport.gates"] if command == "verify" else []
+    modules = ("numpy", "dataclasses", "mirror_teleport.gates", *_NEVER)
+    loaded = ["numpy"] + (["mirror_teleport.gates"] if command == "verify" else [])
     assert _loaded_at_exit(code, modules) == str(loaded)
 
 

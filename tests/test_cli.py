@@ -121,6 +121,7 @@ def test_main_reports_config_error(tmp_path):
         ["--periods"],
         ["curve", "extra"],
         ["--=x", "curve"],  # a prefix of every long option
+        ["-hx", "curve"],
         # After "--" every token is an argument, and the command drops one "--".
         ["--"],
         ["--", "--", "curve"],

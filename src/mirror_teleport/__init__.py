@@ -55,8 +55,6 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "MODE_METRIC_3",
-            "SYMPLECTIC_FORM_4",
             "VACUUM_VARIANCE",
             "CorrelationMatrix4",
             "CovMatrix2",
@@ -87,7 +85,6 @@ _LAZY = {
             "effective_occupation",
             "fidelity_coherent",
             "fidelity_curves",
-            "fidelity_no_heterodyne",
             "optimal_time",
             "peak_fidelity",
             "teleport_covariance",

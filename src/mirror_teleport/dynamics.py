@@ -29,7 +29,9 @@ time are its solution.  ``cli``'s ``ode-vs-analytic`` gate checks both.
 The closed forms, their slopes and the propagator take the rate ratios and
 the trig of x = oscillation*t from one helper, which also rejects a NaN or
 infinite time and a finite one whose phase x overflows; ``protocol``'s
-factored forms use it too.
+factored forms use it too.  No output reaches ``coeffs_analytic``, since
+``protocol`` conditions on (couplings, nbar, time): it stays as the subject
+gate 2 certifies and the input of the benchmark's ``fidelity_coherent`` check.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from ._record import record
 from .errors import DomainError
 from .gaussian_core import PropagatorMatrix
-from .optomech import Couplings
+from .optomech import Couplings, _check_nbar
 
 
 #: The six coefficient fields of :class:`GaussianCoeffs`, in field order.
@@ -59,10 +61,9 @@ class GaussianCoeffs:
 
     Fields may be scalars or (for vectorized evaluation) equal-length numpy
     arrays over a time grid; for a single time the routes give numpy float64,
-    a float subclass.  ``couplings`` records the rates of a closed-form state,
-    which ``protocol`` conditions through cancellation-safe factored forms.
-    It is None for the propagator route's outputs and hand-built sets, which
-    ``protocol``'s channel and fidelity functions reject with DomainError.
+    a float subclass.  ``couplings`` records the rates of a closed-form state
+    and is None for the propagator route's outputs and hand-built sets.  Only
+    ``protocol.fidelity_coherent`` reads it, and both go together.
     """
 
     stokes_n: float | np.ndarray
@@ -124,8 +125,7 @@ def coeffs_analytic(
     no subtraction of like-sized terms, which matters because r^4 can
     exceed 1e12 for near-degenerate rates.
     """
-    if nbar < 0:
-        raise DomainError(f"nbar must be >= 0, got {nbar!r}")
+    _check_nbar(nbar)
     r, q, t, s, c, omc = _ratios_and_trig(couplings, time)
     if np.any(t < 0):
         raise DomainError("time must be >= 0")
@@ -248,8 +248,7 @@ def coeffs_from_propagator(prop: PropagatorMatrix, nbar: float) -> GaussianCoeff
     A stack gives arrays over its times, each entry bit for bit that of its
     propagator alone (np.square as in :func:`coeffs_analytic`).
     """
-    if nbar < 0:
-        raise DomainError(f"nbar must be >= 0, got {nbar!r}")
+    _check_nbar(nbar)
     m = np.moveaxis(prop.matrix, (-2, -1), (0, 1))
     n1 = nbar + 1.0
     return GaussianCoeffs(

@@ -56,13 +56,13 @@ def run(couplings: Couplings, nbar_values):
     initial state and whose slopes match its right-hand side at every time
     are its solution, and the gate checks both for every nbar, the fidelity
     peaks included.  Gates 3-7 reach the peaks too: gate 3 adds both peak
-    times to its own, and gates 4-7 take gate 2's times and closed forms.
-    Gates 4 and 7 call ``physicality_defect`` and ``teleport_covariance`` on
-    one stack of ``protocol.conditional_correlation``'s matrices over every
-    time and nbar: gate 4 is the only check that they are physical, and a
-    channel that leaves float64 raises DomainError there.  Gate 5 compares
-    the coefficient formula for n_eff on the propagator's moments with the
-    factored n_eff.
+    times to its own, and gates 4-7 take gate 2's times.  Gates 4 and 7
+    call ``physicality_defect`` and ``teleport_covariance`` on one stack of
+    ``protocol.conditional_correlation``'s matrices over every time and
+    nbar: gate 4 is the only check that they are physical, and a channel
+    that leaves float64 raises DomainError there.  Gate 5 compares the
+    coefficient formula for n_eff on the propagator's moments with the
+    factored n_eff, relative to gate 2's closed forms.
     """
     coeff_rows, state_scale = dynamics.coeff_rows, dynamics.state_scale
     t_period = optomech.period(couplings)
@@ -117,7 +117,8 @@ def run(couplings: Couplings, nbar_values):
     #    max(1, |G|max), so physical states at large nbar pass; the only
     #    check of the channel's physicality.  Gate 7 reuses these channel
     #    matrices and gate 5's n_eff
-    mats = np.stack([protocol.conditional_correlation(g).matrix for g in analytic])
+    channel, occupation = protocol.conditional_correlation, protocol.effective_occupation
+    mats = np.stack([channel(couplings, nbar, ode_times).matrix for nbar in nbar_values])
     defects = gaussian_core.physicality_defect(CorrelationMatrix4(mats))
     scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
     yield _verdict("conditional-physicality", np.max(defects / scale))
@@ -127,7 +128,7 @@ def run(couplings: Couplings, nbar_values):
     #    d^2 overflows first.  Unclipped: a negative n_eff is part of the gap
     props = dynamics.propagator(couplings, ode_times)
     moments = [dynamics.coeffs_from_propagator(props, nbar) for nbar in nbar_values]
-    n_effs = np.stack([protocol.effective_occupation(g) for g in analytic])
+    n_effs = np.stack([occupation(couplings, nbar, ode_times) for nbar in nbar_values])
     worst_fid = 0.0
     for g, m, n_eff in zip(analytic, moments, n_effs):
         d = m.stokes_anti - m.mirror_anti

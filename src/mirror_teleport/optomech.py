@@ -210,6 +210,13 @@ def thermal_occupation(temperature: float, mirror_freq: float) -> float:
     return nbar
 
 
+def _check_nbar(nbar) -> None:
+    """Raise DomainError naming ``nbar`` unless it is finite and >= 0: the
+    one check of every function that takes an occupation."""
+    if not 0 <= nbar < math.inf:
+        raise DomainError(f"nbar must be finite and >= 0, got {nbar!r}")
+
+
 def sideband_frequencies(params: PhysicalParams) -> tuple[float, float]:
     """(Stokes, anti-Stokes) angular frequencies of the back-scattered modes."""
     return (

@@ -18,13 +18,13 @@ These are algebraically identical to the coefficient-level expressions
 (stokes_n + ... - (stokes_anti - mirror_anti)^2 / E1 etc.) but involve no
 cancellation of the r^4-sized terms, which is what makes the near-degenerate
 benchmark regime (r ~ 1400) computable in float64 at all.  They need the
-generating couplings, so the channel and fidelity functions take closed-form
-states (:func:`dynamics.coeffs_analytic`) only and raise DomainError for any
-other; ``cli``'s ``fidelity-identity`` gate compares the coefficient formula
-on the propagator's moments with them.  :func:`fidelity_curves` evaluates
-them for several nbar at once, from one set of sines and cosines.  The
-channel maps :func:`conditional_correlation` and :func:`teleport_covariance`
-take stacks over times, each result bit for bit that of its time alone.
+couplings, not the six coefficients, so the channel functions take
+(couplings, nbar, time) and check them in one place; ``cli``'s
+``fidelity-identity`` gate compares the coefficient formula on the
+propagator's moments with them.  :func:`fidelity_curves` evaluates them for
+several nbar at once, from one set of sines and cosines.  The channel maps
+:func:`conditional_correlation` and :func:`teleport_covariance` take stacks
+over times, each result bit for bit that of its time alone.
 The channel is built only by :func:`conditional_correlation` and checked
 only by ``cli``'s ``conditional-physicality`` gate.
 
@@ -45,7 +45,7 @@ from ._record import record
 from .dynamics import GaussianCoeffs, _ratios_and_trig
 from .errors import DomainError
 from .gaussian_core import VACUUM_VARIANCE, CorrelationMatrix4, CovMatrix2
-from .optomech import Couplings
+from .optomech import Couplings, _check_nbar
 
 #: Best coherent-state fidelity achievable with no shared entanglement.
 CLASSICAL_FIDELITY_BOUND = 0.5
@@ -134,45 +134,41 @@ class _FactoredParts:
         return stokes_var, mirror_var, corr
 
 
+def _checked_parts(couplings: Couplings, nbar_values, time) -> _FactoredParts:
+    """The factored forms at ``time``, the one entry to them; DomainError
+    for an nbar not finite and >= 0, or a time that is negative or (from
+    ``_ratios_and_trig``) not finite."""
+    for nbar in nbar_values:
+        _check_nbar(nbar)
+    if np.any(np.asarray(time) < 0):
+        raise DomainError("time must be >= 0")
+    return _FactoredParts(couplings, time)
+
+
 def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = True):
     """Fidelity at ``time`` for each of ``nbar_values``, from the factored forms.
 
-    Bit for bit ``fidelity_coherent(coeffs_analytic(couplings, nbar, time))``,
-    or ``fidelity_no_heterodyne`` when ``heterodyne`` is False, without the
-    six coefficient arrays: the sines and cosines are computed once for all
-    nbar.
+    1/(1 + n_eff), or when ``heterodyne`` is False the fidelity of the
+    variant that traces out the anti-Stokes mode, 1/(1 + bracket) with
+    bracket = 1 + stokes_n + mirror_n + 2 stokes_mirror, which never exceeds
+    it.  The sines and cosines are computed once for all nbar.
     """
-    if any(nbar < 0 for nbar in nbar_values):
-        raise DomainError(f"nbar must be >= 0, got {nbar_values!r}")
-    if np.any(np.asarray(time) < 0):
-        raise DomainError("time must be >= 0")
-    parts = _FactoredParts(couplings, time)
+    parts = _checked_parts(couplings, nbar_values, time)
     return [1.0 / (1.0 + parts.noise(nbar, heterodyne)) for nbar in nbar_values]
 
 
-def _closed_form(g: GaussianCoeffs) -> _FactoredParts:
-    """The factored forms at the times of ``g``; raises DomainError unless
-    ``g`` is a closed-form state, whose ``couplings`` are set."""
-    if g.couplings is None:
-        raise DomainError(
-            "conditioning needs a closed-form state (coeffs_analytic): the "
-            "coefficient formulas cancel ~r^4-sized terms"
-        )
-    return _FactoredParts(g.couplings, g.time)
-
-
-def conditional_correlation(g: GaussianCoeffs) -> CorrelationMatrix4:
+def conditional_correlation(couplings: Couplings, nbar: float, time) -> CorrelationMatrix4:
     """Correlation matrix of the conditioned Stokes+mirror state.
 
-    Evaluated elementwise over the times of ``g``: shape (4, 4) for a scalar
-    time, (n, 4, 4) for n times.  The block pattern over (X_s, P_s, X_m, P_m)
+    Evaluated elementwise over ``time``: shape (4, 4) for a scalar time,
+    (n, 4, 4) for n times.  The block pattern over (X_s, P_s, X_m, P_m)
     is the standard form: equal diagonal pairs, a single correlation +/-k in
     the (X, X) and (P, P) slots, zero X-P cross terms.  Raises DomainError
     where the factored forms leave float64 (``CorrelationMatrix4`` holds
     finite entries only); ``verify``'s conditional-physicality gate checks
     that the matrices are physical.
     """
-    stokes_var, mirror_var, corr = _closed_form(g).channel(g.nbar)
+    stokes_var, mirror_var, corr = _checked_parts(couplings, (nbar,), time).channel(nbar)
     matrix = np.zeros(np.shape(stokes_var) + (4, 4))
     matrix[..., 0, 0] = matrix[..., 1, 1] = stokes_var
     matrix[..., 2, 2] = matrix[..., 3, 3] = mirror_var
@@ -200,7 +196,7 @@ def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatr
     return CovMatrix2(gin.matrix + added)
 
 
-def effective_occupation(g: GaussianCoeffs):
+def effective_occupation(couplings: Couplings, nbar: float, time):
     """Effective thermal occupation of the mirror after Alice's measurements.
 
     n_eff = 1 + stokes_n + mirror_n + 2 stokes_mirror
@@ -209,22 +205,21 @@ def effective_occupation(g: GaussianCoeffs):
     state) and satisfies fidelity = 1 / (1 + n_eff) exactly; evaluated
     through the factored form, a square times (nbar + 1)/E1.
     """
-    return _closed_form(g).noise(g.nbar)
+    return _checked_parts(couplings, (nbar,), time).noise(nbar)
 
 
 def fidelity_coherent(g: GaussianCoeffs):
-    """Teleportation fidelity for an input coherent state, 1/(1 + n_eff)."""
-    return 1.0 / (1.0 + effective_occupation(g))
-
-
-def fidelity_no_heterodyne(g: GaussianCoeffs):
-    """Fidelity of the protocol variant that traces out the anti-Stokes mode.
-
-    Dropping the heterodyne removes the conditioning corrections:
-    F = 1 / (2 + stokes_n + mirror_n + 2 stokes_mirror).  Never exceeds the
-    heterodyne fidelity, and is independent of temperature at its maximum.
-    """
-    return 1.0 / (1.0 + _closed_form(g).noise(g.nbar, heterodyne=False))
+    """``fidelity_curves(g.couplings, (g.nbar,), g.time)[0]``, kept only for
+    the benchmark's ``fidelity_coherent(coeffs_analytic(...))`` check
+    (``perfbench/checks.py:132``): this wrapper, ``GaussianCoeffs.couplings``,
+    which only it reads, and its DomainError for a state without them go
+    when that check takes (couplings, nbar, time)."""
+    if g.couplings is None:
+        raise DomainError(
+            "conditioning needs a closed-form state (coeffs_analytic): the "
+            "coefficient formulas cancel ~r^4-sized terms"
+        )
+    return fidelity_curves(g.couplings, (g.nbar,), g.time)[0]
 
 
 #: Float times on each side of the peak's closed-form time that are also
@@ -262,8 +257,8 @@ def optimal_time(
 ) -> tuple[float, float]:
     """(t*, F_max): maximum of the fidelity over one revival period.
 
-    The fidelity is fidelity_coherent, or with ``heterodyne`` False
-    fidelity_no_heterodyne.  In tau = tan(x/2), with q^2 = 1 + r^2,
+    The fidelity is that of :func:`fidelity_curves`, with or without the
+    heterodyne.  In tau = tan(x/2), with q^2 = 1 + r^2,
     1 + gain = N/(1 + tau^2), N = (2r^2+1) tau^2 + 2r tau + 1 > 0, and the
     derivatives of the two noise forms factor into quadratics:
 

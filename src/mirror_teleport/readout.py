@@ -19,7 +19,7 @@ import math
 
 from ._record import record
 from .errors import DomainError
-from .optomech import Couplings
+from .optomech import Couplings, _check_nbar
 
 #: Quality ratio above which a readout is reported as faithful.  An artifact
 #: convention (one order of magnitude), not a sharp physical threshold.
@@ -104,8 +104,7 @@ def decoherence_window(damping: float, nbar: float) -> float:
     """
     if not damping > 0:
         raise DomainError(f"damping must be > 0, got {damping!r}")
-    if nbar < 0:
-        raise DomainError(f"nbar must be >= 0, got {nbar!r}")
+    _check_nbar(nbar)
     rate = damping * nbar
     if rate == 0:
         return math.inf

@@ -10,8 +10,7 @@ import pytest
 
 from mirror_teleport import (
     coeffs_analytic,
-    fidelity_coherent,
-    fidelity_no_heterodyne,
+    fidelity_curves,
     optimal_time,
     period,
 )
@@ -62,17 +61,9 @@ def test_criterion_3_cooling_figure(optima):
 
 
 def test_criterion_4_no_heterodyne(bench_couplings):
-    worst_gap = 0.0
     ts = np.linspace(0.0, period(bench_couplings), 100_001)
-    for nbar in NBAR_SET:
-        g = coeffs_analytic(bench_couplings, nbar, ts)
-        gap = float(
-            np.max(
-                np.asarray(fidelity_no_heterodyne(g))
-                - np.asarray(fidelity_coherent(g))
-            )
-        )
-        worst_gap = max(worst_gap, gap)
+    with_het, without = (fidelity_curves(bench_couplings, NBAR_SET, ts, h) for h in (True, False))
+    worst_gap = max(float(np.max(f_nh - f)) for f, f_nh in zip(with_het, without))
     _, f_nh = optimal_time(bench_couplings, 0.0, heterodyne=False)
     ok = abs(f_nh - 0.80) <= 0.02 and worst_gap <= 1e-14
     _report(
@@ -83,13 +74,8 @@ def test_criterion_4_no_heterodyne(bench_couplings):
 
 
 def test_criterion_5_classical_anchor(bench_couplings):
-    worst = max(
-        abs(
-            fidelity_coherent(coeffs_analytic(bench_couplings, nbar, 0.0))
-            - 1.0 / (2.0 + nbar)
-        )
-        for nbar in NBAR_SET
-    )
+    f0 = fidelity_curves(bench_couplings, NBAR_SET, 0.0)
+    worst = max(abs(f - 1.0 / (2.0 + nbar)) for nbar, f in zip(NBAR_SET, f0))
     _report(
         "criterion-5 classical anchor F(0) = 1/(2 + nbar)",
         worst <= 1e-12,
@@ -101,8 +87,7 @@ def test_criterion_6_window_narrowing(bench_couplings):
     ts = np.linspace(0.0, period(bench_couplings), 2_000_001)
     dt = ts[1] - ts[0]
     measures = []
-    for nbar in NBAR_SET:
-        f = np.asarray(fidelity_coherent(coeffs_analytic(bench_couplings, nbar, ts)))
+    for f in fidelity_curves(bench_couplings, NBAR_SET, ts):
         measures.append(
             float(np.count_nonzero(f > 0.5)) * dt * bench_couplings.oscillation
         )

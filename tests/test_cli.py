@@ -25,6 +25,7 @@ from mirror_teleport import (
     compute_couplings,
     conditional_correlation,
     effective_occupation,
+    fidelity_coherent,
     fidelity_curves,
     optimal_time,
     peak_fidelity,
@@ -1045,6 +1046,20 @@ def test_curve_deterministic(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_summary_peak_is_the_fidelity_at_its_time(tmp_path, bench_config, bench_couplings):
+    # The benchmark's check of summary.json on every CI entry: for each nbar,
+    # fidelity_coherent on the closed form at t_star_s is F_max to 1e-12
+    # relative, and fidelity_curves at that time is F_max exactly.
+    assert main(["--out", str(tmp_path), "curve"]) == 0
+    per_nbar = json.loads((tmp_path / "summary.json").read_text())["per_nbar"]
+    assert list(per_nbar) == [f"{nbar:.12g}" for nbar in bench_config.nbar_values]
+    for nbar, entry in zip(bench_config.nbar_values, per_nbar.values()):
+        t_star, f_max = entry["t_star_s"], entry["F_max"]
+        at_t = fidelity_coherent(coeffs_analytic(bench_couplings, nbar, t_star))
+        assert at_t == pytest.approx(f_max, rel=1e-12, abs=0.0)
+        assert fidelity_curves(bench_couplings, (nbar,), t_star)[0] == f_max
+
+
 def test_verify_passes_on_bundled_config(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "verify"])
     assert rc == 0
@@ -1108,9 +1123,9 @@ def test_verify_fails_on_an_unphysical_channel(tmp_path, monkeypatch):
     bad[1, 3] = bad[3, 1] = -5.0
     channel = protocol.conditional_correlation
 
-    def unphysical(g):
-        chan = channel(g)
-        if g.nbar != 1.0:
+    def unphysical(couplings, nbar, time):
+        chan = channel(couplings, nbar, time)
+        if nbar != 1.0:
             return chan
         matrix = chan.matrix.copy()
         matrix[7] = bad
@@ -1191,15 +1206,17 @@ def _gate_times(c):
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
 def test_gates_reach_the_peaks(request, monkeypatch, fixture):
     # Gate 3 adds both peak times to its golden-ratio times, and gates 4-7
-    # take gate 2's closed forms and times: t = 0, both peak times and 41
-    # times within 5/r in x of the heterodyne peak (pi at most), none of
-    # them twice.  Gate 7 teleports through every tenth grid time and every
-    # peak time.
+    # take gate 2's times: t = 0, both peak times and 41 times within 5/r in
+    # x of the heterodyne peak (pi at most), none of them twice.  Gates 4
+    # and 5 call the channel functions on (couplings, nbar, those times).
+    # Gate 7 teleports through every tenth grid time and every peak time.
     c = request.getfixturevalue(fixture)
     calls = {}
     for module, name in (
         (dynamics, "propagator"),
         (dynamics, "coeffs_analytic"),
+        (protocol, "conditional_correlation"),
+        (protocol, "effective_occupation"),
         (protocol, "teleport_covariance"),
     ):
         def recorded(*args, _f=getattr(module, name), _name=name):
@@ -1211,8 +1228,11 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
     group, _, moments = (np.asarray(args[1]) for args in calls["propagator"])
     assert len(group) == 102
     assert np.array_equal(group[100:], peak_times(c)[:2])
-    assert len(calls["coeffs_analytic"]) == len(NBAR_SET)
-    for times in [moments] + [np.asarray(args[2]) for args in calls["coeffs_analytic"]]:
+    names = ("coeffs_analytic", "conditional_correlation", "effective_occupation")
+    for name in names:
+        assert [args[:2] for args in calls[name]] == [(c, nbar) for nbar in NBAR_SET]
+    triples = [args for name in names for args in calls[name]]
+    for times in [moments] + [np.asarray(args[2]) for args in triples]:
         assert_reaches_the_peaks(c, times)
         assert len(np.unique(times)) == len(times) == 101 + 2 + 40
     ((channel, _),) = calls["teleport_covariance"]
@@ -1227,7 +1247,7 @@ def test_physicality_gate_is_the_scalar_check(request, fixture):
     worst = 0.0
     for nbar in NBAR_SET:
         for t in _gate_times(c):
-            chan = conditional_correlation(coeffs_analytic(c, nbar, float(t)))
+            chan = conditional_correlation(c, nbar, float(t))
             scale = max(1.0, float(np.abs(chan.matrix).max()))
             worst = max(worst, physicality_defect(chan) / scale)
     gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
@@ -1245,9 +1265,8 @@ def test_teleport_noise_gate_is_the_scalar_check(request, fixture):
     worst = 0.0
     for nbar in NBAR_SET:
         for t in np.concatenate([times[:101:10], times[101:]]):
-            g = coeffs_analytic(c, nbar, float(t))
-            gout = teleport_covariance(conditional_correlation(g), gin)
-            n_eff = effective_occupation(g)
+            gout = teleport_covariance(conditional_correlation(c, nbar, float(t)), gin)
+            n_eff = effective_occupation(c, nbar, float(t))
             for i in (0, 1):
                 added = gout.matrix[i, i] - gin.matrix[i, i]
                 worst = max(worst, abs(added - n_eff) / max(1.0, n_eff))

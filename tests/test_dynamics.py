@@ -9,7 +9,6 @@ from mirror_teleport import (
     DomainError,
     coeffs_analytic,
     coeffs_from_propagator,
-    fidelity_coherent,
     fidelity_curves,
     period,
     propagator,
@@ -216,7 +215,8 @@ def test_closed_form_at_fidelity_peak_golden(bench_couplings, nbar, t_star, coef
     g = coeffs_analytic(bench_couplings, nbar, t_star)
     gold = np.array([float(v) for v in coeffs])
     assert np.max(np.abs(_vector(g) - gold) / np.maximum(1.0, np.abs(gold))) < 1e-11
-    assert fidelity_coherent(g) == pytest.approx(float(fidelity), rel=1e-14)
+    (f,) = fidelity_curves(bench_couplings, (nbar,), t_star)
+    assert f == pytest.approx(float(fidelity), rel=1e-14)
 
 
 def test_invalid_inputs(moderate):

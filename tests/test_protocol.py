@@ -21,10 +21,10 @@ from mirror_teleport import (
     coeffs_from_propagator,
     compute_couplings,
     conditional_correlation,
+    decoherence_window,
     effective_occupation,
     fidelity_coherent,
     fidelity_curves,
-    fidelity_no_heterodyne,
     optimal_time,
     peak_fidelity,
     period,
@@ -45,6 +45,11 @@ BEST_FIDELITY = 1.0 / (4.0 - 2.0 * math.sqrt(2.0))
 BEST_OCCUPATION = (math.sqrt(2.0) - 1.0) ** 2
 
 
+def _fidelity(c, nbar, time, heterodyne=True):
+    """The fidelity at one nbar: fidelity_curves' one curve."""
+    return fidelity_curves(c, (nbar,), time, heterodyne)[0]
+
+
 def _strip_couplings(g):
     """Same coefficients with the couplings forgotten: a hand-built state."""
     return GaussianCoeffs(
@@ -53,22 +58,19 @@ def _strip_couplings(g):
 
 
 def test_initial_fidelity_is_classical(moderate):
-    g = coeffs_analytic(moderate, 0.0, 0.0)
-    assert fidelity_coherent(g) == pytest.approx(CLASSICAL_FIDELITY_BOUND, abs=1e-15)
-    assert effective_occupation(g) == pytest.approx(1.0, abs=1e-15)
+    assert _fidelity(moderate, 0.0, 0.0) == pytest.approx(CLASSICAL_FIDELITY_BOUND, abs=1e-15)
+    assert effective_occupation(moderate, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 @given(nbar=st.floats(0.0, 5e3))
 @settings(max_examples=50, deadline=None)
 def test_initial_fidelity_thermal(nbar):
     c = Couplings.from_rates(2.0, 3.0)
-    g = coeffs_analytic(c, nbar, 0.0)
-    assert fidelity_coherent(g) == pytest.approx(1.0 / (2.0 + nbar), rel=1e-13)
+    assert _fidelity(c, nbar, 0.0) == pytest.approx(1.0 / (2.0 + nbar), rel=1e-13)
 
 
 def test_conditioned_state_block_structure(moderate):
-    g = coeffs_analytic(moderate, 2.0, 0.6)
-    m = conditional_correlation(g).matrix
+    m = conditional_correlation(moderate, 2.0, 0.6).matrix
     assert m[0, 0] == m[1, 1]
     assert m[2, 2] == m[3, 3]
     assert m[0, 2] == -m[1, 3]
@@ -79,17 +81,14 @@ def test_conditioned_state_physical_everywhere(moderate, bench_couplings):
     for c in (moderate, bench_couplings):
         for nbar in (0.0, 1.0, 1000.0):
             for t in np.linspace(0.0, period(c), 37):
-                g = coeffs_analytic(c, nbar, float(t))
-                assert physicality_defect(conditional_correlation(g)) < 1e-10
+                assert physicality_defect(conditional_correlation(c, nbar, float(t))) < 1e-10
 
 
 @pytest.mark.parametrize("anti_n", [-1.0, -2.0, np.array([0.0, -1.0]), np.array([0.5, -2.0])])
 @pytest.mark.parametrize(
     "route, message",
     [
-        pytest.param(effective_occupation, "closed-form state", id="effective_occupation"),
         pytest.param(fidelity_coherent, "closed-form state", id="fidelity_coherent"),
-        pytest.param(conditional_correlation, "closed-form state", id="conditional_correlation"),
         pytest.param(
             lambda g: bob_displacement(MeasurementRecord(0.0, 0.0, 1.0 + 1.0j), g),
             r"anti_n \+ 1 must be > 0",
@@ -101,29 +100,22 @@ def test_anti_n_below_the_vacuum_raises(route, message, anti_n):
     # Every route that conditions on the anti-Stokes outcome divides by
     # anti_n + 1: at or below 0, for one time or any of several, each
     # raises a DomainError, not a ZeroDivisionError or a value.
-    # bob_displacement names the divisor; the channel and fidelity
-    # functions reject the hand-built state before they divide.
+    # bob_displacement names the divisor; fidelity_coherent rejects the
+    # hand-built state before it divides.  The channel functions take
+    # (couplings, nbar, time), so no such state reaches them.
     zero = np.zeros_like(anti_n)
     g = GaussianCoeffs(zero, zero, zero, zero, anti_n, zero, time=zero, nbar=0.0)
     with pytest.raises(DomainError, match=message):
         route(g)
 
 
-@pytest.mark.parametrize(
-    "route",
-    [
-        conditional_correlation,
-        effective_occupation,
-        fidelity_coherent,
-        fidelity_no_heterodyne,
-    ],
-    ids=lambda route: route.__name__,
-)
+@pytest.mark.parametrize("route", [fidelity_coherent], ids=lambda route: route.__name__)
 def test_conditioning_needs_a_closed_form_state(moderate, route):
     # Only a closed-form state carries the couplings the factored forms
-    # need.  A hand-built state or a propagator-route state, for one time
-    # or several, is rejected rather than conditioned by the coefficient
-    # formulas, which cancel ~r^4-sized terms.
+    # need.  fidelity_coherent, the one function that takes a state, rejects
+    # a hand-built or propagator-route state, for one time or several,
+    # rather than condition it by the coefficient formulas, which cancel
+    # ~r^4-sized terms.
     for time in (0.3, np.linspace(0.0, period(moderate), 7)):
         hand_built = _strip_couplings(coeffs_analytic(moderate, 1.0, time))
         from_propagator = coeffs_from_propagator(propagator(moderate, time), 1.0)
@@ -147,11 +139,12 @@ def _coefficient_formulas(g):
     return bracket - d * (d / e1), 1.0 / (1.0 + bracket), matrix
 
 
-def _assert_matches_coefficient_formulas(g):
-    n_eff, f_no_het, matrix = _coefficient_formulas(g)
-    assert effective_occupation(g) == pytest.approx(n_eff, rel=1e-10, abs=1e-10)
-    assert fidelity_no_heterodyne(g) == pytest.approx(f_no_het, rel=1e-10)
-    assert conditional_correlation(g).matrix == pytest.approx(matrix, rel=1e-9, abs=1e-9)
+def _assert_matches_coefficient_formulas(c, nbar, time):
+    n_eff, f_no_het, matrix = _coefficient_formulas(coeffs_analytic(c, nbar, time))
+    assert effective_occupation(c, nbar, time) == pytest.approx(n_eff, rel=1e-10, abs=1e-10)
+    assert _fidelity(c, nbar, time, heterodyne=False) == pytest.approx(f_no_het, rel=1e-10)
+    got = conditional_correlation(c, nbar, time).matrix
+    assert got == pytest.approx(matrix, rel=1e-9, abs=1e-9)
 
 
 def test_stable_and_generic_routes_agree(moderate):
@@ -160,7 +153,7 @@ def test_stable_and_generic_routes_agree(moderate):
     # digits, so the two agree one time at a time.
     for nbar in (0.0, 1.0, 25.0):
         for t in np.linspace(0.01, period(moderate), 19):
-            _assert_matches_coefficient_formulas(coeffs_analytic(moderate, nbar, float(t)))
+            _assert_matches_coefficient_formulas(moderate, nbar, float(t))
 
 
 def test_noise_without_couplings_is_the_coefficient_formulas(moderate):
@@ -169,7 +162,7 @@ def test_noise_without_couplings_is_the_coefficient_formulas(moderate):
     ts = np.linspace(0.0, period(moderate), 101)
     for nbar in (0.0, 1.0, 3.0, 25.0):
         for time in (ts, 0.7):
-            _assert_matches_coefficient_formulas(coeffs_analytic(moderate, nbar, time))
+            _assert_matches_coefficient_formulas(moderate, nbar, time)
 
 
 @pytest.mark.parametrize("c", ["moderate", "bench_couplings"])
@@ -179,13 +172,14 @@ def test_grid_rows_match_their_times_alone(request, c):
     c = request.getfixturevalue(c)
     grid = np.linspace(0.0, period(c), 101)
     for nbar in NBAR_SET:
-        full = coeffs_analytic(c, nbar, grid)
-        tenth = coeffs_analytic(c, nbar, grid[::10])
         assert (
-            conditional_correlation(full).matrix[::10].tobytes()
-            == conditional_correlation(tenth).matrix.tobytes()
+            conditional_correlation(c, nbar, grid).matrix[::10].tobytes()
+            == conditional_correlation(c, nbar, grid[::10]).matrix.tobytes()
         )
-        assert effective_occupation(full)[::10].tobytes() == effective_occupation(tenth).tobytes()
+        assert (
+            effective_occupation(c, nbar, grid)[::10].tobytes()
+            == effective_occupation(c, nbar, grid[::10]).tobytes()
+        )
 
 
 @pytest.mark.parametrize("c", ["moderate", "bench_couplings"])
@@ -197,13 +191,13 @@ def test_stacked_channel_rows_are_their_matrices_alone(request, c):
     ts = np.linspace(0.0, period(c), 101)
     gin = CovMatrix2.from_variances(0.9, 0.2, 0.7)
     for nbar in NBAR_SET:
-        chan = conditional_correlation(coeffs_analytic(c, nbar, ts))
+        chan = conditional_correlation(c, nbar, ts)
         defects = physicality_defect(chan)
         out = teleport_covariance(chan, gin).matrix
         assert chan.matrix.shape == (101, 4, 4) and defects.shape == (101,)
         assert out.shape == (101, 2, 2)
         for i, t in enumerate(ts):
-            one = conditional_correlation(coeffs_analytic(c, nbar, t))
+            one = conditional_correlation(c, nbar, t)
             assert one.matrix.tobytes() == chan.matrix[i].tobytes()
             assert np.float64(physicality_defect(one)).tobytes() == defects[i].tobytes()
             assert teleport_covariance(one, gin).matrix.tobytes() == out[i].tobytes()
@@ -220,7 +214,7 @@ def test_overflowing_channel_raises(bench_couplings, nbar):
     with np.errstate(over="ignore", invalid="ignore"):
         for time in (ts, float(ts[37])):
             with pytest.raises(DomainError, match="non-finite"):
-                conditional_correlation(coeffs_analytic(bench_couplings, nbar, time))
+                conditional_correlation(bench_couplings, nbar, time)
 
 
 @pytest.mark.parametrize("r", [5000.0, 3.7e4])
@@ -244,9 +238,8 @@ def test_teleport_added_noise_equals_occupation(moderate):
     gin = CovMatrix2.from_variances(0.9, 0.2, 0.7)
     for nbar in (0.0, 3.0):
         for t in np.linspace(0.0, period(moderate), 11):
-            g = coeffs_analytic(moderate, nbar, float(t))
-            out = teleport_covariance(conditional_correlation(g), gin).matrix
-            n_eff = effective_occupation(g)
+            out = teleport_covariance(conditional_correlation(moderate, nbar, t), gin).matrix
+            n_eff = effective_occupation(moderate, nbar, t)
             assert out[0, 0] - 0.9 == pytest.approx(n_eff, rel=1e-12, abs=1e-12)
             assert out[1, 1] - 0.7 == pytest.approx(n_eff, rel=1e-12, abs=1e-12)
             assert out[0, 1] == pytest.approx(0.2, abs=1e-12)
@@ -254,9 +247,8 @@ def test_teleport_added_noise_equals_occupation(moderate):
 
 def test_fidelity_occupation_identity(moderate):
     ts = np.linspace(0.0, period(moderate), 101)
-    g = coeffs_analytic(moderate, 7.0, ts)
-    f = np.asarray(fidelity_coherent(g))
-    n = np.asarray(effective_occupation(g))
+    f = _fidelity(moderate, 7.0, ts)
+    n = effective_occupation(moderate, 7.0, ts)
     assert np.abs(f * (1.0 + n) - 1.0).max() < 1e-12
 
 
@@ -264,8 +256,7 @@ def test_global_fidelity_ceiling(moderate, bench_couplings):
     # No time or temperature beats 1/(4 - 2 sqrt(2)).
     for c in (moderate, bench_couplings):
         ts = np.linspace(0.0, period(c), 200_001)
-        for nbar in (0.0, 1000.0):
-            f = np.asarray(fidelity_coherent(coeffs_analytic(c, nbar, ts)))
+        for f in fidelity_curves(c, (0.0, 1000.0), ts):
             assert f.max() <= BEST_FIDELITY + 1e-9
 
 
@@ -278,28 +269,24 @@ def test_optimum_saturates_ceiling(bench_couplings):
 
 
 @pytest.mark.parametrize(
-    "c, nbar, objective",
+    "c, nbar, heterodyne",
     [
-        (Couplings.from_rates(2.0, 3.0), 1.0, fidelity_coherent),
-        (
-            Couplings(15.006695007659511, 24.76684211707909, 19.702679345698385),
-            3.0,
-            fidelity_coherent,
-        ),
+        (Couplings.from_rates(2.0, 3.0), 1.0, True),
+        (Couplings(15.006695007659511, 24.76684211707909, 19.702679345698385), 3.0, True),
         (
             Couplings(0.008525183270747378, 0.011072472838650456, 0.007065472734560735),
             1e4,
-            fidelity_no_heterodyne,
+            False,
         ),
         # At large nbar the heterodyne-free peak is a few ulps of t wide, and
         # the rounding of t limits F.
-        ("bench_couplings", 1e16, fidelity_no_heterodyne),
-        ("bench_couplings", 1e20, fidelity_no_heterodyne),
-        (Couplings.from_rates(2.0, 3.0), 1e20, fidelity_no_heterodyne),
-        (Couplings.from_rates(1.0, 10.0), 1e22, fidelity_no_heterodyne),
-        (Couplings.from_rates(1.0, 10.0), 1e23, fidelity_no_heterodyne),
+        ("bench_couplings", 1e16, False),
+        ("bench_couplings", 1e20, False),
+        (Couplings.from_rates(2.0, 3.0), 1e20, False),
+        (Couplings.from_rates(1.0, 10.0), 1e22, False),
+        (Couplings.from_rates(1.0, 10.0), 1e23, False),
         # The best float time is a few ulps from the closed-form one.
-        (Couplings.from_rates(1.0, 1.1), 1e20, fidelity_no_heterodyne),
+        (Couplings.from_rates(1.0, 1.1), 1e20, False),
     ],
     ids=[
         "moderate",
@@ -313,7 +300,7 @@ def test_optimum_saturates_ceiling(bench_couplings):
         "r2.18-nbar1e20-no-heterodyne",
     ],
 )
-def test_optimal_time_agrees_with_brute_force(request, c, nbar, objective):
+def test_optimal_time_agrees_with_brute_force(request, c, nbar, heterodyne):
     # A dense scan of the period, joined to every float time within 20,000
     # ulps of x0 = 2 pi - atan(1/r), where the heterodyne-free bracket
     # nbar (r sin x + cos x)^2 vanishes.
@@ -324,41 +311,41 @@ def test_optimal_time_agrees_with_brute_force(request, c, nbar, objective):
         np.linspace(0.0, period(c), 2_000_001),
         t0 + math.ulp(t0) * np.arange(-20_000, 20_001),
     ))
-    f = np.asarray(objective(coeffs_analytic(c, nbar, ts)))
-    t_star, f_max = optimal_time(c, nbar, heterodyne=objective is fidelity_coherent)
+    f = _fidelity(c, nbar, ts, heterodyne)
+    t_star, f_max = optimal_time(c, nbar, heterodyne)
     assert f_max >= f.max() - 1e-12
-    assert objective(coeffs_analytic(c, nbar, t_star)) == f_max
+    assert _fidelity(c, nbar, t_star, heterodyne) == f_max
     assert t_star == pytest.approx(ts[int(np.argmax(f))], abs=1e-6 * period(c))
 
 
-@pytest.mark.parametrize("objective", [fidelity_coherent, fidelity_no_heterodyne])
+@pytest.mark.parametrize("heterodyne", [True, False], ids=["heterodyne", "no-heterodyne"])
 @pytest.mark.parametrize("mirror_freq", [5e8, 7.3e5], ids=["r1414", "r37000"])
-def test_optimal_time_beats_dense_u_scan(bench_config, mirror_freq, objective):
+def test_optimal_time_beats_dense_u_scan(bench_config, mirror_freq, heterodyne):
     # A 1e-5 step in u = r (2 pi - oscillation t) over [0, 4], which holds
     # the peak, bounds the maximum from below.
     c = compute_couplings(replace(bench_config.params, mirror_freq=mirror_freq))
     r = c.parametric / c.oscillation
     u = np.linspace(0.0, 4.0, 400_001)
     ts = (2.0 * math.pi - u / r) / c.oscillation
-    scan_max = np.max(objective(coeffs_analytic(c, 1000.0, ts)))
-    t_star, f_max = optimal_time(c, 1000.0, heterodyne=objective is fidelity_coherent)
+    scan_max = np.max(_fidelity(c, 1000.0, ts, heterodyne))
+    t_star, f_max = optimal_time(c, 1000.0, heterodyne)
     assert f_max >= scan_max - 1e-12
-    assert objective(coeffs_analytic(c, 1000.0, t_star)) == f_max
+    assert _fidelity(c, 1000.0, t_star, heterodyne) == f_max
 
 
 @given(
     c=rate_pairs,
     nbar=st.one_of(st.just(0.0), st.floats(-3.0, 20.0).map(lambda e: 10.0**e)),
-    objective=st.sampled_from([fidelity_coherent, fidelity_no_heterodyne]),
+    heterodyne=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
 # A numpy scalar's ** 2 rounded this t*'s fidelity an ulp below the grid's.
 @example(
     c=Couplings(7.0, 13.163630797845702, 11.148146742037076),
     nbar=0.0,
-    objective=fidelity_coherent,
+    heterodyne=True,
 )
-def test_optimal_time_beats_dense_scans_at_small_r(c, nbar, objective):
+def test_optimal_time_beats_dense_scans_at_small_r(c, nbar, heterodyne):
     # r from 0.35 to 7, where the peak may lie anywhere in the period: a dense
     # scan of the period, joined to a 4e-4 step in u over [0, 8].
     t_period = period(c)
@@ -367,10 +354,10 @@ def test_optimal_time_beats_dense_scans_at_small_r(c, nbar, objective):
         np.linspace(0.0, t_period, 200_001),
         np.maximum(t_period - u / c.parametric, 0.0),
     ))
-    scan_max = np.max(objective(coeffs_analytic(c, nbar, ts)))
-    t_star, f_max = optimal_time(c, nbar, heterodyne=objective is fidelity_coherent)
+    scan_max = np.max(_fidelity(c, nbar, ts, heterodyne))
+    t_star, f_max = optimal_time(c, nbar, heterodyne)
     assert f_max >= scan_max - 1e-12
-    assert objective(coeffs_analytic(c, nbar, t_star)) == f_max
+    assert _fidelity(c, nbar, t_star, heterodyne) == f_max
 
 
 def _reference_fidelity(c, nbar, time, heterodyne=True):
@@ -410,18 +397,47 @@ _BUNDLED_COUPLINGS = compute_couplings(load_config(bundled_config_path()).params
 @settings(max_examples=30, deadline=None)
 def test_fidelity_curves_match_the_coefficient_route(c, nbar_values, heterodyne):
     # The one kernel of the factored forms gives the bits of the coefficient
-    # route for every nbar, so do the fidelity functions that call it, and
-    # the optimiser finds the same (t*, F_max) with either route in its scans.
-    objective = fidelity_coherent if heterodyne else fidelity_no_heterodyne
+    # route for every nbar, so does each nbar alone and the fidelity_coherent
+    # wrapper, and the optimiser finds the same (t*, F_max) with either route
+    # in its scans.
     ts = np.linspace(0.0, 1.5 * period(c), 3001)
     want = _reference_curves(c, nbar_values, ts, heterodyne)
     got = fidelity_curves(c, nbar_values, ts, heterodyne)
     for nbar, f, ref in zip(nbar_values, got, want):
         assert f.tobytes() == ref.tobytes()
-        assert np.asarray(objective(coeffs_analytic(c, nbar, ts))).tobytes() == ref.tobytes()
+        assert _fidelity(c, nbar, ts, heterodyne).tobytes() == ref.tobytes()
+        if heterodyne:
+            g = coeffs_analytic(c, nbar, ts)
+            assert np.asarray(fidelity_coherent(g)).tobytes() == ref.tobytes()
     optima = [optimal_time(c, nbar, heterodyne) for nbar in nbar_values]
     with mock.patch.object(protocol, "fidelity_curves", _reference_curves):
         assert optima == [optimal_time(c, nbar, heterodyne) for nbar in nbar_values]
+
+
+@pytest.mark.parametrize("nbar", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda c, n: coeffs_analytic(c, n, 0.3), id="coeffs_analytic"),
+        pytest.param(
+            lambda c, n: coeffs_from_propagator(propagator(c, 0.3), n),
+            id="coeffs_from_propagator",
+        ),
+        pytest.param(lambda c, n: fidelity_curves(c, (1.0, n), 0.3), id="fidelity_curves"),
+        pytest.param(
+            lambda c, n: conditional_correlation(c, n, 0.3), id="conditional_correlation"
+        ),
+        pytest.param(lambda c, n: effective_occupation(c, n, 0.3), id="effective_occupation"),
+        pytest.param(lambda c, n: optimal_time(c, n), id="optimal_time"),
+        pytest.param(lambda c, n: decoherence_window(1.0, n), id="decoherence_window"),
+        pytest.param(lambda c, n: list(_run_gates(c, (n,))), id="verify_gates"),
+    ],
+)
+def test_nbar_must_be_finite_and_non_negative(moderate, entry, nbar):
+    # Every entry that takes an occupation names a NaN, an infinite or a
+    # negative one in a DomainError, rather than return NaN values.
+    with pytest.raises(DomainError, match=rf"nbar must be finite and >= 0, got {nbar!r}"):
+        entry(moderate, nbar)
 
 
 def test_fidelity_curves_reject_negative_nbar(moderate):
@@ -485,12 +501,9 @@ def test_optima_are_closed_form(c, nbar):
 def test_no_heterodyne_never_beats_heterodyne(moderate, bench_couplings):
     for c in (moderate, bench_couplings):
         ts = np.linspace(0.0, period(c), 100_001)
-        for nbar in (0.0, 10.0):
-            g = coeffs_analytic(c, nbar, ts)
-            assert np.all(
-                np.asarray(fidelity_no_heterodyne(g))
-                <= np.asarray(fidelity_coherent(g)) + 1e-14
-            )
+        with_het, without = (fidelity_curves(c, (0.0, 10.0), ts, h) for h in (True, False))
+        for f, f_nh in zip(with_het, without):
+            assert np.all(f_nh <= f + 1e-14)
 
 
 def test_no_heterodyne_optimum(bench_couplings):

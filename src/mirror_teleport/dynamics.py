@@ -27,19 +27,18 @@ forms that start at y(0) = (0, nbar, 0, 0, 0, 0) and whose slopes
 time are its solution.  ``cli``'s ``ode-vs-analytic`` gate checks both.
 
 The closed forms, their slopes and the propagator take the rate ratios and
-the trig of x = oscillation*t from one helper, which also rejects a NaN or
-infinite time and a finite one whose phase x overflows; ``protocol``'s
-factored forms use it too.  No output reaches ``coeffs_analytic``, since
-``protocol`` conditions on (couplings, nbar, time): it stays as the subject
-gate 2 certifies and the input of the benchmark's ``fidelity_coherent`` check.
+the trig of x = oscillation*t, and ``coeffs_analytic`` its input checks,
+from ``protocol``.  No output reaches ``coeffs_analytic``, since ``protocol``
+conditions on (couplings, nbar, time): it stays as the subject gate 2
+certifies and the input of the benchmark's ``fidelity_coherent`` check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import protocol
 from ._record import record
-from .errors import DomainError
 from .gaussian_core import PropagatorMatrix
 from .optomech import Couplings, _check_nbar
 
@@ -77,42 +76,12 @@ class GaussianCoeffs:
     couplings: Couplings | None = None
 
 
-def _ratios_and_trig(couplings: Couplings, time):
-    """(r, q, t, sin x, cos x, omc) of the closed forms at time(s) ``time``.
-
-    r = parametric/oscillation and q = beam_splitter/oscillation, t is
-    ``time`` as a float array and x = oscillation*t; omc = 1 - cos x is
-    computed as 2 sin^2(x/2), which keeps its full relative precision near
-    the revivals.  A NaN or infinite time, or a finite one whose phase x
-    overflows, raises DomainError naming it; the sign of the time is left
-    to the caller.
-    """
-    t = np.asarray(time, dtype=float)
-    # The oscillation rate is finite and > 0, so x is finite exactly when t
-    # is and its product does not overflow.
-    with np.errstate(over="ignore"):
-        x = couplings.oscillation * t
-    if not np.all(np.isfinite(x)):
-        bad = float(t[~np.isfinite(x)][0])
-        raise DomainError(
-            f"time must be finite, with oscillation*t in the float64 range, got {bad!r}"
-        )
-    # np.square, not **: a numpy scalar's ** 2 calls pow(), which can round
-    # differently from an array's x * x, and a single time must match a grid.
-    omc = 2.0 * np.square(np.sin(0.5 * x))
-    r = couplings.parametric / couplings.oscillation
-    q = couplings.beam_splitter / couplings.oscillation
-    return r, q, t, np.sin(x), np.cos(x), omc
-
-
 def coeffs_analytic(
     couplings: Couplings, nbar: float, time
 ) -> GaussianCoeffs:
     """Closed-form coefficients at time(s) ``time``.
 
-    Cancellation-safe regrouping (r = parametric/oscillation,
-    q = beam_splitter/oscillation, x = oscillation*t, omc = 1 - cos x
-    computed as 2 sin^2(x/2)):
+    Cancellation-safe regrouping (r, q, x and omc as in ``protocol``):
 
         stokes_n      = r^2 (2 omc + r^2 omc^2 + nbar sin^2 x)
         mirror_n      = r^2 sin^2 x + nbar cos^2 x
@@ -125,10 +94,7 @@ def coeffs_analytic(
     no subtraction of like-sized terms, which matters because r^4 can
     exceed 1e12 for near-degenerate rates.
     """
-    _check_nbar(nbar)
-    r, q, t, s, c, omc = _ratios_and_trig(couplings, time)
-    if np.any(t < 0):
-        raise DomainError("time must be >= 0")
+    r, q, t, s, c, omc = protocol._checked_trig(couplings, (nbar,), time)
     stokes_n = r**2 * (2.0 * omc + r**2 * np.square(omc) + nbar * np.square(s))
     mirror_n = r**2 * np.square(s) + nbar * np.square(c)
     stokes_mirror = r * s * (1.0 + r**2 * omc + nbar * c)
@@ -157,7 +123,7 @@ def _moment_slopes(couplings: Couplings, nbar: float, time) -> np.ndarray:
 
     d/dt is oscillation * d/dx.
     """
-    r, q, _, s, c, omc = _ratios_and_trig(couplings, time)
+    r, q, _, s, c, omc = protocol._ratios_and_trig(couplings, time)
     big_r = 1.0 + r**2 * omc + nbar * c
     gap = r**2 - nbar
     lift = r**2 * omc + nbar * c
@@ -191,7 +157,7 @@ def propagator(couplings: Couplings, time) -> PropagatorMatrix:
     one-parameter group.  An array of n times gives a stack of shape
     (n, 3, 3); each matrix is bit for bit that of its time alone.
     """
-    r, q, t, s, c, omc = _ratios_and_trig(couplings, time)
+    r, q, t, s, c, omc = protocol._ratios_and_trig(couplings, time)
     entries = (
         1.0 + r**2 * omc, r * s, -r * q * omc,
         r * s, c, -q * s,

@@ -191,9 +191,10 @@ def thermal_occupation(temperature: float, mirror_freq: float) -> float:
 
     [coth(h_bar W / 2 k T) - 1] / 2, which is the Bose factor
     1 / (exp(h_bar W / k T) - 1); evaluated via expm1 so that both the
-    T -> 0 and the k T >> h_bar W limits are exact to rounding.  Raises
-    DomainError where the occupation overflows float64 (above about
-    6.9e305 K at 5e8 rad/s).
+    T -> 0 and the k T >> h_bar W limits are exact to rounding.  Below
+    about 1.8e-301 K, where k T underflows to 0, h_bar W / k T is formed as
+    (h_bar / k) (W / T).  Raises DomainError where the occupation overflows
+    float64 (above about 6.9e305 K at 5e8 rad/s).
     """
     if not temperature >= 0:
         raise DomainError(f"temperature must be >= 0, got {temperature!r}")
@@ -201,7 +202,11 @@ def thermal_occupation(temperature: float, mirror_freq: float) -> float:
         raise DomainError(f"mirror_freq must be > 0, got {mirror_freq!r}")
     if temperature == 0:
         return 0.0
-    x = HBAR * mirror_freq / (K_BOLTZMANN * temperature)
+    kt = K_BOLTZMANN * temperature
+    if kt > 0:
+        x = HBAR * mirror_freq / kt
+    else:  # k_B T underflows to 0 below about 1.8e-301 K
+        x = (HBAR / K_BOLTZMANN) * (mirror_freq / temperature)
     if x > 600.0:  # expm1 would overflow; occupation is exp(-x) to all digits
         return math.exp(-x)
     nbar = 1.0 / math.expm1(x) if x > 0 else math.inf

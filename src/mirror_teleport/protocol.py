@@ -19,14 +19,16 @@ These are algebraically identical to the coefficient-level expressions
 cancellation of the r^4-sized terms, which is what makes the near-degenerate
 benchmark regime (r ~ 1400) computable in float64 at all.  They need the
 couplings, not the six coefficients, so the channel functions take
-(couplings, nbar, time) and check them in one place; ``cli``'s
-``fidelity-identity`` gate compares the coefficient formula on the
-propagator's moments with them.  :func:`fidelity_curves` evaluates them for
-several nbar at once, from one set of sines and cosines.  The channel maps
-:func:`conditional_correlation` and :func:`teleport_covariance` take stacks
-over times, each result bit for bit that of its time alone.
-The channel is built only by :func:`conditional_correlation` and checked
-only by ``cli``'s ``conditional-physicality`` gate.
+(couplings, nbar, time) and check them in ``_checked_trig``, as
+``dynamics``' closed forms do; ``cli``'s ``fidelity-identity`` gate compares
+the coefficient formula on the propagator's moments with them.
+:func:`fidelity_curves` evaluates them for several nbar at once, from one
+set of sines and cosines.  The channel maps :func:`conditional_correlation`
+and :func:`teleport_covariance` take stacks over times, each result bit for
+bit that of its time alone.  The channel is built only by
+:func:`conditional_correlation` and checked only by ``cli``'s
+``conditional-physicality`` gate; ``gaussian_core`` loads only to build it,
+and ``dynamics`` never.
 
 In tau = tan(x/2) the derivatives of both noise forms factor into
 quadratics, which puts each fidelity maximum at a closed-form time, with a
@@ -38,14 +40,17 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._record import record
-from .dynamics import GaussianCoeffs, _ratios_and_trig
 from .errors import DomainError
-from .gaussian_core import VACUUM_VARIANCE, CorrelationMatrix4, CovMatrix2
 from .optomech import Couplings, _check_nbar
+
+if TYPE_CHECKING:
+    from .dynamics import GaussianCoeffs
+    from .gaussian_core import CorrelationMatrix4, CovMatrix2
 
 #: Best coherent-state fidelity achievable with no shared entanglement.
 CLASSICAL_FIDELITY_BOUND = 0.5
@@ -91,12 +96,46 @@ class ActuationSetting:
             raise DomainError(f"phase must lie in [0, 2pi), got {self.phase!r}")
 
 
-class _FactoredParts:
-    """The nbar-free parts of the factored forms at ``time``, made once per
-    time grid; each nbar then adds only its own terms."""
+def _ratios_and_trig(couplings: Couplings, time):
+    """(r, q, t, sin x, cos x, omc) of every closed form at time(s) ``time``.
 
-    def __init__(self, couplings: Couplings, time):
-        self.r, self.q, _, self.s, self.c, self.omc = _ratios_and_trig(couplings, time)
+    r = parametric/oscillation, q = beam_splitter/oscillation, t is ``time``
+    as a float array and x = oscillation*t; omc = 1 - cos x as 2 sin^2(x/2)
+    keeps its full relative precision near the revivals.  DomainError names
+    a NaN or infinite time, or a finite one whose phase x overflows: with a
+    rate finite and > 0, x is finite exactly when neither happens.
+    """
+    t = np.asarray(time, dtype=float)
+    with np.errstate(over="ignore"):
+        x = couplings.oscillation * t
+    if not np.all(np.isfinite(x)):
+        bad = float(t[~np.isfinite(x)][0])
+        raise DomainError(
+            f"time must be finite, with oscillation*t in the float64 range, got {bad!r}"
+        )
+    # np.square, not **: a numpy scalar's ** 2 calls pow(), which can round
+    # differently from an array's x * x, and a single time must match a grid.
+    omc = 2.0 * np.square(np.sin(0.5 * x))
+    r = couplings.parametric / couplings.oscillation
+    q = couplings.beam_splitter / couplings.oscillation
+    return r, q, t, np.sin(x), np.cos(x), omc
+
+
+def _checked_trig(couplings: Couplings, nbar_values, time):
+    """``_ratios_and_trig`` after the closed forms' one check of nbar and of t >= 0."""
+    for nbar in nbar_values:
+        _check_nbar(nbar)
+    trig = _ratios_and_trig(couplings, time)
+    if np.any(trig[2] < 0):
+        raise DomainError("time must be >= 0")
+    return trig
+
+
+class _FactoredParts:
+    """The nbar-free parts of the factored forms, made once per time grid."""
+
+    def __init__(self, couplings: Couplings, nbar_values, time):
+        self.r, self.q, _, self.s, self.c, self.omc = _checked_trig(couplings, nbar_values, time)
 
     @functools.cached_property
     def _e1_terms(self):
@@ -127,22 +166,13 @@ class _FactoredParts:
         """The conditioned channel's Stokes variance, mirror variance and X-X
         correlation: stokes_n - stokes_anti^2/E1 + 1/2, mirror_n -
         mirror_anti^2/E1 + 1/2 and stokes_mirror + stokes_anti mirror_anti/E1."""
+        from .gaussian_core import VACUUM_VARIANCE
+
         e1, r, q, s, c, omc = self.e1(nbar), self.r, self.q, self.s, self.c, self.omc
         stokes_var = VACUUM_VARIANCE + (nbar + 1.0) * r**2 * s**2 / e1
         mirror_var = VACUUM_VARIANCE + (nbar * (r**2 * q**2 * omc**2 + c**2) + r**2 * s**2) / e1
         corr = (nbar + 1.0) * r * s * (1.0 + r**2 * omc) / e1
         return stokes_var, mirror_var, corr
-
-
-def _checked_parts(couplings: Couplings, nbar_values, time) -> _FactoredParts:
-    """The factored forms at ``time``, the one entry to them; DomainError
-    for an nbar not finite and >= 0, or a time that is negative or (from
-    ``_ratios_and_trig``) not finite."""
-    for nbar in nbar_values:
-        _check_nbar(nbar)
-    if np.any(np.asarray(time) < 0):
-        raise DomainError("time must be >= 0")
-    return _FactoredParts(couplings, time)
 
 
 def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = True):
@@ -153,7 +183,7 @@ def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = 
     bracket = 1 + stokes_n + mirror_n + 2 stokes_mirror, which never exceeds
     it.  The sines and cosines are computed once for all nbar.
     """
-    parts = _checked_parts(couplings, nbar_values, time)
+    parts = _FactoredParts(couplings, nbar_values, time)
     return [1.0 / (1.0 + parts.noise(nbar, heterodyne)) for nbar in nbar_values]
 
 
@@ -168,7 +198,9 @@ def conditional_correlation(couplings: Couplings, nbar: float, time) -> Correlat
     finite entries only); ``verify``'s conditional-physicality gate checks
     that the matrices are physical.
     """
-    stokes_var, mirror_var, corr = _checked_parts(couplings, (nbar,), time).channel(nbar)
+    from .gaussian_core import CorrelationMatrix4
+
+    stokes_var, mirror_var, corr = _FactoredParts(couplings, (nbar,), time).channel(nbar)
     matrix = np.zeros(np.shape(stokes_var) + (4, 4))
     matrix[..., 0, 0] = matrix[..., 1, 1] = stokes_var
     matrix[..., 2, 2] = matrix[..., 3, 3] = mirror_var
@@ -188,6 +220,8 @@ def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatr
     channels (..., 4, 4) gives a stack of covariances (..., 2, 2), each bit
     for bit that of its channel alone; ``gin`` may be one input or a stack.
     """
+    from .gaussian_core import CovMatrix2
+
     g = channel.matrix
     xx = g[..., 0, 0] + 2.0 * g[..., 0, 2] + g[..., 2, 2]
     xp = g[..., 0, 3] - g[..., 0, 1] + g[..., 2, 3] - g[..., 1, 2]
@@ -205,7 +239,7 @@ def effective_occupation(couplings: Couplings, nbar: float, time):
     state) and satisfies fidelity = 1 / (1 + n_eff) exactly; evaluated
     through the factored form, a square times (nbar + 1)/E1.
     """
-    return _checked_parts(couplings, (nbar,), time).noise(nbar)
+    return _FactoredParts(couplings, (nbar,), time).noise(nbar)
 
 
 def fidelity_coherent(g: GaussianCoeffs):

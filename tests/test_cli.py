@@ -224,6 +224,24 @@ def test_couplings_rejects_an_infinite_occupation(tmp_path, bench_json, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [("temperature_k", 1e-320), ("temperatures_k", [5e-324, 1])],
+    ids=["temperature_k", "temperatures_k"],
+)
+def test_temperatures_where_kt_underflows_run(tmp_path, bench_json, capsys, key, value):
+    # Below about 1.8e-301 K, k*T is 0 in float64; every command once ended
+    # in a ZeroDivisionError there.  The occupation is 0.
+    if key == "temperatures_k":
+        del bench_json["nbar_values"]
+    bench_json[key] = value
+    cfg, out = _write_config(tmp_path, bench_json), tmp_path / "out"
+    for command in ("couplings", "readout", "curve", "verify"):
+        assert main(["--config", cfg, "--out", str(out), command]) == 0, command
+    assert "thermal_occupation = 0\n" in capsys.readouterr().out
+    assert "0" in json.loads((out / "summary.json").read_text())["per_nbar"]
+
+
+@pytest.mark.parametrize(
     "patch, command, name",
     [
         ({"mirror_freq_rad_per_s": 1e-300}, "verify", "verify.txt"),

@@ -58,12 +58,22 @@ def test_numpy_free_paths_never_import_numpy(code, uses_readout):
     assert _loaded_at_exit(code, modules) == str(loaded)
 
 
+#: The oracle modules, which only the gates and library callers need.
+_ORACLES = ("mirror_teleport.dynamics", "mirror_teleport.gaussian_core")
+
+
 @pytest.mark.parametrize("command", ["curve", "verify"])
 def test_numpy_commands_never_import_dataclasses(tmp_path, command):
+    # Nor does curve load the oracle modules: the factored forms it
+    # evaluates own their trig and checks in ``protocol``.
     code = _CLI.format(argv=["--out", str(tmp_path), command])
-    modules = ("numpy", "dataclasses", "mirror_teleport.gates", *_NEVER)
-    loaded = ["numpy"] + (["mirror_teleport.gates"] if command == "verify" else [])
-    assert _loaded_at_exit(code, modules) == str(loaded)
+    modules = ("numpy", "dataclasses", "mirror_teleport.gates", *_ORACLES, *_NEVER)
+    gated = ["mirror_teleport.gates", *_ORACLES] if command == "verify" else []
+    assert _loaded_at_exit(code, modules) == str(["numpy", *gated])
+
+
+def test_protocol_alone_loads_no_oracle_module():
+    assert _loaded_at_exit("import mirror_teleport.protocol", _ORACLES) == "[]"
 
 
 @pytest.mark.parametrize("given", [None, "2"], ids=["default", "explicit"])

@@ -15,11 +15,17 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirror_teleport import dynamics, replace
+from mirror_teleport import dynamics, protocol, replace
 from mirror_teleport.cli import _run_gates
 from mirror_teleport.dynamics import _moment_derivatives, _moment_slopes
 
-from conftest import COEFF_FIELDS, NBAR_SET, assert_reaches_the_peaks, rate_pairs
+from conftest import (
+    COEFF_FIELDS,
+    NBAR_SET,
+    assert_reaches_the_peaks,
+    closed_forms_on_symbols,
+    rate_pairs,
+)
 
 # In units of the oscillation rate: x = oscillation*t, parametric = r and
 # beam_splitter = q = sqrt(1 + r^2), since oscillation^2 = b^2 - p^2.
@@ -30,14 +36,10 @@ q = sp.sqrt(1 + r**2)
 @pytest.fixture
 def symbolic(monkeypatch):
     """Make the closed forms and their slopes evaluate on sympy symbols:
-    the ratios and trig that both read from ``_ratios_and_trig`` become
-    r, q, sin x, cos x and 1 - cos x, and the rest is the library's code."""
-
-    def ratios_and_trig(couplings, time):
-        return r, q, np.array(x, dtype=object), sp.sin(x), sp.cos(x), 1 - sp.cos(x)
-
-    monkeypatch.setattr(dynamics, "_ratios_and_trig", ratios_and_trig)
-    g = dynamics.coeffs_analytic(None, nbar, None)
+    the ratios and trig that both read from ``protocol._ratios_and_trig``
+    become r, q, sin x, cos x and 1 - cos x, and the rest is the library's
+    code."""
+    _, g, _ = closed_forms_on_symbols(monkeypatch, r, x, nbar)
     return [getattr(g, f) for f in COEFF_FIELDS]
 
 
@@ -54,7 +56,7 @@ def test_symbols_are_the_ratios_and_trig(moderate):
     expected = (
         ratio, math.sqrt(1.0 + ratio**2), t, math.sin(xv), math.cos(xv), 1.0 - math.cos(xv)
     )
-    assert dynamics._ratios_and_trig(moderate, t) == pytest.approx(expected, rel=1e-14)
+    assert protocol._ratios_and_trig(moderate, t) == pytest.approx(expected, rel=1e-14)
 
 
 def test_closed_forms_start_at_the_initial_state(symbolic):

@@ -132,6 +132,20 @@ def test_thermal_occupation_deep_quantum_limit():
     assert thermal_occupation(temp, wm) == pytest.approx(math.exp(-700.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("temp", [1e-300, 1e-310, 1e-320, 5e-324])
+def test_thermal_occupation_below_the_underflow_of_kt(temp):
+    # Below about 1.8e-301 K, k*T underflows to 0; the occupation there is
+    # exp(-x) for an x past the float64 range, 0 to all digits.
+    assert thermal_occupation(temp, 5e8) == 0.0
+
+
+def test_thermal_occupation_where_kt_underflows_at_a_tiny_frequency():
+    # Where k*T underflows but W/T does not, x = (h_bar/k)(W/T) is finite
+    # and the occupation that of the same x at scaled-up T and W.
+    x = HBAR * 1.0 / (K_BOLTZMANN * 1e-10)
+    assert thermal_occupation(1e-310, 1e-300) == pytest.approx(1.0 / math.expm1(x), rel=1e-14)
+
+
 @given(t1=st.floats(1e-6, 1e4), t2=st.floats(1e-6, 1e4))
 @settings(max_examples=60, deadline=None)
 def test_thermal_occupation_monotone_in_temperature(t1, t2):

@@ -1,9 +1,9 @@
 """The factored forms of ``protocol`` as the coefficient formulas, and the
 peak as their stationary point for every nbar.
 
-With the ratios and trig of both ``dynamics`` and ``protocol`` made sympy
-symbols, sympy proves that the library's own factored n_eff, bracket and
-E1, and the conditioned channel's three entries, equal the coefficient
+With the ratios and trig that ``protocol`` gives every closed form made
+sympy symbols, sympy proves that the library's own factored n_eff, bracket
+and E1, and the conditioned channel's three entries, equal the coefficient
 formulas they stand for, which cancel r^4-sized terms in float64, and
 that ``_peak``'s closed-form times are roots of the nbar-free factors of
 the noise's derivative, where F does not depend on nbar.  Which
@@ -12,32 +12,25 @@ stationary point is the maximum stays a numeric check (``test_protocol``).
 
 import types
 
-import numpy as np
 import pytest
 import sympy as sp
 
-from mirror_teleport import dynamics, protocol
+from mirror_teleport import protocol
+
+from conftest import closed_forms_on_symbols
 
 # In units of the oscillation rate, as in test_ode_certificate: x =
-# oscillation*t, parametric = r and beam_splitter = q = sqrt(1 + r^2).
+# oscillation*t, parametric = r and beam_splitter = sqrt(1 + r^2).
 r, x, nbar = sp.symbols("r x nbar", positive=True)
-q = sp.sqrt(1 + r**2)
 tau = sp.Symbol("tau", real=True)
-
-
-def _ratios_and_trig(couplings, time):
-    return r, q, np.array(x, dtype=object), sp.sin(x), sp.cos(x), 1 - sp.cos(x)
 
 
 @pytest.fixture
 def parts(monkeypatch):
-    """The library's factored forms on symbols, and its coefficients there.
-
-    ``protocol`` imports ``_ratios_and_trig`` by name, so both modules'
-    are patched."""
-    monkeypatch.setattr(dynamics, "_ratios_and_trig", _ratios_and_trig)
-    monkeypatch.setattr(protocol, "_ratios_and_trig", _ratios_and_trig)
-    return protocol._FactoredParts(None, None), dynamics.coeffs_analytic(None, nbar, None)
+    """The library's factored forms on symbols, and its coefficients there,
+    from one substitution in ``protocol``."""
+    factored, coeffs, _ = closed_forms_on_symbols(monkeypatch, r, x, nbar)
+    return factored, coeffs
 
 
 def _bracket(g):

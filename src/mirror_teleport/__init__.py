@@ -58,7 +58,6 @@ _LAZY = {
             "VACUUM_VARIANCE",
             "CorrelationMatrix4",
             "CovMatrix2",
-            "PropagatorMatrix",
             "physicality_defect",
             "symplectic_defect",
         ),

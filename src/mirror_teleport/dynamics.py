@@ -13,12 +13,14 @@ sign map between cross moments and coefficients was frozen once by matching
 first derivatives of the closed form near t = 0 and is asserted by the
 moment-route oracle in the test suite.
 
-Two independent routes to the coefficients are provided:
+Two independent routes to the coefficients are provided, both taking
+(couplings, nbar, time) like every function of ``protocol``:
 
 * ``coeffs_analytic`` -- the closed trigonometric forms, regrouped so that
   no subtractive cancellation occurs (every 1 - cos x is 2 sin^2(x/2));
-* ``coeffs_from_propagator`` -- second moments assembled from the Heisenberg
-  propagator rows.
+* ``coeffs_from_propagator`` -- second moments assembled from the rows of
+  the Heisenberg propagator, which ``propagator`` returns as a plain
+  (..., 3, 3) array.
 
 The closed forms are certified against the moment ODE system
 (``_moment_derivatives``) without integrating it: the system is linear, so
@@ -39,7 +41,6 @@ import numpy as np
 
 from . import protocol
 from ._record import record
-from .gaussian_core import PropagatorMatrix
 from .optomech import Couplings, _check_nbar
 
 
@@ -140,7 +141,7 @@ def _moment_slopes(couplings: Couplings, nbar: float, time) -> np.ndarray:
     )
 
 
-def propagator(couplings: Couplings, time) -> PropagatorMatrix:
+def propagator(couplings: Couplings, time) -> np.ndarray:
     """Heisenberg propagator M(t) on (stokes, mirror^dag, anti_stokes^dag).
 
     M(t) = exp(K t) with K = [[0, p, 0], [p, 0, -b], [0, b, 0]]
@@ -163,8 +164,7 @@ def propagator(couplings: Couplings, time) -> PropagatorMatrix:
         r * s, c, -q * s,
         r * q * omc, q * s, 1.0 - q**2 * omc,
     )
-    m = np.stack(entries, axis=-1).reshape(t.shape + (3, 3))
-    return PropagatorMatrix(m, t[()])
+    return np.stack(entries, axis=-1).reshape(t.shape + (3, 3))
 
 
 def _moment_derivatives(y, parametric: float, beam_splitter: float):
@@ -201,8 +201,9 @@ def state_scale(states: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.abs(states).max(axis=-1, keepdims=True))
 
 
-def coeffs_from_propagator(prop: PropagatorMatrix, nbar: float) -> GaussianCoeffs:
-    """Second oracle: coefficients as second moments built from propagator rows.
+def coeffs_from_propagator(couplings: Couplings, nbar: float, time) -> GaussianCoeffs:
+    """Second oracle: coefficients at time(s) ``time`` as second moments built
+    from the rows of :func:`propagator`.
 
     The initial moments are <m^ m> = nbar with everything else vacuum.  The
     cross-moment sign map (frozen by derivative matching at a reference time
@@ -211,11 +212,11 @@ def coeffs_from_propagator(prop: PropagatorMatrix, nbar: float) -> GaussianCoeff
         stokes_mirror = +<s^(t) m^(t)>,  mirror_anti = -<m^(t) a(t)>,
         stokes_anti   = +<s^(t) a^(t)>.
 
-    A stack gives arrays over its times, each entry bit for bit that of its
-    propagator alone (np.square as in :func:`coeffs_analytic`).
+    An array of times gives arrays over them, each entry bit for bit that of
+    its time alone (np.square as in :func:`coeffs_analytic`).
     """
     _check_nbar(nbar)
-    m = np.moveaxis(prop.matrix, (-2, -1), (0, 1))
+    m = np.moveaxis(propagator(couplings, time), (-2, -1), (0, 1))
     n1 = nbar + 1.0
     return GaussianCoeffs(
         stokes_n=np.square(m[0, 1]) * n1 + np.square(m[0, 2]),
@@ -224,6 +225,6 @@ def coeffs_from_propagator(prop: PropagatorMatrix, nbar: float) -> GaussianCoeff
         mirror_anti=-(m[1, 0] * m[2, 0] + nbar * m[1, 1] * m[2, 1]),
         anti_n=np.square(m[2, 0]) + nbar * np.square(m[2, 1]),
         stokes_anti=m[0, 1] * m[2, 1] * n1 + m[0, 2] * m[2, 2],
-        time=prop.time,
+        time=np.asarray(time, dtype=float)[()],
         nbar=nbar,
     )

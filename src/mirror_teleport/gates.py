@@ -107,9 +107,9 @@ def run(couplings: Couplings, nbar_values):
     # The residual is a product, so its float64 floor scales with the sizes of
     # the factors; M(t1 + t2) ~ I near a revival even where they are ~r^2.
     half = len(times) // 2
-    m1, m2 = props.matrix[:half], props.matrix[half:]
-    m12 = dynamics.propagator(couplings, times[:half] + times[half:]).matrix
-    size = np.maximum(1.0, np.abs(props.matrix).max(axis=(-2, -1)))
+    m1, m2 = props[:half], props[half:]
+    m12 = dynamics.propagator(couplings, times[:half] + times[half:])
+    size = np.maximum(1.0, np.abs(props).max(axis=(-2, -1)))
     group = np.abs(m12 - m1 @ m2).max(axis=(-2, -1)) / (size[:half] * size[half:])
     yield _verdict("propagator-group", group.max())
 
@@ -126,8 +126,7 @@ def run(couplings: Couplings, nbar_values):
     # 5. n_eff by the coefficient formula, from the propagator's moments,
     #    against the factored n_eff, relative to the state; d (d / E1), as
     #    d^2 overflows first.  Unclipped: a negative n_eff is part of the gap
-    props = dynamics.propagator(couplings, ode_times)
-    moments = [dynamics.coeffs_from_propagator(props, nbar) for nbar in nbar_values]
+    moments = [dynamics.coeffs_from_propagator(couplings, nbar, ode_times) for nbar in nbar_values]
     n_effs = np.stack([occupation(couplings, nbar, ode_times) for nbar in nbar_values])
     worst_fid = 0.0
     for g, m, n_eff in zip(analytic, moments, n_effs):

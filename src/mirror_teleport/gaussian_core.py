@@ -10,8 +10,10 @@ Conventions used throughout the package:
   diag(+1, -1, -1).
 
 All matrices here are tiny (at most 4x4), so everything is solved densely.
-Each matrix type and check takes one matrix or a stack (..., n, n), checked
-in one array expression, each result bit for bit that of its matrix alone.
+The two state matrices have checked types; a propagator is a plain array,
+whose shape ``symplectic_defect`` checks.  Each matrix type and check takes
+one matrix or a stack (..., n, n), checked in one array expression, each
+result bit for bit that of its matrix alone.
 Complex arithmetic appears only inside the physicality check and stays
 confined to this module.
 """
@@ -94,23 +96,6 @@ class CorrelationMatrix4:
         object.__setattr__(self, "matrix", m)
 
 
-@record
-class PropagatorMatrix:
-    """3x3 real matrix evolving (stokes, mirror^dag, anti_stokes^dag), or a
-    stack of them, shape (n, 3, 3), with ``time`` an array of n times."""
-
-    matrix: np.ndarray
-    time: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        m = _as_square(self.matrix, 3, "PropagatorMatrix")
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls) -> "PropagatorMatrix":
-        return cls(np.eye(3), 0.0)
-
-
 def physicality_defect(corr: CorrelationMatrix4):
     """Uncertainty-principle violation of a two-mode correlation matrix.
 
@@ -125,7 +110,7 @@ def physicality_defect(corr: CorrelationMatrix4):
     return np.maximum(-np.linalg.eigvalsh(h)[..., 0], 0.0)[()]
 
 
-def symplectic_defect(prop: PropagatorMatrix):
+def symplectic_defect(prop: np.ndarray):
     """Commutator-preservation defect of a propagator, scale-relative.
 
     A valid propagator M satisfies M eta M^T = eta with eta = diag(+1,-1,-1).
@@ -133,9 +118,10 @@ def symplectic_defect(prop: PropagatorMatrix):
     the residual is quadratic in M, so for entries of size m the float64
     noise floor is ~m^2 * eps and only the scaled defect is meaningful.
     For O(1) matrices the scaling is a no-op.  A stack of n matrices gives
-    n defects, each bit for bit the defect of its matrix alone.
+    n defects, each bit for bit the defect of its matrix alone; any shape
+    but (..., 3, 3) raises DomainError.
     """
-    m = prop.matrix
+    m = _as_square(prop, 3, "propagator")
     residual = m @ MODE_METRIC_3 @ np.swapaxes(m, -1, -2) - MODE_METRIC_3
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     return np.abs(residual).max(axis=(-2, -1)) / np.square(scale)

@@ -191,8 +191,9 @@ def thermal_occupation(temperature: float, mirror_freq: float) -> float:
 
     [coth(h_bar W / 2 k T) - 1] / 2, which is the Bose factor
     1 / (exp(h_bar W / k T) - 1); evaluated via expm1 so that both the
-    T -> 0 and the k T >> h_bar W limits are exact to rounding.  Below
-    about 1.8e-301 K, where k T underflows to 0, h_bar W / k T is formed as
+    T -> 0 and the k T >> h_bar W limits are exact to rounding.  Where k T
+    or h_bar W is subnormal (below about 1.6e-285 K or 2.1e-274 rad/s) it
+    keeps only a few bits, or is 0, so h_bar W / k T is formed as
     (h_bar / k) (W / T).  Raises DomainError where the occupation overflows
     float64 (above about 6.9e305 K at 5e8 rad/s).
     """
@@ -202,10 +203,10 @@ def thermal_occupation(temperature: float, mirror_freq: float) -> float:
         raise DomainError(f"mirror_freq must be > 0, got {mirror_freq!r}")
     if temperature == 0:
         return 0.0
-    kt = K_BOLTZMANN * temperature
-    if kt > 0:
-        x = HBAR * mirror_freq / kt
-    else:  # k_B T underflows to 0 below about 1.8e-301 K
+    kt, hw = K_BOLTZMANN * temperature, HBAR * mirror_freq
+    if min(kt, hw) >= sys.float_info.min:
+        x = hw / kt
+    else:
         x = (HBAR / K_BOLTZMANN) * (mirror_freq / temperature)
     if x > 600.0:  # expm1 would overflow; occupation is exp(-x) to all digits
         return math.exp(-x)

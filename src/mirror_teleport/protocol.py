@@ -324,11 +324,9 @@ def optimal_time(
     ts = t_peak + math.ulp(t_peak) * np.arange(-_ULPS, _ULPS + 1)
     out_of_range = f"fidelity at nbar = {nbar:.12g} is outside the float64 range"
     (fv,) = fidelity_curves(couplings, (nbar,), ts, heterodyne)
-    if np.isnan(fv).any():  # np.argmax would pick the first NaN
-        raise DomainError(out_of_range)
-    best = int(np.argmax(fv))
+    best = int(np.argmax(fv))  # the first NaN, if there is one
     f_star = float(fv[best])
-    if not 0 < f_star < 1:  # n_eff, or E1 alone, overflowed
+    if not 0 < f_star < 1:  # a NaN, or n_eff or E1 alone overflowed
         raise DomainError(out_of_range)
     return float(ts[best]), f_star
 

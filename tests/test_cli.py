@@ -241,6 +241,20 @@ def test_temperatures_where_kt_underflows_run(tmp_path, bench_json, capsys, key,
     assert "0" in json.loads((out / "summary.json").read_text())["per_nbar"]
 
 
+def test_occupation_where_kt_and_hbar_w_are_subnormal(tmp_path, bench_json):
+    # At 1e-300 K and 1e-288 rad/s both k*T and h_bar*W are subnormal floats;
+    # their quotient once labelled the occupation 0.000912714253222.
+    del bench_json["nbar_values"]
+    bench_json.update(
+        laser_freq_rad_per_s=1e-280, mirror_freq_rad_per_s=1e-288, temperatures_k=[1e-300]
+    )
+    cfg, out = _write_config(tmp_path, bench_json), tmp_path / "out"
+    for command in ("couplings", "readout", "curve", "verify"):
+        assert main(["--config", cfg, "--out", str(out), command]) == 0, command
+    per_nbar = json.loads((out / "summary.json").read_text())["per_nbar"]
+    assert list(per_nbar) == ["0.000481911156989"]
+
+
 @pytest.mark.parametrize(
     "patch, command, name",
     [
@@ -1226,13 +1240,15 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
     # Gate 3 adds both peak times to its golden-ratio times, and gates 4-7
     # take gate 2's times: t = 0, both peak times and 41 times within 5/r in
     # x of the heterodyne peak (pi at most), none of them twice.  Gates 4
-    # and 5 call the channel functions on (couplings, nbar, those times).
+    # and 5 call the channel functions, and gate 5 the moment route, on
+    # (couplings, nbar, those times).
     # Gate 7 teleports through every tenth grid time and every peak time.
     c = request.getfixturevalue(fixture)
     calls = {}
     for module, name in (
         (dynamics, "propagator"),
         (dynamics, "coeffs_analytic"),
+        (dynamics, "coeffs_from_propagator"),
         (protocol, "conditional_correlation"),
         (protocol, "effective_occupation"),
         (protocol, "teleport_covariance"),
@@ -1243,14 +1259,21 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
 
         monkeypatch.setattr(module, name, recorded)
     assert all(ok for *_, ok in _run_gates(c, NBAR_SET))
-    group, _, moments = (np.asarray(args[1]) for args in calls["propagator"])
+    # Gate 3's two stacks, then one of the moment route per nbar.
+    assert len(calls["propagator"]) == 2 + len(NBAR_SET)
+    group = np.asarray(calls["propagator"][0][1])
     assert len(group) == 102
     assert np.array_equal(group[100:], peak_times(c)[:2])
-    names = ("coeffs_analytic", "conditional_correlation", "effective_occupation")
+    names = (
+        "coeffs_analytic",
+        "coeffs_from_propagator",
+        "conditional_correlation",
+        "effective_occupation",
+    )
     for name in names:
         assert [args[:2] for args in calls[name]] == [(c, nbar) for nbar in NBAR_SET]
     triples = [args for name in names for args in calls[name]]
-    for times in [moments] + [np.asarray(args[2]) for args in triples]:
+    for times in [np.asarray(args[2]) for args in triples]:
         assert_reaches_the_peaks(c, times)
         assert len(np.unique(times)) == len(times) == 101 + 2 + 40
     ((channel, _),) = calls["teleport_covariance"]
@@ -1301,16 +1324,17 @@ def test_propagator_gates_are_the_per_time_loops(request, fixture):
     c = request.getfixturevalue(fixture)
     t_het, t_no_het, _ = peak_times(c)
     golden = period(c) * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
-    props = [propagator(c, t) for t in [*golden, t_het, t_no_het]]
+    times = [*golden, t_het, t_no_het]
+    props = [propagator(c, t) for t in times]
     group = 0.0
-    for p1, p2 in zip(props[:51], props[51:]):
-        m12 = propagator(c, p1.time + p2.time).matrix
-        scale = max(1.0, np.abs(p1.matrix).max()) * max(1.0, np.abs(p2.matrix).max())
-        group = max(group, np.abs(m12 - p1.matrix @ p2.matrix).max() / scale)
+    for t1, t2, p1, p2 in zip(times[:51], times[51:], props[:51], props[51:]):
+        m12 = propagator(c, t1 + t2)
+        scale = max(1.0, np.abs(p1).max()) * max(1.0, np.abs(p2).max())
+        group = max(group, np.abs(m12 - p1 @ p2).max() / scale)
     moment = 0.0
     for nbar in NBAR_SET[:2]:
         for t in _gate_times(c):
-            mom = coeffs_from_propagator(propagator(c, t), nbar)
+            mom = coeffs_from_propagator(c, nbar, t)
             moment = max(moment, _scaled_gap(coeffs_analytic(c, nbar, t), mom))
     gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
     assert gates["propagator-metric"] == max(symplectic_defect(p) for p in props)

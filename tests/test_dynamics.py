@@ -59,7 +59,7 @@ def test_coefficients_affine_in_nbar(moderate):
 
 
 def test_propagator_identity_at_zero(moderate):
-    assert propagator(moderate, 0.0).matrix == pytest.approx(np.eye(3), abs=0.0)
+    assert propagator(moderate, 0.0) == pytest.approx(np.eye(3), abs=0.0)
 
 
 @given(c=rate_pairs, x=st.floats(0.0, 12.0))
@@ -72,8 +72,8 @@ def test_propagator_preserves_commutator_metric(c, x):
 @settings(max_examples=60, deadline=None)
 def test_propagator_group_property(c, x1, x2):
     t1, t2 = x1 / c.oscillation, x2 / c.oscillation
-    m12 = propagator(c, t1 + t2).matrix
-    prod = propagator(c, t1).matrix @ propagator(c, t2).matrix
+    m12 = propagator(c, t1 + t2)
+    prod = propagator(c, t1) @ propagator(c, t2)
     scale = max(1.0, np.abs(m12).max()) ** 2
     assert np.abs(m12 - prod).max() / scale < 1e-11
 
@@ -94,18 +94,18 @@ def test_stacked_propagator_route_is_per_time_route(bench_couplings, c, xs, seed
     xs = np.concatenate([xs, np.random.default_rng(seed).uniform(0.0, 20.0, 200)])
     ts = xs / c.oscillation
     stack = propagator(c, ts)
-    coeffs = coeffs_from_propagator(stack, nbar)
+    coeffs = coeffs_from_propagator(c, nbar, ts)
     closed = coeffs_analytic(c, nbar, ts)
     defects = symplectic_defect(stack)
-    assert stack.matrix.shape == (len(ts), 3, 3) and defects.shape == (len(ts),)
+    assert stack.shape == (len(ts), 3, 3) and defects.shape == (len(ts),)
     for i, t in enumerate(ts):
         one = propagator(c, t)
-        assert one.matrix.tobytes() == stack.matrix[i].tobytes()
-        assert isinstance(one.time, float) and one.time == t
+        assert one.tobytes() == stack[i].tobytes()
         for single, stacked in [
-            (coeffs_from_propagator(one, nbar), coeffs),
+            (coeffs_from_propagator(c, nbar, t), coeffs),
             (coeffs_analytic(c, nbar, t), closed),
         ]:
+            assert isinstance(single.time, float) and single.time == t
             for f in COEFF_FIELDS:
                 value = getattr(single, f)
                 assert isinstance(value, float), f
@@ -115,9 +115,41 @@ def test_stacked_propagator_route_is_per_time_route(bench_couplings, c, xs, seed
         assert np.float64(defect).tobytes() == defects[i].tobytes()
 
 
+def _two_step_moments(c, nbar, t):
+    """The moment route in two steps, the propagator at one time ``t`` and
+    then the second moments of its rows: the reference that one call on a
+    stack of times must match bit for bit."""
+    m = propagator(c, t)
+    n1 = nbar + 1.0
+    return (
+        np.square(m[0, 1]) * n1 + np.square(m[0, 2]),
+        np.square(m[1, 0]) + nbar * np.square(m[1, 1]),
+        m[0, 1] * m[1, 1] * n1 + m[0, 2] * m[1, 2],
+        -(m[1, 0] * m[2, 0] + nbar * m[1, 1] * m[2, 1]),
+        np.square(m[2, 0]) + nbar * np.square(m[2, 1]),
+        m[0, 1] * m[2, 1] * n1 + m[0, 2] * m[2, 2],
+    )
+
+
+@given(
+    c=st.one_of(st.none(), rate_pairs),
+    xs=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=40),
+    nbar=st.floats(0.0, 1e6),
+)
+@settings(max_examples=60, deadline=None)
+def test_moment_route_on_a_stack_is_the_two_step_route(bench_couplings, c, xs, nbar):
+    c = bench_couplings if c is None else c
+    ts = np.asarray(xs) / c.oscillation
+    g = coeffs_from_propagator(c, nbar, ts)
+    assert g.time.tobytes() == ts.tobytes() and g.nbar == nbar and g.couplings is None
+    for i, t in enumerate(ts):
+        for f, want in zip(COEFF_FIELDS, _two_step_moments(c, nbar, t)):
+            assert getattr(g, f)[i].tobytes() == np.float64(want).tobytes(), f
+
+
 def test_propagator_inverse_is_negative_time(moderate):
-    m = propagator(moderate, 0.4).matrix
-    minv = propagator(moderate, -0.4).matrix
+    m = propagator(moderate, 0.4)
+    minv = propagator(moderate, -0.4)
     assert m @ minv == pytest.approx(np.eye(3), abs=1e-13)
 
 
@@ -126,7 +158,7 @@ def test_propagator_inverse_is_negative_time(moderate):
 def test_moment_route_matches_closed_form(c, x, nbar):
     t = x / c.oscillation
     va = _vector(coeffs_analytic(c, nbar, t))
-    vm = _vector(coeffs_from_propagator(propagator(c, t), nbar))
+    vm = _vector(coeffs_from_propagator(c, nbar, t))
     assert np.abs(va - vm).max() / max(1.0, np.abs(va).max()) < 1e-12
 
 

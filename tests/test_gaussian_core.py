@@ -5,7 +5,6 @@ from mirror_teleport import (
     CorrelationMatrix4,
     CovMatrix2,
     DomainError,
-    PropagatorMatrix,
     VACUUM_VARIANCE,
     physicality_defect,
     symplectic_defect,
@@ -69,13 +68,12 @@ def test_thermal_state_is_physical():
 
 
 def test_identity_preserves_metric():
-    assert symplectic_defect(PropagatorMatrix.identity()) == 0.0
+    assert symplectic_defect(np.eye(3)) == 0.0
 
 
 def test_metric_violation_detected():
     # diag(2,1,1) maps eta -> diag(4,-1,-1): raw defect 3, scale 4.
-    bad = PropagatorMatrix(np.diag([2.0, 1.0, 1.0]), 0.0)
-    assert symplectic_defect(bad) == pytest.approx(3.0 / 4.0)
+    assert symplectic_defect(np.diag([2.0, 1.0, 1.0])) == pytest.approx(3.0 / 4.0)
 
 
 def test_symplectic_defect_is_scale_relative():
@@ -88,7 +86,14 @@ def test_symplectic_defect_is_scale_relative():
             [0.0, 0.0, 1.0],
         ]
     )
-    assert symplectic_defect(PropagatorMatrix(m, 0.0)) < 1e-14
+    assert symplectic_defect(m) < 1e-14
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (5, 3), (3,), ()])
+def test_symplectic_defect_rejects_a_non_propagator_shape(shape):
+    # A propagator is a plain array: the defect checks its shape itself.
+    with pytest.raises(DomainError, match="propagator must be 3x3"):
+        symplectic_defect(np.ones(shape))
 
 
 def test_stack_with_one_asymmetric_member_raises():

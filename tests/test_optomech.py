@@ -1,5 +1,7 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +146,54 @@ def test_thermal_occupation_where_kt_underflows_at_a_tiny_frequency():
     # and the occupation that of the same x at scaled-up T and W.
     x = HBAR * 1.0 / (K_BOLTZMANN * 1e-10)
     assert thermal_occupation(1e-310, 1e-300) == pytest.approx(1.0 / math.expm1(x), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "temp, wm", [(1e-300, 1e-288), (1e-295, 1e-283), (1e-290, 1e-278), (1e-200, 1e-288)]
+)
+def test_thermal_occupation_where_kt_or_hbar_w_is_subnormal(temp, wm):
+    # A subnormal k*T or h_bar*W keeps only a few bits: their quotient put
+    # the occupation at 9.127e-4 (+89 %) at the first point, where both
+    # are subnormal, and 1.6 % high at the last, where only h_bar*W is.
+    # The reference is 50-digit 1/expm1(h_bar W/(k T)).
+    import mpmath
+
+    assert min(K_BOLTZMANN * temp, HBAR * wm) < sys.float_info.min
+    with mpmath.workdps(50):
+        x = mpmath.mpf(HBAR) * wm / (mpmath.mpf(K_BOLTZMANN) * temp)
+        want = 1 / mpmath.expm1(x)
+        assert abs(thermal_occupation(temp, wm) - want) / want < 1e-15
+
+
+def _normal_range_occupation(temperature, mirror_freq):
+    """thermal_occupation's arithmetic where k T and h_bar W are normal."""
+    x = HBAR * mirror_freq / (K_BOLTZMANN * temperature)
+    if x > 600.0:
+        return math.exp(-x)
+    return 1.0 / math.expm1(x) if x > 0 else math.inf
+
+
+def test_thermal_occupation_keeps_its_arithmetic_where_both_are_normal():
+    # Log-uniform temperatures and frequencies whose products with k and
+    # h_bar are normal floats; x = h_bar W / k T runs from below the float
+    # range to far above it, so the exp, expm1 and overflow branches occur.
+    rng = np.random.default_rng(20261020)
+    lo_t, lo_w = (math.log10(sys.float_info.min / k) for k in (K_BOLTZMANN, HBAR))
+    temps = 10.0 ** rng.uniform(lo_t, 307.0, 20000)
+    freqs = 10.0 ** rng.uniform(lo_w, 307.0, 20000)
+    kinds = set()
+    for temp, wm in zip(temps.tolist(), freqs.tolist()):
+        if min(K_BOLTZMANN * temp, HBAR * wm) < sys.float_info.min:
+            continue
+        want = _normal_range_occupation(temp, wm)
+        if want == math.inf:
+            kinds.add("overflow")
+            with pytest.raises(DomainError, match="exceeds the float64 range"):
+                thermal_occupation(temp, wm)
+        else:
+            kinds.add("exp" if HBAR * wm / (K_BOLTZMANN * temp) > 600.0 else "expm1")
+            assert thermal_occupation(temp, wm).hex() == want.hex()
+    assert kinds == {"overflow", "exp", "expm1"}
 
 
 @given(t1=st.floats(1e-6, 1e4), t2=st.floats(1e-6, 1e4))

@@ -29,7 +29,6 @@ from mirror_teleport import (
     peak_fidelity,
     period,
     physicality_defect,
-    propagator,
     replace,
     teleport_covariance,
 )
@@ -118,7 +117,7 @@ def test_conditioning_needs_a_closed_form_state(moderate, route):
     # ~r^4-sized terms.
     for time in (0.3, np.linspace(0.0, period(moderate), 7)):
         hand_built = _strip_couplings(coeffs_analytic(moderate, 1.0, time))
-        from_propagator = coeffs_from_propagator(propagator(moderate, time), 1.0)
+        from_propagator = coeffs_from_propagator(moderate, 1.0, time)
         for g in (hand_built, from_propagator):
             with pytest.raises(DomainError, match=r"closed-form state \(coeffs_analytic\)"):
                 route(g)
@@ -225,11 +224,11 @@ def test_noise_guard_is_relative_to_the_state(bench_config, r):
     # measures the formula's gap relative to the state, where it is rounding.
     laser = bench_config.params.laser_freq
     c = compute_couplings(replace(bench_config.params, mirror_freq=laser / (2 * r * r + 1)))
-    props = propagator(c, np.linspace(0.0, period(c), 101))
+    times = np.linspace(0.0, period(c), 101)
     nbar_values = (0.0, 1.0, 1000.0)
     for nbar in nbar_values:
         with pytest.raises(DomainError, match="closed-form state"):
-            fidelity_coherent(coeffs_from_propagator(props, nbar))
+            fidelity_coherent(coeffs_from_propagator(c, nbar, times))
     gates = {name: defect for name, defect, *_ in _run_gates(c, nbar_values)}
     assert gates["fidelity-identity"] <= 1e-12
 
@@ -419,10 +418,7 @@ def test_fidelity_curves_match_the_coefficient_route(c, nbar_values, heterodyne)
     "entry",
     [
         pytest.param(lambda c, n: coeffs_analytic(c, n, 0.3), id="coeffs_analytic"),
-        pytest.param(
-            lambda c, n: coeffs_from_propagator(propagator(c, 0.3), n),
-            id="coeffs_from_propagator",
-        ),
+        pytest.param(lambda c, n: coeffs_from_propagator(c, n, 0.3), id="coeffs_from_propagator"),
         pytest.param(lambda c, n: fidelity_curves(c, (1.0, n), 0.3), id="fidelity_curves"),
         pytest.param(
             lambda c, n: conditional_correlation(c, n, 0.3), id="conditional_correlation"
@@ -457,6 +453,23 @@ def test_optimal_time_rejects_overflowed_fidelity(bench_couplings):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="float64 range"):
             optimal_time(bench_couplings, 1e308)
+
+
+@pytest.mark.parametrize("offset", [1, 8, 16])
+def test_optimal_time_rejects_a_nan_off_the_peak(monkeypatch, bench_couplings, offset):
+    # np.argmax takes the first NaN of the 17 values for their largest, so
+    # a NaN away from the peak fails the same range check as an overflow.
+    fidelity_curves = protocol.fidelity_curves
+
+    def with_a_nan(*args):
+        (fv,) = fidelity_curves(*args)
+        assert len(fv) == 17
+        fv[(int(np.argmax(fv)) + offset) % 17] = math.nan
+        return (fv,)
+
+    monkeypatch.setattr(protocol, "fidelity_curves", with_a_nan)
+    with pytest.raises(DomainError, match="float64 range"):
+        optimal_time(bench_couplings, 1.0)
 
 
 def test_optimal_time_at_vanishing_ratio():

@@ -58,7 +58,7 @@ def test_light_weights_match_propagator_rows(moderate, bench_couplings):
         tol = 1e-13 * max(1.0, (c.beam_splitter / c.oscillation) ** 2)
         for x in (0.3, 1.0, 2.5):
             t = x / c.oscillation
-            m = propagator(c, t).matrix
+            m = propagator(c, t)
             w = readout_weights(c, t)
             assert w.stokes_weight == pytest.approx(m[0, 0] - m[2, 0], abs=tol)
             assert w.anti_weight == pytest.approx(m[0, 2] - m[2, 2], abs=tol)
@@ -69,7 +69,7 @@ def test_mirror_weight_amplification(moderate):
     # -(b + p)^2 / oscillation^2: the published large-signal convention.
     for x in (0.3, 1.2, 2.9):
         t = x / moderate.oscillation
-        m = propagator(moderate, t).matrix
+        m = propagator(moderate, t)
         w = readout_weights(moderate, t)
         factor = -((moderate.beam_splitter + moderate.parametric) ** 2) / (
             moderate.oscillation**2

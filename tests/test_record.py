@@ -10,7 +10,6 @@ from mirror_teleport import (
     DomainError,
     GaussianCoeffs,
     PhysicalParams,
-    PropagatorMatrix,
     replace,
 )
 
@@ -55,7 +54,7 @@ def test_constructor_takes_positions_keywords_and_defaults():
     mixed = PhysicalParams(10.0, 2e15, **rest, incidence_angle=0.0)
     assert by_position == mixed == PhysicalParams(**_PARAMS)
     assert by_position.temperature == 0.0
-    assert PropagatorMatrix(np.eye(3)).time == 0.0
+    assert GaussianCoeffs(*np.arange(8.0)).couplings is None
     g = GaussianCoeffs(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, time=0.5, nbar=1.0)
     assert (g.anti_n, g.time, g.couplings) == (5.0, 0.5, None)
     for args, kwargs in [

@@ -59,10 +59,11 @@ def run(couplings: Couplings, nbar_values):
     times to its own, and gates 4-7 take gate 2's times.  Gates 4 and 7
     call ``physicality_defect`` and ``teleport_covariance`` on one stack of
     ``protocol.conditional_correlation``'s matrices over every time and
-    nbar: gate 4 is the only check that they are physical, and a channel
-    that leaves float64 raises DomainError there.  Gate 5 compares the
-    coefficient formula for n_eff on the propagator's moments with the
-    factored n_eff, relative to gate 2's closed forms.
+    nbar: gate 4 is the only check that they are physical, in closed form
+    from the standard form's three entries, so no gate solves an
+    eigenproblem; a channel that leaves float64 raises DomainError there.
+    Gate 5 compares the coefficient formula for n_eff on the propagator's
+    moments with the factored n_eff, relative to gate 2's closed forms.
     """
     coeff_rows, state_scale = dynamics.coeff_rows, dynamics.state_scale
     t_period = optomech.period(couplings)

@@ -9,13 +9,13 @@ Conventions used throughout the package:
   (stokes, mirror^dag, anti_stokes^dag), whose commutator metric is
   diag(+1, -1, -1).
 
-All matrices here are tiny (at most 4x4), so everything is solved densely.
-The two state matrices have checked types; a propagator is a plain array,
-whose shape ``symplectic_defect`` checks.  Each matrix type and check takes
-one matrix or a stack (..., n, n), checked in one array expression, each
-result bit for bit that of its matrix alone.
-Complex arithmetic appears only inside the physicality check and stays
-confined to this module.
+All matrices here are tiny (at most 4x4).  The two state matrices have
+checked types; a propagator is a plain array, whose shape
+``symplectic_defect`` checks.  Each matrix type and check takes one matrix
+or a stack (..., n, n), checked in one array expression, each result bit
+for bit that of its matrix alone.  A two-mode correlation matrix is in
+standard form by its type, so its physicality check is a closed form: no
+check here solves an eigenproblem.
 """
 
 from __future__ import annotations
@@ -29,16 +29,6 @@ from .errors import DomainError
 #: the variance normalization used by every module.
 VACUUM_VARIANCE = 0.5
 
-#: Symplectic form for two modes in (X1, P1, X2, P2) ordering.
-SYMPLECTIC_FORM_4 = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
-
 #: Commutator metric of the mixed annihilation/creation operator vector
 #: (stokes, mirror^dag, anti_stokes^dag).
 MODE_METRIC_3 = np.diag([1.0, -1.0, -1.0])
@@ -51,11 +41,6 @@ def _as_square(matrix, n: int, name: str) -> np.ndarray:
     return m
 
 
-def _require_symmetric(m: np.ndarray, name: str) -> None:
-    if not np.array_equal(m, np.swapaxes(m, -1, -2)):
-        raise DomainError(f"{name} must be symmetric; build it from its upper triangle")
-
-
 @record
 class CovMatrix2:
     """2x2 covariance matrix of one mode, dimensionless, or a stack (..., 2, 2)."""
@@ -64,7 +49,8 @@ class CovMatrix2:
 
     def __post_init__(self):
         m = _as_square(self.matrix, 2, "CovMatrix2")
-        _require_symmetric(m, "CovMatrix2")
+        if not np.array_equal(m, np.swapaxes(m, -1, -2)):
+            raise DomainError("CovMatrix2 must be symmetric; build it from its upper triangle")
         # The smaller eigenvalue of [[a, b], [b, c]] in closed form.
         a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
         low = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
@@ -83,8 +69,15 @@ class CovMatrix2:
 
 @record
 class CorrelationMatrix4:
-    """Symmetric 4x4 quadrature correlation matrix of the two-mode state, or a
-    stack; every entry is finite, so any eigenvalue solve takes it."""
+    """4x4 quadrature correlation matrix of the two-mode state in standard
+    form, or a stack; every entry is finite.
+
+    Over (X_1, P_1, X_2, P_2) the standard form is variance a on both
+    quadratures of mode 1, variance b on both of mode 2, correlation +c in
+    (X_1, X_2) and -c in (P_1, P_2), and zeros elsewhere: the form that
+    ``protocol.conditional_correlation`` builds.  Any other matrix, an
+    asymmetric one included, raises DomainError.
+    """
 
     matrix: np.ndarray
 
@@ -92,7 +85,17 @@ class CorrelationMatrix4:
         m = _as_square(self.matrix, 4, "CorrelationMatrix4")
         if not np.isfinite(m).all():
             raise DomainError("CorrelationMatrix4 has a non-finite entry")
-        _require_symmetric(m, "CorrelationMatrix4")
+        a, b, c = m[..., 0, 0], m[..., 2, 2], m[..., 0, 2]
+        form = np.zeros_like(m)
+        form[..., 0, 0] = form[..., 1, 1] = a
+        form[..., 2, 2] = form[..., 3, 3] = b
+        form[..., 0, 2] = form[..., 2, 0] = c
+        form[..., 1, 3] = form[..., 3, 1] = -c
+        if not np.array_equal(m, form):
+            raise DomainError(
+                "CorrelationMatrix4 must be symmetric and in standard form: "
+                "(a, a, b, b) on the diagonal, +c in (X, X), -c in (P, P), zeros elsewhere"
+            )
         object.__setattr__(self, "matrix", m)
 
 
@@ -101,13 +104,21 @@ def physicality_defect(corr: CorrelationMatrix4):
 
     A correlation matrix G describes a physical state iff G + (i/2)J is
     positive semidefinite, J being the two-mode symplectic form.  Returns
-    max(0, -lambda_min) of that Hermitian matrix; zero means physical.  A
-    stack of shape (..., 4, 4) gives one defect per matrix from one
-    eigenvalue solve, each bit for bit the defect of its matrix alone; a
-    ``CorrelationMatrix4`` is finite by its type.
+    max(0, -lambda_min) of that Hermitian matrix; zero means physical.  In
+    standard form (a, b, c) it splits into two real 2x2 blocks, on the
+    vectors (1, -i, 0, 0), (0, 0, 1, i) and on their conjugates:
+
+        [[a + 1/2, c], [c, b - 1/2]]  and  [[a - 1/2, c], [c, b + 1/2]],
+
+    so lambda_min = (a + b)/2 - hypot((|a - b| + 1)/2, c).  Every term is
+    halved before it is added or subtracted, so no intermediate overflows
+    for finite entries.  A stack of shape (..., 4, 4) gives one defect per
+    matrix, each bit for bit the defect of its matrix alone.
     """
-    h = corr.matrix + 0.5j * SYMPLECTIC_FORM_4
-    return np.maximum(-np.linalg.eigvalsh(h)[..., 0], 0.0)[()]
+    m = corr.matrix
+    a, b, c = 0.5 * m[..., 0, 0], 0.5 * m[..., 2, 2], 0.5 * m[..., 0, 2]
+    half_low = (0.5 * a + 0.5 * b) - np.hypot(0.5 * np.abs(a - b) + 0.25, c)
+    return np.maximum(-2.0 * half_low, 0.0)[()]
 
 
 def symplectic_defect(prop: np.ndarray):

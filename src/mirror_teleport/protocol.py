@@ -192,11 +192,12 @@ def conditional_correlation(couplings: Couplings, nbar: float, time) -> Correlat
 
     Evaluated elementwise over ``time``: shape (4, 4) for a scalar time,
     (n, 4, 4) for n times.  The block pattern over (X_s, P_s, X_m, P_m)
-    is the standard form: equal diagonal pairs, a single correlation +/-k in
-    the (X, X) and (P, P) slots, zero X-P cross terms.  Raises DomainError
-    where the factored forms leave float64 (``CorrelationMatrix4`` holds
-    finite entries only); ``verify``'s conditional-physicality gate checks
-    that the matrices are physical.
+    is the standard form that ``CorrelationMatrix4`` requires: equal
+    diagonal pairs, a single correlation +k in the (X, X) slots and -k in
+    the (P, P) slots, zero X-P cross terms.  Raises DomainError where the
+    factored forms leave float64 (``CorrelationMatrix4`` holds finite
+    entries only); ``verify``'s conditional-physicality gate checks that
+    the matrices are physical, in closed form from their three entries.
     """
     from .gaussian_core import CorrelationMatrix4
 

@@ -114,6 +114,30 @@ def test_main_reports_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b'\xff\xfe{"a":1}', id="invalid-utf8"),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
+        pytest.param(b'{"power_watts": 10.0, "mass_kg"', id="truncated"),
+        pytest.param(None, id="directory"),
+    ],
+)
+def test_unparsable_config_is_a_config_error(tmp_path, capsys, content):
+    # A file that does not parse as UTF-8 JSON, or is not a file, exits 1
+    # with a config error and no traceback, before --out is made.
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--grid", "abc", "curve"],
@@ -1282,7 +1306,7 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
 def test_physicality_gate_is_the_scalar_check(request, fixture):
-    # The gate's one stacked eigenvalue solve per nbar gives exactly the
+    # The gate's one stacked closed form per nbar gives exactly the
     # worst scaled defect of the scalar conditional_correlation route.
     c = request.getfixturevalue(fixture)
     worst = 0.0
@@ -1293,6 +1317,18 @@ def test_physicality_gate_is_the_scalar_check(request, fixture):
             worst = max(worst, physicality_defect(chan) / scale)
     gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
     assert gates["conditional-physicality"] == worst
+
+
+@pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
+def test_gates_solve_no_eigenproblem(request, monkeypatch, fixture):
+    # The physicality gate is a closed form: every gate passes with
+    # numpy.linalg's eigen solvers broken, so verify pages in no LAPACK.
+    def broken(*args, **kwargs):
+        raise AssertionError("an eigenvalue solve")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, broken)
+    assert all(ok for *_, ok in _run_gates(request.getfixturevalue(fixture), NBAR_SET))
 
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirror_teleport import (
     CorrelationMatrix4,
@@ -49,6 +53,87 @@ def test_correlation_rejects_non_finite(value):
     for m in (one, np.stack([0.5 * np.eye(4), one])):
         with pytest.raises(DomainError, match="non-finite"):
             CorrelationMatrix4(m)
+
+
+def _standard_form(a, b, c):
+    m = np.zeros((4, 4))
+    m[0, 0] = m[1, 1] = a
+    m[2, 2] = m[3, 3] = b
+    m[0, 2] = m[2, 0] = c
+    m[1, 3] = m[3, 1] = -c
+    return m
+
+
+#: (entries, value): each change takes the standard form (2, 3, 1.5) off it.
+_OFF_FORM = [
+    *[
+        pytest.param(((i, j),), 0.25, id=f"entry-{i}{j}")
+        for i in range(4)
+        for j in range(4)
+        if i != j and (i, j) not in {(0, 2), (2, 0), (1, 3), (3, 1)}
+    ],
+    *[
+        pytest.param(((i, j), (j, i)), 0.25, id=f"pair-{i}{j}")
+        for i, j in [(0, 1), (0, 3), (1, 2), (2, 3)]
+    ],
+    pytest.param(((1, 1),), 2.5, id="unequal-stokes-variances"),
+    pytest.param(((3, 3),), 3.5, id="unequal-mirror-variances"),
+    pytest.param(((1, 3), (3, 1)), 1.5, id="pp-is-plus-c"),
+    pytest.param(((1, 3), (3, 1)), -1.25, id="pp-is-not-minus-c"),
+    pytest.param(((2, 0),), 1.25, id="xx-asymmetric"),
+]
+
+
+@pytest.mark.parametrize("entries, value", _OFF_FORM)
+def test_correlation_rejects_a_matrix_off_the_standard_form(entries, value):
+    # The type holds the standard form exactly, alone or in a stack: the
+    # physicality defect's closed form takes nothing else.
+    one = _standard_form(2.0, 3.0, 1.5)
+    CorrelationMatrix4(one)
+    for i, j in entries:
+        one[i, j] = value
+    for m in (one, np.stack([_standard_form(2.0, 3.0, 1.5), one])):
+        with pytest.raises(DomainError, match="standard form"):
+            CorrelationMatrix4(m)
+
+
+_J = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0, 0.0],
+    ]
+)
+
+
+@given(
+    log_a=st.floats(-3.0, 150.0),
+    log_b=st.floats(-3.0, 150.0),
+    purity=st.one_of(st.just(1.0), st.floats(0.0, 1.5)),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@example(log_a=150.0, log_b=150.0, purity=1.0, sign=1.0)
+@example(log_a=-3.0, log_b=150.0, purity=1.0, sign=-1.0)
+@example(log_a=0.0, log_b=0.0, purity=0.0, sign=1.0)
+@settings(max_examples=300, deadline=None)
+def test_physicality_defect_is_the_least_eigenvalue(log_a, log_b, purity, sign):
+    # c^2 = purity^2 ab: purity 1 is at the edge of physicality, where the
+    # closed form cancels most; a variance below 1/2 or a purity above 1 is
+    # unphysical.  The gap to an eigenvalue solve of G + (i/2)J is rounding.
+    a, b = 10.0**log_a, 10.0**log_b
+    m = _standard_form(a, b, sign * purity * math.sqrt(a) * math.sqrt(b))
+    reference = max(-np.linalg.eigvalsh(m + 0.5j * _J)[0], 0.0)
+    gap = abs(physicality_defect(CorrelationMatrix4(m)) - reference)
+    assert gap <= 4.0 * np.finfo(float).eps * max(1.0, np.abs(m).max())
+
+
+def test_physicality_defect_does_not_overflow():
+    # Every term is halved first: at entries near the float64 limit the
+    # defect, about 0.618 of them, is finite and raises no overflow.
+    with np.errstate(over="raise", invalid="raise"):
+        defect = physicality_defect(CorrelationMatrix4(_standard_form(1.7e308, 0.0, 1.7e308)))
+    assert defect == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0 * 1.7e308, rel=1e-15)
 
 
 def test_vacuum_two_mode_state_is_physical():

@@ -146,12 +146,16 @@ def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration, read as UTF-8 whatever
     the locale."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    try:
+        raw = json.loads(text)
+    # ValueError: a JSONDecodeError, or an integer past Python's digit limit;
+    # RecursionError: arrays or objects nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

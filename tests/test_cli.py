@@ -119,6 +119,7 @@ def test_main_reports_config_error(tmp_path):
         pytest.param(b'\xff\xfe{"a":1}', id="invalid-utf8"),
         pytest.param(b"[" * 100_000, id="deep-nesting"),
         pytest.param(b'{"power_watts": 10.0, "mass_kg"', id="truncated"),
+        pytest.param(b'{"power_watts": 1' + b"0" * 5000 + b"}", id="5001-digit-integer"),
         pytest.param(None, id="directory"),
     ],
 )
@@ -1322,7 +1323,7 @@ def test_physicality_gate_is_the_scalar_check(request, fixture):
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
 def test_gates_solve_no_eigenproblem(request, monkeypatch, fixture):
     # The physicality gate is a closed form: every gate passes with
-    # numpy.linalg's eigen solvers broken, so verify pages in no LAPACK.
+    # numpy.linalg's eigen solvers broken, so verify calls no LAPACK eigensolver.
     def broken(*args, **kwargs):
         raise AssertionError("an eigenvalue solve")
 

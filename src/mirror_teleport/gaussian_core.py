@@ -116,6 +116,7 @@ def physicality_defect(corr: CorrelationMatrix4):
     matrix, each bit for bit the defect of its matrix alone.
     """
     m = corr.matrix
+    # Half of each entry, so half_low is lambda_min / 2.
     a, b, c = 0.5 * m[..., 0, 0], 0.5 * m[..., 2, 2], 0.5 * m[..., 0, 2]
     half_low = (0.5 * a + 0.5 * b) - np.hypot(0.5 * np.abs(a - b) + 0.25, c)
     return np.maximum(-2.0 * half_low, 0.0)[()]

@@ -10,10 +10,11 @@ diagnostics.
 
 Importing the package loads only the errors, the rates (``optomech``) and
 the record helper (``_record``).  The other modules' names resolve lazily:
-those of the readout analysis (``readout``) and of the numpy modules
+those of the readout analysis (``readout``) and of the closed forms
 (``gaussian_core``, ``dynamics``, ``protocol``), so each module loads with
-the first of its names a program uses, not before.  The ``couplings`` and
-``readout`` commands never load numpy.
+the first of its names a program uses, not before.  The closed forms take
+Python floats or numpy arrays, and their modules import numpy only for an
+array: of the commands, only ``curve`` loads numpy.
 
 The value types (``Couplings``, ``PhysicalParams``, ``GaussianCoeffs`` and
 the others) are frozen records with slots, not standard-library data

@@ -7,11 +7,13 @@ curve       fidelity-vs-time sweep -> curve.csv + summary.json
 verify      self-verification gates (oracles and invariants) -> verify.txt
 readout     readout times, weights, quality ratio, decoherence windows
 
-Only ``curve`` and ``verify`` import numpy, and with it the package's
-numeric modules, inside the functions that use them: ``couplings`` and
-``readout`` compute with Python floats and start without it.  The gates
-are in ``gates``, which only ``verify`` loads.  Importing this module sets
-``OPENBLAS_NUM_THREADS`` to 1 unless it is already set.
+Only ``curve`` imports numpy, inside the function that uses it.
+``couplings`` and ``readout`` compute with Python floats, and so does
+``verify``: its gates, in ``gates``, which only ``verify`` loads, call the
+package's closed forms one float time at a time, the same source that
+``curve`` evaluates on arrays, and neither they nor any module they load
+import numpy.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
+unless it is already set.
 
 The command line is read by ``_parse_args``, not argparse, whose messages
 go through gettext and so load ``locale`` in every process.  It reads a
@@ -22,8 +24,9 @@ formatted for 80 columns.  A value after ``=`` is taken as written,
 ``--`` included.
 
 Exit codes: 0 success, 1 config or usage error, 2 verification-gate failure,
-3 I/O error.  A command whose numpy arithmetic overflows or yields NaN exits
-1: the config's values leave the float64 range.  All data files are
+3 I/O error.  A ``curve`` whose numpy arithmetic overflows or yields NaN,
+and a ``verify`` whose gates meet a value that is not finite, exit 1: the
+config's values leave the float64 range.  All data files are
 deterministic: identical configs produce byte-identical outputs (no
 timestamps anywhere).
 
@@ -588,12 +591,15 @@ def main(argv=None) -> int:
             return 3
 
     try:
-        # These two compute with Python floats, which np.errstate does not govern.
+        # These three compute with Python floats, which np.errstate does not
+        # govern; the gates check each value themselves.
         if args["command"] == "couplings":
             return cmd_couplings(config, out_dir)
         if args["command"] == "readout":
             return cmd_readout(config)
-        if args["command"] == "curve" and out_dir is None:
+        if args["command"] == "verify":
+            return cmd_verify(config, out_dir)
+        if out_dir is None:
             print("i/o error: curve requires --out", file=sys.stderr)
             return 3
         import numpy as np
@@ -601,9 +607,7 @@ def main(argv=None) -> int:
         # An overflow or NaN in the closed forms means the config's values
         # leave the float64 range; a result computed past one is not reported.
         with np.errstate(over="raise", invalid="raise"):
-            if args["command"] == "curve":
-                return cmd_curve(config, out_dir, no_heterodyne=args["no_heterodyne"])
-            return cmd_verify(config, out_dir)
+            return cmd_curve(config, out_dir, no_heterodyne=args["no_heterodyne"])
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -19,29 +19,36 @@ Two independent routes to the coefficients are provided, both taking
 * ``coeffs_analytic`` -- the closed trigonometric forms, regrouped so that
   no subtractive cancellation occurs (every 1 - cos x is 2 sin^2(x/2));
 * ``coeffs_from_propagator`` -- second moments assembled from the rows of
-  the Heisenberg propagator, which ``propagator`` returns as a plain
-  (..., 3, 3) array.
+  the Heisenberg propagator, which ``propagator`` returns as its three rows
+  of floats for a float time, or as a plain (..., 3, 3) array.
 
 The closed forms are certified against the moment ODE system
 (``_moment_derivatives``) without integrating it: the system is linear, so
 forms that start at y(0) = (0, nbar, 0, 0, 0, 0) and whose slopes
 (``_moment_slopes``, closed forms too) equal its right-hand side at every
-time are its solution.  ``cli``'s ``ode-vs-analytic`` gate checks both.
+time are its solution.  ``verify``'s ``ode-vs-analytic`` gate checks both.
 
 The closed forms, their slopes and the propagator take the rate ratios and
 the trig of x = oscillation*t, and ``coeffs_analytic`` its input checks,
-from ``protocol``.  No output reaches ``coeffs_analytic``, since ``protocol``
-conditions on (couplings, nbar, time): it stays as the subject gate 2
-certifies and the input of the benchmark's ``fidelity_coherent`` check.
+from ``protocol``: ``math``'s sines for a Python float time, numpy's for an
+array.  Each is one source for both, which returns floats for a float time
+and stacks arrays only for an array, so ``verify``'s gates, which call them
+one float time at a time, load no numpy; this module imports it only for an
+array.  No output reaches ``coeffs_analytic``, since ``protocol`` conditions
+on (couplings, nbar, time): it stays as the subject gate 2 certifies and the
+input of the benchmark's ``fidelity_coherent`` check.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import protocol
 from ._record import record
 from .optomech import Couplings, _check_nbar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 #: The six coefficient fields of :class:`GaussianCoeffs`, in field order.
@@ -60,8 +67,9 @@ class GaussianCoeffs:
     """The six coefficients of the three-mode Gaussian characteristic function.
 
     Fields may be scalars or (for vectorized evaluation) equal-length numpy
-    arrays over a time grid; for a single time the routes give numpy float64,
-    a float subclass.  ``couplings`` records the rates of a closed-form state
+    arrays over a time grid; for a Python float time the routes give
+    Python floats, and for a numpy scalar time numpy float64, a float
+    subclass.  ``couplings`` records the rates of a closed-form state
     and is None for the propagator route's outputs and hand-built sets.  Only
     ``protocol.fidelity_coherent`` reads it, and both go together.
     """
@@ -96,21 +104,23 @@ def coeffs_analytic(
     exceed 1e12 for near-degenerate rates.
     """
     r, q, t, s, c, omc = protocol._checked_trig(couplings, (nbar,), time)
-    stokes_n = r**2 * (2.0 * omc + r**2 * np.square(omc) + nbar * np.square(s))
-    mirror_n = r**2 * np.square(s) + nbar * np.square(c)
+    s2, omc2 = s * s, omc * omc
+    stokes_n = r**2 * (2.0 * omc + r**2 * omc2 + nbar * s2)
+    mirror_n = r**2 * s2 + nbar * (c * c)
     stokes_mirror = r * s * (1.0 + r**2 * omc + nbar * c)
     mirror_anti = -q * s * (r**2 * omc + nbar * c)
-    anti_n = q**2 * (r**2 * np.square(omc) + nbar * np.square(s))
-    stokes_anti = r * q * (omc * (1.0 + r**2 * omc) + nbar * np.square(s))
+    anti_n = q**2 * (r**2 * omc2 + nbar * s2)
+    stokes_anti = r * q * (omc * (1.0 + r**2 * omc) + nbar * s2)
     # By position: a record binds keywords more slowly.
     return GaussianCoeffs(
-        stokes_n, mirror_n, stokes_mirror, mirror_anti, anti_n, stokes_anti, t[()], nbar, couplings
+        stokes_n, mirror_n, stokes_mirror, mirror_anti, anti_n, stokes_anti,
+        t if type(t) is float else t[()], nbar, couplings,
     )
 
 
-def _moment_slopes(couplings: Couplings, nbar: float, time) -> np.ndarray:
-    """d/dx of :func:`coeffs_analytic`'s six forms, along a last axis: (n, 6)
-    over n times.
+def _moment_slopes(couplings: Couplings, nbar: float, time):
+    """d/dx of :func:`coeffs_analytic`'s six forms: a tuple of six floats for
+    a float time, or along a last axis, (n, 6) over n times.
 
     With R = 1 + r^2 omc + nbar cos x (r, q, x and omc as there):
 
@@ -124,24 +134,27 @@ def _moment_slopes(couplings: Couplings, nbar: float, time) -> np.ndarray:
 
     d/dt is oscillation * d/dx.
     """
-    r, q, _, s, c, omc = protocol._ratios_and_trig(couplings, time)
+    r, q, t, s, c, omc = protocol._ratios_and_trig(couplings, time)
     big_r = 1.0 + r**2 * omc + nbar * c
     gap = r**2 - nbar
     lift = r**2 * omc + nbar * c
-    return np.stack(
-        [
-            2.0 * r**2 * s * big_r,
-            2.0 * s * c * gap,
-            r * c * big_r + r * np.square(s) * gap,
-            -q * (c * lift + np.square(s) * gap),
-            2.0 * q**2 * s * lift,
-            r * q * s * (1.0 + 2.0 * r**2 * omc + 2.0 * nbar * c),
-        ],
-        axis=-1,
+    s2 = s * s
+    slopes = (
+        2.0 * r**2 * s * big_r,
+        2.0 * s * c * gap,
+        r * c * big_r + r * s2 * gap,
+        -q * (c * lift + s2 * gap),
+        2.0 * q**2 * s * lift,
+        r * q * s * (1.0 + 2.0 * r**2 * omc + 2.0 * nbar * c),
     )
+    if type(t) is float:
+        return slopes
+    import numpy as np
+
+    return np.stack(slopes, axis=-1)
 
 
-def propagator(couplings: Couplings, time) -> np.ndarray:
+def propagator(couplings: Couplings, time):
     """Heisenberg propagator M(t) on (stokes, mirror^dag, anti_stokes^dag).
 
     M(t) = exp(K t) with K = [[0, p, 0], [p, 0, -b], [0, b, 0]]
@@ -155,20 +168,26 @@ def propagator(couplings: Couplings, time) -> np.ndarray:
     omc = 1 - cos x, as in :func:`coeffs_analytic`; p^2/O^2 formed from the
     rates would underflow for tiny ones.  K anti-commutes with the
     commutator metric diag(+1,-1,-1), so M preserves it exactly and forms a
-    one-parameter group.  An array of n times gives a stack of shape
-    (n, 3, 3); each matrix is bit for bit that of its time alone.
+    one-parameter group.  A float time gives the three rows as tuples of
+    floats; an array of n times a stack of shape (n, 3, 3), each matrix bit
+    for bit that of its time alone.
     """
     r, q, t, s, c, omc = protocol._ratios_and_trig(couplings, time)
-    entries = (
-        1.0 + r**2 * omc, r * s, -r * q * omc,
-        r * s, c, -q * s,
-        r * q * omc, q * s, 1.0 - q**2 * omc,
+    rows = (
+        (1.0 + r**2 * omc, r * s, -r * q * omc),
+        (r * s, c, -q * s),
+        (r * q * omc, q * s, 1.0 - q**2 * omc),
     )
-    return np.stack(entries, axis=-1).reshape(t.shape + (3, 3))
+    if type(t) is float:
+        return rows
+    import numpy as np
+
+    return np.stack([v for row in rows for v in row], axis=-1).reshape(t.shape + (3, 3))
 
 
 def _moment_derivatives(y, parametric: float, beam_splitter: float):
-    """Right-hand side of the moment ODE system.
+    """Right-hand side of the moment ODE system: a tuple for six Python
+    floats, else an array along a first axis of length 6.
 
     Obtained by substituting the Gaussian ansatz into the characteristic
     function's equation of motion and matching monomials; cross-checked at
@@ -177,28 +196,19 @@ def _moment_derivatives(y, parametric: float, beam_splitter: float):
     """
     sn, mn, sm, ma, an, sa = y
     p, b = parametric, beam_splitter
-    return np.array(
-        [
-            2.0 * p * sm,
-            2.0 * p * sm + 2.0 * b * ma,
-            p * (1.0 + sn + mn) - b * sa,
-            -p * sa + b * (an - mn),
-            -2.0 * b * ma,
-            b * sm - p * ma,
-        ]
+    derivatives = (
+        2.0 * p * sm,
+        2.0 * p * sm + 2.0 * b * ma,
+        p * (1.0 + sn + mn) - b * sa,
+        -p * sa + b * (an - mn),
+        -2.0 * b * ma,
+        b * sm - p * ma,
     )
+    if type(sn) is float:
+        return derivatives
+    import numpy as np
 
-
-def coeff_rows(g: GaussianCoeffs) -> np.ndarray:
-    """The six coefficients of ``g`` along a last axis: (n, 6) over n times."""
-    return np.stack([getattr(g, f) for f in COEFF_FIELDS], axis=-1)
-
-
-def state_scale(states: np.ndarray) -> np.ndarray:
-    """max(1, max_j |y_j|) of coefficient rows (..., 6), shape (..., 1): the
-    state's size at each time, by which every check "relative to the state"
-    divides; per entry, a coefficient passing through zero would divide by ~0."""
-    return np.maximum(1.0, np.abs(states).max(axis=-1, keepdims=True))
+    return np.array(derivatives)
 
 
 def coeffs_from_propagator(couplings: Couplings, nbar: float, time) -> GaussianCoeffs:
@@ -212,19 +222,26 @@ def coeffs_from_propagator(couplings: Couplings, nbar: float, time) -> GaussianC
         stokes_mirror = +<s^(t) m^(t)>,  mirror_anti = -<m^(t) a(t)>,
         stokes_anti   = +<s^(t) a^(t)>.
 
-    An array of times gives arrays over them, each entry bit for bit that of
-    its time alone (np.square as in :func:`coeffs_analytic`).
+    A float time gives floats; an array of times gives arrays over them,
+    each entry bit for bit that of its time alone.
     """
     _check_nbar(nbar)
-    m = np.moveaxis(propagator(couplings, time), (-2, -1), (0, 1))
+    m = propagator(couplings, time)
+    if type(time) is not float:  # a stack: its entries, each over the times
+        import numpy as np
+
+        m = np.moveaxis(m, (-2, -1), (0, 1))
+        time = np.asarray(time, dtype=float)[()]
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
     n1 = nbar + 1.0
     return GaussianCoeffs(
-        stokes_n=np.square(m[0, 1]) * n1 + np.square(m[0, 2]),
-        mirror_n=np.square(m[1, 0]) + nbar * np.square(m[1, 1]),
-        stokes_mirror=m[0, 1] * m[1, 1] * n1 + m[0, 2] * m[1, 2],
-        mirror_anti=-(m[1, 0] * m[2, 0] + nbar * m[1, 1] * m[2, 1]),
-        anti_n=np.square(m[2, 0]) + nbar * np.square(m[2, 1]),
-        stokes_anti=m[0, 1] * m[2, 1] * n1 + m[0, 2] * m[2, 2],
-        time=np.asarray(time, dtype=float)[()],
-        nbar=nbar,
+        m01 * m01 * n1 + m02 * m02,  # stokes_n
+        m10 * m10 + nbar * (m11 * m11),  # mirror_n
+        m01 * m11 * n1 + m02 * m12,  # stokes_mirror
+        -(m10 * m20 + nbar * m11 * m21),  # mirror_anti
+        m20 * m20 + nbar * (m21 * m21),  # anti_n
+        m01 * m21 * n1 + m02 * m22,  # stokes_anti
+        time,
+        nbar,
+        None,
     )

@@ -6,21 +6,31 @@ mirror_teleport.cli`` that module runs as ``__main__``, and importing it by
 name would load a second copy.  Every function of the package is reached
 through its module's attribute, so a function patched or wrapped there
 after this module loads is the one a gate calls.
+
+The gates loop over their times in plain Python and call the package's
+closed forms at each (nbar, time) with Python floats: the same source that
+``curve`` and the array API evaluate on numpy arrays, which takes its
+sines and cosines from ``math`` for a float time.  So neither this module
+nor any that it loads imports numpy.  A Python float overflows to inf
+without raising, a division by an infinite term hides it, and ``max()``
+skips a NaN, so each gate checks that every value it computes is finite,
+the divisors included, and raises DomainError at the first that is not.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from operator import attrgetter
 
 from . import dynamics, gaussian_core, optomech, protocol
-from .gaussian_core import CorrelationMatrix4, CovMatrix2
+from .errors import DomainError
+from .gaussian_core import CovMatrix2
 from .optomech import Couplings
 
 #: Self-verification tolerances, by gate name.  A defect relative to the
-#: state is divided at each time by ``dynamics.state_scale``; the
-#: teleportation noise is relative to max(1, n_eff).
+#: state is divided at each time by the state's size, max(1, max_j |y_j|)
+#: over its six coefficients; the teleportation noise is relative to
+#: max(1, n_eff).
 TOLERANCES = {
     "couplings-consistency": 1e-12,
     "ode-vs-analytic": 1e-8,
@@ -32,17 +42,42 @@ TOLERANCES = {
     "teleport-noise": 1e-12,
 }
 
+#: The six coefficients of a ``GaussianCoeffs``, as a tuple.
+_coefficients = attrgetter(*dynamics.COEFF_FIELDS)
+
+#: (sqrt(5) - 1)/2: its multiples modulo 1 fill [0, 1) evenly.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
 
 def _verdict(name: str, defect, floor: float = 0.0):
     tolerance = TOLERANCES[name] + floor
     return name, float(defect), tolerance, bool(defect <= tolerance)
 
 
-def _scaled_gap(ref, other):
-    """Largest |ref - other| over the six coefficients, relative to the
-    state of ``ref`` at each time."""
-    a = dynamics.coeff_rows(ref)
-    return (abs(a - dynamics.coeff_rows(other)) / dynamics.state_scale(a)).max()
+def _finite(name: str, *values) -> None:
+    """DomainError unless every one of ``values`` is finite."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"the {name} gate leaves the float64 range")
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)`` as a list of floats, bit for bit:
+    numpy's own arithmetic on each row index, as ``cli._time_rows`` does it.
+    The gates' steps do not underflow (a period is at least 2 pi / 1.8e308,
+    and r < q < 1.4e154 bounds 5/r below), so numpy's branch for a step of
+    0 does not arise."""
+    step = (stop - start) / (num - 1)
+    rows = [i * step + start for i in range(num)]
+    rows[-1] = stop
+    return rows
+
+
+def _size(values) -> float:
+    """max(1, max_j |v_j|): a state's or a matrix's size, by which a check
+    relative to it divides; per entry, one passing through zero would
+    divide by ~0.  At least 1 even where a NaN among ``values``, which the
+    caller checks, is skipped."""
+    return max(1.0, *map(abs, values))
 
 
 def run(couplings: Couplings, nbar_values):
@@ -56,22 +91,19 @@ def run(couplings: Couplings, nbar_values):
     initial state and whose slopes match its right-hand side at every time
     are its solution, and the gate checks both for every nbar, the fidelity
     peaks included.  Gates 3-7 reach the peaks too: gate 3 adds both peak
-    times to its own, and gates 4-7 take gate 2's times.  Gates 4 and 7
-    call ``physicality_defect`` and ``teleport_covariance`` on one stack of
-    ``protocol.conditional_correlation``'s matrices over every time and
-    nbar: gate 4 is the only check that they are physical, in closed form
-    from the standard form's three entries, so no gate solves an
-    eigenproblem; a channel that leaves float64 raises DomainError there.
-    Gate 5 compares the coefficient formula for n_eff on the propagator's
-    moments with the factored n_eff, relative to gate 2's closed forms.
+    times to its own, and gates 4-7 take gate 2's times.  Gate 4 calls
+    ``physicality_defect`` on ``protocol.conditional_correlation``'s channel
+    at every time and nbar, in closed form from its three entries, so no
+    gate solves an eigenproblem; it is the only check that the channel is
+    physical, and gate 7 teleports through the same channels.  Gate 5
+    compares the coefficient formula for n_eff on the propagator's moments
+    with the factored n_eff, relative to gate 2's closed forms.  A value
+    that leaves float64 raises DomainError from the gate that meets it.
     """
-    coeff_rows, state_scale = dynamics.coeff_rows, dynamics.state_scale
-    t_period = optomech.period(couplings)
+    osc, p, b = couplings.oscillation, couplings.parametric, couplings.beam_splitter
 
     # 1. couplings internal consistency
-    rel, floor = optomech.oscillation_consistency(
-        couplings.parametric, couplings.beam_splitter, couplings.oscillation
-    )
+    rel, floor = optomech.oscillation_consistency(p, b, osc)
     yield _verdict("couplings-consistency", rel, floor)
 
     # 2. the closed forms start at the initial state, exactly, and their
@@ -80,74 +112,137 @@ def run(couplings: Couplings, nbar_values):
     #    at 40 more times within 5/r in x of the heterodyne peak (pi at most,
     #    so no time is negative): 41 evenly spaced offsets without the
     #    centre, which is the peak itself
-    grid = np.linspace(0.0, t_period, 101)
+    name = "ode-vs-analytic"
+    t_period = optomech.period(couplings)
+    grid = _linspace(0.0, t_period, 101)
     t_het, t_no_het = (protocol._peak(couplings, h)[0] for h in (True, False))
-    half_width = min(5.0 * couplings.oscillation / couplings.parametric, math.pi)
-    offsets = np.delete(np.linspace(-half_width, half_width, 41), 20)
-    near_peak = t_het + offsets / couplings.oscillation
-    ode_times = np.concatenate([grid, [t_het, t_no_het], near_peak])
-    analytic = [dynamics.coeffs_analytic(couplings, nbar, ode_times) for nbar in nbar_values]
-    p, b = couplings.parametric, couplings.beam_splitter
+    half_width = min(5.0 * osc / p, math.pi)
+    offsets = _linspace(-half_width, half_width, 41)
+    del offsets[20]
+    ode_times = [*grid, t_het, t_no_het, *(t_het + offset / osc for offset in offsets)]
+    rate = max(p, b)
+    analytic, sizes = [], []  # per nbar, per time: the six coefficients, their size
     worst = 0.0
-    for nbar, g in zip(nbar_values, analytic):
-        y = coeff_rows(g)
-        if not np.array_equal(y[0], [0.0, nbar, 0.0, 0.0, 0.0, 0.0]):
+    for nbar in nbar_values:
+        states, state_sizes = [], []
+        for t in ode_times:
+            y = _coefficients(dynamics.coeffs_analytic(couplings, nbar, t))
+            slopes = dynamics._moment_slopes(couplings, nbar, t)
+            rhs = dynamics._moment_derivatives(y, p, b)
+            size = _size(y)
+            residual = max([abs(osc * s - f) for s, f in zip(slopes, rhs)])
+            divisor = rate * size
+            _finite(name, *y, *slopes, *rhs, residual, divisor)
+            worst = max(worst, residual / divisor)
+            states.append(y)
+            state_sizes.append(size)
+        if states[0] != (0.0, nbar, 0.0, 0.0, 0.0, 0.0):
             worst = math.inf
-        slopes = couplings.oscillation * dynamics._moment_slopes(couplings, nbar, ode_times)
-        residual = np.abs(slopes - dynamics._moment_derivatives(y.T, p, b).T)
-        worst = max(worst, np.max(residual / (max(p, b) * state_scale(y))))
-    yield _verdict("ode-vs-analytic", worst)
+        analytic.append(states)
+        sizes.append(state_sizes)
+    yield _verdict(name, worst)
 
     # 3. propagator structure: the metric of each, the group law on 51 pairs,
     #    at 100 times of a golden-ratio sequence, which fills [0, T) evenly,
     #    and both peak times
-    golden = t_period * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
-    times = np.append(golden, [t_het, t_no_het])
-    props = dynamics.propagator(couplings, times)
-    yield _verdict("propagator-metric", gaussian_core.symplectic_defect(props).max())
+    name = "propagator-metric"
+    times = [t_period * ((k * _GOLDEN) % 1.0) for k in range(1, 101)] + [t_het, t_no_het]
+    props, prop_sizes = [], []
+    worst = 0.0
+    for t in times:
+        m = dynamics.propagator(couplings, t)
+        entries = [*m[0], *m[1], *m[2]]
+        size = _size(entries)
+        defect = gaussian_core.symplectic_defect(m)
+        _finite(name, *entries, size * size, defect)
+        worst = max(worst, defect)
+        props.append(m)
+        prop_sizes.append(size)
+    yield _verdict(name, worst)
     # The residual is a product, so its float64 floor scales with the sizes of
     # the factors; M(t1 + t2) ~ I near a revival even where they are ~r^2.
+    name = "propagator-group"
     half = len(times) // 2
-    m1, m2 = props[:half], props[half:]
-    m12 = dynamics.propagator(couplings, times[:half] + times[half:])
-    size = np.maximum(1.0, np.abs(props).max(axis=(-2, -1)))
-    group = np.abs(m12 - m1 @ m2).max(axis=(-2, -1)) / (size[:half] * size[half:])
-    yield _verdict("propagator-group", group.max())
+    worst = 0.0
+    for t1, t2, m1, m2, size1, size2 in zip(
+        times[:half], times[half:], props[:half], props[half:], prop_sizes, prop_sizes[half:]
+    ):
+        m12 = dynamics.propagator(couplings, t1 + t2)
+        residual = max(
+            abs(m12[i][j] - (m1[i][0] * m2[0][j] + m1[i][1] * m2[1][j] + m1[i][2] * m2[2][j]))
+            for i in range(3)
+            for j in range(3)
+        )
+        divisor = size1 * size2
+        _finite(name, *m12[0], *m12[1], *m12[2], residual, divisor)
+        worst = max(worst, residual / divisor)
+    yield _verdict(name, worst)
 
     # 4. conditioned-state physicality at gate 2's times, relative to
     #    max(1, |G|max), so physical states at large nbar pass; the only
-    #    check of the channel's physicality.  Gate 7 reuses these channel
-    #    matrices and gate 5's n_eff
-    channel, occupation = protocol.conditional_correlation, protocol.effective_occupation
-    mats = np.stack([channel(couplings, nbar, ode_times).matrix for nbar in nbar_values])
-    defects = gaussian_core.physicality_defect(CorrelationMatrix4(mats))
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
-    yield _verdict("conditional-physicality", np.max(defects / scale))
+    #    check of the channel's physicality.  A channel is finite by its
+    #    type, and gate 2 has checked its divisor E1 = anti_n + 1.  Gate 7
+    #    teleports through these channels
+    name = "conditional-physicality"
+    channels = []  # per nbar, per time
+    worst = 0.0
+    for nbar in nbar_values:
+        row = [protocol.conditional_correlation(couplings, nbar, t) for t in ode_times]
+        for chan in row:
+            defect = gaussian_core.physicality_defect(chan)
+            _finite(name, defect)
+            worst = max(worst, defect / _size((chan.a, chan.b, chan.c)))
+        channels.append(row)
+    yield _verdict(name, worst)
 
     # 5. n_eff by the coefficient formula, from the propagator's moments,
     #    against the factored n_eff, relative to the state; d (d / E1), as
     #    d^2 overflows first.  Unclipped: a negative n_eff is part of the gap
-    moments = [dynamics.coeffs_from_propagator(couplings, nbar, ode_times) for nbar in nbar_values]
-    n_effs = np.stack([occupation(couplings, nbar, ode_times) for nbar in nbar_values])
-    worst_fid = 0.0
-    for g, m, n_eff in zip(analytic, moments, n_effs):
-        d = m.stokes_anti - m.mirror_anti
-        bracket = 1.0 + m.stokes_n + m.mirror_n + 2.0 * m.stokes_mirror
-        gap = np.abs(bracket - d * (d / (m.anti_n + 1.0)) - n_eff)
-        worst_fid = max(worst_fid, np.max(gap / state_scale(coeff_rows(g))[:, 0]))
-    yield _verdict("fidelity-identity", worst_fid)
+    name = "fidelity-identity"
+    moments, n_effs = [], []  # per nbar, per time
+    worst = 0.0
+    for nbar, state_sizes in zip(nbar_values, sizes):
+        moment_row, n_row = [], []
+        for t, size in zip(ode_times, state_sizes):
+            m = _coefficients(dynamics.coeffs_from_propagator(couplings, nbar, t))
+            n_eff = protocol.effective_occupation(couplings, nbar, t)
+            stokes_n, mirror_n, stokes_mirror, mirror_anti, anti_n, stokes_anti = m
+            d = stokes_anti - mirror_anti
+            bracket = 1.0 + stokes_n + mirror_n + 2.0 * stokes_mirror
+            e1 = anti_n + 1.0
+            gap = abs(bracket - d * (d / e1) - n_eff)
+            _finite(name, *m, n_eff, e1, gap)
+            worst = max(worst, gap / size)
+            moment_row.append(m)
+            n_row.append(n_eff)
+        moments.append(moment_row)
+        n_effs.append(n_row)
+    yield _verdict(name, worst)
 
-    # 6. moment route vs closed form
-    worst_mom = max(_scaled_gap(g, mom) for g, mom in zip(analytic[:2], moments))
-    yield _verdict("moment-route", worst_mom)
+    # 6. moment route vs closed form, relative to the state, for the first
+    #    two nbar
+    name = "moment-route"
+    worst = 0.0
+    for states, moment_row, state_sizes in zip(analytic[:2], moments, sizes):
+        for y, m, size in zip(states, moment_row, state_sizes):
+            gap = max(abs(u - v) for u, v in zip(y, m))
+            _finite(name, gap)
+            worst = max(worst, gap / size)
+    yield _verdict(name, worst)
 
     # 7. teleporting the vacuum adds n_eff, in X and in P, at every tenth
     #    time of the grid, both peak times and every time near the
-    #    heterodyne peak; each row is bit for bit that of its time alone,
-    #    and gate 4 checks those channels' physicality
-    teleported = np.r_[0 : len(grid) : 10, len(grid) : len(ode_times)]
+    #    heterodyne peak, through gate 4's channels
+    name = "teleport-noise"
+    teleported = [*range(0, len(grid), 10), *range(len(grid), len(ode_times))]
     gin = CovMatrix2.vacuum()
-    out = protocol.teleport_covariance(CorrelationMatrix4(mats[:, teleported]), gin).matrix
-    added = out.diagonal(0, -2, -1) - gin.matrix.diagonal()
-    n = n_effs[:, teleported, None]
-    yield _verdict("teleport-noise", np.max(np.abs(added - n) / np.maximum(1.0, n)))
+    worst = 0.0
+    for row, n_row in zip(channels, n_effs):
+        for i in teleported:
+            out = protocol.teleport_covariance(row[i], gin)
+            n = n_row[i]
+            for added in (out.xx - gin.xx, out.pp - gin.pp):
+                gap = abs(added - n)
+                _finite(name, added, gap)
+                worst = max(worst, gap / max(1.0, n))
+    yield _verdict(name, worst)

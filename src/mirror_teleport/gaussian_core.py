@@ -1,4 +1,4 @@
-"""Small dense-matrix utilities and physicality checks for Gaussian states.
+"""Small Gaussian-state records and physicality checks, on floats or arrays.
 
 Conventions used throughout the package:
 
@@ -9,94 +9,171 @@ Conventions used throughout the package:
   (stokes, mirror^dag, anti_stokes^dag), whose commutator metric is
   diag(+1, -1, -1).
 
-All matrices here are tiny (at most 4x4).  The two state matrices have
-checked types; a propagator is a plain array, whose shape
-``symplectic_defect`` checks.  Each matrix type and check takes one matrix
-or a stack (..., n, n), checked in one array expression, each result bit
-for bit that of its matrix alone.  A two-mode correlation matrix is in
-standard form by its type, so its physicality check is a closed form: no
-check here solves an eigenproblem.
+Both state types hold the independent entries of their matrix, not the
+matrix: a one-mode covariance its (xx, xp, pp), a two-mode correlation
+matrix in standard form its (a, b, c).  Each entry is a Python float, or
+all are numpy arrays of one shape for a stack, and ``.matrix`` builds the
+matrix (or the stack (..., n, n)) with numpy.  Every check here is a closed
+form in those entries, one source for floats and arrays, each result bit
+for bit that of its entries alone: a float takes its ``hypot`` from
+``math`` and an array from numpy, the only difference between the two.
+No check solves an eigenproblem, and this module imports numpy only for an
+array.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from itertools import repeat
+from typing import TYPE_CHECKING
 
 from ._record import record
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Vacuum variance of a single quadrature; the single source of truth for
 #: the variance normalization used by every module.
 VACUUM_VARIANCE = 0.5
 
-#: Commutator metric of the mixed annihilation/creation operator vector
-#: (stokes, mirror^dag, anti_stokes^dag).
-MODE_METRIC_3 = np.diag([1.0, -1.0, -1.0])
+
+def _floats(*values) -> bool:
+    """True if every one of ``values`` is a Python float, which takes the
+    scalar path; a numpy scalar or array takes the array path."""
+    for value in values:
+        if type(value) is not float:
+            return False
+    return True
 
 
-def _as_square(matrix, n: int, name: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    if m.shape[-2:] != (n, n):
-        raise DomainError(f"{name} must be {n}x{n}, got shape {m.shape}")
-    return m
+def _arrays(record, fields: tuple[str, ...]):
+    """The entries ``fields`` of ``record`` as they are if all are Python
+    floats, else as float arrays broadcast to one shape, which replace
+    them in ``record``; DomainError for shapes that do not broadcast."""
+    values = tuple(map(getattr, repeat(record), fields))
+    if _floats(*values):
+        return values
+    import numpy as np
+
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    try:
+        shape = np.broadcast_shapes(*(v.shape for v in arrays))
+    except ValueError:
+        shapes = [v.shape for v in arrays]
+        name = type(record).__name__
+        raise DomainError(f"{name} entries must have one shape, got {shapes}") from None
+    values = tuple(v if v.shape == shape else np.broadcast_to(v, shape) for v in arrays)
+    for field, value in zip(fields, values):
+        object.__setattr__(record, field, value)
+    return values
+
+
+def _hypot(x, y):
+    """hypot(x, y): ``math``'s for Python floats, numpy's for arrays."""
+    if _floats(x, y):
+        return math.hypot(x, y)
+    import numpy as np
+
+    return np.hypot(x, y)
+
+
+def _largest_abs(values):
+    """max |v| over ``values``, elementwise over arrays; a NaN gives NaN,
+    which Python's max() would skip."""
+    if _floats(*values):
+        if any(v != v for v in values):
+            return math.nan
+        return max(map(abs, values))
+    import numpy as np
+
+    return np.max(np.abs(values), axis=0)
+
+
+def _at_least_one(value):
+    """max(value, 1), elementwise over arrays; a NaN stays NaN."""
+    if _floats(value):
+        return max(value, 1.0)  # a NaN first is kept
+    import numpy as np
+
+    return np.maximum(1.0, value)
 
 
 @record
 class CovMatrix2:
-    """2x2 covariance matrix of one mode, dimensionless, or a stack (..., 2, 2)."""
+    """Covariance matrix [[xx, xp], [xp, pp]] of one mode, dimensionless.
 
-    matrix: np.ndarray
+    The entries are Python floats, or arrays of one shape for a stack (a
+    float entry broadcasts).  Raises DomainError where the matrix is not
+    positive semidefinite, beyond rounding.
+    """
+
+    xx: float | np.ndarray
+    xp: float | np.ndarray
+    pp: float | np.ndarray
 
     def __post_init__(self):
-        m = _as_square(self.matrix, 2, "CovMatrix2")
-        if not np.array_equal(m, np.swapaxes(m, -1, -2)):
-            raise DomainError("CovMatrix2 must be symmetric; build it from its upper triangle")
-        # The smaller eigenvalue of [[a, b], [b, c]] in closed form.
-        a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
-        low = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-        if np.any(low < -1e-12 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))):
-            raise DomainError(f"CovMatrix2 not positive semidefinite: eigenvalue {np.min(low)}")
-        object.__setattr__(self, "matrix", m)
+        xx, xp, pp = _arrays(self, ("xx", "xp", "pp"))
+        # The smaller eigenvalue of [[xx, xp], [xp, pp]] in closed form.
+        low = 0.5 * (xx + pp) - _hypot(0.5 * (xx - pp), xp)
+        below = low < -1e-12 * _at_least_one(_largest_abs((xx, xp, pp)))
+        if below if _floats(low) else below.any():
+            least = low if _floats(low) else low.min()
+            raise DomainError(f"CovMatrix2 not positive semidefinite: eigenvalue {least}")
 
     @classmethod
     def vacuum(cls) -> "CovMatrix2":
-        return cls(VACUUM_VARIANCE * np.eye(2))
+        return cls(VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE)
 
-    @classmethod
-    def from_variances(cls, xx: float, xp: float, pp: float) -> "CovMatrix2":
-        return cls(np.array([[xx, xp], [xp, pp]]))
+    @property
+    def matrix(self) -> np.ndarray:
+        """The matrix, (2, 2), or (..., 2, 2) for a stack."""
+        import numpy as np
+
+        entries = (self.xx, self.xp, self.xp, self.pp)
+        return np.stack(entries, axis=-1).reshape(np.shape(self.xx) + (2, 2))
 
 
 @record
 class CorrelationMatrix4:
-    """4x4 quadrature correlation matrix of the two-mode state in standard
-    form, or a stack; every entry is finite.
+    """Correlation matrix of a two-mode state in standard form, by its three
+    entries; every entry is finite.
 
-    Over (X_1, P_1, X_2, P_2) the standard form is variance a on both
-    quadratures of mode 1, variance b on both of mode 2, correlation +c in
-    (X_1, X_2) and -c in (P_1, P_2), and zeros elsewhere: the form that
-    ``protocol.conditional_correlation`` builds.  Any other matrix, an
-    asymmetric one included, raises DomainError.
+    Over (X_1, P_1, X_2, P_2) the standard form is variance ``a`` on both
+    quadratures of mode 1, variance ``b`` on both of mode 2, correlation
+    +``c`` in (X_1, X_2) and -``c`` in (P_1, P_2), and zeros elsewhere: the
+    form of the conditioned channel that ``protocol.conditional_correlation``
+    returns.  The entries are Python floats, or arrays of one shape for a
+    stack (a float entry broadcasts).  Raises DomainError for a NaN or
+    infinite entry.
     """
 
-    matrix: np.ndarray
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
 
     def __post_init__(self):
-        m = _as_square(self.matrix, 4, "CorrelationMatrix4")
-        if not np.isfinite(m).all():
+        a, b, c = _arrays(self, ("a", "b", "c"))
+        if _floats(a):
+            finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+        else:
+            import numpy as np
+
+            finite = all(np.isfinite(v).all() for v in (a, b, c))
+        if not finite:
             raise DomainError("CorrelationMatrix4 has a non-finite entry")
-        a, b, c = m[..., 0, 0], m[..., 2, 2], m[..., 0, 2]
-        form = np.zeros_like(m)
-        form[..., 0, 0] = form[..., 1, 1] = a
-        form[..., 2, 2] = form[..., 3, 3] = b
-        form[..., 0, 2] = form[..., 2, 0] = c
-        form[..., 1, 3] = form[..., 3, 1] = -c
-        if not np.array_equal(m, form):
-            raise DomainError(
-                "CorrelationMatrix4 must be symmetric and in standard form: "
-                "(a, a, b, b) on the diagonal, +c in (X, X), -c in (P, P), zeros elsewhere"
-            )
-        object.__setattr__(self, "matrix", m)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The 4x4 matrix, or the stack (..., 4, 4)."""
+        import numpy as np
+
+        m = np.zeros(np.shape(self.a) + (4, 4))
+        m[..., 0, 0] = m[..., 1, 1] = self.a
+        m[..., 2, 2] = m[..., 3, 3] = self.b
+        m[..., 0, 2] = m[..., 2, 0] = self.c
+        m[..., 1, 3] = m[..., 3, 1] = -self.c
+        return m
 
 
 def physicality_defect(corr: CorrelationMatrix4):
@@ -112,28 +189,49 @@ def physicality_defect(corr: CorrelationMatrix4):
 
     so lambda_min = (a + b)/2 - hypot((|a - b| + 1)/2, c).  Every term is
     halved before it is added or subtracted, so no intermediate overflows
-    for finite entries.  A stack of shape (..., 4, 4) gives one defect per
-    matrix, each bit for bit the defect of its matrix alone.
+    for finite entries.  A float for float entries; for a stack, one defect
+    per matrix, each bit for bit the defect of its matrix alone.
     """
-    m = corr.matrix
     # Half of each entry, so half_low is lambda_min / 2.
-    a, b, c = 0.5 * m[..., 0, 0], 0.5 * m[..., 2, 2], 0.5 * m[..., 0, 2]
-    half_low = (0.5 * a + 0.5 * b) - np.hypot(0.5 * np.abs(a - b) + 0.25, c)
-    return np.maximum(-2.0 * half_low, 0.0)[()]
+    a, b, c = 0.5 * corr.a, 0.5 * corr.b, 0.5 * corr.c
+    half_low = (0.5 * a + 0.5 * b) - _hypot(0.5 * abs(a - b) + 0.25, c)
+    defect = -2.0 * half_low
+    if _floats(defect):  # max(defect, 0), as numpy's: NaN stays, -0.0 is 0.0
+        return defect if defect > 0.0 or defect != defect else 0.0
+    import numpy as np
+
+    return np.maximum(defect, 0.0)[()]
 
 
-def symplectic_defect(prop: np.ndarray):
+def symplectic_defect(prop):
     """Commutator-preservation defect of a propagator, scale-relative.
 
     A valid propagator M satisfies M eta M^T = eta with eta = diag(+1,-1,-1).
     The max-abs entry of the residual is normalized by max(1, |M|_max)^2:
     the residual is quadratic in M, so for entries of size m the float64
     noise floor is ~m^2 * eps and only the scaled defect is meaningful.
-    For O(1) matrices the scaling is a no-op.  A stack of n matrices gives
-    n defects, each bit for bit the defect of its matrix alone; any shape
-    but (..., 3, 3) raises DomainError.
+    For O(1) matrices the scaling is a no-op.  ``prop`` is what
+    ``dynamics.propagator`` returns: its three rows of floats for a float
+    time, a float defect; or an array (..., 3, 3), one defect per matrix,
+    each bit for bit the defect of its matrix alone.  An array of any other
+    shape raises DomainError.
     """
-    m = _as_square(prop, 3, "propagator")
-    residual = m @ MODE_METRIC_3 @ np.swapaxes(m, -1, -2) - MODE_METRIC_3
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    return np.abs(residual).max(axis=(-2, -1)) / np.square(scale)
+    if not isinstance(prop, tuple):
+        import numpy as np
+
+        m = np.asarray(prop, dtype=float)
+        if m.shape[-2:] != (3, 3):
+            raise DomainError(f"propagator must be 3x3, got shape {m.shape}")
+        prop = np.moveaxis(m, (-2, -1), (0, 1))
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = prop
+    # The six entries of the symmetric residual M eta M^T - eta.
+    residual = (
+        a0 * a0 - a1 * a1 - a2 * a2 - 1.0,
+        b0 * b0 - b1 * b1 - b2 * b2 + 1.0,
+        c0 * c0 - c1 * c1 - c2 * c2 + 1.0,
+        a0 * b0 - a1 * b1 - a2 * b2,
+        a0 * c0 - a1 * c1 - a2 * c2,
+        b0 * c0 - b1 * c1 - b2 * c2,
+    )
+    scale = _at_least_one(_largest_abs((a0, a1, a2, b0, b1, b2, c0, c1, c2)))
+    return _largest_abs(residual) / (scale * scale)

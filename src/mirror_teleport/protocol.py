@@ -20,20 +20,34 @@ cancellation of the r^4-sized terms, which is what makes the near-degenerate
 benchmark regime (r ~ 1400) computable in float64 at all.  They need the
 couplings, not the six coefficients, so the channel functions take
 (couplings, nbar, time) and check them in ``_checked_trig``, as
-``dynamics``' closed forms do; ``cli``'s ``fidelity-identity`` gate compares
-the coefficient formula on the propagator's moments with them.
+``dynamics``' closed forms do; ``verify``'s ``fidelity-identity`` gate
+compares the coefficient formula on the propagator's moments with them.
 :func:`fidelity_curves` evaluates them for several nbar at once, from one
-set of sines and cosines.  The channel maps :func:`conditional_correlation`
-and :func:`teleport_covariance` take stacks over times, each result bit for
-bit that of its time alone.  The channel is built only by
-:func:`conditional_correlation` and checked only by ``cli``'s
+set of sines and cosines.
+
+Every closed form takes one Python float time or an array of times, in one
+piece of source: ``_ratios_and_trig`` takes the sines and cosines from
+``math`` for a float and from numpy for an array, and nothing else differs
+but the stacking that array callers need.  ``curve`` evaluates them on
+arrays; ``verify``'s gates call them one float time at a time, so this
+module imports numpy only for an array.  Over a stack of times each result
+is bit for bit that of its time alone.
+
+The channel is the standard form (a, b, c) of the conditioned Stokes-mirror
+state, a ``gaussian_core.CorrelationMatrix4``, built only by
+:func:`conditional_correlation` and checked only by ``verify``'s
 ``conditional-physicality`` gate; ``gaussian_core`` loads only to build it,
-and ``dynamics`` never.
+and ``dynamics`` never.  :func:`teleport_covariance` adds a + b + 2c to the
+input's variances, which is n_eff.
 
 In tau = tan(x/2) the derivatives of both noise forms factor into
 quadratics, which puts each fidelity maximum at a closed-form time, with a
 closed-form value, that does not depend on nbar: :func:`peak_fidelity`
 returns the value and :func:`optimal_time` evaluates the fidelity there.
+At the heterodyne peak tau* = -1/sqrt(2r^2+1), for every nbar, the channel
+is a = b = (3r^2+1)/(2(r^2+1)) and c = -r sqrt(2r^2+1)/(r^2+1), with
+ab - c^2 = 1/4: the heterodyne heralds a pure, symmetric two-mode squeezed
+vacuum, whatever the mirror's temperature.
 """
 
 from __future__ import annotations
@@ -41,8 +55,6 @@ from __future__ import annotations
 import functools
 import math
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ._record import record
 from .errors import DomainError
@@ -100,25 +112,39 @@ def _ratios_and_trig(couplings: Couplings, time):
     """(r, q, t, sin x, cos x, omc) of every closed form at time(s) ``time``.
 
     r = parametric/oscillation, q = beam_splitter/oscillation, t is ``time``
-    as a float array and x = oscillation*t; omc = 1 - cos x as 2 sin^2(x/2)
-    keeps its full relative precision near the revivals.  DomainError names
-    a NaN or infinite time, or a finite one whose phase x overflows: with a
-    rate finite and > 0, x is finite exactly when neither happens.
+    and x = oscillation*t; omc = 1 - cos x as 2 sin^2(x/2) keeps its full
+    relative precision near the revivals.  A Python float time stays a
+    float and takes its sines and cosines from ``math``; any other time is
+    a float array and takes them from numpy.  That is the only difference
+    between the two paths: every closed form is the same source for both,
+    so a float time's values are those of its row of an array wherever the
+    two libraries' sines agree.  DomainError names a NaN or infinite time,
+    or a finite one whose phase x overflows: with a rate finite and > 0, x
+    is finite exactly when neither happens.
     """
-    t = np.asarray(time, dtype=float)
-    with np.errstate(over="ignore"):
+    if type(time) is float:
+        t, sin, cos = time, math.sin, math.cos
         x = couplings.oscillation * t
-    if not np.all(np.isfinite(x)):
-        bad = float(t[~np.isfinite(x)][0])
+        bad = None if math.isfinite(x) else t
+    else:
+        import numpy as np
+
+        t, sin, cos = np.asarray(time, dtype=float), np.sin, np.cos
+        with np.errstate(over="ignore"):
+            x = couplings.oscillation * t
+        finite = np.isfinite(x)
+        bad = None if finite.all() else float(t[~finite][0])
+    if bad is not None:
         raise DomainError(
             f"time must be finite, with oscillation*t in the float64 range, got {bad!r}"
         )
-    # np.square, not **: a numpy scalar's ** 2 calls pow(), which can round
-    # differently from an array's x * x, and a single time must match a grid.
-    omc = 2.0 * np.square(np.sin(0.5 * x))
+    # h * h, not h**2: a float's ** calls pow(), which can round differently
+    # from the product that numpy's square of an array is.
+    h = sin(0.5 * x)
+    omc = 2.0 * (h * h)
     r = couplings.parametric / couplings.oscillation
     q = couplings.beam_splitter / couplings.oscillation
-    return r, q, t, np.sin(x), np.cos(x), omc
+    return r, q, t, sin(x), cos(x), omc
 
 
 def _checked_trig(couplings: Couplings, nbar_values, time):
@@ -126,13 +152,14 @@ def _checked_trig(couplings: Couplings, nbar_values, time):
     for nbar in nbar_values:
         _check_nbar(nbar)
     trig = _ratios_and_trig(couplings, time)
-    if np.any(trig[2] < 0):
+    negative = trig[2] < 0
+    if negative if type(negative) is bool else negative.any():
         raise DomainError("time must be >= 0")
     return trig
 
 
 class _FactoredParts:
-    """The nbar-free parts of the factored forms, made once per time grid."""
+    """The nbar-free parts of the factored forms, made once per time or grid."""
 
     def __init__(self, couplings: Couplings, nbar_values, time):
         self.r, self.q, _, self.s, self.c, self.omc = _checked_trig(couplings, nbar_values, time)
@@ -140,17 +167,19 @@ class _FactoredParts:
     @functools.cached_property
     def _e1_terms(self):
         """r^2 omc^2 and sin^2 x: E1 = 1 + q^2 (r^2 omc^2 + nbar sin^2 x)."""
-        return self.r**2 * np.square(self.omc), np.square(self.s)
+        return self.r**2 * (self.omc * self.omc), self.s * self.s
 
     @functools.cached_property
     def _lift2(self):
         """(1 + gain)^2, gain = r^2 omc + r sin x."""
-        return np.square(1.0 + (self.r**2 * self.omc + self.r * self.s))
+        lift = 1.0 + (self.r**2 * self.omc + self.r * self.s)
+        return lift * lift
 
     @functools.cached_property
     def _tilt2(self):
         """(r sin x + cos x)^2, which nbar multiplies without the heterodyne."""
-        return np.square(self.r * self.s + self.c)
+        tilt = self.r * self.s + self.c
+        return tilt * tilt
 
     def e1(self, nbar):
         free, s2 = self._e1_terms
@@ -169,8 +198,9 @@ class _FactoredParts:
         from .gaussian_core import VACUUM_VARIANCE
 
         e1, r, q, s, c, omc = self.e1(nbar), self.r, self.q, self.s, self.c, self.omc
-        stokes_var = VACUUM_VARIANCE + (nbar + 1.0) * r**2 * s**2 / e1
-        mirror_var = VACUUM_VARIANCE + (nbar * (r**2 * q**2 * omc**2 + c**2) + r**2 * s**2) / e1
+        s2 = self._e1_terms[1]
+        stokes_var = VACUUM_VARIANCE + (nbar + 1.0) * r**2 * s2 / e1
+        mirror_var = VACUUM_VARIANCE + (nbar * (r**2 * q**2 * (omc * omc) + c * c) + r**2 * s2) / e1
         corr = (nbar + 1.0) * r * s * (1.0 + r**2 * omc) / e1
         return stokes_var, mirror_var, corr
 
@@ -188,47 +218,38 @@ def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = 
 
 
 def conditional_correlation(couplings: Couplings, nbar: float, time) -> CorrelationMatrix4:
-    """Correlation matrix of the conditioned Stokes+mirror state.
+    """Correlation matrix of the conditioned Stokes+mirror state, in standard
+    form: a ``CorrelationMatrix4`` of (a, b, c).
 
-    Evaluated elementwise over ``time``: shape (4, 4) for a scalar time,
-    (n, 4, 4) for n times.  The block pattern over (X_s, P_s, X_m, P_m)
-    is the standard form that ``CorrelationMatrix4`` requires: equal
-    diagonal pairs, a single correlation +k in the (X, X) slots and -k in
-    the (P, P) slots, zero X-P cross terms.  Raises DomainError where the
+    a = stokes_n - stokes_anti^2/E1 + 1/2 is the variance of both Stokes
+    quadratures, b = mirror_n - mirror_anti^2/E1 + 1/2 that of both mirror
+    quadratures, and c = stokes_mirror + stokes_anti mirror_anti/E1 their
+    correlation, +c in (X_s, X_m) and -c in (P_s, P_m); no X-P cross term.
+    Floats for a float time, arrays over the times for an array, each entry
+    bit for bit that of its time alone.  Raises DomainError where the
     factored forms leave float64 (``CorrelationMatrix4`` holds finite
     entries only); ``verify``'s conditional-physicality gate checks that
-    the matrices are physical, in closed form from their three entries.
+    the channel is physical, in closed form from a, b and c.
     """
     from .gaussian_core import CorrelationMatrix4
 
-    stokes_var, mirror_var, corr = _FactoredParts(couplings, (nbar,), time).channel(nbar)
-    matrix = np.zeros(np.shape(stokes_var) + (4, 4))
-    matrix[..., 0, 0] = matrix[..., 1, 1] = stokes_var
-    matrix[..., 2, 2] = matrix[..., 3, 3] = mirror_var
-    matrix[..., 0, 2] = matrix[..., 2, 0] = corr
-    matrix[..., 1, 3] = matrix[..., 3, 1] = -corr
-    return CorrelationMatrix4(matrix)
+    return CorrelationMatrix4(*_FactoredParts(couplings, (nbar,), time).channel(nbar))
 
 
 def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatrix2:
     """Output covariance of the teleported state: the input's plus the noise
-    the channel adds, whatever the input,
+    the channel adds, a + b + 2c in X and in P and none in XP,
 
-        xx = G11 + 2 G13 + G33,  xp = G14 - G12 + G34 - G23,
-        pp = G22 - 2 G24 + G44,
+        xx = G11 + 2 G13 + G33,  pp = G22 - 2 G24 + G44,
 
-    which is n_eff in X and in P for the conditioned channel.  A stack of
-    channels (..., 4, 4) gives a stack of covariances (..., 2, 2), each bit
-    for bit that of its channel alone; ``gin`` may be one input or a stack.
+    which is n_eff for the conditioned channel.  A stack of channels gives a
+    stack of covariances, each bit for bit that of its channel alone;
+    ``gin`` may be one input or a stack.
     """
     from .gaussian_core import CovMatrix2
 
-    g = channel.matrix
-    xx = g[..., 0, 0] + 2.0 * g[..., 0, 2] + g[..., 2, 2]
-    xp = g[..., 0, 3] - g[..., 0, 1] + g[..., 2, 3] - g[..., 1, 2]
-    pp = g[..., 1, 1] - 2.0 * g[..., 1, 3] + g[..., 3, 3]
-    added = np.stack([xx, xp, xp, pp], axis=-1).reshape(xx.shape + (2, 2))
-    return CovMatrix2(gin.matrix + added)
+    added = channel.a + 2.0 * channel.c + channel.b
+    return CovMatrix2(gin.xx + added, gin.xp, gin.pp + added)
 
 
 def effective_occupation(couplings: Couplings, nbar: float, time):
@@ -321,6 +342,8 @@ def optimal_time(
     at any evaluated time, or F_max outside (0, 1) (n_eff or E1 overflowed;
     n_eff >= m > 0 and the bracket >= 1/4).
     """
+    import numpy as np
+
     t_peak, _ = _peak(couplings, heterodyne)
     ts = t_peak + math.ulp(t_peak) * np.arange(-_ULPS, _ULPS + 1)
     out_of_range = f"fidelity at nbar = {nbar:.12g} is outside the float64 range"
@@ -340,6 +363,8 @@ def bob_displacement(record: MeasurementRecord, g: GaussianCoeffs) -> Displaceme
 
     Shifts means only; fidelity is unaffected.
     """
+    import numpy as np
+
     e1 = g.anti_n + 1.0
     if not np.all(e1 > 0):
         raise DomainError(f"anti_n + 1 must be > 0, got {e1!r}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mirror_teleport import Couplings, compute_couplings, protocol
+from mirror_teleport import Couplings, compute_couplings, period, protocol
 from mirror_teleport.cli import bundled_config_path, load_config
 from mirror_teleport.dynamics import COEFF_FIELDS  # noqa: F401  (re-exported)
 
@@ -54,6 +54,15 @@ def assert_reaches_the_peaks(c, times):
     assert len(near) >= 41
     assert near.min() == pytest.approx(-half_width)
     assert near.max() == pytest.approx(half_width)
+
+
+def gate_times(c):
+    """Gate 2's times, which gates 4-7 share, built with numpy: one period's
+    101-point grid, both peak times and 40 more times near the heterodyne
+    peak."""
+    t_het, t_no_het, half_width = peak_times(c)
+    near = t_het + np.delete(np.linspace(-half_width, half_width, 41), 20) / c.oscillation
+    return np.concatenate([np.linspace(0.0, period(c), 101), [t_het, t_no_het], near])
 
 
 def closed_forms_on_symbols(monkeypatch, r, x, nbar):

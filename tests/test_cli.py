@@ -4,6 +4,7 @@ import json
 import math
 import os
 import signal
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -20,6 +21,7 @@ from mirror_teleport import (
     ConfigError,
     Couplings,
     CovMatrix2,
+    DomainError,
     coeffs_analytic,
     coeffs_from_propagator,
     compute_couplings,
@@ -38,9 +40,8 @@ from mirror_teleport import (
 )
 from mirror_teleport import _csvtext, cli, dynamics, protocol
 from mirror_teleport.cli import _run_gates, bundled_config_path, load_config, main
-from mirror_teleport.gates import _scaled_gap
 
-from conftest import NBAR_SET, assert_reaches_the_peaks, peak_times
+from conftest import COEFF_FIELDS, NBAR_SET, assert_reaches_the_peaks, gate_times, peak_times
 
 
 @pytest.fixture()
@@ -226,6 +227,7 @@ def test_bad_config_exits_1(tmp_path, bench_json, capsys, patch, command):
         ({"mode_bandwidth_hz": 3.7e-222, "mass_kg": 1e-300}, "verify"),
         ({"nbar_values": [1e300]}, "verify"),
         ({"nbar_values": [1e300]}, "curve"),
+        ({"nbar_values": [1.0, 1e300]}, "verify"),
     ],
 )
 def test_couplings_beyond_float_range_exit_1(tmp_path, bench_json, capsys, patch, command):
@@ -238,6 +240,17 @@ def test_couplings_beyond_float_range_exit_1(tmp_path, bench_json, capsys, patch
         assert main(["--config", cfg, "--out", str(out), command]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_gates_raise_at_a_non_finite_value_of_a_later_nbar(bench_couplings):
+    # Python floats overflow without raising and max() skips a NaN: the
+    # 1e300 column's ODE residual is NaN, which a max over the first
+    # column's finite worst once dropped, so the gates raised only at gate
+    # 4.  The ode-vs-analytic gate now raises before it yields a verdict.
+    gates = _run_gates(bench_couplings, (1.0, 1e300))
+    assert next(gates)[0] == "couplings-consistency"
+    with pytest.raises(DomainError, match="ode-vs-analytic"):
+        next(gates)
 
 
 def test_couplings_rejects_an_infinite_occupation(tmp_path, bench_json, capsys):
@@ -1172,21 +1185,18 @@ def test_fidelity_identity_gate_fails_on_a_raised_n_eff(tmp_path, monkeypatch):
 
 def test_verify_fails_on_an_unphysical_channel(tmp_path, monkeypatch):
     # Gate 4 is the only check of the channel's physicality.  Zero variances
-    # with a correlation of +-5 break the uncertainty principle; one such
-    # matrix, at one time of one nbar's stack, fails it.  Gate 7 teleports
-    # through every tenth grid time only, so time 7 fails gate 4 alone.
-    bad = np.zeros((4, 4))
-    bad[0, 2] = bad[2, 0] = 5.0
-    bad[1, 3] = bad[3, 1] = -5.0
+    # with a correlation of 5 break the uncertainty principle; one such
+    # channel, at one time of one nbar, fails it.  Gate 7 teleports through
+    # every tenth grid time only, so the eighth time fails gate 4 alone.
     channel = protocol.conditional_correlation
+    calls = []
 
     def unphysical(couplings, nbar, time):
         chan = channel(couplings, nbar, time)
         if nbar != 1.0:
             return chan
-        matrix = chan.matrix.copy()
-        matrix[7] = bad
-        return replace(chan, matrix=matrix)
+        calls.append(time)
+        return replace(chan, a=0.0, b=0.0, c=5.0) if len(calls) == 8 else chan
 
     monkeypatch.setattr(protocol, "conditional_correlation", unphysical)
     assert main(["--out", str(tmp_path), "verify"]) == 2
@@ -1252,43 +1262,38 @@ def test_physicality_gate_holds_at_large_nbar(bench_couplings, rates, nbar):
     assert ok, (defect, tolerance)
 
 
-def _gate_times(c):
-    """Gate 2's times, which gates 4-7 share: one period's 101-point grid,
-    both peak times and 40 more times near the heterodyne peak."""
-    t_het, t_no_het, half_width = peak_times(c)
-    near = t_het + np.delete(np.linspace(-half_width, half_width, 41), 20) / c.oscillation
-    return np.concatenate([np.linspace(0.0, period(c), 101), [t_het, t_no_het], near])
+def _recorded(monkeypatch, *functions):
+    """Record every call of each (module, name) in ``functions``, by name."""
+    calls = {}
+    for module, name in functions:
+        def recorded(*args, _f=getattr(module, name), _name=name):
+            calls.setdefault(_name, []).append(args)
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
 def test_gates_reach_the_peaks(request, monkeypatch, fixture):
     # Gate 3 adds both peak times to its golden-ratio times, and gates 4-7
     # take gate 2's times: t = 0, both peak times and 41 times within 5/r in
-    # x of the heterodyne peak (pi at most), none of them twice.  Gates 4
-    # and 5 call the channel functions, and gate 5 the moment route, on
-    # (couplings, nbar, those times).
-    # Gate 7 teleports through every tenth grid time and every peak time.
+    # x of the heterodyne peak (pi at most), none of them twice, numpy's
+    # grid bit for bit.  Each gate calls the closed forms one float time at
+    # a time, for each nbar in turn.  Gate 7 teleports through gate 4's
+    # channels at every tenth grid time and every peak time.
     c = request.getfixturevalue(fixture)
-    calls = {}
-    for module, name in (
+    calls = _recorded(
+        monkeypatch,
         (dynamics, "propagator"),
         (dynamics, "coeffs_analytic"),
         (dynamics, "coeffs_from_propagator"),
         (protocol, "conditional_correlation"),
         (protocol, "effective_occupation"),
         (protocol, "teleport_covariance"),
-    ):
-        def recorded(*args, _f=getattr(module, name), _name=name):
-            calls.setdefault(_name, []).append(args)
-            return _f(*args)
-
-        monkeypatch.setattr(module, name, recorded)
+    )
     assert all(ok for *_, ok in _run_gates(c, NBAR_SET))
-    # Gate 3's two stacks, then one of the moment route per nbar.
-    assert len(calls["propagator"]) == 2 + len(NBAR_SET)
-    group = np.asarray(calls["propagator"][0][1])
-    assert len(group) == 102
-    assert np.array_equal(group[100:], peak_times(c)[:2])
+    expected = gate_times(c)
     names = (
         "coeffs_analytic",
         "coeffs_from_propagator",
@@ -1296,25 +1301,39 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
         "effective_occupation",
     )
     for name in names:
-        assert [args[:2] for args in calls[name]] == [(c, nbar) for nbar in NBAR_SET]
-    triples = [args for name in names for args in calls[name]]
-    for times in [np.asarray(args[2]) for args in triples]:
-        assert_reaches_the_peaks(c, times)
-        assert len(np.unique(times)) == len(times) == 101 + 2 + 40
-    ((channel, _),) = calls["teleport_covariance"]
-    assert channel.matrix.shape == (len(NBAR_SET), 11 + 2 + 40, 4, 4)
+        assert [args[:2] for args in calls[name]] == [
+            (c, nbar) for nbar in NBAR_SET for _ in expected
+        ]
+        times = np.array([args[2] for args in calls[name]]).reshape(len(NBAR_SET), -1)
+        for row in times:
+            assert row.tobytes() == expected.tobytes()
+            assert len(np.unique(row)) == len(row) == 101 + 2 + 40
+            assert_reaches_the_peaks(c, row)
+    # Gate 3's 102 times, its 51 sums of pairs, then one per moment.
+    gate3 = [t for _, t in calls["propagator"][:153]]
+    assert gate3[100:102] == list(peak_times(c)[:2])
+    assert gate3[102:] == [t1 + t2 for t1, t2 in zip(gate3[:51], gate3[51:102])]
+    assert len(calls["propagator"]) == 153 + len(NBAR_SET) * len(expected)
+    assert all(type(t) is float for _, t in calls["propagator"])
+    teleported = [*range(0, 101, 10), *range(101, len(expected))]
+    channels = [
+        conditional_correlation(c, nbar, float(expected[i]))
+        for nbar in NBAR_SET
+        for i in teleported
+    ]
+    assert [args[0] for args in calls["teleport_covariance"]] == channels
 
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
 def test_physicality_gate_is_the_scalar_check(request, fixture):
-    # The gate's one stacked closed form per nbar gives exactly the
-    # worst scaled defect of the scalar conditional_correlation route.
+    # The gate is the worst scaled defect of the per-time loop over gate 2's
+    # times, bit for bit.
     c = request.getfixturevalue(fixture)
     worst = 0.0
     for nbar in NBAR_SET:
-        for t in _gate_times(c):
+        for t in gate_times(c):
             chan = conditional_correlation(c, nbar, float(t))
-            scale = max(1.0, float(np.abs(chan.matrix).max()))
+            scale = max(1.0, abs(chan.a), abs(chan.b), abs(chan.c))
             worst = max(worst, physicality_defect(chan) / scale)
     gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
     assert gates["conditional-physicality"] == worst
@@ -1322,31 +1341,28 @@ def test_physicality_gate_is_the_scalar_check(request, fixture):
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
 def test_gates_solve_no_eigenproblem(request, monkeypatch, fixture):
-    # The physicality gate is a closed form: every gate passes with
-    # numpy.linalg's eigen solvers broken, so verify calls no LAPACK eigensolver.
-    def broken(*args, **kwargs):
-        raise AssertionError("an eigenvalue solve")
-
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, broken)
+    # Every gate passes with numpy unimportable: the gates import no numpy,
+    # so they solve no eigenproblem and call no LAPACK.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError):
+        import numpy  # noqa: F401
     assert all(ok for *_, ok in _run_gates(request.getfixturevalue(fixture), NBAR_SET))
 
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
 def test_teleport_noise_gate_is_the_scalar_check(request, fixture):
-    # The gate teleports the vacuum through one stacked channel per nbar,
-    # the scalar route through each checked channel alone: the same
-    # teleport_covariance, so the same defect, bit for bit.
+    # The gate teleports the vacuum through each checked channel, at every
+    # tenth grid time and every time past the grid: the per-time loop's
+    # defect, bit for bit.
     c = request.getfixturevalue(fixture)
     gin = CovMatrix2.vacuum()
-    times = _gate_times(c)
+    times = gate_times(c)
     worst = 0.0
     for nbar in NBAR_SET:
         for t in np.concatenate([times[:101:10], times[101:]]):
             gout = teleport_covariance(conditional_correlation(c, nbar, float(t)), gin)
             n_eff = effective_occupation(c, nbar, float(t))
-            for i in (0, 1):
-                added = gout.matrix[i, i] - gin.matrix[i, i]
+            for added in (gout.xx - gin.xx, gout.pp - gin.pp):
                 worst = max(worst, abs(added - n_eff) / max(1.0, n_eff))
     gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
     assert gates["teleport-noise"] == worst
@@ -1354,29 +1370,31 @@ def test_teleport_noise_gate_is_the_scalar_check(request, fixture):
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
 def test_propagator_gates_are_the_per_time_loops(request, fixture):
-    # Gates 3 and 6 take stacks of propagators; the per-time loops they
-    # replace give the same defects.  The scalar closed form may differ
-    # from the array one by an ulp (numpy's scalar x**2), which moves a
-    # scaled gap by at most about eps.
+    # Gates 3 and 6 are the per-time loops over their times: the metric of
+    # each propagator, the group law on pairs scaled by the factors' sizes,
+    # and the moment route's gap to the closed forms relative to the state.
     c = request.getfixturevalue(fixture)
     t_het, t_no_het, _ = peak_times(c)
     golden = period(c) * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
-    times = [*golden, t_het, t_no_het]
-    props = [propagator(c, t) for t in times]
+    times = [*map(float, golden), t_het, t_no_het]
+    props = [np.array(propagator(c, t)) for t in times]
     group = 0.0
     for t1, t2, p1, p2 in zip(times[:51], times[51:], props[:51], props[51:]):
-        m12 = propagator(c, t1 + t2)
+        m12 = np.array(propagator(c, t1 + t2))
         scale = max(1.0, np.abs(p1).max()) * max(1.0, np.abs(p2).max())
         group = max(group, np.abs(m12 - p1 @ p2).max() / scale)
     moment = 0.0
     for nbar in NBAR_SET[:2]:
-        for t in _gate_times(c):
-            mom = coeffs_from_propagator(c, nbar, t)
-            moment = max(moment, _scaled_gap(coeffs_analytic(c, nbar, t), mom))
+        for t in map(float, gate_times(c)):
+            y = [getattr(coeffs_analytic(c, nbar, t), f) for f in COEFF_FIELDS]
+            m = [getattr(coeffs_from_propagator(c, nbar, t), f) for f in COEFF_FIELDS]
+            size = max(1.0, *map(abs, y))
+            moment = max(moment, max(abs(u - v) for u, v in zip(y, m)) / size)
     gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
-    assert gates["propagator-metric"] == max(symplectic_defect(p) for p in props)
-    assert gates["propagator-group"] == group
-    assert gates["moment-route"] == pytest.approx(moment, rel=0, abs=4 * np.finfo(float).eps)
+    assert gates["propagator-metric"] == max(symplectic_defect(propagator(c, t)) for t in times)
+    # numpy's product may round differently from the gate's sums of three.
+    assert gates["propagator-group"] == pytest.approx(group, rel=0, abs=4 * np.finfo(float).eps)
+    assert gates["moment-route"] == moment
 
 
 def test_readout_command(capsys):

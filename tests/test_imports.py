@@ -64,16 +64,28 @@ _ORACLES = ("mirror_teleport.dynamics", "mirror_teleport.gaussian_core")
 
 @pytest.mark.parametrize("command", ["curve", "verify"])
 def test_numpy_commands_never_import_dataclasses(tmp_path, command):
-    # Nor does curve load the oracle modules: the factored forms it
-    # evaluates own their trig and checks in ``protocol``.
+    # Only curve imports numpy, and it loads no oracle module: the factored
+    # forms it evaluates own their trig and checks in ``protocol``.  verify
+    # runs its gates on Python floats through the same closed forms, in
+    # ``protocol``, ``dynamics`` and ``gaussian_core``, and loads no numpy.
     code = _CLI.format(argv=["--out", str(tmp_path), command])
-    modules = ("numpy", "dataclasses", "mirror_teleport.gates", *_ORACLES, *_NEVER)
-    gated = ["mirror_teleport.gates", *_ORACLES] if command == "verify" else []
-    assert _loaded_at_exit(code, modules) == str(["numpy", *gated])
+    package = ("mirror_teleport.gates", "mirror_teleport.protocol", *_ORACLES)
+    modules = ("numpy", "dataclasses", *package, *_NEVER)
+    if command == "curve":
+        loaded = ["numpy", "mirror_teleport.protocol"]
+    else:
+        loaded = list(package)
+    assert _loaded_at_exit(code, modules) == str(loaded)
 
 
 def test_protocol_alone_loads_no_oracle_module():
     assert _loaded_at_exit("import mirror_teleport.protocol", _ORACLES) == "[]"
+
+
+def test_gates_alone_load_no_numpy():
+    # Nor does any module the gates load import numpy when it is imported.
+    code = "import mirror_teleport.gates"
+    assert _loaded_at_exit(code, ("numpy", *_ORACLES)) == str(list(_ORACLES))
 
 
 @pytest.mark.parametrize("given", [None, "2"], ids=["default", "explicit"])

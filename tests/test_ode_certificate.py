@@ -24,6 +24,7 @@ from conftest import (
     NBAR_SET,
     assert_reaches_the_peaks,
     closed_forms_on_symbols,
+    gate_times,
     rate_pairs,
 )
 
@@ -98,18 +99,24 @@ def test_ode_gate_reads_rounding_only(c, nbar):
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])
 def test_ode_gate_reaches_the_peaks_for_every_nbar(request, monkeypatch, fixture):
     # Every nbar is checked at t = 0, at both closed-form peak times and at
-    # 41 times within 5/r in x of the heterodyne peak (pi at most).
+    # 41 times within 5/r in x of the heterodyne peak (pi at most), one
+    # float time at a time, none twice: numpy's grid, bit for bit.
     c = request.getfixturevalue(fixture)
     calls = []
 
     def recorded(couplings, nbar, time):
-        calls.append((nbar, np.array(time)))
+        calls.append((nbar, time))
         return _moment_slopes(couplings, nbar, time)
 
     monkeypatch.setattr(dynamics, "_moment_slopes", recorded)
     _ode_gate(c, NBAR_SET)
-    assert [n for n, _ in calls] == list(NBAR_SET)
-    for _, times in calls:
+    expected = gate_times(c)
+    assert [n for n, _ in calls] == [n for n in NBAR_SET for _ in expected]
+    assert all(type(t) is float for _, t in calls)
+    for k in range(len(NBAR_SET)):
+        times = np.array([t for _, t in calls[k * len(expected) : (k + 1) * len(expected)]])
+        assert times.tobytes() == expected.tobytes()
+        assert len(np.unique(times)) == len(times)
         assert_reaches_the_peaks(c, times)
 
 

@@ -188,7 +188,7 @@ def test_stacked_channel_rows_are_their_matrices_alone(request, c):
     # for bit those of each time alone.
     c = request.getfixturevalue(c)
     ts = np.linspace(0.0, period(c), 101)
-    gin = CovMatrix2.from_variances(0.9, 0.2, 0.7)
+    gin = CovMatrix2(0.9, 0.2, 0.7)
     for nbar in NBAR_SET:
         chan = conditional_correlation(c, nbar, ts)
         defects = physicality_defect(chan)
@@ -234,7 +234,7 @@ def test_noise_guard_is_relative_to_the_state(bench_config, r):
 
 
 def test_teleport_added_noise_equals_occupation(moderate):
-    gin = CovMatrix2.from_variances(0.9, 0.2, 0.7)
+    gin = CovMatrix2(0.9, 0.2, 0.7)
     for nbar in (0.0, 3.0):
         for t in np.linspace(0.0, period(moderate), 11):
             out = teleport_covariance(conditional_correlation(moderate, nbar, t), gin).matrix

@@ -8,6 +8,8 @@ formulas they stand for, which cancel r^4-sized terms in float64, and
 that ``_peak``'s closed-form times are roots of the nbar-free factors of
 the noise's derivative, where F does not depend on nbar.  Which
 stationary point is the maximum stays a numeric check (``test_protocol``).
+At the heterodyne peak the channel is a pure, symmetric two-mode squeezed
+vacuum for every nbar.
 """
 
 import types
@@ -110,3 +112,21 @@ def test_peak_is_stationary_and_the_same_for_every_nbar(parts, monkeypatch, hete
     at_peak = noise.subs(tau, t_star)
     assert _is_zero(sp.diff(at_peak, nbar))
     assert _is_zero(1 / (1 + at_peak) - f_peak)
+
+
+def test_channel_at_the_peak_is_a_pure_symmetric_squeezed_vacuum(parts):
+    # At tau* = -1/sqrt(2r^2+1), for every nbar, the heterodyne heralds a
+    # = b = (3r^2+1)/(2(r^2+1)) and c = -r sqrt(2r^2+1)/(r^2+1): a symmetric
+    # state with ab - c^2 = 1/4, the determinant of a pure two-mode state,
+    # so a two-mode squeezed vacuum.
+    p, _ = parts
+    k = sp.sqrt(2 * r**2 + 1)
+    at_peak = [
+        sp.nsimplify(_in_tau(entry), rational=True).subs(tau, -1 / k)
+        for entry in p.channel(nbar)
+    ]
+    a, b, c = at_peak
+    assert _is_zero(a - (3 * r**2 + 1) / (2 * (r**2 + 1)))
+    assert _is_zero(b - a)
+    assert _is_zero(c + r * k / (r**2 + 1))
+    assert _is_zero(a * b - c**2 - sp.Rational(1, 4))

@@ -58,10 +58,10 @@ def test_light_weights_match_propagator_rows(moderate, bench_couplings):
         tol = 1e-13 * max(1.0, (c.beam_splitter / c.oscillation) ** 2)
         for x in (0.3, 1.0, 2.5):
             t = x / c.oscillation
-            m = propagator(c, t)
+            m = propagator(c, t)  # a float time: the rows as floats
             w = readout_weights(c, t)
-            assert w.stokes_weight == pytest.approx(m[0, 0] - m[2, 0], abs=tol)
-            assert w.anti_weight == pytest.approx(m[0, 2] - m[2, 2], abs=tol)
+            assert w.stokes_weight == pytest.approx(m[0][0] - m[2][0], abs=tol)
+            assert w.anti_weight == pytest.approx(m[0][2] - m[2][2], abs=tol)
 
 
 def test_mirror_weight_amplification(moderate):
@@ -75,7 +75,7 @@ def test_mirror_weight_amplification(moderate):
             moderate.oscillation**2
         )
         assert w.mirror_weight == pytest.approx(
-            factor * (m[0, 1] - m[2, 1]), rel=1e-10
+            factor * (m[0][1] - m[2][1]), rel=1e-10
         )
 
 

@@ -47,25 +47,30 @@ def _floats(*values) -> bool:
     return True
 
 
-def _arrays(record, fields: tuple[str, ...]):
-    """The entries ``fields`` of ``record`` as they are if all are Python
-    floats, else as float arrays broadcast to one shape, which replace
-    them in ``record``; DomainError for shapes that do not broadcast."""
+def _entries(record, fields: tuple[str, ...]):
+    """The entries ``fields`` of ``record``: as they are if all are Python
+    floats, else as float arrays broadcast to one shape, which replace them
+    in ``record``.  DomainError for shapes that do not broadcast, or for a
+    NaN or infinite entry."""
+    name = type(record).__name__
     values = tuple(map(getattr, repeat(record), fields))
     if _floats(*values):
-        return values
-    import numpy as np
+        finite = all(map(math.isfinite, values))
+    else:
+        import numpy as np
 
-    arrays = [np.asarray(v, dtype=float) for v in values]
-    try:
-        shape = np.broadcast_shapes(*(v.shape for v in arrays))
-    except ValueError:
-        shapes = [v.shape for v in arrays]
-        name = type(record).__name__
-        raise DomainError(f"{name} entries must have one shape, got {shapes}") from None
-    values = tuple(v if v.shape == shape else np.broadcast_to(v, shape) for v in arrays)
-    for field, value in zip(fields, values):
-        object.__setattr__(record, field, value)
+        arrays = [np.asarray(v, dtype=float) for v in values]
+        try:
+            shape = np.broadcast_shapes(*(v.shape for v in arrays))
+        except ValueError:
+            shapes = [v.shape for v in arrays]
+            raise DomainError(f"{name} entries must have one shape, got {shapes}") from None
+        values = tuple(v if v.shape == shape else np.broadcast_to(v, shape) for v in arrays)
+        for field, value in zip(fields, values):
+            object.__setattr__(record, field, value)
+        finite = all(np.isfinite(v).all() for v in values)
+    if not finite:
+        raise DomainError(f"{name} has a non-finite entry")
     return values
 
 
@@ -104,8 +109,9 @@ class CovMatrix2:
     """Covariance matrix [[xx, xp], [xp, pp]] of one mode, dimensionless.
 
     The entries are Python floats, or arrays of one shape for a stack (a
-    float entry broadcasts).  Raises DomainError where the matrix is not
-    positive semidefinite, beyond rounding.
+    float entry broadcasts).  Raises DomainError for a NaN or infinite
+    entry, or where the matrix is not positive semidefinite, beyond
+    rounding.
     """
 
     xx: float | np.ndarray
@@ -113,7 +119,7 @@ class CovMatrix2:
     pp: float | np.ndarray
 
     def __post_init__(self):
-        xx, xp, pp = _arrays(self, ("xx", "xp", "pp"))
+        xx, xp, pp = _entries(self, ("xx", "xp", "pp"))
         # The smaller eigenvalue of [[xx, xp], [xp, pp]] in closed form.
         low = 0.5 * (xx + pp) - _hypot(0.5 * (xx - pp), xp)
         below = low < -1e-12 * _at_least_one(_largest_abs((xx, xp, pp)))
@@ -153,15 +159,7 @@ class CorrelationMatrix4:
     c: float | np.ndarray
 
     def __post_init__(self):
-        a, b, c = _arrays(self, ("a", "b", "c"))
-        if _floats(a):
-            finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
-        else:
-            import numpy as np
-
-            finite = all(np.isfinite(v).all() for v in (a, b, c))
-        if not finite:
-            raise DomainError("CorrelationMatrix4 has a non-finite entry")
+        _entries(self, ("a", "b", "c"))
 
     @property
     def matrix(self) -> np.ndarray:

@@ -1119,7 +1119,9 @@ def test_curve_deterministic(tmp_path):
 def test_summary_peak_is_the_fidelity_at_its_time(tmp_path, bench_config, bench_couplings):
     # The benchmark's check of summary.json on every CI entry: for each nbar,
     # fidelity_coherent on the closed form at t_star_s is F_max to 1e-12
-    # relative, and fidelity_curves at that time is F_max exactly.
+    # relative, and fidelity_curves at that time is F_max exactly.  The
+    # optimiser evaluates numpy's sines, so the time is a numpy scalar here:
+    # a Python float would take math's, which may differ in the last bit.
     assert main(["--out", str(tmp_path), "curve"]) == 0
     per_nbar = json.loads((tmp_path / "summary.json").read_text())["per_nbar"]
     assert list(per_nbar) == [f"{nbar:.12g}" for nbar in bench_config.nbar_values]
@@ -1127,7 +1129,7 @@ def test_summary_peak_is_the_fidelity_at_its_time(tmp_path, bench_config, bench_
         t_star, f_max = entry["t_star_s"], entry["F_max"]
         at_t = fidelity_coherent(coeffs_analytic(bench_couplings, nbar, t_star))
         assert at_t == pytest.approx(f_max, rel=1e-12, abs=0.0)
-        assert fidelity_curves(bench_couplings, (nbar,), t_star)[0] == f_max
+        assert fidelity_curves(bench_couplings, (nbar,), np.float64(t_star))[0] == f_max
 
 
 def test_verify_passes_on_bundled_config(tmp_path, capsys):

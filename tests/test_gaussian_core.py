@@ -26,6 +26,16 @@ def test_covariance_rejects_indefinite():
         CovMatrix2(1.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_covariance_rejects_non_finite(value):
+    # As a correlation matrix is: alone or in a stack, whichever entry.
+    for entries in ((value, 0.0, 0.5), (0.5, value, 0.5), (0.5, 0.0, value)):
+        with pytest.raises(DomainError, match="non-finite"):
+            CovMatrix2(*entries)
+        with pytest.raises(DomainError, match="non-finite"):
+            CovMatrix2(*[np.array([0.5, v]) for v in entries])
+
+
 def test_covariance_rejects_wrong_shape():
     # A stack's entries are arrays of one shape; a float broadcasts.
     assert CovMatrix2(np.ones(3), 0.0, np.ones(3)).matrix.shape == (3, 2, 2)

@@ -65,6 +65,13 @@ def gate_times(c):
     return np.concatenate([np.linspace(0.0, period(c), 101), [t_het, t_no_het], near])
 
 
+def propagator_gate_times(c):
+    """Gate 3's 102 times, built with numpy: 100 of the golden-ratio
+    sequence over one period, then both peak times."""
+    golden = period(c) * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
+    return np.append(golden, peak_times(c)[:2])
+
+
 def closed_forms_on_symbols(monkeypatch, r, x, nbar):
     """``protocol``'s factored parts, ``dynamics``' coefficients and their
     slopes on the sympy symbols r, x and nbar, in units of the oscillation

@@ -41,7 +41,14 @@ from mirror_teleport import (
 from mirror_teleport import _csvtext, cli, dynamics, protocol
 from mirror_teleport.cli import _run_gates, bundled_config_path, load_config, main
 
-from conftest import COEFF_FIELDS, NBAR_SET, assert_reaches_the_peaks, gate_times, peak_times
+from conftest import (
+    COEFF_FIELDS,
+    NBAR_SET,
+    assert_reaches_the_peaks,
+    gate_times,
+    peak_times,
+    propagator_gate_times,
+)
 
 
 @pytest.fixture()
@@ -1313,6 +1320,7 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
             assert_reaches_the_peaks(c, row)
     # Gate 3's 102 times, its 51 sums of pairs, then one per moment.
     gate3 = [t for _, t in calls["propagator"][:153]]
+    assert gate3[:102] == propagator_gate_times(c).tolist()
     assert gate3[100:102] == list(peak_times(c)[:2])
     assert gate3[102:] == [t1 + t2 for t1, t2 in zip(gate3[:51], gate3[51:102])]
     assert len(calls["propagator"]) == 153 + len(NBAR_SET) * len(expected)
@@ -1376,9 +1384,7 @@ def test_propagator_gates_are_the_per_time_loops(request, fixture):
     # each propagator, the group law on pairs scaled by the factors' sizes,
     # and the moment route's gap to the closed forms relative to the state.
     c = request.getfixturevalue(fixture)
-    t_het, t_no_het, _ = peak_times(c)
-    golden = period(c) * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
-    times = [*map(float, golden), t_het, t_no_het]
+    times = propagator_gate_times(c).tolist()
     props = [np.array(propagator(c, t)) for t in times]
     group = 0.0
     for t1, t2, p1, p2 in zip(times[:51], times[51:], props[:51], props[51:]):

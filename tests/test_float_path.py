@@ -20,14 +20,12 @@ import pytest
 from mirror_teleport import CovMatrix2, dynamics, gaussian_core, period, protocol
 from mirror_teleport.cli import _time_rows
 
-from conftest import COEFF_FIELDS, NBAR_SET, gate_times, peak_times
+from conftest import COEFF_FIELDS, NBAR_SET, gate_times, propagator_gate_times
 
 
 def _gate3_times(c):
     """Gate 3's 102 times and the 51 sums of their pairs."""
-    t_het, t_no_het, _ = peak_times(c)
-    golden = period(c) * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
-    times = np.append(golden, [t_het, t_no_het])
+    times = propagator_gate_times(c)
     return np.concatenate([times, times[:51] + times[51:]])
 
 

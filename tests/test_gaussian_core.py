@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -99,17 +100,22 @@ _J = np.array(
 @example(log_a=150.0, log_b=150.0, purity=1.0, sign=1.0)
 @example(log_a=-3.0, log_b=150.0, purity=1.0, sign=-1.0)
 @example(log_a=0.0, log_b=0.0, purity=0.0, sign=1.0)
+@example(log_a=1.0146248006985341, log_b=1.0146248006985341, purity=1.0146248006985341, sign=1.0)
 @settings(max_examples=300, deadline=None)
 def test_physicality_defect_is_the_least_eigenvalue(log_a, log_b, purity, sign):
     # c^2 = purity^2 ab: purity 1 is at the edge of physicality, where the
     # closed form cancels most; a variance below 1/2 or a purity above 1 is
-    # unphysical.  The gap to an eigenvalue solve of G + (i/2)J is rounding.
+    # unphysical.  The gap to a 40-digit eigenvalue solve of G + (i/2)J is
+    # rounding.  LAPACK's float64 eigvalsh is no reference at this bound: at
+    # a = b = 10.34, purity 1.0146 it erred by 1.0e-14, the closed form by
+    # 4.7e-16.
     a, b = 10.0**log_a, 10.0**log_b
     corr = CorrelationMatrix4(a, b, sign * purity * math.sqrt(a) * math.sqrt(b))
-    m = corr.matrix
-    reference = max(-np.linalg.eigvalsh(m + 0.5j * _J)[0], 0.0)
+    with mpmath.workdps(40):
+        g = mpmath.matrix(corr.matrix.tolist()) + mpmath.mpc(0, 0.5) * mpmath.matrix(_J.tolist())
+        reference = max(-float(min(mpmath.eighe(g, eigvals_only=True))), 0.0)
     gap = abs(physicality_defect(corr) - reference)
-    assert gap <= 4.0 * np.finfo(float).eps * max(1.0, np.abs(m).max())
+    assert gap <= 4.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b), abs(corr.c))
 
 
 def test_physicality_defect_does_not_overflow():

@@ -12,8 +12,9 @@ Conventions used throughout the package:
 Both state types hold the independent entries of their matrix, not the
 matrix: a one-mode covariance its (xx, xp, pp), a two-mode correlation
 matrix in standard form its (a, b, c).  Each entry is a Python float, or
-all are numpy arrays of one shape for a stack, and ``.matrix`` builds the
-matrix (or the stack (..., n, n)) with numpy.  Every check here is a closed
+all are numpy arrays of one shape for a stack.  ``.matrix`` builds the
+matrix (or the stack (..., n, n)) with numpy, and ``from_matrix`` reads one
+back, rejecting a matrix the entries cannot hold.  Every check here is a closed
 form in those entries, one source for floats and arrays, each result bit
 for bit that of its entries alone: a float takes its ``hypot`` from
 ``math`` and an array from numpy, the only difference between the two.
@@ -74,6 +75,28 @@ def _entries(record, fields: tuple[str, ...]):
     return values
 
 
+def _square(matrix, n: int, name: str) -> np.ndarray:
+    """``matrix`` as a finite float array (..., n, n); DomainError for
+    another shape or for a NaN or infinite entry, checked first, since a NaN
+    (unequal to itself) would fail a symmetry check under a misleading
+    message."""
+    import numpy as np
+
+    m = np.asarray(matrix, dtype=float)
+    if m.shape[-2:] != (n, n):
+        raise DomainError(f"{name} must be {n}x{n}, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError(f"{name} has a non-finite entry")
+    return m
+
+
+def _entries_of(m, *cells):
+    """The entries ``cells`` of the matrix ``m``, as Python floats for one
+    matrix or as arrays for a stack."""
+    entries = tuple(m[(..., i, j)] for i, j in cells)
+    return tuple(map(float, entries)) if m.ndim == 2 else entries
+
+
 def _hypot(x, y):
     """hypot(x, y): ``math``'s for Python floats, numpy's for arrays."""
     if _floats(x, y):
@@ -131,6 +154,18 @@ class CovMatrix2:
     def vacuum(cls) -> "CovMatrix2":
         return cls(VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE)
 
+    @classmethod
+    def from_matrix(cls, matrix) -> "CovMatrix2":
+        """The entries of a 2x2 matrix, or of a stack (..., 2, 2).  Raises
+        DomainError for another shape, a NaN or infinite entry, an
+        asymmetric matrix, or one the constructor rejects."""
+        import numpy as np
+
+        m = _square(matrix, 2, cls.__name__)
+        if not np.array_equal(m[..., 0, 1], m[..., 1, 0]):
+            raise DomainError(f"{cls.__name__} must be symmetric")
+        return cls(*_entries_of(m, (0, 0), (0, 1), (1, 1)))
+
     @property
     def matrix(self) -> np.ndarray:
         """The matrix, (2, 2), or (..., 2, 2) for a stack."""
@@ -160,6 +195,23 @@ class CorrelationMatrix4:
 
     def __post_init__(self):
         _entries(self, ("a", "b", "c"))
+
+    @classmethod
+    def from_matrix(cls, matrix) -> "CorrelationMatrix4":
+        """The triple of a 4x4 matrix in standard form, or of a stack
+        (..., 4, 4).  Raises DomainError for another shape, a NaN or
+        infinite entry, or a matrix off the standard form, an asymmetric
+        one included."""
+        import numpy as np
+
+        m = _square(matrix, 4, cls.__name__)
+        corr = cls(*_entries_of(m, (0, 0), (2, 2), (0, 2)))
+        if not np.array_equal(m, corr.matrix):
+            raise DomainError(
+                f"{cls.__name__} must be symmetric and in standard form: "
+                "(a, a, b, b) on the diagonal, +c in (X, X), -c in (P, P), zeros elsewhere"
+            )
+        return corr
 
     @property
     def matrix(self) -> np.ndarray:

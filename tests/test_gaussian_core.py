@@ -22,6 +22,11 @@ def test_vacuum_covariance():
     assert VACUUM_VARIANCE == 0.5
 
 
+def test_covariance_rejects_asymmetric():
+    with pytest.raises(DomainError):
+        CovMatrix2.from_matrix(np.array([[1.0, 0.1], [0.2, 1.0]]))
+
+
 def test_covariance_rejects_indefinite():
     with pytest.raises(DomainError):
         CovMatrix2(1.0, 2.0, 1.0)
@@ -44,6 +49,26 @@ def test_covariance_rejects_wrong_shape():
         CovMatrix2(np.ones(3), 0.0, np.ones(2))
 
 
+def test_covariance_from_matrix_is_its_entries():
+    # from_matrix is the inverse of .matrix: floats for one matrix, arrays
+    # for a stack.
+    one = CovMatrix2.from_matrix(np.array([[1.0, 0.25], [0.25, 2.0]]))
+    assert (one.xx, one.xp, one.pp) == (1.0, 0.25, 2.0)
+    assert all(type(v) is float for v in (one.xx, one.xp, one.pp))
+    stack = CovMatrix2.from_matrix(np.stack([one.matrix, CovMatrix2.vacuum().matrix]))
+    assert np.array_equal(stack.matrix[0], one.matrix)
+    assert np.array_equal(stack.matrix[1], 0.5 * np.eye(2))
+    with pytest.raises(DomainError, match="2x2"):
+        CovMatrix2.from_matrix(np.eye(3))
+
+
+def test_correlation_rejects_asymmetric():
+    m = np.eye(4)
+    m[0, 1] = 0.3
+    with pytest.raises(DomainError):
+        CorrelationMatrix4.from_matrix(m)
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_correlation_rejects_non_finite(value):
     # Every CorrelationMatrix4 is finite, alone or in a stack, whichever
@@ -54,6 +79,15 @@ def test_correlation_rejects_non_finite(value):
         stacked = [np.array([0.5, v]) for v in entries]
         with pytest.raises(DomainError, match="non-finite"):
             CorrelationMatrix4(*stacked)
+    # A matrix read by from_matrix, whichever entry: the check runs before
+    # the form check, which a NaN (unequal to itself) would fail under a
+    # misleading message.
+    for i, j in ((0, 2), (0, 1)):
+        one = 0.5 * np.eye(4)
+        one[i, j] = one[j, i] = value
+        for m in (one, np.stack([0.5 * np.eye(4), one])):
+            with pytest.raises(DomainError, match="non-finite"):
+                CorrelationMatrix4.from_matrix(m)
 
 
 def _standard_form(a, b, c):
@@ -63,6 +97,41 @@ def _standard_form(a, b, c):
     m[0, 2] = m[2, 0] = c
     m[1, 3] = m[3, 1] = -c
     return m
+
+
+#: (entries, value): each change takes the standard form (2, 3, 1.5) off it.
+_OFF_FORM = [
+    *[
+        pytest.param(((i, j),), 0.25, id=f"entry-{i}{j}")
+        for i in range(4)
+        for j in range(4)
+        if i != j and (i, j) not in {(0, 2), (2, 0), (1, 3), (3, 1)}
+    ],
+    *[
+        pytest.param(((i, j), (j, i)), 0.25, id=f"pair-{i}{j}")
+        for i, j in [(0, 1), (0, 3), (1, 2), (2, 3)]
+    ],
+    pytest.param(((1, 1),), 2.5, id="unequal-stokes-variances"),
+    pytest.param(((3, 3),), 3.5, id="unequal-mirror-variances"),
+    pytest.param(((1, 3), (3, 1)), 1.5, id="pp-is-plus-c"),
+    pytest.param(((1, 3), (3, 1)), -1.25, id="pp-is-not-minus-c"),
+    pytest.param(((2, 0),), 1.25, id="xx-asymmetric"),
+]
+
+
+@pytest.mark.parametrize("entries, value", _OFF_FORM)
+def test_correlation_rejects_a_matrix_off_the_standard_form(entries, value):
+    # The triple holds the standard form exactly, so from_matrix reads a
+    # matrix in it, alone or in a stack, and nothing else: the physicality
+    # defect's closed form takes nothing else.
+    one = _standard_form(2.0, 3.0, 1.5)
+    corr = CorrelationMatrix4.from_matrix(one)
+    assert (corr.a, corr.b, corr.c) == (2.0, 3.0, 1.5)
+    for i, j in entries:
+        one[i, j] = value
+    for m in (one, np.stack([_standard_form(2.0, 3.0, 1.5), one])):
+        with pytest.raises(DomainError, match="standard form"):
+            CorrelationMatrix4.from_matrix(m)
 
 
 def test_correlation_is_its_standard_form_triple():
@@ -79,6 +148,10 @@ def test_correlation_is_its_standard_form_triple():
     assert np.array_equal(stack.matrix[1], _standard_form(0.5, 3.0, 0.0))
     with pytest.raises(DomainError, match="one shape"):
         CorrelationMatrix4(np.ones(2), np.ones(3), 0.0)
+    # from_matrix is the inverse of .matrix.
+    assert CorrelationMatrix4.from_matrix(one.matrix) == one
+    back = CorrelationMatrix4.from_matrix(stack.matrix)
+    assert all(np.array_equal(getattr(back, f), getattr(stack, f)) for f in "abc")
 
 
 _J = np.array(
@@ -171,6 +244,13 @@ def test_symplectic_defect_rejects_a_non_propagator_shape(shape):
         symplectic_defect(np.ones(shape))
 
 
+def test_stack_with_one_asymmetric_member_raises():
+    stack = np.stack([0.5 * np.eye(4)] * 3)
+    stack[1, 0, 1] = 0.3
+    with pytest.raises(DomainError, match="symmetric"):
+        CorrelationMatrix4.from_matrix(stack)
+
+
 def test_stack_with_one_indefinite_member_raises():
     xx = np.ones(3)
     with pytest.raises(DomainError, match="positive semidefinite"):
@@ -185,3 +265,5 @@ def test_stacks_keep_their_shape():
     assert CovMatrix2(np.ones(5), 0.0, np.ones(5)).matrix.shape == (5, 2, 2)
     with pytest.raises(DomainError, match="one shape"):
         CorrelationMatrix4(np.zeros((4, 4)), np.zeros(3), 0.0)
+    with pytest.raises(DomainError, match="4x4"):
+        CorrelationMatrix4.from_matrix(np.zeros((4, 4, 3)))

@@ -34,7 +34,9 @@ from ``protocol``: ``math``'s sines for a Python float time, numpy's for an
 array.  Each is one source for both, which returns floats for a float time
 and stacks arrays only for an array, so ``verify``'s gates, which call them
 one float time at a time, load no numpy; this module imports it only for an
-array.  No output reaches ``coeffs_analytic``, since ``protocol`` conditions
+array.  numpy signals an array's overflow; a float time's is not signalled:
+a coefficient past float64 comes back inf or NaN, which the gates check.
+No output reaches ``coeffs_analytic``, since ``protocol`` conditions
 on (couplings, nbar, time): it stays as the subject gate 2 certifies and the
 input of the benchmark's ``fidelity_coherent`` check.
 """

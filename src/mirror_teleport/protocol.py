@@ -31,7 +31,11 @@ piece of source: ``_ratios_and_trig`` takes the sines and cosines from
 but the stacking that array callers need.  ``curve`` evaluates them on
 arrays; ``verify``'s gates call them one float time at a time, so this
 module imports numpy only for an array.  Over a stack of times each result
-is bit for bit that of its time alone.
+is bit for bit that of its time alone.  numpy signals an array's overflow
+(a RuntimeWarning, or FloatingPointError under ``np.errstate``); a Python
+float overflows to inf without a signal, so a float result past float64
+comes back inf or NaN, except where a division by E1 would hide it: a
+float E1 that is not finite raises DomainError.
 
 The channel is the standard form (a, b, c) of the conditioned Stokes-mirror
 state, a ``gaussian_core.CorrelationMatrix4``, built only by
@@ -182,14 +186,24 @@ class _FactoredParts:
         return tilt * tilt
 
     def e1(self, nbar):
+        """E1; DomainError for a float E1 that is not finite, which every
+        form divides by and so would hide, where an array's overflow is
+        numpy's to signal."""
         free, s2 = self._e1_terms
-        return 1.0 + self.q**2 * (free + nbar * s2)
+        e1 = 1.0 + self.q**2 * (free + nbar * s2)
+        if type(e1) is float and not math.isfinite(e1):
+            raise DomainError(f"non-finite E1 = 1 + anti_n at nbar = {nbar:.12g}")
+        return e1
 
     def noise(self, nbar, heterodyne: bool = True):
         """n_eff, or without the heterodyne the bracket; F = 1/(1 + noise)."""
         if heterodyne:
             return (nbar + 1.0) * self._lift2 / self.e1(nbar)
         return self._lift2 + nbar * self._tilt2
+
+    def fidelity(self, nbar, heterodyne: bool = True):
+        """1/(1 + noise): the fidelity, with or without the heterodyne."""
+        return 1.0 / (1.0 + self.noise(nbar, heterodyne))
 
     def channel(self, nbar):
         """The conditioned channel's Stokes variance, mirror variance and X-X
@@ -214,7 +228,7 @@ def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = 
     it.  The sines and cosines are computed once for all nbar.
     """
     parts = _FactoredParts(couplings, nbar_values, time)
-    return [1.0 / (1.0 + parts.noise(nbar, heterodyne)) for nbar in nbar_values]
+    return [parts.fidelity(nbar, heterodyne) for nbar in nbar_values]
 
 
 def conditional_correlation(couplings: Couplings, nbar: float, time) -> CorrelationMatrix4:
@@ -333,7 +347,10 @@ def optimal_time(
     stationary; 1 + gain is least at tau0 = r - sqrt(r^2+1)
     (x0 = 2 pi - atan(1/r)), sqrt(r^2+1)/(sqrt(r^2+1) + r).  F is evaluated
     once, through :func:`fidelity_curves`, at that time and the float times
-    within 8 ulps of it; t* is the best, and F_max the kernel's value at t*.
+    within 8 ulps of it; t* is the best, a Python float, and F_max the
+    kernel's value at that float t*, which takes ``math``'s sines, so
+    ``fidelity_curves`` at the returned t* is F_max wherever ``math``'s and
+    numpy's sines differ in the last bit too.
     With the heterodyne F_max is within a few ulps of :func:`peak_fidelity`.
     Without it float64 times near the revival leave the bracket near
     nbar (2 pi r 2^-53)^2, so at large nbar F_max falls below it.
@@ -349,10 +366,10 @@ def optimal_time(
     out_of_range = f"fidelity at nbar = {nbar:.12g} is outside the float64 range"
     (fv,) = fidelity_curves(couplings, (nbar,), ts, heterodyne)
     best = int(np.argmax(fv))  # the first NaN, if there is one
-    f_star = float(fv[best])
-    if not 0 < f_star < 1:  # a NaN, or n_eff or E1 alone overflowed
+    if not 0 < fv[best] < 1:  # a NaN, or n_eff or E1 alone overflowed
         raise DomainError(out_of_range)
-    return float(ts[best]), f_star
+    t_star = float(ts[best])
+    return t_star, _FactoredParts(couplings, (nbar,), t_star).fidelity(nbar, heterodyne)
 
 
 def bob_displacement(record: MeasurementRecord, g: GaussianCoeffs) -> DisplacementCommand:

@@ -1126,9 +1126,7 @@ def test_curve_deterministic(tmp_path):
 def test_summary_peak_is_the_fidelity_at_its_time(tmp_path, bench_config, bench_couplings):
     # The benchmark's check of summary.json on every CI entry: for each nbar,
     # fidelity_coherent on the closed form at t_star_s is F_max to 1e-12
-    # relative, and fidelity_curves at that time is F_max exactly.  The
-    # optimiser evaluates numpy's sines, so the time is a numpy scalar here:
-    # a Python float would take math's, which may differ in the last bit.
+    # relative, and fidelity_curves at that time is F_max exactly.
     assert main(["--out", str(tmp_path), "curve"]) == 0
     per_nbar = json.loads((tmp_path / "summary.json").read_text())["per_nbar"]
     assert list(per_nbar) == [f"{nbar:.12g}" for nbar in bench_config.nbar_values]
@@ -1136,7 +1134,7 @@ def test_summary_peak_is_the_fidelity_at_its_time(tmp_path, bench_config, bench_
         t_star, f_max = entry["t_star_s"], entry["F_max"]
         at_t = fidelity_coherent(coeffs_analytic(bench_couplings, nbar, t_star))
         assert at_t == pytest.approx(f_max, rel=1e-12, abs=0.0)
-        assert fidelity_curves(bench_couplings, (nbar,), np.float64(t_star))[0] == f_max
+        assert fidelity_curves(bench_couplings, (nbar,), t_star)[0] == f_max
 
 
 def test_verify_passes_on_bundled_config(tmp_path, capsys):
@@ -1385,12 +1383,15 @@ def test_propagator_gates_are_the_per_time_loops(request, fixture):
     # and the moment route's gap to the closed forms relative to the state.
     c = request.getfixturevalue(fixture)
     times = propagator_gate_times(c).tolist()
-    props = [np.array(propagator(c, t)) for t in times]
+    props = [propagator(c, t) for t in times]
     group = 0.0
     for t1, t2, p1, p2 in zip(times[:51], times[51:], props[:51], props[51:]):
-        m12 = np.array(propagator(c, t1 + t2))
-        scale = max(1.0, np.abs(p1).max()) * max(1.0, np.abs(p2).max())
-        group = max(group, np.abs(m12 - p1 @ p2).max() / scale)
+        m12 = propagator(c, t1 + t2)
+        product = [[sum(p1[i][k] * p2[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        residual = max(abs(m12[i][j] - product[i][j]) for i in range(3) for j in range(3))
+        scale = max(1.0, *map(abs, [*p1[0], *p1[1], *p1[2]]))
+        scale *= max(1.0, *map(abs, [*p2[0], *p2[1], *p2[2]]))
+        group = max(group, residual / scale)
     moment = 0.0
     for nbar in NBAR_SET[:2]:
         for t in map(float, gate_times(c)):
@@ -1400,8 +1401,7 @@ def test_propagator_gates_are_the_per_time_loops(request, fixture):
             moment = max(moment, max(abs(u - v) for u, v in zip(y, m)) / size)
     gates = {name: defect for name, defect, *_ in _run_gates(c, NBAR_SET)}
     assert gates["propagator-metric"] == max(symplectic_defect(propagator(c, t)) for t in times)
-    # numpy's product may round differently from the gate's sums of three.
-    assert gates["propagator-group"] == pytest.approx(group, rel=0, abs=4 * np.finfo(float).eps)
+    assert gates["propagator-group"] == group
     assert gates["moment-route"] == moment
 
 

@@ -45,9 +45,7 @@ BEST_OCCUPATION = (math.sqrt(2.0) - 1.0) ** 2
 
 
 def _fidelity(c, nbar, time, heterodyne=True):
-    """The fidelity at one nbar: fidelity_curves' one curve.  ``optimal_time``
-    evaluates numpy's sines, so its F_max is this at ``np.float64(t_star)``:
-    a Python float time takes math's, which may differ in the last bit."""
+    """The fidelity at one nbar: fidelity_curves' one curve."""
     return fidelity_curves(c, (nbar,), time, heterodyne)[0]
 
 
@@ -218,6 +216,31 @@ def test_overflowing_channel_raises(bench_couplings, nbar):
                 conditional_correlation(bench_couplings, nbar, time)
 
 
+@pytest.mark.parametrize("case", ["bench-1e308-peak", "r37000-1e300-quarter"])
+def test_float_time_signals_an_infinite_e1(bench_couplings, case):
+    # At the heterodyne peak at nbar = 1e308 E1 overflows while
+    # (nbar + 1)(1 + gain)^2 stays finite, so n_eff would read 0 and F 1;
+    # at r = 3.7e4, nbar = 1e300, a quarter period in, both overflow, to a
+    # NaN.  numpy signals an array's overflow; a Python float overflows
+    # silently, so a float time raises DomainError instead.
+    if case.startswith("bench"):
+        c, nbar = bench_couplings, 1e308
+        t = protocol._peak(c, True)[0]
+    else:
+        c, nbar = Couplings(12345761.047506284, 12345761.052012486, 333.5640951981521), 1e300
+        t = 0.25 * period(c)
+    assert type(t) is float
+    with pytest.warns(RuntimeWarning):
+        effective_occupation(c, nbar, np.array([t]))
+    for closed_form in (
+        lambda: effective_occupation(c, nbar, t),
+        lambda: fidelity_curves(c, (nbar,), t),
+        lambda: conditional_correlation(c, nbar, t),
+    ):
+        with pytest.raises(DomainError, match="non-finite E1"):
+            closed_form()
+
+
 @pytest.mark.parametrize("r", [5000.0, 3.7e4])
 def test_noise_guard_is_relative_to_the_state(bench_config, r):
     # The coefficient formula rounds exact propagator-route states' ~r^4-sized
@@ -315,7 +338,7 @@ def test_optimal_time_agrees_with_brute_force(request, c, nbar, heterodyne):
     f = _fidelity(c, nbar, ts, heterodyne)
     t_star, f_max = optimal_time(c, nbar, heterodyne)
     assert f_max >= f.max() - 1e-12
-    assert _fidelity(c, nbar, np.float64(t_star), heterodyne) == f_max
+    assert _fidelity(c, nbar, t_star, heterodyne) == f_max
     assert t_star == pytest.approx(ts[int(np.argmax(f))], abs=1e-6 * period(c))
 
 
@@ -331,7 +354,7 @@ def test_optimal_time_beats_dense_u_scan(bench_config, mirror_freq, heterodyne):
     scan_max = np.max(_fidelity(c, 1000.0, ts, heterodyne))
     t_star, f_max = optimal_time(c, 1000.0, heterodyne)
     assert f_max >= scan_max - 1e-12
-    assert _fidelity(c, 1000.0, np.float64(t_star), heterodyne) == f_max
+    assert _fidelity(c, 1000.0, t_star, heterodyne) == f_max
 
 
 @given(
@@ -358,7 +381,7 @@ def test_optimal_time_beats_dense_scans_at_small_r(c, nbar, heterodyne):
     scan_max = np.max(_fidelity(c, nbar, ts, heterodyne))
     t_star, f_max = optimal_time(c, nbar, heterodyne)
     assert f_max >= scan_max - 1e-12
-    assert _fidelity(c, nbar, np.float64(t_star), heterodyne) == f_max
+    assert _fidelity(c, nbar, t_star, heterodyne) == f_max
 
 
 def _reference_fidelity(c, nbar, time, heterodyne=True):

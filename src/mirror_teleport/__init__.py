@@ -13,8 +13,10 @@ the record helper (``_record``).  The other modules' names resolve lazily:
 those of the readout analysis (``readout``) and of the closed forms
 (``gaussian_core``, ``dynamics``, ``protocol``), so each module loads with
 the first of its names a program uses, not before.  The closed forms take
-Python floats or numpy arrays, and their modules import numpy only for an
-array: of the commands, only ``curve`` loads numpy.
+Python floats; only the fidelity kernel that ``curve`` sweeps,
+``fidelity_curves`` and ``effective_occupation``, also takes an array of
+times, and only for an array does a module import numpy: of the commands,
+only ``curve`` loads numpy.
 
 The value types (``Couplings``, ``PhysicalParams``, ``GaussianCoeffs`` and
 the others) are frozen records with slots, not standard-library data

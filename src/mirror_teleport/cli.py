@@ -10,9 +10,10 @@ readout     readout times, weights, quality ratio, decoherence windows
 Only ``curve`` imports numpy, inside the function that uses it.
 ``couplings`` and ``readout`` compute with Python floats, and so does
 ``verify``: its gates, in ``gates``, which only ``verify`` loads, call the
-package's closed forms one float time at a time, the same source that
-``curve`` evaluates on arrays, and neither they nor any module they load
-import numpy.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
+package's closed forms, which take floats, one time at a time, and neither
+they nor any module they load import numpy.  ``curve`` evaluates the
+fidelity kernel, the one closed form that also takes an array of times,
+from the same source.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
 unless it is already set.
 
 The command line is read by ``_parse_args``, not argparse, whose messages
@@ -76,7 +77,7 @@ import re
 import sys
 from pathlib import Path
 
-# The matrices here are at most 4x4, so OpenBLAS never splits their work, yet
+# No command multiplies matrices, so OpenBLAS's threads get no work, yet
 # on load it starts a worker per core that spins for a while: on a small or
 # shared host that steals CPU from whatever runs right after numpy's import.
 # Set before numpy loads, whoever imports it; an explicit setting wins.

@@ -19,8 +19,8 @@ Two independent routes to the coefficients are provided, both taking
 * ``coeffs_analytic`` -- the closed trigonometric forms, regrouped so that
   no subtractive cancellation occurs (every 1 - cos x is 2 sin^2(x/2));
 * ``coeffs_from_propagator`` -- second moments assembled from the rows of
-  the Heisenberg propagator, which ``propagator`` returns as its three rows
-  of floats for a float time, or as a plain (..., 3, 3) array.
+  the Heisenberg propagator, which ``propagator`` returns as three tuples
+  of floats.
 
 The closed forms are certified against the moment ODE system
 (``_moment_derivatives``) without integrating it: the system is linear, so
@@ -28,30 +28,23 @@ forms that start at y(0) = (0, nbar, 0, 0, 0, 0) and whose slopes
 (``_moment_slopes``, closed forms too) equal its right-hand side at every
 time are its solution.  ``verify``'s ``ode-vs-analytic`` gate checks both.
 
-The closed forms, their slopes and the propagator take the rate ratios and
-the trig of x = oscillation*t, and ``coeffs_analytic`` its input checks,
-from ``protocol``: ``math``'s sines for a Python float time, numpy's for an
-array.  Each is one source for both, which returns floats for a float time
-and stacks arrays only for an array, so ``verify``'s gates, which call them
-one float time at a time, load no numpy; this module imports it only for an
-array.  numpy signals an array's overflow; a float time's is not signalled:
-a coefficient past float64 comes back inf or NaN, which the gates check.
-No output reaches ``coeffs_analytic``, since ``protocol`` conditions
-on (couplings, nbar, time): it stays as the subject gate 2 certifies and the
-input of the benchmark's ``fidelity_coherent`` check.
+Every function here takes one Python float time and returns floats: the
+closed forms, their slopes and the propagator take the rate ratios and the
+trig of x = oscillation*t, and ``coeffs_analytic`` its input checks, from
+``protocol``, which takes the sines from ``math`` for a float time.  This
+module imports no numpy; ``verify``'s gates call it one time at a time.  A
+float's overflow is not signalled: a coefficient past float64 comes back
+inf or NaN, which the gates check.  No output reaches ``coeffs_analytic``,
+since ``protocol`` conditions on (couplings, nbar, time): it stays as the
+subject gate 2 certifies and the input of the benchmark's
+``fidelity_coherent`` check.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import protocol
 from ._record import record
 from .optomech import Couplings, _check_nbar
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 #: The six coefficient fields of :class:`GaussianCoeffs`, in field order.
 COEFF_FIELDS = (
@@ -68,29 +61,25 @@ COEFF_FIELDS = (
 class GaussianCoeffs:
     """The six coefficients of the three-mode Gaussian characteristic function.
 
-    Fields may be scalars or (for vectorized evaluation) equal-length numpy
-    arrays over a time grid; for a Python float time the routes give
-    Python floats, and for a numpy scalar time numpy float64, a float
-    subclass.  ``couplings`` records the rates of a closed-form state
-    and is None for the propagator route's outputs and hand-built sets.  Only
-    ``protocol.fidelity_coherent`` reads it, and both go together.
+    Every field but ``couplings`` is a float, at one time.  ``couplings``
+    records the rates of a closed-form state and is None for the propagator
+    route's outputs and hand-built sets.  Only ``protocol.fidelity_coherent``
+    reads it, and both go together.
     """
 
-    stokes_n: float | np.ndarray
-    mirror_n: float | np.ndarray
-    stokes_mirror: float | np.ndarray
-    mirror_anti: float | np.ndarray
-    anti_n: float | np.ndarray
-    stokes_anti: float | np.ndarray
-    time: float | np.ndarray
+    stokes_n: float
+    mirror_n: float
+    stokes_mirror: float
+    mirror_anti: float
+    anti_n: float
+    stokes_anti: float
+    time: float
     nbar: float
     couplings: Couplings | None = None
 
 
-def coeffs_analytic(
-    couplings: Couplings, nbar: float, time
-) -> GaussianCoeffs:
-    """Closed-form coefficients at time(s) ``time``.
+def coeffs_analytic(couplings: Couplings, nbar: float, time: float) -> GaussianCoeffs:
+    """Closed-form coefficients at time ``time``.
 
     Cancellation-safe regrouping (r, q, x and omc as in ``protocol``):
 
@@ -115,14 +104,12 @@ def coeffs_analytic(
     stokes_anti = r * q * (omc * (1.0 + r**2 * omc) + nbar * s2)
     # By position: a record binds keywords more slowly.
     return GaussianCoeffs(
-        stokes_n, mirror_n, stokes_mirror, mirror_anti, anti_n, stokes_anti,
-        t if type(t) is float else t[()], nbar, couplings,
+        stokes_n, mirror_n, stokes_mirror, mirror_anti, anti_n, stokes_anti, t, nbar, couplings
     )
 
 
-def _moment_slopes(couplings: Couplings, nbar: float, time):
-    """d/dx of :func:`coeffs_analytic`'s six forms: a tuple of six floats for
-    a float time, or along a last axis, (n, 6) over n times.
+def _moment_slopes(couplings: Couplings, nbar: float, time: float) -> tuple[float, ...]:
+    """d/dx of :func:`coeffs_analytic`'s six forms, a tuple of six floats.
 
     With R = 1 + r^2 omc + nbar cos x (r, q, x and omc as there):
 
@@ -136,12 +123,12 @@ def _moment_slopes(couplings: Couplings, nbar: float, time):
 
     d/dt is oscillation * d/dx.
     """
-    r, q, t, s, c, omc = protocol._ratios_and_trig(couplings, time)
+    r, q, _, s, c, omc = protocol._ratios_and_trig(couplings, time)
     big_r = 1.0 + r**2 * omc + nbar * c
     gap = r**2 - nbar
     lift = r**2 * omc + nbar * c
     s2 = s * s
-    slopes = (
+    return (
         2.0 * r**2 * s * big_r,
         2.0 * s * c * gap,
         r * c * big_r + r * s2 * gap,
@@ -149,14 +136,9 @@ def _moment_slopes(couplings: Couplings, nbar: float, time):
         2.0 * q**2 * s * lift,
         r * q * s * (1.0 + 2.0 * r**2 * omc + 2.0 * nbar * c),
     )
-    if type(t) is float:
-        return slopes
-    import numpy as np
-
-    return np.stack(slopes, axis=-1)
 
 
-def propagator(couplings: Couplings, time):
+def propagator(couplings: Couplings, time: float) -> tuple[tuple[float, float, float], ...]:
     """Heisenberg propagator M(t) on (stokes, mirror^dag, anti_stokes^dag).
 
     M(t) = exp(K t) with K = [[0, p, 0], [p, 0, -b], [0, b, 0]]
@@ -170,26 +152,18 @@ def propagator(couplings: Couplings, time):
     omc = 1 - cos x, as in :func:`coeffs_analytic`; p^2/O^2 formed from the
     rates would underflow for tiny ones.  K anti-commutes with the
     commutator metric diag(+1,-1,-1), so M preserves it exactly and forms a
-    one-parameter group.  A float time gives the three rows as tuples of
-    floats; an array of n times a stack of shape (n, 3, 3), each matrix bit
-    for bit that of its time alone.
+    one-parameter group.  Returns the three rows, as tuples of floats.
     """
-    r, q, t, s, c, omc = protocol._ratios_and_trig(couplings, time)
-    rows = (
+    r, q, _, s, c, omc = protocol._ratios_and_trig(couplings, time)
+    return (
         (1.0 + r**2 * omc, r * s, -r * q * omc),
         (r * s, c, -q * s),
         (r * q * omc, q * s, 1.0 - q**2 * omc),
     )
-    if type(t) is float:
-        return rows
-    import numpy as np
-
-    return np.stack([v for row in rows for v in row], axis=-1).reshape(t.shape + (3, 3))
 
 
-def _moment_derivatives(y, parametric: float, beam_splitter: float):
-    """Right-hand side of the moment ODE system: a tuple for six Python
-    floats, else an array along a first axis of length 6.
+def _moment_derivatives(y, parametric: float, beam_splitter: float) -> tuple[float, ...]:
+    """Right-hand side of the moment ODE system at the six floats ``y``.
 
     Obtained by substituting the Gaussian ansatz into the characteristic
     function's equation of motion and matching monomials; cross-checked at
@@ -198,7 +172,7 @@ def _moment_derivatives(y, parametric: float, beam_splitter: float):
     """
     sn, mn, sm, ma, an, sa = y
     p, b = parametric, beam_splitter
-    derivatives = (
+    return (
         2.0 * p * sm,
         2.0 * p * sm + 2.0 * b * ma,
         p * (1.0 + sn + mn) - b * sa,
@@ -206,15 +180,10 @@ def _moment_derivatives(y, parametric: float, beam_splitter: float):
         -2.0 * b * ma,
         b * sm - p * ma,
     )
-    if type(sn) is float:
-        return derivatives
-    import numpy as np
-
-    return np.array(derivatives)
 
 
-def coeffs_from_propagator(couplings: Couplings, nbar: float, time) -> GaussianCoeffs:
-    """Second oracle: coefficients at time(s) ``time`` as second moments built
+def coeffs_from_propagator(couplings: Couplings, nbar: float, time: float) -> GaussianCoeffs:
+    """Second oracle: coefficients at time ``time`` as second moments built
     from the rows of :func:`propagator`.
 
     The initial moments are <m^ m> = nbar with everything else vacuum.  The
@@ -223,18 +192,9 @@ def coeffs_from_propagator(couplings: Couplings, nbar: float, time) -> GaussianC
 
         stokes_mirror = +<s^(t) m^(t)>,  mirror_anti = -<m^(t) a(t)>,
         stokes_anti   = +<s^(t) a^(t)>.
-
-    A float time gives floats; an array of times gives arrays over them,
-    each entry bit for bit that of its time alone.
     """
     _check_nbar(nbar)
-    m = propagator(couplings, time)
-    if type(time) is not float:  # a stack: its entries, each over the times
-        import numpy as np
-
-        m = np.moveaxis(m, (-2, -1), (0, 1))
-        time = np.asarray(time, dtype=float)[()]
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = propagator(couplings, time)
     n1 = nbar + 1.0
     return GaussianCoeffs(
         m01 * m01 * n1 + m02 * m02,  # stokes_n

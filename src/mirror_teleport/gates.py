@@ -8,10 +8,10 @@ through its module's attribute, so a function patched or wrapped there
 after this module loads is the one a gate calls.
 
 The gates loop over their times in plain Python and call the package's
-closed forms at each (nbar, time) with Python floats: the same source that
-``curve`` and the array API evaluate on numpy arrays, which takes its
-sines and cosines from ``math`` for a float time.  So neither this module
-nor any that it loads imports numpy.  A Python float overflows to inf
+closed forms at each (nbar, time) with Python floats, which is all they
+take: the fidelity kernel, which ``curve`` also evaluates on numpy arrays,
+takes its sines and cosines from ``math`` for a float time.  So neither
+this module nor any that it loads imports numpy.  A Python float overflows to inf
 without raising, a division by an infinite term hides it, and ``max()``
 skips a NaN, so each gate checks that every value it computes is finite,
 the divisors included, and raises DomainError at the first that is not.

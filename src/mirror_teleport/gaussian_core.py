@@ -1,4 +1,4 @@
-"""Small Gaussian-state records and physicality checks, on floats or arrays.
+"""Small Gaussian-state records and physicality checks, on Python floats.
 
 Conventions used throughout the package:
 
@@ -11,168 +11,59 @@ Conventions used throughout the package:
 
 Both state types hold the independent entries of their matrix, not the
 matrix: a one-mode covariance its (xx, xp, pp), a two-mode correlation
-matrix in standard form its (a, b, c).  Each entry is a Python float, or
-all are numpy arrays of one shape for a stack.  ``.matrix`` builds the
-matrix (or the stack (..., n, n)) with numpy, and ``from_matrix`` reads one
-back, rejecting a matrix the entries cannot hold.  Every check here is a closed
-form in those entries, one source for floats and arrays, each result bit
-for bit that of its entries alone: a float takes its ``hypot`` from
-``math`` and an array from numpy, the only difference between the two.
-No check solves an eigenproblem, and this module imports numpy only for an
-array.
+matrix in standard form its (a, b, c), each a finite float.  Every check
+here is a closed form in those entries; none solves an eigenproblem, and
+this module imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from typing import TYPE_CHECKING
 
 from ._record import record
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Vacuum variance of a single quadrature; the single source of truth for
 #: the variance normalization used by every module.
 VACUUM_VARIANCE = 0.5
 
 
-def _floats(*values) -> bool:
-    """True if every one of ``values`` is a Python float, which takes the
-    scalar path; a numpy scalar or array takes the array path."""
-    for value in values:
-        if type(value) is not float:
-            return False
-    return True
+def _check_finite(record, *values) -> None:
+    """DomainError naming ``record``'s type unless every one of ``values`` is finite."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{type(record).__name__} has a non-finite entry")
 
 
-def _entries(record, fields: tuple[str, ...]):
-    """The entries ``fields`` of ``record``: as they are if all are Python
-    floats, else as float arrays broadcast to one shape, which replace them
-    in ``record``.  DomainError for shapes that do not broadcast, or for a
-    NaN or infinite entry."""
-    name = type(record).__name__
-    values = tuple(map(getattr, repeat(record), fields))
-    if _floats(*values):
-        finite = all(map(math.isfinite, values))
-    else:
-        import numpy as np
-
-        arrays = [np.asarray(v, dtype=float) for v in values]
-        try:
-            shape = np.broadcast_shapes(*(v.shape for v in arrays))
-        except ValueError:
-            shapes = [v.shape for v in arrays]
-            raise DomainError(f"{name} entries must have one shape, got {shapes}") from None
-        values = tuple(v if v.shape == shape else np.broadcast_to(v, shape) for v in arrays)
-        for field, value in zip(fields, values):
-            object.__setattr__(record, field, value)
-        finite = all(np.isfinite(v).all() for v in values)
-    if not finite:
-        raise DomainError(f"{name} has a non-finite entry")
-    return values
-
-
-def _square(matrix, n: int, name: str) -> np.ndarray:
-    """``matrix`` as a finite float array (..., n, n); DomainError for
-    another shape or for a NaN or infinite entry, checked first, since a NaN
-    (unequal to itself) would fail a symmetry check under a misleading
-    message."""
-    import numpy as np
-
-    m = np.asarray(matrix, dtype=float)
-    if m.shape[-2:] != (n, n):
-        raise DomainError(f"{name} must be {n}x{n}, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise DomainError(f"{name} has a non-finite entry")
-    return m
-
-
-def _entries_of(m, *cells):
-    """The entries ``cells`` of the matrix ``m``, as Python floats for one
-    matrix or as arrays for a stack."""
-    entries = tuple(m[(..., i, j)] for i, j in cells)
-    return tuple(map(float, entries)) if m.ndim == 2 else entries
-
-
-def _hypot(x, y):
-    """hypot(x, y): ``math``'s for Python floats, numpy's for arrays."""
-    if _floats(x, y):
-        return math.hypot(x, y)
-    import numpy as np
-
-    return np.hypot(x, y)
-
-
-def _largest_abs(values):
-    """max |v| over ``values``, elementwise over arrays; a NaN gives NaN,
-    which Python's max() would skip."""
-    if _floats(*values):
-        if any(v != v for v in values):
-            return math.nan
-        return max(map(abs, values))
-    import numpy as np
-
-    return np.max(np.abs(values), axis=0)
-
-
-def _at_least_one(value):
-    """max(value, 1), elementwise over arrays; a NaN stays NaN."""
-    if _floats(value):
-        return max(value, 1.0)  # a NaN first is kept
-    import numpy as np
-
-    return np.maximum(1.0, value)
+def _largest_abs(values) -> float:
+    """max |v| over ``values``; a NaN gives NaN, which Python's max() would skip."""
+    if any(v != v for v in values):
+        return math.nan
+    return max(map(abs, values))
 
 
 @record
 class CovMatrix2:
     """Covariance matrix [[xx, xp], [xp, pp]] of one mode, dimensionless.
 
-    The entries are Python floats, or arrays of one shape for a stack (a
-    float entry broadcasts).  Raises DomainError for a NaN or infinite
-    entry, or where the matrix is not positive semidefinite, beyond
-    rounding.
+    Raises DomainError for a NaN or infinite entry, or where the matrix is
+    not positive semidefinite, beyond rounding.
     """
 
-    xx: float | np.ndarray
-    xp: float | np.ndarray
-    pp: float | np.ndarray
+    xx: float
+    xp: float
+    pp: float
 
     def __post_init__(self):
-        xx, xp, pp = _entries(self, ("xx", "xp", "pp"))
+        xx, xp, pp = self.xx, self.xp, self.pp
+        _check_finite(self, xx, xp, pp)
         # The smaller eigenvalue of [[xx, xp], [xp, pp]] in closed form.
-        low = 0.5 * (xx + pp) - _hypot(0.5 * (xx - pp), xp)
-        below = low < -1e-12 * _at_least_one(_largest_abs((xx, xp, pp)))
-        if below if _floats(low) else below.any():
-            least = low if _floats(low) else low.min()
-            raise DomainError(f"CovMatrix2 not positive semidefinite: eigenvalue {least}")
+        low = 0.5 * (xx + pp) - math.hypot(0.5 * (xx - pp), xp)
+        if low < -1e-12 * max(abs(xx), abs(xp), abs(pp), 1.0):
+            raise DomainError(f"CovMatrix2 not positive semidefinite: eigenvalue {low}")
 
     @classmethod
     def vacuum(cls) -> "CovMatrix2":
         return cls(VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE)
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "CovMatrix2":
-        """The entries of a 2x2 matrix, or of a stack (..., 2, 2).  Raises
-        DomainError for another shape, a NaN or infinite entry, an
-        asymmetric matrix, or one the constructor rejects."""
-        import numpy as np
-
-        m = _square(matrix, 2, cls.__name__)
-        if not np.array_equal(m[..., 0, 1], m[..., 1, 0]):
-            raise DomainError(f"{cls.__name__} must be symmetric")
-        return cls(*_entries_of(m, (0, 0), (0, 1), (1, 1)))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The matrix, (2, 2), or (..., 2, 2) for a stack."""
-        import numpy as np
-
-        entries = (self.xx, self.xp, self.xp, self.pp)
-        return np.stack(entries, axis=-1).reshape(np.shape(self.xx) + (2, 2))
 
 
 @record
@@ -184,49 +75,18 @@ class CorrelationMatrix4:
     quadratures of mode 1, variance ``b`` on both of mode 2, correlation
     +``c`` in (X_1, X_2) and -``c`` in (P_1, P_2), and zeros elsewhere: the
     form of the conditioned channel that ``protocol.conditional_correlation``
-    returns.  The entries are Python floats, or arrays of one shape for a
-    stack (a float entry broadcasts).  Raises DomainError for a NaN or
-    infinite entry.
+    returns.  Raises DomainError for a NaN or infinite entry.
     """
 
-    a: float | np.ndarray
-    b: float | np.ndarray
-    c: float | np.ndarray
+    a: float
+    b: float
+    c: float
 
     def __post_init__(self):
-        _entries(self, ("a", "b", "c"))
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "CorrelationMatrix4":
-        """The triple of a 4x4 matrix in standard form, or of a stack
-        (..., 4, 4).  Raises DomainError for another shape, a NaN or
-        infinite entry, or a matrix off the standard form, an asymmetric
-        one included."""
-        import numpy as np
-
-        m = _square(matrix, 4, cls.__name__)
-        corr = cls(*_entries_of(m, (0, 0), (2, 2), (0, 2)))
-        if not np.array_equal(m, corr.matrix):
-            raise DomainError(
-                f"{cls.__name__} must be symmetric and in standard form: "
-                "(a, a, b, b) on the diagonal, +c in (X, X), -c in (P, P), zeros elsewhere"
-            )
-        return corr
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 4x4 matrix, or the stack (..., 4, 4)."""
-        import numpy as np
-
-        m = np.zeros(np.shape(self.a) + (4, 4))
-        m[..., 0, 0] = m[..., 1, 1] = self.a
-        m[..., 2, 2] = m[..., 3, 3] = self.b
-        m[..., 0, 2] = m[..., 2, 0] = self.c
-        m[..., 1, 3] = m[..., 3, 1] = -self.c
-        return m
+        _check_finite(self, self.a, self.b, self.c)
 
 
-def physicality_defect(corr: CorrelationMatrix4):
+def physicality_defect(corr: CorrelationMatrix4) -> float:
     """Uncertainty-principle violation of a two-mode correlation matrix.
 
     A correlation matrix G describes a physical state iff G + (i/2)J is
@@ -239,40 +99,26 @@ def physicality_defect(corr: CorrelationMatrix4):
 
     so lambda_min = (a + b)/2 - hypot((|a - b| + 1)/2, c).  Every term is
     halved before it is added or subtracted, so no intermediate overflows
-    for finite entries.  A float for float entries; for a stack, one defect
-    per matrix, each bit for bit the defect of its matrix alone.
+    for finite entries.
     """
     # Half of each entry, so half_low is lambda_min / 2.
     a, b, c = 0.5 * corr.a, 0.5 * corr.b, 0.5 * corr.c
-    half_low = (0.5 * a + 0.5 * b) - _hypot(0.5 * abs(a - b) + 0.25, c)
+    half_low = (0.5 * a + 0.5 * b) - math.hypot(0.5 * abs(a - b) + 0.25, c)
     defect = -2.0 * half_low
-    if _floats(defect):  # max(defect, 0), as numpy's: NaN stays, -0.0 is 0.0
-        return defect if defect > 0.0 or defect != defect else 0.0
-    import numpy as np
-
-    return np.maximum(defect, 0.0)[()]
+    return defect if defect > 0.0 else 0.0  # -0.0 is 0.0
 
 
-def symplectic_defect(prop):
+def symplectic_defect(prop) -> float:
     """Commutator-preservation defect of a propagator, scale-relative.
 
     A valid propagator M satisfies M eta M^T = eta with eta = diag(+1,-1,-1).
     The max-abs entry of the residual is normalized by max(1, |M|_max)^2:
     the residual is quadratic in M, so for entries of size m the float64
     noise floor is ~m^2 * eps and only the scaled defect is meaningful.
-    For O(1) matrices the scaling is a no-op.  ``prop`` is what
-    ``dynamics.propagator`` returns: its three rows of floats for a float
-    time, a float defect; or an array (..., 3, 3), one defect per matrix,
-    each bit for bit the defect of its matrix alone.  An array of any other
-    shape raises DomainError.
+    For O(1) matrices the scaling is a no-op.  ``prop`` is the three rows
+    of floats that ``dynamics.propagator`` returns; a NaN entry gives a NaN
+    defect.
     """
-    if not isinstance(prop, tuple):
-        import numpy as np
-
-        m = np.asarray(prop, dtype=float)
-        if m.shape[-2:] != (3, 3):
-            raise DomainError(f"propagator must be 3x3, got shape {m.shape}")
-        prop = np.moveaxis(m, (-2, -1), (0, 1))
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = prop
     # The six entries of the symmetric residual M eta M^T - eta.
     residual = (
@@ -283,5 +129,5 @@ def symplectic_defect(prop):
         a0 * c0 - a1 * c1 - a2 * c2,
         b0 * c0 - b1 * c1 - b2 * c2,
     )
-    scale = _at_least_one(_largest_abs((a0, a1, a2, b0, b1, b2, c0, c1, c2)))
+    scale = max(_largest_abs((a0, a1, a2, b0, b1, b2, c0, c1, c2)), 1.0)  # a NaN first is kept
     return _largest_abs(residual) / (scale * scale)

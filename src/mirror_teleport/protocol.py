@@ -25,17 +25,19 @@ compares the coefficient formula on the propagator's moments with them.
 :func:`fidelity_curves` evaluates them for several nbar at once, from one
 set of sines and cosines.
 
-Every closed form takes one Python float time or an array of times, in one
-piece of source: ``_ratios_and_trig`` takes the sines and cosines from
-``math`` for a float and from numpy for an array, and nothing else differs
-but the stacking that array callers need.  ``curve`` evaluates them on
-arrays; ``verify``'s gates call them one float time at a time, so this
-module imports numpy only for an array.  Over a stack of times each result
-is bit for bit that of its time alone.  numpy signals an array's overflow
-(a RuntimeWarning, or FloatingPointError under ``np.errstate``); a Python
-float overflows to inf without a signal, so a float result past float64
-comes back inf or NaN, except where a division by E1 would hide it: a
-float E1 that is not finite raises DomainError.
+Every function here takes Python floats, except :func:`fidelity_curves`
+and :func:`effective_occupation`, the kernel that ``curve`` runs on arrays
+of times.  They share one piece of source with the float functions, and
+three places choose between a float and an array: ``_ratios_and_trig``
+takes the sines and cosines from ``math`` for a float time and from numpy
+for an array, ``_checked_trig`` checks t >= 0 on either, and
+``_FactoredParts.e1`` checks a float E1 itself.  This module imports numpy
+only for an array.  Over a stack of times each result is bit for bit that
+of its time alone.  numpy signals an array's overflow (a RuntimeWarning,
+or FloatingPointError under ``np.errstate``); a Python float overflows to
+inf without a signal, so a float result past float64 comes back inf or
+NaN, except where a division by E1 would hide it: a float E1 that is not
+finite raises DomainError.
 
 The channel is the standard form (a, b, c) of the conditioned Stokes-mirror
 state, a ``gaussian_core.CorrelationMatrix4``, built only by
@@ -56,7 +58,6 @@ vacuum, whatever the mirror's temperature.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -119,12 +120,13 @@ def _ratios_and_trig(couplings: Couplings, time):
     and x = oscillation*t; omc = 1 - cos x as 2 sin^2(x/2) keeps its full
     relative precision near the revivals.  A Python float time stays a
     float and takes its sines and cosines from ``math``; any other time is
-    a float array and takes them from numpy.  That is the only difference
-    between the two paths: every closed form is the same source for both,
-    so a float time's values are those of its row of an array wherever the
-    two libraries' sines agree.  DomainError names a NaN or infinite time,
-    or a finite one whose phase x overflows: with a rate finite and > 0, x
-    is finite exactly when neither happens.
+    a float array and takes them from numpy, for the fidelity kernel, which
+    alone takes arrays.  That is the only difference between the two paths:
+    the closed forms are one source, so a float time's values are those of
+    its row of an array wherever the two libraries' sines agree.
+    DomainError names a NaN or infinite time, or a finite one whose phase x
+    overflows: with a rate finite and > 0, x is finite exactly when neither
+    happens.
     """
     if type(time) is float:
         t, sin, cos = time, math.sin, math.cos
@@ -167,23 +169,23 @@ class _FactoredParts:
 
     def __init__(self, couplings: Couplings, nbar_values, time):
         self.r, self.q, _, self.s, self.c, self.omc = _checked_trig(couplings, nbar_values, time)
+        r, s, omc = self.r, self.s, self.omc
+        # n_eff needs these two, made at once: a cached property's first read
+        # would cost a float time more than their arithmetic does.
+        # r^2 omc^2 and sin^2 x: E1 = 1 + q^2 (r^2 omc^2 + nbar sin^2 x).
+        self._e1_terms = r**2 * (omc * omc), s * s
+        # (1 + gain)^2, gain = r^2 omc + r sin x.
+        lift = 1.0 + (r**2 * omc + r * s)
+        self._lift2 = lift * lift
+        self._tilt2_value = None
 
-    @functools.cached_property
-    def _e1_terms(self):
-        """r^2 omc^2 and sin^2 x: E1 = 1 + q^2 (r^2 omc^2 + nbar sin^2 x)."""
-        return self.r**2 * (self.omc * self.omc), self.s * self.s
-
-    @functools.cached_property
-    def _lift2(self):
-        """(1 + gain)^2, gain = r^2 omc + r sin x."""
-        lift = 1.0 + (self.r**2 * self.omc + self.r * self.s)
-        return lift * lift
-
-    @functools.cached_property
     def _tilt2(self):
-        """(r sin x + cos x)^2, which nbar multiplies without the heterodyne."""
-        tilt = self.r * self.s + self.c
-        return tilt * tilt
+        """(r sin x + cos x)^2, which nbar multiplies without the heterodyne:
+        made on first use, as n_eff and the channel do without it."""
+        if self._tilt2_value is None:
+            tilt = self.r * self.s + self.c
+            self._tilt2_value = tilt * tilt
+        return self._tilt2_value
 
     def e1(self, nbar):
         """E1; DomainError for a float E1 that is not finite, which every
@@ -199,7 +201,7 @@ class _FactoredParts:
         """n_eff, or without the heterodyne the bracket; F = 1/(1 + noise)."""
         if heterodyne:
             return (nbar + 1.0) * self._lift2 / self.e1(nbar)
-        return self._lift2 + nbar * self._tilt2
+        return self._lift2 + nbar * self._tilt2()
 
     def fidelity(self, nbar, heterodyne: bool = True):
         """1/(1 + noise): the fidelity, with or without the heterodyne."""
@@ -231,7 +233,9 @@ def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = 
     return [parts.fidelity(nbar, heterodyne) for nbar in nbar_values]
 
 
-def conditional_correlation(couplings: Couplings, nbar: float, time) -> CorrelationMatrix4:
+def conditional_correlation(
+    couplings: Couplings, nbar: float, time: float
+) -> CorrelationMatrix4:
     """Correlation matrix of the conditioned Stokes+mirror state, in standard
     form: a ``CorrelationMatrix4`` of (a, b, c).
 
@@ -239,11 +243,10 @@ def conditional_correlation(couplings: Couplings, nbar: float, time) -> Correlat
     quadratures, b = mirror_n - mirror_anti^2/E1 + 1/2 that of both mirror
     quadratures, and c = stokes_mirror + stokes_anti mirror_anti/E1 their
     correlation, +c in (X_s, X_m) and -c in (P_s, P_m); no X-P cross term.
-    Floats for a float time, arrays over the times for an array, each entry
-    bit for bit that of its time alone.  Raises DomainError where the
-    factored forms leave float64 (``CorrelationMatrix4`` holds finite
-    entries only); ``verify``'s conditional-physicality gate checks that
-    the channel is physical, in closed form from a, b and c.
+    Raises DomainError where the factored forms leave float64
+    (``CorrelationMatrix4`` holds finite entries only); ``verify``'s
+    conditional-physicality gate checks that the channel is physical, in
+    closed form from a, b and c.
     """
     from .gaussian_core import CorrelationMatrix4
 
@@ -256,9 +259,7 @@ def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatr
 
         xx = G11 + 2 G13 + G33,  pp = G22 - 2 G24 + G44,
 
-    which is n_eff for the conditioned channel.  A stack of channels gives a
-    stack of covariances, each bit for bit that of its channel alone;
-    ``gin`` may be one input or a stack.
+    which is n_eff for the conditioned channel.
     """
     from .gaussian_core import CovMatrix2
 
@@ -346,11 +347,9 @@ def optimal_time(
     r sin x + cos x = 0, where the nbar term vanishes and 1 + gain is
     stationary; 1 + gain is least at tau0 = r - sqrt(r^2+1)
     (x0 = 2 pi - atan(1/r)), sqrt(r^2+1)/(sqrt(r^2+1) + r).  F is evaluated
-    once, through :func:`fidelity_curves`, at that time and the float times
-    within 8 ulps of it; t* is the best, a Python float, and F_max the
-    kernel's value at that float t*, which takes ``math``'s sines, so
-    ``fidelity_curves`` at the returned t* is F_max wherever ``math``'s and
-    numpy's sines differ in the last bit too.
+    at that time and the float times within 8 ulps of it, each a Python
+    float; t* is the first best and F_max the fidelity there, so
+    ``fidelity_curves`` at the returned t* is F_max.
     With the heterodyne F_max is within a few ulps of :func:`peak_fidelity`.
     Without it float64 times near the revival leave the bracket near
     nbar (2 pi r 2^-53)^2, so at large nbar F_max falls below it.
@@ -359,17 +358,20 @@ def optimal_time(
     at any evaluated time, or F_max outside (0, 1) (n_eff or E1 overflowed;
     n_eff >= m > 0 and the bracket >= 1/4).
     """
-    import numpy as np
-
     t_peak, _ = _peak(couplings, heterodyne)
-    ts = t_peak + math.ulp(t_peak) * np.arange(-_ULPS, _ULPS + 1)
-    out_of_range = f"fidelity at nbar = {nbar:.12g} is outside the float64 range"
-    (fv,) = fidelity_curves(couplings, (nbar,), ts, heterodyne)
-    best = int(np.argmax(fv))  # the first NaN, if there is one
-    if not 0 < fv[best] < 1:  # a NaN, or n_eff or E1 alone overflowed
-        raise DomainError(out_of_range)
-    t_star = float(ts[best])
-    return t_star, _FactoredParts(couplings, (nbar,), t_star).fidelity(nbar, heterodyne)
+    ulp = math.ulp(t_peak)
+    t_star, f_max = t_peak, -math.inf
+    for k in range(-_ULPS, _ULPS + 1):
+        t = t_peak + ulp * k
+        f = _FactoredParts(couplings, (nbar,), t).fidelity(nbar, heterodyne)
+        if f != f:
+            f_max = f
+            break
+        if f > f_max:
+            t_star, f_max = t, f
+    if not 0 < f_max < 1:  # a NaN, or n_eff or E1 alone overflowed
+        raise DomainError(f"fidelity at nbar = {nbar:.12g} is outside the float64 range")
+    return t_star, f_max
 
 
 def bob_displacement(record: MeasurementRecord, g: GaussianCoeffs) -> DisplacementCommand:
@@ -380,10 +382,8 @@ def bob_displacement(record: MeasurementRecord, g: GaussianCoeffs) -> Displaceme
 
     Shifts means only; fidelity is unaffected.
     """
-    import numpy as np
-
     e1 = g.anti_n + 1.0
-    if not np.all(e1 > 0):
+    if not e1 > 0:
         raise DomainError(f"anti_n + 1 must be > 0, got {e1!r}")
     rt2 = math.sqrt(2.0)
     dx = rt2 * record.x_plus + rt2 * record.alpha.real * (
@@ -392,7 +392,7 @@ def bob_displacement(record: MeasurementRecord, g: GaussianCoeffs) -> Displaceme
     dp = -rt2 * record.p_minus + rt2 * record.alpha.imag * (
         (g.stokes_anti + g.mirror_anti) / e1
     )
-    return DisplacementCommand(float(dx), float(dp))
+    return DisplacementCommand(dx, dp)
 
 
 def actuation_setting(command: DisplacementCommand) -> ActuationSetting:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mirror_teleport import Couplings, compute_couplings, period, protocol
+from mirror_teleport import Couplings, compute_couplings, dynamics, period, protocol
 from mirror_teleport.cli import bundled_config_path, load_config
 from mirror_teleport.dynamics import COEFF_FIELDS  # noqa: F401  (re-exported)
 
@@ -70,6 +70,60 @@ def propagator_gate_times(c):
     sequence over one period, then both peak times."""
     golden = period(c) * ((np.arange(1, 101) * ((math.sqrt(5.0) - 1.0) / 2.0)) % 1.0)
     return np.append(golden, peak_times(c)[:2])
+
+
+def standard_form(a, b, c):
+    """The 4x4 matrix of the standard form (a, b, c) over (X_1, P_1, X_2, P_2)."""
+    m = np.zeros((4, 4))
+    m[0, 0] = m[1, 1] = a
+    m[2, 2] = m[3, 3] = b
+    m[0, 2] = m[2, 0] = c
+    m[1, 3] = m[3, 1] = -c
+    return m
+
+
+def standard_form_triple(m, rel=0.0):
+    """(a, b, c) = (G11, G33, G13) of the 4x4 matrix ``m``, as floats.
+
+    ValueError for a NaN or infinite entry, checked first (a NaN, unequal to
+    itself, would fail the form check under a misleading message), and for
+    a matrix off the standard form by more than ``rel`` times its largest
+    entry, an asymmetric one included: a matrix compared with a
+    ``CorrelationMatrix4`` must be the triple's form, not agree with it on
+    three entries only."""
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError("non-finite entry")
+    a, b, c = float(m[0, 0]), float(m[2, 2]), float(m[0, 2])
+    if np.abs(m - standard_form(a, b, c)).max() > rel * np.abs(m).max():
+        raise ValueError("not symmetric and in standard form")
+    return a, b, c
+
+
+def heterodyne_channel(c, nbar, t):
+    """The conditioned Stokes-mirror correlation matrix by general Gaussian
+    conditioning, from the propagator alone: the generic reference for
+    ``protocol.conditional_correlation``.
+
+    The rows of M map (s, m^dag, a^dag), so the destruction operators
+    evolve as o(t) = sum_k A_ok b_k + B_ok b_k^dag over (s, m, a), with real
+    A and B; then X_o(t) = (A + B) X and P_o(t) = (A - B) P.  From the
+    vacuum optical modes and the thermal mirror, the six-mode quadrature
+    covariance over (X_s, P_s, X_m, P_m, X_a, P_a) is S G0 S^T, and Alice's
+    heterodyne of the anti-Stokes mode leaves its Schur complement with the
+    vacuum added to the measured block.  Only the propagator's being real
+    keeps X and P apart; the equal variances of X and P and the -c in
+    (P, P) come out of the arithmetic, not from the standard form."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = dynamics.propagator(c, t)
+    a = np.array([[m00, 0.0, 0.0], [0.0, m11, m12], [0.0, m21, m22]])
+    b = np.array([[0.0, m01, m02], [m10, 0.0, 0.0], [m20, 0.0, 0.0]])
+    s = np.zeros((6, 6))
+    s[0::2, 0::2] = a + b
+    s[1::2, 1::2] = a - b
+    g0 = np.diag([0.5, 0.5, nbar + 0.5, nbar + 0.5, 0.5, 0.5])
+    g = s @ g0 @ s.T
+    keep, measured = g[:4, :4], g[4:, 4:] + 0.5 * np.eye(2)
+    return keep - g[:4, 4:] @ np.linalg.solve(measured, g[4:, :4])
 
 
 def closed_forms_on_symbols(monkeypatch, r, x, nbar):

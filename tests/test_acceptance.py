@@ -146,13 +146,14 @@ def test_criterion_8_oracle_equivalence(gates, moderate):
     # finite-difference residual of the closed form against the ODE system
     h = 1e-7
     worst_res = 0.0
-    for t in np.linspace(0.05, period(moderate), 41):
+    for t in np.linspace(0.05, period(moderate), 41).tolist():
         def vec(tt):
             g = coeffs_analytic(moderate, 10.0, tt)
             return np.array([getattr(g, f) for f in COEFF_FIELDS])
 
         lhs = (vec(t + h) - vec(t - h)) / (2.0 * h)
-        rhs = _moment_derivatives(vec(t), moderate.parametric, moderate.beam_splitter)
+        y = vec(t).tolist()
+        rhs = np.array(_moment_derivatives(y, moderate.parametric, moderate.beam_splitter))
         worst_res = max(worst_res, float(np.abs(lhs - rhs).max()))
     _report(
         "criterion-8 oracle equivalence (ODE residual, moment route, finite differences)",

@@ -12,6 +12,7 @@ from mirror_teleport import (
     fidelity_curves,
     period,
     propagator,
+    protocol,
     symplectic_defect,
 )
 from mirror_teleport.dynamics import _moment_derivatives
@@ -40,13 +41,22 @@ def test_periodicity(moderate):
 
 
 def test_scalar_and_array_evaluation_agree(moderate):
+    # The coefficients, one float time at a time, and the factored kernel
+    # on an array of the times agree on E1 = anti_n + 1 and on the
+    # conditioned channel the coefficient formulas give.
     ts = np.linspace(0.0, period(moderate), 17)
-    ga = coeffs_analytic(moderate, 1.5, ts)
-    for i, t in enumerate(ts):
-        gs = coeffs_analytic(moderate, 1.5, float(t))
-        assert _vector(gs) == pytest.approx(
-            [float(np.asarray(getattr(ga, f))[i]) for f in COEFF_FIELDS], rel=1e-15
+    parts = protocol._FactoredParts(moderate, (1.5,), ts)
+    e1s, channels = parts.e1(1.5), parts.channel(1.5)
+    for i, t in enumerate(ts.tolist()):
+        g = coeffs_analytic(moderate, 1.5, t)
+        e1 = g.anti_n + 1.0
+        assert e1 == pytest.approx(e1s[i], rel=1e-15)
+        channel = (
+            g.stokes_n - g.stokes_anti**2 / e1 + 0.5,
+            g.mirror_n - g.mirror_anti**2 / e1 + 0.5,
+            g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1,
         )
+        assert channel == pytest.approx([rows[i] for rows in channels], rel=1e-13, abs=1e-14)
 
 
 def test_coefficients_affine_in_nbar(moderate):
@@ -79,48 +89,11 @@ def test_propagator_group_property(c, x1, x2):
     assert np.abs(m12 - prod).max() / scale < 1e-11
 
 
-@given(
-    c=st.one_of(st.none(), rate_pairs),
-    xs=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=40),
-    seed=st.integers(0, 2**32 - 1),
-    nbar=st.floats(0.0, 1e6),
-)
-@settings(max_examples=60, deadline=None)
-def test_stacked_propagator_route_is_per_time_route(bench_couplings, c, xs, seed, nbar):
-    # One array code path: a stack of times gives, bit for bit, what each
-    # time gives alone, and a single time gives float scalars.  The random
-    # phases add enough distinct values for a rare rounding difference,
-    # such as that of a numpy scalar's x**2, to show.
-    c = bench_couplings if c is None else c
-    xs = np.concatenate([xs, np.random.default_rng(seed).uniform(0.0, 20.0, 200)])
-    ts = xs / c.oscillation
-    stack = propagator(c, ts)
-    coeffs = coeffs_from_propagator(c, nbar, ts)
-    closed = coeffs_analytic(c, nbar, ts)
-    defects = symplectic_defect(stack)
-    assert stack.shape == (len(ts), 3, 3) and defects.shape == (len(ts),)
-    for i, t in enumerate(ts):
-        one = propagator(c, t)
-        assert one.tobytes() == stack[i].tobytes()
-        for single, stacked in [
-            (coeffs_from_propagator(c, nbar, t), coeffs),
-            (coeffs_analytic(c, nbar, t), closed),
-        ]:
-            assert isinstance(single.time, float) and single.time == t
-            for f in COEFF_FIELDS:
-                value = getattr(single, f)
-                assert isinstance(value, float), f
-                assert np.float64(value).tobytes() == getattr(stacked, f)[i].tobytes(), f
-        defect = symplectic_defect(one)
-        assert isinstance(defect, float)
-        assert np.float64(defect).tobytes() == defects[i].tobytes()
-
-
 def _two_step_moments(c, nbar, t):
     """The moment route in two steps, the propagator at one time ``t`` and
-    then the second moments of its rows: the reference that one call on a
-    stack of times must match bit for bit."""
-    m = propagator(c, t)
+    then the second moments of its rows, in numpy: the reference that one
+    call must match bit for bit."""
+    m = np.array(propagator(c, t))
     n1 = nbar + 1.0
     return (
         np.square(m[0, 1]) * n1 + np.square(m[0, 2]),
@@ -139,13 +112,15 @@ def _two_step_moments(c, nbar, t):
 )
 @settings(max_examples=60, deadline=None)
 def test_moment_route_on_a_stack_is_the_two_step_route(bench_couplings, c, xs, nbar):
+    # Each of a stack of times, one at a time.
     c = bench_couplings if c is None else c
-    ts = np.asarray(xs) / c.oscillation
-    g = coeffs_from_propagator(c, nbar, ts)
-    assert g.time.tobytes() == ts.tobytes() and g.nbar == nbar and g.couplings is None
-    for i, t in enumerate(ts):
+    for t in (np.asarray(xs) / c.oscillation).tolist():
+        g = coeffs_from_propagator(c, nbar, t)
+        assert g.time == t and g.nbar == nbar and g.couplings is None
         for f, want in zip(COEFF_FIELDS, _two_step_moments(c, nbar, t)):
-            assert getattr(g, f)[i].tobytes() == np.float64(want).tobytes(), f
+            value = getattr(g, f)
+            assert type(value) is float, f
+            assert np.float64(value).tobytes() == np.float64(want).tobytes(), f
 
 
 def test_propagator_inverse_is_negative_time(moderate):
@@ -183,17 +158,16 @@ def test_closed_form_satisfies_moment_odes(moderate):
     # side, across one full period.
     nbar = 2.0
     h = 1e-7
-    for t in np.linspace(0.05, period(moderate), 23):
+    for t in np.linspace(0.05, period(moderate), 23).tolist():
         lhs = (
             _vector(coeffs_analytic(moderate, nbar, t + h))
             - _vector(coeffs_analytic(moderate, nbar, t - h))
         ) / (2.0 * h)
+        g = coeffs_analytic(moderate, nbar, t)
         rhs = _moment_derivatives(
-            _vector(coeffs_analytic(moderate, nbar, t)),
-            moderate.parametric,
-            moderate.beam_splitter,
+            [getattr(g, f) for f in COEFF_FIELDS], moderate.parametric, moderate.beam_splitter
         )
-        assert np.abs(lhs - rhs).max() < 1e-6
+        assert np.abs(lhs - np.array(rhs)).max() < 1e-6
 
 
 # Coefficients and fidelity at the fidelity peak t* of the bundled config,
@@ -262,10 +236,10 @@ def test_invalid_inputs(moderate):
     for bad_time in (math.nan, math.inf, -math.inf):
         for call in (
             lambda: coeffs_analytic(moderate, 0.0, bad_time),
-            lambda: coeffs_analytic(moderate, 1.0, [0.5, bad_time]),
+            lambda: coeffs_from_propagator(moderate, 1.0, bad_time),
             lambda: propagator(moderate, bad_time),
-            lambda: propagator(moderate, np.array([-0.5, bad_time])),
-            lambda: fidelity_curves(moderate, (0.0,), [bad_time]),
+            lambda: fidelity_curves(moderate, (0.0,), bad_time),
+            lambda: fidelity_curves(moderate, (0.0,), [0.5, bad_time]),
         ):
             with pytest.raises(DomainError):
                 call()
@@ -273,9 +247,10 @@ def test_invalid_inputs(moderate):
     # into NaN behind an overflow warning.
     for call in (
         lambda: coeffs_analytic(moderate, 0.0, 1e308),
-        lambda: coeffs_analytic(moderate, 1.0, [0.5, 1e308]),
+        lambda: coeffs_from_propagator(moderate, 1.0, 1e308),
         lambda: propagator(moderate, 1e308),
-        lambda: propagator(moderate, np.array([-1e308, 0.5])),
+        lambda: propagator(moderate, -1e308),
+        lambda: fidelity_curves(moderate, (0.0,), 1e308),
         lambda: fidelity_curves(moderate, (0.0,), [0.5, 1e308]),
     ):
         with pytest.raises(DomainError, match=r"float64 range, got -?1e\+308"):

@@ -1,14 +1,15 @@
 """The closed forms on a Python float time are their array rows.
 
-Every closed form that ``curve`` evaluates on arrays and ``verify``'s gates
-evaluate one float time at a time is one piece of source.  The two paths
-differ only in where the sines and cosines come from, ``math`` for a float
-and numpy for an array (and ``hypot``, in ``gaussian_core``), and in the
-stacking.  Given the same sines, cosines and hypot, each float result must
-be, bit for bit, its time's row of the array result, at every time the
-gates take.  Whether the two libraries' sines agree is a separate check,
-to within an ulp: numpy's vectorised loops may differ from the C library's
-in the last bit.
+``verify``'s gates evaluate the closed forms one float time at a time and
+``curve`` evaluates the factored kernel on arrays, from one piece of
+source.  The two paths differ only in where the sines and cosines come
+from, ``math`` for a float and numpy for an array.  Given the same sines
+and cosines, each float result must be, bit for bit, its time's row of the
+array result, at every time the gates take: the kernel's own rows for the
+channel and n_eff, and for ``dynamics``, which takes floats only, the rows
+of its source evaluated on the array path's ratios and trig.  Whether the
+two libraries' sines agree is a separate check, to within an ulp: numpy's
+vectorised loops may differ from the C library's in the last bit.
 """
 
 import math
@@ -17,7 +18,7 @@ import types
 import numpy as np
 import pytest
 
-from mirror_teleport import CovMatrix2, dynamics, gaussian_core, period, protocol
+from mirror_teleport import CovMatrix2, dynamics, period, protocol
 from mirror_teleport.cli import _time_rows
 
 from conftest import COEFF_FIELDS, NBAR_SET, gate_times, propagator_gate_times
@@ -36,8 +37,8 @@ def _same(value, row) -> bool:
 
 @pytest.fixture(params=["moderate", "bench_couplings"])
 def shared_trig(request, monkeypatch):
-    """(couplings, times): the float path's ``math.sin``, ``math.cos`` and
-    ``math.hypot`` made numpy's, value for value, at those times."""
+    """(couplings, times): the float path's ``math.sin`` and ``math.cos``
+    made numpy's, value for value, at those times."""
     c = request.getfixturevalue(request.param)
     times = np.concatenate([gate_times(c), _gate3_times(c)])
     x = c.oscillation * times
@@ -45,13 +46,8 @@ def shared_trig(request, monkeypatch):
     for args in (x, 0.5 * x):
         table.update(zip(args.tolist(), zip(np.sin(args).tolist(), np.cos(args).tolist())))
     shared = dict(vars(math))
-    shared.update(
-        sin=lambda v: table[v][0],
-        cos=lambda v: table[v][1],
-        hypot=lambda u, v: float(np.hypot(u, v)),
-    )
+    shared.update(sin=lambda v: table[v][0], cos=lambda v: table[v][1])
     monkeypatch.setattr(protocol, "math", types.SimpleNamespace(**shared))
-    monkeypatch.setattr(gaussian_core, "math", types.SimpleNamespace(**shared))
     return c, times
 
 
@@ -76,47 +72,63 @@ def test_trig_and_factored_parts_are_their_rows(shared_trig):
 
 
 def test_channel_maps_are_their_rows(shared_trig):
+    # The float channel, its n_eff and the covariance teleported through it
+    # are the kernel's rows: _FactoredParts' channel, effective_occupation
+    # on the array, and the input plus a + 2c + b.
     c, times = shared_trig
     gin = CovMatrix2(0.9, 0.2, 0.7)
+    parts = protocol._FactoredParts(c, NBAR_SET, times)
     for nbar in NBAR_SET:
-        chan = protocol.conditional_correlation(c, nbar, times)
+        a, b, corr = parts.channel(nbar)
         n_eff = protocol.effective_occupation(c, nbar, times)
-        defects = gaussian_core.physicality_defect(chan)
-        out = protocol.teleport_covariance(chan, gin)
         for i, t in enumerate(times.tolist()):
             one = protocol.conditional_correlation(c, nbar, t)
-            assert all(_same(getattr(one, f), getattr(chan, f)[i]) for f in "abc"), (t, nbar)
+            assert all(map(_same, (one.a, one.b, one.c), (a[i], b[i], corr[i]))), (t, nbar)
             assert _same(protocol.effective_occupation(c, nbar, t), n_eff[i])
-            assert _same(gaussian_core.physicality_defect(one), defects[i])
             teleported = protocol.teleport_covariance(one, gin)
-            for f in ("xx", "xp", "pp"):
-                assert _same(getattr(teleported, f), getattr(out, f)[i])
+            added = a[i] + 2.0 * corr[i] + b[i]
+            assert _same(teleported.xx, gin.xx + added) and _same(teleported.pp, gin.pp + added)
+            assert teleported.xp == gin.xp
 
 
-def test_dynamics_are_their_rows(shared_trig):
+def test_dynamics_are_their_rows(shared_trig, monkeypatch):
+    # dynamics takes float times only; its source, given the array path's
+    # ratios and trig in place of a float time's, evaluates on the arrays,
+    # and each float result is its time's row of that evaluation.
     c, times = shared_trig
     p, b = c.parametric, c.beam_splitter
-    stack = dynamics.propagator(c, times)
-    metric = gaussian_core.symplectic_defect(stack)
+    floats = {
+        nbar: [
+            (
+                dynamics.coeffs_analytic(c, nbar, t),
+                dynamics.coeffs_from_propagator(c, nbar, t),
+                dynamics._moment_slopes(c, nbar, t),
+            )
+            for t in times.tolist()
+        ]
+        for nbar in NBAR_SET
+    }
+    props = [dynamics.propagator(c, t) for t in times.tolist()]
+    rows = protocol._ratios_and_trig(c, times)
+    monkeypatch.setattr(protocol, "_ratios_and_trig", lambda couplings, time: rows)
+    stack = dynamics.propagator(c, None)
+    for i, one in enumerate(props):
+        assert all(_same(v, row[i]) for v, row in zip(sum(one, ()), sum(stack, ())))
     for nbar in NBAR_SET:
-        closed = dynamics.coeffs_analytic(c, nbar, times)
-        moments = dynamics.coeffs_from_propagator(c, nbar, times)
-        slopes = dynamics._moment_slopes(c, nbar, times)
+        closed = dynamics.coeffs_analytic(c, nbar, None)
+        moments = dynamics.coeffs_from_propagator(c, nbar, None)
+        slopes = dynamics._moment_slopes(c, nbar, None)
         rhs = dynamics._moment_derivatives([getattr(closed, f) for f in COEFF_FIELDS], p, b)
-        for i, t in enumerate(times.tolist()):
-            for single, stacked in [
-                (dynamics.coeffs_analytic(c, nbar, t), closed),
-                (dynamics.coeffs_from_propagator(c, nbar, t), moments),
-            ]:
-                assert single.time == t and single.nbar == nbar
-                assert all(_same(getattr(single, f), getattr(stacked, f)[i]) for f in COEFF_FIELDS)
-            y = tuple(getattr(dynamics.coeffs_analytic(c, nbar, t), f) for f in COEFF_FIELDS)
-            assert all(map(_same, dynamics._moment_slopes(c, nbar, t), slopes[i]))
-            assert all(map(_same, dynamics._moment_derivatives(y, p, b), rhs[:, i]))
-    for i, t in enumerate(times.tolist()):
-        one = dynamics.propagator(c, t)
-        assert all(map(_same, [v for row in one for v in row], stack[i].ravel()))
-        assert _same(gaussian_core.symplectic_defect(one), metric[i])
+        for i, (t, (single, from_propagator, one_slopes)) in enumerate(
+            zip(times.tolist(), floats[nbar])
+        ):
+            for one, stacked in ((single, closed), (from_propagator, moments)):
+                assert one.time == t and one.nbar == nbar
+                assert all(_same(getattr(one, f), getattr(stacked, f)[i]) for f in COEFF_FIELDS)
+            y = tuple(getattr(single, f) for f in COEFF_FIELDS)
+            assert all(_same(v, row[i]) for v, row in zip(one_slopes, slopes))
+            derivatives = dynamics._moment_derivatives(y, p, b)
+            assert all(_same(v, row[i]) for v, row in zip(derivatives, rhs))
 
 
 @pytest.mark.parametrize("fixture", ["moderate", "bench_couplings"])

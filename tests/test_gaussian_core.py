@@ -15,16 +15,14 @@ from mirror_teleport import (
     symplectic_defect,
 )
 
+from conftest import standard_form as _standard_form
+from conftest import standard_form_triple
+
 
 def test_vacuum_covariance():
-    m = CovMatrix2.vacuum().matrix
-    assert np.array_equal(m, 0.5 * np.eye(2))
+    vacuum = CovMatrix2.vacuum()
+    assert (vacuum.xx, vacuum.xp, vacuum.pp) == (0.5, 0.0, 0.5)
     assert VACUUM_VARIANCE == 0.5
-
-
-def test_covariance_rejects_asymmetric():
-    with pytest.raises(DomainError):
-        CovMatrix2.from_matrix(np.array([[1.0, 0.1], [0.2, 1.0]]))
 
 
 def test_covariance_rejects_indefinite():
@@ -32,71 +30,45 @@ def test_covariance_rejects_indefinite():
         CovMatrix2(1.0, 2.0, 1.0)
 
 
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_covariance_rejects_non_finite(value):
-    # As a correlation matrix is: alone or in a stack, whichever entry.
+    # As a correlation matrix does, whichever entry.
     for entries in ((value, 0.0, 0.5), (0.5, value, 0.5), (0.5, 0.0, value)):
         with pytest.raises(DomainError, match="non-finite"):
             CovMatrix2(*entries)
-        with pytest.raises(DomainError, match="non-finite"):
-            CovMatrix2(*[np.array([0.5, v]) for v in entries])
 
 
 def test_covariance_rejects_wrong_shape():
-    # A stack's entries are arrays of one shape; a float broadcasts.
-    assert CovMatrix2(np.ones(3), 0.0, np.ones(3)).matrix.shape == (3, 2, 2)
-    with pytest.raises(DomainError, match="one shape"):
-        CovMatrix2(np.ones(3), 0.0, np.ones(2))
-
-
-def test_covariance_from_matrix_is_its_entries():
-    # from_matrix is the inverse of .matrix: floats for one matrix, arrays
-    # for a stack.
-    one = CovMatrix2.from_matrix(np.array([[1.0, 0.25], [0.25, 2.0]]))
-    assert (one.xx, one.xp, one.pp) == (1.0, 0.25, 2.0)
-    assert all(type(v) is float for v in (one.xx, one.xp, one.pp))
-    stack = CovMatrix2.from_matrix(np.stack([one.matrix, CovMatrix2.vacuum().matrix]))
-    assert np.array_equal(stack.matrix[0], one.matrix)
-    assert np.array_equal(stack.matrix[1], 0.5 * np.eye(2))
-    with pytest.raises(DomainError, match="2x2"):
-        CovMatrix2.from_matrix(np.eye(3))
+    # The entries are floats: an array of them is no covariance, and is
+    # refused rather than held.
+    with pytest.raises(TypeError):
+        CovMatrix2(np.ones(3), 0.0, np.ones(3))
+    with pytest.raises(TypeError):
+        CorrelationMatrix4(np.ones(2), 3.0, 0.0)
 
 
 def test_correlation_rejects_asymmetric():
-    m = np.eye(4)
+    # The reader through which the tests compare a matrix with a
+    # CorrelationMatrix4 takes the standard form and nothing else.
+    m = 0.5 * np.eye(4)
     m[0, 1] = 0.3
-    with pytest.raises(DomainError):
-        CorrelationMatrix4.from_matrix(m)
+    with pytest.raises(ValueError, match="symmetric"):
+        standard_form_triple(m)
 
 
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_correlation_rejects_non_finite(value):
-    # Every CorrelationMatrix4 is finite, alone or in a stack, whichever
-    # entry is not.
+    # Every CorrelationMatrix4 is finite, whichever entry is not.  The
+    # tests' matrix reader checks finiteness before the form, which a NaN
+    # (unequal to itself) would fail under a misleading message.
     for entries in ((value, 0.5, 0.0), (0.5, value, 0.0), (0.5, 0.5, value)):
         with pytest.raises(DomainError, match="non-finite"):
             CorrelationMatrix4(*entries)
-        stacked = [np.array([0.5, v]) for v in entries]
-        with pytest.raises(DomainError, match="non-finite"):
-            CorrelationMatrix4(*stacked)
-    # A matrix read by from_matrix, whichever entry: the check runs before
-    # the form check, which a NaN (unequal to itself) would fail under a
-    # misleading message.
     for i, j in ((0, 2), (0, 1)):
-        one = 0.5 * np.eye(4)
-        one[i, j] = one[j, i] = value
-        for m in (one, np.stack([0.5 * np.eye(4), one])):
-            with pytest.raises(DomainError, match="non-finite"):
-                CorrelationMatrix4.from_matrix(m)
-
-
-def _standard_form(a, b, c):
-    m = np.zeros((4, 4))
-    m[0, 0] = m[1, 1] = a
-    m[2, 2] = m[3, 3] = b
-    m[0, 2] = m[2, 0] = c
-    m[1, 3] = m[3, 1] = -c
-    return m
+        m = 0.5 * np.eye(4)
+        m[i, j] = m[j, i] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            standard_form_triple(m)
 
 
 #: (entries, value): each change takes the standard form (2, 3, 1.5) off it.
@@ -121,37 +93,27 @@ _OFF_FORM = [
 
 @pytest.mark.parametrize("entries, value", _OFF_FORM)
 def test_correlation_rejects_a_matrix_off_the_standard_form(entries, value):
-    # The triple holds the standard form exactly, so from_matrix reads a
-    # matrix in it, alone or in a stack, and nothing else: the physicality
-    # defect's closed form takes nothing else.
-    one = _standard_form(2.0, 3.0, 1.5)
-    corr = CorrelationMatrix4.from_matrix(one)
-    assert (corr.a, corr.b, corr.c) == (2.0, 3.0, 1.5)
+    # A CorrelationMatrix4 holds the standard form, and the physicality
+    # defect's closed form takes nothing else.  The tests read a matrix
+    # conditioned by general Gaussian conditioning into its triple, to
+    # compare it with conditional_correlation's, through a reader that
+    # rejects every way off the form, even within its tolerance's reach.
+    m = _standard_form(2.0, 3.0, 1.5)
+    assert standard_form_triple(m) == (2.0, 3.0, 1.5)
     for i, j in entries:
-        one[i, j] = value
-    for m in (one, np.stack([_standard_form(2.0, 3.0, 1.5), one])):
-        with pytest.raises(DomainError, match="standard form"):
-            CorrelationMatrix4.from_matrix(m)
+        m[i, j] = value
+    for rel in (0.0, 1e-12):
+        with pytest.raises(ValueError, match="standard form"):
+            standard_form_triple(m, rel)
 
 
 def test_correlation_is_its_standard_form_triple():
-    # The type holds (a, b, c), so no correlation matrix is off the standard
-    # form: floats stay floats, arrays of one shape (a float broadcasts)
-    # stay arrays, any other shapes raise, and ``.matrix`` is the form.
+    # The type holds (a, b, c), as given, so no correlation matrix is off
+    # the standard form; the tests' reader is the inverse of the form.
     one = CorrelationMatrix4(2.0, 3.0, 1.5)
     assert (one.a, one.b, one.c) == (2.0, 3.0, 1.5)
     assert all(type(v) is float for v in (one.a, one.b, one.c))
-    assert np.array_equal(one.matrix, _standard_form(2.0, 3.0, 1.5))
-    stack = CorrelationMatrix4(np.array([2.0, 0.5]), 3.0, np.array([1.5, 0.0]))
-    assert stack.b.shape == (2,) and stack.matrix.shape == (2, 4, 4)
-    assert np.array_equal(stack.matrix[0], one.matrix)
-    assert np.array_equal(stack.matrix[1], _standard_form(0.5, 3.0, 0.0))
-    with pytest.raises(DomainError, match="one shape"):
-        CorrelationMatrix4(np.ones(2), np.ones(3), 0.0)
-    # from_matrix is the inverse of .matrix.
-    assert CorrelationMatrix4.from_matrix(one.matrix) == one
-    back = CorrelationMatrix4.from_matrix(stack.matrix)
-    assert all(np.array_equal(getattr(back, f), getattr(stack, f)) for f in "abc")
+    assert standard_form_triple(_standard_form(one.a, one.b, one.c)) == (2.0, 3.0, 1.5)
 
 
 _J = np.array(
@@ -185,7 +147,8 @@ def test_physicality_defect_is_the_least_eigenvalue(log_a, log_b, purity, sign):
     a, b = 10.0**log_a, 10.0**log_b
     corr = CorrelationMatrix4(a, b, sign * purity * math.sqrt(a) * math.sqrt(b))
     with mpmath.workdps(40):
-        g = mpmath.matrix(corr.matrix.tolist()) + mpmath.mpc(0, 0.5) * mpmath.matrix(_J.tolist())
+        m = _standard_form(corr.a, corr.b, corr.c)
+        g = mpmath.matrix(m.tolist()) + mpmath.mpc(0, 0.5) * mpmath.matrix(_J.tolist())
         reference = max(-float(min(mpmath.eighe(g, eigvals_only=True))), 0.0)
     gap = abs(physicality_defect(corr) - reference)
     assert gap <= 4.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b), abs(corr.c))
@@ -194,8 +157,7 @@ def test_physicality_defect_is_the_least_eigenvalue(log_a, log_b, purity, sign):
 def test_physicality_defect_does_not_overflow():
     # Every term is halved first: at entries near the float64 limit the
     # defect, about 0.618 of them, is finite and raises no overflow.
-    with np.errstate(over="raise", invalid="raise"):
-        defect = physicality_defect(CorrelationMatrix4(1.7e308, 0.0, 1.7e308))
+    defect = physicality_defect(CorrelationMatrix4(1.7e308, 0.0, 1.7e308))
     assert defect == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0 * 1.7e308, rel=1e-15)
 
 
@@ -215,13 +177,18 @@ def test_thermal_state_is_physical():
     assert defect == 0.0
 
 
+def _rows(m):
+    """The rows of ``m`` as tuples of floats, as ``propagator`` returns them."""
+    return tuple(tuple(row) for row in np.asarray(m, dtype=float).tolist())
+
+
 def test_identity_preserves_metric():
-    assert symplectic_defect(np.eye(3)) == 0.0
+    assert symplectic_defect(_rows(np.eye(3))) == 0.0
 
 
 def test_metric_violation_detected():
     # diag(2,1,1) maps eta -> diag(4,-1,-1): raw defect 3, scale 4.
-    assert symplectic_defect(np.diag([2.0, 1.0, 1.0])) == pytest.approx(3.0 / 4.0)
+    assert symplectic_defect(_rows(np.diag([2.0, 1.0, 1.0]))) == pytest.approx(3.0 / 4.0)
 
 
 def test_symplectic_defect_is_scale_relative():
@@ -234,36 +201,23 @@ def test_symplectic_defect_is_scale_relative():
             [0.0, 0.0, 1.0],
         ]
     )
-    assert symplectic_defect(m) < 1e-14
+    assert symplectic_defect(_rows(m)) < 1e-14
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (5, 3), (3,), ()])
 def test_symplectic_defect_rejects_a_non_propagator_shape(shape):
-    # A propagator is a plain array: the defect checks its shape itself.
-    with pytest.raises(DomainError, match="propagator must be 3x3"):
-        symplectic_defect(np.ones(shape))
+    # A propagator is three rows of three floats; anything else fails to
+    # unpack into them, rather than give a defect.
+    with pytest.raises((TypeError, ValueError)):
+        symplectic_defect(np.ones(shape).tolist())
 
 
-def test_stack_with_one_asymmetric_member_raises():
-    stack = np.stack([0.5 * np.eye(4)] * 3)
-    stack[1, 0, 1] = 0.3
-    with pytest.raises(DomainError, match="symmetric"):
-        CorrelationMatrix4.from_matrix(stack)
-
-
-def test_stack_with_one_indefinite_member_raises():
-    xx = np.ones(3)
-    with pytest.raises(DomainError, match="positive semidefinite"):
-        CovMatrix2(xx, np.array([0.0, 2.0, 0.0]), xx)
-
-
-def test_stacks_keep_their_shape():
-    # A stack's entries share one shape, which its matrices and defects keep.
-    entries = np.broadcast_to(3.7, (2, 3))
-    assert CorrelationMatrix4(entries, entries, 0.0).matrix.shape == (2, 3, 4, 4)
-    assert physicality_defect(CorrelationMatrix4(entries, entries, 0.0)).shape == (2, 3)
-    assert CovMatrix2(np.ones(5), 0.0, np.ones(5)).matrix.shape == (5, 2, 2)
-    with pytest.raises(DomainError, match="one shape"):
-        CorrelationMatrix4(np.zeros((4, 4)), np.zeros(3), 0.0)
-    with pytest.raises(DomainError, match="4x4"):
-        CorrelationMatrix4.from_matrix(np.zeros((4, 4, 3)))
+def test_symplectic_defect_keeps_a_nan():
+    # max() would skip a NaN entry or residual; the defect is NaN instead,
+    # which the propagator-metric gate rejects as leaving float64.
+    rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for i in range(3):
+        for j in range(3):
+            bad = [list(row) for row in rows]
+            bad[i][j] = math.nan
+            assert math.isnan(symplectic_defect(bad))

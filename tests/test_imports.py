@@ -88,6 +88,23 @@ def test_gates_alone_load_no_numpy():
     assert _loaded_at_exit(code, ("numpy", *_ORACLES)) == str(list(_ORACLES))
 
 
+def test_float_library_calls_load_no_numpy():
+    # The library's float functions, the optimiser included, compute with
+    # Python floats only: a process that makes each call loads no numpy.
+    code = (
+        "import mirror_teleport as mt; "
+        "c = mt.Couplings.from_rates(2.0, 3.0); "
+        "mt.optimal_time(c, 1.0); mt.optimal_time(c, 1.0, heterodyne=False); "
+        "mt.peak_fidelity(c); "
+        "chan = mt.conditional_correlation(c, 1.0, 0.3); "
+        "mt.teleport_covariance(chan, mt.CovMatrix2.vacuum()); "
+        "mt.physicality_defect(chan); "
+        "mt.symplectic_defect(mt.propagator(c, 0.3)); "
+        "mt.coeffs_from_propagator(c, 1.0, 0.3)"
+    )
+    assert _loaded_at_exit(code, ("numpy",)) == "[]"
+
+
 @pytest.mark.parametrize("given", [None, "2"], ids=["default", "explicit"])
 def test_cli_runs_openblas_single_threaded_unless_told_otherwise(given):
     env = {"OPENBLAS_NUM_THREADS": given} if given else {}

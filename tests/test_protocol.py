@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +34,13 @@ from mirror_teleport import (
 from mirror_teleport import protocol
 from mirror_teleport.cli import _run_gates, bundled_config_path, load_config
 
-from conftest import COEFF_FIELDS, NBAR_SET, rate_pairs
+from conftest import (
+    COEFF_FIELDS,
+    NBAR_SET,
+    heterodyne_channel,
+    rate_pairs,
+    standard_form_triple,
+)
 
 # Closed-form optima, independent of every parameter: the best fidelity is
 # 1/(4 - 2 sqrt(2)) and the corresponding occupation (sqrt(2) - 1)^2.
@@ -69,21 +74,24 @@ def test_initial_fidelity_thermal(nbar):
 
 
 def test_conditioned_state_block_structure(moderate):
-    m = conditional_correlation(moderate, 2.0, 0.6).matrix
-    assert m[0, 0] == m[1, 1]
-    assert m[2, 2] == m[3, 3]
-    assert m[0, 2] == -m[1, 3]
-    assert m[0, 1] == m[0, 3] == m[1, 2] == m[2, 3] == 0.0
+    # General Gaussian conditioning of the propagator's state gives a matrix
+    # in the standard form, with equal variances in X and P, correlations
+    # +c and -c and no X-P term, so the triple is the whole channel.
+    for nbar in (0.0, 2.0, 25.0):
+        for t in np.linspace(0.0, period(moderate), 13).tolist():
+            triple = standard_form_triple(heterodyne_channel(moderate, nbar, t), 1e-14)
+            chan = conditional_correlation(moderate, nbar, t)
+            assert triple == pytest.approx((chan.a, chan.b, chan.c), rel=1e-13, abs=1e-14)
 
 
 def test_conditioned_state_physical_everywhere(moderate, bench_couplings):
     for c in (moderate, bench_couplings):
         for nbar in (0.0, 1.0, 1000.0):
-            for t in np.linspace(0.0, period(c), 37):
-                assert physicality_defect(conditional_correlation(c, nbar, float(t))) < 1e-10
+            for t in np.linspace(0.0, period(c), 37).tolist():
+                assert physicality_defect(conditional_correlation(c, nbar, t)) < 1e-10
 
 
-@pytest.mark.parametrize("anti_n", [-1.0, -2.0, np.array([0.0, -1.0]), np.array([0.5, -2.0])])
+@pytest.mark.parametrize("anti_n", [-1.0, -2.0, math.nan])
 @pytest.mark.parametrize(
     "route, message",
     [
@@ -97,13 +105,12 @@ def test_conditioned_state_physical_everywhere(moderate, bench_couplings):
 )
 def test_anti_n_below_the_vacuum_raises(route, message, anti_n):
     # Every route that conditions on the anti-Stokes outcome divides by
-    # anti_n + 1: at or below 0, for one time or any of several, each
-    # raises a DomainError, not a ZeroDivisionError or a value.
-    # bob_displacement names the divisor; fidelity_coherent rejects the
-    # hand-built state before it divides.  The channel functions take
-    # (couplings, nbar, time), so no such state reaches them.
-    zero = np.zeros_like(anti_n)
-    g = GaussianCoeffs(zero, zero, zero, zero, anti_n, zero, time=zero, nbar=0.0)
+    # anti_n + 1: at or below 0, or NaN, each raises a DomainError, not a
+    # ZeroDivisionError or a value.  bob_displacement names the divisor;
+    # fidelity_coherent rejects the hand-built state before it divides.
+    # The channel functions take (couplings, nbar, time), so no such state
+    # reaches them.
+    g = GaussianCoeffs(0.0, 0.0, 0.0, 0.0, anti_n, 0.0, time=0.0, nbar=0.0)
     with pytest.raises(DomainError, match=message):
         route(g)
 
@@ -112,10 +119,9 @@ def test_anti_n_below_the_vacuum_raises(route, message, anti_n):
 def test_conditioning_needs_a_closed_form_state(moderate, route):
     # Only a closed-form state carries the couplings the factored forms
     # need.  fidelity_coherent, the one function that takes a state, rejects
-    # a hand-built or propagator-route state, for one time or several,
-    # rather than condition it by the coefficient formulas, which cancel
-    # ~r^4-sized terms.
-    for time in (0.3, np.linspace(0.0, period(moderate), 7)):
+    # a hand-built or propagator-route state rather than condition it by the
+    # coefficient formulas, which cancel ~r^4-sized terms.
+    for time in (0.3, *np.linspace(0.0, period(moderate), 7).tolist()):
         hand_built = _strip_couplings(coeffs_analytic(moderate, 1.0, time))
         from_propagator = coeffs_from_propagator(moderate, 1.0, time)
         for g in (hand_built, from_propagator):
@@ -124,26 +130,29 @@ def test_conditioning_needs_a_closed_form_state(moderate, route):
 
 
 def _coefficient_formulas(g):
-    """n_eff, the heterodyne-free fidelity and the conditioned matrix, written
-    from the coefficients as in the docstrings: the generic route."""
+    """n_eff, the heterodyne-free fidelity and the conditioned channel's
+    standard form (a, b, c), written from the coefficients as in the
+    docstrings: the generic route."""
     e1 = g.anti_n + 1.0
     bracket = 1.0 + g.stokes_n + g.mirror_n + 2.0 * g.stokes_mirror
     d = g.stokes_anti - g.mirror_anti
-    matrix = np.zeros(np.shape(g.time) + (4, 4))
-    matrix[..., 0, 0] = matrix[..., 1, 1] = g.stokes_n - g.stokes_anti**2 / e1 + 0.5
-    matrix[..., 2, 2] = matrix[..., 3, 3] = g.mirror_n - g.mirror_anti**2 / e1 + 0.5
-    corr = g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1
-    matrix[..., 0, 2] = matrix[..., 2, 0] = corr
-    matrix[..., 1, 3] = matrix[..., 3, 1] = -corr
-    return bracket - d * (d / e1), 1.0 / (1.0 + bracket), matrix
+    triple = (
+        g.stokes_n - g.stokes_anti**2 / e1 + 0.5,
+        g.mirror_n - g.mirror_anti**2 / e1 + 0.5,
+        g.stokes_mirror + g.stokes_anti * g.mirror_anti / e1,
+    )
+    return bracket - d * (d / e1), 1.0 / (1.0 + bracket), triple
 
 
 def _assert_matches_coefficient_formulas(c, nbar, time):
-    n_eff, f_no_het, matrix = _coefficient_formulas(coeffs_analytic(c, nbar, time))
+    n_eff, f_no_het, triple = _coefficient_formulas(coeffs_analytic(c, nbar, time))
     assert effective_occupation(c, nbar, time) == pytest.approx(n_eff, rel=1e-10, abs=1e-10)
     assert _fidelity(c, nbar, time, heterodyne=False) == pytest.approx(f_no_het, rel=1e-10)
-    got = conditional_correlation(c, nbar, time).matrix
-    assert got == pytest.approx(matrix, rel=1e-9, abs=1e-9)
+    chan = conditional_correlation(c, nbar, time)
+    got = (chan.a, chan.b, chan.c)
+    assert got == pytest.approx(triple, rel=1e-9, abs=1e-9)
+    generic = standard_form_triple(heterodyne_channel(c, nbar, time), 1e-12)
+    assert got == pytest.approx(generic, rel=1e-9, abs=1e-9)
 
 
 def test_stable_and_generic_routes_agree(moderate):
@@ -151,55 +160,34 @@ def test_stable_and_generic_routes_agree(moderate):
     # route) regrouped; at moderate rates the formulas keep all but a few
     # digits, so the two agree one time at a time.
     for nbar in (0.0, 1.0, 25.0):
-        for t in np.linspace(0.01, period(moderate), 19):
-            _assert_matches_coefficient_formulas(moderate, nbar, float(t))
+        for t in np.linspace(0.01, period(moderate), 19).tolist():
+            _assert_matches_coefficient_formulas(moderate, nbar, t)
 
 
 def test_noise_without_couplings_is_the_coefficient_formulas(moderate):
-    # The same agreement for a stack of times, row by row, and for a
-    # single time given as a float.
-    ts = np.linspace(0.0, period(moderate), 101)
+    # The same agreement on a finer grid, from t = 0, and at more nbar.
+    ts = np.linspace(0.0, period(moderate), 101).tolist()
     for nbar in (0.0, 1.0, 3.0, 25.0):
-        for time in (ts, 0.7):
+        for time in (*ts, 0.7):
             _assert_matches_coefficient_formulas(moderate, nbar, time)
 
 
 @pytest.mark.parametrize("c", ["moderate", "bench_couplings"])
 def test_grid_rows_match_their_times_alone(request, c):
-    # Every tenth row of a grid's channel matrices and n_eff is, bit for
-    # bit, that of grid[::10].
+    # Every tenth row of a grid's n_eff and fidelities is, bit for bit, that
+    # of grid[::10].
     c = request.getfixturevalue(c)
     grid = np.linspace(0.0, period(c), 101)
     for nbar in NBAR_SET:
         assert (
-            conditional_correlation(c, nbar, grid).matrix[::10].tobytes()
-            == conditional_correlation(c, nbar, grid[::10]).matrix.tobytes()
-        )
-        assert (
             effective_occupation(c, nbar, grid)[::10].tobytes()
             == effective_occupation(c, nbar, grid[::10]).tobytes()
         )
-
-
-@pytest.mark.parametrize("c", ["moderate", "bench_couplings"])
-def test_stacked_channel_rows_are_their_matrices_alone(request, c):
-    # One array code path: the conditioned channel, its physicality defect
-    # and the teleported covariance of a stack of times are, row by row, bit
-    # for bit those of each time alone.
-    c = request.getfixturevalue(c)
-    ts = np.linspace(0.0, period(c), 101)
-    gin = CovMatrix2(0.9, 0.2, 0.7)
-    for nbar in NBAR_SET:
-        chan = conditional_correlation(c, nbar, ts)
-        defects = physicality_defect(chan)
-        out = teleport_covariance(chan, gin).matrix
-        assert chan.matrix.shape == (101, 4, 4) and defects.shape == (101,)
-        assert out.shape == (101, 2, 2)
-        for i, t in enumerate(ts):
-            one = conditional_correlation(c, nbar, t)
-            assert one.matrix.tobytes() == chan.matrix[i].tobytes()
-            assert np.float64(physicality_defect(one)).tobytes() == defects[i].tobytes()
-            assert teleport_covariance(one, gin).matrix.tobytes() == out[i].tobytes()
+        for heterodyne in (True, False):
+            assert (
+                _fidelity(c, nbar, grid, heterodyne)[::10].tobytes()
+                == _fidelity(c, nbar, grid[::10], heterodyne).tobytes()
+            )
 
 
 @pytest.mark.parametrize("nbar", [1e300, 1e307])
@@ -207,13 +195,11 @@ def test_overflowing_channel_raises(bench_couplings, nbar):
     # There the factored forms leave float64: entries overflow to inf at
     # 1e300, and E1 too at 1e307, where inf/inf makes them NaN, which the
     # symmetry check alone would reject under a misleading message.  The
-    # channel raises DomainError naming the non-finite entry, for a stack of
-    # times and for one time, and never returns an inf or a NaN.
-    ts = np.linspace(0.0, period(bench_couplings), 101)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for time in (ts, float(ts[37])):
-            with pytest.raises(DomainError, match="non-finite"):
-                conditional_correlation(bench_couplings, nbar, time)
+    # channel raises DomainError naming the non-finite entry, or E1, and
+    # never returns an inf or a NaN.
+    t = np.linspace(0.0, period(bench_couplings), 101)[37].item()
+    with pytest.raises(DomainError, match="non-finite"):
+        conditional_correlation(bench_couplings, nbar, t)
 
 
 @pytest.mark.parametrize("case", ["bench-1e308-peak", "r37000-1e300-quarter"])
@@ -249,11 +235,12 @@ def test_noise_guard_is_relative_to_the_state(bench_config, r):
     # measures the formula's gap relative to the state, where it is rounding.
     laser = bench_config.params.laser_freq
     c = compute_couplings(replace(bench_config.params, mirror_freq=laser / (2 * r * r + 1)))
-    times = np.linspace(0.0, period(c), 101)
+    times = np.linspace(0.0, period(c), 101).tolist()
     nbar_values = (0.0, 1.0, 1000.0)
     for nbar in nbar_values:
-        with pytest.raises(DomainError, match="closed-form state"):
-            fidelity_coherent(coeffs_from_propagator(c, nbar, times))
+        for t in times:
+            with pytest.raises(DomainError, match="closed-form state"):
+                fidelity_coherent(coeffs_from_propagator(c, nbar, t))
     gates = {name: defect for name, defect, *_ in _run_gates(c, nbar_values)}
     assert gates["fidelity-identity"] <= 1e-12
 
@@ -261,12 +248,12 @@ def test_noise_guard_is_relative_to_the_state(bench_config, r):
 def test_teleport_added_noise_equals_occupation(moderate):
     gin = CovMatrix2(0.9, 0.2, 0.7)
     for nbar in (0.0, 3.0):
-        for t in np.linspace(0.0, period(moderate), 11):
-            out = teleport_covariance(conditional_correlation(moderate, nbar, t), gin).matrix
+        for t in np.linspace(0.0, period(moderate), 11).tolist():
+            out = teleport_covariance(conditional_correlation(moderate, nbar, t), gin)
             n_eff = effective_occupation(moderate, nbar, t)
-            assert out[0, 0] - 0.9 == pytest.approx(n_eff, rel=1e-12, abs=1e-12)
-            assert out[1, 1] - 0.7 == pytest.approx(n_eff, rel=1e-12, abs=1e-12)
-            assert out[0, 1] == pytest.approx(0.2, abs=1e-12)
+            assert out.xx - 0.9 == pytest.approx(n_eff, rel=1e-12, abs=1e-12)
+            assert out.pp - 0.7 == pytest.approx(n_eff, rel=1e-12, abs=1e-12)
+            assert out.xp == 0.2
 
 
 def test_fidelity_occupation_identity(moderate):
@@ -384,26 +371,21 @@ def test_optimal_time_beats_dense_scans_at_small_r(c, nbar, heterodyne):
     assert _fidelity(c, nbar, t_star, heterodyne) == f_max
 
 
-def _reference_fidelity(c, nbar, time, heterodyne=True):
-    """The factored forms as the fidelity functions evaluated them from the
-    six coefficients, one nbar at a time: the reference, bit for bit."""
-    g = coeffs_analytic(c, nbar, time)
+def _reference_fidelity(c, nbar, times, heterodyne=True):
+    """The factored forms as the fidelity functions once evaluated them, one
+    nbar at a time, on an array of times: the reference, bit for bit."""
     r = c.parametric / c.oscillation
     q = c.beam_splitter / c.oscillation
-    x = c.oscillation * np.asarray(g.time, dtype=float)
+    x = c.oscillation * times
     s, cos = np.sin(x), np.cos(x)
     omc = 2.0 * np.sin(0.5 * x) ** 2
-    e1 = 1.0 + q**2 * (r**2 * omc**2 + g.nbar * s**2)
+    e1 = 1.0 + q**2 * (r**2 * omc**2 + nbar * s**2)
     gain = r**2 * omc + r * s
     if heterodyne:
-        noise = (g.nbar + 1.0) * (1.0 + gain) ** 2 / e1
+        noise = (nbar + 1.0) * (1.0 + gain) ** 2 / e1
     else:
-        noise = (1.0 + gain) ** 2 + g.nbar * (r * s + cos) ** 2
+        noise = (1.0 + gain) ** 2 + nbar * (r * s + cos) ** 2
     return 1.0 / (1.0 + np.maximum(noise, 0.0))
-
-
-def _reference_curves(c, nbar_values, time, heterodyne=True):
-    return [_reference_fidelity(c, nbar, time, heterodyne) for nbar in nbar_values]
 
 
 _BUNDLED_COUPLINGS = compute_couplings(load_config(bundled_config_path()).params)
@@ -420,22 +402,25 @@ _BUNDLED_COUPLINGS = compute_couplings(load_config(bundled_config_path()).params
 )
 @settings(max_examples=30, deadline=None)
 def test_fidelity_curves_match_the_coefficient_route(c, nbar_values, heterodyne):
-    # The one kernel of the factored forms gives the bits of the coefficient
-    # route for every nbar, so does each nbar alone and the fidelity_coherent
-    # wrapper, and the optimiser finds the same (t*, F_max) with either route
-    # in its scans.
+    # The one kernel of the factored forms gives the bits of the reference
+    # for every nbar, and so does each nbar alone; the fidelity_coherent
+    # wrapper is the kernel at its state's float time; and the optimiser's
+    # F_max is the kernel at its t*, which no float time within 8 ulps of
+    # the closed-form peak beats.
     ts = np.linspace(0.0, 1.5 * period(c), 3001)
-    want = _reference_curves(c, nbar_values, ts, heterodyne)
     got = fidelity_curves(c, nbar_values, ts, heterodyne)
-    for nbar, f, ref in zip(nbar_values, got, want):
+    for nbar, f in zip(nbar_values, got):
+        ref = _reference_fidelity(c, nbar, ts, heterodyne)
         assert f.tobytes() == ref.tobytes()
         assert _fidelity(c, nbar, ts, heterodyne).tobytes() == ref.tobytes()
         if heterodyne:
-            g = coeffs_analytic(c, nbar, ts)
-            assert np.asarray(fidelity_coherent(g)).tobytes() == ref.tobytes()
-    optima = [optimal_time(c, nbar, heterodyne) for nbar in nbar_values]
-    with mock.patch.object(protocol, "fidelity_curves", _reference_curves):
-        assert optima == [optimal_time(c, nbar, heterodyne) for nbar in nbar_values]
+            for t in ts[::300].tolist():
+                assert fidelity_coherent(coeffs_analytic(c, nbar, t)) == _fidelity(c, nbar, t)
+        t_star, f_max = optimal_time(c, nbar, heterodyne)
+        assert _fidelity(c, nbar, t_star, heterodyne) == f_max
+        t_peak = protocol._peak(c, heterodyne)[0]
+        near = [t_peak + math.ulp(t_peak) * k for k in range(-8, 9)]
+        assert f_max == max(_fidelity(c, nbar, t, heterodyne) for t in near)
 
 
 @pytest.mark.parametrize("nbar", [math.nan, math.inf, -1.0])
@@ -471,30 +456,34 @@ def test_fidelity_curves_reject_negative_nbar(moderate):
 def test_optimal_time_rejects_overflowed_fidelity(bench_couplings):
     # At the peak the closed forms stay in range up to nbar ~ 1e307 on these
     # rates, and the maximum is the nbar-free 0.8536; at 1e308 E1 overflows
-    # there, which would read as F = 1.
+    # there, which would read as F = 1, and is named instead.
     assert optimal_time(bench_couplings, 1e302)[1] == pytest.approx(0.8535533463990973, abs=1e-15)
     near_degenerate = Couplings(12345761.047506284, 12345761.052012486, 333.5640951981521)
     assert optimal_time(near_degenerate, 1e300)[1] == pytest.approx(0.85355339, abs=1e-8)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DomainError, match="float64 range"):
-            optimal_time(bench_couplings, 1e308)
+    with pytest.raises(DomainError, match="non-finite E1"):
+        optimal_time(bench_couplings, 1e308)
 
 
 @pytest.mark.parametrize("offset", [1, 8, 16])
 def test_optimal_time_rejects_a_nan_off_the_peak(monkeypatch, bench_couplings, offset):
-    # np.argmax takes the first NaN of the 17 values for their largest, so
-    # a NaN away from the peak fails the same range check as an overflow.
-    fidelity_curves = protocol.fidelity_curves
+    # max() would skip a NaN, so a NaN at any of the 17 times, after the
+    # best or before it, fails the same range check as an overflow.
+    t_star, _ = optimal_time(bench_couplings, 1.0)
+    t_peak = protocol._peak(bench_couplings, True)[0]
+    best = round((t_star - t_peak) / math.ulp(t_peak)) + 8
+    fidelity = protocol._FactoredParts.fidelity
+    calls = []
 
-    def with_a_nan(*args):
-        (fv,) = fidelity_curves(*args)
-        assert len(fv) == 17
-        fv[(int(np.argmax(fv)) + offset) % 17] = math.nan
-        return (fv,)
+    def with_a_nan(parts, nbar, heterodyne=True):
+        calls.append(nbar)
+        if len(calls) - 1 == (best + offset) % 17:
+            return math.nan
+        return fidelity(parts, nbar, heterodyne)
 
-    monkeypatch.setattr(protocol, "fidelity_curves", with_a_nan)
+    monkeypatch.setattr(protocol._FactoredParts, "fidelity", with_a_nan)
     with pytest.raises(DomainError, match="float64 range"):
         optimal_time(bench_couplings, 1.0)
+    assert len(calls) == (best + offset) % 17 + 1
 
 
 def test_optimal_time_at_vanishing_ratio():

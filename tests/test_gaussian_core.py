@@ -15,8 +15,7 @@ from mirror_teleport import (
     symplectic_defect,
 )
 
-from conftest import standard_form as _standard_form
-from conftest import standard_form_triple
+from conftest import standard_form, standard_form_triple
 
 
 def test_vacuum_covariance():
@@ -94,11 +93,11 @@ _OFF_FORM = [
 @pytest.mark.parametrize("entries, value", _OFF_FORM)
 def test_correlation_rejects_a_matrix_off_the_standard_form(entries, value):
     # A CorrelationMatrix4 holds the standard form, and the physicality
-    # defect's closed form takes nothing else.  The tests read a matrix
-    # conditioned by general Gaussian conditioning into its triple, to
-    # compare it with conditional_correlation's, through a reader that
-    # rejects every way off the form, even within its tolerance's reach.
-    m = _standard_form(2.0, 3.0, 1.5)
+    # defect's closed form takes nothing else.  The tests read the matrix
+    # that general Gaussian conditioning gives into its triple, to compare
+    # it with conditional_correlation's, through a reader that rejects each
+    # way off the form, exactly and at the tolerance that comparison uses.
+    m = standard_form(2.0, 3.0, 1.5)
     assert standard_form_triple(m) == (2.0, 3.0, 1.5)
     for i, j in entries:
         m[i, j] = value
@@ -113,7 +112,7 @@ def test_correlation_is_its_standard_form_triple():
     one = CorrelationMatrix4(2.0, 3.0, 1.5)
     assert (one.a, one.b, one.c) == (2.0, 3.0, 1.5)
     assert all(type(v) is float for v in (one.a, one.b, one.c))
-    assert standard_form_triple(_standard_form(one.a, one.b, one.c)) == (2.0, 3.0, 1.5)
+    assert standard_form_triple(standard_form(one.a, one.b, one.c)) == (2.0, 3.0, 1.5)
 
 
 _J = np.array(
@@ -147,7 +146,7 @@ def test_physicality_defect_is_the_least_eigenvalue(log_a, log_b, purity, sign):
     a, b = 10.0**log_a, 10.0**log_b
     corr = CorrelationMatrix4(a, b, sign * purity * math.sqrt(a) * math.sqrt(b))
     with mpmath.workdps(40):
-        m = _standard_form(corr.a, corr.b, corr.c)
+        m = standard_form(corr.a, corr.b, corr.c)
         g = mpmath.matrix(m.tolist()) + mpmath.mpc(0, 0.5) * mpmath.matrix(_J.tolist())
         reference = max(-float(min(mpmath.eighe(g, eigvals_only=True))), 0.0)
     gap = abs(physicality_defect(corr) - reference)

@@ -58,7 +58,6 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "VACUUM_VARIANCE",
             "CorrelationMatrix4",
             "CovMatrix2",
             "physicality_defect",
@@ -78,6 +77,7 @@ _LAZY = {
     **dict.fromkeys(
         (
             "CLASSICAL_FIDELITY_BOUND",
+            "VACUUM_VARIANCE",
             "ActuationSetting",
             "DisplacementCommand",
             "MeasurementRecord",

@@ -9,9 +9,10 @@ readout     readout times, weights, quality ratio, decoherence windows
 
 Only ``curve`` imports numpy, inside the function that uses it.
 ``couplings`` and ``readout`` compute with Python floats, and so does
-``verify``: its gates, in ``gates``, which only ``verify`` loads, call the
-package's closed forms, which take floats, one time at a time, and neither
-they nor any module they load import numpy.  ``curve`` evaluates the
+``verify``: its gates, in ``gates``, which only ``verify`` loads, make
+each time's trig once and evaluate the package's closed forms, the
+kernels its public functions wrap, on it at every nbar, one float time at
+a time, and neither they nor any module they load import numpy.  ``curve`` evaluates the
 fidelity kernel, the one closed form that also takes an array of times,
 from the same source.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
 unless it is already set.
@@ -378,7 +379,9 @@ def _run_gates(couplings: Couplings, nbar_values):
     """Yield (gate_name, measured_defect, tolerance, passed) for each gate of
     ``gates.run``, which says what each one checks.  ``verify`` and the
     acceptance scorecard run the gates through this generator, and the
-    benchmark's tracer times each gate by wrapping it by name."""
+    benchmark's tracer times each gate by wrapping it by name.  The gates
+    call private kernels, which the tracer does not wrap, at each (nbar,
+    time), so a gate's time is its own work, not the tracer's."""
     from . import gates
 
     yield from gates.run(couplings, nbar_values)

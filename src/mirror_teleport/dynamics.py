@@ -28,16 +28,19 @@ forms that start at y(0) = (0, nbar, 0, 0, 0, 0) and whose slopes
 (``_moment_slopes``, closed forms too) equal its right-hand side at every
 time are its solution.  ``verify``'s ``ode-vs-analytic`` gate checks both.
 
-Every function here takes one Python float time and returns floats: the
-closed forms, their slopes and the propagator take the rate ratios and the
-trig of x = oscillation*t, and ``coeffs_analytic`` its input checks, from
-``protocol``, which takes the sines from ``math`` for a float time.  This
-module imports no numpy; ``verify``'s gates call it one time at a time.  A
-float's overflow is not signalled: a coefficient past float64 comes back
-inf or NaN, which the gates check.  No output reaches ``coeffs_analytic``,
-since ``protocol`` conditions on (couplings, nbar, time): it stays as the
-subject gate 2 certifies and the input of the benchmark's
-``fidelity_coherent`` check.
+Each formula is written once, as a kernel of one time's trig tuple
+(r, q, t, sin x, cos x, omc), which ``protocol._checked_trig`` returns:
+``_analytic(trig, nbar)``, ``_slopes(trig, nbar)``, ``_rows(trig)`` and
+``_moments(rows, nbar)``.  The public functions wrap them: each takes one
+time, an int or a float, as a Python float (``protocol._float_time``
+raises DomainError naming any other type), makes its trig, with the sines
+from ``math``, and returns floats.  ``verify``'s gates make each time's
+trig once and call the kernels at every nbar.  This module imports no
+numpy.  A float's overflow is not signalled: a coefficient past float64
+comes back inf or NaN, which the gates check.  No output reaches
+``coeffs_analytic``, since ``protocol`` conditions on (couplings, nbar,
+time): it stays as the public form of the closed forms gate 2 certifies
+and the input of the benchmark's ``fidelity_coherent`` check.
 """
 
 from __future__ import annotations
@@ -78,6 +81,21 @@ class GaussianCoeffs:
     couplings: Couplings | None = None
 
 
+def _analytic(trig, nbar) -> tuple[float, ...]:
+    """The six closed forms of :func:`coeffs_analytic` at one trig tuple
+    (r, q, t, sin x, cos x, omc) of ``protocol._checked_trig``."""
+    r, q, _, s, c, omc = trig
+    r2, s2, omc2 = r**2, s * s, omc * omc
+    return (
+        r2 * (2.0 * omc + r2 * omc2 + nbar * s2),
+        r2 * s2 + nbar * (c * c),
+        r * s * (1.0 + r2 * omc + nbar * c),
+        -q * s * (r2 * omc + nbar * c),
+        q**2 * (r2 * omc2 + nbar * s2),
+        r * q * (omc * (1.0 + r2 * omc) + nbar * s2),
+    )
+
+
 def coeffs_analytic(couplings: Couplings, nbar: float, time: float) -> GaussianCoeffs:
     """Closed-form coefficients at time ``time``.
 
@@ -94,17 +112,25 @@ def coeffs_analytic(couplings: Couplings, nbar: float, time: float) -> GaussianC
     no subtraction of like-sized terms, which matters because r^4 can
     exceed 1e12 for near-degenerate rates.
     """
-    r, q, t, s, c, omc = protocol._checked_trig(couplings, (nbar,), time)
-    s2, omc2 = s * s, omc * omc
-    stokes_n = r**2 * (2.0 * omc + r**2 * omc2 + nbar * s2)
-    mirror_n = r**2 * s2 + nbar * (c * c)
-    stokes_mirror = r * s * (1.0 + r**2 * omc + nbar * c)
-    mirror_anti = -q * s * (r**2 * omc + nbar * c)
-    anti_n = q**2 * (r**2 * omc2 + nbar * s2)
-    stokes_anti = r * q * (omc * (1.0 + r**2 * omc) + nbar * s2)
+    trig = protocol._checked_trig(couplings, (nbar,), protocol._float_time(time))
     # By position: a record binds keywords more slowly.
-    return GaussianCoeffs(
-        stokes_n, mirror_n, stokes_mirror, mirror_anti, anti_n, stokes_anti, t, nbar, couplings
+    return GaussianCoeffs(*_analytic(trig, nbar), trig[2], nbar, couplings)
+
+
+def _slopes(trig, nbar) -> tuple[float, ...]:
+    """:func:`_moment_slopes` at one trig tuple, as :func:`_analytic` takes it."""
+    r, q, _, s, c, omc = trig
+    r2, s2 = r**2, s * s
+    big_r = 1.0 + r2 * omc + nbar * c
+    gap = r2 - nbar
+    lift = r2 * omc + nbar * c
+    return (
+        2.0 * r2 * s * big_r,
+        2.0 * s * c * gap,
+        r * c * big_r + r * s2 * gap,
+        -q * (c * lift + s2 * gap),
+        2.0 * q**2 * s * lift,
+        r * q * s * (1.0 + 2.0 * r2 * omc + 2.0 * nbar * c),
     )
 
 
@@ -123,18 +149,16 @@ def _moment_slopes(couplings: Couplings, nbar: float, time: float) -> tuple[floa
 
     d/dt is oscillation * d/dx.
     """
-    r, q, _, s, c, omc = protocol._ratios_and_trig(couplings, time)
-    big_r = 1.0 + r**2 * omc + nbar * c
-    gap = r**2 - nbar
-    lift = r**2 * omc + nbar * c
-    s2 = s * s
+    return _slopes(protocol._ratios_and_trig(couplings, protocol._float_time(time)), nbar)
+
+
+def _rows(trig) -> tuple[tuple[float, float, float], ...]:
+    """:func:`propagator`'s three rows at one trig tuple, as :func:`_analytic` takes it."""
+    r, q, _, s, c, omc = trig
     return (
-        2.0 * r**2 * s * big_r,
-        2.0 * s * c * gap,
-        r * c * big_r + r * s2 * gap,
-        -q * (c * lift + s2 * gap),
-        2.0 * q**2 * s * lift,
-        r * q * s * (1.0 + 2.0 * r**2 * omc + 2.0 * nbar * c),
+        (1.0 + r**2 * omc, r * s, -r * q * omc),
+        (r * s, c, -q * s),
+        (r * q * omc, q * s, 1.0 - q**2 * omc),
     )
 
 
@@ -154,12 +178,7 @@ def propagator(couplings: Couplings, time: float) -> tuple[tuple[float, float, f
     commutator metric diag(+1,-1,-1), so M preserves it exactly and forms a
     one-parameter group.  Returns the three rows, as tuples of floats.
     """
-    r, q, _, s, c, omc = protocol._ratios_and_trig(couplings, time)
-    return (
-        (1.0 + r**2 * omc, r * s, -r * q * omc),
-        (r * s, c, -q * s),
-        (r * q * omc, q * s, 1.0 - q**2 * omc),
-    )
+    return _rows(protocol._ratios_and_trig(couplings, protocol._float_time(time)))
 
 
 def _moment_derivatives(y, parametric: float, beam_splitter: float) -> tuple[float, ...]:
@@ -182,6 +201,21 @@ def _moment_derivatives(y, parametric: float, beam_splitter: float) -> tuple[flo
     )
 
 
+def _moments(rows, nbar) -> tuple[float, ...]:
+    """:func:`coeffs_from_propagator`'s six second moments from the three
+    rows of :func:`propagator`, whose check of nbar it leaves to its caller."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    n1 = nbar + 1.0
+    return (
+        m01 * m01 * n1 + m02 * m02,  # stokes_n
+        m10 * m10 + nbar * (m11 * m11),  # mirror_n
+        m01 * m11 * n1 + m02 * m12,  # stokes_mirror
+        -(m10 * m20 + nbar * m11 * m21),  # mirror_anti
+        m20 * m20 + nbar * (m21 * m21),  # anti_n
+        m01 * m21 * n1 + m02 * m22,  # stokes_anti
+    )
+
+
 def coeffs_from_propagator(couplings: Couplings, nbar: float, time: float) -> GaussianCoeffs:
     """Second oracle: coefficients at time ``time`` as second moments built
     from the rows of :func:`propagator`.
@@ -194,16 +228,5 @@ def coeffs_from_propagator(couplings: Couplings, nbar: float, time: float) -> Ga
         stokes_anti   = +<s^(t) a^(t)>.
     """
     _check_nbar(nbar)
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = propagator(couplings, time)
-    n1 = nbar + 1.0
-    return GaussianCoeffs(
-        m01 * m01 * n1 + m02 * m02,  # stokes_n
-        m10 * m10 + nbar * (m11 * m11),  # mirror_n
-        m01 * m11 * n1 + m02 * m12,  # stokes_mirror
-        -(m10 * m20 + nbar * m11 * m21),  # mirror_anti
-        m20 * m20 + nbar * (m21 * m21),  # anti_n
-        m01 * m21 * n1 + m02 * m22,  # stokes_anti
-        time,
-        nbar,
-        None,
-    )
+    trig = protocol._ratios_and_trig(couplings, protocol._float_time(time))
+    return GaussianCoeffs(*_moments(_rows(trig), nbar), trig[2], nbar, None)

@@ -7,24 +7,31 @@ name would load a second copy.  Every function of the package is reached
 through its module's attribute, so a function patched or wrapped there
 after this module loads is the one a gate calls.
 
-The gates loop over their times in plain Python and call the package's
-closed forms at each (nbar, time) with Python floats, which is all they
-take: the fidelity kernel, which ``curve`` also evaluates on numpy arrays,
-takes its sines and cosines from ``math`` for a float time.  So neither
-this module nor any that it loads imports numpy.  A Python float overflows to inf
-without raising, a division by an infinite term hides it, and ``max()``
-skips a NaN, so each gate checks that every value it computes is finite,
-the divisors included, and raises DomainError at the first that is not.
+The gates loop over their times in plain Python, on Python floats.  Each
+of gate 2's times, which gates 4-7 share, is checked once and gets its
+ratios and trig (``protocol._checked_trig``), its factored parts and its
+propagator rows once; the kernels that the public functions wrap
+(``dynamics._analytic``, ``_slopes``, ``_rows`` and ``_moments``,
+``protocol._FactoredParts`` and ``gaussian_core._physicality``) then
+evaluate them at each nbar.  So each formula has one source, the gates'
+work per nbar value is the arithmetic that depends on nbar, and a gate
+keeps only what a later one reads: the states' sizes, and the channels
+and n_eff at gate 7's times.  The fidelity kernel, which ``curve`` also
+evaluates on numpy arrays, takes its sines and cosines from ``math`` for
+a float time, so neither this module nor any that it loads imports numpy.
+A Python float overflows to inf without raising, a division by an
+infinite term hides it, and ``max()`` skips a NaN, so each gate checks
+that every value it computes is finite, the divisors included, and raises
+DomainError at the first that is not.
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 
 from . import dynamics, gaussian_core, optomech, protocol
 from .errors import DomainError
-from .gaussian_core import CovMatrix2
+from .gaussian_core import CorrelationMatrix4, CovMatrix2
 from .optomech import Couplings
 
 #: Self-verification tolerances, by gate name.  A defect relative to the
@@ -42,9 +49,6 @@ TOLERANCES = {
     "teleport-noise": 1e-12,
 }
 
-#: The six coefficients of a ``GaussianCoeffs``, as a tuple.
-_coefficients = attrgetter(*dynamics.COEFF_FIELDS)
-
 #: (sqrt(5) - 1)/2: its multiples modulo 1 fill [0, 1) evenly.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -54,10 +58,16 @@ def _verdict(name: str, defect, floor: float = 0.0):
     return name, float(defect), tolerance, bool(defect <= tolerance)
 
 
-def _finite(name: str, *values) -> None:
-    """DomainError unless every one of ``values`` is finite."""
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"the {name} gate leaves the float64 range")
+def _finite(name: str, *groups) -> None:
+    """DomainError unless every value of each tuple in ``groups`` is finite.
+
+    A sum with an inf or a NaN term is not finite, so a finite sum of the
+    tuples' sums clears every value at once; only a sum that is not finite,
+    which finite values give where it overflows, needs each value checked."""
+    if not math.isfinite(sum(map(sum, groups))):
+        for values in groups:
+            if not all(map(math.isfinite, values)):
+                raise DomainError(f"the {name} gate leaves the float64 range")
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -91,14 +101,15 @@ def run(couplings: Couplings, nbar_values):
     initial state and whose slopes match its right-hand side at every time
     are its solution, and the gate checks both for every nbar, the fidelity
     peaks included.  Gates 3-7 reach the peaks too: gate 3 adds both peak
-    times to its own, and gates 4-7 take gate 2's times.  Gate 4 calls
-    ``physicality_defect`` on ``protocol.conditional_correlation``'s channel
-    at every time and nbar, in closed form from its three entries, so no
-    gate solves an eigenproblem; it is the only check that the channel is
-    physical, and gate 7 teleports through the same channels.  Gate 5
-    compares the coefficient formula for n_eff on the propagator's moments
-    with the factored n_eff, relative to gate 2's closed forms.  A value
-    that leaves float64 raises DomainError from the gate that meets it.
+    times to its own, and gates 4-7 take gate 2's times.  Gate 4 evaluates
+    ``physicality_defect``'s closed form on the channel of
+    ``protocol.conditional_correlation`` at every time and nbar, from its
+    three entries, so no gate solves an eigenproblem; it is the only check
+    that the channel is physical, and gate 7 teleports through the same
+    channels.  Gate 5 compares the coefficient formula for n_eff on the
+    propagator's moments with the factored n_eff, relative to gate 2's
+    closed forms.  A value that leaves float64 raises DomainError from the
+    gate that meets it.
     """
     osc, p, b = couplings.oscillation, couplings.parametric, couplings.beam_splitter
 
@@ -120,25 +131,26 @@ def run(couplings: Couplings, nbar_values):
     offsets = _linspace(-half_width, half_width, 41)
     del offsets[20]
     ode_times = [*grid, t_het, t_no_het, *(t_het + offset / osc for offset in offsets)]
+    # Each time's ratios and trig, checked once for every nbar and gate.
+    trigs = [protocol._checked_trig(couplings, (), t) for t in ode_times]
     rate = max(p, b)
-    analytic, sizes = [], []  # per nbar, per time: the six coefficients, their size
+    sizes = []  # per nbar, per time: the state's size, for gates 5 and 6
     worst = 0.0
     for nbar in nbar_values:
-        states, state_sizes = [], []
-        for t in ode_times:
-            y = _coefficients(dynamics.coeffs_analytic(couplings, nbar, t))
-            slopes = dynamics._moment_slopes(couplings, nbar, t)
+        optomech._check_nbar(nbar)
+        state_sizes = []
+        for trig in trigs:
+            y = dynamics._analytic(trig, nbar)
+            slopes = dynamics._slopes(trig, nbar)
             rhs = dynamics._moment_derivatives(y, p, b)
             size = _size(y)
             residual = max([abs(osc * s - f) for s, f in zip(slopes, rhs)])
             divisor = rate * size
-            _finite(name, *y, *slopes, *rhs, residual, divisor)
+            _finite(name, y, slopes, rhs, (residual, divisor))
             worst = max(worst, residual / divisor)
-            states.append(y)
             state_sizes.append(size)
-        if states[0] != (0.0, nbar, 0.0, 0.0, 0.0, 0.0):
+        if dynamics._analytic(trigs[0], nbar) != (0.0, nbar, 0.0, 0.0, 0.0, 0.0):
             worst = math.inf
-        analytic.append(states)
         sizes.append(state_sizes)
     yield _verdict(name, worst)
 
@@ -151,10 +163,10 @@ def run(couplings: Couplings, nbar_values):
     worst = 0.0
     for t in times:
         m = dynamics.propagator(couplings, t)
-        entries = [*m[0], *m[1], *m[2]]
+        entries = (*m[0], *m[1], *m[2])
         size = _size(entries)
         defect = gaussian_core.symplectic_defect(m)
-        _finite(name, *entries, size * size, defect)
+        _finite(name, entries, (size * size, defect))
         worst = max(worst, defect)
         props.append(m)
         prop_sizes.append(size)
@@ -174,24 +186,29 @@ def run(couplings: Couplings, nbar_values):
             for j in range(3)
         )
         divisor = size1 * size2
-        _finite(name, *m12[0], *m12[1], *m12[2], residual, divisor)
+        _finite(name, *m12, (residual, divisor))
         worst = max(worst, residual / divisor)
     yield _verdict(name, worst)
 
     # 4. conditioned-state physicality at gate 2's times, relative to
     #    max(1, |G|max), so physical states at large nbar pass; the only
-    #    check of the channel's physicality.  A channel is finite by its
-    #    type, and gate 2 has checked its divisor E1 = anti_n + 1.  Gate 7
-    #    teleports through these channels
+    #    check of the channel's physicality.  Gate 2 has checked its divisor
+    #    E1 = anti_n + 1.  Gate 7 teleports through these channels at its
+    #    times, which are all that this gate keeps
     name = "conditional-physicality"
-    channels = []  # per nbar, per time
+    parts = [protocol._FactoredParts(trig) for trig in trigs]
+    teleported = [i >= len(grid) or i % 10 == 0 for i in range(len(ode_times))]
+    channels = []  # per nbar, at gate 7's times
     worst = 0.0
     for nbar in nbar_values:
-        row = [protocol.conditional_correlation(couplings, nbar, t) for t in ode_times]
-        for chan in row:
-            defect = gaussian_core.physicality_defect(chan)
-            _finite(name, defect)
-            worst = max(worst, defect / _size((chan.a, chan.b, chan.c)))
+        row = []
+        for part, kept in zip(parts, teleported):
+            chan = part.channel(nbar)
+            defect = gaussian_core._physicality(*chan)
+            _finite(name, chan, (defect,))
+            worst = max(worst, defect / _size(chan))
+            if kept:
+                row.append(CorrelationMatrix4(*chan))
         channels.append(row)
     yield _verdict(name, worst)
 
@@ -199,23 +216,23 @@ def run(couplings: Couplings, nbar_values):
     #    against the factored n_eff, relative to the state; d (d / E1), as
     #    d^2 overflows first.  Unclipped: a negative n_eff is part of the gap
     name = "fidelity-identity"
-    moments, n_effs = [], []  # per nbar, per time
+    rows = [dynamics._rows(trig) for trig in trigs]
+    n_effs = []  # per nbar, at gate 7's times
     worst = 0.0
     for nbar, state_sizes in zip(nbar_values, sizes):
-        moment_row, n_row = [], []
-        for t, size in zip(ode_times, state_sizes):
-            m = _coefficients(dynamics.coeffs_from_propagator(couplings, nbar, t))
-            n_eff = protocol.effective_occupation(couplings, nbar, t)
+        n_row = []
+        for m_rows, part, size, kept in zip(rows, parts, state_sizes, teleported):
+            m = dynamics._moments(m_rows, nbar)
+            n_eff = part.noise(nbar)
             stokes_n, mirror_n, stokes_mirror, mirror_anti, anti_n, stokes_anti = m
             d = stokes_anti - mirror_anti
             bracket = 1.0 + stokes_n + mirror_n + 2.0 * stokes_mirror
             e1 = anti_n + 1.0
             gap = abs(bracket - d * (d / e1) - n_eff)
-            _finite(name, *m, n_eff, e1, gap)
+            _finite(name, m, (n_eff, e1, gap))
             worst = max(worst, gap / size)
-            moment_row.append(m)
-            n_row.append(n_eff)
-        moments.append(moment_row)
+            if kept:
+                n_row.append(n_eff)
         n_effs.append(n_row)
     yield _verdict(name, worst)
 
@@ -223,10 +240,11 @@ def run(couplings: Couplings, nbar_values):
     #    two nbar
     name = "moment-route"
     worst = 0.0
-    for states, moment_row, state_sizes in zip(analytic[:2], moments, sizes):
-        for y, m, size in zip(states, moment_row, state_sizes):
-            gap = max(abs(u - v) for u, v in zip(y, m))
-            _finite(name, gap)
+    for nbar, state_sizes in zip(nbar_values[:2], sizes):
+        for trig, m_rows, size in zip(trigs, rows, state_sizes):
+            y = dynamics._analytic(trig, nbar)
+            gap = max([abs(u - v) for u, v in zip(y, dynamics._moments(m_rows, nbar))])
+            _finite(name, (gap,))
             worst = max(worst, gap / size)
     yield _verdict(name, worst)
 
@@ -234,15 +252,13 @@ def run(couplings: Couplings, nbar_values):
     #    time of the grid, both peak times and every time near the
     #    heterodyne peak, through gate 4's channels
     name = "teleport-noise"
-    teleported = [*range(0, len(grid), 10), *range(len(grid), len(ode_times))]
     gin = CovMatrix2.vacuum()
     worst = 0.0
     for row, n_row in zip(channels, n_effs):
-        for i in teleported:
-            out = protocol.teleport_covariance(row[i], gin)
-            n = n_row[i]
+        for chan, n in zip(row, n_row):
+            out = protocol.teleport_covariance(chan, gin)
             for added in (out.xx - gin.xx, out.pp - gin.pp):
                 gap = abs(added - n)
-                _finite(name, added, gap)
+                _finite(name, (added, gap))
                 worst = max(worst, gap / max(1.0, n))
     yield _verdict(name, worst)

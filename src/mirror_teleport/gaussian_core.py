@@ -2,7 +2,8 @@
 
 Conventions used throughout the package:
 
-* quadratures satisfy [X, P] = i, so the vacuum variance is 1/2;
+* quadratures satisfy [X, P] = i, so the vacuum variance is 1/2
+  (``VACUUM_VARIANCE``, which ``protocol`` defines);
 * two-mode correlation matrices are real symmetric 4x4 over the ordered
   quadrature vector (X_stokes, P_stokes, X_mirror, P_mirror);
 * the three-mode propagator acts on the operator vector
@@ -22,10 +23,7 @@ import math
 
 from ._record import record
 from .errors import DomainError
-
-#: Vacuum variance of a single quadrature; the single source of truth for
-#: the variance normalization used by every module.
-VACUUM_VARIANCE = 0.5
+from .protocol import VACUUM_VARIANCE
 
 
 def _check_finite(record, *values) -> None:
@@ -101,8 +99,14 @@ def physicality_defect(corr: CorrelationMatrix4) -> float:
     halved before it is added or subtracted, so no intermediate overflows
     for finite entries.
     """
+    return _physicality(corr.a, corr.b, corr.c)
+
+
+def _physicality(a: float, b: float, c: float) -> float:
+    """:func:`physicality_defect` of the standard form (a, b, c), which
+    ``verify``'s gate evaluates on the channel's three floats."""
     # Half of each entry, so half_low is lambda_min / 2.
-    a, b, c = 0.5 * corr.a, 0.5 * corr.b, 0.5 * corr.c
+    a, b, c = 0.5 * a, 0.5 * b, 0.5 * c
     half_low = (0.5 * a + 0.5 * b) - math.hypot(0.5 * abs(a - b) + 0.25, c)
     defect = -2.0 * half_low
     return defect if defect > 0.0 else 0.0  # -0.0 is 0.0

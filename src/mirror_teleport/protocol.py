@@ -27,7 +27,11 @@ set of sines and cosines.
 
 Every function here takes Python floats, except :func:`fidelity_curves`
 and :func:`effective_occupation`, the kernel that ``curve`` runs on arrays
-of times.  They share one piece of source with the float functions, and
+of times.  A function that takes one time only, here and in ``dynamics``,
+takes it through ``_float_time``: an int or a float as a Python float,
+and DomainError naming any other type.  The kernel shares one piece of
+source with the float functions, ``_FactoredParts``, which is built from
+one trig tuple and which ``verify``'s gates build once per time, and
 three places choose between a float and an array: ``_ratios_and_trig``
 takes the sines and cosines from ``math`` for a float time and from numpy
 for an array, ``_checked_trig`` checks t >= 0 on either, and
@@ -40,11 +44,12 @@ NaN, except where a division by E1 would hide it: a float E1 that is not
 finite raises DomainError.
 
 The channel is the standard form (a, b, c) of the conditioned Stokes-mirror
-state, a ``gaussian_core.CorrelationMatrix4``, built only by
-:func:`conditional_correlation` and checked only by ``verify``'s
-``conditional-physicality`` gate; ``gaussian_core`` loads only to build it,
-and ``dynamics`` never.  :func:`teleport_covariance` adds a + b + 2c to the
-input's variances, which is n_eff.
+state, ``_FactoredParts.channel``, which :func:`conditional_correlation`
+returns as a ``gaussian_core.CorrelationMatrix4`` and which only
+``verify``'s ``conditional-physicality`` gate checks; ``gaussian_core``
+loads only to build it, and ``dynamics`` never.
+:func:`teleport_covariance` adds a + b + 2c to the input's variances,
+which is n_eff.
 
 In tau = tan(x/2) the derivatives of both noise forms factor into
 quadratics, which puts each fidelity maximum at a closed-form time, with a
@@ -71,6 +76,13 @@ if TYPE_CHECKING:
 
 #: Best coherent-state fidelity achievable with no shared entanglement.
 CLASSICAL_FIDELITY_BOUND = 0.5
+
+#: Vacuum variance of a single quadrature; the single source of truth for
+#: the variance normalization used by every module.  ``gaussian_core``
+#: imports it from here, so that the channel, which adds it at every time
+#: and nbar ``verify`` checks, needs no import: one took over half of the
+#: channel's time.
+VACUUM_VARIANCE = 0.5
 
 
 @record
@@ -153,6 +165,19 @@ def _ratios_and_trig(couplings: Couplings, time):
     return r, q, t, sin(x), cos(x), omc
 
 
+def _float_time(time) -> float:
+    """The entry of every function that takes one time only: an int or a
+    float time as a Python float, so that ``_ratios_and_trig`` takes its
+    float path.  DomainError names any other type, an array included, and
+    an int past the float64 range."""
+    if not isinstance(time, (int, float)):
+        raise DomainError(f"time must be an int or a float, got {type(time).__name__}")
+    try:
+        return float(time)
+    except OverflowError:
+        raise DomainError(f"time must be in the float64 range, got {time!r}") from None
+
+
 def _checked_trig(couplings: Couplings, nbar_values, time):
     """``_ratios_and_trig`` after the closed forms' one check of nbar and of t >= 0."""
     for nbar in nbar_values:
@@ -165,10 +190,14 @@ def _checked_trig(couplings: Couplings, nbar_values, time):
 
 
 class _FactoredParts:
-    """The nbar-free parts of the factored forms, made once per time or grid."""
+    """The nbar-free parts of the factored forms at one trig tuple of
+    ``_checked_trig``, for one time or a grid: ``verify``'s gates build one
+    per time and evaluate it at every nbar."""
 
-    def __init__(self, couplings: Couplings, nbar_values, time):
-        self.r, self.q, _, self.s, self.c, self.omc = _checked_trig(couplings, nbar_values, time)
+    __slots__ = ("r", "q", "s", "c", "omc", "_e1_terms", "_lift2", "_tilt2_value")
+
+    def __init__(self, trig):
+        self.r, self.q, _, self.s, self.c, self.omc = trig
         r, s, omc = self.r, self.s, self.omc
         # n_eff needs these two, made at once: a cached property's first read
         # would cost a float time more than their arithmetic does.
@@ -211,8 +240,6 @@ class _FactoredParts:
         """The conditioned channel's Stokes variance, mirror variance and X-X
         correlation: stokes_n - stokes_anti^2/E1 + 1/2, mirror_n -
         mirror_anti^2/E1 + 1/2 and stokes_mirror + stokes_anti mirror_anti/E1."""
-        from .gaussian_core import VACUUM_VARIANCE
-
         e1, r, q, s, c, omc = self.e1(nbar), self.r, self.q, self.s, self.c, self.omc
         s2 = self._e1_terms[1]
         stokes_var = VACUUM_VARIANCE + (nbar + 1.0) * r**2 * s2 / e1
@@ -229,7 +256,7 @@ def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = 
     bracket = 1 + stokes_n + mirror_n + 2 stokes_mirror, which never exceeds
     it.  The sines and cosines are computed once for all nbar.
     """
-    parts = _FactoredParts(couplings, nbar_values, time)
+    parts = _FactoredParts(_checked_trig(couplings, nbar_values, time))
     return [parts.fidelity(nbar, heterodyne) for nbar in nbar_values]
 
 
@@ -250,7 +277,8 @@ def conditional_correlation(
     """
     from .gaussian_core import CorrelationMatrix4
 
-    return CorrelationMatrix4(*_FactoredParts(couplings, (nbar,), time).channel(nbar))
+    parts = _FactoredParts(_checked_trig(couplings, (nbar,), _float_time(time)))
+    return CorrelationMatrix4(*parts.channel(nbar))
 
 
 def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatrix2:
@@ -276,7 +304,7 @@ def effective_occupation(couplings: Couplings, nbar: float, time):
     state) and satisfies fidelity = 1 / (1 + n_eff) exactly; evaluated
     through the factored form, a square times (nbar + 1)/E1.
     """
-    return _FactoredParts(couplings, (nbar,), time).noise(nbar)
+    return _FactoredParts(_checked_trig(couplings, (nbar,), time)).noise(nbar)
 
 
 def fidelity_coherent(g: GaussianCoeffs):
@@ -363,7 +391,7 @@ def optimal_time(
     t_star, f_max = t_peak, -math.inf
     for k in range(-_ULPS, _ULPS + 1):
         t = t_peak + ulp * k
-        f = _FactoredParts(couplings, (nbar,), t).fidelity(nbar, heterodyne)
+        f = _FactoredParts(_checked_trig(couplings, (nbar,), t)).fidelity(nbar, heterodyne)
         if f != f:
             f_max = f
             break

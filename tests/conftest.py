@@ -126,31 +126,16 @@ def heterodyne_channel(c, nbar, t):
     return keep - g[:4, 4:] @ np.linalg.solve(measured, g[4:, :4])
 
 
-def closed_forms_on_symbols(monkeypatch, r, x, nbar):
+def closed_forms_on_symbols(r, x, nbar):
     """``protocol``'s factored parts, ``dynamics``' coefficients and their
     slopes on the sympy symbols r, x and nbar, in units of the oscillation
     rate: parametric = r and beam_splitter = q = sqrt(1 + r^2).
 
-    ``protocol._ratios_and_trig`` becomes r, q, sin x, cos x and
-    1 - cos x, one substitution that reaches every closed form; that each
-    of the three called it is asserted, so a closed form that took the
-    helper by name would not stay on floats unnoticed."""
+    Each is the kernel that the public functions and ``verify``'s gates
+    evaluate, given the trig tuple of ``protocol._ratios_and_trig`` as
+    symbols: r, q, no time, sin x, cos x and 1 - cos x."""
     import sympy as sp
 
-    from mirror_teleport import dynamics
-
-    calls = []
-
-    def ratios_and_trig(couplings, time):
-        calls.append(time)
-        q = sp.sqrt(1 + r**2)
-        return r, q, np.array(x, dtype=object), sp.sin(x), sp.cos(x), 1 - sp.cos(x)
-
-    monkeypatch.setattr(protocol, "_ratios_and_trig", ratios_and_trig)
-    parts = protocol._FactoredParts(None, (nbar,), None)
-    assert len(calls) == 1, "_FactoredParts"
-    coeffs = dynamics.coeffs_analytic(None, nbar, None)
-    assert len(calls) == 2, "coeffs_analytic"
-    slopes = dynamics._moment_slopes(None, nbar, None)
-    assert len(calls) == 3, "_moment_slopes"
-    return parts, coeffs, slopes
+    trig = (r, sp.sqrt(1 + r**2), None, sp.sin(x), sp.cos(x), 1 - sp.cos(x))
+    coeffs = dynamics.GaussianCoeffs(*dynamics._analytic(trig, nbar), None, nbar)
+    return protocol._FactoredParts(trig), coeffs, dynamics._slopes(trig, nbar)

@@ -1159,14 +1159,15 @@ def test_verify_passes_on_bundled_config(tmp_path, capsys):
 def test_verify_fails_on_corrupted_couplings(tmp_path, monkeypatch):
     # A gate that fails makes verify exit 2: here the ODE residual, which a
     # closed form off by 1e-7 relative breaks by about that much, held to its
-    # own 1e-8.
-    closed = dynamics.coeffs_analytic
+    # own 1e-8.  The gates evaluate the closed forms' kernel at each time's
+    # trig tuple, and coeffs_analytic wraps it.
+    closed = dynamics._analytic
 
-    def corrupted(couplings, nbar, time):
-        g = closed(couplings, nbar, time)
-        return replace(g, stokes_anti=g.stokes_anti * (1.0 + 1e-7))
+    def corrupted(trig, nbar):
+        *y, stokes_anti = closed(trig, nbar)
+        return (*y, stokes_anti * (1.0 + 1e-7))
 
-    monkeypatch.setattr(dynamics, "coeffs_analytic", corrupted)
+    monkeypatch.setattr(dynamics, "_analytic", corrupted)
     rc = main(["--out", str(tmp_path), "verify"])
     assert rc == 2
     text = (tmp_path / "verify.txt").read_text()
@@ -1195,17 +1196,19 @@ def test_verify_fails_on_an_unphysical_channel(tmp_path, monkeypatch):
     # with a correlation of 5 break the uncertainty principle; one such
     # channel, at one time of one nbar, fails it.  Gate 7 teleports through
     # every tenth grid time only, so the eighth time fails gate 4 alone.
-    channel = protocol.conditional_correlation
+    # The gate evaluates the channel's kernel, which conditional_correlation
+    # wraps, on each time's factored parts.
+    channel = protocol._FactoredParts.channel
     calls = []
 
-    def unphysical(couplings, nbar, time):
-        chan = channel(couplings, nbar, time)
+    def unphysical(parts, nbar):
+        chan = channel(parts, nbar)
         if nbar != 1.0:
             return chan
-        calls.append(time)
-        return replace(chan, a=0.0, b=0.0, c=5.0) if len(calls) == 8 else chan
+        calls.append(nbar)
+        return (0.0, 0.0, 5.0) if len(calls) == 8 else chan
 
-    monkeypatch.setattr(protocol, "conditional_correlation", unphysical)
+    monkeypatch.setattr(protocol._FactoredParts, "channel", unphysical)
     assert main(["--out", str(tmp_path), "verify"]) == 2
     text = (tmp_path / "verify.txt").read_text()
     fails = [line.split(":")[0] for line in text.splitlines() if line.startswith("FAIL")]
@@ -1286,43 +1289,63 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
     # Gate 3 adds both peak times to its golden-ratio times, and gates 4-7
     # take gate 2's times: t = 0, both peak times and 41 times within 5/r in
     # x of the heterodyne peak (pi at most), none of them twice, numpy's
-    # grid bit for bit.  Each gate calls the closed forms one float time at
-    # a time, for each nbar in turn.  Gate 7 teleports through gate 4's
-    # channels at every tenth grid time and every peak time.
+    # grid bit for bit.  Each of those times is checked once, and its trig
+    # tuple, factored parts and propagator rows made once; every kernel
+    # then evaluates them at each nbar in turn, one float time at a time.
+    # Gate 7 teleports through gate 4's channels at every tenth grid time
+    # and every peak time.
     c = request.getfixturevalue(fixture)
     calls = _recorded(
         monkeypatch,
+        (protocol, "_checked_trig"),
+        (protocol._FactoredParts, "__init__"),
+        (protocol._FactoredParts, "channel"),
+        (protocol._FactoredParts, "noise"),
+        (dynamics, "_analytic"),
+        (dynamics, "_slopes"),
+        (dynamics, "_rows"),
+        (dynamics, "_moments"),
         (dynamics, "propagator"),
-        (dynamics, "coeffs_analytic"),
-        (dynamics, "coeffs_from_propagator"),
-        (protocol, "conditional_correlation"),
-        (protocol, "effective_occupation"),
         (protocol, "teleport_covariance"),
     )
     assert all(ok for *_, ok in _run_gates(c, NBAR_SET))
     expected = gate_times(c)
-    names = (
-        "coeffs_analytic",
-        "coeffs_from_propagator",
-        "conditional_correlation",
-        "effective_occupation",
-    )
-    for name in names:
-        assert [args[:2] for args in calls[name]] == [
-            (c, nbar) for nbar in NBAR_SET for _ in expected
-        ]
-        times = np.array([args[2] for args in calls[name]]).reshape(len(NBAR_SET), -1)
+    assert [args[:2] for args in calls["_checked_trig"]] == [(c, ())] * len(expected)
+    trig_times = [args[2] for args in calls["_checked_trig"]]
+    assert trig_times == [trig[2] for (_, trig) in calls["__init__"]]
+    # After gate 3's 153 propagators, one set of rows per time for gate 5.
+    assert trig_times == [trig[2] for (trig,) in calls["_rows"][153:]]
+    time_of = {id(parts): trig[2] for parts, trig in calls["__init__"]}
+    analytic = [(n, trig[2]) for trig, n in calls["_analytic"]]
+    # Gate 2 evaluates each nbar's times and then its initial state at t = 0;
+    # gate 6 evaluates the first two nbar's times.
+    gate2, block = [], len(expected) + 1
+    for k, nbar in enumerate(NBAR_SET):
+        *points, initial = analytic[k * block : (k + 1) * block]
+        assert initial == (nbar, 0.0)
+        gate2 += points
+    two = NBAR_SET[:2]
+    evaluated = {
+        "closed forms": (NBAR_SET, gate2),
+        "slopes": (NBAR_SET, [(n, trig[2]) for trig, n in calls["_slopes"]]),
+        "channel": (NBAR_SET, [(n, time_of[id(parts)]) for parts, n in calls["channel"]]),
+        "n_eff": (NBAR_SET, [(n, time_of[id(parts)]) for parts, n in calls["noise"]]),
+        "moment route": (two, analytic[len(NBAR_SET) * block :]),
+    }
+    assert [n for _, n in calls["_moments"]] == [n for n in (*NBAR_SET, *two) for _ in expected]
+    for name, (nbars, pairs) in evaluated.items():
+        assert [n for n, _ in pairs] == [n for n in nbars for _ in expected], name
+        times = np.array([t for _, t in pairs]).reshape(len(nbars), -1)
         for row in times:
             assert row.tobytes() == expected.tobytes()
             assert len(np.unique(row)) == len(row) == 101 + 2 + 40
             assert_reaches_the_peaks(c, row)
-    # Gate 3's 102 times, its 51 sums of pairs, then one per moment.
-    gate3 = [t for _, t in calls["propagator"][:153]]
+    # Gate 3's 102 times, then its 51 sums of pairs.
+    gate3 = [t for _, t in calls["propagator"]]
     assert gate3[:102] == propagator_gate_times(c).tolist()
     assert gate3[100:102] == list(peak_times(c)[:2])
     assert gate3[102:] == [t1 + t2 for t1, t2 in zip(gate3[:51], gate3[51:102])]
-    assert len(calls["propagator"]) == 153 + len(NBAR_SET) * len(expected)
-    assert all(type(t) is float for _, t in calls["propagator"])
+    assert all(type(t) is float for t in gate3)
     teleported = [*range(0, 101, 10), *range(101, len(expected))]
     channels = [
         conditional_correlation(c, nbar, float(expected[i]))

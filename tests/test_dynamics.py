@@ -45,7 +45,7 @@ def test_scalar_and_array_evaluation_agree(moderate):
     # on an array of the times agree on E1 = anti_n + 1 and on the
     # conditioned channel the coefficient formulas give.
     ts = np.linspace(0.0, period(moderate), 17)
-    parts = protocol._FactoredParts(moderate, (1.5,), ts)
+    parts = protocol._FactoredParts(protocol._checked_trig(moderate, (1.5,), ts))
     e1s, channels = parts.e1(1.5), parts.channel(1.5)
     for i, t in enumerate(ts.tolist()):
         g = coeffs_analytic(moderate, 1.5, t)

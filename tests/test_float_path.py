@@ -18,7 +18,7 @@ import types
 import numpy as np
 import pytest
 
-from mirror_teleport import CovMatrix2, dynamics, period, protocol
+from mirror_teleport import CovMatrix2, DomainError, dynamics, period, protocol
 from mirror_teleport.cli import _time_rows
 
 from conftest import COEFF_FIELDS, NBAR_SET, gate_times, propagator_gate_times
@@ -54,13 +54,13 @@ def shared_trig(request, monkeypatch):
 def test_trig_and_factored_parts_are_their_rows(shared_trig):
     c, times = shared_trig
     stacked = protocol._ratios_and_trig(c, times)
-    parts = protocol._FactoredParts(c, NBAR_SET, times)
+    parts = protocol._FactoredParts(protocol._checked_trig(c, NBAR_SET, times))
     for i, t in enumerate(times.tolist()):
         one = protocol._ratios_and_trig(c, t)
         assert one[:2] == stacked[:2]
         assert all(_same(v, rows[i]) for v, rows in zip(one[2:], stacked[2:]))
         assert protocol._checked_trig(c, NBAR_SET, t) == one
-        alone = protocol._FactoredParts(c, NBAR_SET, t)
+        alone = protocol._FactoredParts(one)
         for nbar in NBAR_SET:
             pairs = [
                 (alone.e1(nbar), parts.e1(nbar)),
@@ -77,7 +77,7 @@ def test_channel_maps_are_their_rows(shared_trig):
     # on the array, and the input plus a + 2c + b.
     c, times = shared_trig
     gin = CovMatrix2(0.9, 0.2, 0.7)
-    parts = protocol._FactoredParts(c, NBAR_SET, times)
+    parts = protocol._FactoredParts(protocol._checked_trig(c, NBAR_SET, times))
     for nbar in NBAR_SET:
         a, b, corr = parts.channel(nbar)
         n_eff = protocol.effective_occupation(c, nbar, times)
@@ -91,41 +91,30 @@ def test_channel_maps_are_their_rows(shared_trig):
             assert teleported.xp == gin.xp
 
 
-def test_dynamics_are_their_rows(shared_trig, monkeypatch):
-    # dynamics takes float times only; its source, given the array path's
-    # ratios and trig in place of a float time's, evaluates on the arrays,
-    # and each float result is its time's row of that evaluation.
+def test_dynamics_are_their_rows(shared_trig):
+    # dynamics takes float times only; its kernels, given the array path's
+    # trig tuple in place of a float time's, evaluate on the arrays, and
+    # each float result is its time's row of that evaluation.
     c, times = shared_trig
     p, b = c.parametric, c.beam_splitter
-    floats = {
-        nbar: [
-            (
-                dynamics.coeffs_analytic(c, nbar, t),
-                dynamics.coeffs_from_propagator(c, nbar, t),
-                dynamics._moment_slopes(c, nbar, t),
-            )
-            for t in times.tolist()
-        ]
-        for nbar in NBAR_SET
-    }
-    props = [dynamics.propagator(c, t) for t in times.tolist()]
-    rows = protocol._ratios_and_trig(c, times)
-    monkeypatch.setattr(protocol, "_ratios_and_trig", lambda couplings, time: rows)
-    stack = dynamics.propagator(c, None)
-    for i, one in enumerate(props):
+    trig = protocol._ratios_and_trig(c, times)
+    stack = dynamics._rows(trig)
+    for i, t in enumerate(times.tolist()):
+        one = dynamics.propagator(c, t)
         assert all(_same(v, row[i]) for v, row in zip(sum(one, ()), sum(stack, ())))
     for nbar in NBAR_SET:
-        closed = dynamics.coeffs_analytic(c, nbar, None)
-        moments = dynamics.coeffs_from_propagator(c, nbar, None)
-        slopes = dynamics._moment_slopes(c, nbar, None)
-        rhs = dynamics._moment_derivatives([getattr(closed, f) for f in COEFF_FIELDS], p, b)
-        for i, (t, (single, from_propagator, one_slopes)) in enumerate(
-            zip(times.tolist(), floats[nbar])
-        ):
+        closed = dynamics._analytic(trig, nbar)
+        moments = dynamics._moments(stack, nbar)
+        slopes = dynamics._slopes(trig, nbar)
+        rhs = dynamics._moment_derivatives(closed, p, b)
+        for i, t in enumerate(times.tolist()):
+            single = dynamics.coeffs_analytic(c, nbar, t)
+            from_propagator = dynamics.coeffs_from_propagator(c, nbar, t)
             for one, stacked in ((single, closed), (from_propagator, moments)):
                 assert one.time == t and one.nbar == nbar
-                assert all(_same(getattr(one, f), getattr(stacked, f)[i]) for f in COEFF_FIELDS)
+                assert all(_same(getattr(one, f), row[i]) for f, row in zip(COEFF_FIELDS, stacked))
             y = tuple(getattr(single, f) for f in COEFF_FIELDS)
+            one_slopes = dynamics._moment_slopes(c, nbar, t)
             assert all(_same(v, row[i]) for v, row in zip(one_slopes, slopes))
             derivatives = dynamics._moment_derivatives(y, p, b)
             assert all(_same(v, row[i]) for v, row in zip(derivatives, rhs))
@@ -146,3 +135,51 @@ def test_math_trig_is_numpys_to_an_ulp(request, bench_config, fixture):
                 for arg, want in zip(args.tolist(), vectorised(args).tolist()):
                     assert abs(f(arg) - want) <= math.ulp(want), (f.__name__, arg)
 
+
+
+#: The functions that take one time only, each as f(couplings, time).
+_ONE_TIME = [
+    pytest.param(lambda c, t, f=f: f(c, 1.0, t), id=f.__name__)
+    for f in (
+        dynamics.coeffs_analytic,
+        dynamics.coeffs_from_propagator,
+        dynamics._moment_slopes,
+        protocol.conditional_correlation,
+    )
+] + [pytest.param(dynamics.propagator, id="propagator")]
+
+
+@pytest.mark.parametrize("entry", _ONE_TIME)
+@pytest.mark.parametrize(
+    "time, kind",
+    [(np.linspace(0.0, 1.0, 5), "ndarray"), ([0.3], "list"), ("0.3", "str"), (None, "NoneType")],
+    ids=["array", "list", "str", "None"],
+)
+def test_one_time_functions_name_any_other_time_type(moderate, entry, time, kind):
+    # An array once gave dynamics' records of arrays, and the channel a
+    # TypeError from its finite check; only the fidelity kernel takes arrays.
+    with pytest.raises(DomainError, match=f"time must be an int or a float, got {kind}$"):
+        entry(moderate, time)
+
+
+@pytest.mark.parametrize("entry", _ONE_TIME)
+def test_one_time_functions_take_an_int_time_as_a_float(moderate, entry):
+    # An int time once took numpy's path and gave numpy.float64 values; it is
+    # its float, and an int past float64 is a DomainError, not OverflowError.
+    def values(result):
+        if hasattr(result, "__slots__"):
+            result = [getattr(result, name) for name in result.__slots__ if name != "couplings"]
+        return [v for item in result for v in (item if type(item) is tuple else (item,))]
+
+    at_int, at_float = values(entry(moderate, 2)), values(entry(moderate, 2.0))
+    assert all(type(v) is float for v in at_int)
+    assert [v.hex() for v in at_int] == [v.hex() for v in at_float]
+    with pytest.raises(DomainError, match="float64 range"):
+        entry(moderate, 10**400)
+
+
+def test_the_fidelity_kernel_keeps_arrays(moderate):
+    times = np.linspace(0.0, 1.0, 5)
+    n_eff = protocol.effective_occupation(moderate, 1.0, times)
+    (fidelity,) = protocol.fidelity_curves(moderate, (1.0,), times)
+    assert n_eff.shape == fidelity.shape == times.shape

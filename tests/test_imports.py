@@ -90,7 +90,8 @@ def test_gates_alone_load_no_numpy():
 
 def test_float_library_calls_load_no_numpy():
     # The library's float functions, the optimiser included, compute with
-    # Python floats only: a process that makes each call loads no numpy.
+    # Python floats only: a process that makes each call loads no numpy,
+    # at an int time too, which they take as its float.
     code = (
         "import mirror_teleport as mt; "
         "c = mt.Couplings.from_rates(2.0, 3.0); "
@@ -100,7 +101,9 @@ def test_float_library_calls_load_no_numpy():
         "mt.teleport_covariance(chan, mt.CovMatrix2.vacuum()); "
         "mt.physicality_defect(chan); "
         "mt.symplectic_defect(mt.propagator(c, 0.3)); "
-        "mt.coeffs_from_propagator(c, 1.0, 0.3)"
+        "mt.coeffs_from_propagator(c, 1.0, 0.3); "
+        "mt.coeffs_analytic(c, 1.0, 1); mt.coeffs_from_propagator(c, 1.0, 1); "
+        "mt.propagator(c, 1); mt.conditional_correlation(c, 1.0, 1)"
     )
     assert _loaded_at_exit(code, ("numpy",)) == "[]"
 

@@ -15,9 +15,9 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirror_teleport import dynamics, protocol, replace
+from mirror_teleport import dynamics, protocol
 from mirror_teleport.cli import _run_gates
-from mirror_teleport.dynamics import _moment_derivatives, _moment_slopes
+from mirror_teleport.dynamics import _moment_derivatives
 
 from conftest import (
     COEFF_FIELDS,
@@ -35,12 +35,11 @@ q = sp.sqrt(1 + r**2)
 
 
 @pytest.fixture
-def symbolic(monkeypatch):
-    """Make the closed forms and their slopes evaluate on sympy symbols:
-    the ratios and trig that both read from ``protocol._ratios_and_trig``
-    become r, q, sin x, cos x and 1 - cos x, and the rest is the library's
-    code."""
-    _, g, _ = closed_forms_on_symbols(monkeypatch, r, x, nbar)
+def symbolic():
+    """The closed forms on sympy symbols: the trig tuple that they and
+    their slopes take is r, q, sin x, cos x and 1 - cos x, and the rest is
+    the library's code."""
+    _, g, _ = closed_forms_on_symbols(r, x, nbar)
     return [getattr(g, f) for f in COEFF_FIELDS]
 
 
@@ -71,7 +70,7 @@ def test_closed_forms_solve_the_moment_odes(symbolic):
 
 
 def test_slopes_are_the_derivatives_of_the_closed_forms(symbolic):
-    slopes = _moment_slopes(None, nbar, None)
+    *_, slopes = closed_forms_on_symbols(r, x, nbar)
     assert len(slopes) == 6
     for field, v, s in zip(COEFF_FIELDS, symbolic, slopes):
         assert _is_zero(s - sp.diff(v, x)), field
@@ -100,15 +99,17 @@ def test_ode_gate_reads_rounding_only(c, nbar):
 def test_ode_gate_reaches_the_peaks_for_every_nbar(request, monkeypatch, fixture):
     # Every nbar is checked at t = 0, at both closed-form peak times and at
     # 41 times within 5/r in x of the heterodyne peak (pi at most), one
-    # float time at a time, none twice: numpy's grid, bit for bit.
+    # float time at a time, none twice: numpy's grid, bit for bit.  The
+    # gate evaluates the slopes' kernel on each time's trig tuple.
     c = request.getfixturevalue(fixture)
     calls = []
+    slopes = dynamics._slopes
 
-    def recorded(couplings, nbar, time):
-        calls.append((nbar, time))
-        return _moment_slopes(couplings, nbar, time)
+    def recorded(trig, nbar):
+        calls.append((nbar, trig[2]))
+        return slopes(trig, nbar)
 
-    monkeypatch.setattr(dynamics, "_moment_slopes", recorded)
+    monkeypatch.setattr(dynamics, "_slopes", recorded)
     _ode_gate(c, NBAR_SET)
     expected = gate_times(c)
     assert [n for n, _ in calls] == [n for n in NBAR_SET for _ in expected]
@@ -124,14 +125,17 @@ def test_ode_gate_reaches_the_peaks_for_every_nbar(request, monkeypatch, fixture
 def test_ode_gate_measures_a_corrupted_closed_form(bench_couplings, monkeypatch, field):
     # Scaling one closed form by 1 + 1e-9 breaks the ODE by about that much
     # relative to the state, far above the gate's rounding; scaling mirror_n
-    # moves the initial state, which the gate requires exactly.
-    closed = dynamics.coeffs_analytic
+    # moves the initial state, which the gate requires exactly.  The gate
+    # evaluates the closed forms' kernel on each time's trig tuple.
+    closed = dynamics._analytic
+    k = COEFF_FIELDS.index(field)
 
-    def corrupted(couplings, nbar, time):
-        g = closed(couplings, nbar, time)
-        return replace(g, **{field: getattr(g, field) * (1.0 + 1e-9)})
+    def corrupted(trig, nbar):
+        y = list(closed(trig, nbar))
+        y[k] *= 1.0 + 1e-9
+        return tuple(y)
 
-    monkeypatch.setattr(dynamics, "coeffs_analytic", corrupted)
+    monkeypatch.setattr(dynamics, "_analytic", corrupted)
     defect, *_ = _ode_gate(bench_couplings, NBAR_SET)
     if field == "mirror_n":
         assert defect == math.inf

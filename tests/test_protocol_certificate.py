@@ -28,10 +28,10 @@ tau = sp.Symbol("tau", real=True)
 
 
 @pytest.fixture
-def parts(monkeypatch):
+def parts():
     """The library's factored forms on symbols, and its coefficients there,
-    from one substitution in ``protocol``."""
-    factored, coeffs, _ = closed_forms_on_symbols(monkeypatch, r, x, nbar)
+    from the one trig tuple that both kernels take."""
+    factored, coeffs, _ = closed_forms_on_symbols(r, x, nbar)
     return factored, coeffs
 
 

@@ -289,10 +289,11 @@ def teleport_covariance(channel: CorrelationMatrix4, gin: CovMatrix2) -> CovMatr
 
     which is n_eff for the conditioned channel.
     """
-    from .gaussian_core import CovMatrix2
-
     added = channel.a + 2.0 * channel.c + channel.b
-    return CovMatrix2(gin.xx + added, gin.xp, gin.pp + added)
+    # A CovMatrix2 as gin is: importing the type here took most of the
+    # call's time, and verify's teleport-noise gate calls this 53 times for
+    # each nbar.
+    return type(gin)(gin.xx + added, gin.xp, gin.pp + added)
 
 
 def effective_occupation(couplings: Couplings, nbar: float, time):

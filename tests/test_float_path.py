@@ -86,6 +86,7 @@ def test_channel_maps_are_their_rows(shared_trig):
             assert all(map(_same, (one.a, one.b, one.c), (a[i], b[i], corr[i]))), (t, nbar)
             assert _same(protocol.effective_occupation(c, nbar, t), n_eff[i])
             teleported = protocol.teleport_covariance(one, gin)
+            assert type(teleported) is CovMatrix2
             added = a[i] + 2.0 * corr[i] + b[i]
             assert _same(teleported.xx, gin.xx + added) and _same(teleported.pp, gin.pp + added)
             assert teleported.xp == gin.xp

@@ -28,19 +28,7 @@ peak of numpy's buffers is about 1.14 MB at any ``--grid`` from 40,000 up
 for the bundled 5 columns, and 1.41 MB at 13 (1.55 MB and 1.82 MB with
 work arrays of 104 bytes a cell, 2.96 MB and 7.68 MB with blocks of a
 whole chunk), most of it this writer's work arrays, which share their
-memory across their lifetimes (see :class:`_Work`).  A table of
-two or more chunks, in a process that may run on two or more CPUs
-(``os.sched_getaffinity``) and has ``os.fork``, is shared with one forked
-worker: it computes and formats the odd chunks and sends their text down
-a pipe, and the writer formats the even ones and writes every chunk in
-row order.  Past its imports, ``curve --grid 200000`` then
-takes about 0.09 s instead of 0.13 s (wall medians of 12 runs in one
-process, a 2-core host).  The worker shares its parent's pages until one
-of them writes a page; its own pages come to about 6.3 MB and its peak
-resident set to about 27 MB, so the larger of the two processes' peaks,
-which is what a run's peak measures, is the parent's.  The writer
-computes any chunk the worker did not send, so a chunk that fails raises
-the same exception at the same row as with one process.
+memory across their lifetimes (see :class:`_Work`).
 
 The fast path is exact only when it can prove that rint(y), for the
 computed y = x * 10**k, is the digit string ``%.12g`` rounds the exact
@@ -85,16 +73,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-import struct
 
 import numpy as np
 
 #: Rows per chunk: what the writer asks its caller's ``columns`` for at a
-#: time, what a forked worker formats and sends, and what decides the fork
-#: (two or more chunks).  Halving it doubles the calls and pipe messages and
-#: makes every table of 2,049 to 4,096 rows fork: the 32 seed-0
-#: ``param-scan`` configs took a p90 of 5.33 ms each against 2.35 ms.
+#: time, and so the most rows of its table that ``curve`` holds at once.
 _CHUNK_ROWS = 4096
 
 #: Cells formatted per block, at most: the size of the work arrays, 64
@@ -379,23 +362,12 @@ def write_blocks(fh, header: str, rows: int, columns) -> None:
     and cuts blocks of up to ``_BLOCK_CELLS`` cells from each, so a chunk's
     rows never share a block with the next chunk's.  Raises ValueError if a
     chunk holds another number of rows.
-
-    A table of two or more chunks, on a host that lets this process run on
-    two or more CPUs, is shared with one forked worker (see :func:`_fork`):
-    it computes and formats the odd chunks, and this process the even ones
-    and every write, in row order.  Should the worker stop before it sends
-    a chunk, because computing it raised or it was killed, this process
-    computes that chunk and the rest, so a failure surfaces at the same
-    row, with the same exception, as with one process.
     """
     count = -(-rows // _CHUNK_ROWS)
-    # The word table is built once, before the work arrays and the fork, so
-    # the arrays that build it are gone before either exists.
-    _word_table()
+    _word_table()  # first, so its temporaries are freed before the work arrays exist
     w = None
-
-    def formatted(i):
-        nonlocal w
+    fh.write(header.encode("latin1"))
+    for i in range(count):
         lo = i * _CHUNK_ROWS
         hi = min(lo + _CHUNK_ROWS, rows)
         chunk = columns(lo, hi)
@@ -406,101 +378,7 @@ def write_blocks(fh, header: str, rows: int, columns) -> None:
         for start in range(0, hi - lo, w.rows):
             part = [c[start : start + w.rows] for c in chunk]
             x = w.planes(len(part[0]))[0][0]  # the x plane, which idx reuses
-            yield _format_block(np.stack(part, axis=1, out=x), w)
-
-    fh.write(header.encode("latin1"))
-    pid, pipe = _fork(count, formatted)
-    try:
-        for i in range(count):
-            if pipe is not None and i % 2:
-                text = _receive(pipe)
-                if text is not None:
-                    fh.write(text)
-                    del text  # not held while the next chunk is formatted
-                    continue
-                # The worker stopped: this process takes over from chunk i.
-                pipe.close()
-                pipe = None
-                os.waitpid(pid, 0)
             # No block is held while the next is formatted.
-            fh.writelines(formatted(i))
-    finally:
-        if pipe is not None:
-            pipe.close()
-            os.waitpid(pid, 0)
+            fh.write(_format_block(np.stack(part, axis=1, out=x), w))
+        del chunk, part  # nor a chunk while the next is computed
     fh.write(b"\n")
-
-
-#: The length prefix of a chunk's text in the worker's pipe.
-_PREFIX = struct.Struct("<Q")
-
-#: The worker's pipe buffer: the most an unprivileged process may ask of
-#: Linux by default (``/proc/sys/fs/pipe-max-size``).  Kernel memory, not
-#: part of either process's resident set.
-_PIPE_BYTES = 1 << 20
-
-
-def _fork(count: int, formatted):
-    """Fork a worker that formats the odd chunks of a table of ``count``
-    chunks, and return its pid and the read end of its pipe; or (0, None),
-    when the table has one chunk, the host lets this process run on one
-    CPU or has no ``os.fork`` or ``os.sched_getaffinity``, and the caller
-    formats every chunk.
-
-    The worker sends each chunk's text down the pipe and nothing else, and
-    stops at its first exception, which the caller meets again when it
-    computes that chunk itself.  Its body is one ``try``/``finally`` that
-    ends in ``os._exit``: it never returns into its caller's frames, never
-    flushes or closes a file its parent has open, and runs no ``atexit``
-    hook.  A write blocks while the pipe is full, so beyond the pipe's at
-    most ``_PIPE_BYTES`` the worker holds at most one chunk's text, and if
-    the parent closes the pipe (or dies) the write fails and the worker
-    exits.  The caller closes the pipe and reaps the worker.
-
-    The process that forks must run no other thread, as ``cli`` does: it
-    keeps OpenBLAS to one.
-    """
-    shared = count > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    if not shared or len(os.sched_getaffinity(0)) < 2:
-        return 0, None
-    import fcntl
-
-    r, w = os.pipe()
-    try:
-        # A chunk's text (about 320 kB at 5 columns) then crosses in one
-        # write and one or two reads, instead of 64 kB at a time with a
-        # switch between the processes for each.
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (AttributeError, OSError):  # not Linux, or above the host's limit
-        pass
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, open(r, "rb")
-    try:
-        os.close(r)
-        with open(w, "wb") as pipe:
-            for i in range(1, count, 2):
-                blocks = list(formatted(i))
-                pipe.write(_PREFIX.pack(sum(map(len, blocks))))
-                pipe.writelines(blocks)
-                pipe.flush()
-                del blocks  # not held while the next chunk is formatted
-    finally:
-        os._exit(0)
-
-
-def _receive(pipe):
-    """The text of the worker's next chunk from its ``pipe``, or None if the
-    worker stopped before it sent all of it."""
-    head = pipe.read(_PREFIX.size)
-    if len(head) != _PREFIX.size:
-        return None
-    (size,) = _PREFIX.unpack(head)
-    body = pipe.read(size)
-    return body if len(body) == size else None

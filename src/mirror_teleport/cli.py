@@ -42,14 +42,7 @@ zero, negative or outside [1e-99, 1e3), the range of fidelities and the
 bundled times.
 ``_csvtext`` cuts the table into chunks and asks ``curve`` for each one's
 rows, whose times ``curve`` builds from their row indices, so it holds no
-full-length array and its memory does not grow with ``--grid``.  A table
-of two or more chunks is shared with one forked worker, when the process
-may run on two or more CPUs (``os.sched_getaffinity``) and the platform
-has ``os.fork``: the worker computes and formats the odd chunks, and
-``curve`` the even ones and any the worker did not send, writing every
-chunk in row order, so the bytes and any failure are those of one process.
-The worker shares ``curve``'s pages, so the run's peak resident set is the
-larger of the two processes', not their sum; no worker outlives the command.
+full-length array and its memory does not grow with ``--grid``.
 A ``curve`` that fails, say because a chunk's values leave the float64
 range (exit 1) or a write fails (exit 3), leaves neither ``curve.csv`` nor
 ``summary.json`` in ``--out``, not even an earlier run's.
@@ -62,8 +55,8 @@ runs ``run()``: ``main()``, then a flush of stdout and stderr, then
 full disk).  The interpreter's teardown, its final garbage collections and
 the freeing of numpy's modules and of every object one at a time, is
 skipped: on a 2-core host it took 10-18 ms of each numpy command.  Nothing
-is lost by that: a command closes every file it writes and reaps its
-worker, and nothing here registers an ``atexit`` hook.  An exception that
+is lost by that: a command closes every file it writes, and nothing here
+registers an ``atexit`` hook.  An exception that
 escapes ``main()`` ends the process the normal way, with its traceback.
 ``main()`` itself returns its code to in-process callers and leaves the
 garbage collector as it was.
@@ -337,8 +330,7 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
 
     def columns(lo, hi):
         # Rows lo up to hi, bit for bit those rows of the whole grid, so no
-        # full-length array, not even the grid, is ever held, and either
-        # process of the writer can compute any chunk.
+        # full-length array, not even the grid, is ever held.
         t = _time_rows(stop, rows, lo, hi)
         chunk = [
             couplings.oscillation * t,

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from . import protocol
 from ._record import record
-from .optomech import Couplings, _check_nbar
+from .optomech import Couplings
 
 #: The six coefficient fields of :class:`GaussianCoeffs`, in field order.
 COEFF_FIELDS = (
@@ -149,7 +149,7 @@ def _moment_slopes(couplings: Couplings, nbar: float, time: float) -> tuple[floa
 
     d/dt is oscillation * d/dx.
     """
-    return _slopes(protocol._ratios_and_trig(couplings, protocol._float_time(time)), nbar)
+    return _slopes(protocol._checked_trig(couplings, (nbar,), protocol._float_time(time)), nbar)
 
 
 def _rows(trig) -> tuple[tuple[float, float, float], ...]:
@@ -227,6 +227,5 @@ def coeffs_from_propagator(couplings: Couplings, nbar: float, time: float) -> Ga
         stokes_mirror = +<s^(t) m^(t)>,  mirror_anti = -<m^(t) a(t)>,
         stokes_anti   = +<s^(t) a^(t)>.
     """
-    _check_nbar(nbar)
-    trig = protocol._ratios_and_trig(couplings, protocol._float_time(time))
+    trig = protocol._checked_trig(couplings, (nbar,), protocol._float_time(time))
     return GaussianCoeffs(*_moments(_rows(trig), nbar), trig[2], nbar, None)

@@ -33,7 +33,7 @@ and DomainError naming any other type.  The kernel shares one piece of
 source with the float functions, ``_FactoredParts``, which is built from
 one trig tuple and which ``verify``'s gates build once per time, and
 three places choose between a float and an array: ``_ratios_and_trig``
-takes the sines and cosines from ``math`` for a float time and from numpy
+takes the sines and cosines from ``math`` for an int or float and from numpy
 for an array, ``_checked_trig`` checks t >= 0 on either, and
 ``_FactoredParts.e1`` checks a float E1 itself.  This module imports numpy
 only for an array.  Over a stack of times each result is bit for bit that
@@ -130,7 +130,7 @@ def _ratios_and_trig(couplings: Couplings, time):
 
     r = parametric/oscillation, q = beam_splitter/oscillation, t is ``time``
     and x = oscillation*t; omc = 1 - cos x as 2 sin^2(x/2) keeps its full
-    relative precision near the revivals.  A Python float time stays a
+    relative precision near the revivals.  A Python float or int time is a
     float and takes its sines and cosines from ``math``; any other time is
     a float array and takes them from numpy, for the fidelity kernel, which
     alone takes arrays.  That is the only difference between the two paths:
@@ -140,6 +140,8 @@ def _ratios_and_trig(couplings: Couplings, time):
     overflows: with a rate finite and > 0, x is finite exactly when neither
     happens.
     """
+    if type(time) is int:  # not a bool
+        time = _float_time(time)
     if type(time) is float:
         t, sin, cos = time, math.sin, math.cos
         x = couplings.oscillation * t

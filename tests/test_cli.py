@@ -3,11 +3,9 @@ import itertools
 import json
 import math
 import os
-import signal
 import sys
 import tempfile
 import tracemalloc
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -399,12 +397,6 @@ def _whole(columns):
     return lambda lo, hi: [c[lo:hi] for c in columns]
 
 
-def _cpus(n):
-    """Let the block writer see ``n`` CPUs: at 1 this process writes every
-    chunk, at 2 a forked worker formats the odd chunks of a larger table."""
-    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)), create=True)
-
-
 def _blocks(chunk_rows, block_cells):
     """Cut tables into chunks of ``chunk_rows`` rows, and those into blocks
     of at most ``block_cells`` cells."""
@@ -660,8 +652,7 @@ def test_block_writer_memory_on_a_scan_table():
     _csvtext._word_table()  # built once a process, and kept
     tracemalloc.start()
     try:
-        with _cpus(1):
-            _csvtext.write_blocks(_Sink(), "", 4001, _whole(columns))
+        _csvtext.write_blocks(_Sink(), "", 4001, _whole(columns))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -685,14 +676,20 @@ def test_bundled_columns_match_savetxt(tmp_path):
     cases.append((load_config(cfg), 2000, ["--config", str(cfg), "--no-heterodyne"]))
     for config, grid, flags in cases:
         assert main(["--out", str(tmp_path), *flags, "curve"]) == 0
-        c = compute_couplings(config.params)
-        times = np.linspace(0.0, config.periods * period(c), grid + 1)
-        heterodyne = "--no-heterodyne" not in flags
-        fidelities = fidelity_curves(c, config.nbar_values, times, heterodyne)
-        columns = [c.oscillation * times, *fidelities]
-        header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
-        assert (tmp_path / "curve.csv").read_bytes() == _savetxt_bytes(columns, header)
+        columns, expected = _whole_grid_curve(config, grid, flags)
+        assert (tmp_path / "curve.csv").read_bytes() == expected
     assert (columns[1] < 1e-4).mean() > 0.5
+
+
+def _whole_grid_curve(config, grid, flags):
+    """The columns of ``curve --grid grid`` on ``config``, computed on the
+    whole grid at once, and np.savetxt's bytes of them."""
+    c = compute_couplings(config.params)
+    times = np.linspace(0.0, config.periods * period(c), grid + 1)
+    fidelities = fidelity_curves(c, config.nbar_values, times, "--no-heterodyne" not in flags)
+    columns = [c.oscillation * times, *fidelities]
+    header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
+    return columns, _savetxt_bytes(columns, header)
 
 
 def _failing_curves(couplings, grid, chunk, failure):
@@ -735,69 +732,48 @@ def test_failing_chunk_leaves_no_curve(tmp_path, capsys, bench_couplings, failur
         assert not (out / "summary.json").exists()
 
 
+#: What a failing chunk writes to stderr, by how it fails.
+_FAILED_CHUNK_ERRORS = {
+    "nan": "config error: the fidelity curve is outside the float64 range\n",
+    "overflow": (
+        "config error: the values leave the float64 range"
+        " (overflow encountered in multiply)\n"
+    ),
+    "interrupt": "",
+}
+
+
 @pytest.mark.parametrize("failure", ["nan", "overflow", "interrupt"])
 @pytest.mark.parametrize("chunk", [1, 2])
 def test_failing_chunk_fails_alike_in_either_process(
     tmp_path, capsys, bench_couplings, chunk, failure
 ):
-    # With two CPUs the worker computes chunks 1 and 3 of the five chunks of
-    # --grid 20000, and this process chunk 2: a failure in either exits as
-    # it does with one CPU, with the same stderr, leaves neither file, and
-    # leaves no worker behind, even one that is mid-chunk.
+    # A failure in chunk 1 or in chunk 2 of the five chunks of --grid 20000
+    # exits 1 with its config error, or lets the interrupt through, and
+    # leaves neither file.
     out = tmp_path / "out"
     failing = _failing_curves(bench_couplings, 20000, chunk, failure)
-    errors = []
-    for cpus in (1, 2):
-        with _cpus(cpus), mock.patch.object(protocol, "fidelity_curves", failing):
-            if failure == "interrupt":
-                with pytest.raises(KeyboardInterrupt):
-                    main(["--out", str(out), "--grid", "20000", "curve"])
-            else:
-                assert main(["--out", str(out), "--grid", "20000", "curve"]) == 1
-        errors.append(capsys.readouterr().err)
-        assert not (out / "curve.csv").exists()
-        assert not (out / "summary.json").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    assert errors[0] == errors[1]
-    assert errors[0].startswith("config error:") == (failure != "interrupt")
+    with mock.patch.object(protocol, "fidelity_curves", failing):
+        if failure == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                main(["--out", str(out), "--grid", "20000", "curve"])
+        else:
+            assert main(["--out", str(out), "--grid", "20000", "curve"]) == 1
+    assert capsys.readouterr().err == _FAILED_CHUNK_ERRORS[failure]
+    assert not (out / "curve.csv").exists()
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-heterodyne"]])
 @pytest.mark.parametrize("grid", [4095, 4096, 4097, 8191, 8192, 12289])
-def test_curve_is_the_same_in_one_process_or_two(tmp_path, grid, flags):
-    # Tables of one, two and three chunks, the last full or of one row: the
-    # table a forked worker shares is byte for byte the one-process table,
-    # and a one-chunk table forks nothing.
-    fork = os.fork
-    forks = []
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    outputs = []
-    for cpus in (1, 2):
-        out = tmp_path / str(cpus)
-        forks.clear()
-        with _cpus(cpus), mock.patch.object(os, "fork", counted_fork):
-            assert main(["--out", str(out), "--grid", str(grid), *flags, "curve"]) == 0
-        assert len(forks) == (cpus == 2 and grid >= _csvtext._CHUNK_ROWS)
-        outputs.append([(out / name).read_bytes() for name in ("curve.csv", "summary.json")])
-    assert outputs[0] == outputs[1]
-
-
-def test_worker_is_forked_from_a_single_thread(tmp_path):
-    # Python 3.12 warns that "use of fork() may lead to deadlocks" when a
-    # process that runs more than one thread forks.  The CLI runs one: it
-    # keeps OpenBLAS to one thread.
-    with open("/proc/self/status") as status:
-        threads = next(line for line in status if line.startswith("Threads:"))
-    assert threads.split() == ["Threads:", "1"]
-    with warnings.catch_warnings(record=True) as caught, _cpus(2):
-        warnings.simplefilter("always")
-        assert main(["--out", str(tmp_path), "--grid", "8192", "curve"]) == 0
-    assert not [w for w in caught if "fork" in str(w.message)]
+def test_curve_is_the_same_in_one_process_or_two(tmp_path, bench_config, grid, flags):
+    # Tables of one, two and three chunks, the last full or of one row, are
+    # np.savetxt's bytes of the whole grid, and curve starts no process for
+    # them: an os.fork that raises leaves the run as it is.
+    with mock.patch.object(os, "fork", side_effect=AssertionError("curve forked")):
+        assert main(["--out", str(tmp_path), "--grid", str(grid), *flags, "curve"]) == 0
+    _, expected = _whole_grid_curve(bench_config, grid, flags)
+    assert (tmp_path / "curve.csv").read_bytes() == expected
 
 
 def test_failing_summary_leaves_no_curve(tmp_path, capsys):
@@ -823,8 +799,7 @@ def test_curve_memory_does_not_grow_with_the_grid(tmp_path, bench_json, flags):
     # 7.68 MB, and at 104 bytes a cell they were 1.55 MB and 1.82 MB.
     # Each bound is its peak plus about 10 %.  A first curve run allocates
     # for the rest of the process (about 0.15 MB more at any grid), so a
-    # small one comes first.  With one CPU this process writes every
-    # chunk: tracemalloc would not see a worker's buffers.
+    # small one comes first.
     bench_json["nbar_values"] = [0, 0.5, 1, 2, 5, 10, 20, 50, 100, 300, 1000, 1e4]
     wide = _write_config(tmp_path, bench_json)
     assert main(["--out", str(tmp_path), "--grid", "100", *flags, "curve"]) == 0
@@ -833,9 +808,8 @@ def test_curve_memory_does_not_grow_with_the_grid(tmp_path, bench_json, flags):
         for grid in (40000, 200000):
             tracemalloc.start()
             try:
-                with _cpus(1):
-                    argv = ["--out", str(tmp_path), *config, "--grid", str(grid), *flags, "curve"]
-                    assert main(argv) == 0
+                argv = ["--out", str(tmp_path), *config, "--grid", str(grid), *flags, "curve"]
+                assert main(argv) == 0
                 peaks[grid] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -891,24 +865,23 @@ def test_time_chunks_match_linspace_in_any_split(stop, num, rows):
 @given(
     table=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)), elements=_narrow_cells),
     chunk_rows=st.integers(1, 7),
-    cpus=st.sampled_from([1, 2]),
 )
 @settings(max_examples=50, deadline=None)
-def test_chunks_write_the_table_they_hold(table, chunk_rows, cpus):
-    # A table cut into chunks, one or many, some shared with a worker,
-    # writes the bytes of the whole table.
+def test_chunks_write_the_table_they_hold(table, chunk_rows):
+    # A table cut into chunks, one or many, writes the bytes of the whole
+    # table.
     columns = list(table.T)
     buf = io.BytesIO()
-    with mock.patch.object(_csvtext, "_CHUNK_ROWS", chunk_rows), _cpus(cpus):
+    with mock.patch.object(_csvtext, "_CHUNK_ROWS", chunk_rows):
         _csvtext.write_blocks(buf, "theta_t,F", len(table), _whole(columns))
     assert buf.getvalue() == _savetxt_bytes(columns)
 
 
 def test_chunk_of_the_wrong_length_raises():
     # A chunk of more or fewer rows than its place in the table holds
-    # raises, computed in the worker (chunk 1) or here (chunk 2).
+    # raises, a full one (chunk 1) or the last (chunk 2).
     whole = _whole([np.arange(10.0), np.ones(10)])
-    for bad, cpus, extra in itertools.product((1, 2), (1, 2), (-1, 1)):
+    for bad, extra in itertools.product((1, 2), (-1, 1)):
         def columns(lo, hi):
             chunk = whole(lo, hi)
             if lo == 4 * bad:
@@ -916,54 +889,9 @@ def test_chunk_of_the_wrong_length_raises():
             return chunk
 
         rows = 4 if bad == 1 else 2
-        with mock.patch.object(_csvtext, "_CHUNK_ROWS", 4), _cpus(cpus):
+        with mock.patch.object(_csvtext, "_CHUNK_ROWS", 4):
             with pytest.raises(ValueError, match=f"chunk {bad} holds {rows + extra} rows, not {rows}"):
                 _csvtext.write_blocks(io.BytesIO(), "a,b", 10, columns)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
-def test_unpicklable_exception_surfaces_in_either_process():
-    # A chunk that raises an exception pickle cannot send, in the worker
-    # (chunk 1) or here (chunk 2), raises that exception, as with one CPU.
-    class Unpicklable(Exception):
-        pass  # a local class: pickle cannot find it by name
-
-    whole = _whole([np.arange(10.0), np.ones(10)])
-    for bad, cpus in itertools.product((1, 2), (1, 2)):
-        def columns(lo, hi):
-            if lo == 4 * bad:
-                raise Unpicklable(lo)
-            return whole(lo, hi)
-
-        with mock.patch.object(_csvtext, "_CHUNK_ROWS", 4), _cpus(cpus):
-            with pytest.raises(Unpicklable):
-                _csvtext.write_blocks(io.BytesIO(), "a,b", 10, columns)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
-def test_killed_worker_leaves_the_one_cpu_table(tmp_path, bench_couplings):
-    # A worker killed before it sends chunk 1 leaves that chunk and the
-    # rest to curve, which writes the one-CPU bytes, exits 0 and reaps it.
-    kernel = protocol.fidelity_curves
-    first = np.linspace(0.0, period(bench_couplings), 20001)[_csvtext._CHUNK_ROWS]
-    parent = os.getpid()
-
-    def killed(c, nbar_values, t, heterodyne=True):
-        if t[0] == first and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return kernel(c, nbar_values, t, heterodyne)
-
-    outputs = []
-    for cpus in (1, 2):
-        out = tmp_path / str(cpus)
-        with _cpus(cpus), mock.patch.object(protocol, "fidelity_curves", killed):
-            assert main(["--out", str(out), "--grid", "20000", "curve"]) == 0
-        outputs.append([(out / name).read_bytes() for name in ("curve.csv", "summary.json")])
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    assert outputs[0] == outputs[1]
 
 
 @given(

@@ -15,7 +15,7 @@ from mirror_teleport import (
     protocol,
     symplectic_defect,
 )
-from mirror_teleport.dynamics import _moment_derivatives
+from mirror_teleport.dynamics import _moment_derivatives, _moment_slopes
 
 from conftest import COEFF_FIELDS, rate_pairs
 
@@ -229,8 +229,12 @@ def test_closed_form_at_fidelity_peak_golden(bench_couplings, nbar, t_star, coef
 def test_invalid_inputs(moderate):
     with pytest.raises(DomainError):
         coeffs_analytic(moderate, -0.5, 1.0)
-    with pytest.raises(DomainError):
-        coeffs_analytic(moderate, 1.0, -1.0)
+    # Both coefficient routes and the slopes check (nbar, time) alike.
+    for call in (coeffs_analytic, coeffs_from_propagator, _moment_slopes):
+        with pytest.raises(DomainError, match="time must be >= 0"):
+            call(moderate, 1.0, -1.0)
+        with pytest.raises(DomainError, match="nbar must be"):
+            call(moderate, -5.0, 0.3)
     # The closed forms reject a time they cannot evaluate; the propagator
     # takes negative times (M(-t) inverts M(t)), but no NaN or infinity.
     for bad_time in (math.nan, math.inf, -math.inf):

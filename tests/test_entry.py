@@ -44,8 +44,7 @@ def test_entry_prints_what_main_prints(capsys, command):
 
 @pytest.mark.parametrize("flags", [[], ["--no-heterodyne"]])
 def test_entry_writes_what_main_writes(tmp_path, flags):
-    # 9,000 rows are three chunks: on two or more CPUs a forked worker
-    # formats one of them.
+    # --grid 9000's 9,001 rows are three chunks, the last a partial one.
     argv = ["--grid", "9000", *flags, "curve"]
     assert cli.main(["--out", str(tmp_path / "main"), *argv]) == 0
     run = _entry(["--out", str(tmp_path / "entry"), *argv])

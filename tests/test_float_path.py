@@ -163,11 +163,21 @@ def test_one_time_functions_name_any_other_time_type(moderate, entry, time, kind
         entry(moderate, time)
 
 
-@pytest.mark.parametrize("entry", _ONE_TIME)
+#: The fidelity kernel's functions, which take an array of times too, each
+#: as f(couplings, time).
+_KERNEL = [
+    pytest.param(lambda c, t: protocol.effective_occupation(c, 1.0, t), id="effective_occupation"),
+    pytest.param(lambda c, t: protocol.fidelity_curves(c, (1.0,), t), id="fidelity_curves"),
+]
+
+
+@pytest.mark.parametrize("entry", _ONE_TIME + _KERNEL)
 def test_one_time_functions_take_an_int_time_as_a_float(moderate, entry):
     # An int time once took numpy's path and gave numpy.float64 values; it is
     # its float, and an int past float64 is a DomainError, not OverflowError.
     def values(result):
+        if type(result) is float:
+            return [result]
         if hasattr(result, "__slots__"):
             result = [getattr(result, name) for name in result.__slots__ if name != "couplings"]
         return [v for item in result for v in (item if type(item) is tuple else (item,))]

@@ -103,7 +103,8 @@ def test_float_library_calls_load_no_numpy():
         "mt.symplectic_defect(mt.propagator(c, 0.3)); "
         "mt.coeffs_from_propagator(c, 1.0, 0.3); "
         "mt.coeffs_analytic(c, 1.0, 1); mt.coeffs_from_propagator(c, 1.0, 1); "
-        "mt.propagator(c, 1); mt.conditional_correlation(c, 1.0, 1)"
+        "mt.propagator(c, 1); mt.conditional_correlation(c, 1.0, 1); "
+        "mt.effective_occupation(c, 1.0, 1); mt.fidelity_curves(c, (1.0,), 1)"
     )
     assert _loaded_at_exit(code, ("numpy",)) == "[]"
 

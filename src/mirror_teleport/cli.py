@@ -14,8 +14,8 @@ each time's trig once and evaluate the package's closed forms, the
 kernels its public functions wrap, on it at every nbar, one float time at
 a time, and neither they nor any module they load import numpy.  ``curve`` evaluates the
 fidelity kernel, the one closed form that also takes an array of times,
-from the same source.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1
-unless it is already set.
+from the same source.  Importing this module before numpy sets
+``OPENBLAS_NUM_THREADS`` to 1 unless it is already set.
 
 The command line is read by ``_parse_args``, not argparse, whose messages
 go through gettext and so load ``locale`` in every process.  It reads a
@@ -28,7 +28,9 @@ formatted for 80 columns.  A value after ``=`` is taken as written,
 Exit codes: 0 success, 1 config or usage error, 2 verification-gate failure,
 3 I/O error.  A ``curve`` whose numpy arithmetic overflows or yields NaN,
 and a ``verify`` whose gates meet a value that is not finite, exit 1: the
-config's values leave the float64 range.  All data files are
+config's values leave the float64 range.  A command that fails, interrupted
+or not, leaves none of its files (``_OUTPUTS``) in ``--out``, not even an
+earlier run's.  All data files are
 deterministic: identical configs produce byte-identical outputs (no
 timestamps anywhere).
 
@@ -43,9 +45,6 @@ bundled times.
 ``_csvtext`` cuts the table into chunks and asks ``curve`` for each one's
 rows, whose times ``curve`` builds from their row indices, so it holds no
 full-length array and its memory does not grow with ``--grid``.
-A ``curve`` that fails, say because a chunk's values leave the float64
-range (exit 1) or a write fails (exit 3), leaves neither ``curve.csv`` nor
-``summary.json`` in ``--out``, not even an earlier run's.
 ``summary.json``'s heterodyne-free maximum is
 ``protocol.peak_fidelity``, exact where float64 times near its peak are not.
 
@@ -69,12 +68,14 @@ import math
 import os
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 # No command multiplies matrices, so OpenBLAS's threads get no work, yet
 # on load it starts a worker per core that spins for a while: on a small or
 # shared host that steals CPU from whatever runs right after numpy's import.
-# Set before numpy loads, whoever imports it; an explicit setting wins.
+# It takes effect only where this module loads before numpy, as in a CLI
+# process; an explicit setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from ._record import record, replace
@@ -210,7 +211,7 @@ def load_config(path) -> RunConfig:
         values = [thermal_occupation(t, params.mirror_freq) for t in values]
     # Each nbar labels a curve.csv column and a summary.json entry.
     labels = [f"{v:.12g}" for v in values]
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    repeated = sorted(label for label, n in Counter(labels).items() if n > 1)
     if repeated:
         raise ConfigError(
             f"{field} gives nbar values that print alike as %.12g: {repeated}"
@@ -271,8 +272,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_couplings(config: RunConfig, out_dir: Path | None) -> int:
-    if out_dir is not None:  # a run that raises leaves no earlier run's file
-        (out_dir / "couplings.json").unlink(missing_ok=True)
     couplings = compute_couplings(config.params)
     stokes, anti = sideband_frequencies(config.params)
     nbar = thermal_occupation(config.params.temperature, config.params.mirror_freq)
@@ -344,25 +343,22 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
 
     header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
     curve_path, summary_path = out_dir / "curve.csv", out_dir / "summary.json"
-    # A run that raises leaves neither file, nor either of an earlier run's:
-    # the table replaces the old curve.csv, and the old summary goes first.
+    # The same bytes as np.savetxt(fmt="%.12g"); see the module docstring.
+    # An overflow or NaN in the closed forms means the config's values
+    # leave the float64 range; a result computed past one is not reported.
     try:
-        summary_path.unlink(missing_ok=True)
-        # The same bytes as np.savetxt(fmt="%.12g"); see the module docstring.
-        with open(curve_path, "wb") as fh:
+        with np.errstate(over="raise", invalid="raise"), open(curve_path, "wb") as fh:
             _csvtext.write_blocks(fh, header, rows, columns)
-        summary = _summary(config, couplings)
-        summary["curve"] = {
-            "variant": "no_heterodyne" if no_heterodyne else "heterodyne",
-            "grid_points": config.grid_points,
-            "periods": config.periods,
-            "nbar_from_temperatures": config.nbar_from_temperatures,
-        }
-        _write_json(summary_path, summary)
-    except BaseException:
-        curve_path.unlink(missing_ok=True)
-        summary_path.unlink(missing_ok=True)
-        raise
+    except FloatingPointError as exc:
+        raise DomainError(f"the values leave the float64 range ({exc})") from exc
+    summary = _summary(config, couplings)
+    summary["curve"] = {
+        "variant": "no_heterodyne" if no_heterodyne else "heterodyne",
+        "grid_points": config.grid_points,
+        "periods": config.periods,
+        "nbar_from_temperatures": config.nbar_from_temperatures,
+    }
+    _write_json(summary_path, summary)
     print(f"wrote {curve_path} and {summary_path}")
     return 0
 
@@ -380,8 +376,6 @@ def _run_gates(couplings: Couplings, nbar_values):
 
 
 def cmd_verify(config: RunConfig, out_dir: Path | None) -> int:
-    if out_dir is not None:  # a run that raises leaves no earlier run's file
-        (out_dir / "verify.txt").unlink(missing_ok=True)
     # Loaded before the first gate runs, so no gate's time includes it.
     from . import gates  # noqa: F401
 
@@ -437,7 +431,13 @@ _OPTIONS = {
     "--periods": ("periods", float),
     "--no-heterodyne": ("no_heterodyne", None),
 }
-_COMMANDS = ("couplings", "curve", "verify", "readout")
+#: The commands, each with the files it writes in --out.
+_OUTPUTS = {
+    "couplings": ("couplings.json",),
+    "curve": ("curve.csv", "summary.json"),
+    "verify": ("verify.txt",),
+    "readout": (),
+}
 _USAGE = """\
 usage: mirror-teleport [-h] [--config CONFIG] [--out OUT] [--grid GRID]
                        [--periods PERIODS] [--no-heterodyne]
@@ -520,8 +520,8 @@ def _parse_args(argv: list[str]):
                 token, i = argv[i], i + 1
             elif i < len(argv) and kinds[i] == "--":
                 i += 1
-            if token not in _COMMANDS:
-                choices = ", ".join(map(repr, _COMMANDS))
+            if token not in _OUTPUTS:
+                choices = ", ".join(map(repr, _OUTPUTS))
                 raise _UsageError(
                     f"argument command: invalid choice: {token!r} (choose from {choices})"
                 )
@@ -586,29 +586,29 @@ def main(argv=None) -> int:
             print(f"i/o error: cannot create {out_dir}: {exc}", file=sys.stderr)
             return 3
 
+    command = args["command"]
+    if command == "curve" and out_dir is None:
+        print("i/o error: curve requires --out", file=sys.stderr)
+        return 3
+    # See the module docstring: a command that fails leaves none of its files.
+    outputs = [out_dir / name for name in _OUTPUTS[command]] if out_dir else []
     try:
-        # These three compute with Python floats, which np.errstate does not
-        # govern; the gates check each value themselves.
-        if args["command"] == "couplings":
-            return cmd_couplings(config, out_dir)
-        if args["command"] == "readout":
+        try:
+            for path in outputs:
+                path.unlink(missing_ok=True)
+            if command == "couplings":
+                return cmd_couplings(config, out_dir)
+            if command == "curve":
+                return cmd_curve(config, out_dir, no_heterodyne=args["no_heterodyne"])
+            if command == "verify":
+                return cmd_verify(config, out_dir)
             return cmd_readout(config)
-        if args["command"] == "verify":
-            return cmd_verify(config, out_dir)
-        if out_dir is None:
-            print("i/o error: curve requires --out", file=sys.stderr)
-            return 3
-        import numpy as np
-
-        # An overflow or NaN in the closed forms means the config's values
-        # leave the float64 range; a result computed past one is not reported.
-        with np.errstate(over="raise", invalid="raise"):
-            return cmd_curve(config, out_dir, no_heterodyne=args["no_heterodyne"])
+        except BaseException:
+            for path in outputs:
+                path.unlink(missing_ok=True)
+            raise
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FloatingPointError as exc:
-        print(f"config error: the values leave the float64 range ({exc})", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -23,8 +23,8 @@ def _run(cmd, stdout=subprocess.PIPE):
     return subprocess.run(cmd, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60)
 
 
-def _python(code):
-    return _run([sys.executable, "-c", code])
+def _python(code, *argv):
+    return _run([sys.executable, "-c", code, *argv])
 
 
 def _entry(argv, stdout=subprocess.PIPE):
@@ -67,6 +67,36 @@ def test_failed_final_flush_exits_3():
         run = _entry(["couplings"], stdout=full)
     assert run.returncode == 3
     assert run.stderr.decode().startswith("i/o error:")
+
+
+#: The files each command writes in --out.
+_FILES = {
+    "couplings": {"couplings.json"},
+    "curve": {"curve.csv", "summary.json"},
+    "verify": {"verify.txt"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FILES))
+def test_failed_write_leaves_none_of_the_commands_files(tmp_path, command):
+    # A write that fails part way, here at a 200-byte limit on the size of
+    # the files the process writes, exits 3 and leaves none of the
+    # command's files in --out, not even those an earlier run left.  Other
+    # files there stay.
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), command]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert set(os.listdir(out)) == _FILES[command] | {"notes.txt"}
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    run = _python(
+        f"import resource; resource.setrlimit(resource.RLIMIT_FSIZE, (200, {hard})); "
+        "from mirror_teleport.cli import run; run()",
+        "--out", str(out), command,
+    )
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.decode().startswith("i/o error:")
+    assert os.listdir(out) == ["notes.txt"]
 
 
 def test_closed_stdout_exits_0():

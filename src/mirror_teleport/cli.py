@@ -7,7 +7,10 @@ curve       fidelity-vs-time sweep -> curve.csv + summary.json
 verify      self-verification gates (oracles and invariants) -> verify.txt
 readout     readout times, weights, quality ratio, decoherence windows
 
-Only ``curve`` imports numpy, inside the function that uses it.
+Only ``curve`` imports numpy, inside the function that uses it, and only
+after it has loaded ``protocol`` and then ``_csvtext``: without a bytecode
+cache they then compile before numpy loads, and numpy's import reuses the
+memory the compiler freed (0.5-0.6 MB of ``curve``'s peak).
 ``couplings`` and ``readout`` compute with Python floats, and so does
 ``verify``: its gates, in ``gates``, which only ``verify`` loads, make
 each time's trig once and evaluate the package's closed forms, the
@@ -26,9 +29,11 @@ formatted for 80 columns.  A value after ``=`` is taken as written,
 ``--`` included.
 
 Exit codes: 0 success, 1 config or usage error, 2 verification-gate failure,
-3 I/O error.  A ``curve`` whose numpy arithmetic overflows or yields NaN,
-and a ``verify`` whose gates meet a value that is not finite, exit 1: the
-config's values leave the float64 range.  A command that fails, interrupted
+3 I/O error, a failed flush of stdout or stderr or an error message that
+cannot be written included: every message is best effort.  A ``curve``
+whose numpy arithmetic overflows or yields NaN, and a ``verify`` whose
+gates meet a value that is not finite, exit 1: the config's values leave
+the float64 range.  A command that fails, interrupted
 or not, leaves none of its files (``_OUTPUTS``) in ``--out``, not even an
 earlier run's.  All data files are
 deterministic: identical configs produce byte-identical outputs (no
@@ -49,13 +54,13 @@ full-length array and its memory does not grow with ``--grid``.
 ``protocol.peak_fidelity``, exact where float64 times near its peak are not.
 
 A process started as ``mirror-teleport`` or ``python -m mirror_teleport.cli``
-runs ``run()``: ``main()``, then a flush of stdout and stderr, then
-``os._exit`` with ``main``'s code, or 3 if a flush fails (say, stdout is a
-full disk).  The interpreter's teardown, its final garbage collections and
-the freeing of numpy's modules and of every object one at a time, is
-skipped: on a 2-core host it took 10-18 ms of each numpy command.  Nothing
-is lost by that: a command closes every file it writes, and nothing here
-registers an ``atexit`` hook.  An exception that
+runs ``run()``: ``main()``, which ends with a flush of stdout and stderr
+and returns 3 if it fails (say, stdout is a full disk), then ``os._exit``
+with ``main``'s code.  The interpreter's teardown, its final garbage
+collections and the freeing of numpy's modules and of every object one at
+a time, is skipped: on a 2-core host it took 10-18 ms of each numpy
+command.  Nothing is lost by that: a command closes every file it writes,
+and nothing here registers an ``atexit`` hook.  An exception that
 escapes ``main()`` ends the process the normal way, with its traceback.
 ``main()`` itself returns its code to in-process callers and leaves the
 garbage collector as it was.
@@ -319,9 +324,12 @@ def _time_rows(stop: float, num: int, lo: int, hi: int):
 
 
 def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> int:
+    # protocol, then _csvtext, which imports numpy: without a bytecode cache
+    # both compile before numpy loads, and numpy's import reuses the memory
+    # the compiler freed instead of stacking on it.
+    from . import protocol
+    from . import _csvtext
     import numpy as np
-
-    from . import _csvtext, protocol
 
     couplings = compute_couplings(config.params)
     t_period = period(couplings)
@@ -559,71 +567,65 @@ def _parse_args(argv: list[str]):
     return args
 
 
-def main(argv=None) -> int:
-    try:
-        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-    except _UsageError as exc:  # a usage error is a config error
-        print(f"{_USAGE}mirror-teleport: error: {exc}", file=sys.stderr)
-        return 1
+def _command(argv: list[str]) -> int:
+    """Run the command line ``argv`` and return its exit code; a failure
+    raises the exception that ``main`` maps to one."""
+    args = _parse_args(argv)
     if args is None:
         print(_HELP, end="")
         return 0
-    try:
-        config_path = args["config"] or bundled_config_path()
-        config = load_config(config_path)
-        flags = {"grid_points": args["grid"], "periods": args["periods"]}
-        config = replace(config, **{k: v for k, v in flags.items() if v is not None})
-    except (ConfigError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    config = load_config(args["config"] or bundled_config_path())
+    flags = {"grid_points": args["grid"], "periods": args["periods"]}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
 
-    out_dir = None
+    command, out_dir = args["command"], None
     if args["out"] is not None:
         out_dir = Path(args["out"])
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            print(f"i/o error: cannot create {out_dir}: {exc}", file=sys.stderr)
-            return 3
-
-    command = args["command"]
-    if command == "curve" and out_dir is None:
-        print("i/o error: curve requires --out", file=sys.stderr)
-        return 3
+            raise OSError(f"cannot create {out_dir}: {exc}") from None
+    elif command == "curve":
+        raise OSError("curve requires --out")
     # See the module docstring: a command that fails leaves none of its files.
     outputs = [out_dir / name for name in _OUTPUTS[command]] if out_dir else []
     try:
-        try:
-            for path in outputs:
-                path.unlink(missing_ok=True)
-            if command == "couplings":
-                return cmd_couplings(config, out_dir)
-            if command == "curve":
-                return cmd_curve(config, out_dir, no_heterodyne=args["no_heterodyne"])
-            if command == "verify":
-                return cmd_verify(config, out_dir)
-            return cmd_readout(config)
-        except BaseException:
-            for path in outputs:
-                path.unlink(missing_ok=True)
-            raise
-    except (ConfigError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        if command == "couplings":
+            return cmd_couplings(config, out_dir)
+        if command == "curve":
+            return cmd_curve(config, out_dir, no_heterodyne=args["no_heterodyne"])
+        if command == "verify":
+            return cmd_verify(config, out_dir)
+        return cmd_readout(config)
+    except BaseException:
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        raise
 
 
-def run():
-    """Process entry: ``main()`` on ``sys.argv``, then ``os._exit``.
+def main(argv=None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``), flush stdout
+    and stderr, and return the exit code.
 
-    The console script and ``python -m mirror_teleport.cli`` call this;
-    ``main`` itself returns to in-process callers.  See the module docstring
-    for what the exit skips.
+    This is the one place that maps an exception to an exit code: a usage,
+    config or domain error is 1, an ``OSError`` 3.  Every message is best
+    effort: one that cannot be written, or a flush that fails, makes the
+    code 3 and raises nothing.  Any other exception propagates.
     """
-    code = main()
+    message = None
     try:
+        code = _command(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:  # a usage error is a config error
+        code, message = 1, f"{_USAGE}mirror-teleport: error: {exc}"
+    except (ConfigError, DomainError) as exc:
+        code, message = 1, f"config error: {exc}"
+    except OSError as exc:
+        code, message = 3, f"i/o error: {exc}"
+    try:
+        if message is not None and sys.stderr is not None:
+            print(message, file=sys.stderr)
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None when its descriptor was closed
                 stream.flush()
@@ -634,7 +636,18 @@ def run():
                 print(f"i/o error: cannot write the output: {exc}", file=sys.stderr, flush=True)
             except OSError:
                 pass
-    os._exit(code)
+    return code
+
+
+def run():
+    """Process entry: ``main()`` on ``sys.argv``, then ``os._exit`` with its
+    code.
+
+    The console script and ``python -m mirror_teleport.cli`` call this;
+    ``main`` itself returns to in-process callers.  See the module docstring
+    for what the exit skips.
+    """
+    os._exit(main())
 
 
 if __name__ == "__main__":

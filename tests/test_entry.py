@@ -15,12 +15,12 @@ SRC = Path(cli.__file__).resolve().parent.parent
 ROOT = SRC.parent
 
 
-def _run(cmd, stdout=subprocess.PIPE):
+def _run(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Run ``cmd`` on this checkout's package, its stdout buffered as by
-    default; stderr is captured."""
+    default; stdout and stderr are captured unless given."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(cmd, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60)
+    return subprocess.run(cmd, env=env, stdout=stdout, stderr=stderr, timeout=60)
 
 
 def _python(code, *argv):
@@ -97,6 +97,27 @@ def test_failed_write_leaves_none_of_the_commands_files(tmp_path, command):
     assert run.returncode == 3, run.stderr
     assert run.stderr.decode().startswith("i/o error:")
     assert os.listdir(out) == ["notes.txt"]
+
+
+@pytest.mark.parametrize("command", sorted(_FILES))
+def test_unwritable_error_message_still_exits_3(tmp_path, command):
+    # Under a zero-byte limit on the size of the files the process writes,
+    # with stderr a regular file, neither the command's file nor the
+    # "i/o error" message can be written (Python ignores SIGXFSZ, so each
+    # write fails with EFBIG).  The message is best effort: the process
+    # still exits 3, and leaves none of the command's files in --out.
+    resource = pytest.importorskip("resource")
+    out, err = tmp_path / "out", tmp_path / "stderr.txt"
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    code = (
+        f"import resource; resource.setrlimit(resource.RLIMIT_FSIZE, (0, {hard})); "
+        "from mirror_teleport.cli import run; run()"
+    )
+    with open(err, "wb") as stderr:
+        run = _run([sys.executable, "-c", code, "--out", str(out), command], stderr=stderr)
+    assert run.returncode == 3, err.read_text()
+    assert err.read_bytes() == b""
+    assert os.listdir(out) == []
 
 
 def test_closed_stdout_exits_0():

@@ -54,9 +54,11 @@ full-length array and its memory does not grow with ``--grid``.
 ``protocol.peak_fidelity``, exact where float64 times near its peak are not.
 
 A process started as ``mirror-teleport`` or ``python -m mirror_teleport.cli``
-runs ``run()``: ``main()``, which ends with a flush of stdout and stderr
-and returns 3 if it fails (say, stdout is a full disk), then ``os._exit``
-with ``main``'s code.  The interpreter's teardown, its final garbage
+runs ``run()``: ``main()``, then a flush of stdout and stderr, then
+``os._exit`` with ``main``'s code, or 3 if a flush fails (say, stdout is a
+full disk).  ``main()`` flushes nothing itself: an in-process caller that
+runs many commands, with stdout a file, would otherwise pay one write for
+each.  The interpreter's teardown, its final garbage
 collections and the freeing of numpy's modules and of every object one at
 a time, is skipped: on a 2-core host it took 10-18 ms of each numpy
 command.  Nothing is lost by that: a command closes every file it writes,
@@ -605,28 +607,13 @@ def _command(argv: list[str]) -> int:
         raise
 
 
-def main(argv=None) -> int:
-    """Run the command line ``argv`` (default ``sys.argv[1:]``), flush stdout
-    and stderr, and return the exit code.
-
-    This is the one place that maps an exception to an exit code: a usage,
-    config or domain error is 1, an ``OSError`` 3.  Every message is best
-    effort: one that cannot be written, or a flush that fails, makes the
-    code 3 and raises nothing.  Any other exception propagates.
-    """
-    message = None
-    try:
-        code = _command(sys.argv[1:] if argv is None else list(argv))
-    except _UsageError as exc:  # a usage error is a config error
-        code, message = 1, f"{_USAGE}mirror-teleport: error: {exc}"
-    except (ConfigError, DomainError) as exc:
-        code, message = 1, f"config error: {exc}"
-    except OSError as exc:
-        code, message = 3, f"i/o error: {exc}"
+def _finish(code: int, message: str | None = None, streams=()) -> int:
+    """Write ``message`` to stderr, then flush ``streams``, best effort:
+    return ``code``, or 3 if any of it fails.  Raises nothing."""
     try:
         if message is not None and sys.stderr is not None:
             print(message, file=sys.stderr)
-        for stream in (sys.stdout, sys.stderr):
+        for stream in streams:
             if stream is not None:  # None when its descriptor was closed
                 stream.flush()
     except OSError as exc:
@@ -639,15 +626,37 @@ def main(argv=None) -> int:
     return code
 
 
+def main(argv=None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
+    the exit code.
+
+    This is the one place that maps an exception to an exit code: a usage,
+    config or domain error is 1, an ``OSError`` 3.  Its message is best
+    effort (``_finish``): one that cannot be written makes the code 3 and
+    raises nothing.  Any other exception propagates.  stdout is left
+    unflushed, so an in-process caller pays no write per call for it.
+    """
+    message = None
+    try:
+        code = _command(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:  # a usage error is a config error
+        code, message = 1, f"{_USAGE}mirror-teleport: error: {exc}"
+    except (ConfigError, DomainError) as exc:
+        code, message = 1, f"config error: {exc}"
+    except OSError as exc:
+        code, message = 3, f"i/o error: {exc}"
+    return _finish(code, message)
+
+
 def run():
-    """Process entry: ``main()`` on ``sys.argv``, then ``os._exit`` with its
-    code.
+    """Process entry: ``main()`` on ``sys.argv``, then a flush of stdout and
+    stderr, then ``os._exit`` with ``main``'s code, or 3 if a flush fails.
 
     The console script and ``python -m mirror_teleport.cli`` call this;
     ``main`` itself returns to in-process callers.  See the module docstring
     for what the exit skips.
     """
-    os._exit(main())
+    os._exit(_finish(main(), streams=(sys.stdout, sys.stderr)))
 
 
 if __name__ == "__main__":

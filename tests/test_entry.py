@@ -1,6 +1,7 @@
 """The process entry, ``cli.run``, against ``cli.main`` in-process."""
 
 import gc
+import io
 import os
 import re
 import subprocess
@@ -59,6 +60,23 @@ def test_entry_writes_what_main_writes(tmp_path, flags):
 )
 def test_entry_exits_with_mains_code(argv, code):
     assert _entry(argv).returncode == code == cli.main(argv)
+
+
+def test_main_flushes_neither_stream(monkeypatch):
+    # An in-process caller that runs many commands pays no write per call:
+    # run() flushes, once, before the process exits.
+    flushed = []
+
+    class Stream(io.StringIO):
+        def flush(self):
+            flushed.append(self)
+
+    monkeypatch.setattr(sys, "stdout", Stream())
+    monkeypatch.setattr(sys, "stderr", Stream())
+    assert cli.main(["couplings"]) == 0
+    assert cli.main(["bogus"]) == 1
+    assert sys.stdout.getvalue() and sys.stderr.getvalue()
+    assert flushed == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

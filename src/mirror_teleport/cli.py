@@ -20,13 +20,8 @@ fidelity kernel, the one closed form that also takes an array of times,
 from the same source.  Importing this module before numpy sets
 ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set.
 
-The command line is read by ``_parse_args``, not argparse, whose messages
-go through gettext and so load ``locale`` in every process.  It reads a
-command line as argparse did, unique prefixes of the flags and
-``--flag=value`` included, and rejects what argparse rejected with
-argparse's usage line and message; ``-h`` prints argparse's help as
-formatted for 80 columns.  A value after ``=`` is taken as written,
-``--`` included.
+The command line is read by ``_argv._parse_args``, not argparse; the
+grammar is a module of its own, whose docstring says why.
 
 Exit codes: 0 success, 1 config or usage error, 2 verification-gate failure,
 3 I/O error, a failed flush of stdout or stderr or an error message that
@@ -56,7 +51,10 @@ full-length array and its memory does not grow with ``--grid``.
 A process started as ``mirror-teleport`` or ``python -m mirror_teleport.cli``
 runs ``run()``: ``main()``, then a flush of stdout and stderr, then
 ``os._exit`` with ``main``'s code, or 3 if a flush fails (say, stdout is a
-full disk).  ``main()`` flushes nothing itself: an in-process caller that
+full disk).  There stdout is line-buffered, so that output that cannot be
+written fails the command as a file that cannot be written does; so does a
+closed stdout, before the command runs.  ``main()`` flushes nothing
+itself: an in-process caller that
 runs many commands, with stdout a file, would otherwise pay one write for
 each.  The interpreter's teardown, its final garbage
 collections and the freeing of numpy's modules and of every object one at
@@ -73,7 +71,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -85,6 +82,7 @@ from pathlib import Path
 # process; an explicit setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from ._argv import _HELP, _OPTIONS, _OUTPUTS, _USAGE, _UsageError, _parse_args  # noqa: F401
 from ._record import record, replace
 from .errors import ConfigError, DomainError
 from .optomech import (
@@ -430,145 +428,6 @@ def cmd_readout(config: RunConfig) -> int:
     return 0
 
 
-#: The options: each option string's destination and its value's type,
-#: None for one that takes no value.
-_OPTIONS = {
-    "-h": ("help", None),
-    "--help": ("help", None),
-    "--config": ("config", str),
-    "--out": ("out", str),
-    "--grid": ("grid", int),
-    "--periods": ("periods", float),
-    "--no-heterodyne": ("no_heterodyne", None),
-}
-#: The commands, each with the files it writes in --out.
-_OUTPUTS = {
-    "couplings": ("couplings.json",),
-    "curve": ("curve.csv", "summary.json"),
-    "verify": ("verify.txt",),
-    "readout": (),
-}
-_USAGE = """\
-usage: mirror-teleport [-h] [--config CONFIG] [--out OUT] [--grid GRID]
-                       [--periods PERIODS] [--no-heterodyne]
-                       {couplings,curve,verify,readout}
-"""
-_HELP = _USAGE + """
-Radiation-pressure teleportation onto a vibrating mirror: couplings, fidelity
-curves, self-verification and readout analysis.
-
-positional arguments:
-  {couplings,curve,verify,readout}
-
-options:
-  -h, --help            show this help message and exit
-  --config CONFIG       path to a JSON run config (default: bundled fig2.json)
-  --out OUT             output directory
-  --grid GRID           override grid_points
-  --periods PERIODS     override sweep length in periods
-  --no-heterodyne       curve: use the variant without the anti-Stokes
-                        heterodyne
-"""
-
-
-class _UsageError(Exception):
-    """A command line that ``_parse_args`` rejects."""
-
-
-def _option(token: str):
-    """None if ``token`` is an argument, else (option string, the value
-    after it in the token or None); the option string is "" for an unknown
-    option.  A long option may be cut to a unique prefix, and ``-h`` may be
-    followed by more letters."""
-    if token in _OPTIONS:
-        return token, None
-    if token[:1] != "-" or token == "-":
-        return None
-    name, eq, value = token.partition("=")
-    if eq and name in _OPTIONS:
-        return name, value
-    if token[1] == "-":
-        matches = [option for option in _OPTIONS if option.startswith(name)]
-        value = value if eq else None
-    else:
-        matches, value = ["-h"] if token.startswith("-h") else [], token[2:]
-    if len(matches) > 1:
-        raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None  # a negative number, or an argument with a space
-    return "", None
-
-
-def _parse_args(argv: list[str]):
-    """The command line ``argv`` as a dict of the options' values and the
-    command, or None for ``-h``/``--help``.
-
-    Every command line is read as argparse reads it: flags before or after
-    the command, ``--flag value`` or ``--flag=value``, the last of a
-    repeated flag winning, and everything after ``--`` an argument.  One
-    that it rejects raises ``_UsageError`` with argparse's message.
-    """
-    kinds = []  # per token: what _option makes of it, or "--"
-    for i, token in enumerate(argv):
-        if token == "--":
-            kinds += ["--"] + [None] * (len(argv) - i - 1)
-            break
-        kinds.append(_option(token))
-    args = dict(config=None, out=None, grid=None, periods=None, no_heterodyne=False, command=None)
-    extras, i = [], 0
-    while i < len(argv):
-        kind, token = kinds[i], argv[i]
-        i += 1
-        if kind is None or kind == "--":
-            if args["command"] is not None or (kind == "--" and i == len(argv)):
-                extras.append(token)
-                continue
-            # The command drops the first "--", just before or after it.
-            if kind == "--":
-                token, i = argv[i], i + 1
-            elif i < len(argv) and kinds[i] == "--":
-                i += 1
-            if token not in _OUTPUTS:
-                choices = ", ".join(map(repr, _OUTPUTS))
-                raise _UsageError(
-                    f"argument command: invalid choice: {token!r} (choose from {choices})"
-                )
-            args["command"] = token
-            continue
-        option, value = kind
-        if not option:
-            extras.append(token)
-            continue
-        dest, convert = _OPTIONS[option]
-        name = "-h/--help" if dest == "help" else option
-        if convert is None:
-            if option == "-h" and value:  # -hh... is -h -h ...
-                value = value.lstrip("h") or None
-            if value is not None:
-                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
-            if dest == "help":
-                return None
-            args[dest] = True
-            continue
-        if value is None:
-            if i == len(argv) or kinds[i] is not None:
-                raise _UsageError(f"argument {name}: expected one argument")
-            value, i = argv[i], i + 1
-        try:
-            args[dest] = convert(value)
-        except ValueError:
-            raise _UsageError(
-                f"argument {name}: invalid {convert.__name__} value: {value!r}"
-            ) from None
-    if args["command"] is None:
-        raise _UsageError("the following arguments are required: command")
-    if extras:
-        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    return args
-
-
 def _command(argv: list[str]) -> int:
     """Run the command line ``argv`` and return its exit code; a failure
     raises the exception that ``main`` maps to one."""
@@ -576,22 +435,23 @@ def _command(argv: list[str]) -> int:
     if args is None:
         print(_HELP, end="")
         return 0
-    config = load_config(args["config"] or bundled_config_path())
-    flags = {"grid_points": args["grid"], "periods": args["periods"]}
-    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
-
-    command, out_dir = args["command"], None
-    if args["out"] is not None:
-        out_dir = Path(args["out"])
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise OSError(f"cannot create {out_dir}: {exc}") from None
-    elif command == "curve":
-        raise OSError("curve requires --out")
+    command = args["command"]
+    out_dir = None if args["out"] is None else Path(args["out"])
     # See the module docstring: a command that fails leaves none of its files.
     outputs = [out_dir / name for name in _OUTPUTS[command]] if out_dir else []
     try:
+        if sys.stdout is None:  # descriptor 1 was closed
+            raise OSError("cannot write the output: stdout is closed")
+        config = load_config(args["config"] or bundled_config_path())
+        flags = {"grid_points": args["grid"], "periods": args["periods"]}
+        config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+        if out_dir is not None:
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise OSError(f"cannot create {out_dir}: {exc}") from None
+        elif command == "curve":
+            raise OSError("curve requires --out")
         for path in outputs:
             path.unlink(missing_ok=True)
         if command == "couplings":
@@ -602,14 +462,20 @@ def _command(argv: list[str]) -> int:
             return cmd_verify(config, out_dir)
         return cmd_readout(config)
     except BaseException:
+        # Best effort: the failure raised is the one to report.
         for path in outputs:
-            path.unlink(missing_ok=True)
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
         raise
 
 
 def _finish(code: int, message: str | None = None, streams=()) -> int:
     """Write ``message`` to stderr, then flush ``streams``, best effort:
-    return ``code``, or 3 if any of it fails.  Raises nothing."""
+    return ``code``, or 3 if any of it fails, with an ``i/o error`` line
+    unless ``code`` is 3 already, so an I/O error is reported once.
+    Raises nothing."""
     try:
         if message is not None and sys.stderr is not None:
             print(message, file=sys.stderr)
@@ -617,12 +483,12 @@ def _finish(code: int, message: str | None = None, streams=()) -> int:
             if stream is not None:  # None when its descriptor was closed
                 stream.flush()
     except OSError as exc:
-        code = 3
-        if sys.stderr is not None:
+        if code != 3 and sys.stderr is not None:
             try:
                 print(f"i/o error: cannot write the output: {exc}", file=sys.stderr, flush=True)
             except OSError:
                 pass
+        code = 3
     return code
 
 
@@ -656,6 +522,8 @@ def run():
     ``main`` itself returns to in-process callers.  See the module docstring
     for what the exit skips.
     """
+    if sys.stdout is not None:  # each line is written inside the command
+        sys.stdout.reconfigure(line_buffering=True)
     os._exit(_finish(main(), streams=(sys.stdout, sys.stderr)))
 
 

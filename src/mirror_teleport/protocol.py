@@ -125,7 +125,7 @@ class ActuationSetting:
             raise DomainError(f"phase must lie in [0, 2pi), got {self.phase!r}")
 
 
-def _ratios_and_trig(couplings: Couplings, time):
+def _ratios_and_trig(couplings: Couplings, time, cos_x: bool = True):
     """(r, q, t, sin x, cos x, omc) of every closed form at time(s) ``time``.
 
     r = parametric/oscillation, q = beam_splitter/oscillation, t is ``time``
@@ -138,7 +138,9 @@ def _ratios_and_trig(couplings: Couplings, time):
     its row of an array wherever the two libraries' sines agree.
     DomainError names a NaN or infinite time, or a finite one whose phase x
     overflows: with a rate finite and > 0, x is finite exactly when neither
-    happens.
+    happens.  An array time's cos x is None unless ``cos_x``: only the
+    heterodyne-free forms and the channel read it, so a heterodyne curve
+    skips its ``np.cos`` for every chunk.  A float time's is always made.
     """
     if type(time) is int:  # not a bool
         time = _float_time(time)
@@ -149,7 +151,7 @@ def _ratios_and_trig(couplings: Couplings, time):
     else:
         import numpy as np
 
-        t, sin, cos = np.asarray(time, dtype=float), np.sin, np.cos
+        t, sin, cos = np.asarray(time, dtype=float), np.sin, np.cos if cos_x else None
         with np.errstate(over="ignore"):
             x = couplings.oscillation * t
         finite = np.isfinite(x)
@@ -164,7 +166,7 @@ def _ratios_and_trig(couplings: Couplings, time):
     omc = 2.0 * (h * h)
     r = couplings.parametric / couplings.oscillation
     q = couplings.beam_splitter / couplings.oscillation
-    return r, q, t, sin(x), cos(x), omc
+    return r, q, t, sin(x), None if cos is None else cos(x), omc
 
 
 def _float_time(time) -> float:
@@ -180,11 +182,11 @@ def _float_time(time) -> float:
         raise DomainError(f"time must be in the float64 range, got {time!r}") from None
 
 
-def _checked_trig(couplings: Couplings, nbar_values, time):
+def _checked_trig(couplings: Couplings, nbar_values, time, cos_x: bool = True):
     """``_ratios_and_trig`` after the closed forms' one check of nbar and of t >= 0."""
     for nbar in nbar_values:
         _check_nbar(nbar)
-    trig = _ratios_and_trig(couplings, time)
+    trig = _ratios_and_trig(couplings, time, cos_x)
     negative = trig[2] < 0
     if negative if type(negative) is bool else negative.any():
         raise DomainError("time must be >= 0")
@@ -194,7 +196,8 @@ def _checked_trig(couplings: Couplings, nbar_values, time):
 class _FactoredParts:
     """The nbar-free parts of the factored forms at one trig tuple of
     ``_checked_trig``, for one time or a grid: ``verify``'s gates build one
-    per time and evaluate it at every nbar."""
+    per time and evaluate it at every nbar.  Built from a tuple without
+    cos x, it serves the heterodyne forms only."""
 
     __slots__ = ("r", "q", "s", "c", "omc", "_e1_terms", "_lift2", "_tilt2_value")
 
@@ -256,9 +259,10 @@ def fidelity_curves(couplings: Couplings, nbar_values, time, heterodyne: bool = 
     1/(1 + n_eff), or when ``heterodyne`` is False the fidelity of the
     variant that traces out the anti-Stokes mode, 1/(1 + bracket) with
     bracket = 1 + stokes_n + mirror_n + 2 stokes_mirror, which never exceeds
-    it.  The sines and cosines are computed once for all nbar.
+    it.  The sines and cosines are computed once for all nbar, the cosines
+    only for the variant, which alone reads them.
     """
-    parts = _FactoredParts(_checked_trig(couplings, nbar_values, time))
+    parts = _FactoredParts(_checked_trig(couplings, nbar_values, time, not heterodyne))
     return [parts.fidelity(nbar, heterodyne) for nbar in nbar_values]
 
 
@@ -307,7 +311,7 @@ def effective_occupation(couplings: Couplings, nbar: float, time):
     state) and satisfies fidelity = 1 / (1 + n_eff) exactly; evaluated
     through the factored form, a square times (nbar + 1)/E1.
     """
-    return _FactoredParts(_checked_trig(couplings, (nbar,), time)).noise(nbar)
+    return _FactoredParts(_checked_trig(couplings, (nbar,), time, False)).noise(nbar)
 
 
 def fidelity_coherent(g: GaussianCoeffs):

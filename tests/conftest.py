@@ -1,11 +1,14 @@
 import math
 
+# The CLI module loads before numpy, as in every CLI process, so that the
+# suite's numpy runs OpenBLAS on one thread too.
+from mirror_teleport.cli import bundled_config_path, load_config  # isort: skip
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from mirror_teleport import Couplings, compute_couplings, dynamics, period, protocol
-from mirror_teleport.cli import bundled_config_path, load_config
 from mirror_teleport.dynamics import COEFF_FIELDS  # noqa: F401  (re-exported)
 
 #: The bundled config's thermal occupations.

@@ -325,6 +325,9 @@ def test_occupation_where_kt_and_hbar_w_are_subnormal(tmp_path, bench_json):
         ({"mirror_freq_rad_per_s": 1e-300}, "verify", "verify.txt"),
         ({"nbar_values": [1e300]}, "verify", "verify.txt"),
         ({"mirror_freq_rad_per_s": 1e-300}, "couplings", "couplings.json"),
+        # A config that fails to load.
+        ({"grid_points": 1}, "verify", "verify.txt"),
+        ({"no_such_field": 0}, "couplings", "couplings.json"),
     ],
 )
 def test_failed_run_leaves_no_earlier_output(tmp_path, bench_json, capsys, patch, command, name):

@@ -1,5 +1,6 @@
 """The process entry, ``cli.run``, against ``cli.main`` in-process."""
 
+import errno
 import gc
 import io
 import os
@@ -93,6 +94,8 @@ _FILES = {
     "curve": {"curve.csv", "summary.json"},
     "verify": {"verify.txt"},
 }
+#: Every command, with the files it writes: readout writes none.
+_OUTPUTS = {**_FILES, "readout": set()}
 
 
 @pytest.mark.parametrize("command", sorted(_FILES))
@@ -138,12 +141,145 @@ def test_unwritable_error_message_still_exits_3(tmp_path, command):
     assert os.listdir(out) == []
 
 
-def test_closed_stdout_exits_0():
-    # Started with its descriptor closed, sys.stdout is None and print
-    # writes nothing.
-    run = _run(["sh", "-c", 'exec "$0" -m mirror_teleport.cli couplings >&-', sys.executable])
-    assert run.returncode == 0, run.stderr
-    assert run.stderr == b""
+def _closing(fd, cmd):
+    """``cmd`` started by a shell with descriptor ``fd`` closed."""
+    return ["sh", "-c", f'exec "$0" "$@" {fd}>&-', *cmd]
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUTS))
+def test_closed_stdout_exits_3(tmp_path, command):
+    # Started with descriptor 1 closed, sys.stdout is None and print would
+    # write nothing: the command's output cannot be written, so it fails
+    # before it runs, and leaves none of its files, an earlier run's too.
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), command]) == 0
+    cmd = [sys.executable, "-m", "mirror_teleport.cli", "--out", str(out), command]
+    run = _run(_closing(1, cmd))
+    assert run.returncode == 3, run.stderr
+    assert run.stderr == b"i/o error: cannot write the output: stdout is closed\n"
+    assert os.listdir(out) == []
+
+
+#: What a child runs: an interrupt raised from a patched function at one
+#: point, a limit on the size of the files it writes, then the process
+#: entry.
+_CHILD = """\
+import sys
+from mirror_teleport import cli
+limit, point = {limit!r}, {point!r}
+
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+if point == "config":
+    cli._number = interrupt
+elif point == "table":  # the third of --grid 20000's five chunks
+    from mirror_teleport import protocol
+    kernel, chunks = protocol.fidelity_curves, []
+    def fidelity_curves(*args, **kwargs):
+        chunks.append(None)
+        return interrupt() if len(chunks) == 3 else kernel(*args, **kwargs)
+    protocol.fidelity_curves = fidelity_curves
+elif point == "gates":  # after the first four
+    from mirror_teleport import gates
+    every = gates.run
+    def run(*args):
+        for i, gate in enumerate(every(*args)):
+            if i == 4:
+                interrupt()
+            yield gate
+    gates.run = run
+if limit is not None:
+    import resource
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+sys.argv[0] = "mirror-teleport"
+cli.run()
+"""
+
+#: Limits on the size of the files a child writes, its stderr among them,
+#: in bytes: below and above the length of its one error line.
+_LIMITS = (0, 1, 40, 200)
+
+
+def _io_error(errnum):
+    return f"i/o error: [Errno {errnum}] {os.strerror(errnum)}"
+
+
+def _stream_cases():
+    """(command, stdout, stderr, limit) for each child with a failing
+    stream: stdout on /dev/full or closed, stderr closed, or stderr a file
+    under a size limit, two of ``_LIMITS`` for each command."""
+    for i, command in enumerate(sorted(_OUTPUTS)):
+        yield command, "full", "pipe", None
+        yield command, "closed", "pipe", None
+        yield command, "pipe", "closed", None
+        yield command, "full", "closed", None
+        for limit in (_LIMITS[i % 4], _LIMITS[(i + 1) % 4]):
+            yield command, "pipe", "file", limit
+
+
+def _expected(command, stdout, limit):
+    """The exit code and the one stderr line, or None, of a stream case."""
+    if stdout == "closed":
+        return 3, "i/o error: cannot write the output: stdout is closed"
+    if stdout == "full":
+        return 3, _io_error(errno.ENOSPC)
+    if limit is not None and _OUTPUTS[command]:
+        return 3, _io_error(errno.EFBIG)
+    return 0, None
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failing_streams_and_interrupts_keep_the_exit_code_contract(tmp_path):
+    # Each command runs through run() in a child, one child at a time (28
+    # in all), with a stream that fails or an interrupt at one point.  A
+    # child that fails exits with its code and leaves none of the
+    # command's files in --out, not even those an earlier run left; other
+    # files there stay.  A writable stderr holds one line, or what of it
+    # fits under the limit.  An interrupt takes the exit that Python gives
+    # an uncaught one.
+    pytest.importorskip("resource")
+    interrupted = _python("raise KeyboardInterrupt").returncode
+    assert interrupted != 0
+    cases = [(*case, None) for case in _stream_cases()] + [
+        ("couplings", "pipe", "pipe", None, "config"),
+        ("curve", "pipe", "pipe", None, "table"),
+        ("verify", "pipe", "pipe", None, "gates"),
+    ]
+    for n, (command, stdout, stderr, limit, point) in enumerate(cases):
+        out, err = tmp_path / f"out{n}", tmp_path / f"err{n}"
+        out.mkdir()
+        for name in _OUTPUTS[command] | {"notes.txt"}:
+            (out / name).write_text("earlier\n")
+        argv = ["--out", str(out), *(["--grid", "20000"] if point else []), command]
+        cmd = [sys.executable, "-c", _CHILD.format(limit=limit, point=point), *argv]
+        for fd, state in ((1, stdout), (2, stderr)):
+            if state == "closed":
+                cmd = _closing(fd, cmd)
+        with open("/dev/full", "wb") as full, open(err, "wb") as errfile:
+            run = _run(
+                cmd,
+                stdout=full if stdout == "full" else subprocess.PIPE,
+                stderr=errfile if stderr == "file" else subprocess.PIPE,
+            )
+        case = (command, stdout, stderr, limit, point)
+        if point:
+            assert run.returncode == interrupted, (case, run.stderr)
+            assert run.stderr.endswith(b"KeyboardInterrupt\n"), case
+            left = set()
+        else:
+            code, line = _expected(command, stdout, limit)
+            assert run.returncode == code, (case, run.stderr)
+            written = b"" if line is None else (line + "\n").encode()
+            if stderr == "file":
+                assert err.read_bytes() == written[:limit], case
+            elif stderr == "pipe":
+                assert run.stderr == written, case
+            left = _OUTPUTS[command] if code == 0 else set()
+        assert set(os.listdir(out)) == left | {"notes.txt"}, case
+        if left:
+            assert all((out / name).read_text() != "earlier\n" for name in left), case
 
 
 _HOOKED = (

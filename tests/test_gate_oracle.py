@@ -132,9 +132,9 @@ def test_gates_make_each_times_trig_once(bench_couplings, monkeypatch):
     calls = []
     trig = protocol._ratios_and_trig
 
-    def counted(couplings, time):
+    def counted(couplings, time, *cos_x):
         calls.append(time)
-        return trig(couplings, time)
+        return trig(couplings, time, *cos_x)
 
     monkeypatch.setattr(protocol, "_ratios_and_trig", counted)
     counts = []

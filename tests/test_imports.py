@@ -95,6 +95,34 @@ def test_curve_compiles_its_own_modules_before_numpy(tmp_path):
     assert _python(probe).splitlines()[-1] == str(list(modules))
 
 
+def test_the_grammar_is_a_module_of_its_own():
+    # Without a bytecode cache a numpy-free command's peak is set while the
+    # compiler holds its largest unit, so the command-line grammar compiles
+    # apart from cli: it imports the standard library only, and cli binds
+    # its names.
+    import ast
+
+    from mirror_teleport import _argv, cli
+
+    tree = ast.parse(Path(_argv.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.dump(node)
+            imported.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+    assert imported <= set(sys.stdlib_module_names) | {"__future__"}
+    code = (
+        "import sys, mirror_teleport; before = set(sys.modules); "
+        "import mirror_teleport._argv; "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('mirror_teleport')))"
+    )
+    assert _python(code).strip() == "['mirror_teleport._argv']"
+    for name in ("_OPTIONS", "_OUTPUTS", "_USAGE", "_HELP", "_UsageError", "_parse_args"):
+        assert getattr(cli, name) is getattr(_argv, name), name
+
+
 def test_protocol_alone_loads_no_oracle_module():
     assert _loaded_at_exit("import mirror_teleport.protocol", _ORACLES) == "[]"
 

@@ -15,13 +15,16 @@ memory the compiler freed (0.5-0.6 MB of ``curve``'s peak).
 ``verify``: its gates, in ``gates``, which only ``verify`` loads, make
 each time's trig once and evaluate the package's closed forms, the
 kernels its public functions wrap, on it at every nbar, one float time at
-a time, and neither they nor any module they load import numpy.  ``curve`` evaluates the
-fidelity kernel, the one closed form that also takes an array of times,
-from the same source.  Importing this module before numpy sets
+a time, keeping nothing across times but each gate's worst defect, and
+neither they nor any module they load import numpy.  ``curve`` evaluates
+the fidelity kernel, the one closed form that also takes an array of
+times, from the same source.  Importing this module before numpy sets
 ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set.
 
-The command line is read by ``_argv._parse_args``, not argparse; the
-grammar is a module of its own, whose docstring says why.
+The command line is read by ``_argv._parse_args``, not argparse, and
+``load_config`` reads and decodes the config file and leaves its
+validation to ``_config.validate``; the grammar and the validation are
+modules of their own, whose docstrings say why.
 
 Exit codes: 0 success, 1 config or usage error, 2 verification-gate failure,
 3 I/O error, a failed flush of stdout or stderr or an error message that
@@ -72,7 +75,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
 # No command multiplies matrices, so OpenBLAS's threads get no work, yet
@@ -83,67 +85,18 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from ._argv import _HELP, _OPTIONS, _OUTPUTS, _USAGE, _UsageError, _parse_args  # noqa: F401
-from ._record import record, replace
+from . import _config
+from ._config import RunConfig
+from ._record import replace
 from .errors import ConfigError, DomainError
 from .optomech import (
     Couplings,
-    PhysicalParams,
     compute_couplings,
     period,
     sideband_frequencies,
     thermal_occupation,
     validate_regime,
 )
-
-_TWO_PI = 2.0 * math.pi
-
-@record
-class RunConfig:
-    """Validated run configuration."""
-
-    params: PhysicalParams
-    nbar_values: tuple[float, ...]
-    nbar_from_temperatures: bool
-    grid_points: int
-    periods: float
-    readout_count: int
-
-    def __post_init__(self):
-        # Checked here, not in load_config, so that --grid/--periods are too.
-        if self.grid_points < 2:
-            raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
-        if not 0 < self.periods < math.inf:
-            raise ConfigError(f"periods must be finite and > 0, got {self.periods}")
-
-
-def _number(value, field: str, kind=float):
-    """``value`` as a finite float, or an int for kind=int; JSON strings,
-    bools and, for an int field, non-integral numbers are rejected."""
-    allowed = int if kind is int else (int, float)
-    if isinstance(value, allowed) and not isinstance(value, bool):
-        try:
-            if kind is int or math.isfinite(value):
-                return kind(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ConfigError(f"config field {field!r} has invalid value {value!r}")
-
-
-#: Every top-level config field; any other key is a config error.
-_KNOWN_FIELDS = frozenset("""
-    power_watts angular_frequencies laser_freq_rad_per_s mirror_freq_rad_per_s
-    laser_freq_hz mirror_freq_hz det_bandwidth_hz mode_bandwidth_hz mass_kg
-    incidence_angle_rad temperature_k damping_hz nbar_values temperatures_k
-    grid_points periods readout_times_count
-""".split())
-
-
-def _get(raw: dict, field: str, kind=float, required: bool = True, default=None):
-    if field not in raw:
-        if required:
-            raise ConfigError(f"missing required config field: {field!r}")
-        return default
-    return _number(raw[field], field, kind)
 
 
 def load_config(path) -> RunConfig:
@@ -161,80 +114,7 @@ def load_config(path) -> RunConfig:
     # RecursionError: arrays or objects nested too deep.
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _KNOWN_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-
-    angular = raw.get("angular_frequencies", True)
-    if not isinstance(angular, bool):
-        raise ConfigError(
-            f"config field 'angular_frequencies' must be true or false, got {angular!r}"
-        )
-    other = ("laser_freq_hz", "mirror_freq_hz") if angular else (
-        "laser_freq_rad_per_s", "mirror_freq_rad_per_s"
-    )
-    mixed = [field for field in other if field in raw]
-    if mixed:
-        raise ConfigError(
-            f"config mixes frequency conventions: {mixed} with "
-            f"angular_frequencies {json.dumps(angular)}"
-        )
-    if angular:
-        laser = _get(raw, "laser_freq_rad_per_s")
-        mirror = _get(raw, "mirror_freq_rad_per_s")
-    else:
-        laser = _TWO_PI * _get(raw, "laser_freq_hz")
-        mirror = _TWO_PI * _get(raw, "mirror_freq_hz")
-    try:
-        params = PhysicalParams(
-            power=_get(raw, "power_watts"),
-            laser_freq=laser,
-            mirror_freq=mirror,
-            det_bandwidth=_get(raw, "det_bandwidth_hz"),
-            mode_bandwidth=_get(raw, "mode_bandwidth_hz"),
-            mass=_get(raw, "mass_kg"),
-            incidence_angle=_get(raw, "incidence_angle_rad", required=False, default=0.0),
-            temperature=_get(raw, "temperature_k", required=False, default=0.0),
-            damping=_get(raw, "damping_hz", required=False, default=0.0),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"invalid physical parameters: {exc}") from exc
-
-    from_temps = "nbar_values" not in raw
-    field = "temperatures_k" if from_temps else "nbar_values"
-    if ("nbar_values" in raw) == ("temperatures_k" in raw):
-        raise ConfigError("config must provide exactly one of nbar_values and temperatures_k")
-    values = raw[field]
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{field} must be a non-empty JSON array")
-    values = [_number(v, field) for v in values]
-    if any(v < 0 for v in values):
-        raise ConfigError(f"{field} must be >= 0")
-    if from_temps:
-        values = [thermal_occupation(t, params.mirror_freq) for t in values]
-    # Each nbar labels a curve.csv column and a summary.json entry.
-    labels = [f"{v:.12g}" for v in values]
-    repeated = sorted(label for label, n in Counter(labels).items() if n > 1)
-    if repeated:
-        raise ConfigError(
-            f"{field} gives nbar values that print alike as %.12g: {repeated}"
-        )
-    nbar_values = tuple(values)
-
-    readout_count = _get(raw, "readout_times_count", kind=int, required=False, default=3)
-    if readout_count < 0:
-        raise ConfigError(f"readout_times_count must be >= 0, got {readout_count}")
-
-    return RunConfig(
-        params=params,
-        nbar_values=nbar_values,
-        nbar_from_temperatures=from_temps,
-        grid_points=_get(raw, "grid_points", kind=int, required=False, default=2000),
-        periods=_get(raw, "periods", required=False, default=1.0),
-        readout_count=readout_count,
-    )
+    return _config.validate(raw)
 
 
 def bundled_config_path() -> Path:
@@ -377,7 +257,9 @@ def _run_gates(couplings: Couplings, nbar_values):
     acceptance scorecard run the gates through this generator, and the
     benchmark's tracer times each gate by wrapping it by name.  The gates
     call private kernels, which the tracer does not wrap, at each (nbar,
-    time), so a gate's time is its own work, not the tracer's."""
+    time), so a gate's time is its own work, not the tracer's.  A gate's
+    time is that of the step that yields it: gates 2 and 4-7 run as one
+    pass before gate 2 yields, and gate 3's two checks before the first."""
     from . import gates
 
     yield from gates.run(couplings, nbar_values)

@@ -7,16 +7,17 @@ name would load a second copy.  Every function of the package is reached
 through its module's attribute, so a function patched or wrapped there
 after this module loads is the one a gate calls.
 
-The gates loop over their times in plain Python, on Python floats.  Each
-of gate 2's times, which gates 4-7 share, is checked once and gets its
-ratios and trig (``protocol._checked_trig``), its factored parts and its
-propagator rows once; the kernels that the public functions wrap
-(``dynamics._analytic``, ``_slopes``, ``_rows`` and ``_moments``,
-``protocol._FactoredParts`` and ``gaussian_core._physicality``) then
-evaluate them at each nbar.  So each formula has one source, the gates'
-work per nbar value is the arithmetic that depends on nbar, and a gate
-keeps only what a later one reads: the states' sizes, and the channels
-and n_eff at gate 7's times.  The fidelity kernel, which ``curve`` also
+The gates loop over their times in plain Python, on Python floats.  Gates
+2 and 4-7 share gate 2's times and run as one pass over them: each time
+is checked once and gets its ratios and trig (``protocol._checked_trig``),
+its factored parts and its propagator rows once; the kernels that the
+public functions wrap (``dynamics._analytic``, ``_slopes``, ``_rows`` and
+``_moments``, ``protocol._FactoredParts`` and
+``gaussian_core._physicality``) then evaluate them at each nbar, every
+gate at once.  So each formula has one source, the gates' work per nbar
+value is the arithmetic that depends on nbar, and the gates keep nothing
+across times but each gate's worst defect: their memory does not grow
+with the nbar values.  The fidelity kernel, which ``curve`` also
 evaluates on numpy arrays, takes its sines and cosines from ``math`` for
 a float time, so neither this module nor any that it loads imports numpy.
 A Python float overflows to inf without raising, a division by an
@@ -108,8 +109,14 @@ def run(couplings: Couplings, nbar_values):
     that the channel is physical, and gate 7 teleports through the same
     channels.  Gate 5 compares the coefficient formula for n_eff on the
     propagator's moments with the factored n_eff, relative to gate 2's
-    closed forms.  A value that leaves float64 raises DomainError from the
-    gate that meets it.
+    closed forms.
+
+    Gates 2 and 4-7 run as one pass over gate 2's times, at each time's
+    nbar values in turn, and gate 3 takes one pair of propagators at a
+    time, so a gate keeps only its worst defect.  At each (time, nbar) gate
+    2 checks the state first, and with it E1 = anti_n + 1, which the later
+    gates divide by.  A value that leaves float64 raises DomainError from
+    the gate that meets it first in that order.
     """
     osc, p, b = couplings.oscillation, couplings.parametric, couplings.beam_splitter
 
@@ -123,7 +130,6 @@ def run(couplings: Couplings, nbar_values):
     #    at 40 more times within 5/r in x of the heterodyne peak (pi at most,
     #    so no time is negative): 41 evenly spaced offsets without the
     #    centre, which is the peak itself
-    name = "ode-vs-analytic"
     t_period = optomech.period(couplings)
     grid = _linspace(0.0, t_period, 101)
     t_het, t_no_het = (protocol._peak(couplings, h)[0] for h in (True, False))
@@ -131,134 +137,100 @@ def run(couplings: Couplings, nbar_values):
     offsets = _linspace(-half_width, half_width, 41)
     del offsets[20]
     ode_times = [*grid, t_het, t_no_het, *(t_het + offset / osc for offset in offsets)]
-    # Each time's ratios and trig, checked once for every nbar and gate.
-    trigs = [protocol._checked_trig(couplings, (), t) for t in ode_times]
-    rate = max(p, b)
-    sizes = []  # per nbar, per time: the state's size, for gates 5 and 6
-    worst = 0.0
     for nbar in nbar_values:
         optomech._check_nbar(nbar)
-        state_sizes = []
-        for trig in trigs:
+    rate = max(p, b)
+    gin = CovMatrix2.vacuum()
+    ode = physical = identity = route = noise = 0.0
+    for i, t in enumerate(ode_times):
+        # Each time's ratios and trig, checked once for every nbar and gate.
+        trig = protocol._checked_trig(couplings, (), t)
+        parts, rows = protocol._FactoredParts(trig), dynamics._rows(trig)
+        teleported = i >= len(grid) or i % 10 == 0
+        for k, nbar in enumerate(nbar_values):
             y = dynamics._analytic(trig, nbar)
             slopes = dynamics._slopes(trig, nbar)
             rhs = dynamics._moment_derivatives(y, p, b)
             size = _size(y)
             residual = max([abs(osc * s - f) for s, f in zip(slopes, rhs)])
             divisor = rate * size
-            _finite(name, y, slopes, rhs, (residual, divisor))
-            worst = max(worst, residual / divisor)
-            state_sizes.append(size)
-        if dynamics._analytic(trigs[0], nbar) != (0.0, nbar, 0.0, 0.0, 0.0, 0.0):
-            worst = math.inf
-        sizes.append(state_sizes)
-    yield _verdict(name, worst)
+            # As _finite checks, but without its call where all is finite.
+            if not math.isfinite(sum(y) + sum(slopes) + sum(rhs) + residual + divisor):
+                _finite("ode-vs-analytic", y, slopes, rhs, (residual, divisor))
+            ode = max(ode, residual / divisor)
+            if i == 0 and y != (0.0, nbar, 0.0, 0.0, 0.0, 0.0):
+                ode = math.inf
+
+            # 4. conditioned-state physicality, relative to max(1, |G|max),
+            #    so physical states at large nbar pass; and 5. n_eff by the
+            #    coefficient formula, from the propagator's moments, against
+            #    the factored n_eff, relative to the state; d (d / E1), as
+            #    d^2 overflows first.  Unclipped: a negative n_eff is part of
+            #    the gap
+            chan = parts.channel(nbar)
+            defect = gaussian_core._physicality(*chan)
+            m = dynamics._moments(rows, nbar)
+            n_eff = parts.noise(nbar)
+            stokes_n, mirror_n, stokes_mirror, mirror_anti, anti_n, stokes_anti = m
+            d = stokes_anti - mirror_anti
+            bracket = 1.0 + stokes_n + mirror_n + 2.0 * stokes_mirror
+            e1 = anti_n + 1.0
+            gap = abs(bracket - d * (d / e1) - n_eff)
+            if not math.isfinite(sum(chan) + defect + sum(m) + n_eff + e1 + gap):
+                _finite("conditional-physicality", chan, (defect,))
+                _finite("fidelity-identity", m, (n_eff, e1, gap))
+            physical = max(physical, defect / _size(chan))
+            identity = max(identity, gap / size)
+
+            # 6. moment route vs closed form, relative to the state, for the
+            #    first two nbar
+            if k < 2:
+                gap = max([abs(u - v) for u, v in zip(y, m)])
+                _finite("moment-route", (gap,))
+                route = max(route, gap / size)
+
+            # 7. teleporting the vacuum adds n_eff, in X and in P, at every
+            #    tenth time of the grid, both peak times and every time near
+            #    the heterodyne peak, through gate 4's channel
+            if teleported:
+                out = protocol.teleport_covariance(CorrelationMatrix4(*chan), gin)
+                added = (out.xx - gin.xx, out.pp - gin.pp)
+                gaps = [abs(a - n_eff) for a in added]
+                _finite("teleport-noise", added, gaps)
+                noise = max(noise, max(gaps) / max(1.0, n_eff))
+    yield _verdict("ode-vs-analytic", ode)
 
     # 3. propagator structure: the metric of each, the group law on 51 pairs,
     #    at 100 times of a golden-ratio sequence, which fills [0, T) evenly,
-    #    and both peak times
-    name = "propagator-metric"
+    #    and both peak times.  The group law's residual is a product, so its
+    #    float64 floor scales with the sizes of the factors; M(t1 + t2) ~ I
+    #    near a revival even where they are ~r^2.
     times = [t_period * ((k * _GOLDEN) % 1.0) for k in range(1, 101)] + [t_het, t_no_het]
-    props, prop_sizes = [], []
-    worst = 0.0
-    for t in times:
-        m = dynamics.propagator(couplings, t)
-        entries = (*m[0], *m[1], *m[2])
-        size = _size(entries)
-        defect = gaussian_core.symplectic_defect(m)
-        _finite(name, entries, (size * size, defect))
-        worst = max(worst, defect)
-        props.append(m)
-        prop_sizes.append(size)
-    yield _verdict(name, worst)
-    # The residual is a product, so its float64 floor scales with the sizes of
-    # the factors; M(t1 + t2) ~ I near a revival even where they are ~r^2.
-    name = "propagator-group"
     half = len(times) // 2
-    worst = 0.0
-    for t1, t2, m1, m2, size1, size2 in zip(
-        times[:half], times[half:], props[:half], props[half:], prop_sizes, prop_sizes[half:]
-    ):
+    metric = group = 0.0
+    for t1, t2 in zip(times[:half], times[half:]):
+        m1, m2 = dynamics.propagator(couplings, t1), dynamics.propagator(couplings, t2)
+        sizes = []
+        for m in (m1, m2):
+            entries = (*m[0], *m[1], *m[2])
+            size = _size(entries)
+            defect = gaussian_core.symplectic_defect(m)
+            _finite("propagator-metric", entries, (size * size, defect))
+            metric = max(metric, defect)
+            sizes.append(size)
         m12 = dynamics.propagator(couplings, t1 + t2)
         residual = max(
             abs(m12[i][j] - (m1[i][0] * m2[0][j] + m1[i][1] * m2[1][j] + m1[i][2] * m2[2][j]))
             for i in range(3)
             for j in range(3)
         )
-        divisor = size1 * size2
-        _finite(name, *m12, (residual, divisor))
-        worst = max(worst, residual / divisor)
-    yield _verdict(name, worst)
+        divisor = sizes[0] * sizes[1]
+        _finite("propagator-group", *m12, (residual, divisor))
+        group = max(group, residual / divisor)
+    yield _verdict("propagator-metric", metric)
+    yield _verdict("propagator-group", group)
 
-    # 4. conditioned-state physicality at gate 2's times, relative to
-    #    max(1, |G|max), so physical states at large nbar pass; the only
-    #    check of the channel's physicality.  Gate 2 has checked its divisor
-    #    E1 = anti_n + 1.  Gate 7 teleports through these channels at its
-    #    times, which are all that this gate keeps
-    name = "conditional-physicality"
-    parts = [protocol._FactoredParts(trig) for trig in trigs]
-    teleported = [i >= len(grid) or i % 10 == 0 for i in range(len(ode_times))]
-    channels = []  # per nbar, at gate 7's times
-    worst = 0.0
-    for nbar in nbar_values:
-        row = []
-        for part, kept in zip(parts, teleported):
-            chan = part.channel(nbar)
-            defect = gaussian_core._physicality(*chan)
-            _finite(name, chan, (defect,))
-            worst = max(worst, defect / _size(chan))
-            if kept:
-                row.append(CorrelationMatrix4(*chan))
-        channels.append(row)
-    yield _verdict(name, worst)
-
-    # 5. n_eff by the coefficient formula, from the propagator's moments,
-    #    against the factored n_eff, relative to the state; d (d / E1), as
-    #    d^2 overflows first.  Unclipped: a negative n_eff is part of the gap
-    name = "fidelity-identity"
-    rows = [dynamics._rows(trig) for trig in trigs]
-    n_effs = []  # per nbar, at gate 7's times
-    worst = 0.0
-    for nbar, state_sizes in zip(nbar_values, sizes):
-        n_row = []
-        for m_rows, part, size, kept in zip(rows, parts, state_sizes, teleported):
-            m = dynamics._moments(m_rows, nbar)
-            n_eff = part.noise(nbar)
-            stokes_n, mirror_n, stokes_mirror, mirror_anti, anti_n, stokes_anti = m
-            d = stokes_anti - mirror_anti
-            bracket = 1.0 + stokes_n + mirror_n + 2.0 * stokes_mirror
-            e1 = anti_n + 1.0
-            gap = abs(bracket - d * (d / e1) - n_eff)
-            _finite(name, m, (n_eff, e1, gap))
-            worst = max(worst, gap / size)
-            if kept:
-                n_row.append(n_eff)
-        n_effs.append(n_row)
-    yield _verdict(name, worst)
-
-    # 6. moment route vs closed form, relative to the state, for the first
-    #    two nbar
-    name = "moment-route"
-    worst = 0.0
-    for nbar, state_sizes in zip(nbar_values[:2], sizes):
-        for trig, m_rows, size in zip(trigs, rows, state_sizes):
-            y = dynamics._analytic(trig, nbar)
-            gap = max([abs(u - v) for u, v in zip(y, dynamics._moments(m_rows, nbar))])
-            _finite(name, (gap,))
-            worst = max(worst, gap / size)
-    yield _verdict(name, worst)
-
-    # 7. teleporting the vacuum adds n_eff, in X and in P, at every tenth
-    #    time of the grid, both peak times and every time near the
-    #    heterodyne peak, through gate 4's channels
-    name = "teleport-noise"
-    gin = CovMatrix2.vacuum()
-    worst = 0.0
-    for row, n_row in zip(channels, n_effs):
-        for chan, n in zip(row, n_row):
-            out = protocol.teleport_covariance(chan, gin)
-            for added in (out.xx - gin.xx, out.pp - gin.pp):
-                gap = abs(added - n)
-                _finite(name, (added, gap))
-                worst = max(worst, gap / max(1.0, n))
-    yield _verdict(name, worst)
+    yield _verdict("conditional-physicality", physical)
+    yield _verdict("fidelity-identity", identity)
+    yield _verdict("moment-route", route)
+    yield _verdict("teleport-noise", noise)

@@ -1231,12 +1231,14 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
     # x of the heterodyne peak (pi at most), none of them twice, numpy's
     # grid bit for bit.  Each of those times is checked once, and its trig
     # tuple, factored parts and propagator rows made once; every kernel
-    # then evaluates them at each nbar in turn, one float time at a time.
-    # Gate 7 teleports through gate 4's channels at every tenth grid time
-    # and every peak time.
+    # then evaluates them at each nbar in turn, one float time at a time,
+    # each (nbar, time) once.  Gate 7 teleports through gate 4's channels
+    # at every tenth grid time and every peak time.  Gate 3 then makes its
+    # propagators one pair and its sum at a time.
     c = request.getfixturevalue(fixture)
     calls = _recorded(
         monkeypatch,
+        (protocol, "_ratios_and_trig"),
         (protocol, "_checked_trig"),
         (protocol._FactoredParts, "__init__"),
         (protocol._FactoredParts, "channel"),
@@ -1253,44 +1255,43 @@ def test_gates_reach_the_peaks(request, monkeypatch, fixture):
     assert [args[:2] for args in calls["_checked_trig"]] == [(c, ())] * len(expected)
     trig_times = [args[2] for args in calls["_checked_trig"]]
     assert trig_times == [trig[2] for (_, trig) in calls["__init__"]]
-    # After gate 3's 153 propagators, one set of rows per time for gate 5.
-    assert trig_times == [trig[2] for (trig,) in calls["_rows"][153:]]
+    # One set of rows per time for gate 5, then one for each of gate 3's
+    # 153 propagators.
+    assert trig_times == [trig[2] for (trig,) in calls["_rows"][: len(expected)]]
+    assert len(calls["_rows"]) == len(expected) + 153
+    assert len(calls["_ratios_and_trig"]) == len(expected) + 153
     time_of = {id(parts): trig[2] for parts, trig in calls["__init__"]}
-    analytic = [(n, trig[2]) for trig, n in calls["_analytic"]]
-    # Gate 2 evaluates each nbar's times and then its initial state at t = 0;
-    # gate 6 evaluates the first two nbar's times.
-    gate2, block = [], len(expected) + 1
-    for k, nbar in enumerate(NBAR_SET):
-        *points, initial = analytic[k * block : (k + 1) * block]
-        assert initial == (nbar, 0.0)
-        gate2 += points
-    two = NBAR_SET[:2]
     evaluated = {
-        "closed forms": (NBAR_SET, gate2),
-        "slopes": (NBAR_SET, [(n, trig[2]) for trig, n in calls["_slopes"]]),
-        "channel": (NBAR_SET, [(n, time_of[id(parts)]) for parts, n in calls["channel"]]),
-        "n_eff": (NBAR_SET, [(n, time_of[id(parts)]) for parts, n in calls["noise"]]),
-        "moment route": (two, analytic[len(NBAR_SET) * block :]),
+        "closed forms": [(n, trig[2]) for trig, n in calls["_analytic"]],
+        "slopes": [(n, trig[2]) for trig, n in calls["_slopes"]],
+        "channel": [(n, time_of[id(parts)]) for parts, n in calls["channel"]],
+        "n_eff": [(n, time_of[id(parts)]) for parts, n in calls["noise"]],
     }
-    assert [n for _, n in calls["_moments"]] == [n for n in (*NBAR_SET, *two) for _ in expected]
-    for name, (nbars, pairs) in evaluated.items():
-        assert [n for n, _ in pairs] == [n for n in nbars for _ in expected], name
-        times = np.array([t for _, t in pairs]).reshape(len(nbars), -1)
-        for row in times:
-            assert row.tobytes() == expected.tobytes()
+    # Gate 5's moments take each time's rows, at each nbar in turn.
+    rows = [dynamics._rows(trig) for _, trig in calls["__init__"]]
+    assert calls["_moments"] == [(m_rows, n) for m_rows in rows for n in NBAR_SET]
+    for name, pairs in evaluated.items():
+        assert [n for n, _ in pairs] == [n for _ in expected for n in NBAR_SET], name
+        for k in range(len(NBAR_SET)):
+            row = np.array([t for _, t in pairs[k :: len(NBAR_SET)]])
+            assert row.tobytes() == expected.tobytes(), name
             assert len(np.unique(row)) == len(row) == 101 + 2 + 40
             assert_reaches_the_peaks(c, row)
-    # Gate 3's 102 times, then its 51 sums of pairs.
+    # Gate 3's 102 times in 51 pairs, each followed by its sum.
     gate3 = [t for _, t in calls["propagator"]]
-    assert gate3[:102] == propagator_gate_times(c).tolist()
-    assert gate3[100:102] == list(peak_times(c)[:2])
-    assert gate3[102:] == [t1 + t2 for t1, t2 in zip(gate3[:51], gate3[51:102])]
+    assert len(gate3) == 153
+    assert gate3[0::3] + gate3[1::3] == propagator_gate_times(c).tolist()
+    assert gate3[1::3][49:51] == list(peak_times(c)[:2])
+    assert gate3[2::3] == [t1 + t2 for t1, t2 in zip(gate3[0::3], gate3[1::3])]
     assert all(type(t) is float for t in gate3)
+    # Every trig tuple, in time-major order: gate 2's 143 times, then gate
+    # 3's 153.
+    assert [args[1] for args in calls["_ratios_and_trig"]] == [*expected.tolist(), *gate3]
     teleported = [*range(0, 101, 10), *range(101, len(expected))]
     channels = [
         conditional_correlation(c, nbar, float(expected[i]))
-        for nbar in NBAR_SET
         for i in teleported
+        for nbar in NBAR_SET
     ]
     assert [args[0] for args in calls["teleport_covariance"]] == channels
 

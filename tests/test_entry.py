@@ -172,7 +172,8 @@ def interrupt(*args, **kwargs):
     raise KeyboardInterrupt
 
 if point == "config":
-    cli._number = interrupt
+    from mirror_teleport import _config
+    _config._number = interrupt
 elif point == "table":  # the third of --grid 20000's five chunks
     from mirror_teleport import protocol
     kernel, chunks = protocol.fidelity_curves, []

@@ -7,6 +7,7 @@ every result until the last gate, and must give every defect bit for bit.
 """
 
 import math
+import tracemalloc
 from operator import attrgetter
 
 import pytest
@@ -143,6 +144,24 @@ def test_gates_make_each_times_trig_once(bench_couplings, monkeypatch):
         assert all(ok for *_, ok in _run_gates(bench_couplings, nbar_values))
         counts.append(len(calls))
     assert counts == [143 + 153] * 2
+
+
+@pytest.mark.parametrize("count", [1, 50])
+def test_gates_keep_nothing_across_times(bench_couplings, count):
+    # The gates hold each gate's worst defect, not a value per (nbar, time):
+    # their memory does not grow with the nbar values.  A run holding one
+    # state size per (nbar, time) and gate 7's channels took 123 KB at one
+    # value and 783 KB at 50.
+    nbar_values = tuple(10.0 ** (k / 10) for k in range(count))
+    assert all(ok for *_, ok in _run_gates(bench_couplings, nbar_values))
+    tracemalloc.start()
+    try:
+        verdicts = list(_run_gates(bench_couplings, nbar_values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(verdicts) == len(gates.TOLERANCES)
+    assert peak < 64 * 1024, peak
 
 
 def test_finite_check_is_exact_where_the_sum_overflows():

@@ -123,6 +123,18 @@ def test_the_grammar_is_a_module_of_its_own():
         assert getattr(cli, name) is getattr(_argv, name), name
 
 
+def test_config_validation_is_a_module_of_its_own():
+    # For the same reason the validation of a decoded config compiles apart
+    # from cli, in _config.  cli reads and decodes the file in load_config,
+    # which stays its own function: the benchmark's tracer wraps it by name.
+    from mirror_teleport import _config, cli
+
+    assert cli.load_config.__module__ == "mirror_teleport.cli"
+    assert cli.RunConfig is _config.RunConfig
+    for name in ("_number", "_get", "_KNOWN_FIELDS"):
+        assert not hasattr(cli, name) and hasattr(_config, name), name
+
+
 def test_protocol_alone_loads_no_oracle_module():
     assert _loaded_at_exit("import mirror_teleport.protocol", _ORACLES) == "[]"
 

@@ -99,8 +99,9 @@ def test_ode_gate_reads_rounding_only(c, nbar):
 def test_ode_gate_reaches_the_peaks_for_every_nbar(request, monkeypatch, fixture):
     # Every nbar is checked at t = 0, at both closed-form peak times and at
     # 41 times within 5/r in x of the heterodyne peak (pi at most), one
-    # float time at a time, none twice: numpy's grid, bit for bit.  The
-    # gate evaluates the slopes' kernel on each time's trig tuple.
+    # float time at a time, each time at every nbar in turn, none twice:
+    # numpy's grid, bit for bit.  The gate evaluates the slopes' kernel on
+    # each time's trig tuple.
     c = request.getfixturevalue(fixture)
     calls = []
     slopes = dynamics._slopes
@@ -112,10 +113,10 @@ def test_ode_gate_reaches_the_peaks_for_every_nbar(request, monkeypatch, fixture
     monkeypatch.setattr(dynamics, "_slopes", recorded)
     _ode_gate(c, NBAR_SET)
     expected = gate_times(c)
-    assert [n for n, _ in calls] == [n for n in NBAR_SET for _ in expected]
+    assert [n for n, _ in calls] == [n for _ in expected for n in NBAR_SET]
     assert all(type(t) is float for _, t in calls)
     for k in range(len(NBAR_SET)):
-        times = np.array([t for _, t in calls[k * len(expected) : (k + 1) * len(expected)]])
+        times = np.array([t for _, t in calls[k :: len(NBAR_SET)]])
         assert times.tobytes() == expected.tobytes()
         assert len(np.unique(times)) == len(times)
         assert_reaches_the_peaks(c, times)

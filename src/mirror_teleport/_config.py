@@ -69,6 +69,12 @@ def _get(raw: dict, field: str, kind=float, required: bool = True, default=None)
     return _number(raw[field], field, kind)
 
 
+def nbar_label(nbar: float) -> str:
+    """``nbar``'s label in ``curve.csv``, ``summary.json`` and ``readout``'s
+    output; :func:`validate` rejects a config whose values share one."""
+    return f"{nbar:.12g}"
+
+
 def validate(raw) -> RunConfig:
     """The ``RunConfig`` of the decoded JSON value ``raw``; ConfigError
     names the first field that is missing, unknown or invalid."""
@@ -125,8 +131,7 @@ def validate(raw) -> RunConfig:
         raise ConfigError(f"{field} must be >= 0")
     if from_temps:
         values = [thermal_occupation(t, params.mirror_freq) for t in values]
-    # Each nbar labels a curve.csv column and a summary.json entry.
-    labels = [f"{v:.12g}" for v in values]
+    labels = [nbar_label(v) for v in values]
     repeated = sorted(label for label, n in Counter(labels).items() if n > 1)
     if repeated:
         raise ConfigError(

@@ -86,7 +86,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from ._argv import _HELP, _OPTIONS, _OUTPUTS, _USAGE, _UsageError, _parse_args  # noqa: F401
 from . import _config
-from ._config import RunConfig
+from ._config import RunConfig, nbar_label
 from ._record import replace
 from .errors import ConfigError, DomainError
 from .optomech import (
@@ -130,7 +130,7 @@ def _summary(config: RunConfig, couplings: Couplings) -> dict:
     per_nbar = {}
     for nbar in config.nbar_values:
         t_star, f_max = protocol.optimal_time(couplings, nbar)
-        per_nbar[f"{nbar:.12g}"] = {
+        per_nbar[nbar_label(nbar)] = {
             "F_max": f_max,
             "t_star_s": t_star,
             "scaled_t_star": couplings.oscillation * t_star,
@@ -156,7 +156,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def cmd_couplings(config: RunConfig, out_dir: Path | None) -> int:
+def cmd_couplings(config: RunConfig, path: Path | None = None) -> int:
     couplings = compute_couplings(config.params)
     stokes, anti = sideband_frequencies(config.params)
     nbar = thermal_occupation(config.params.temperature, config.params.mirror_freq)
@@ -180,8 +180,8 @@ def cmd_couplings(config: RunConfig, out_dir: Path | None) -> int:
             print(f"warning: {w}")
     else:
         print("regime: all assumptions hold")
-    if out_dir is not None:
-        _write_json(out_dir / "couplings.json", report)
+    if path is not None:
+        _write_json(path, report)
     return 0
 
 
@@ -203,7 +203,9 @@ def _time_rows(stop: float, num: int, lo: int, hi: int):
     return t
 
 
-def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> int:
+def cmd_curve(
+    config: RunConfig, curve_path: Path, summary_path: Path, no_heterodyne: bool = False
+) -> int:
     # protocol, then _csvtext, which imports numpy: without a bytecode cache
     # both compile before numpy loads, and numpy's import reuses the memory
     # the compiler freed instead of stacking on it.
@@ -229,8 +231,7 @@ def cmd_curve(config: RunConfig, out_dir: Path, no_heterodyne: bool = False) -> 
             raise DomainError("the fidelity curve is outside the float64 range")
         return chunk
 
-    header = "theta_t," + ",".join(f"F_nbar_{v:.12g}" for v in config.nbar_values)
-    curve_path, summary_path = out_dir / "curve.csv", out_dir / "summary.json"
+    header = "theta_t," + ",".join("F_nbar_" + nbar_label(v) for v in config.nbar_values)
     # The same bytes as np.savetxt(fmt="%.12g"); see the module docstring.
     # An overflow or NaN in the closed forms means the config's values
     # leave the float64 range; a result computed past one is not reported.
@@ -265,7 +266,7 @@ def _run_gates(couplings: Couplings, nbar_values):
     yield from gates.run(couplings, nbar_values)
 
 
-def cmd_verify(config: RunConfig, out_dir: Path | None) -> int:
+def cmd_verify(config: RunConfig, path: Path | None = None) -> int:
     # Loaded before the first gate runs, so no gate's time includes it.
     from . import gates  # noqa: F401
 
@@ -280,8 +281,8 @@ def cmd_verify(config: RunConfig, out_dir: Path | None) -> int:
     lines.append("verification " + ("PASSED" if all_ok else "FAILED"))
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if out_dir is not None:
-        (out_dir / "verify.txt").write_text(text)
+    if path is not None:
+        path.write_text(text)
     return 0 if all_ok else 2
 
 
@@ -304,7 +305,7 @@ def cmd_readout(config: RunConfig) -> int:
         for nbar in config.nbar_values:
             window = readout.decoherence_window(config.params.damping, nbar)
             text = "unconstrained" if math.isinf(window) else f"{window:.6g} s"
-            print(f"nbar {nbar:.12g}: feed-forward window {text}")
+            print(f"nbar {nbar_label(nbar)}: feed-forward window {text}")
     else:
         print("damping is 0: feed-forward windows unconstrained")
     return 0
@@ -319,7 +320,7 @@ def _command(argv: list[str]) -> int:
         return 0
     command = args["command"]
     out_dir = None if args["out"] is None else Path(args["out"])
-    # See the module docstring: a command that fails leaves none of its files.
+    # The command's files, its arguments in _OUTPUTS' order: it writes no other.
     outputs = [out_dir / name for name in _OUTPUTS[command]] if out_dir else []
     try:
         if sys.stdout is None:  # descriptor 1 was closed
@@ -337,11 +338,11 @@ def _command(argv: list[str]) -> int:
         for path in outputs:
             path.unlink(missing_ok=True)
         if command == "couplings":
-            return cmd_couplings(config, out_dir)
+            return cmd_couplings(config, *outputs)
         if command == "curve":
-            return cmd_curve(config, out_dir, no_heterodyne=args["no_heterodyne"])
+            return cmd_curve(config, *outputs, no_heterodyne=args["no_heterodyne"])
         if command == "verify":
-            return cmd_verify(config, out_dir)
+            return cmd_verify(config, *outputs)
         return cmd_readout(config)
     except BaseException:
         # Best effort: the failure raised is the one to report.

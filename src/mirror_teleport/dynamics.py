@@ -49,17 +49,6 @@ from . import protocol
 from ._record import record
 from .optomech import Couplings
 
-#: The six coefficient fields of :class:`GaussianCoeffs`, in field order.
-COEFF_FIELDS = (
-    "stokes_n",
-    "mirror_n",
-    "stokes_mirror",
-    "mirror_anti",
-    "anti_n",
-    "stokes_anti",
-)
-
-
 @record
 class GaussianCoeffs:
     """The six coefficients of the three-mode Gaussian characteristic function.
@@ -79,6 +68,10 @@ class GaussianCoeffs:
     time: float
     nbar: float
     couplings: Couplings | None = None
+
+
+#: The six coefficient fields of :class:`GaussianCoeffs`, in field order.
+COEFF_FIELDS = GaussianCoeffs.__slots__[:6]
 
 
 def _analytic(trig, nbar) -> tuple[float, ...]:

@@ -126,10 +126,10 @@ def run(couplings: Couplings, nbar_values):
 
     # 2. the closed forms start at the initial state, exactly, and their
     #    slopes oscillation dy/dx match the ODE's f(y), relative to the
-    #    fastest rate and the state, over one period, at both peak times and
-    #    at 40 more times within 5/r in x of the heterodyne peak (pi at most,
-    #    so no time is negative): 41 evenly spaced offsets without the
-    #    centre, which is the peak itself
+    #    fastest rate, b > p, and the state, over one period, at both peak
+    #    times and at 40 more times within 5/r in x of the heterodyne peak
+    #    (pi at most, so no time is negative): 41 evenly spaced offsets
+    #    without the centre, which is the peak itself
     t_period = optomech.period(couplings)
     grid = _linspace(0.0, t_period, 101)
     t_het, t_no_het = (protocol._peak(couplings, h)[0] for h in (True, False))
@@ -139,7 +139,6 @@ def run(couplings: Couplings, nbar_values):
     ode_times = [*grid, t_het, t_no_het, *(t_het + offset / osc for offset in offsets)]
     for nbar in nbar_values:
         optomech._check_nbar(nbar)
-    rate = max(p, b)
     gin = CovMatrix2.vacuum()
     ode = physical = identity = route = noise = 0.0
     for i, t in enumerate(ode_times):
@@ -153,7 +152,7 @@ def run(couplings: Couplings, nbar_values):
             rhs = dynamics._moment_derivatives(y, p, b)
             size = _size(y)
             residual = max([abs(osc * s - f) for s, f in zip(slopes, rhs)])
-            divisor = rate * size
+            divisor = b * size
             # As _finite checks, but without its call where all is finite.
             if not math.isfinite(sum(y) + sum(slopes) + sum(rhs) + residual + divisor):
                 _finite("ode-vs-analytic", y, slopes, rhs, (residual, divisor))

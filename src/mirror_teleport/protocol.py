@@ -394,11 +394,12 @@ def optimal_time(
     n_eff >= m > 0 and the bracket >= 1/4).
     """
     t_peak, _ = _peak(couplings, heterodyne)
+    _check_nbar(nbar)
     ulp = math.ulp(t_peak)
     t_star, f_max = t_peak, -math.inf
     for k in range(-_ULPS, _ULPS + 1):
         t = t_peak + ulp * k
-        f = _FactoredParts(_checked_trig(couplings, (nbar,), t)).fidelity(nbar, heterodyne)
+        f = _FactoredParts(_checked_trig(couplings, (), t)).fidelity(nbar, heterodyne)
         if f != f:
             f_max = f
             break

@@ -328,11 +328,6 @@ def fidelity_coherent(g: GaussianCoeffs):
     return fidelity_curves(g.couplings, (g.nbar,), g.time)[0]
 
 
-#: Float times on each side of the peak's closed-form time that are also
-#: evaluated: at large nbar the rounding of t limits the heterodyne-free F.
-_ULPS = 8
-
-
 def _peak(couplings: Couplings, heterodyne: bool) -> tuple[float, float]:
     """(t, F) at the fidelity maximum of the first revival period, both in
     closed form; :func:`optimal_time` derives them."""
@@ -358,15 +353,12 @@ def peak_fidelity(couplings: Couplings, heterodyne: bool = True) -> float:
     return _peak(couplings, heterodyne)[1]
 
 
-def optimal_time(
-    couplings: Couplings, nbar: float, heterodyne: bool = True
-) -> tuple[float, float]:
-    """(t*, F_max): maximum of the fidelity over one revival period.
+def optimal_time(couplings: Couplings, nbar: float) -> tuple[float, float]:
+    """(t*, F_max): maximum of the heterodyne fidelity over one revival period.
 
-    The fidelity is that of :func:`fidelity_curves`, with or without the
-    heterodyne.  In tau = tan(x/2), with q^2 = 1 + r^2,
-    1 + gain = N/(1 + tau^2), N = (2r^2+1) tau^2 + 2r tau + 1 > 0, and the
-    derivatives of the two noise forms factor into quadratics:
+    In tau = tan(x/2), with q^2 = 1 + r^2, 1 + gain = N/(1 + tau^2),
+    N = (2r^2+1) tau^2 + 2r tau + 1 > 0, and the derivatives of the two
+    noise forms factor into quadratics:
 
         d n_eff/d tau   ~ ((2r^2+1) tau^2 - 1) N
                           (r (2r^2+1) tau^2 + 2 (r^2 - nbar (r^2+1)) tau + r)
@@ -381,30 +373,21 @@ def optimal_time(
     cannot take n_eff below m.  Without it, tau^2 - 2r tau - 1 = 0 is
     r sin x + cos x = 0, where the nbar term vanishes and 1 + gain is
     stationary; 1 + gain is least at tau0 = r - sqrt(r^2+1)
-    (x0 = 2 pi - atan(1/r)), sqrt(r^2+1)/(sqrt(r^2+1) + r).  F is evaluated
-    at that time and the float times within 8 ulps of it, each a Python
-    float; t* is the first best and F_max the fidelity there, so
-    ``fidelity_curves`` at the returned t* is F_max.
-    With the heterodyne F_max is within a few ulps of :func:`peak_fidelity`.
-    Without it float64 times near the revival leave the bracket near
-    nbar (2 pi r 2^-53)^2, so at large nbar F_max falls below it.
+    (x0 = 2 pi - atan(1/r)), sqrt(r^2+1)/(sqrt(r^2+1) + r).
 
-    Raises DomainError when the closed forms leave the float64 range: a NaN
-    at any evaluated time, or F_max outside (0, 1) (n_eff or E1 overflowed;
-    n_eff >= m > 0 and the bracket >= 1/4).
+    t* is the float time of tau* and F_max ``fidelity_curves`` there, one
+    evaluation: n_eff is stationary at tau*, so the float times within a
+    few ulps of t* differ from it in F only by the kernel's rounding, and
+    F_max is within a few ulps of :func:`peak_fidelity`.  The
+    heterodyne-free maximum is ``peak_fidelity(couplings, False)``: float64
+    times near the revival leave its bracket near nbar (2 pi r 2^-53)^2,
+    so at large nbar no float time reaches it.
+
+    Raises DomainError when F_max is not in (0, 1): a NaN, or n_eff or E1
+    overflowed (n_eff >= m > 0).
     """
-    t_peak, _ = _peak(couplings, heterodyne)
-    _check_nbar(nbar)
-    ulp = math.ulp(t_peak)
-    t_star, f_max = t_peak, -math.inf
-    for k in range(-_ULPS, _ULPS + 1):
-        t = t_peak + ulp * k
-        f = _FactoredParts(_checked_trig(couplings, (), t)).fidelity(nbar, heterodyne)
-        if f != f:
-            f_max = f
-            break
-        if f > f_max:
-            t_star, f_max = t, f
+    t_star = _peak(couplings, True)[0]
+    f_max = fidelity_curves(couplings, (nbar,), t_star)[0]
     if not 0 < f_max < 1:  # a NaN, or n_eff or E1 alone overflowed
         raise DomainError(f"fidelity at nbar = {nbar:.12g} is outside the float64 range")
     return t_star, f_max

@@ -28,7 +28,6 @@ from mirror_teleport import (
     effective_occupation,
     fidelity_coherent,
     fidelity_curves,
-    optimal_time,
     peak_fidelity,
     period,
     physicality_defect,
@@ -772,7 +771,7 @@ _FAILED_CHUNK_ERRORS = {
 
 @pytest.mark.parametrize("failure", ["nan", "overflow", "interrupt"])
 @pytest.mark.parametrize("chunk", [1, 2])
-def test_failing_chunk_fails_alike_in_either_process(
+def test_failing_chunk_leaves_no_files(
     tmp_path, capsys, bench_couplings, chunk, failure
 ):
     # A failure in chunk 1 or in chunk 2 of the five chunks of --grid 20000
@@ -1010,7 +1009,7 @@ def test_curve_warns_when_rounding_limits_the_peak(
 ):
     # At nbar = 1e24 float64 times near the revival leave the heterodyne-free
     # bracket at nbar (2 pi r 2^-53)^2 ~ 1 on the bundled rates, so F at the
-    # best float time is 0.5, not 0.8.  The bundled occupations are far from
+    # peak's float time is 0.5, not 0.8.  The bundled occupations are far from
     # that.  curve reports the closed-form maximum in both cases, so it has
     # nothing to warn about and writes nothing to stderr.
     if nbar_values is not None:
@@ -1023,7 +1022,10 @@ def test_curve_warns_when_rounding_limits_the_peak(
     assert summary["per_nbar"]
     for key, entry in summary["per_nbar"].items():
         assert entry["F_max_no_heterodyne"] == peak
-        sampled = optimal_time(bench_couplings, float(key), heterodyne=False)[1]
+        sampled = fidelity_curves(
+            bench_couplings, (float(key),), protocol._peak(bench_couplings, False)[0],
+            heterodyne=False,
+        )[0]
         assert (sampled < peak - 0.1) == limited, (key, sampled)
 
 

@@ -152,7 +152,7 @@ def test_float_library_calls_load_no_numpy():
     code = (
         "import mirror_teleport as mt; "
         "c = mt.Couplings.from_rates(2.0, 3.0); "
-        "mt.optimal_time(c, 1.0); mt.optimal_time(c, 1.0, heterodyne=False); "
+        "mt.optimal_time(c, 1.0); mt.fidelity_curves(c, (1.0,), 0.3, heterodyne=False); "
         "mt.peak_fidelity(c); "
         "chan = mt.conditional_correlation(c, 1.0, 0.3); "
         "mt.teleport_covariance(chan, mt.CovMatrix2.vacuum()); "

@@ -279,6 +279,17 @@ def test_optimum_saturates_ceiling(bench_couplings):
     assert 0.9 * period(bench_couplings) < t_star < period(bench_couplings)
 
 
+def _optimum(c, nbar, heterodyne):
+    """(t, F) at the maximum over time: ``optimal_time``'s, whose F is the
+    kernel's at its t, or without the heterodyne the closed-form peak, which
+    float times fall below at large nbar."""
+    if not heterodyne:
+        return protocol._peak(c, False)[0], peak_fidelity(c, heterodyne=False)
+    t_star, f_max = optimal_time(c, nbar)
+    assert _fidelity(c, nbar, t_star) == f_max
+    return t_star, f_max
+
+
 @pytest.mark.parametrize(
     "c, nbar, heterodyne",
     [
@@ -290,7 +301,7 @@ def test_optimum_saturates_ceiling(bench_couplings):
             False,
         ),
         # At large nbar the heterodyne-free peak is a few ulps of t wide, and
-        # the rounding of t limits F.
+        # the float times fall below its closed-form F.
         ("bench_couplings", 1e16, False),
         ("bench_couplings", 1e20, False),
         (Couplings.from_rates(2.0, 3.0), 1e20, False),
@@ -314,7 +325,8 @@ def test_optimum_saturates_ceiling(bench_couplings):
 def test_optimal_time_agrees_with_brute_force(request, c, nbar, heterodyne):
     # A dense scan of the period, joined to every float time within 20,000
     # ulps of x0 = 2 pi - atan(1/r), where the heterodyne-free bracket
-    # nbar (r sin x + cos x)^2 vanishes.
+    # nbar (r sin x + cos x)^2 vanishes: no float time beats the closed-form
+    # maximum, and its time is the scan's best.
     if isinstance(c, str):
         c = request.getfixturevalue(c)
     t0 = (2.0 * math.pi - math.atan(c.oscillation / c.parametric)) / c.oscillation
@@ -323,9 +335,8 @@ def test_optimal_time_agrees_with_brute_force(request, c, nbar, heterodyne):
         t0 + math.ulp(t0) * np.arange(-20_000, 20_001),
     ))
     f = _fidelity(c, nbar, ts, heterodyne)
-    t_star, f_max = optimal_time(c, nbar, heterodyne)
+    t_star, f_max = _optimum(c, nbar, heterodyne)
     assert f_max >= f.max() - 1e-12
-    assert _fidelity(c, nbar, t_star, heterodyne) == f_max
     assert t_star == pytest.approx(ts[int(np.argmax(f))], abs=1e-6 * period(c))
 
 
@@ -339,9 +350,7 @@ def test_optimal_time_beats_dense_u_scan(bench_config, mirror_freq, heterodyne):
     u = np.linspace(0.0, 4.0, 400_001)
     ts = (2.0 * math.pi - u / r) / c.oscillation
     scan_max = np.max(_fidelity(c, 1000.0, ts, heterodyne))
-    t_star, f_max = optimal_time(c, 1000.0, heterodyne)
-    assert f_max >= scan_max - 1e-12
-    assert _fidelity(c, 1000.0, t_star, heterodyne) == f_max
+    assert _optimum(c, 1000.0, heterodyne)[1] >= scan_max - 1e-12
 
 
 @given(
@@ -366,9 +375,7 @@ def test_optimal_time_beats_dense_scans_at_small_r(c, nbar, heterodyne):
         np.maximum(t_period - u / c.parametric, 0.0),
     ))
     scan_max = np.max(_fidelity(c, nbar, ts, heterodyne))
-    t_star, f_max = optimal_time(c, nbar, heterodyne)
-    assert f_max >= scan_max - 1e-12
-    assert _fidelity(c, nbar, t_star, heterodyne) == f_max
+    assert _optimum(c, nbar, heterodyne)[1] >= scan_max - 1e-12
 
 
 def _reference_fidelity(c, nbar, times, heterodyne=True):
@@ -404,9 +411,9 @@ _BUNDLED_COUPLINGS = compute_couplings(load_config(bundled_config_path()).params
 def test_fidelity_curves_match_the_coefficient_route(c, nbar_values, heterodyne):
     # The one kernel of the factored forms gives the bits of the reference
     # for every nbar, and so does each nbar alone; the fidelity_coherent
-    # wrapper is the kernel at its state's float time; and the optimiser's
-    # F_max is the kernel at its t*, which no float time within 8 ulps of
-    # the closed-form peak beats.
+    # wrapper is the kernel at its state's float time; and the optimiser is
+    # the kernel at the closed-form peak time, bit for bit, which the float
+    # times within 8 ulps of it beat by no more than the kernel's rounding.
     ts = np.linspace(0.0, 1.5 * period(c), 3001)
     got = fidelity_curves(c, nbar_values, ts, heterodyne)
     for nbar, f in zip(nbar_values, got):
@@ -416,11 +423,11 @@ def test_fidelity_curves_match_the_coefficient_route(c, nbar_values, heterodyne)
         if heterodyne:
             for t in ts[::300].tolist():
                 assert fidelity_coherent(coeffs_analytic(c, nbar, t)) == _fidelity(c, nbar, t)
-        t_star, f_max = optimal_time(c, nbar, heterodyne)
-        assert _fidelity(c, nbar, t_star, heterodyne) == f_max
-        t_peak = protocol._peak(c, heterodyne)[0]
+        t_peak = protocol._peak(c, True)[0]
+        f_max = _fidelity(c, nbar, t_peak)
+        assert optimal_time(c, nbar) == (t_peak, f_max)
         near = [t_peak + math.ulp(t_peak) * k for k in range(-8, 9)]
-        assert f_max == max(_fidelity(c, nbar, t, heterodyne) for t in near)
+        assert max(_fidelity(c, nbar, t) for t in near) <= f_max * (1.0 + 1e-15)
 
 
 @pytest.mark.parametrize("nbar", [math.nan, math.inf, -1.0])
@@ -466,24 +473,28 @@ def test_optimal_time_rejects_overflowed_fidelity(bench_couplings):
 
 @pytest.mark.parametrize("offset", [1, 8, 16])
 def test_optimal_time_rejects_a_nan_off_the_peak(monkeypatch, bench_couplings, offset):
-    # max() would skip a NaN, so a NaN at any of the 17 times, after the
-    # best or before it, fails the same range check as an overflow.
-    t_star, _ = optimal_time(bench_couplings, 1.0)
+    # optimal_time evaluates t* alone: a NaN at the float times up to
+    # offset ulps off the peak, but not at it, is never evaluated, and one
+    # that reaches t* fails the same range check as an overflow.
+    expected = optimal_time(bench_couplings, 1.0)
     t_peak = protocol._peak(bench_couplings, True)[0]
-    best = round((t_star - t_peak) / math.ulp(t_peak)) + 8
-    fidelity = protocol._FactoredParts.fidelity
+    nans = {t_peak + math.ulp(t_peak) * k for k in range(-offset, offset + 1)}
+    nans.discard(t_peak)
+    fidelity_curves = protocol.fidelity_curves
     calls = []
 
-    def with_a_nan(parts, nbar, heterodyne=True):
-        calls.append(nbar)
-        if len(calls) - 1 == (best + offset) % 17:
-            return math.nan
-        return fidelity(parts, nbar, heterodyne)
+    def with_nans(c, nbar_values, time, heterodyne=True):
+        calls.append(time)
+        if time in nans:
+            return [math.nan] * len(nbar_values)
+        return fidelity_curves(c, nbar_values, time, heterodyne)
 
-    monkeypatch.setattr(protocol._FactoredParts, "fidelity", with_a_nan)
+    monkeypatch.setattr(protocol, "fidelity_curves", with_nans)
+    assert optimal_time(bench_couplings, 1.0) == expected
+    nans.add(t_peak)
     with pytest.raises(DomainError, match="float64 range"):
         optimal_time(bench_couplings, 1.0)
-    assert len(calls) == (best + offset) % 17 + 1
+    assert calls == [t_peak, t_peak]
 
 
 def test_optimal_time_at_vanishing_ratio():
@@ -492,7 +503,8 @@ def test_optimal_time_at_vanishing_ratio():
     for c in (Couplings.from_rates(1e-200, 1.0), Couplings(5e-324, 10.0, 10.0)):
         for nbar in (0.0, 1.0, 1e200):
             assert optimal_time(c, nbar)[1] == 0.5
-        assert optimal_time(c, 1.0, heterodyne=False)[1] == 0.5
+        assert peak_fidelity(c, heterodyne=False) == 0.5
+        assert _fidelity(c, 1.0, protocol._peak(c, False)[0], False) == 0.5
 
 
 @given(
@@ -516,13 +528,13 @@ def test_optima_are_closed_form(c, nbar):
     t_peak = (2.0 * math.pi - 2.0 * math.atan(1.0 / k)) / c.oscillation
     assert abs(t_star - t_peak) <= 8 * math.ulp(t_peak)
     # Without the heterodyne, tau0 = r - sqrt(r^2 + 1) and 1 + gain =
-    # sqrt(r^2 + 1)/(sqrt(r^2 + 1) + r).  At large nbar the rounding of t
-    # limits F, which test_optimal_time_agrees_with_brute_force covers.
+    # sqrt(r^2 + 1)/(sqrt(r^2 + 1) + r).  At large nbar float times fall
+    # below it, which test_optimal_time_agrees_with_brute_force covers.
+    t_peak = (2.0 * math.pi - 2.0 * math.atan(1.0 / (r + s))) / c.oscillation
+    t_star = protocol._peak(c, False)[0]
+    assert abs(t_star - t_peak) <= 8 * math.ulp(t_peak)
     if nbar <= 1e6:
-        t_star, f_max = optimal_time(c, nbar, heterodyne=False)
-        assert f_max == pytest.approx(closed_nh, rel=1e-14)
-        t_peak = (2.0 * math.pi - 2.0 * math.atan(1.0 / (r + s))) / c.oscillation
-        assert abs(t_star - t_peak) <= 8 * math.ulp(t_peak)
+        assert _fidelity(c, nbar, t_star, False) == pytest.approx(closed_nh, rel=1e-14)
 
 
 def test_no_heterodyne_never_beats_heterodyne(moderate, bench_couplings):
@@ -534,7 +546,7 @@ def test_no_heterodyne_never_beats_heterodyne(moderate, bench_couplings):
 
 
 def test_no_heterodyne_optimum(bench_couplings):
-    _, f_nh = optimal_time(bench_couplings, 0.0, heterodyne=False)
+    f_nh = _fidelity(bench_couplings, 0.0, protocol._peak(bench_couplings, False)[0], False)
     assert f_nh == pytest.approx(0.8, abs=2e-3)
 
 
